@@ -7,6 +7,11 @@ a sum over all ``2**(depth+1) - 1`` nodes; weights, regressors and the
 separating hyperplanes themselves all follow stochastic-gradient steps.
 A step costs O(dim * 4**depth) because the combination weight of every
 node correlates with every node weight.
+
+The activation cascade and the subtree sums behind the boundary steps read
+the fixed heap tables ``ANCESTORS`` and ``DESCENDANTS`` of
+:mod:`pwltree.trees`: activations are one gather of per-node branch
+factors and a row product, subtree sums one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from scipy.special import expit
 
 from .separators import initial_directions
 from .trees import (
+    ANCESTORS,
+    DESCENDANTS,
     MAX_TABLE_DEPTH,
     NodeLabel,
     label_from_index,
@@ -120,6 +127,8 @@ class AdaptiveTreeRegressor:
             raise ValueError(f"theta must have shape ({self.n_internal}, {dim + 1})")
         self.theta = theta
         self._rho = rho_table(depth).astype(float)
+        self._ancestors = ANCESTORS[: self.n_nodes, MAX_TABLE_DEPTH - depth:]
+        self._descendants = DESCENDANTS[: self.n_nodes, : self.n_nodes]
         self.v = np.zeros((self.n_nodes, dim + 1))
         self.w = np.zeros(self.n_nodes)
         self.t = 1
@@ -142,13 +151,15 @@ class AdaptiveTreeRegressor:
         collapse the mixture over all nodes (or leaves in leaf-only mode)."""
         x_ext = np.asarray(x_ext, dtype=float)
         u = expit(-(self.theta @ x_ext)) if self.n_internal else np.empty(0)
-        s = np.clip(self.s_plus + (1.0 - 2.0 * self.s_plus) * u,
-                    self.s_plus, 1.0 - self.s_plus)
-        alphas = np.empty(self.n_nodes)
-        alphas[0] = 1.0
-        for i in range(self.n_internal):
-            alphas[2 * i + 1] = alphas[i] * s[i]
-            alphas[2 * i + 2] = alphas[i] * (1.0 - s[i])
+        s = np.minimum(np.maximum(self.s_plus + (1.0 - 2.0 * self.s_plus) * u, self.s_plus),
+                       1.0 - self.s_plus)
+        # branch factor of every node; the root's 1.0 also pads the
+        # ancestor rows of shallow nodes, so the products stay exact
+        f = np.empty(self.n_nodes)
+        f[0] = 1.0
+        f[1::2] = s
+        f[2::2] = 1.0 - s
+        alphas = f[self._ancestors].prod(axis=1)
         if self.leaf_only:
             estimates = np.zeros(self.n_nodes)
             estimates[self._leaf_slice] = self.v[self._leaf_slice] @ x_ext
@@ -182,13 +193,8 @@ class AdaptiveTreeRegressor:
         """Scalar factor of each internal node's boundary step (before the
         cap): the mixture's sensitivity to that gate times the gate
         derivative."""
-        g = pred.kappas * pred.h
-        sub = np.empty(self.n_nodes)
-        for i in range(self.n_nodes - 1, -1, -1):
-            sub[i] = g[i]
-            if i < self.n_internal:
-                sub[i] += sub[2 * i + 1] + sub[2 * i + 2]
-        sigma = sub[1::2][: self.n_internal] / pred.s - sub[2::2][: self.n_internal] / (1.0 - pred.s)
+        sub = self._descendants @ (pred.kappas * pred.h)
+        sigma = sub[1::2] / pred.s - sub[2::2] / (1.0 - pred.s)
         if self.literal_gradient:
             sprime = pred.s * (1.0 - pred.s)
         else:
@@ -203,7 +209,8 @@ class AdaptiveTreeRegressor:
         x_ext = np.asarray(x_ext, dtype=float)
         factors = self.boundary_factors(pred)
         if self.step_cap is not None:
-            np.clip(factors, -self.step_cap, self.step_cap, out=factors)
+            np.minimum(factors, self.step_cap, out=factors)
+            np.maximum(factors, -self.step_cap, out=factors)
         self.theta -= (self._eta_t() * e) * factors[:, None] * x_ext
 
     def update(self, x_ext, d_t: float, pred: AdaptiveTreePrediction) -> None:
@@ -246,8 +253,15 @@ class AdaptiveTreeRegressor:
         for entry in nodes:
             i = NodeLabel.from_string(entry["label"]).index
             self.w[i] = float(entry["w"])
-            self.v[i] = np.array(entry["v"], dtype=float)
+            self.v[i] = self._snapshot_row(entry, "v")
             if i < self.n_internal:
-                self.theta[i] = np.array(entry["theta"], dtype=float)
+                self.theta[i] = self._snapshot_row(entry, "theta")
             elif "theta" in entry:
                 raise ValueError(f"leaf {entry['label']!r} must not carry a separator")
+
+    def _snapshot_row(self, entry: dict, field: str) -> np.ndarray:
+        row = np.array(entry[field], dtype=float)
+        if row.shape != (self.dim + 1,):
+            raise ValueError(f"snapshot {field} of node {entry['label']!r} has shape "
+                             f"{row.shape}, expected ({self.dim + 1},)")
+        return row

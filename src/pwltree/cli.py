@@ -39,7 +39,7 @@ def _cmd_run(args) -> int:
     try:
         config = harness.ExperimentConfig.from_file(args.config)
         result = harness.run_experiment(config)
-    except (harness.ConfigError, harness.TrialDiverged) as exc:
+    except (ValueError, harness.TrialDiverged) as exc:
         return _fail(str(exc))
     prefix = args.out or config.output or Path(args.config).stem
     metrics_path = f"{prefix}_metrics.csv"

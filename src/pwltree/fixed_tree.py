@@ -66,13 +66,9 @@ class FixedTreeRegressor:
         Hyperplane vectors of the internal nodes, heap order.  Defaults to
         the axis-cycling directions of :func:`initial_directions` (the
         four quadrants when depth = dim = 2).  Never trained.
-    kappa_weighted_updates : bool
-        When True, regressor updates are scaled by the node's current
-        combination weight (the exact gradient of the squared error).
-        Default False: the plain ``v + mu e x`` update on path nodes.
     """
 
-    def __init__(self, depth, dim, mu=0.01, boundaries=None, kappa_weighted_updates=False):
+    def __init__(self, depth, dim, mu=0.01, boundaries=None):
         if not 0 <= depth <= MAX_TABLE_DEPTH:
             raise ValueError(f"depth must be in [0, {MAX_TABLE_DEPTH}]")
         if dim < 1:
@@ -80,7 +76,6 @@ class FixedTreeRegressor:
         self.depth = depth
         self.dim = dim
         self.mu = mu
-        self.kappa_weighted_updates = bool(kappa_weighted_updates)
         self.n_nodes = node_count(depth)
         self.n_internal = (1 << depth) - 1
         if boundaries is None:
@@ -140,10 +135,7 @@ class FixedTreeRegressor:
         mu = _resolve_step(self.mu, self.t)
         e = d_t - pred.y_hat
         path = pred.path_indices
-        if self.kappa_weighted_updates:
-            self.v[path] += (mu * e) * pred.kappas[:, None] * x_ext
-        else:
-            self.v[path] += (mu * e) * x_ext
+        self.v[path] += (mu * e) * x_ext
         self.w[path] += (mu * e) * pred.estimates
         self.t += 1
 

@@ -70,8 +70,12 @@ def run_stream(learner, x_ext: np.ndarray, targets: np.ndarray) -> RunMetrics:
     """Strict predict-then-update loop over one stream.
 
     The prediction for step t is stored before ``update`` ever sees the
-    target, so no learner can peek ahead.
+    target, so no learner can peek ahead.  Raises ValueError naming the
+    first step whose input or target is not finite, before any step runs.
     """
+    bad = ~(np.isfinite(x_ext).all(axis=1) & np.isfinite(targets))
+    if bad.any():
+        raise ValueError(f"non-finite input or target at step {int(np.argmax(bad)) + 1}")
     n = len(targets)
     preds = np.empty(n)
     for t in range(n):
@@ -329,6 +333,11 @@ def load_csv_dataset(path, target_column, normalize: bool = True) -> NormalizedD
         data = np.array(rows, dtype=float)
     except ValueError as exc:
         raise ValueError(f"non-numeric cell in {path}: {exc}") from exc
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"non-finite cell {rows[row][col]!r} in {path}: data row {row + 1} "
+                         f"(line {row + 2}), column {header[col]!r}")
     if isinstance(target_column, int):
         target_idx = target_column
     else:

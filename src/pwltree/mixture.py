@@ -48,14 +48,13 @@ class DirectMixtureRegressor:
 
     Parameters mirror the collapsed learners so the two can run in
     lockstep: ``mode='hard'`` twins :class:`FixedTreeRegressor` (frozen
-    ``boundaries``, optional kappa-weighted regressor updates) and
+    ``boundaries``) and
     ``mode='soft'`` twins :class:`AdaptiveTreeRegressor` (``s_plus``
     clamp, tied ``eta``, ``step_cap``, exact or literal gate gradient).
     """
 
     def __init__(self, depth, dim, mode="hard", mu=0.01, boundaries=None,
-                 kappa_weighted_updates=False, s_plus=0.01, eta=None,
-                 step_cap="auto", literal_gradient=False):
+                 s_plus=0.01, eta=None, step_cap="auto", literal_gradient=False):
         if not 0 <= depth <= MAX_DIRECT_DEPTH:
             raise ValueError(f"direct mixture refused beyond depth {MAX_DIRECT_DEPTH}")
         if mode not in ("hard", "soft"):
@@ -64,7 +63,6 @@ class DirectMixtureRegressor:
         self.dim = dim
         self.mode = mode
         self.mu = mu
-        self.kappa_weighted_updates = bool(kappa_weighted_updates)
         self.s_plus = float(s_plus)
         self.eta = eta
         if step_cap == "auto":
@@ -134,12 +132,7 @@ class DirectMixtureRegressor:
         mu = self._mu_t()
         e = d_t - pred.y_hat
         if self.mode == "hard":
-            path = pred.path_indices
-            if self.kappa_weighted_updates:
-                coeffs = self.membership[:, path].T @ self.w_vec
-                self.v[path] += (mu * e) * coeffs[:, None] * x_ext
-            else:
-                self.v[path] += (mu * e) * x_ext
+            self.v[pred.path_indices] += (mu * e) * x_ext
         else:
             self.v += (mu * e) * pred.alphas[:, None] * x_ext
             self._update_theta(x_ext, e, pred)

@@ -111,6 +111,34 @@ def node_count(depth: int) -> int:
     return (1 << (depth + 1)) - 1
 
 
+def _heap_tables(depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ancestor and descendant tables of the depth-``depth`` heap.
+
+    Row ``i`` of the ancestor table lists the nodes of the root -> ``i``
+    path below the root, right-aligned (the last column is ``i`` itself)
+    and left-padded with the root index 0.  Entry ``[a, i]`` of the
+    descendant table is 1.0 when ``i`` lies in the subtree of ``a``,
+    ``a`` included.  Node ``i`` sits at level ``floor(log2(i + 1))`` and
+    its ancestor ``k`` levels up is ``((i + 1) >> k) - 1``.
+    """
+    one_based = np.arange(1, node_count(depth) + 1)
+    shifts = np.arange(depth - 1, -1, -1)
+    ancestors = np.maximum((one_based[:, None] >> shifts) - 1, 0).astype(np.intp)
+    levels = np.frexp(one_based)[1] - 1
+    up = levels[None, :] - levels[:, None]
+    below = (one_based[None, :] >> np.maximum(up, 0)) == one_based[:, None]
+    descendants = ((up >= 0) & below).astype(float)
+    for table in (ancestors, descendants):
+        table.setflags(write=False)
+    return ancestors, descendants
+
+
+# Shared read-only tables of the deepest supported tree.  Heap indices of a
+# depth-d tree are a prefix of these, so a depth-d learner uses
+# ``ANCESTORS[:n, MAX_TABLE_DEPTH - d:]`` and ``DESCENDANTS[:n, :n]``.
+ANCESTORS, DESCENDANTS = _heap_tables(MAX_TABLE_DEPTH)
+
+
 @dataclass(frozen=True)
 class TreeShape:
     """Depth and node count of a complete binary tree."""

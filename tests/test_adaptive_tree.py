@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwltree.adaptive_tree import AdaptiveTreeRegressor
 from pwltree.datagen import generate
@@ -11,6 +13,39 @@ from pwltree.trees import NodeLabel
 
 def ext(x1, x2):
     return np.array([x1, x2, 1.0])
+
+
+def loop_alphas(s, n_nodes):
+    """Reference activation cascade: one parent-to-children pass per
+    internal node, in heap order."""
+    alphas = np.empty(n_nodes)
+    alphas[0] = 1.0
+    for i in range(s.size):
+        alphas[2 * i + 1] = alphas[i] * s[i]
+        alphas[2 * i + 2] = alphas[i] * (1.0 - s[i])
+    return alphas
+
+
+def loop_boundary_factors(lrn, pred):
+    """Reference boundary factors: subtree sums of kappa * h accumulated
+    bottom-up, one node at a time."""
+    g = pred.kappas * pred.h
+    sub = np.empty(lrn.n_nodes)
+    for i in range(lrn.n_nodes - 1, -1, -1):
+        sub[i] = g[i]
+        if i < lrn.n_internal:
+            sub[i] += sub[2 * i + 1] + sub[2 * i + 2]
+    sigma = sub[1::2] / pred.s - sub[2::2] / (1.0 - pred.s)
+    if lrn.literal_gradient:
+        return sigma * pred.s * (1.0 - pred.s)
+    return sigma * (1.0 - 2.0 * lrn.s_plus) * pred.u * (1.0 - pred.u)
+
+
+def random_state(lrn, rng):
+    lrn.v = rng.normal(size=lrn.v.shape)
+    lrn.w = rng.normal(size=lrn.w.shape)
+    lrn.theta = rng.normal(size=lrn.theta.shape) * 10.0 ** rng.uniform(-1, 2)
+    return ext(*(3.0 * rng.normal(size=2)))
 
 
 class TestConstruction:
@@ -65,6 +100,19 @@ class TestPredict:
         est, alpha, h, kap = table[NodeLabel.from_string("0")]
         assert h == pytest.approx(alpha * est)
 
+    @pytest.mark.parametrize("leaf_only", [False, True])
+    @pytest.mark.parametrize("depth", range(6))
+    def test_cascade_bit_identical_to_loop(self, depth, leaf_only):
+        rng = np.random.default_rng(100 + depth)
+        for _ in range(200):
+            lrn = AdaptiveTreeRegressor(depth, 2, s_plus=10.0 ** rng.uniform(-4, -1),
+                                        leaf_only=leaf_only)
+            x = random_state(lrn, rng)
+            pred = lrn.predict(x)
+            alphas = loop_alphas(pred.s, lrn.n_nodes)
+            assert np.array_equal(pred.alphas, alphas)
+            assert pred.y_hat == float(pred.kappas @ (alphas * pred.estimates))
+
     def test_matches_direct_mixture_short_run(self):
         stream = generate("matched", 300, seed=8)
         fast = AdaptiveTreeRegressor(2, 2, mu=0.01, s_plus=0.01)
@@ -73,6 +121,39 @@ class TestPredict:
             y1, _ = fast.step(x, d)
             y2, _ = slow.step(x, d)
             assert abs(y1 - y2) <= 1e-9 * (1.0 + abs(y2))
+
+
+@st.composite
+def boundary_lockstep_cases(draw):
+    """A depth <= 3 tree whose hyperplanes all pass exactly through one
+    integer point (every gate reads 1/2 there), optionally sharpened so
+    that the other points sit deep in the s_plus clamp, plus a short
+    stream revisiting those points."""
+    depth = draw(st.integers(0, 3))
+    coef = st.integers(-3, 3)
+    point = np.array([draw(coef), draw(coef)], dtype=float)
+    rows = [[draw(coef), draw(coef), 0.0] for _ in range((1 << depth) - 1)]
+    theta = np.array(rows, dtype=float).reshape(-1, 3)
+    theta[:, 2] = -(theta[:, :2] @ point)
+    theta *= draw(st.sampled_from([1.0, 1e3]))
+    others = draw(st.lists(st.tuples(coef, coef), min_size=1, max_size=4))
+    xs = [ext(*point)] + [ext(float(a), float(b)) for a, b in others]
+    targets = draw(st.lists(st.floats(-2.0, 2.0), min_size=12, max_size=12))
+    return depth, theta, xs, targets
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(boundary_lockstep_cases())
+def test_lockstep_on_boundaries_and_in_clamp(case):
+    depth, theta, xs, targets = case
+    assert not (theta @ xs[0]).any()
+    fast = AdaptiveTreeRegressor(depth, 2, mu=0.05, theta=theta)
+    slow = DirectMixtureRegressor(depth, 2, mode="soft", mu=0.05, boundaries=theta)
+    for t, d in enumerate(targets):
+        x = xs[t % len(xs)]
+        y1, _ = fast.step(x, d)
+        y2, _ = slow.step(x, d)
+        assert abs(y1 - y2) <= 1e-9 * (1.0 + abs(y2))
 
 
 class TestWeightUpdates:
@@ -143,6 +224,20 @@ class TestBoundaryUpdates:
                         fd[j] = (up - dn) / (2 * h)
                     err = np.linalg.norm(fd - analytic) / max(np.linalg.norm(analytic), 1e-8)
                     assert err <= 1e-5
+
+    @pytest.mark.parametrize("literal", [False, True])
+    @pytest.mark.parametrize("depth", range(1, 6))
+    def test_factors_match_loop(self, depth, literal):
+        # the matrix-vector subtree sums add in another order than the
+        # loop; factors may differ by rounding relative to their scale
+        rng = np.random.default_rng(200 + depth)
+        for _ in range(200):
+            lrn = AdaptiveTreeRegressor(depth, 2, s_plus=10.0 ** rng.uniform(-4, -1),
+                                        literal_gradient=literal)
+            pred = lrn.predict(random_state(lrn, rng))
+            want = loop_boundary_factors(lrn, pred)
+            np.testing.assert_allclose(lrn.boundary_factors(pred), want, rtol=1e-11,
+                                       atol=1e-11 * np.abs(want).max())
 
     def test_cap_limits_the_scalar_factor(self):
         lrn = AdaptiveTreeRegressor(1, 2, mu=0.1, s_plus=0.01, theta=np.zeros((1, 3)))
@@ -232,6 +327,14 @@ class TestSnapshot:
         state = lrn.state_snapshot()
         state["nodes"][1]["theta"] = [0.0, 0.0, 0.0]
         with pytest.raises(ValueError):
+            lrn.load_state(state)
+
+    @pytest.mark.parametrize("field, node", [("v", 0), ("v", 2), ("theta", 0)])
+    def test_short_row_rejected(self, field, node):
+        lrn = AdaptiveTreeRegressor(1, 2)
+        state = lrn.state_snapshot()
+        state["nodes"][node][field] = [5.0]
+        with pytest.raises(ValueError, match=f"snapshot {field} of node"):
             lrn.load_state(state)
 
     def test_clamp_mismatch_rejected(self):

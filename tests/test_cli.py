@@ -50,6 +50,20 @@ class TestRunCommand:
         path.write_text(json.dumps({"schema": 1, "stream": {"n": 5}, "learners": []}))
         assert main(["run", str(path)]) == 1
 
+    def test_non_finite_csv_cell_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,y\n0,1,2\n3,nan,5\n")
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": {"kind": "csv", "path": str(data), "target": "y"},
+            "learners": [{"kind": "lf", "mu": 0.05}],
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"non-finite cell 'nan' in {data}: data row 2 (line 3), column 'b'" in err
+        assert not (tmp_path / "out_metrics.csv").exists()
+
     def test_run_writes_metrics_and_summary(self, tmp_path):
         config = {
             "schema": 1,

@@ -110,17 +110,6 @@ class TestUpdate:
             if i not in path:
                 assert not lrn.v[i].any() and lrn.w[i] == 0.0
 
-    def test_kappa_weighted_variant_scales_updates(self):
-        base = FixedTreeRegressor(2, 2, mu=0.1)
-        weighted = FixedTreeRegressor(2, 2, mu=0.1, kappa_weighted_updates=True)
-        for lrn in (base, weighted):
-            lrn.w[:] = 0.5
-        x = ext(1.0, 1.0)
-        for lrn in (base, weighted):
-            pred = lrn.predict(x)
-            lrn.update(x, 3.0, pred)
-        assert not np.allclose(base.v, weighted.v)
-
     def test_schedule_callable_gets_step_index(self):
         seen = []
 

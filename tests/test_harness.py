@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from pwltree.adaptive_tree import AdaptiveTreeRegressor
 from pwltree.datagen import gen_henon, generate
 from pwltree.fixed_tree import FixedTreeRegressor
 from pwltree.harness import (
@@ -65,6 +66,20 @@ class TestRunStream:
         wild = FixedTreeRegressor(2, 2, mu=50.0)
         with pytest.raises(TrialDiverged):
             run_stream(wild, stream.extended, stream.targets)
+
+    @pytest.mark.parametrize("learner", [FixedTreeRegressor, AdaptiveTreeRegressor])
+    @pytest.mark.parametrize("where", ["input", "target"])
+    def test_non_finite_data_rejected_before_any_step(self, learner, where):
+        stream = generate("matched", 20, seed=1)
+        x_ext, targets = stream.extended.copy(), stream.targets.copy()
+        if where == "input":
+            x_ext[2, 0] = np.nan
+        else:
+            targets[2] = np.inf
+        lrn = learner(2, 2)
+        with pytest.raises(ValueError, match="at step 3$"):
+            run_stream(lrn, x_ext, targets)
+        assert lrn.t == 1
 
 
 class TestAveraging:
@@ -241,6 +256,16 @@ class TestCsvDataset:
         path = self.write_csv(tmp_path, ["0,oops,1", "2,3,4"])
         with pytest.raises(ValueError):
             load_csv_dataset(path, "y")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_named(self, tmp_path, cell):
+        path = self.write_csv(tmp_path, ["0,1,2", f"3,{cell},5"])
+        with pytest.raises(ValueError) as info:
+            load_csv_dataset(path, "y")
+        message = str(info.value)
+        assert str(path) in message
+        assert f"{cell!r}" in message
+        assert "data row 2 (line 3), column 'b'" in message
 
     def test_missing_target_column(self, tmp_path):
         path = self.write_csv(tmp_path, ["0,1,2"])

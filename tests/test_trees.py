@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from pwltree.trees import (
+    ANCESTORS,
+    DESCENDANTS,
     MAX_ENUMERATION_DEPTH,
+    MAX_TABLE_DEPTH,
     NodeLabel,
     ROOT,
     TreeShape,
@@ -272,6 +275,28 @@ class TestRhoTable:
     def test_depth_cap(self):
         with pytest.raises(ValueError):
             rho_table(6)
+
+
+class TestHeapTables:
+    def test_ancestor_rows_are_padded_prefix_paths(self):
+        assert ANCESTORS.shape == (node_count(MAX_TABLE_DEPTH), MAX_TABLE_DEPTH)
+        for i in range(node_count(MAX_TABLE_DEPTH)):
+            path = [p.index for p in prefixes(label_from_index(i))[1:]]
+            pad = [0] * (MAX_TABLE_DEPTH - len(path))
+            assert ANCESTORS[i].tolist() == pad + path
+
+    def test_descendants_mark_prefix_relation(self):
+        n = node_count(MAX_TABLE_DEPTH)
+        assert DESCENDANTS.shape == (n, n)
+        for a in range(n):
+            for i in range(n):
+                inside = label_from_index(a).is_prefix_of(label_from_index(i))
+                assert DESCENDANTS[a, i] == float(inside)
+
+    def test_read_only(self):
+        for table in (ANCESTORS, DESCENDANTS):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
 
 
 class TestMembership:
