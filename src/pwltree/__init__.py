@@ -26,24 +26,19 @@ from .mixture import (
     DirectMixtureRegressor,
     batch_best_weights,
     empirical_strong_convexity,
-    model_estimate,
     regret,
 )
-from .nodes import NodeRegressor, NodeState, node_estimate, scaled_estimate, update_regressor
-from .separators import Separator, branch_factor, evaluate, gradient, initial_directions, path_product
+from .separators import initial_directions
 from .trees import (
     NodeLabel,
     Partition,
     ROOT,
-    TreeShape,
     beta,
     enumerate_partitions,
     gamma,
-    kappa,
     prefixes,
     rho,
     rho_table,
-    span,
 )
 
 __version__ = "0.1.0"
@@ -59,41 +54,27 @@ __all__ = [
     "GaussianKernelRegressor",
     "LinearFilter",
     "NodeLabel",
-    "NodeRegressor",
-    "NodeState",
     "NormalizedDataset",
     "Partition",
     "ROOT",
     "RunMetrics",
-    "Separator",
     "Stream",
-    "TreeShape",
     "VolterraFilter",
     "batch_best_weights",
     "beta",
-    "branch_factor",
     "empirical_strong_convexity",
     "enumerate_partitions",
-    "evaluate",
     "gamma",
     "generate",
-    "gradient",
     "initial_directions",
-    "kappa",
     "load_csv_dataset",
-    "model_estimate",
-    "node_estimate",
-    "path_product",
     "prefixes",
     "regret",
     "rho",
     "rho_table",
     "run_experiment",
     "run_stream",
-    "scaled_estimate",
-    "span",
     "stream_to_csv",
-    "update_regressor",
     "verify_equivalence",
     "vf_features",
 ]

@@ -30,6 +30,7 @@ from .trees import (
     label_from_index,
     node_count,
     rho_table,
+    snapshot_arrays,
 )
 
 
@@ -243,25 +244,11 @@ class AdaptiveTreeRegressor:
         return {"depth": self.depth, "s_plus": self.s_plus, "nodes": nodes}
 
     def load_state(self, state: dict) -> None:
+        """Replace the state with a ``state_snapshot``; a refused snapshot
+        leaves the learner unchanged."""
         if state["depth"] != self.depth:
             raise ValueError("snapshot depth does not match learner")
         if float(state["s_plus"]) != self.s_plus:
             raise ValueError("snapshot clamp does not match learner")
-        nodes = state["nodes"]
-        if len(nodes) != self.n_nodes:
-            raise ValueError("snapshot node count does not match learner")
-        for entry in nodes:
-            i = NodeLabel.from_string(entry["label"]).index
-            self.w[i] = float(entry["w"])
-            self.v[i] = self._snapshot_row(entry, "v")
-            if i < self.n_internal:
-                self.theta[i] = self._snapshot_row(entry, "theta")
-            elif "theta" in entry:
-                raise ValueError(f"leaf {entry['label']!r} must not carry a separator")
-
-    def _snapshot_row(self, entry: dict, field: str) -> np.ndarray:
-        row = np.array(entry[field], dtype=float)
-        if row.shape != (self.dim + 1,):
-            raise ValueError(f"snapshot {field} of node {entry['label']!r} has shape "
-                             f"{row.shape}, expected ({self.dim + 1},)")
-        return row
+        self.w, self.v, self.theta = snapshot_arrays(state["nodes"], self.depth, self.dim + 1,
+                                                     gated=True)

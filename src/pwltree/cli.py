@@ -21,11 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import datagen, harness
-from .adaptive_tree import AdaptiveTreeRegressor
-from .fixed_tree import FixedTreeRegressor
 
 SNAPSHOT_SCHEMA = 1
 
@@ -44,7 +40,7 @@ def _cmd_run(args) -> int:
     prefix = args.out or config.output or Path(args.config).stem
     metrics_path = f"{prefix}_metrics.csv"
     summary_path = f"{prefix}_summary.json"
-    harness.write_metrics_csv(result, metrics_path)
+    harness.write_metrics_csv(result.metrics, metrics_path, stride=config.stride)
     harness.write_summary_json(result, summary_path)
     for name, metrics in result.metrics.items():
         print(f"{name}: final normalized error {metrics.final_norm_err:.6g} "
@@ -80,39 +76,22 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _build_tree_learner(spec: dict):
-    params = dict(spec)
-    kind = params.pop("kind")
-    if kind == "dft":
-        return FixedTreeRegressor(**params)
-    if kind == "dat":
-        return AdaptiveTreeRegressor(**params)
-    raise harness.ConfigError(f"snapshots support tree learners only, not {kind!r}")
-
-
-def _write_segment_metrics(path, name, offset, e2) -> None:
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["t", "learner", "e2", "cum_e2", "norm_err"])
-        cum = np.cumsum(e2)
-        for k in range(len(e2)):
-            t = offset + k + 1
-            writer.writerow([t, name, repr(float(e2[k])), repr(float(cum[k])),
-                             repr(float(cum[k] / (k + 1)))])
-
-
-def _run_segment(learner, stream, start, steps):
-    x_ext = stream.extended
+def _run_segment(spec: dict, stream, start: int, steps: int, snapshot=None):
+    """Build the tree learner ``spec`` names, restore ``snapshot`` into it
+    when given, and step it through ``steps`` stream steps from ``start``.
+    Returns the learner and the segment's metrics."""
+    if spec.get("kind") not in ("dft", "dat"):
+        raise harness.ConfigError(f"snapshots support tree learners only, not {spec.get('kind')!r}")
     stop = start + steps
-    if stop > len(stream):
-        raise harness.ConfigError(f"stream has {len(stream)} steps; cannot run to {stop}")
-    e2 = np.empty(steps)
-    for k, t in enumerate(range(start, stop)):
-        y, e = learner.step(x_ext[t], stream.targets[t])
-        e2[k] = e * e
-    return e2
+    if not 0 <= start <= stop <= len(stream):
+        raise harness.ConfigError(f"stream has {len(stream)} steps; cannot run {steps} steps "
+                                  f"from position {start}")
+    learner = harness.make_learner(spec, stream.dim)
+    if snapshot is not None:
+        learner.load_state(snapshot["state"])
+        learner.t = snapshot["t"]
+    metrics = harness.run_stream(learner, stream.extended[start:stop], stream.targets[start:stop])
+    return learner, metrics
 
 
 def _cmd_snapshot(args) -> int:
@@ -122,9 +101,8 @@ def _cmd_snapshot(args) -> int:
     stream_spec = {"kind": args.stream, "n": args.n}
     try:
         stream = harness.build_stream(stream_spec, args.seed)
-        learner = _build_tree_learner({**spec, "dim": stream.dim})
-        e2 = _run_segment(learner, stream, 0, args.steps)
-    except (harness.ConfigError, ValueError) as exc:
+        learner, metrics = _run_segment(spec, stream, 0, args.steps)
+    except (ValueError, harness.TrialDiverged) as exc:
         return _fail(str(exc))
     snapshot = {
         "schema": SNAPSHOT_SCHEMA,
@@ -139,7 +117,7 @@ def _cmd_snapshot(args) -> int:
         json.dump(snapshot, fh, indent=2)
         fh.write("\n")
     if args.metrics:
-        _write_segment_metrics(args.metrics, args.mode, 0, e2)
+        harness.write_metrics_csv({args.mode: metrics}, args.metrics)
     print(f"snapshot after {args.steps} steps written to {args.out}")
     return 0
 
@@ -154,15 +132,15 @@ def _cmd_restore(args) -> int:
         return _fail(f"unsupported snapshot schema {snapshot.get('schema')!r}")
     try:
         stream = harness.build_stream(snapshot["stream"], snapshot["seed"])
-        learner = _build_tree_learner({**snapshot["learner"], "dim": stream.dim})
-        learner.load_state(snapshot["state"])
-        learner.t = snapshot["t"]
-        e2 = _run_segment(learner, stream, snapshot["position"], args.steps)
-    except (harness.ConfigError, ValueError, KeyError) as exc:
+        learner, metrics = _run_segment(snapshot["learner"], stream, snapshot["position"],
+                                        args.steps, snapshot)
+    except (ValueError, KeyError) as exc:
         return _fail(f"malformed snapshot: {exc}")
+    except harness.TrialDiverged as exc:
+        return _fail(f"{exc} after position {snapshot['position']}")
     if args.metrics:
-        _write_segment_metrics(args.metrics, snapshot["learner"]["kind"],
-                               snapshot["position"], e2)
+        harness.write_metrics_csv({snapshot["learner"]["kind"]: metrics}, args.metrics,
+                                  start=snapshot["position"])
     if args.state_out:
         with open(args.state_out, "w") as fh:
             json.dump(learner.state_snapshot(), fh, indent=2)

@@ -24,6 +24,7 @@ from .trees import (
     label_from_index,
     node_count,
     rho_table,
+    snapshot_arrays,
 )
 
 
@@ -162,15 +163,8 @@ class FixedTreeRegressor:
         }
 
     def load_state(self, state: dict) -> None:
+        """Replace the state with a ``state_snapshot``; a refused snapshot
+        leaves the learner unchanged."""
         if state["depth"] != self.depth:
             raise ValueError("snapshot depth does not match learner")
-        nodes = state["nodes"]
-        if len(nodes) != self.n_nodes:
-            raise ValueError("snapshot node count does not match learner")
-        for entry in nodes:
-            i = NodeLabel.from_string(entry["label"]).index
-            self.w[i] = float(entry["w"])
-            v = np.array(entry["v"], dtype=float)
-            if v.shape != (self.dim + 1,):
-                raise ValueError("snapshot regressor dimension mismatch")
-            self.v[i] = v
+        self.w, self.v, _ = snapshot_arrays(state["nodes"], self.depth, self.dim + 1)

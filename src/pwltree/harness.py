@@ -248,20 +248,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # metric output
 # ----------------------------------------------------------------------
 
-def write_metrics_csv(result: ExperimentResult, path) -> None:
-    """Long-format CSV at the configured stride: t, learner, e2, cum_e2,
-    norm_err.  The final step is always included."""
-    stride = result.config.stride
+def write_metrics_csv(metrics: dict[str, RunMetrics], path, stride: int = 1,
+                      start: int = 0) -> None:
+    """Long-format CSV of ``{name: RunMetrics}`` every ``stride`` steps: t,
+    learner, e2, cum_e2, norm_err.  The final step of a non-empty run is
+    always included.  Row ``t`` of a run is written as step
+    ``start + t + 1``, so a segment resumed at stream position ``start``
+    keeps its stream step numbers."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "learner", "e2", "cum_e2", "norm_err"])
-        for name, metrics in result.metrics.items():
-            cum = metrics.cum_e2
-            norm = metrics.norm_err
-            n = len(metrics)
-            rows = sorted(set(range(stride - 1, n, stride)) | {n - 1})
+        for name, run in metrics.items():
+            cum = run.cum_e2
+            norm = run.norm_err
+            n = len(run)
+            rows = sorted(set(range(stride - 1, n, stride)) | {n - 1}) if n else []
             for t in rows:
-                writer.writerow([t + 1, name, repr(float(metrics.e2[t])),
+                writer.writerow([start + t + 1, name, repr(float(run.e2[t])),
                                  repr(float(cum[t])), repr(float(norm[t]))])
 
 
@@ -329,6 +332,10 @@ def load_csv_dataset(path, target_column, normalize: bool = True) -> NormalizedD
         rows = list(reader)
     if not rows:
         raise ValueError("dataset has no data rows")
+    for row_no, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ValueError(f"row of {len(row)} cells under a header of {len(header)} in "
+                             f"{path}: data row {row_no} (line {row_no + 1})")
     try:
         data = np.array(rows, dtype=float)
     except ValueError as exc:

@@ -23,15 +23,6 @@ from .trees import enumerate_partitions, membership_matrix, node_count
 MAX_DIRECT_DEPTH = 4  # beta(4) = 677 partitions
 
 
-def model_estimate(partition, node_estimates) -> float:
-    """Output of one partition: the sum of its leaves' scaled estimates.
-
-    ``node_estimates`` maps labels to the scaled (activation-weighted)
-    node estimates; raises KeyError when a member is missing.
-    """
-    return float(sum(node_estimates[p] for p in partition))
-
-
 @dataclass
 class DirectPrediction:
     y_hat: float

@@ -1,119 +1,15 @@
-"""Region separator functions on the extended regressor space.
+"""Default region separators of a complete binary tree.
 
-A separator is a hyperplane through the origin of the extended space
-(the offset is folded into the last component, against an input whose
-last entry is fixed to 1).  The soft form is a logistic gate clamped to
-``[s_plus, 1 - s_plus]``; the hard form is its infinite-sharpness limit,
-an indicator.  By convention the separator value is the branch factor of
-child ``0``; the region on the side the direction vector points to is
-child ``1``.
+A separator is a hyperplane through the origin of the extended input
+space: the offset is folded into the last component, against an input
+whose last entry is fixed to 1.  The tree learners gate each internal node
+on the sign of ``x . theta`` (hard) or a clamped logistic of it (soft);
+this module supplies the hyperplanes they start from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.special import expit
-
-from .trees import prefixes
-
-
-@dataclass(frozen=True)
-class Separator:
-    """A single node's separating hyperplane.
-
-    Parameters
-    ----------
-    theta : ndarray, shape (m + 1,)
-        Direction vector with the offset folded into the last entry.
-    s_plus : float
-        Clamp floor for the soft output, strictly below 0.5.  The soft
-        output lies in ``[s_plus, 1 - s_plus]``.
-    mode : {'soft', 'hard'}
-    """
-
-    theta: np.ndarray
-    s_plus: float = 0.0
-    mode: str = "soft"
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        if theta.ndim != 1:
-            raise ValueError("theta must be a vector")
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta must be finite")
-        object.__setattr__(self, "theta", theta)
-        if not 0.0 <= self.s_plus < 0.5:
-            raise ValueError("s_plus must lie in [0, 0.5)")
-        if self.mode not in ("soft", "hard"):
-            raise ValueError(f"unknown separator mode {self.mode!r}")
-
-
-def _check_input(sep: Separator, x_ext: np.ndarray) -> np.ndarray:
-    x_ext = np.asarray(x_ext, dtype=float)
-    if x_ext.shape != sep.theta.shape:
-        raise ValueError(f"dimension mismatch: theta {sep.theta.shape}, input {x_ext.shape}")
-    if not np.all(np.isfinite(x_ext)):
-        raise ValueError("input must be finite")
-    return x_ext
-
-
-def evaluate(sep: Separator, x_ext: np.ndarray) -> float:
-    """Separator output for one extended input.
-
-    Soft: ``s_plus + (1 - 2 s_plus) / (1 + exp(x.theta))``.  Hard: 1 when
-    ``x.theta < 0`` and 0 otherwise (ties go to child 1), which is the
-    soft limit as the direction vector is scaled to infinity.
-    """
-    x_ext = _check_input(sep, x_ext)
-    z = float(x_ext @ sep.theta)
-    if sep.mode == "hard":
-        return 1.0 if z < 0.0 else 0.0
-    u = expit(-z)
-    s = sep.s_plus + (1.0 - 2.0 * sep.s_plus) * u
-    # guard against one-ulp overshoot of the clamp interval
-    return min(max(s, sep.s_plus), 1.0 - sep.s_plus)
-
-
-def gradient(sep: Separator, x_ext: np.ndarray, literal: bool = False) -> np.ndarray:
-    """Gradient of ``evaluate`` with respect to theta (soft mode only).
-
-    The exact form is ``-(1 - 2 s_plus) u (1 - u) x`` with ``u`` the
-    unclamped logistic.  ``literal=True`` instead returns
-    ``-s (1 - s) x`` with the clamped ``s`` itself, the shortcut some
-    gradient listings use; the two coincide when ``s_plus`` is 0.
-    """
-    if sep.mode == "hard":
-        raise ValueError("hard separators have no gradient")
-    x_ext = _check_input(sep, x_ext)
-    z = float(x_ext @ sep.theta)
-    u = expit(-z)
-    if literal:
-        s = sep.s_plus + (1.0 - 2.0 * sep.s_plus) * u
-        return -s * (1.0 - s) * x_ext
-    return -(1.0 - 2.0 * sep.s_plus) * u * (1.0 - u) * x_ext
-
-
-def branch_factor(s: float, q: int) -> float:
-    """Weight of the child selected by letter ``q``: ``s`` for the lower
-    child (q = 0), ``1 - s`` for the upper child."""
-    return s if q == 0 else 1.0 - s
-
-
-def path_product(p, sep_values) -> float:
-    """Activation of node ``p``: the product of branch factors along the
-    root-to-``p`` path.
-
-    ``sep_values`` maps each strict prefix of ``p`` to its separator
-    value at the current input; the root's activation is the empty
-    product 1.  Raises KeyError when a prefix value is missing.
-    """
-    alpha = 1.0
-    pres = prefixes(p)
-    for i in range(1, p.length + 1):
-        alpha *= branch_factor(sep_values[pres[i - 1]], p.bit(i))
-    return alpha
 
 
 def initial_directions(depth: int, dim: int) -> np.ndarray:

@@ -9,16 +9,17 @@ index ``2**length - 1 + value`` (level order: root, 0, 1, 00, 01, ...).
 A *partition* is a set of labels whose subtrees tile the depth-``d`` leaf
 set exactly once.  A depth-``d`` tree represents ``beta(d)`` partitions,
 with ``beta(0) = 1`` and ``beta(j+1) = beta(j)**2 + 1`` (doubly
-exponential growth).  ``gamma``, ``rho`` and ``kappa`` count and combine
-partition memberships; ``enumerate_partitions`` is the brute-force ground
-truth used to validate them.
+exponential growth).  ``gamma`` and ``rho`` count partition memberships,
+``rho_table`` holds ``rho`` over every node pair for the learners' kappa
+products, and ``enumerate_partitions`` is the brute-force ground truth used
+to validate them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -139,46 +140,55 @@ def _heap_tables(depth: int) -> tuple[np.ndarray, np.ndarray]:
 ANCESTORS, DESCENDANTS = _heap_tables(MAX_TABLE_DEPTH)
 
 
-@dataclass(frozen=True)
-class TreeShape:
-    """Depth and node count of a complete binary tree."""
-
-    depth: int
-
-    def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
-
-    @property
-    def node_count(self) -> int:
-        return node_count(self.depth)
-
-    @property
-    def leaf_count(self) -> int:
-        return 1 << self.depth
-
-    def nodes(self) -> list[NodeLabel]:
-        """All labels of length <= depth in level order."""
-        return [label_from_index(i) for i in range(self.node_count)]
-
-    def leaves(self) -> list[NodeLabel]:
-        return [NodeLabel(self.depth, v) for v in range(self.leaf_count)]
-
-
 def prefixes(p: NodeLabel) -> list[NodeLabel]:
     """All prefixes of ``p`` ordered root -> p (the root prefixes everything)."""
     return [NodeLabel(i, p.value >> (p.length - i)) for i in range(p.length + 1)]
 
 
-def span(p: NodeLabel, depth: int) -> list[NodeLabel]:
-    """All depth-<= ``depth`` nodes whose prefix set contains ``p`` (incl. ``p``)."""
-    if p.length > depth:
-        raise ValueError(f"label of length {p.length} does not fit a depth-{depth} tree")
-    out = []
-    for l in range(p.length, depth + 1):
-        base = p.value << (l - p.length)
-        out.extend(NodeLabel(l, base + k) for k in range(1 << (l - p.length)))
-    return out
+def snapshot_arrays(nodes: list[dict], depth: int, width: int,
+                    gated: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Heap-ordered ``w``, ``v`` and (when ``gated``) ``theta`` arrays of a
+    snapshot's ``[{label, w, v[], theta[]?}]`` node list.
+
+    The labels must name every node of the depth-``depth`` tree exactly
+    once, every ``v`` row and every internal node's ``theta`` row must hold
+    ``width`` numbers, and leaves must carry no ``theta``; anything else
+    raises ValueError.  The arrays are fresh, so a learner that assigns them
+    only after this returns is never left half-restored.
+    """
+    n = node_count(depth)
+    n_internal = (1 << depth) - 1
+    if len(nodes) != n:
+        raise ValueError("snapshot node count does not match learner")
+    w = np.empty(n)
+    v = np.empty((n, width))
+    theta = np.empty((n_internal, width)) if gated else None
+    seen = np.zeros(n, dtype=bool)
+    for entry in nodes:
+        label = NodeLabel.from_string(entry["label"])
+        if label.length > depth:
+            raise ValueError(f"snapshot node {label.bits!r} is deeper than {depth}")
+        i = label.index
+        if seen[i]:
+            raise ValueError(f"snapshot lists node {label.bits!r} twice")
+        seen[i] = True
+        w[i] = float(entry["w"])
+        v[i] = _snapshot_row(entry, "v", width)
+        if not gated:
+            continue
+        if i < n_internal:
+            theta[i] = _snapshot_row(entry, "theta", width)
+        elif "theta" in entry:
+            raise ValueError(f"leaf {entry['label']!r} must not carry a separator")
+    return w, v, theta
+
+
+def _snapshot_row(entry: dict, field: str, width: int) -> np.ndarray:
+    row = np.array(entry[field], dtype=float)
+    if row.shape != (width,):
+        raise ValueError(f"snapshot {field} of node {entry['label']!r} has shape "
+                         f"{row.shape}, expected ({width},)")
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -241,17 +251,6 @@ def rho(p: NodeLabel, q: NodeLabel, depth: int) -> int:
     if num % den:
         raise AssertionError(f"rho quotient not integral for {p!r},{q!r}")
     return num // den
-
-
-def kappa(p: NodeLabel, weights: Mapping[NodeLabel, float], depth: int) -> float:
-    """Combination weight of node ``p``: sum of rho(p, q) * weights[q] over
-    every node q of the depth-``depth`` tree.  Raises KeyError on a missing
-    weight entry."""
-    total = 0.0
-    for i in range(node_count(depth)):
-        q = label_from_index(i)
-        total += rho(p, q, depth) * weights[q]
-    return total
 
 
 @lru_cache(maxsize=None)

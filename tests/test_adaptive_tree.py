@@ -93,6 +93,11 @@ class TestPredict:
             assert pred.alphas[2 * i + 1] == pytest.approx(pred.alphas[i] * pred.s[i])
             assert pred.alphas[2 * i + 2] == pytest.approx(pred.alphas[i] * (1 - pred.s[i]))
 
+    def test_gate_sits_on_the_clamp_far_from_the_plane(self):
+        lrn = AdaptiveTreeRegressor(1, 2, s_plus=0.01, theta=[[1e4, 0.0, 0.0]])
+        assert lrn.predict(ext(1.0, 0.0)).s[0] == 0.01
+        assert lrn.predict(ext(-1.0, 0.0)).s[0] == 1.0 - 0.01
+
     def test_per_node_mapping(self):
         lrn = AdaptiveTreeRegressor(1, 2)
         table = lrn.predict(ext(1.0, 2.0)).per_node
@@ -343,3 +348,25 @@ class TestSnapshot:
         state["s_plus"] = 0.02
         with pytest.raises(ValueError):
             lrn.load_state(state)
+
+    def test_refused_snapshot_leaves_state_unchanged(self):
+        lrn = AdaptiveTreeRegressor(1, 2)
+        lrn.w[:] = 7.0
+        lrn.v[:] = 3.0
+        theta = lrn.theta.copy()
+        state = AdaptiveTreeRegressor(1, 2, theta=np.ones((1, 3))).state_snapshot()
+        state["nodes"][2]["v"] = [5.0]
+        with pytest.raises(ValueError, match="snapshot v of node '1'"):
+            lrn.load_state(state)
+        assert (lrn.w == 7.0).all()
+        assert (lrn.v == 3.0).all()
+        assert (lrn.theta == theta).all()
+
+    def test_duplicate_label_refused(self):
+        lrn = AdaptiveTreeRegressor(1, 2)
+        lrn.w[:] = 7.0
+        state = AdaptiveTreeRegressor(1, 2).state_snapshot()
+        state["nodes"][2] = dict(state["nodes"][1])
+        with pytest.raises(ValueError, match="lists node '0' twice"):
+            lrn.load_state(state)
+        assert (lrn.w == 7.0).all()

@@ -64,6 +64,19 @@ class TestRunCommand:
         assert f"non-finite cell 'nan' in {data}: data row 2 (line 3), column 'b'" in err
         assert not (tmp_path / "out_metrics.csv").exists()
 
+    def test_csv_row_wider_than_header_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("a,y\n1,2,3\n")
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": {"kind": "csv", "path": str(data), "target": "y"},
+            "learners": [{"kind": "lf", "mu": 0.05}],
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"row of 3 cells under a header of 2 in {data}" in capsys.readouterr().err
+        assert not (tmp_path / "out_metrics.csv").exists()
+
     def test_run_writes_metrics_and_summary(self, tmp_path):
         config = {
             "schema": 1,
@@ -162,3 +175,41 @@ class TestSnapshotRestore:
     def test_snapshot_rejects_overrun(self, tmp_path):
         assert main(["snapshot", "--mode", "dft", "--n", "10", "--steps", "20",
                      "--out", str(tmp_path / "s.json")]) == 1
+
+    def test_snapshot_rejects_negative_steps(self, tmp_path, capsys):
+        assert main(["snapshot", "--mode", "dft", "--n", "10", "--steps", "-5",
+                     "--out", str(tmp_path / "s.json")]) == 1
+        assert "cannot run -5 steps from position 0" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
+
+    def test_diverging_snapshot_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        out, metrics = tmp_path / "s.json", tmp_path / "m.csv"
+        with np.errstate(all="ignore"):
+            code = main(["snapshot", "--mode", "dat", "--depth", "5", "--mu", "0.005",
+                         "--stream", "mismatched", "--n", "1000", "--steps", "1000",
+                         "--seed", "0", "--out", str(out), "--metrics", str(metrics)])
+        assert code == 1
+        assert "prediction diverged at step 158" in capsys.readouterr().err
+        assert not out.exists() and not metrics.exists()
+
+    def test_diverging_restore_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        snap, metrics, state = tmp_path / "s.json", tmp_path / "m.csv", tmp_path / "f.json"
+        assert main(["snapshot", "--mode", "dat", "--depth", "5", "--mu", "0.005",
+                     "--stream", "mismatched", "--n", "1000", "--steps", "100",
+                     "--seed", "0", "--out", str(snap)]) == 0
+        with np.errstate(all="ignore"):
+            code = main(["restore", "--snapshot", str(snap), "--steps", "900",
+                         "--metrics", str(metrics), "--state-out", str(state)])
+        assert code == 1
+        assert "prediction diverged at step 58 after position 100" in capsys.readouterr().err
+        assert not metrics.exists() and not state.exists()
+
+    def test_restore_rejects_unknown_learner_key(self, tmp_path, capsys):
+        snap = tmp_path / "s.json"
+        assert main(["snapshot", "--mode", "dat", "--depth", "1", "--n", "20", "--steps", "10",
+                     "--out", str(snap)]) == 0
+        snapshot = json.loads(snap.read_text())
+        snapshot["learner"]["bogus"] = 1
+        snap.write_text(json.dumps(snapshot))
+        assert main(["restore", "--snapshot", str(snap), "--steps", "5"]) == 1
+        assert "cannot build learner kind 'dat'" in capsys.readouterr().err

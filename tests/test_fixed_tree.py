@@ -46,6 +46,14 @@ class TestLocateLeaf:
         b = lrn.locate_leaf(ext(-1.0, -1.0))
         assert a.bits == "".join("1" if c == "0" else "0" for c in b.bits)
 
+    def test_point_on_a_plane_goes_to_child_one(self):
+        # x1 = 0 lies on the root plane, so the tie sends it to child 1;
+        # x2 = 0.7 then puts it below that child's plane, in child 0
+        x = ext(0.0, 0.7)
+        assert FixedTreeRegressor(2, 2).locate_leaf(x).bits == "10"
+        direct = DirectMixtureRegressor(2, 2, mode="hard")
+        assert direct.predict(x).path_indices.tolist() == [0, 2, 5]
+
     def test_depth_zero_everything_is_root(self):
         lrn = FixedTreeRegressor(0, 2)
         assert lrn.locate_leaf(ext(3.0, -5.0)).bits == ""
@@ -176,6 +184,26 @@ class TestSnapshot:
         state["depth"] = 3
         with pytest.raises(ValueError):
             lrn.load_state(state)
+
+    def test_refused_snapshot_leaves_state_unchanged(self):
+        lrn = FixedTreeRegressor(1, 2)
+        lrn.w[:] = 7.0
+        lrn.v[:] = 3.0
+        state = FixedTreeRegressor(1, 2).state_snapshot()
+        state["nodes"][2]["v"] = [5.0]
+        with pytest.raises(ValueError, match="snapshot v of node '1'"):
+            lrn.load_state(state)
+        assert (lrn.w == 7.0).all()
+        assert (lrn.v == 3.0).all()
+
+    def test_duplicate_label_refused(self):
+        lrn = FixedTreeRegressor(1, 2)
+        lrn.w[:] = 7.0
+        state = FixedTreeRegressor(1, 2).state_snapshot()
+        state["nodes"][2] = dict(state["nodes"][1])
+        with pytest.raises(ValueError, match="lists node '0' twice"):
+            lrn.load_state(state)
+        assert (lrn.w == 7.0).all()
 
 
 class TestDeterminism:

@@ -196,7 +196,7 @@ class TestOutputs:
     def test_metrics_csv_columns_and_stride(self, tmp_path):
         result = self.make_result(tmp_path, stride=6)
         path = tmp_path / "m.csv"
-        write_metrics_csv(result, path)
+        write_metrics_csv(result.metrics, path, stride=result.config.stride)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "learner", "e2", "cum_e2", "norm_err"]
@@ -266,6 +266,12 @@ class TestCsvDataset:
         assert str(path) in message
         assert f"{cell!r}" in message
         assert "data row 2 (line 3), column 'b'" in message
+
+    def test_row_wider_than_header(self, tmp_path):
+        path = self.write_csv(tmp_path, ["1,2,3"], header="a,y")
+        with pytest.raises(ValueError) as info:
+            load_csv_dataset(path, "y")
+        assert str(info.value) == f"row of 3 cells under a header of 2 in {path}: data row 1 (line 2)"
 
     def test_missing_target_column(self, tmp_path):
         path = self.write_csv(tmp_path, ["0,1,2"])

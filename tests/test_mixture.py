@@ -8,33 +8,8 @@ from pwltree.mixture import (
     DirectMixtureRegressor,
     batch_best_weights,
     empirical_strong_convexity,
-    model_estimate,
     regret,
 )
-from pwltree.trees import NodeLabel, ROOT
-
-
-def lbl(bits):
-    return NodeLabel.from_string(bits)
-
-
-class TestModelEstimate:
-    def test_trivial_partition(self):
-        assert model_estimate(frozenset({ROOT}), {ROOT: 3.25}) == 3.25
-
-    def test_hard_four_cell_partition(self):
-        # input inside cell "00": only that leaf's scaled estimate survives
-        h = {lbl("00"): 1.75, lbl("01"): 0.0, lbl("10"): 0.0, lbl("11"): 0.0}
-        part = frozenset(h)
-        assert model_estimate(part, h) == 1.75
-
-    def test_soft_depth_one_partition(self):
-        h = {lbl("0"): 0.5 * 2.0, lbl("1"): 0.5 * (-1.0)}
-        assert model_estimate(frozenset(h), h) == pytest.approx(0.5)
-
-    def test_missing_member_raises(self):
-        with pytest.raises(KeyError):
-            model_estimate(frozenset({lbl("0"), lbl("1")}), {lbl("0"): 1.0})
 
 
 class TestDirectPredict:

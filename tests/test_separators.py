@@ -1,167 +1,6 @@
-import math
-
 import numpy as np
-import pytest
 
-from pwltree.separators import (
-    Separator,
-    branch_factor,
-    evaluate,
-    gradient,
-    initial_directions,
-    path_product,
-)
-from pwltree.trees import NodeLabel, ROOT
-
-
-def lbl(bits):
-    return NodeLabel.from_string(bits)
-
-
-class TestSeparatorValidation:
-    def test_clamp_range(self):
-        with pytest.raises(ValueError):
-            Separator(np.zeros(3), s_plus=0.5)
-        with pytest.raises(ValueError):
-            Separator(np.zeros(3), s_plus=-0.1)
-
-    def test_theta_must_be_finite_vector(self):
-        with pytest.raises(ValueError):
-            Separator(np.array([np.inf, 0.0]))
-        with pytest.raises(ValueError):
-            Separator(np.zeros((2, 2)))
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            Separator(np.zeros(3), mode="fuzzy")
-
-
-class TestEvaluate:
-    def test_zero_direction_gives_half(self):
-        sep = Separator(np.zeros(3))
-        assert evaluate(sep, np.array([4.0, -2.0, 1.0])) == 0.5
-
-    def test_clamp_floor_reached_far_from_plane(self):
-        sep = Separator(np.array([1e4, 0.0, 0.0]), s_plus=0.01)
-        assert evaluate(sep, np.array([1.0, 0.0, 1.0])) == pytest.approx(0.01)
-        assert evaluate(sep, np.array([-1.0, 0.0, 1.0])) == pytest.approx(0.99)
-
-    def test_log_three_argument(self):
-        sep = Separator(np.array([math.log(3.0), 0.0, 0.0]))
-        assert evaluate(sep, np.array([1.0, 0.0, 1.0])) == pytest.approx(0.25, rel=1e-12)
-
-    def test_output_always_inside_clamp(self):
-        rng = np.random.default_rng(0)
-        sep = Separator(rng.normal(size=4) * 50, s_plus=0.05)
-        for _ in range(100):
-            x = np.append(rng.normal(size=3) * 10, 1.0)[:4]
-            s = evaluate(sep, x)
-            assert 0.05 <= s <= 0.95
-
-    def test_monotone_decreasing_in_projection(self):
-        sep = Separator(np.array([1.0, 0.0, 0.0]))
-        xs = [np.array([z, 0.0, 1.0]) for z in (-2.0, -0.5, 0.0, 0.5, 2.0)]
-        vals = [evaluate(sep, x) for x in xs]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_hard_indicator_and_tie(self):
-        sep = Separator(np.array([1.0, 0.0, 0.0]), mode="hard")
-        assert evaluate(sep, np.array([-1.0, 0.0, 1.0])) == 1.0
-        assert evaluate(sep, np.array([2.0, 0.0, 1.0])) == 0.0
-        # a point exactly on the plane goes to child 1
-        assert evaluate(sep, np.array([0.0, 0.0, 1.0])) == 0.0
-
-    def test_hard_is_sharp_soft_limit(self):
-        rng = np.random.default_rng(3)
-        theta = rng.normal(size=3)
-        hard = Separator(theta, mode="hard")
-        sharp = Separator(theta * 1e4, s_plus=0.0)
-        for _ in range(200):
-            x = np.append(rng.normal(size=2), 1.0)
-            if abs(float(x @ theta)) < 1e-3:
-                continue  # undecided band around the plane
-            assert abs(evaluate(hard, x) - evaluate(sharp, x)) < 1e-3
-
-    def test_dimension_mismatch(self):
-        sep = Separator(np.zeros(3))
-        with pytest.raises(ValueError):
-            evaluate(sep, np.zeros(4))
-
-    def test_non_finite_input(self):
-        sep = Separator(np.zeros(3))
-        with pytest.raises(ValueError):
-            evaluate(sep, np.array([np.nan, 0.0, 1.0]))
-
-
-class TestGradient:
-    def test_zero_direction(self):
-        sep = Separator(np.zeros(3))
-        x = np.array([2.0, -1.0, 1.0])
-        np.testing.assert_allclose(gradient(sep, x), -0.25 * x)
-
-    def test_clamped_zero_direction(self):
-        sep = Separator(np.zeros(3), s_plus=0.1)
-        x = np.array([2.0, -1.0, 1.0])
-        np.testing.assert_allclose(gradient(sep, x), -0.2 * x)
-
-    def test_hard_mode_has_no_gradient(self):
-        with pytest.raises(ValueError):
-            gradient(Separator(np.zeros(3), mode="hard"), np.zeros(3))
-
-    def test_matches_central_differences(self):
-        rng = np.random.default_rng(7)
-        h = 1e-6
-        for _ in range(100):
-            theta = rng.normal(size=3)
-            s_plus = rng.uniform(0.0, 0.2)
-            x = np.append(rng.normal(size=2), 1.0)
-            sep = Separator(theta, s_plus=s_plus)
-            grad = gradient(sep, x)
-            fd = np.empty(3)
-            for j in range(3):
-                up = theta.copy(); up[j] += h
-                dn = theta.copy(); dn[j] -= h
-                fd[j] = (evaluate(Separator(up, s_plus=s_plus), x)
-                         - evaluate(Separator(dn, s_plus=s_plus), x)) / (2 * h)
-            err = np.linalg.norm(fd - grad) / max(np.linalg.norm(grad), 1e-8)
-            assert err <= 1e-5
-
-    def test_literal_mode_coincides_when_unclamped(self):
-        rng = np.random.default_rng(9)
-        theta = rng.normal(size=3)
-        x = np.append(rng.normal(size=2), 1.0)
-        sep = Separator(theta, s_plus=0.0)
-        np.testing.assert_allclose(gradient(sep, x, literal=True), gradient(sep, x))
-
-
-class TestBranchFactor:
-    def test_basic(self):
-        assert branch_factor(0.5, 0) == 0.5
-        assert branch_factor(0.25, 1) == 0.75
-        assert branch_factor(0.01, 1) == 0.99
-
-    def test_children_sum_to_one(self):
-        for s in (0.0, 0.01, 0.3, 0.99):
-            assert branch_factor(s, 0) + branch_factor(s, 1) == pytest.approx(1.0)
-
-
-class TestPathProduct:
-    def test_root_is_empty_product(self):
-        assert path_product(ROOT, {}) == 1.0
-
-    def test_two_halvings(self):
-        vals = {ROOT: 0.5, lbl("0"): 0.5}
-        assert path_product(lbl("00"), vals) == 0.25
-
-    def test_hard_path_selection(self):
-        # input in the cell of "01": root gate open toward 0, next toward 1
-        vals = {ROOT: 1.0, lbl("0"): 0.0}
-        assert path_product(lbl("01"), vals) == 1.0
-        assert path_product(lbl("00"), vals) == 0.0
-
-    def test_missing_prefix_value(self):
-        with pytest.raises(KeyError):
-            path_product(lbl("00"), {ROOT: 0.5})
+from pwltree.separators import initial_directions
 
 
 class TestInitialDirections:

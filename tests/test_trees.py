@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from pwltree.trees import (
@@ -8,19 +7,16 @@ from pwltree.trees import (
     MAX_TABLE_DEPTH,
     NodeLabel,
     ROOT,
-    TreeShape,
     beta,
     enumerate_partitions,
     gamma,
     is_valid_partition,
-    kappa,
     label_from_index,
     membership_matrix,
     node_count,
     prefixes,
     rho,
     rho_table,
-    span,
 )
 
 
@@ -92,34 +88,6 @@ class TestPrefixesAndSpan:
         p = lbl("0110")
         assert len(prefixes(p)) == p.length + 1
 
-    def test_span_example(self):
-        assert {p.bits for p in span(lbl("0"), 2)} == {"0", "00", "01"}
-
-    def test_span_of_leaf_is_itself(self):
-        assert span(lbl("11"), 2) == [lbl("11")]
-
-    def test_span_size_formula(self):
-        got = span(lbl("1"), 3)
-        assert {p.bits for p in got} == {"1", "10", "11", "100", "101", "110", "111"}
-        assert len(got) == 2 ** (3 - 1 + 1) - 1
-
-    def test_span_rejects_too_deep_label(self):
-        with pytest.raises(ValueError):
-            span(lbl("000"), 2)
-
-
-class TestShape:
-    def test_node_and_leaf_counts(self):
-        shape = TreeShape(2)
-        assert shape.node_count == 7 == node_count(2)
-        assert shape.leaf_count == 4
-        assert len(shape.nodes()) == 7
-        assert [l.bits for l in shape.leaves()] == ["00", "01", "10", "11"]
-
-    def test_negative_depth_rejected(self):
-        with pytest.raises(ValueError):
-            TreeShape(-1)
-
 
 class TestBetaGamma:
     def test_beta_values(self):
@@ -187,32 +155,6 @@ class TestRho:
     def test_rho_rejects_deep_labels(self):
         with pytest.raises(ValueError):
             rho(lbl("000"), ROOT, 2)
-
-
-class TestKappa:
-    def test_zero_weights(self):
-        weights = {label_from_index(i): 0.0 for i in range(7)}
-        for i in range(7):
-            assert kappa(label_from_index(i), weights, 2) == 0.0
-
-    def test_unit_weights(self):
-        weights = {label_from_index(i): 1.0 for i in range(7)}
-        assert kappa(ROOT, weights, 2) == 1.0
-        assert kappa(lbl("00"), weights, 2) == 7.0
-
-    def test_missing_weight_raises(self):
-        weights = {ROOT: 1.0}
-        with pytest.raises(KeyError):
-            kappa(ROOT, weights, 2)
-
-    def test_matches_dense_table(self):
-        rng = np.random.default_rng(1)
-        w = rng.normal(size=15)
-        weights = {label_from_index(i): w[i] for i in range(15)}
-        table = rho_table(3)
-        for i in range(15):
-            dense = float(table[i] @ w)
-            assert kappa(label_from_index(i), weights, 3) == pytest.approx(dense, rel=1e-12)
 
 
 class TestEnumeration:
