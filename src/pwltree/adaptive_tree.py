@@ -126,6 +126,8 @@ class AdaptiveTreeRegressor:
         theta = np.array(theta, dtype=float)
         if theta.shape != (self.n_internal, dim + 1):
             raise ValueError(f"theta must have shape ({self.n_internal}, {dim + 1})")
+        if not np.isfinite(theta).all():
+            raise ValueError("theta must be finite")
         self.theta = theta
         self._rho = rho_table(depth).astype(float)
         self._ancestors = ANCESTORS[: self.n_nodes, MAX_TABLE_DEPTH - depth:]

@@ -84,6 +84,8 @@ class FixedTreeRegressor:
         boundaries = np.array(boundaries, dtype=float)
         if boundaries.shape != (self.n_internal, dim + 1):
             raise ValueError(f"boundaries must have shape ({self.n_internal}, {dim + 1})")
+        if not np.isfinite(boundaries).all():
+            raise ValueError("boundaries must be finite")
         self.boundaries = boundaries
         self.boundaries.setflags(write=False)
         self._rho = rho_table(depth).astype(float)

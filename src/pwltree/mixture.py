@@ -50,6 +50,8 @@ class DirectMixtureRegressor:
             raise ValueError(f"direct mixture refused beyond depth {MAX_DIRECT_DEPTH}")
         if mode not in ("hard", "soft"):
             raise ValueError(f"unknown mode {mode!r}")
+        if mode == "soft" and not 0.0 < s_plus < 0.5:
+            raise ValueError("s_plus must lie in (0, 0.5)")
         self.depth = depth
         self.dim = dim
         self.mode = mode
@@ -71,6 +73,8 @@ class DirectMixtureRegressor:
         init = np.array(boundaries, dtype=float)
         if init.shape != (self.n_internal, dim + 1):
             raise ValueError(f"boundary array must have shape ({self.n_internal}, {dim + 1})")
+        if not np.isfinite(init).all():
+            raise ValueError("boundary array must be finite")
         if mode == "hard":
             self.boundaries = init
             self.boundaries.setflags(write=False)

@@ -1,5 +1,9 @@
+import numpy as np
 import pytest
 
+from pwltree.adaptive_tree import AdaptiveTreeRegressor
+from pwltree.fixed_tree import FixedTreeRegressor
+from pwltree.mixture import DirectMixtureRegressor
 from pwltree.trees import (
     ANCESTORS,
     DESCENDANTS,
@@ -22,6 +26,11 @@ from pwltree.trees import (
 
 def lbl(bits):
     return NodeLabel.from_string(bits)
+
+
+def subtree_bits(bits, depth):
+    row = DESCENDANTS[lbl(bits).index, : node_count(depth)]
+    return {label_from_index(int(i)).bits for i in np.flatnonzero(row)}
 
 
 class TestNodeLabel:
@@ -87,6 +96,35 @@ class TestPrefixesAndSpan:
     def test_prefix_count_is_length_plus_one(self):
         p = lbl("0110")
         assert len(prefixes(p)) == p.length + 1
+
+    # the span of a node (its subtree within the tree) is its row of the
+    # descendant table, cut to the nodes of the tree
+    def test_span_example(self):
+        assert subtree_bits("0", 2) == {"0", "00", "01"}
+
+    def test_span_of_leaf_is_itself(self):
+        assert subtree_bits("11", 2) == {"11"}
+
+    def test_span_size_formula(self):
+        got = subtree_bits("1", 3)
+        assert got == {"1", "10", "11", "100", "101", "110", "111"}
+        assert len(got) == 2 ** (3 - 1 + 1) - 1
+
+
+class TestShape:
+    def test_node_and_leaf_counts(self):
+        for lrn in (FixedTreeRegressor(2, 2), AdaptiveTreeRegressor(2, 2)):
+            assert lrn.n_nodes == 7 == node_count(2)
+            assert lrn.n_internal == 3
+            nodes = [entry["label"] for entry in lrn.state_snapshot()["nodes"]]
+            assert len(nodes) == 7
+            assert nodes[lrn.n_internal:] == ["00", "01", "10", "11"]
+        assert AdaptiveTreeRegressor(2, 2).n_leaves == 4
+
+    def test_negative_depth_rejected(self):
+        for make in (FixedTreeRegressor, AdaptiveTreeRegressor, DirectMixtureRegressor):
+            with pytest.raises(ValueError):
+                make(-1, 2)
 
 
 class TestBetaGamma:
@@ -155,6 +193,35 @@ class TestRho:
     def test_rho_rejects_deep_labels(self):
         with pytest.raises(ValueError):
             rho(lbl("000"), ROOT, 2)
+
+
+class TestKappa:
+    """A node's combination weight, as the learners compute it, is the sum of
+    the weights of every node that shares a partition with it."""
+
+    def test_zero_weights(self):
+        x = np.array([0.3, -0.2, 1.0])
+        assert not AdaptiveTreeRegressor(2, 2).predict(x).kappas.any()
+        assert not FixedTreeRegressor(2, 2).predict(x).kappas.any()
+
+    def test_unit_weights(self):
+        lrn = AdaptiveTreeRegressor(2, 2)
+        lrn.w[:] = 1.0
+        kappas = lrn.predict(np.array([0.3, -0.2, 1.0])).kappas
+        assert kappas[ROOT.index] == 1.0
+        assert kappas[lbl("00").index] == 7.0
+
+    def test_matches_dense_table(self):
+        rng = np.random.default_rng(1)
+        lrn = AdaptiveTreeRegressor(3, 2)
+        lrn.w = rng.normal(size=15)
+        kappas = lrn.predict(np.array([0.3, -0.2, 1.0])).kappas
+        membership = membership_matrix(3)
+        np.testing.assert_allclose(kappas, membership.T @ (membership @ lrn.w), rtol=1e-12)
+        fixed = FixedTreeRegressor(3, 2)
+        fixed.w = lrn.w.copy()
+        pred = fixed.predict(np.array([0.3, -0.2, 1.0]))
+        np.testing.assert_allclose(pred.kappas, kappas[pred.path_indices], rtol=1e-12)
 
 
 class TestEnumeration:
