@@ -6,7 +6,10 @@ one combination weight per partition, predicts with the full weighted sum
 and updates the weight vector by a stochastic-gradient step.  Node
 regressors (and soft boundaries) are shared across partitions and receive
 the same side-effect updates as in the collapsed learners, so a lockstep
-run must produce identical predictions at every step.  It exists to
+run must produce identical predictions at every step.  The soft boundary
+gradient sums the partition weights onto the nodes once, then totals the
+weighted node estimates under each gate's two child subtrees through 0/1
+span masks built here, apart from the learners' heap tables.  It exists to
 verify, not to scale: construction is refused beyond depth 4.
 """
 
@@ -39,9 +42,9 @@ class DirectMixtureRegressor:
 
     Parameters mirror the collapsed learners so the two can run in
     lockstep: ``mode='hard'`` twins :class:`FixedTreeRegressor` (frozen
-    ``boundaries``) and
-    ``mode='soft'`` twins :class:`AdaptiveTreeRegressor` (``s_plus``
-    clamp, tied ``eta``, ``step_cap``, exact or literal gate gradient).
+    ``boundaries``) and ``mode='soft'`` twins :class:`AdaptiveTreeRegressor`
+    (``s_plus`` clamp, tied ``eta``, ``step_cap``, exact or literal gate
+    gradient).
     """
 
     def __init__(self, depth, dim, mode="hard", mu=0.01, boundaries=None,
@@ -80,9 +83,11 @@ class DirectMixtureRegressor:
             self.boundaries.setflags(write=False)
         else:
             self.theta = init
-        # per internal node: heap indices of the two child subtrees
-        self._span0 = [_subtree_indices(2 * i + 1, self.n_nodes) for i in range(self.n_internal)]
-        self._span1 = [_subtree_indices(2 * i + 2, self.n_nodes) for i in range(self.n_internal)]
+        # row i: 0/1 masks of the heap indices in internal node i's two child subtrees
+        self._span0, self._span1 = np.zeros((2, self.n_internal, self.n_nodes))
+        for i in range(self.n_internal):
+            self._span0[i, _subtree_indices(2 * i + 1, self.n_nodes)] = 1.0
+            self._span1[i, _subtree_indices(2 * i + 2, self.n_nodes)] = 1.0
         self.t = 1
 
     # ------------------------------------------------------------------
@@ -135,19 +140,14 @@ class DirectMixtureRegressor:
         self.t += 1
 
     def _update_theta(self, x_ext, e: float, pred: DirectPrediction) -> None:
-        if self.n_internal == 0:
-            return
         eta = self._eta_t()
-        factors = np.empty(self.n_internal)
-        for i in range(self.n_internal):
-            lo = self.membership[:, self._span0[i]] @ pred.h[self._span0[i]]
-            hi = self.membership[:, self._span1[i]] @ pred.h[self._span1[i]]
-            sigma = float(self.w_vec @ lo) / pred.s[i] - float(self.w_vec @ hi) / (1.0 - pred.s[i])
-            if self.literal_gradient:
-                sprime = pred.s[i] * (1.0 - pred.s[i])
-            else:
-                sprime = (1.0 - 2.0 * self.s_plus) * pred.u[i] * (1.0 - pred.u[i])
-            factors[i] = sigma * sprime
+        c_h = (self.w_vec @ self.membership) * pred.h
+        sigma = (self._span0 @ c_h) / pred.s - (self._span1 @ c_h) / (1.0 - pred.s)
+        if self.literal_gradient:
+            sprime = pred.s * (1.0 - pred.s)
+        else:
+            sprime = (1.0 - 2.0 * self.s_plus) * pred.u * (1.0 - pred.u)
+        factors = sigma * sprime
         if self.step_cap is not None:
             np.clip(factors, -self.step_cap, self.step_cap, out=factors)
         self.theta -= (eta * e) * factors[:, None] * x_ext

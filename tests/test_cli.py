@@ -77,6 +77,19 @@ class TestRunCommand:
         assert f"row of 3 cells under a header of 2 in {data}" in capsys.readouterr().err
         assert not (tmp_path / "out_metrics.csv").exists()
 
+    def test_missing_csv_path_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "absent.csv"
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": {"kind": "csv", "path": str(data), "target": "y"},
+            "learners": [{"kind": "lf", "mu": 0.05}],
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pwltree: ") and str(data) in err
+        assert not (tmp_path / "out_metrics.csv").exists()
+
     def test_run_writes_metrics_and_summary(self, tmp_path):
         config = {
             "schema": 1,

@@ -1,15 +1,39 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from pwltree import mixture
 from pwltree.adaptive_tree import AdaptiveTreeRegressor
 from pwltree.datagen import generate
 from pwltree.fixed_tree import FixedTreeRegressor
 from pwltree.mixture import (
     DirectMixtureRegressor,
+    _subtree_indices,
     batch_best_weights,
     empirical_strong_convexity,
     regret,
 )
+from pwltree.trees import DESCENDANTS
+
+
+def loop_boundary_factors(lrn, pred):
+    """Reference soft boundary factors: per internal node, the partition
+    estimates restricted to each child subtree, weighted by ``w_vec``."""
+    factors = np.empty(lrn.n_internal)
+    for i in range(lrn.n_internal):
+        span0 = _subtree_indices(2 * i + 1, lrn.n_nodes)
+        span1 = _subtree_indices(2 * i + 2, lrn.n_nodes)
+        lo = lrn.membership[:, span0] @ pred.h[span0]
+        hi = lrn.membership[:, span1] @ pred.h[span1]
+        sigma = float(lrn.w_vec @ lo) / pred.s[i] - float(lrn.w_vec @ hi) / (1.0 - pred.s[i])
+        if lrn.literal_gradient:
+            sprime = pred.s[i] * (1.0 - pred.s[i])
+        else:
+            sprime = (1.0 - 2.0 * lrn.s_plus) * pred.u[i] * (1.0 - pred.u[i])
+        factors[i] = sigma * sprime
+    return factors
 
 
 class TestDirectPredict:
@@ -71,6 +95,44 @@ class TestDirectUpdate:
             y2, _ = slow.step(x, d)
             assert abs(y1 - y2) <= 1e-9 * (1 + abs(y2))
         np.testing.assert_allclose(fast.theta, slow.theta, rtol=1e-9)
+
+
+class TestBoundaryGradient:
+    @pytest.mark.parametrize("literal", [False, True])
+    @pytest.mark.parametrize("depth", range(5))
+    def test_theta_step_matches_loop(self, depth, literal):
+        # the masked sums add in another order than the per-node loop, and
+        # a / s - b / (1 - s) cancels, so the tolerance is relative to the
+        # largest factor as well as to each one
+        rng = np.random.default_rng(300 + depth)
+        for _ in range(60):
+            lrn = DirectMixtureRegressor(depth, 2, mode="soft", eta=1.0, step_cap=None,
+                                         s_plus=10.0 ** rng.uniform(-4, -1),
+                                         literal_gradient=literal)
+            lrn.w_vec = rng.normal(size=lrn.w_vec.shape)
+            lrn.v = rng.normal(size=lrn.v.shape)
+            lrn.theta = rng.normal(size=lrn.theta.shape) * 10.0 ** rng.uniform(-1, 2)
+            x = np.append(3.0 * rng.normal(size=2), 1.0)
+            pred = lrn.predict(x)
+            want = loop_boundary_factors(lrn, pred)[:, None] * x
+            lrn.theta = np.zeros_like(lrn.theta)
+            lrn._update_theta(x, 1.0, pred)
+            np.testing.assert_allclose(-lrn.theta, want, rtol=1e-11,
+                                       atol=1e-11 * np.abs(want).max(initial=0.0))
+
+    @pytest.mark.parametrize("depth", range(5))
+    def test_span_masks_are_the_childrens_descendant_rows(self, depth):
+        lrn = DirectMixtureRegressor(depth, 2, mode="soft")
+        internal = np.arange(lrn.n_internal)
+        assert np.array_equal(lrn._span0, DESCENDANTS[2 * internal + 1, :lrn.n_nodes])
+        assert np.array_equal(lrn._span1, DESCENDANTS[2 * internal + 2, :lrn.n_nodes])
+
+    def test_oracle_reads_no_heap_table(self):
+        # the oracle checks the learners, so it builds its own subtree spans
+        tree = ast.parse(Path(mixture.__file__).read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and node.module == "trees" for alias in node.names}
+        assert imported and imported.isdisjoint({"ANCESTORS", "DESCENDANTS", "rho_table"})
 
 
 class TestBatchBestWeights:
