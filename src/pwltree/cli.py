@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import datagen, harness
 
-SNAPSHOT_SCHEMA = 1
+SNAPSHOT_SCHEMA = 2  # 2: the step counter t is part of the learner state
 
 
 def _fail(message: str, code: int = 1) -> int:
@@ -31,15 +31,24 @@ def _fail(message: str, code: int = 1) -> int:
     return code
 
 
+def _check_out_dirs(*paths) -> None:
+    """Raise ConfigError, before any work is done, when the directory of
+    an output path does not exist."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise harness.ConfigError(f"cannot write {path}: no directory {Path(path).parent}")
+
+
 def _cmd_run(args) -> int:
     try:
         config = harness.ExperimentConfig.from_file(args.config)
+        prefix = args.out or config.output or Path(args.config).stem
+        metrics_path = f"{prefix}_metrics.csv"
+        summary_path = f"{prefix}_summary.json"
+        _check_out_dirs(metrics_path)
         result = harness.run_experiment(config)
     except (OSError, ValueError, harness.TrialDiverged) as exc:
         return _fail(str(exc))
-    prefix = args.out or config.output or Path(args.config).stem
-    metrics_path = f"{prefix}_metrics.csv"
-    summary_path = f"{prefix}_summary.json"
     harness.write_metrics_csv(result.metrics, metrics_path, stride=config.stride)
     harness.write_summary_json(result, summary_path)
     for name, metrics in result.metrics.items():
@@ -68,6 +77,7 @@ def _cmd_gen(args) -> int:
     if args.noise_var is not None:
         params["noise_var"] = args.noise_var
     try:
+        _check_out_dirs(args.out)
         stream = datagen.generate(args.kind, args.n, seed=args.seed, **params)
     except (TypeError, ValueError) as exc:
         return _fail(str(exc))
@@ -89,7 +99,6 @@ def _run_segment(spec: dict, stream, start: int, steps: int, snapshot=None):
     learner = harness.make_learner(spec, stream.dim)
     if snapshot is not None:
         learner.load_state(snapshot["state"])
-        learner.t = snapshot["t"]
     metrics = harness.run_stream(learner, stream.extended[start:stop], stream.targets[start:stop])
     return learner, metrics
 
@@ -100,6 +109,7 @@ def _cmd_snapshot(args) -> int:
         spec["s_plus"] = args.s_plus
     stream_spec = {"kind": args.stream, "n": args.n}
     try:
+        _check_out_dirs(args.out, args.metrics)
         stream = harness.build_stream(stream_spec, args.seed)
         learner, metrics = _run_segment(spec, stream, 0, args.steps)
     except (ValueError, harness.TrialDiverged) as exc:
@@ -108,7 +118,6 @@ def _cmd_snapshot(args) -> int:
         "schema": SNAPSHOT_SCHEMA,
         "learner": spec,
         "state": learner.state_snapshot(),
-        "t": learner.t,
         "stream": stream_spec,
         "seed": args.seed,
         "position": args.steps,
@@ -124,12 +133,16 @@ def _cmd_snapshot(args) -> int:
 
 def _cmd_restore(args) -> int:
     try:
+        _check_out_dirs(args.metrics, args.state_out)
         with open(args.snapshot) as fh:
             snapshot = json.load(fh)
+    except harness.ConfigError as exc:
+        return _fail(str(exc))
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(f"cannot read snapshot: {exc}")
     if snapshot.get("schema") != SNAPSHOT_SCHEMA:
-        return _fail(f"unsupported snapshot schema {snapshot.get('schema')!r}")
+        return _fail(f"unsupported snapshot schema {snapshot.get('schema')!r} "
+                     f"(this version reads schema {SNAPSHOT_SCHEMA})")
     try:
         stream = harness.build_stream(snapshot["stream"], snapshot["seed"])
         learner, metrics = _run_segment(snapshot["learner"], stream, snapshot["position"],

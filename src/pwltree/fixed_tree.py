@@ -19,12 +19,12 @@ import numpy as np
 
 from .separators import initial_directions
 from .trees import (
+    ANCESTORS,
     MAX_TABLE_DEPTH,
     NodeLabel,
+    TreeLearner,
     label_from_index,
-    node_count,
     rho_table,
-    snapshot_arrays,
 )
 
 
@@ -45,11 +45,7 @@ class FixedTreePrediction:
         return tuple(label_from_index(int(i)) for i in self.path_indices)
 
 
-def _resolve_step(mu, t: int) -> float:
-    return float(mu(t)) if callable(mu) else float(mu)
-
-
-class FixedTreeRegressor:
+class FixedTreeRegressor(TreeLearner):
     """Piecewise-linear mixture regressor with hard, fixed boundaries.
 
     Parameters
@@ -70,31 +66,16 @@ class FixedTreeRegressor:
     """
 
     def __init__(self, depth, dim, mu=0.01, boundaries=None):
-        if not 0 <= depth <= MAX_TABLE_DEPTH:
-            raise ValueError(f"depth must be in [0, {MAX_TABLE_DEPTH}]")
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        self.depth = depth
-        self.dim = dim
-        self.mu = mu
-        self.n_nodes = node_count(depth)
-        self.n_internal = (1 << depth) - 1
+        super().__init__(depth, dim, mu)
         if boundaries is None:
             boundaries = initial_directions(depth, dim)
-        boundaries = np.array(boundaries, dtype=float)
-        if boundaries.shape != (self.n_internal, dim + 1):
-            raise ValueError(f"boundaries must have shape ({self.n_internal}, {dim + 1})")
-        if not np.isfinite(boundaries).all():
-            raise ValueError("boundaries must be finite")
-        self.boundaries = boundaries
+        self.boundaries = self._hyperplanes(boundaries, "boundaries")
         self.boundaries.setflags(write=False)
         self._rho = rho_table(depth).astype(float)
-        self.v = np.zeros((self.n_nodes, dim + 1))
-        self.w = np.zeros(self.n_nodes)
-        self.t = 1
-        # per-run work counters
-        self.regressor_evaluations = 0
-        self.kappa_accumulations = 0
+        # root -> leaf path of every leaf: the root, then the leaf's ancestor row
+        self._paths = np.zeros((self.n_nodes - self.n_internal, depth + 1), dtype=np.intp)
+        self._paths[:, 1:] = ANCESTORS[self.n_internal:self.n_nodes, MAX_TABLE_DEPTH - depth:]
+        self._paths.setflags(write=False)
 
     # ------------------------------------------------------------------
     def _leaf_index(self, x_ext) -> int:
@@ -108,14 +89,6 @@ class FixedTreeRegressor:
         """Label of the depth-d cell containing ``x_ext``."""
         return label_from_index(self._leaf_index(np.asarray(x_ext, dtype=float)))
 
-    def _path_indices(self, leaf: int) -> np.ndarray:
-        path = np.empty(self.depth + 1, dtype=np.intp)
-        i = leaf
-        for k in range(self.depth, -1, -1):
-            path[k] = i
-            i = (i - 1) >> 1
-        return path
-
     def predict(self, x_ext) -> FixedTreePrediction:
         """Collapsed mixture prediction from the current state.
 
@@ -124,7 +97,7 @@ class FixedTreeRegressor:
         weights); the output is their inner product.
         """
         x_ext = np.asarray(x_ext, dtype=float)
-        path = self._path_indices(self._leaf_index(x_ext))
+        path = self._paths[self._leaf_index(x_ext) - self.n_internal]
         estimates = self.v[path] @ x_ext
         kappas = self._rho[path] @ self.w
         self.regressor_evaluations += path.size
@@ -135,38 +108,9 @@ class FixedTreeRegressor:
         """Advance one step: move the path nodes' regressors and weights
         against the prediction error, leave everything else untouched."""
         x_ext = np.asarray(x_ext, dtype=float)
-        mu = _resolve_step(self.mu, self.t)
+        mu = self._at_t(self.mu)
         e = d_t - pred.y_hat
         path = pred.path_indices
         self.v[path] += (mu * e) * x_ext
         self.w[path] += (mu * e) * pred.estimates
         self.t += 1
-
-    def step(self, x_ext, d_t: float) -> tuple[float, float]:
-        """Predict, then learn from the revealed target; returns the
-        prediction made before seeing it and the resulting error."""
-        pred = self.predict(x_ext)
-        self.update(x_ext, d_t, pred)
-        return pred.y_hat, d_t - pred.y_hat
-
-    # ------------------------------------------------------------------
-    def state_snapshot(self) -> dict:
-        """JSON-ready state: ``{depth, nodes: [{label, w, v[]}]}``."""
-        return {
-            "depth": self.depth,
-            "nodes": [
-                {
-                    "label": label_from_index(i).bits,
-                    "w": float(self.w[i]),
-                    "v": [float(c) for c in self.v[i]],
-                }
-                for i in range(self.n_nodes)
-            ],
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Replace the state with a ``state_snapshot``; a refused snapshot
-        leaves the learner unchanged."""
-        if state["depth"] != self.depth:
-            raise ValueError("snapshot depth does not match learner")
-        self.w, self.v, _ = snapshot_arrays(state["nodes"], self.depth, self.dim + 1)

@@ -142,6 +142,12 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
+        if self.seed is None:
+            self.seed = default_seed()
+        for name in ("trials", "seed", "stride"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.stride < 1:
@@ -153,8 +159,6 @@ class ExperimentConfig:
             raise ConfigError("learner names must be unique")
         if "kind" not in self.stream:
             raise ConfigError("stream requires a kind")
-        if self.seed is None:
-            self.seed = default_seed()
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -345,13 +349,14 @@ def load_csv_dataset(path, target_column, normalize: bool = True) -> NormalizedD
         row, col = bad[0]
         raise ValueError(f"non-finite cell {rows[row][col]!r} in {path}: data row {row + 1} "
                          f"(line {row + 2}), column {header[col]!r}")
-    if isinstance(target_column, int):
+    if isinstance(target_column, str) and target_column in header:
+        target_idx = header.index(target_column)
+    elif not isinstance(target_column, bool) and isinstance(target_column, int) \
+            and 0 <= target_column < len(header):
         target_idx = target_column
     else:
-        try:
-            target_idx = header.index(target_column)
-        except ValueError:
-            raise ValueError(f"target column {target_column!r} not in header {header}")
+        raise ValueError(f"target column {target_column!r} is neither a name in header "
+                         f"{header} nor a 0-based index below {len(header)}")
     input_idx = [i for i in range(data.shape[1]) if i != target_idx]
     inputs = data[:, input_idx]
     targets = data[:, target_idx]
@@ -381,6 +386,8 @@ def verify_equivalence(mode: str, depth: int, steps: int, seed: int,
     Gaussian stream and return the worst relative prediction gap
     ``|a - b| / (1 + |b|)`` over the run, or ``inf`` as soon as either
     prediction stops being finite (a diverged run verifies nothing)."""
+    if steps < 1:
+        raise ValueError(f"verify needs at least one step, got {steps}")
     stream = generate("matched", steps, seed=seed)
     x_ext = stream.extended
     if mode == "dft":

@@ -12,7 +12,8 @@ with ``beta(0) = 1`` and ``beta(j+1) = beta(j)**2 + 1`` (doubly
 exponential growth).  ``gamma`` and ``rho`` count partition memberships,
 ``rho_table`` holds ``rho`` over every node pair for the learners' kappa
 products, and ``enumerate_partitions`` is the brute-force ground truth used
-to validate them.
+to validate them.  ``TreeLearner`` holds the per-node state both collapsed
+tree learners keep, and its snapshot format.
 """
 
 from __future__ import annotations
@@ -145,50 +146,126 @@ def prefixes(p: NodeLabel) -> list[NodeLabel]:
     return [NodeLabel(i, p.value >> (p.length - i)) for i in range(p.length + 1)]
 
 
-def snapshot_arrays(nodes: list[dict], depth: int, width: int,
-                    gated: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Heap-ordered ``w``, ``v`` and (when ``gated``) ``theta`` arrays of a
-    snapshot's ``[{label, w, v[], theta[]?}]`` node list.
+class TreeLearner:
+    """State and bookkeeping shared by the collapsed tree learners.
 
-    The labels must name every node of the depth-``depth`` tree exactly
-    once, every ``v`` row and every internal node's ``theta`` row must hold
-    ``width`` numbers, and leaves must carry no ``theta``; anything else
-    raises ValueError.  The arrays are fresh, so a learner that assigns them
-    only after this returns is never left half-restored.
+    Both learners hold one scalar weight ``w`` and one affine regressor
+    ``v`` per node of a complete depth-``depth`` tree, combine them through
+    the ``rho`` table, and differ only in their gates and updates.  This
+    base owns what they share: the depth and dimension checks, the state
+    arrays and step counter ``t``, the work counters, step-size schedules
+    and the snapshot format, in which ``t`` travels with the state.
+    Subclasses implement ``predict`` and ``update``; ``update`` advances
+    ``t``.  A subclass with trained hyperplanes sets ``gated`` and keeps
+    them in ``theta``, one row per internal node.
     """
-    n = node_count(depth)
-    n_internal = (1 << depth) - 1
-    if len(nodes) != n:
-        raise ValueError("snapshot node count does not match learner")
-    w = np.empty(n)
-    v = np.empty((n, width))
-    theta = np.empty((n_internal, width)) if gated else None
-    seen = np.zeros(n, dtype=bool)
-    for entry in nodes:
-        label = NodeLabel.from_string(entry["label"])
-        if label.length > depth:
-            raise ValueError(f"snapshot node {label.bits!r} is deeper than {depth}")
-        i = label.index
-        if seen[i]:
-            raise ValueError(f"snapshot lists node {label.bits!r} twice")
-        seen[i] = True
-        w[i] = float(entry["w"])
-        v[i] = _snapshot_row(entry, "v", width)
-        if not gated:
-            continue
-        if i < n_internal:
-            theta[i] = _snapshot_row(entry, "theta", width)
-        elif "theta" in entry:
-            raise ValueError(f"leaf {entry['label']!r} must not carry a separator")
-    return w, v, theta
 
+    gated = False
 
-def _snapshot_row(entry: dict, field: str, width: int) -> np.ndarray:
-    row = np.array(entry[field], dtype=float)
-    if row.shape != (width,):
-        raise ValueError(f"snapshot {field} of node {entry['label']!r} has shape "
-                         f"{row.shape}, expected ({width},)")
-    return row
+    def __init__(self, depth, dim, mu):
+        if not 0 <= depth <= MAX_TABLE_DEPTH:
+            raise ValueError(f"depth must be in [0, {MAX_TABLE_DEPTH}]")
+        if dim < 1:
+            raise ValueError("dim must be >= 1")
+        self.depth = depth
+        self.dim = dim
+        self.mu = mu
+        self.n_nodes = node_count(depth)
+        self.n_internal = (1 << depth) - 1
+        self.v = np.zeros((self.n_nodes, dim + 1))
+        self.w = np.zeros(self.n_nodes)
+        self.t = 1
+        # per-run work counters
+        self.regressor_evaluations = 0
+        self.kappa_accumulations = 0
+
+    def _hyperplanes(self, planes, name: str) -> np.ndarray:
+        """``planes`` as a fresh float array, one finite row of ``dim + 1``
+        numbers per internal node; anything else raises ValueError."""
+        planes = np.array(planes, dtype=float)
+        if planes.shape != (self.n_internal, self.dim + 1):
+            raise ValueError(f"{name} must have shape ({self.n_internal}, {self.dim + 1})")
+        if not np.isfinite(planes).all():
+            raise ValueError(f"{name} must be finite")
+        return planes
+
+    def _at_t(self, schedule) -> float:
+        """A step size: ``schedule`` itself, or its value at the 1-based
+        step index when it is callable."""
+        return float(schedule(self.t)) if callable(schedule) else float(schedule)
+
+    def step(self, x_ext, d_t: float) -> tuple[float, float]:
+        """Predict, then learn from the revealed target; returns the
+        prediction made before seeing it and the resulting error."""
+        pred = self.predict(x_ext)
+        self.update(x_ext, d_t, pred)
+        return pred.y_hat, d_t - pred.y_hat
+
+    # ------------------------------------------------------------------
+    def state_snapshot(self) -> dict:
+        """JSON-ready state: ``{depth, t, nodes: [{label, w, v[], theta[]?}]}``,
+        with ``theta`` on the internal nodes of a gated learner only."""
+        nodes = []
+        for i in range(self.n_nodes):
+            entry = {
+                "label": label_from_index(i).bits,
+                "w": float(self.w[i]),
+                "v": [float(c) for c in self.v[i]],
+            }
+            if self.gated and i < self.n_internal:
+                entry["theta"] = [float(c) for c in self.theta[i]]
+            nodes.append(entry)
+        return {"depth": self.depth, "t": self.t, "nodes": nodes}
+
+    def load_state(self, state: dict) -> None:
+        """Replace the state with a ``state_snapshot``; a refused snapshot
+        leaves the learner unchanged.
+
+        The labels must name every node of the tree exactly once, every
+        ``v`` row (and every internal node's ``theta`` row, when gated) must
+        hold ``dim + 1`` numbers, leaves carry no ``theta``, and ``t`` must
+        be an integer >= 1; anything else raises ValueError.
+        """
+        if state["depth"] != self.depth:
+            raise ValueError("snapshot depth does not match learner")
+        t = state.get("t")
+        if isinstance(t, bool) or not isinstance(t, int) or t < 1:
+            raise ValueError(f"snapshot step counter t must be an integer >= 1, got {t!r}")
+        nodes = state["nodes"]
+        if len(nodes) != self.n_nodes:
+            raise ValueError("snapshot node count does not match learner")
+        width = self.dim + 1
+        w = np.empty(self.n_nodes)
+        v = np.empty((self.n_nodes, width))
+        theta = np.empty((self.n_internal, width)) if self.gated else None
+        seen = np.zeros(self.n_nodes, dtype=bool)
+        for entry in nodes:
+            label = NodeLabel.from_string(entry["label"])
+            if label.length > self.depth:
+                raise ValueError(f"snapshot node {label.bits!r} is deeper than {self.depth}")
+            i = label.index
+            if seen[i]:
+                raise ValueError(f"snapshot lists node {label.bits!r} twice")
+            seen[i] = True
+            w[i] = float(entry["w"])
+            v[i] = self._snapshot_row(entry, "v", width)
+            if not self.gated:
+                continue
+            if i < self.n_internal:
+                theta[i] = self._snapshot_row(entry, "theta", width)
+            elif "theta" in entry:
+                raise ValueError(f"leaf {entry['label']!r} must not carry a separator")
+        self.w, self.v, self.t = w, v, t
+        if self.gated:
+            self.theta = theta
+
+    @staticmethod
+    def _snapshot_row(entry: dict, field: str, width: int) -> np.ndarray:
+        row = np.array(entry[field], dtype=float)
+        if row.shape != (width,):
+            raise ValueError(f"snapshot {field} of node {entry['label']!r} has shape "
+                             f"{row.shape}, expected ({width},)")
+        return row
 
 
 @lru_cache(maxsize=None)

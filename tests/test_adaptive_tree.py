@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pwltree.adaptive_tree import AdaptiveTreeRegressor
 from pwltree.datagen import generate
 from pwltree.mixture import DirectMixtureRegressor
-from pwltree.trees import NodeLabel
 
 
 def ext(x1, x2):
@@ -98,24 +97,16 @@ class TestPredict:
         assert lrn.predict(ext(1.0, 0.0)).s[0] == 0.01
         assert lrn.predict(ext(-1.0, 0.0)).s[0] == 1.0 - 0.01
 
-    def test_per_node_mapping(self):
-        lrn = AdaptiveTreeRegressor(1, 2)
-        table = lrn.predict(ext(1.0, 2.0)).per_node
-        assert set(table) == {NodeLabel.from_string(b) for b in ("", "0", "1")}
-        est, alpha, h, kap = table[NodeLabel.from_string("0")]
-        assert h == pytest.approx(alpha * est)
-
-    @pytest.mark.parametrize("leaf_only", [False, True])
     @pytest.mark.parametrize("depth", range(6))
-    def test_cascade_bit_identical_to_loop(self, depth, leaf_only):
+    def test_cascade_bit_identical_to_loop(self, depth):
         rng = np.random.default_rng(100 + depth)
         for _ in range(200):
-            lrn = AdaptiveTreeRegressor(depth, 2, s_plus=10.0 ** rng.uniform(-4, -1),
-                                        leaf_only=leaf_only)
+            lrn = AdaptiveTreeRegressor(depth, 2, s_plus=10.0 ** rng.uniform(-4, -1))
             x = random_state(lrn, rng)
             pred = lrn.predict(x)
             alphas = loop_alphas(pred.s, lrn.n_nodes)
             assert np.array_equal(pred.alphas, alphas)
+            assert np.array_equal(pred.h, alphas * pred.estimates)
             assert pred.y_hat == float(pred.kappas @ (alphas * pred.estimates))
 
     def test_matches_direct_mixture_short_run(self):
@@ -265,31 +256,6 @@ class TestBoundaryUpdates:
         lrn.update(x, 1.5, pred)
         assert (lrn.v != 0).any(axis=1).all()
         assert lrn.theta.shape[0] == 3
-
-
-class TestLeafOnlyVariant:
-    def test_prediction_uses_leaves_only(self):
-        lrn = AdaptiveTreeRegressor(2, 2, leaf_only=True)
-        lrn.v[:] = 1.0
-        lrn.w[:] = 1.0
-        pred = lrn.predict(ext(0.5, 0.5))
-        assert (pred.estimates[:3] == 0.0).all()
-        assert pred.y_hat == pytest.approx(float(pred.kappas[3:] @ pred.h[3:]))
-
-    def test_internal_weights_never_move(self):
-        lrn = AdaptiveTreeRegressor(2, 2, mu=0.1, leaf_only=True)
-        stream = generate("matched", 100, seed=4)
-        for x, d in zip(stream.extended, stream.targets):
-            lrn.step(x, d)
-        assert not lrn.w[:3].any()
-        assert not lrn.v[:3].any()
-        assert lrn.theta.any()  # boundaries still learn
-
-    def test_counters_leaf_only(self):
-        lrn = AdaptiveTreeRegressor(2, 2, leaf_only=True)
-        lrn.step(ext(0.1, 0.2), 1.0)
-        assert lrn.regressor_evaluations == 4
-        assert lrn.kappa_accumulations == 4 * 7
 
 
 class TestCounters:

@@ -29,6 +29,11 @@ class TestVerifyCommand:
         assert code == 2
         assert "exceeds tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_no_steps_exits_one(self, capsys, steps):
+        assert main(["verify", "--depth", "2", "--steps", steps, "--mode", "dft"]) == 1
+        assert f"verify needs at least one step, got {steps}" in capsys.readouterr().err
+
     def test_exit_two_when_run_diverges(self, monkeypatch, capsys):
         # at mu = 1 the lockstep run overflows by step 13; the CLI must not
         # report the NaN gaps that follow as agreement
@@ -90,6 +95,35 @@ class TestRunCommand:
         assert err.startswith("pwltree: ") and str(data) in err
         assert not (tmp_path / "out_metrics.csv").exists()
 
+    def test_fractional_stride_exits_one_before_running(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1, "stride": 2.5,
+            "stream": {"kind": "matched", "n": 50},
+            "learners": [{"kind": "lf", "mu": 0.05}],
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "pwltree: stride must be an integer, got 2.5" in capsys.readouterr().err
+        assert not (tmp_path / "out_metrics.csv").exists()
+
+    def test_missing_output_directory_exits_one_before_running(self, tmp_path, monkeypatch,
+                                                               capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": {"kind": "matched", "n": 50},
+            "learners": [{"kind": "lf", "mu": 0.05}],
+        }))
+
+        def run_experiment(config):
+            raise AssertionError("the run must not start")
+
+        monkeypatch.setattr(harness, "run_experiment", run_experiment)
+        out = tmp_path / "absent" / "exp"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert f"pwltree: cannot write {out}_metrics.csv: no directory {out.parent}" \
+            in capsys.readouterr().err
+
     def test_run_writes_metrics_and_summary(self, tmp_path):
         config = {
             "schema": 1,
@@ -138,6 +172,11 @@ class TestGenCommand:
         got = np.array([[float(c) for c in row] for row in rows[1:]])
         np.testing.assert_array_equal(got[:, 2], ref.targets)
 
+    def test_missing_output_directory_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "h.csv"
+        assert main(["gen", "henon", "--n", "3", "--out", str(out)]) == 1
+        assert f"pwltree: cannot write {out}" in capsys.readouterr().err
+
     def test_matched_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -179,6 +218,41 @@ class TestSnapshotRestore:
         final_state = json.loads((tmp_path / "resumed_state.json").read_text())
         reference = json.loads(straight_snap.read_text())["state"]
         assert final_state == reference
+
+    def test_snapshot_to_missing_directory_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "s.json"
+        assert main(["snapshot", "--mode", "dft", "--n", "10", "--steps", "5",
+                     "--out", str(out)]) == 1
+        assert f"pwltree: cannot write {out}: no directory {out.parent}" in capsys.readouterr().err
+
+    def test_restore_to_missing_directory_exits_one(self, tmp_path, capsys):
+        snap = tmp_path / "s.json"
+        assert main(["snapshot", "--mode", "dft", "--n", "10", "--steps", "5",
+                     "--out", str(snap)]) == 0
+        for flag in ("--metrics", "--state-out"):
+            out = tmp_path / "absent" / "m.out"
+            assert main(["restore", "--snapshot", str(snap), "--steps", "5", flag, str(out)]) == 1
+            assert f"pwltree: cannot write {out}" in capsys.readouterr().err
+
+    def test_state_carries_the_step_counter(self, tmp_path):
+        snap = tmp_path / "s.json"
+        assert main(["snapshot", "--mode", "dat", "--depth", "1", "--n", "20", "--steps", "10",
+                     "--out", str(snap)]) == 0
+        snapshot = json.loads(snap.read_text())
+        assert snapshot["schema"] == 2
+        assert "t" not in snapshot
+        assert snapshot["state"]["t"] == 11
+
+    def test_restore_refuses_schema_one(self, tmp_path, capsys):
+        snap = tmp_path / "s.json"
+        assert main(["snapshot", "--mode", "dft", "--n", "20", "--steps", "10",
+                     "--out", str(snap)]) == 0
+        snapshot = json.loads(snap.read_text())
+        snapshot["schema"] = 1
+        snap.write_text(json.dumps(snapshot))
+        assert main(["restore", "--snapshot", str(snap), "--steps", "5"]) == 1
+        assert "unsupported snapshot schema 1 (this version reads schema 2)" \
+            in capsys.readouterr().err
 
     def test_restore_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

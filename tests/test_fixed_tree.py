@@ -172,7 +172,6 @@ class TestSnapshot:
             half.step(x_ext[t], targets[t])
         resumed = FixedTreeRegressor(2, 2, mu=0.01)
         resumed.load_state(json.loads(json.dumps(half.state_snapshot())))
-        resumed.t = half.t
         for t in range(200, 400):
             resumed.step(x_ext[t], targets[t])
         assert (resumed.v == straight.v).all()

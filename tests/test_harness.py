@@ -149,6 +149,14 @@ class TestConfig:
         assert ExperimentConfig.from_dict(raw).seed == 777
         assert default_seed() == 777
 
+    @pytest.mark.parametrize("field, value", [("stride", 2.5), ("trials", 1.5), ("seed", "7"),
+                                              ("trials", True)])
+    def test_non_integer_field_rejected(self, field, value):
+        raw = self.base()
+        raw[field] = value
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+            ExperimentConfig.from_dict(raw)
+
     def test_unknown_learner_kind(self):
         with pytest.raises(ConfigError):
             make_learner({"kind": "mystery"}, dim=2)
@@ -278,6 +286,13 @@ class TestCsvDataset:
         with pytest.raises(ValueError):
             load_csv_dataset(path, "zzz")
 
+    @pytest.mark.parametrize("target", [-1, 5, True])
+    def test_bad_target_index_names_the_header(self, tmp_path, target):
+        path = self.write_csv(tmp_path, ["0,1,2"])
+        with pytest.raises(ValueError, match=rf"target column {target!r} is neither a name in "
+                                             rf"header \['a', 'b', 'y'\]"):
+            load_csv_dataset(path, target)
+
     def test_build_stream_from_csv_spec(self, tmp_path):
         path = self.write_csv(tmp_path, ["0,1,2", "3,4,5", "1,2,3"])
         stream = build_stream({"kind": "csv", "path": str(path), "target": "y"}, seed=0)
@@ -308,3 +323,8 @@ class TestVerify:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             verify_equivalence("nope", 2, 10, seed=1)
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_no_steps_refused(self, steps):
+        with pytest.raises(ValueError, match=f"verify needs at least one step, got {steps}"):
+            verify_equivalence("dft", 2, steps, seed=1)

@@ -1,12 +1,16 @@
-"""Static check that the pwltree names the demos and the benchmark import
-still exist.  The scripts are parsed, never imported or run: the demos do
-their work at import time."""
+"""Checks that the pwltree names the demos and the benchmark rely on still
+exist.  The scripts are parsed, never imported or run: the demos do their
+work at import time.  The benchmark's instrument module is imported, since
+it patches pwltree names and learner methods by name."""
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import pwltree
+from pwltree import harness
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")])
@@ -33,3 +37,20 @@ def test_imported_and_exported_names_resolve():
                 missing += [f"{node.module}.{alias.name} ({path.relative_to(ROOT)}:{node.lineno})"
                             for alias in node.names if not _resolves(node.module, alias.name)]
     assert not missing, "unresolved names: " + ", ".join(missing)
+
+
+def test_benchmark_patch_points_resolve(monkeypatch):
+    # the tracer wraps module attributes and learner methods by name, so
+    # entering it and building and stepping each traced learner kind
+    # resolves every one of them
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    instrument = importlib.import_module("instrument")
+    x = np.array([0.3, -0.2, 1.0])
+    with instrument.installed(instrument.Tracer()) as tracer:
+        for kind in ("dft", "dat", "direct"):
+            learner = harness.make_learner({"kind": kind, "depth": 2}, 2)
+            learner.step(x, 0.5)
+            pred = learner.predict(x)
+            learner.update(x, 0.5, pred)
+    assert not tracer.counter_problems()
+    assert len(tracer.tree_learners) == 2

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from pwltree.adaptive_tree import AdaptiveTreeRegressor
+from pwltree.datagen import generate
 from pwltree.fixed_tree import FixedTreeRegressor
 from pwltree.mixture import DirectMixtureRegressor
 from pwltree.trees import (
@@ -119,12 +122,43 @@ class TestShape:
             nodes = [entry["label"] for entry in lrn.state_snapshot()["nodes"]]
             assert len(nodes) == 7
             assert nodes[lrn.n_internal:] == ["00", "01", "10", "11"]
-        assert AdaptiveTreeRegressor(2, 2).n_leaves == 4
 
     def test_negative_depth_rejected(self):
         for make in (FixedTreeRegressor, AdaptiveTreeRegressor, DirectMixtureRegressor):
             with pytest.raises(ValueError):
                 make(-1, 2)
+
+
+@pytest.mark.parametrize("make", [FixedTreeRegressor, AdaptiveTreeRegressor])
+class TestSnapshotStepCounter:
+    """The step counter ``t`` is part of a tree learner's snapshot."""
+
+    def test_restore_resumes_a_callable_schedule(self, make):
+        stream = generate("mismatched", 200, seed=4)
+        straight = make(2, 2, mu=lambda t: 0.05 / t)
+        for x, d in zip(stream.extended[:100], stream.targets[:100]):
+            straight.step(x, d)
+        resumed = make(2, 2, mu=lambda t: 0.05 / t)
+        resumed.load_state(json.loads(json.dumps(straight.state_snapshot())))
+        assert resumed.t == straight.t == 101
+        for x, d in zip(stream.extended[100:], stream.targets[100:]):
+            assert resumed.step(x, d) == straight.step(x, d)
+        assert resumed.state_snapshot() == straight.state_snapshot()
+
+    @pytest.mark.parametrize("t", ["missing", 0, -3, 2.0, "5", True])
+    def test_bad_step_counter_refused(self, make, t):
+        lrn = make(1, 2)
+        lrn.w[:] = 7.0
+        lrn.t = 9
+        state = make(1, 2).state_snapshot()
+        if t == "missing":
+            del state["t"]
+        else:
+            state["t"] = t
+        with pytest.raises(ValueError, match="step counter t must be an integer >= 1"):
+            lrn.load_state(state)
+        assert lrn.t == 9
+        assert (lrn.w == 7.0).all()
 
 
 class TestBetaGamma:
