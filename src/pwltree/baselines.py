@@ -128,10 +128,15 @@ class GaussianKernelRegressor:
             covariances = np.stack([covariances] * p)
         if covariances.shape != (p, m, m):
             raise ValueError("need one covariance per centre")
-        self.cov_inv = np.stack([np.linalg.inv(c) for c in covariances])
-        dets = np.array([np.linalg.det(c) for c in covariances])
-        if np.any(dets <= 0):
-            raise ValueError("covariances must be positive definite")
+        if not (np.isfinite(covariances).all()
+                and np.array_equal(covariances, covariances.transpose(0, 2, 1))):
+            raise ValueError("covariances must be finite symmetric matrices")
+        try:
+            np.linalg.cholesky(covariances)
+        except np.linalg.LinAlgError:
+            raise ValueError("covariances must be positive definite") from None
+        self.cov_inv = np.linalg.inv(covariances)
+        dets = np.linalg.det(covariances)
         self.norms = 1.0 / (2.0 * np.pi * np.sqrt(dets))
         self.mu = float(mu)
         self.v = np.zeros((p, m + 1))

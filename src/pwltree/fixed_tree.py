@@ -9,6 +9,13 @@ root-to-leaf path, so a step costs O(depth * 2**depth) instead of
 O(beta(depth)).  The collapsed prediction is identical (not approximate)
 to the explicit mixture maintained by
 :class:`pwltree.mixture.DirectMixtureRegressor`.
+
+A step costs a fixed number of numpy calls whatever the depth.  All
+``2**depth - 1`` gates are evaluated in one product, O(m * 2**depth)
+flops in a single call, and the path is then walked on Python booleans;
+only the d gates on the path are read.  The kappa product reads the
+leaf's (d + 1, n_nodes) block of rho rows, built once per learner, so it
+stays O(depth * 2**depth).
 """
 
 from __future__ import annotations
@@ -71,18 +78,22 @@ class FixedTreeRegressor(TreeLearner):
             boundaries = initial_directions(depth, dim)
         self.boundaries = self._hyperplanes(boundaries, "boundaries")
         self.boundaries.setflags(write=False)
-        self._rho = rho_table(depth).astype(float)
         # root -> leaf path of every leaf: the root, then the leaf's ancestor row
         self._paths = np.zeros((self.n_nodes - self.n_internal, depth + 1), dtype=np.intp)
         self._paths[:, 1:] = ANCESTORS[self.n_internal:self.n_nodes, MAX_TABLE_DEPTH - depth:]
         self._paths.setflags(write=False)
+        # rho rows of every leaf's path, (n_leaves, depth + 1, n_nodes)
+        self._path_rho = rho_table(depth).astype(float)[self._paths]
+        self._path_rho.setflags(write=False)
 
     # ------------------------------------------------------------------
     def _leaf_index(self, x_ext) -> int:
+        # every gate in one product; separator value 1 (x strictly on the
+        # negative side) selects child 0, a point on the plane child 1
+        negative = (self.boundaries @ x_ext < 0.0).tolist()
         i = 0
         for _ in range(self.depth):
-            # separator value 1 (x on the negative side) selects child 0
-            i = 2 * i + 1 if float(x_ext @ self.boundaries[i]) < 0.0 else 2 * i + 2
+            i = 2 * i + 1 if negative[i] else 2 * i + 2
         return i
 
     def locate_leaf(self, x_ext) -> NodeLabel:
@@ -97,9 +108,10 @@ class FixedTreeRegressor(TreeLearner):
         weights); the output is their inner product.
         """
         x_ext = np.asarray(x_ext, dtype=float)
-        path = self._paths[self._leaf_index(x_ext) - self.n_internal]
-        estimates = self.v[path] @ x_ext
-        kappas = self._rho[path] @ self.w
+        leaf = self._leaf_index(x_ext) - self.n_internal
+        path = self._paths[leaf]
+        estimates = self.v.take(path, axis=0) @ x_ext
+        kappas = self._path_rho[leaf] @ self.w
         self.regressor_evaluations += path.size
         self.kappa_accumulations += path.size * self.n_nodes
         return FixedTreePrediction(float(estimates @ kappas), path, estimates, kappas)
@@ -111,6 +123,7 @@ class FixedTreeRegressor(TreeLearner):
         mu = self._at_t(self.mu)
         e = d_t - pred.y_hat
         path = pred.path_indices
-        self.v[path] += (mu * e) * x_ext
+        # the path holds distinct nodes, so add.at matches a fancy-index +=
+        np.add.at(self.v, path, (mu * e) * x_ext)
         self.w[path] += (mu * e) * pred.estimates
         self.t += 1

@@ -70,25 +70,32 @@ def run_stream(learner, x_ext: np.ndarray, targets: np.ndarray) -> RunMetrics:
     """Strict predict-then-update loop over one stream.
 
     The prediction for step t is stored before ``update`` ever sees the
-    target, so no learner can peek ahead.  Raises ValueError naming the
-    first step whose input or target is not finite, before any step runs.
+    target, so no learner can peek ahead.  Raises ValueError, before any
+    step runs, when ``x_ext`` and ``targets`` differ in length or when an
+    input or target is not finite (naming the first such step).  Learners
+    receive each target as a Python float.
     """
+    if len(x_ext) != len(targets):
+        raise ValueError(f"{len(x_ext)} input rows but {len(targets)} targets")
+    targets = np.asarray(targets, dtype=float)
     bad = ~(np.isfinite(x_ext).all(axis=1) & np.isfinite(targets))
     if bad.any():
         raise ValueError(f"non-finite input or target at step {int(np.argmax(bad)) + 1}")
-    n = len(targets)
-    preds = np.empty(n)
-    for t in range(n):
-        pred = learner.predict(x_ext[t])
-        preds[t] = pred.y_hat
-        if not np.isfinite(preds[t]) or abs(preds[t]) > DIVERGENCE_LIMIT:
-            raise TrialDiverged(f"prediction diverged at step {t + 1}")
-        learner.update(x_ext[t], targets[t], pred)
+    predict, update = learner.predict, learner.update
+    preds = []
+    for x, d in zip(x_ext, targets.tolist()):
+        pred = predict(x)
+        y = pred.y_hat
+        # the comparison is false for NaN as well as for +-inf
+        if not abs(y) <= DIVERGENCE_LIMIT:
+            raise TrialDiverged(f"prediction diverged at step {len(preds) + 1}")
+        preds.append(y)
+        update(x, d, pred)
     counters = {}
     for name in ("regressor_evaluations", "kappa_accumulations"):
         if hasattr(learner, name):
             counters[name] = int(getattr(learner, name))
-    return RunMetrics((targets - preds) ** 2, counters=counters)
+    return RunMetrics((targets - np.array(preds)) ** 2, counters=counters)
 
 
 def average_metrics(runs: list[RunMetrics]) -> RunMetrics:
@@ -399,9 +406,9 @@ def verify_equivalence(mode: str, depth: int, steps: int, seed: int,
     else:
         raise ConfigError(f"unknown verify mode {mode!r}")
     worst = 0.0
-    for t in range(steps):
-        y_fast, _ = fast.step(x_ext[t], stream.targets[t])
-        y_slow, _ = slow.step(x_ext[t], stream.targets[t])
+    for x, d in zip(x_ext, stream.targets.tolist()):
+        y_fast, _ = fast.step(x, d)
+        y_slow, _ = slow.step(x, d)
         if not (math.isfinite(y_fast) and math.isfinite(y_slow)):
             return math.inf
         gap = abs(y_fast - y_slow) / (1.0 + abs(y_slow))

@@ -103,11 +103,12 @@ class DirectMixtureRegressor:
         """Every partition's estimate, then their weighted sum."""
         x_ext = np.asarray(x_ext, dtype=float)
         if self.mode == "hard":
+            gates = self.boundaries @ x_ext
             path = np.empty(self.depth + 1, dtype=np.intp)
             i = 0
             for k in range(self.depth):
                 path[k] = i
-                i = 2 * i + 1 if float(x_ext @ self.boundaries[i]) < 0.0 else 2 * i + 2
+                i = 2 * i + 1 if float(gates[i]) < 0.0 else 2 * i + 2
             path[self.depth] = i
             h = np.zeros(self.n_nodes)
             h[path] = self.v[path] @ x_ext

@@ -222,9 +222,10 @@ class TreeLearner:
         leaves the learner unchanged.
 
         The labels must name every node of the tree exactly once, every
-        ``v`` row (and every internal node's ``theta`` row, when gated) must
-        hold ``dim + 1`` numbers, leaves carry no ``theta``, and ``t`` must
-        be an integer >= 1; anything else raises ValueError.
+        ``w`` must be a finite number, every ``v`` row (and every internal
+        node's ``theta`` row, when gated) must hold ``dim + 1`` finite
+        numbers, leaves carry no ``theta``, and ``t`` must be an integer
+        >= 1; anything else raises ValueError.
         """
         if state["depth"] != self.depth:
             raise ValueError("snapshot depth does not match learner")
@@ -247,12 +248,12 @@ class TreeLearner:
             if seen[i]:
                 raise ValueError(f"snapshot lists node {label.bits!r} twice")
             seen[i] = True
-            w[i] = float(entry["w"])
-            v[i] = self._snapshot_row(entry, "v", width)
+            w[i] = self._snapshot_row(entry, "w", ())
+            v[i] = self._snapshot_row(entry, "v", (width,))
             if not self.gated:
                 continue
             if i < self.n_internal:
-                theta[i] = self._snapshot_row(entry, "theta", width)
+                theta[i] = self._snapshot_row(entry, "theta", (width,))
             elif "theta" in entry:
                 raise ValueError(f"leaf {entry['label']!r} must not carry a separator")
         self.w, self.v, self.t = w, v, t
@@ -260,11 +261,15 @@ class TreeLearner:
             self.theta = theta
 
     @staticmethod
-    def _snapshot_row(entry: dict, field: str, width: int) -> np.ndarray:
+    def _snapshot_row(entry: dict, field: str, shape: tuple) -> np.ndarray:
+        """``entry[field]`` as a float array of ``shape``, all finite."""
         row = np.array(entry[field], dtype=float)
-        if row.shape != (width,):
+        if row.shape != shape:
             raise ValueError(f"snapshot {field} of node {entry['label']!r} has shape "
-                             f"{row.shape}, expected ({width},)")
+                             f"{row.shape}, expected {shape}")
+        if not np.isfinite(row).all():
+            raise ValueError(f"snapshot {field} of node {entry['label']!r} is not finite: "
+                             f"{entry[field]!r}")
         return row
 
 

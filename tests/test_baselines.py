@@ -11,6 +11,7 @@ from pwltree.baselines import (
     vf_features,
 )
 from pwltree.datagen import generate
+from pwltree.harness import ConfigError, make_learner
 
 
 class TestLinearFilter:
@@ -136,6 +137,17 @@ class TestGaussianKernelRegressor:
             GaussianKernelRegressor(np.zeros((2, 2)), np.zeros((2, 2)))  # singular
         with pytest.raises(ValueError):
             GaussianKernelRegressor(np.zeros((2, 2)), np.zeros((3, 2, 2)))
+        # det 1.44 > 0, yet negative definite: the kernel grows away from the centre
+        with pytest.raises(ValueError, match="covariances must be positive definite"):
+            GaussianKernelRegressor(np.zeros((1, 2)), -1.2)
+        # positive determinant, not symmetric
+        with pytest.raises(ValueError, match="covariances must be finite symmetric matrices"):
+            GaussianKernelRegressor(np.zeros((2, 2)), [np.eye(2), [[1.0, 0.5], [0.0, 1.0]]])
+        with pytest.raises(ValueError, match="must be finite symmetric matrices"):
+            GaussianKernelRegressor(np.zeros((1, 2)), np.nan)
+        with pytest.raises(ConfigError, match="must be positive definite"):
+            make_learner({"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": -1.2}, 2)
+        GaussianKernelRegressor(np.zeros((1, 2)), [[2.0, 0.3], [0.3, 1.0]])
 
     def test_learns_smooth_target(self):
         rng = np.random.default_rng(3)

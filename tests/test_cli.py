@@ -69,6 +69,17 @@ class TestRunCommand:
         assert f"non-finite cell 'nan' in {data}: data row 2 (line 3), column 'b'" in err
         assert not (tmp_path / "out_metrics.csv").exists()
 
+    def test_indefinite_kernel_covariance_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": {"kind": "matched", "n": 20},
+            "learners": [{"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": -1.2}],
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "covariances must be positive definite" in capsys.readouterr().err
+        assert not (tmp_path / "out_metrics.csv").exists()
+
     def test_csv_row_wider_than_header_exits_one(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("a,y\n1,2,3\n")

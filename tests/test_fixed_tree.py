@@ -6,10 +6,30 @@ import pytest
 from pwltree.datagen import generate
 from pwltree.fixed_tree import FixedTreeRegressor
 from pwltree.mixture import DirectMixtureRegressor
+from pwltree.trees import rho_table
 
 
 def ext(x1, x2):
     return np.array([x1, x2, 1.0])
+
+
+def per_level_leaf_index(lrn, x_ext):
+    """The leaf walk one gate at a time, each gate its own row product."""
+    i = 0
+    for _ in range(lrn.depth):
+        i = 2 * i + 1 if float(x_ext @ lrn.boundaries[i]) < 0.0 else 2 * i + 2
+    return i
+
+
+def points_on_planes(boundaries, per_plane, rng):
+    """Points built to lie on each plane ``b`` (``b @ x_ext`` = 0 up to
+    rounding): x1 drawn at random, x2 solved from the plane equation."""
+    points = []
+    for b in boundaries:
+        x1 = rng.normal(size=per_plane)
+        x2 = -(b[0] * x1 + b[2]) / b[1]
+        points.extend(np.column_stack([x1, x2, np.ones(per_plane)]))
+    return points
 
 
 class TestConstruction:
@@ -58,6 +78,28 @@ class TestLocateLeaf:
         lrn = FixedTreeRegressor(0, 2)
         assert lrn.locate_leaf(ext(3.0, -5.0)).bits == ""
 
+    @pytest.mark.parametrize("depth", range(6))
+    def test_one_product_walk_matches_per_level_walk(self, depth):
+        rng = np.random.default_rng(70 + depth)
+        planes = rng.normal(size=((1 << depth) - 1, 3))
+        for lrn in (FixedTreeRegressor(depth, 2), FixedTreeRegressor(depth, 2, boundaries=planes)):
+            points = list(np.column_stack([rng.normal(size=(500, 2)), np.ones(500)]))
+            # axis-aligned default planes are hit exactly by zero coordinates
+            points += [ext(0.0, y) for y in (-1.0, 0.0, 0.5)] + [ext(x, 0.0) for x in (-2.0, 1.5)]
+            for x in points:
+                assert lrn._leaf_index(x) == per_level_leaf_index(lrn, x)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_points_on_a_plane_take_the_oracle_path(self, depth):
+        # within rounding of a plane the gate's sign depends on how the
+        # product is summed, so learner and oracle must read it alike
+        rng = np.random.default_rng(80 + depth)
+        planes = rng.normal(size=((1 << depth) - 1, 3))
+        lrn = FixedTreeRegressor(depth, 2, boundaries=planes)
+        oracle = DirectMixtureRegressor(depth, 2, mode="hard", boundaries=planes)
+        for x in points_on_planes(planes, 3000 // len(planes), rng):
+            assert lrn.predict(x).path_indices.tolist() == oracle.predict(x).path_indices.tolist()
+
 
 class TestPredict:
     def test_zero_weights_predict_zero(self):
@@ -80,6 +122,19 @@ class TestPredict:
         assert labels[0] == ""
         assert len(labels) == 3
         assert labels[1] == labels[2][:1]
+
+    @pytest.mark.parametrize("depth", range(6))
+    def test_kappas_are_the_path_rho_rows_times_w(self, depth):
+        rng = np.random.default_rng(90 + depth)
+        lrn = FixedTreeRegressor(depth, 2)
+        lrn.w[:] = rng.normal(size=lrn.n_nodes)
+        lrn.v[:] = rng.normal(size=lrn.v.shape)
+        for x in np.column_stack([rng.normal(size=(50, 2)), np.ones(50)]):
+            pred = lrn.predict(x)
+            path = pred.path_indices
+            assert np.array_equal(pred.kappas, rho_table(depth).astype(float)[path] @ lrn.w)
+            assert np.array_equal(pred.estimates, lrn.v[path] @ x)
+            assert pred.y_hat == float(pred.estimates @ pred.kappas)
 
     def test_matches_direct_mixture_short_run(self):
         stream = generate("matched", 300, seed=2)
@@ -117,6 +172,24 @@ class TestUpdate:
         for i in range(7):
             if i not in path:
                 assert not lrn.v[i].any() and lrn.w[i] == 0.0
+
+    @pytest.mark.parametrize("depth", range(6))
+    def test_matches_fancy_index_update(self, depth):
+        rng = np.random.default_rng(100 + depth)
+        lrn = FixedTreeRegressor(depth, 2, mu=0.03)
+        for x, d in zip(np.column_stack([rng.normal(size=(20, 2)), np.ones(20)]),
+                        rng.normal(size=20)):
+            # one step from a fresh random state (the rho weights would
+            # blow a chain of steps up at depth 5)
+            lrn.w[:] = w = rng.normal(size=lrn.n_nodes)
+            lrn.v[:] = v = rng.normal(size=lrn.v.shape)
+            pred = lrn.predict(x)
+            lrn.update(x, d, pred)
+            e = d - pred.y_hat
+            v[pred.path_indices] += (0.03 * e) * x
+            w[pred.path_indices] += (0.03 * e) * pred.estimates
+            assert np.array_equal(lrn.v, v)
+            assert np.array_equal(lrn.w, w)
 
     def test_schedule_callable_gets_step_index(self):
         seen = []

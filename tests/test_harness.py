@@ -6,6 +6,7 @@ import pytest
 
 from pwltree.adaptive_tree import AdaptiveTreeRegressor
 from pwltree.datagen import gen_henon, generate
+from pwltree import harness
 from pwltree.fixed_tree import FixedTreeRegressor
 from pwltree.harness import (
     ConfigError,
@@ -45,12 +46,57 @@ class ProbeLearner:
         self.seen_targets.append(d_t)
 
 
+class BlowUpLearner:
+    """Predicts 0 until step ``at`` (1-based), then ``value``."""
+
+    def __init__(self, at, value):
+        self.at, self.value, self.steps = at, value, 0
+
+    def predict(self, x_ext):
+        class P:
+            y_hat = self.value if self.steps + 1 == self.at else 0.0
+
+        return P()
+
+    def update(self, x_ext, d_t, pred):
+        self.steps += 1
+
+
 class TestRunStream:
     def test_prediction_always_recorded_before_target_revealed(self):
         probe = ProbeLearner()
         stream = generate("matched", 25, seed=1)
         run_stream(probe, stream.extended, stream.targets)
         assert probe.events == [(kind, t) for t in range(25) for kind in ("predict", "update")]
+
+    def test_learners_get_python_float_targets(self):
+        probe = ProbeLearner()
+        stream = generate("matched", 5, seed=1)
+        run_stream(probe, stream.extended, stream.targets)
+        assert [type(d) for d in probe.seen_targets] == [float] * 5
+        assert probe.seen_targets == stream.targets.tolist()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e101, -1e101])
+    def test_divergence_named_at_its_step(self, value):
+        stream = generate("matched", 10, seed=1)
+        stub = BlowUpLearner(at=7, value=value)
+        with pytest.raises(TrialDiverged, match="at step 7$"):
+            run_stream(stub, stream.extended, stream.targets)
+        assert stub.steps == 6
+
+    @pytest.mark.parametrize("value", [1e100, -1e100])
+    def test_divergence_limit_itself_is_allowed(self, value):
+        stream = generate("matched", 10, seed=1)
+        m = run_stream(BlowUpLearner(at=7, value=value), stream.extended, stream.targets)
+        assert len(m) == 10
+
+    @pytest.mark.parametrize("rows, n_targets", [(1, 5), (5, 4), (4, 5)])
+    def test_unequal_lengths_refused_before_any_step(self, rows, n_targets):
+        stream = generate("matched", 5, seed=1)
+        probe = ProbeLearner()
+        with pytest.raises(ValueError, match=f"^{rows} input rows but {n_targets} targets$"):
+            run_stream(probe, stream.extended[:rows], stream.targets[:n_targets])
+        assert probe.events == []
 
     def test_metrics_shapes(self):
         stream = generate("matched", 50, seed=1)
@@ -312,6 +358,18 @@ class TestVerify:
 
     def test_dat_within_tolerance(self):
         assert verify_equivalence("dat", 1, 200, seed=5) <= 1e-9
+
+    def test_lockstep_learners_get_python_float_targets(self, monkeypatch):
+        seen = []
+
+        class Recording(FixedTreeRegressor):
+            def update(self, x_ext, d_t, pred):
+                seen.append(type(d_t))
+                super().update(x_ext, d_t, pred)
+
+        monkeypatch.setattr(harness, "FixedTreeRegressor", Recording)
+        assert verify_equivalence("dft", 1, 20, seed=5) <= 1e-9
+        assert seen == [float] * 20
 
     @pytest.mark.parametrize("mode", ["dft", "dat"])
     def test_diverged_run_reports_infinite_gap(self, mode):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,41 @@ class TestSnapshotStepCounter:
             lrn.load_state(state)
         assert lrn.t == 9
         assert (lrn.w == 7.0).all()
+
+
+@pytest.mark.parametrize("make", [FixedTreeRegressor, AdaptiveTreeRegressor])
+class TestSnapshotFiniteness:
+    """A snapshot holding NaN or inf is refused with the node and field named."""
+
+    @pytest.mark.parametrize("node, field, value, shown", [
+        (0, "w", "nan", "'nan'"),
+        (0, "w", float("inf"), "inf"),
+        (2, "v", [0.0, float("inf"), 1.0], "[0.0, inf, 1.0]"),
+        (1, "v", [float("nan"), 0.0, 0.0], "[nan, 0.0, 0.0]"),
+    ])
+    def test_non_finite_node_state_refused(self, make, node, field, value, shown):
+        lrn = make(1, 2)
+        lrn.w[:] = 7.0
+        lrn.v[:] = 3.0
+        lrn.t = 9
+        state = make(1, 2).state_snapshot()
+        label = state["nodes"][node]["label"]
+        state["nodes"][node][field] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"snapshot {field} of node {label!r} is not finite: {shown}")):
+            lrn.load_state(state)
+        assert (lrn.w == 7.0).all() and (lrn.v == 3.0).all() and lrn.t == 9
+        assert np.isfinite(lrn.predict(np.array([0.3, -0.2, 1.0])).y_hat)
+
+
+def test_non_finite_separator_refused():
+    lrn = AdaptiveTreeRegressor(1, 2)
+    theta = lrn.theta.copy()
+    state = AdaptiveTreeRegressor(1, 2).state_snapshot()
+    state["nodes"][0]["theta"] = [float("nan"), 1.0, 0.0]
+    with pytest.raises(ValueError, match="snapshot theta of node '' is not finite"):
+        lrn.load_state(state)
+    assert np.array_equal(lrn.theta, theta)
 
 
 class TestBetaGamma:
