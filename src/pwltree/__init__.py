@@ -31,7 +31,6 @@ from .mixture import (
 from .separators import initial_directions
 from .trees import (
     NodeLabel,
-    Partition,
     ROOT,
     beta,
     enumerate_partitions,
@@ -55,7 +54,6 @@ __all__ = [
     "LinearFilter",
     "NodeLabel",
     "NormalizedDataset",
-    "Partition",
     "ROOT",
     "RunMetrics",
     "Stream",

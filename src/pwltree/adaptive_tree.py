@@ -55,38 +55,23 @@ class AdaptiveTreeRegressor(TreeLearner):
         step index).
     s_plus : float
         Gate clamp: separator outputs stay in ``[s_plus, 1 - s_plus]`` so
-        boundary gradients never vanish.
-    eta : float, callable or None
-        Boundary step size.  None (default) ties it to
-        ``mu / (s_plus (1 - s_plus))``, compensating the gate-derivative
-        factor in the boundary gradient.
-    step_cap : float, 'auto' or None
-        Bound on the magnitude of the scalar factor multiplying
-        ``eta * e * x`` in the boundary step.  'auto' uses
-        ``10 s_plus (1 - s_plus)`` so a point landing on several region
-        crossings cannot take a step more than 10x the usual size; None
-        disables the cap (used by the gradient checks).
-    literal_gradient : bool
-        Use ``s (1 - s)`` with the clamped gate value in the boundary
-        step instead of the exact clamped-gate derivative
-        ``(1 - 2 s_plus) u (1 - u)``.  Default False (exact).
+        boundary gradients never vanish.  It also fixes the boundary step:
+        the step size is ``mu / (s_plus (1 - s_plus))``, compensating the
+        gate-derivative factor, and the scalar factor multiplying
+        ``e * x`` is clipped to ``step_cap = 10 s_plus (1 - s_plus)``, so a
+        point landing on several region crossings cannot take a step more
+        than 10x the usual size.
     theta : ndarray (n_internal, dim + 1), optional
         Initial boundary vectors; defaults to :func:`initial_directions`.
     """
 
     gated = True
 
-    def __init__(self, depth, dim, mu=0.005, s_plus=0.01, eta=None, step_cap="auto",
-                 literal_gradient=False, theta=None):
+    def __init__(self, depth, dim, mu=0.005, s_plus=0.01, theta=None):
         super().__init__(depth, dim, mu)
         if not 0.0 < s_plus < 0.5:
             raise ValueError("s_plus must lie in (0, 0.5)")
         self.s_plus = float(s_plus)
-        self.eta = eta
-        if step_cap == "auto":
-            step_cap = 10.0 * self.s_plus * (1.0 - self.s_plus)
-        self.step_cap = None if step_cap is None else float(step_cap)
-        self.literal_gradient = bool(literal_gradient)
         if theta is None:
             theta = initial_directions(depth, dim)
         self.theta = self._hyperplanes(theta, "theta")
@@ -95,10 +80,13 @@ class AdaptiveTreeRegressor(TreeLearner):
         self._descendants = DESCENDANTS[: self.n_nodes, : self.n_nodes]
 
     # ------------------------------------------------------------------
+    @property
+    def step_cap(self) -> float:
+        """Bound on the magnitude of each boundary step's scalar factor."""
+        return 10.0 * self.s_plus * (1.0 - self.s_plus)
+
     def _eta_t(self) -> float:
-        if self.eta is None:
-            return self._at_t(self.mu) / (self.s_plus * (1.0 - self.s_plus))
-        return self._at_t(self.eta)
+        return self._at_t(self.mu) / (self.s_plus * (1.0 - self.s_plus))
 
     def predict(self, x_ext) -> AdaptiveTreePrediction:
         """Evaluate every gate once, cascade activations down the tree and
@@ -135,22 +123,18 @@ class AdaptiveTreeRegressor(TreeLearner):
         derivative."""
         sub = self._descendants @ (pred.kappas * pred.h)
         sigma = sub[1::2] / pred.s - sub[2::2] / (1.0 - pred.s)
-        if self.literal_gradient:
-            sprime = pred.s * (1.0 - pred.s)
-        else:
-            sprime = (1.0 - 2.0 * self.s_plus) * pred.u * (1.0 - pred.u)
-        return sigma * sprime
+        return sigma * ((1.0 - 2.0 * self.s_plus) * pred.u * (1.0 - pred.u))
 
     def update_boundaries(self, x_ext, e: float, pred: AdaptiveTreePrediction) -> None:
         """Gradient step on every internal hyperplane, with the scalar
-        factor clipped to ``step_cap`` when enabled."""
+        factor clipped to ``step_cap``."""
         if self.n_internal == 0:
             return
         x_ext = np.asarray(x_ext, dtype=float)
         factors = self.boundary_factors(pred)
-        if self.step_cap is not None:
-            np.minimum(factors, self.step_cap, out=factors)
-            np.maximum(factors, -self.step_cap, out=factors)
+        cap = self.step_cap
+        np.minimum(factors, cap, out=factors)
+        np.maximum(factors, -cap, out=factors)
         self.theta -= (self._eta_t() * e) * factors[:, None] * x_ext
 
     def update(self, x_ext, d_t: float, pred: AdaptiveTreePrediction) -> None:

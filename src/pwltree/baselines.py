@@ -42,12 +42,6 @@ class LinearFilter:
         self.update(x_ext, d_t, pred)
         return pred.y_hat, d_t - pred.y_hat
 
-    def state_snapshot(self) -> dict:
-        return {"v": [float(c) for c in self.v]}
-
-    def load_state(self, state) -> None:
-        self.v = np.array(state["v"], dtype=float)
-
 
 def vf_features(x, order: int = 2) -> np.ndarray:
     """Polynomial feature expansion of a raw input vector.
@@ -93,12 +87,6 @@ class VolterraFilter:
         pred = self.predict(x_ext)
         self.update(x_ext, d_t, pred)
         return pred.y_hat, d_t - pred.y_hat
-
-    def state_snapshot(self) -> dict:
-        return {"order": self.order, "v": [float(c) for c in self.v]}
-
-    def load_state(self, state) -> None:
-        self.v = np.array(state["v"], dtype=float)
 
 
 def gaussian_kernel(x, center, cov_inv, norm) -> float:
@@ -160,9 +148,3 @@ class GaussianKernelRegressor:
         pred = self.predict(x_ext)
         self.update(x_ext, d_t, pred)
         return pred.y_hat, d_t - pred.y_hat
-
-    def state_snapshot(self) -> dict:
-        return {"v": [[float(c) for c in row] for row in self.v]}
-
-    def load_state(self, state) -> None:
-        self.v = np.array(state["v"], dtype=float)

@@ -387,8 +387,7 @@ def load_csv_dataset(path, target_column, normalize: bool = True) -> NormalizedD
 # verification (collapsed learner vs direct mixture)
 # ----------------------------------------------------------------------
 
-def verify_equivalence(mode: str, depth: int, steps: int, seed: int,
-                       mu: float = 0.01, s_plus: float = 0.01) -> float:
+def verify_equivalence(mode: str, depth: int, steps: int, seed: int, mu: float = 0.01) -> float:
     """Run a collapsed learner and the explicit mixture in lockstep on a
     Gaussian stream and return the worst relative prediction gap
     ``|a - b| / (1 + |b|)`` over the run, or ``inf`` as soon as either
@@ -401,8 +400,8 @@ def verify_equivalence(mode: str, depth: int, steps: int, seed: int,
         fast = FixedTreeRegressor(depth, stream.dim, mu=mu)
         slow = DirectMixtureRegressor(depth, stream.dim, mode="hard", mu=mu)
     elif mode == "dat":
-        fast = AdaptiveTreeRegressor(depth, stream.dim, mu=mu, s_plus=s_plus)
-        slow = DirectMixtureRegressor(depth, stream.dim, mode="soft", mu=mu, s_plus=s_plus)
+        fast = AdaptiveTreeRegressor(depth, stream.dim, mu=mu)
+        slow = DirectMixtureRegressor(depth, stream.dim, mode="soft", mu=mu)
     else:
         raise ConfigError(f"unknown verify mode {mode!r}")
     worst = 0.0

@@ -43,12 +43,12 @@ class DirectMixtureRegressor:
     Parameters mirror the collapsed learners so the two can run in
     lockstep: ``mode='hard'`` twins :class:`FixedTreeRegressor` (frozen
     ``boundaries``) and ``mode='soft'`` twins :class:`AdaptiveTreeRegressor`
-    (``s_plus`` clamp, tied ``eta``, ``step_cap``, exact or literal gate
-    gradient).
+    (the ``s_plus`` clamp and the boundary step it fixes: step size
+    ``mu / (s_plus (1 - s_plus))``, exact clamped-gate derivative, scalar
+    factor clipped to ``step_cap = 10 s_plus (1 - s_plus)``).
     """
 
-    def __init__(self, depth, dim, mode="hard", mu=0.01, boundaries=None,
-                 s_plus=0.01, eta=None, step_cap="auto", literal_gradient=False):
+    def __init__(self, depth, dim, mode="hard", mu=0.01, boundaries=None, s_plus=0.01):
         if not 0 <= depth <= MAX_DIRECT_DEPTH:
             raise ValueError(f"direct mixture refused beyond depth {MAX_DIRECT_DEPTH}")
         if mode not in ("hard", "soft"):
@@ -60,11 +60,6 @@ class DirectMixtureRegressor:
         self.mode = mode
         self.mu = mu
         self.s_plus = float(s_plus)
-        self.eta = eta
-        if step_cap == "auto":
-            step_cap = 10.0 * self.s_plus * (1.0 - self.s_plus)
-        self.step_cap = None if step_cap is None else float(step_cap)
-        self.literal_gradient = bool(literal_gradient)
         self.n_nodes = node_count(depth)
         self.n_internal = (1 << depth) - 1
         self.partitions = enumerate_partitions(depth)
@@ -94,10 +89,13 @@ class DirectMixtureRegressor:
     def _mu_t(self) -> float:
         return float(self.mu(self.t)) if callable(self.mu) else float(self.mu)
 
+    @property
+    def step_cap(self) -> float:
+        """Bound on the magnitude of each boundary step's scalar factor."""
+        return 10.0 * self.s_plus * (1.0 - self.s_plus)
+
     def _eta_t(self) -> float:
-        if self.eta is None:
-            return self._mu_t() / (self.s_plus * (1.0 - self.s_plus))
-        return float(self.eta(self.t)) if callable(self.eta) else float(self.eta)
+        return self._mu_t() / (self.s_plus * (1.0 - self.s_plus))
 
     def predict(self, x_ext) -> DirectPrediction:
         """Every partition's estimate, then their weighted sum."""
@@ -140,17 +138,18 @@ class DirectMixtureRegressor:
         self.w_vec += (mu * e) * pred.model_estimates
         self.t += 1
 
-    def _update_theta(self, x_ext, e: float, pred: DirectPrediction) -> None:
-        eta = self._eta_t()
+    def boundary_factors(self, pred: DirectPrediction) -> np.ndarray:
+        """Scalar factor of each internal node's boundary step (before the
+        cap): the partition-weighted node estimates under the gate's two
+        child subtrees, differenced, times the gate derivative."""
         c_h = (self.w_vec @ self.membership) * pred.h
         sigma = (self._span0 @ c_h) / pred.s - (self._span1 @ c_h) / (1.0 - pred.s)
-        if self.literal_gradient:
-            sprime = pred.s * (1.0 - pred.s)
-        else:
-            sprime = (1.0 - 2.0 * self.s_plus) * pred.u * (1.0 - pred.u)
-        factors = sigma * sprime
-        if self.step_cap is not None:
-            np.clip(factors, -self.step_cap, self.step_cap, out=factors)
+        return sigma * ((1.0 - 2.0 * self.s_plus) * pred.u * (1.0 - pred.u))
+
+    def _update_theta(self, x_ext, e: float, pred: DirectPrediction) -> None:
+        eta = self._eta_t()
+        factors = self.boundary_factors(pred)
+        np.clip(factors, -self.step_cap, self.step_cap, out=factors)
         self.theta -= (eta * e) * factors[:, None] * x_ext
 
     def step(self, x_ext, d_t: float) -> tuple[float, float]:

@@ -95,10 +95,6 @@ class NodeLabel:
 
 ROOT = NodeLabel(0, 0)
 
-# A partition is the set of leaves of one subtree model: no member prefixes
-# another and the member subtrees tile the depth-d leaf set exactly.
-Partition = frozenset[NodeLabel]
-
 
 def label_from_index(index: int) -> NodeLabel:
     """Inverse of ``NodeLabel.index``."""

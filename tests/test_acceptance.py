@@ -97,7 +97,7 @@ def test_criterion_02_fixed_tree_exactness():
 
 
 def test_criterion_03_adaptive_tree_exactness():
-    gaps = {d: verify_equivalence("dat", d, 1000, seed=BASE_SEED, mu=0.01, s_plus=0.01)
+    gaps = {d: verify_equivalence("dat", d, 1000, seed=BASE_SEED, mu=0.01)
             for d in (1, 2)}
     ok = all(g <= 1e-9 for g in gaps.values())
     criterion(3, ok, "soft-boundary collapsed prediction equals the explicit mixture",
@@ -114,7 +114,7 @@ def test_criterion_04_boundary_gradient():
     worst = 0.0
     for depth in (1, 2):
         for _ in range(50):
-            lrn = AdaptiveTreeRegressor(depth, 2, s_plus=0.01, step_cap=None)
+            lrn = AdaptiveTreeRegressor(depth, 2, s_plus=0.01)
             lrn.v = rng.normal(size=lrn.v.shape)
             lrn.w = rng.normal(size=lrn.w.shape)
             lrn.theta = rng.normal(size=lrn.theta.shape)

@@ -35,8 +35,6 @@ def loop_boundary_factors(lrn, pred):
         if i < lrn.n_internal:
             sub[i] += sub[2 * i + 1] + sub[2 * i + 2]
     sigma = sub[1::2] / pred.s - sub[2::2] / (1.0 - pred.s)
-    if lrn.literal_gradient:
-        return sigma * pred.s * (1.0 - pred.s)
     return sigma * (1.0 - 2.0 * lrn.s_plus) * pred.u * (1.0 - pred.u)
 
 
@@ -60,10 +58,6 @@ class TestConstruction:
     def test_eta_defaults_to_compensated_mu(self):
         lrn = AdaptiveTreeRegressor(2, 2, mu=0.005, s_plus=0.01)
         assert lrn._eta_t() == pytest.approx(0.005 / (0.01 * 0.99))
-
-    def test_explicit_eta_respected(self):
-        lrn = AdaptiveTreeRegressor(2, 2, mu=0.005, eta=0.25)
-        assert lrn._eta_t() == 0.25
 
 
 class TestPredict:
@@ -199,7 +193,7 @@ class TestBoundaryUpdates:
         h = 1e-6
         for depth in (1, 2):
             for _ in range(5):
-                lrn = AdaptiveTreeRegressor(depth, 2, s_plus=0.01, step_cap=None)
+                lrn = AdaptiveTreeRegressor(depth, 2, s_plus=0.01)
                 lrn.v = rng.normal(size=lrn.v.shape)
                 lrn.w = rng.normal(size=lrn.w.shape)
                 lrn.theta = rng.normal(size=lrn.theta.shape)
@@ -221,15 +215,13 @@ class TestBoundaryUpdates:
                     err = np.linalg.norm(fd - analytic) / max(np.linalg.norm(analytic), 1e-8)
                     assert err <= 1e-5
 
-    @pytest.mark.parametrize("literal", [False, True])
     @pytest.mark.parametrize("depth", range(1, 6))
-    def test_factors_match_loop(self, depth, literal):
+    def test_factors_match_loop(self, depth):
         # the matrix-vector subtree sums add in another order than the
         # loop; factors may differ by rounding relative to their scale
         rng = np.random.default_rng(200 + depth)
         for _ in range(200):
-            lrn = AdaptiveTreeRegressor(depth, 2, s_plus=10.0 ** rng.uniform(-4, -1),
-                                        literal_gradient=literal)
+            lrn = AdaptiveTreeRegressor(depth, 2, s_plus=10.0 ** rng.uniform(-4, -1))
             pred = lrn.predict(random_state(lrn, rng))
             want = loop_boundary_factors(lrn, pred)
             np.testing.assert_allclose(lrn.boundary_factors(pred), want, rtol=1e-11,
@@ -240,14 +232,24 @@ class TestBoundaryUpdates:
         lrn.v[1] = np.array([50.0, 0.0, 0.0])
         lrn.v[2] = np.array([-50.0, 0.0, 0.0])
         lrn.w[:] = 1.0
+        # the oracle in the same state applies the same cap to its own factors
+        oracle = DirectMixtureRegressor(1, 2, mode="soft", mu=0.1, s_plus=0.01,
+                                        boundaries=np.zeros((1, 3)))
+        oracle.v[:] = lrn.v
+        oracle.w_vec = oracle.node_weight_image(lrn.w)
         x = ext(1.0, 0.0)
         pred = lrn.predict(x)
+        oracle_pred = oracle.predict(x)
         raw = lrn.boundary_factors(pred)
         assert abs(raw[0]) > lrn.step_cap  # genuinely saturating configuration
+        np.testing.assert_allclose(oracle.boundary_factors(oracle_pred), raw, rtol=1e-12)
+        assert oracle.step_cap == lrn.step_cap
         theta_before = lrn.theta.copy()
         lrn.update_boundaries(x, 1.0, pred)
+        oracle._update_theta(x, 1.0, oracle_pred)
         applied = (theta_before - lrn.theta) / (lrn._eta_t() * 1.0)
         np.testing.assert_allclose(applied[0], lrn.step_cap * np.sign(raw[0]) * x)
+        np.testing.assert_array_equal(oracle.theta, lrn.theta)
 
     def test_weight_update_touches_all_nodes_boundary_only_internal(self):
         lrn = AdaptiveTreeRegressor(2, 2, mu=0.05)

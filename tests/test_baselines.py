@@ -76,13 +76,6 @@ class TestVolterraFilter:
         errs = [abs(vf.predict(x_ext[t]).y_hat - d[t]) for t in range(len(d) - 100, len(d))]
         assert max(errs) < 1e-3
 
-    def test_snapshot_round_trip(self):
-        vf = VolterraFilter(2, order=2, mu=0.05)
-        vf.v[:] = np.arange(6.0)
-        fresh = VolterraFilter(2, order=2, mu=0.05)
-        fresh.load_state(vf.state_snapshot())
-        np.testing.assert_array_equal(fresh.v, vf.v)
-
 
 class TestGaussianKernel:
     def test_value_at_center_identity_covariance(self):

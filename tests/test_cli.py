@@ -106,6 +106,23 @@ class TestRunCommand:
         assert err.startswith("pwltree: ") and str(data) in err
         assert not (tmp_path / "out_metrics.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [("eta", 0.25), ("step_cap", None),
+                                            ("literal_gradient", True)])
+    @pytest.mark.parametrize("kind", ["dat", "direct"])
+    def test_removed_boundary_step_key_exits_one(self, tmp_path, capsys, kind, key, value):
+        learner = {"kind": kind, "depth": 1, "mu": 0.01, key: value}
+        if kind == "direct":
+            learner["mode"] = "soft"
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": {"kind": "matched", "n": 50},
+            "learners": [learner],
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out_metrics.csv").exists()
+
     def test_fractional_stride_exits_one_before_running(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({

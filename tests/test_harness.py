@@ -211,6 +211,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             make_learner({"kind": "dft", "depth": 99}, dim=2)
 
+    @pytest.mark.parametrize("key, value", [("eta", 0.25), ("step_cap", None),
+                                            ("literal_gradient", True)])
+    @pytest.mark.parametrize("kind", ["dat", "direct"])
+    def test_removed_boundary_step_key_named(self, kind, key, value):
+        # the soft learners have one boundary-step rule, fixed by s_plus
+        spec = {"kind": kind, "depth": 1, key: value}
+        if kind == "direct":
+            spec["mode"] = "soft"
+        with pytest.raises(ConfigError, match=f"cannot build learner kind '{kind}': .*'{key}'"):
+            make_learner(spec, dim=2)
+
 
 class TestRunExperiment:
     def test_trial_seeds_offset_from_base(self):

@@ -28,11 +28,7 @@ def loop_boundary_factors(lrn, pred):
         lo = lrn.membership[:, span0] @ pred.h[span0]
         hi = lrn.membership[:, span1] @ pred.h[span1]
         sigma = float(lrn.w_vec @ lo) / pred.s[i] - float(lrn.w_vec @ hi) / (1.0 - pred.s[i])
-        if lrn.literal_gradient:
-            sprime = pred.s[i] * (1.0 - pred.s[i])
-        else:
-            sprime = (1.0 - 2.0 * lrn.s_plus) * pred.u[i] * (1.0 - pred.u[i])
-        factors[i] = sigma * sprime
+        factors[i] = sigma * (1.0 - 2.0 * lrn.s_plus) * pred.u[i] * (1.0 - pred.u[i])
     return factors
 
 
@@ -98,26 +94,22 @@ class TestDirectUpdate:
 
 
 class TestBoundaryGradient:
-    @pytest.mark.parametrize("literal", [False, True])
     @pytest.mark.parametrize("depth", range(5))
-    def test_theta_step_matches_loop(self, depth, literal):
+    def test_factors_match_loop(self, depth):
         # the masked sums add in another order than the per-node loop, and
         # a / s - b / (1 - s) cancels, so the tolerance is relative to the
         # largest factor as well as to each one
         rng = np.random.default_rng(300 + depth)
         for _ in range(60):
-            lrn = DirectMixtureRegressor(depth, 2, mode="soft", eta=1.0, step_cap=None,
-                                         s_plus=10.0 ** rng.uniform(-4, -1),
-                                         literal_gradient=literal)
+            lrn = DirectMixtureRegressor(depth, 2, mode="soft",
+                                         s_plus=10.0 ** rng.uniform(-4, -1))
             lrn.w_vec = rng.normal(size=lrn.w_vec.shape)
             lrn.v = rng.normal(size=lrn.v.shape)
             lrn.theta = rng.normal(size=lrn.theta.shape) * 10.0 ** rng.uniform(-1, 2)
             x = np.append(3.0 * rng.normal(size=2), 1.0)
             pred = lrn.predict(x)
-            want = loop_boundary_factors(lrn, pred)[:, None] * x
-            lrn.theta = np.zeros_like(lrn.theta)
-            lrn._update_theta(x, 1.0, pred)
-            np.testing.assert_allclose(-lrn.theta, want, rtol=1e-11,
+            want = loop_boundary_factors(lrn, pred)
+            np.testing.assert_allclose(lrn.boundary_factors(pred), want, rtol=1e-11,
                                        atol=1e-11 * np.abs(want).max(initial=0.0))
 
     @pytest.mark.parametrize("depth", range(5))

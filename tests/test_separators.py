@@ -23,7 +23,7 @@ def ext(x1, x2):
     return np.array([x1, x2, 1.0])
 
 
-def gate_reader(theta, s_plus=0.01, literal=False):
+def gate_reader(theta, s_plus=0.01):
     """Depth-1 adaptive tree whose output is its root gate.
 
     With ``w = [0, 1, 0]`` both children have combination weight 1, and with
@@ -31,8 +31,7 @@ def gate_reader(theta, s_plus=0.01, literal=False):
     to the gate is 1, so ``boundary_factors()[0]`` is the gate's slope
     ``ds / d(-x . theta)``.
     """
-    lrn = AdaptiveTreeRegressor(1, 2, s_plus=s_plus, step_cap=None,
-                                literal_gradient=literal, theta=[theta])
+    lrn = AdaptiveTreeRegressor(1, 2, s_plus=s_plus, theta=[theta])
     lrn.w[1] = 1.0
     lrn.v[1] = ext(0.0, 0.0)
     return lrn
@@ -167,13 +166,6 @@ class TestGradient:
                 fd[j] = (up - dn) / (2 * h)
             err = np.linalg.norm(fd - grad) / max(np.linalg.norm(grad), 1e-8)
             assert err <= 1e-5
-
-    def test_literal_mode_coincides_when_unclamped(self):
-        rng = np.random.default_rng(9)
-        theta = rng.normal(size=3)
-        x = np.append(rng.normal(size=2), 1.0)
-        np.testing.assert_allclose(gate_gradient(gate_reader(theta, 1e-12, literal=True), x),
-                                   gate_gradient(gate_reader(theta, 1e-12), x), rtol=1e-9)
 
 
 class TestBranchFactor:
