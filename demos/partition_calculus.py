@@ -11,7 +11,7 @@
 import numpy as np
 
 from pwltree import beta, enumerate_partitions, gamma, rho, rho_table
-from pwltree.trees import label_from_index, node_count
+from pwltree.trees import label, level, node_count
 
 print("partitions representable by a depth-j tree:")
 for j in range(6):
@@ -20,7 +20,7 @@ for j in range(6):
 # The five depth-2 partitions, spelled out.
 print("\nall partitions of a depth-2 tree:")
 for part in enumerate_partitions(2):
-    cells = sorted(p.bits or "root" for p in part)
+    cells = sorted(label(p) or "root" for p in part)
     print("  {" + ", ".join(cells) + "}")
 
 # gamma(d, l) counts the partitions in which a node at depth l is a leaf;
@@ -28,14 +28,14 @@ for part in enumerate_partitions(2):
 # Both must agree with brute-force enumeration.
 depth = 3
 parts = enumerate_partitions(depth)
-labels = [label_from_index(i) for i in range(node_count(depth))]
+nodes = range(node_count(depth))  # heap indices: root, 0, 1, 00, 01, ...
 
 print(f"\ndepth-{depth} tree: {len(parts)} partitions (= beta({depth}) = {beta(depth)})")
 worst = 0
-for p in labels:
+for p in nodes:
     by_enum = sum(1 for part in parts if p in part)
-    assert by_enum == gamma(depth, p.length)
-    for q in labels:
+    assert by_enum == gamma(depth, level(p))
+    for q in nodes:
         co = sum(1 for part in parts if p in part and q in part)
         assert co == rho(p, q, depth)
         worst = max(worst, co)

@@ -30,12 +30,9 @@ from .mixture import (
 )
 from .separators import initial_directions
 from .trees import (
-    NodeLabel,
-    ROOT,
     beta,
     enumerate_partitions,
     gamma,
-    prefixes,
     rho,
     rho_table,
 )
@@ -52,9 +49,7 @@ __all__ = [
     "FixedTreeRegressor",
     "GaussianKernelRegressor",
     "LinearFilter",
-    "NodeLabel",
     "NormalizedDataset",
-    "ROOT",
     "RunMetrics",
     "Stream",
     "VolterraFilter",
@@ -66,7 +61,6 @@ __all__ = [
     "generate",
     "initial_directions",
     "load_csv_dataset",
-    "prefixes",
     "regret",
     "rho",
     "rho_table",

@@ -25,31 +25,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .separators import initial_directions
-from .trees import (
-    ANCESTORS,
-    MAX_TABLE_DEPTH,
-    NodeLabel,
-    TreeLearner,
-    label_from_index,
-    rho_table,
-)
+from .trees import ANCESTORS, MAX_TABLE_DEPTH, TreeLearner, rho_table
 
 
 @dataclass
 class FixedTreePrediction:
     """Everything computed during one prediction pass.
 
-    ``path`` runs root -> leaf; ``estimates`` and ``kappas`` align with it.
+    ``path_indices`` holds the heap indices of the root -> leaf path;
+    ``estimates`` and ``kappas`` align with it.
     """
 
     y_hat: float
     path_indices: np.ndarray
     estimates: np.ndarray
     kappas: np.ndarray
-
-    @property
-    def path(self) -> tuple[NodeLabel, ...]:
-        return tuple(label_from_index(int(i)) for i in self.path_indices)
 
 
 class FixedTreeRegressor(TreeLearner):
@@ -96,9 +86,9 @@ class FixedTreeRegressor(TreeLearner):
             i = 2 * i + 1 if negative[i] else 2 * i + 2
         return i
 
-    def locate_leaf(self, x_ext) -> NodeLabel:
-        """Label of the depth-d cell containing ``x_ext``."""
-        return label_from_index(self._leaf_index(np.asarray(x_ext, dtype=float)))
+    def locate_leaf(self, x_ext) -> int:
+        """Heap index of the depth-d cell containing ``x_ext`` (``trees.label`` names it)."""
+        return self._leaf_index(np.asarray(x_ext, dtype=float))
 
     def predict(self, x_ext) -> FixedTreePrediction:
         """Collapsed mixture prediction from the current state.

@@ -209,7 +209,9 @@ def build_stream(spec: dict, seed: int) -> Stream:
                                    normalize=params.get("normalize", True))
         return dataset.stream
     normalize = params.pop("normalize", False)
-    n = params.pop("n")
+    n = params.pop("n", None)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ConfigError(f"stream length n must be an integer >= 1, got {n!r}")
     stream = generate(kind, n, seed=seed, **params)
     return normalize_stream(stream) if normalize else stream
 
@@ -339,8 +341,10 @@ def load_csv_dataset(path, target_column, normalize: bool = True) -> NormalizedD
     the remaining columns become the regressor."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         rows = list(reader)
+    if header is None:
+        raise ValueError(f"{path} has no header row")
     if not rows:
         raise ValueError("dataset has no data rows")
     for row_no, row in enumerate(rows, start=1):

@@ -1,12 +1,13 @@
-"""Node labels and partition combinatorics of complete binary trees.
+"""Node addresses and partition combinatorics of complete binary trees.
 
-Nodes of a depth-``d`` tree are addressed by binary strings: the root is
-the empty string, appending ``0`` selects the lower child and ``1`` the
-upper child.  A label is packed as a ``(length, value)`` integer pair so
-prefix and subtree tests are O(1).  In dense arrays nodes live at the heap
-index ``2**length - 1 + value`` (level order: root, 0, 1, 00, 01, ...).
+A node of a depth-``d`` tree is addressed by its heap (level-order)
+index: the root is 0 and the children of ``i`` are ``2i + 1`` and
+``2i + 2`` (root, 0, 1, 00, 01, ...).  The paper's binary-string label
+of node ``i``, where appending ``0`` selects the lower child and ``1`` the
+upper one, is ``i + 1`` written in binary without its leading 1: ``label``
+and ``index_of`` convert between the two.
 
-A *partition* is a set of labels whose subtrees tile the depth-``d`` leaf
+A *partition* is a set of nodes whose subtrees tile the depth-``d`` leaf
 set exactly once.  A depth-``d`` tree represents ``beta(d)`` partitions,
 with ``beta(0) = 1`` and ``beta(j+1) = beta(j)**2 + 1`` (doubly
 exponential growth).  ``gamma`` and ``rho`` count partition memberships,
@@ -18,7 +19,6 @@ tree learners keep, and its snapshot format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -30,78 +30,30 @@ MAX_TABLE_DEPTH = 5
 _INT64_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class NodeLabel:
-    """Binary-string address of a tree node, packed as (length, value).
-
-    ``value`` holds the bits with the first letter in the most significant
-    position, so the root is ``NodeLabel(0, 0)`` and ``"01"`` is
-    ``NodeLabel(2, 0b01)``.
-    """
-
-    length: int
-    value: int
-
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError("label length must be >= 0")
-        if not 0 <= self.value < (1 << self.length):
-            raise ValueError(f"value {self.value} out of range for length {self.length}")
-
-    @classmethod
-    def from_string(cls, bits: str) -> "NodeLabel":
-        if bits and set(bits) - {"0", "1"}:
-            raise ValueError(f"label must be over {{0,1}}, got {bits!r}")
-        return cls(len(bits), int(bits, 2) if bits else 0)
-
-    @property
-    def bits(self) -> str:
-        """Bit string of the label; the root is the empty string."""
-        return format(self.value, f"0{self.length}b") if self.length else ""
-
-    def __str__(self) -> str:
-        return self.bits
-
-    def __repr__(self) -> str:
-        return f"NodeLabel({self.bits!r})"
-
-    def __lt__(self, other: "NodeLabel") -> bool:
-        return (self.length, self.value) < (other.length, other.value)
-
-    @property
-    def index(self) -> int:
-        """Heap (level-order) index: root 0, children of ``i`` at 2i+1, 2i+2."""
-        return (1 << self.length) - 1 + self.value
-
-    def bit(self, i: int) -> int:
-        """The ``i``-th letter (1-based, root side first)."""
-        if not 1 <= i <= self.length:
-            raise IndexError(f"bit index {i} out of range for length {self.length}")
-        return (self.value >> (self.length - i)) & 1
-
-    def child(self, bit: int) -> "NodeLabel":
-        return NodeLabel(self.length + 1, (self.value << 1) | (bit & 1))
-
-    def parent(self) -> "NodeLabel":
-        if self.length == 0:
-            raise ValueError("the root has no parent")
-        return NodeLabel(self.length - 1, self.value >> 1)
-
-    def is_prefix_of(self, other: "NodeLabel") -> bool:
-        if self.length > other.length:
-            return False
-        return (other.value >> (other.length - self.length)) == self.value
+def level(i: int) -> int:
+    """Level of heap node ``i``: the length of its label, 0 at the root."""
+    return (i + 1).bit_length() - 1
 
 
-ROOT = NodeLabel(0, 0)
+def label(i: int) -> str:
+    """Bit-string label of heap node ``i``: ``i + 1`` in binary without its
+    leading 1, so the root is the empty string."""
+    return bin(i + 1)[3:]
 
 
-def label_from_index(index: int) -> NodeLabel:
-    """Inverse of ``NodeLabel.index``."""
-    if index < 0:
-        raise ValueError("index must be >= 0")
-    length = (index + 1).bit_length() - 1
-    return NodeLabel(length, index - ((1 << length) - 1))
+def index_of(bits: str) -> int:
+    """Heap index of the node labelled ``bits``, the inverse of ``label``;
+    raises ValueError unless ``bits`` is a string over {0,1}."""
+    if not isinstance(bits, str) or set(bits) - {"0", "1"}:
+        raise ValueError(f"label must be a string over {{0,1}}, got {bits!r}")
+    return int("1" + bits, 2) - 1
+
+
+def _is_ancestor(a: int, i: int) -> bool:
+    """True when ``a`` lies on the root -> ``i`` path, ``i`` included: the
+    label of ``a`` is a prefix of the label of ``i``."""
+    up = level(i) - level(a)
+    return up >= 0 and (i + 1) >> up == a + 1
 
 
 def node_count(depth: int) -> int:
@@ -135,11 +87,6 @@ def _heap_tables(depth: int) -> tuple[np.ndarray, np.ndarray]:
 # depth-d tree are a prefix of these, so a depth-d learner uses
 # ``ANCESTORS[:n, MAX_TABLE_DEPTH - d:]`` and ``DESCENDANTS[:n, :n]``.
 ANCESTORS, DESCENDANTS = _heap_tables(MAX_TABLE_DEPTH)
-
-
-def prefixes(p: NodeLabel) -> list[NodeLabel]:
-    """All prefixes of ``p`` ordered root -> p (the root prefixes everything)."""
-    return [NodeLabel(i, p.value >> (p.length - i)) for i in range(p.length + 1)]
 
 
 class TreeLearner:
@@ -201,27 +148,23 @@ class TreeLearner:
     def state_snapshot(self) -> dict:
         """JSON-ready state: ``{depth, t, nodes: [{label, w, v[], theta[]?}]}``,
         with ``theta`` on the internal nodes of a gated learner only."""
-        nodes = []
-        for i in range(self.n_nodes):
-            entry = {
-                "label": label_from_index(i).bits,
-                "w": float(self.w[i]),
-                "v": [float(c) for c in self.v[i]],
-            }
-            if self.gated and i < self.n_internal:
-                entry["theta"] = [float(c) for c in self.theta[i]]
-            nodes.append(entry)
+        nodes = [{"label": label(i), "w": float(w), "v": row.tolist()}
+                 for i, (w, row) in enumerate(zip(self.w, self.v))]
+        if self.gated:
+            for entry, row in zip(nodes, self.theta):
+                entry["theta"] = row.tolist()
         return {"depth": self.depth, "t": self.t, "nodes": nodes}
 
     def load_state(self, state: dict) -> None:
         """Replace the state with a ``state_snapshot``; a refused snapshot
         leaves the learner unchanged.
 
-        The labels must name every node of the tree exactly once, every
-        ``w`` must be a finite number, every ``v`` row (and every internal
-        node's ``theta`` row, when gated) must hold ``dim + 1`` finite
-        numbers, leaves carry no ``theta``, and ``t`` must be an integer
-        >= 1; anything else raises ValueError.
+        ``nodes`` must be a list of objects whose bit-string labels name
+        every node of the tree exactly once, every ``w`` must be a finite
+        number, every ``v`` row (and every internal node's ``theta`` row,
+        when gated) must hold ``dim + 1`` finite numbers, leaves carry no
+        ``theta``, and ``t`` must be an integer >= 1; anything else raises
+        ValueError.
         """
         if state["depth"] != self.depth:
             raise ValueError("snapshot depth does not match learner")
@@ -229,20 +172,21 @@ class TreeLearner:
         if isinstance(t, bool) or not isinstance(t, int) or t < 1:
             raise ValueError(f"snapshot step counter t must be an integer >= 1, got {t!r}")
         nodes = state["nodes"]
-        if len(nodes) != self.n_nodes:
-            raise ValueError("snapshot node count does not match learner")
+        if not isinstance(nodes, list) or len(nodes) != self.n_nodes:
+            raise ValueError(f"snapshot nodes must be a list of the learner's {self.n_nodes} nodes")
         width = self.dim + 1
         w = np.empty(self.n_nodes)
         v = np.empty((self.n_nodes, width))
         theta = np.empty((self.n_internal, width)) if self.gated else None
         seen = np.zeros(self.n_nodes, dtype=bool)
         for entry in nodes:
-            label = NodeLabel.from_string(entry["label"])
-            if label.length > self.depth:
-                raise ValueError(f"snapshot node {label.bits!r} is deeper than {self.depth}")
-            i = label.index
+            if not isinstance(entry, dict):
+                raise ValueError(f"snapshot node entry must be an object, got {entry!r}")
+            i = index_of(entry["label"])
+            if i >= self.n_nodes:
+                raise ValueError(f"snapshot node {entry['label']!r} is deeper than {self.depth}")
             if seen[i]:
-                raise ValueError(f"snapshot lists node {label.bits!r} twice")
+                raise ValueError(f"snapshot lists node {entry['label']!r} twice")
             seen[i] = True
             w[i] = self._snapshot_row(entry, "w", ())
             v[i] = self._snapshot_row(entry, "v", (width,))
@@ -259,7 +203,11 @@ class TreeLearner:
     @staticmethod
     def _snapshot_row(entry: dict, field: str, shape: tuple) -> np.ndarray:
         """``entry[field]`` as a float array of ``shape``, all finite."""
-        row = np.array(entry[field], dtype=float)
+        try:
+            row = np.array(entry[field], dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"snapshot {field} of node {entry['label']!r} is not numeric: "
+                             f"{entry[field]!r}") from exc
         if row.shape != shape:
             raise ValueError(f"snapshot {field} of node {entry['label']!r} has shape "
                              f"{row.shape}, expected {shape}")
@@ -297,37 +245,32 @@ def gamma(depth: int, l: int) -> int:
     return out
 
 
-def _longest_common_prefix(p: NodeLabel, q: NodeLabel) -> NodeLabel:
-    n = min(p.length, q.length)
-    a = p.value >> (p.length - n)
-    b = q.value >> (q.length - n)
-    x = a ^ b
-    common = n - x.bit_length()
-    return NodeLabel(common, a >> (n - common))
-
-
-def rho(p: NodeLabel, q: NodeLabel, depth: int) -> int:
-    """Number of partitions of the depth-``depth`` tree having both ``p``
-    and ``q`` as leaves.
+def rho(p: int, q: int, depth: int) -> int:
+    """Number of partitions of the depth-``depth`` tree having both nodes
+    ``p`` and ``q`` (heap indices) as leaves.
 
     Equals gamma(depth, l(p)) when p == q, zero when one is an
     ancestor of the other, and otherwise the exact integer quotient
     gamma(depth, l(p)) * gamma(d', l(q) - l(c) - 1) / beta(d') with
-    c the longest common prefix and d' = depth - l(c) - 1.  Symmetric in
-    its two label arguments.
+    c their deepest common ancestor and d' = depth - l(c) - 1.  Symmetric
+    in ``p`` and ``q``.
     """
-    if p.length > depth or q.length > depth:
-        raise ValueError("labels must fit the tree depth")
+    n = node_count(depth)
+    if not (0 <= p < n and 0 <= q < n):
+        raise ValueError(f"nodes {p}, {q} must lie in the depth-{depth} tree (0 to {n - 1})")
+    lp, lq = level(p), level(q)
     if p == q:
-        return gamma(depth, p.length)
-    if p.is_prefix_of(q) or q.is_prefix_of(p):
+        return gamma(depth, lp)
+    # level of the deepest common ancestor: the labels' common prefix length
+    common = min(lp, lq)
+    lc = common - (((p + 1) >> (lp - common)) ^ ((q + 1) >> (lq - common))).bit_length()
+    if lc == common:  # the shorter label prefixes the other: an ancestor
         return 0
-    c = _longest_common_prefix(p, q)
-    d_sub = depth - c.length - 1
-    num = gamma(depth, p.length) * gamma(d_sub, q.length - c.length - 1)
+    d_sub = depth - lc - 1
+    num = gamma(depth, lp) * gamma(d_sub, lq - lc - 1)
     den = beta(d_sub)
     if num % den:
-        raise AssertionError(f"rho quotient not integral for {p!r},{q!r}")
+        raise AssertionError(f"rho quotient not integral for nodes {p}, {q}")
     return num // den
 
 
@@ -341,14 +284,11 @@ def rho_table(depth: int) -> np.ndarray:
     if depth > MAX_TABLE_DEPTH:
         raise ValueError(f"depth {depth} > {MAX_TABLE_DEPTH}: combinatorial tables refused")
     n = node_count(depth)
-    labels = [label_from_index(i) for i in range(n)]
     table = np.zeros((n, n), dtype=np.int64)
-    for i, p in enumerate(labels):
-        table[i, i] = gamma(depth, p.length)
-        for j in range(i + 1, n):
-            v = rho(p, labels[j], depth)
-            table[i, j] = v
-            table[j, i] = v
+    for p in range(n):
+        table[p, p] = gamma(depth, level(p))
+        for q in range(p + 1, n):
+            table[p, q] = table[q, p] = rho(p, q, depth)
     table.setflags(write=False)
     return table
 
@@ -356,8 +296,8 @@ def rho_table(depth: int) -> np.ndarray:
 MAX_ENUMERATION_DEPTH = 4  # beta(4) = 677 partitions
 
 
-def enumerate_partitions(depth: int, cap: int = MAX_ENUMERATION_DEPTH) -> list[frozenset[NodeLabel]]:
-    """All beta(depth) partitions of the depth-``depth`` tree.
+def enumerate_partitions(depth: int, cap: int = MAX_ENUMERATION_DEPTH) -> list[frozenset[int]]:
+    """All beta(depth) partitions of the depth-``depth`` tree, as sets of heap indices.
 
     Recursion: partitions(node, r) = {node alone} plus the cross product of
     the two children's partitions with r - 1 remaining levels; the
@@ -366,31 +306,32 @@ def enumerate_partitions(depth: int, cap: int = MAX_ENUMERATION_DEPTH) -> list[f
     if depth > cap:
         raise ValueError(f"enumeration refused beyond depth {cap} (beta grows doubly exponentially)")
 
-    def rec(label: NodeLabel, remaining: int) -> list[frozenset[NodeLabel]]:
-        out = [frozenset((label,))]
+    def rec(i: int, remaining: int) -> list[frozenset[int]]:
+        out = [frozenset((i,))]
         if remaining > 0:
-            left = rec(label.child(0), remaining - 1)
-            right = rec(label.child(1), remaining - 1)
+            left = rec(2 * i + 1, remaining - 1)
+            right = rec(2 * i + 2, remaining - 1)
             out.extend(a | b for a in left for b in right)
         return out
 
-    return rec(ROOT, depth)
+    return rec(0, depth)
 
 
-def is_valid_partition(leaves: Iterable[NodeLabel], depth: int) -> bool:
-    """True when no member prefixes another and the member subtrees cover
-    the depth-``depth`` leaf set exactly once."""
+def is_valid_partition(leaves: Iterable[int], depth: int) -> bool:
+    """True when every member lies in the depth-``depth`` tree, no member is
+    an ancestor of another and the member subtrees cover the leaf set
+    exactly once."""
     members = list(leaves)
+    if any(not 0 <= p < node_count(depth) for p in members):
+        return False
     for i, p in enumerate(members):
         for q in members[i + 1:]:
-            if p.is_prefix_of(q) or q.is_prefix_of(p):
+            if _is_ancestor(p, q) or _is_ancestor(q, p):
                 return False
-    if any(p.length > depth for p in members):
-        return False
-    return sum(1 << (depth - p.length) for p in members) == (1 << depth)
+    return sum(1 << (depth - level(p)) for p in members) == (1 << depth)
 
 
-def membership_matrix(depth: int, partitions: list[frozenset[NodeLabel]] | None = None) -> np.ndarray:
+def membership_matrix(depth: int, partitions: list[frozenset[int]] | None = None) -> np.ndarray:
     """(n_partitions, n_nodes) 0/1 matrix: row k marks the leaves of the
     k-th partition at their heap indices."""
     if partitions is None:
@@ -398,5 +339,5 @@ def membership_matrix(depth: int, partitions: list[frozenset[NodeLabel]] | None 
     m = np.zeros((len(partitions), node_count(depth)))
     for k, part in enumerate(partitions):
         for p in part:
-            m[k, p.index] = 1.0
+            m[k, p] = 1.0
     return m

@@ -43,7 +43,7 @@ from pwltree.trees import (
     beta,
     enumerate_partitions,
     gamma,
-    label_from_index,
+    level,
     node_count,
     rho,
 )
@@ -74,10 +74,10 @@ def test_criterion_01_combinatorics_vs_enumeration():
     for depth in (1, 2, 3):
         parts = enumerate_partitions(depth)
         ok &= len(parts) == beta(depth) == expected_counts[depth]
-        labels = [label_from_index(i) for i in range(node_count(depth))]
-        for p in labels:
-            ok &= sum(1 for part in parts if p in part) == gamma(depth, p.length)
-            for q in labels:
+        nodes = range(node_count(depth))
+        for p in nodes:
+            ok &= sum(1 for part in parts if p in part) == gamma(depth, level(p))
+            for q in nodes:
                 co = sum(1 for part in parts if p in part and q in part)
                 ok &= rho(p, q, depth) == co
     criterion(1, ok, "partition counts, gamma and rho match exhaustive enumeration",

@@ -14,6 +14,19 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def malform(state, shape):
+    """Break one node entry of a tree learner's ``state_snapshot`` in place."""
+    nodes = state["nodes"]
+    if shape == "int label":
+        nodes[1]["label"] = 0
+    elif shape == "list entry":
+        nodes[1] = list(nodes[1].values())
+    elif shape == "dict nodes":
+        state["nodes"] = {entry["label"]: entry for entry in nodes}
+    elif shape == "dict v":
+        nodes[1]["v"] = dict(enumerate(nodes[1]["v"]))
+
+
 class TestVerifyCommand:
     def test_passes_at_default_tolerance(self, capsys):
         assert main(["verify", "--depth", "2", "--steps", "200", "--mode", "dft"]) == 0
@@ -91,6 +104,34 @@ class TestRunCommand:
         }))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         assert f"row of 3 cells under a header of 2 in {data}" in capsys.readouterr().err
+        assert not (tmp_path / "out_metrics.csv").exists()
+
+    def test_empty_csv_file_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("")
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": {"kind": "csv", "path": str(data), "target": "y"},
+            "learners": [{"kind": "lf", "mu": 0.05}],
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"pwltree: {data} has no header row" in capsys.readouterr().err
+        assert not (tmp_path / "out_metrics.csv").exists()
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, "10", True, None, "missing"])
+    def test_bad_stream_length_exits_one(self, tmp_path, capsys, n):
+        stream = {"kind": "matched", "n": n}
+        if n == "missing":
+            del stream["n"]
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": stream,
+            "learners": [{"kind": "lf", "mu": 0.05}],
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "pwltree: stream length n must be an integer >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out_metrics.csv").exists()
 
     def test_missing_csv_path_exits_one(self, tmp_path, capsys):
@@ -286,6 +327,17 @@ class TestSnapshotRestore:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert main(["restore", "--snapshot", str(bad), "--steps", "5"]) == 1
+
+    @pytest.mark.parametrize("shape", ["int label", "list entry", "dict nodes", "dict v"])
+    def test_restore_rejects_malformed_node_entries(self, tmp_path, capsys, shape):
+        snap = tmp_path / "s.json"
+        assert main(["snapshot", "--mode", "dft", "--depth", "1", "--n", "20", "--steps", "10",
+                     "--out", str(snap)]) == 0
+        snapshot = json.loads(snap.read_text())
+        malform(snapshot["state"], shape)
+        snap.write_text(json.dumps(snapshot))
+        assert main(["restore", "--snapshot", str(snap), "--steps", "5"]) == 1
+        assert "pwltree: malformed snapshot: " in capsys.readouterr().err
 
     def test_snapshot_rejects_overrun(self, tmp_path):
         assert main(["snapshot", "--mode", "dft", "--n", "10", "--steps", "20",

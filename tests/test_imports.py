@@ -1,13 +1,18 @@
 """Checks that the pwltree names the demos and the benchmark rely on still
-exist.  The scripts are parsed, never imported or run: the demos do their
-work at import time.  The benchmark's instrument module is imported, since
-it patches pwltree names and learner methods by name."""
+exist.  The scripts are parsed, never imported: the demos do their work at
+import time, so the fast ones are run in a subprocess instead.  The
+benchmark's instrument module is imported, since it patches pwltree names
+and learner methods by name."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import pwltree
 from pwltree import harness
@@ -54,3 +59,12 @@ def test_benchmark_patch_points_resolve(monkeypatch):
             learner.update(x, 0.5, pred)
     assert not tracer.counter_problems()
     assert len(tracer.tree_learners) == 2
+
+
+@pytest.mark.parametrize("demo", ["partition_calculus.py", "collapsed_equals_direct.py"])
+def test_fast_demo_runs(demo, tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -17,6 +17,7 @@ from pwltree.adaptive_tree import AdaptiveTreeRegressor
 from pwltree.fixed_tree import FixedTreeRegressor
 from pwltree.mixture import DirectMixtureRegressor
 from pwltree.separators import initial_directions
+from pwltree.trees import label
 
 
 def ext(x1, x2):
@@ -101,7 +102,7 @@ class TestEvaluate:
         for x, leaf, index in ((ext(-1.0, 0.0), "0", 1), (ext(2.0, 0.0), "1", 2),
                                # a point exactly on the plane goes to child 1
                                (ext(0.0, 0.0), "1", 2)):
-            assert fixed.locate_leaf(x).bits == leaf
+            assert label(fixed.locate_leaf(x)) == leaf
             assert list(direct.predict(x).path_indices) == [0, index]
 
     def test_hard_is_sharp_soft_limit(self):
@@ -113,7 +114,7 @@ class TestEvaluate:
             x = np.append(rng.normal(size=2), 1.0)
             if abs(float(x @ theta)) < 1e-3:
                 continue  # undecided band around the plane
-            leaf = hard.locate_leaf(x).index
+            leaf = hard.locate_leaf(x)
             assert abs(sharp.predict(x).alphas[leaf] - 1.0) < 1e-3
 
     def test_dimension_mismatch(self):
@@ -204,7 +205,8 @@ class TestPathProduct:
     def test_hard_path_selection(self):
         # input in the cell of "01": root gate open toward 0, next toward 1
         x = ext(1.0, -1.0)
-        assert [p.bits for p in FixedTreeRegressor(2, 2).predict(x).path] == ["", "0", "01"]
+        path = FixedTreeRegressor(2, 2).predict(x).path_indices
+        assert [label(int(i)) for i in path] == ["", "0", "01"]
         assert list(DirectMixtureRegressor(2, 2, mode="hard").predict(x).path_indices) == [0, 1, 4]
 
 

@@ -13,94 +13,55 @@ from pwltree.trees import (
     DESCENDANTS,
     MAX_ENUMERATION_DEPTH,
     MAX_TABLE_DEPTH,
-    NodeLabel,
-    ROOT,
+    _is_ancestor,
     beta,
     enumerate_partitions,
     gamma,
+    index_of,
     is_valid_partition,
-    label_from_index,
+    label,
+    level,
     membership_matrix,
     node_count,
-    prefixes,
     rho,
     rho_table,
 )
 
 
-def lbl(bits):
-    return NodeLabel.from_string(bits)
-
-
 def subtree_bits(bits, depth):
-    row = DESCENDANTS[lbl(bits).index, : node_count(depth)]
-    return {label_from_index(int(i)).bits for i in np.flatnonzero(row)}
+    row = DESCENDANTS[index_of(bits), : node_count(depth)]
+    return {label(int(i)) for i in np.flatnonzero(row)}
 
 
 class TestNodeLabel:
     def test_root_is_empty_string(self):
-        assert ROOT.bits == ""
-        assert ROOT.length == 0
-        assert str(lbl("01")) == "01"
+        assert label(0) == ""
+        assert level(0) == 0
+        assert label(4) == "01"
 
     def test_from_string_rejects_bad_alphabet(self):
-        with pytest.raises(ValueError):
-            NodeLabel.from_string("012")
-
-    def test_value_range_checked(self):
-        with pytest.raises(ValueError):
-            NodeLabel(1, 2)
-        with pytest.raises(ValueError):
-            NodeLabel(-1, 0)
+        """``index_of``, which reads snapshot labels, takes only strings over {0,1}."""
+        for bits in ("012", "a", 0, 1, None, ["0"]):
+            with pytest.raises(ValueError):
+                index_of(bits)
 
     def test_heap_index_round_trip(self):
         for i in range(63):
-            assert label_from_index(i).index == i
+            assert index_of(label(i)) == i
+            assert level(i) == len(label(i))
 
     def test_heap_index_is_level_order(self):
-        order = [label_from_index(i).bits for i in range(7)]
+        order = [label(i) for i in range(7)]
         assert order == ["", "0", "1", "00", "01", "10", "11"]
 
-    def test_children_and_parent(self):
-        p = lbl("01")
-        assert p.child(0) == lbl("010")
-        assert p.child(1) == lbl("011")
-        assert p.parent() == lbl("0")
-        with pytest.raises(ValueError):
-            ROOT.parent()
-
-    def test_ordering_by_length_then_value(self):
-        nodes = sorted([lbl("1"), lbl("01"), ROOT, lbl("00")])
-        assert [n.bits for n in nodes] == ["", "1", "00", "01"]
-
-    def test_bit_is_one_based_from_root(self):
-        p = lbl("011")
-        assert [p.bit(i) for i in (1, 2, 3)] == [0, 1, 1]
-        with pytest.raises(IndexError):
-            p.bit(4)
-
     def test_prefix_test(self):
-        assert ROOT.is_prefix_of(lbl("0110"))
-        assert lbl("01").is_prefix_of(lbl("011"))
-        assert not lbl("01").is_prefix_of(lbl("001"))
-        assert not lbl("011").is_prefix_of(lbl("01"))
+        assert _is_ancestor(0, index_of("0110"))
+        assert _is_ancestor(index_of("01"), index_of("011"))
+        assert not _is_ancestor(index_of("01"), index_of("001"))
+        assert not _is_ancestor(index_of("011"), index_of("01"))
 
 
 class TestPrefixesAndSpan:
-    def test_root_prefix_of_itself_only(self):
-        assert prefixes(ROOT) == [ROOT]
-
-    @pytest.mark.parametrize("bits, expected", [
-        ("01", ["", "0", "01"]),
-        ("10", ["", "1", "10"]),
-    ])
-    def test_prefix_expansion(self, bits, expected):
-        assert [p.bits for p in prefixes(lbl(bits))] == expected
-
-    def test_prefix_count_is_length_plus_one(self):
-        p = lbl("0110")
-        assert len(prefixes(p)) == p.length + 1
-
     # the span of a node (its subtree within the tree) is its row of the
     # descendant table, cut to the nodes of the tree
     def test_span_example(self):
@@ -187,6 +148,28 @@ class TestSnapshotFiniteness:
         assert np.isfinite(lrn.predict(np.array([0.3, -0.2, 1.0])).y_hat)
 
 
+@pytest.mark.parametrize("make", [FixedTreeRegressor, AdaptiveTreeRegressor])
+@pytest.mark.parametrize("shape", ["int label", "list entry", "dict nodes", "dict v"])
+def test_malformed_node_entry_refused(make, shape):
+    lrn = make(1, 2)
+    lrn.w[:] = 7.0
+    lrn.v[:] = 3.0
+    lrn.t = 9
+    state = make(1, 2).state_snapshot()
+    nodes = state["nodes"]
+    if shape == "int label":
+        nodes[1]["label"] = 0
+    elif shape == "list entry":
+        nodes[1] = list(nodes[1].values())
+    elif shape == "dict nodes":
+        state["nodes"] = {entry["label"]: entry for entry in nodes}
+    elif shape == "dict v":
+        nodes[1]["v"] = dict(enumerate(nodes[1]["v"]))
+    with pytest.raises(ValueError):
+        lrn.load_state(state)
+    assert (lrn.w == 7.0).all() and (lrn.v == 3.0).all() and lrn.t == 9
+
+
 def test_non_finite_separator_refused():
     lrn = AdaptiveTreeRegressor(1, 2)
     theta = lrn.theta.copy()
@@ -225,44 +208,45 @@ class TestBetaGamma:
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_gamma_counts_leaf_memberships(self, depth):
         parts = enumerate_partitions(depth)
-        for i in range(node_count(depth)):
-            p = label_from_index(i)
+        for p in range(node_count(depth)):
             count = sum(1 for part in parts if p in part)
-            assert count == gamma(depth, p.length)
+            assert count == gamma(depth, level(p))
 
 
 class TestRho:
     def test_rho_examples(self):
-        assert rho(ROOT, ROOT, 2) == 1
-        assert rho(lbl("0"), lbl("01"), 2) == 0
-        assert rho(lbl("00"), lbl("01"), 2) == 2
+        assert rho(0, 0, 2) == 1
+        assert rho(index_of("0"), index_of("01"), 2) == 0
+        assert rho(index_of("00"), index_of("01"), 2) == 2
 
     def test_rho_equals_co_leaf_enumeration(self):
         for depth in (1, 2, 3):
             parts = enumerate_partitions(depth)
-            labels = [label_from_index(i) for i in range(node_count(depth))]
-            for p in labels:
-                for q in labels:
+            nodes = range(node_count(depth))
+            for p in nodes:
+                for q in nodes:
                     count = sum(1 for part in parts if p in part and q in part)
                     assert rho(p, q, depth) == count, (p, q, depth)
 
     def test_rho_symmetry(self):
-        labels = [label_from_index(i) for i in range(node_count(3))]
-        for p in labels:
-            for q in labels:
+        nodes = range(node_count(3))
+        for p in nodes:
+            for q in nodes:
                 assert rho(p, q, 3) == rho(q, p, 3)
 
     def test_rho_quotient_exact_for_depth_up_to_five(self):
         # the division inside rho asserts integrality itself; sweep it
         for depth in (4, 5):
-            labels = [label_from_index(i) for i in range(node_count(depth))]
-            for p in labels[:: max(1, len(labels) // 16)]:
-                for q in labels:
+            nodes = range(node_count(depth))
+            for p in nodes[:: max(1, len(nodes) // 16)]:
+                for q in nodes:
                     rho(p, q, depth)
 
     def test_rho_rejects_deep_labels(self):
-        with pytest.raises(ValueError):
-            rho(lbl("000"), ROOT, 2)
+        # a negative index lies outside the tree too
+        for p, q in ((index_of("000"), 0), (-1, 0), (0, -1), (-3, 2)):
+            with pytest.raises(ValueError):
+                rho(p, q, 2)
 
 
 class TestKappa:
@@ -278,8 +262,8 @@ class TestKappa:
         lrn = AdaptiveTreeRegressor(2, 2)
         lrn.w[:] = 1.0
         kappas = lrn.predict(np.array([0.3, -0.2, 1.0])).kappas
-        assert kappas[ROOT.index] == 1.0
-        assert kappas[lbl("00").index] == 7.0
+        assert kappas[0] == 1.0
+        assert kappas[index_of("00")] == 7.0
 
     def test_matches_dense_table(self):
         rng = np.random.default_rng(1)
@@ -296,16 +280,16 @@ class TestKappa:
 
 class TestEnumeration:
     def test_depth_zero(self):
-        assert enumerate_partitions(0) == [frozenset({ROOT})]
+        assert enumerate_partitions(0) == [frozenset({0})]
 
     def test_depth_one(self):
         parts = enumerate_partitions(1)
         assert len(parts) == 2 == beta(1)
-        assert frozenset({ROOT}) in parts
-        assert frozenset({lbl("0"), lbl("1")}) in parts
+        assert frozenset({0}) in parts
+        assert frozenset({index_of("0"), index_of("1")}) in parts
 
     def test_depth_two_matches_known_partitions(self):
-        parts = {frozenset(p.bits for p in part) for part in enumerate_partitions(2)}
+        parts = {frozenset(label(p) for p in part) for part in enumerate_partitions(2)}
         assert parts == {
             frozenset({""}),
             frozenset({"0", "1"}),
@@ -326,16 +310,17 @@ class TestEnumeration:
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_leaf_coverage_sums(self, depth):
         for part in enumerate_partitions(depth):
-            assert sum(1 << (depth - p.length) for p in part) == 1 << depth
+            assert sum(1 << (depth - level(p)) for p in part) == 1 << depth
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             enumerate_partitions(MAX_ENUMERATION_DEPTH + 1)
 
     def test_invalid_partitions_detected(self):
-        assert not is_valid_partition({ROOT, lbl("0")}, 1)      # nested
-        assert not is_valid_partition({lbl("0")}, 1)            # incomplete
-        assert not is_valid_partition({lbl("000")}, 2)          # too deep
+        assert not is_valid_partition({0, index_of("0")}, 1)    # nested
+        assert not is_valid_partition({index_of("0")}, 1)       # incomplete
+        assert not is_valid_partition({index_of("000")}, 2)     # too deep
+        assert not is_valid_partition({-1}, 0)                  # outside the tree
 
 
 class TestRhoTable:
@@ -343,7 +328,7 @@ class TestRhoTable:
         table = rho_table(2)
         for i in range(7):
             for j in range(7):
-                assert table[i, j] == rho(label_from_index(i), label_from_index(j), 2)
+                assert table[i, j] == rho(i, j, 2)
 
     def test_read_only_and_cached(self):
         table = rho_table(2)
@@ -360,7 +345,8 @@ class TestHeapTables:
     def test_ancestor_rows_are_padded_prefix_paths(self):
         assert ANCESTORS.shape == (node_count(MAX_TABLE_DEPTH), MAX_TABLE_DEPTH)
         for i in range(node_count(MAX_TABLE_DEPTH)):
-            path = [p.index for p in prefixes(label_from_index(i))[1:]]
+            bits = label(i)
+            path = [index_of(bits[:k]) for k in range(1, len(bits) + 1)]
             pad = [0] * (MAX_TABLE_DEPTH - len(path))
             assert ANCESTORS[i].tolist() == pad + path
 
@@ -369,8 +355,9 @@ class TestHeapTables:
         assert DESCENDANTS.shape == (n, n)
         for a in range(n):
             for i in range(n):
-                inside = label_from_index(a).is_prefix_of(label_from_index(i))
+                inside = label(i).startswith(label(a))
                 assert DESCENDANTS[a, i] == float(inside)
+                assert _is_ancestor(a, i) == inside
 
     def test_read_only(self):
         for table in (ANCESTORS, DESCENDANTS):
@@ -386,4 +373,4 @@ class TestMembership:
         for k, part in enumerate(parts):
             assert m[k].sum() == len(part)
             for p in part:
-                assert m[k, p.index] == 1.0
+                assert m[k, p] == 1.0
