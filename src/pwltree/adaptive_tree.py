@@ -152,6 +152,6 @@ class AdaptiveTreeRegressor(TreeLearner):
     def load_state(self, state: dict) -> None:
         """Replace the state with a ``state_snapshot`` taken at the same
         gate clamp; a refused snapshot leaves the learner unchanged."""
-        if float(state["s_plus"]) != self.s_plus:
+        if isinstance(state, dict) and float(state["s_plus"]) != self.s_plus:
             raise ValueError("snapshot clamp does not match learner")
         super().load_state(state)

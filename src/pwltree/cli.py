@@ -78,7 +78,7 @@ def _cmd_gen(args) -> int:
         params["noise_var"] = args.noise_var
     try:
         _check_out_dirs(args.out)
-        stream = datagen.generate(args.kind, args.n, seed=args.seed, **params)
+        stream = harness.build_stream({"kind": args.kind, "n": args.n, **params}, args.seed)
     except (TypeError, ValueError) as exc:
         return _fail(str(exc))
     datagen.stream_to_csv(stream, args.out)
@@ -140,10 +140,14 @@ def _cmd_restore(args) -> int:
         return _fail(str(exc))
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(f"cannot read snapshot: {exc}")
+    if not isinstance(snapshot, dict):
+        return _fail(f"malformed snapshot: expected a JSON object, got {type(snapshot).__name__}")
     if snapshot.get("schema") != SNAPSHOT_SCHEMA:
         return _fail(f"unsupported snapshot schema {snapshot.get('schema')!r} "
                      f"(this version reads schema {SNAPSHOT_SCHEMA})")
     try:
+        if not isinstance(snapshot["learner"], dict):
+            raise ValueError(f"learner must be an object, got {type(snapshot['learner']).__name__}")
         stream = harness.build_stream(snapshot["stream"], snapshot["seed"])
         learner, metrics = _run_segment(snapshot["learner"], stream, snapshot["position"],
                                         args.steps, snapshot)

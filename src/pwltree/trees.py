@@ -10,11 +10,13 @@ and ``index_of`` convert between the two.
 A *partition* is a set of nodes whose subtrees tile the depth-``d`` leaf
 set exactly once.  A depth-``d`` tree represents ``beta(d)`` partitions,
 with ``beta(0) = 1`` and ``beta(j+1) = beta(j)**2 + 1`` (doubly
-exponential growth).  ``gamma`` and ``rho`` count partition memberships,
-``rho_table`` holds ``rho`` over every node pair for the learners' kappa
-products, and ``enumerate_partitions`` is the brute-force ground truth used
-to validate them.  ``TreeLearner`` holds the per-node state both collapsed
-tree learners keep, and its snapshot format.
+exponential growth).  ``gamma`` and ``rho`` count partition memberships;
+a pair's count depends only on the levels of the two nodes and of their
+deepest common ancestor.  ``rho_table`` holds ``rho`` over every node pair
+for the learners' kappa products, gathered from the exact counts of those
+level triples, and ``enumerate_partitions`` is the brute-force ground truth
+used to validate them.  ``TreeLearner`` holds the per-node state both
+collapsed tree learners keep, and its snapshot format.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from typing import Iterable
 
 import numpy as np
 
-# beta(5) = 458330 still fits comfortably in 64-bit tables; past that the
-# dense kappa tables dominate memory/time anyway.
+# The deepest tree the learners and the shared tables support.  beta(7)
+# already overflows int64; deeper trees also need per-step kappa products
+# that do not touch a dense n_nodes x n_nodes table.
 MAX_TABLE_DEPTH = 5
 _INT64_MAX = 2**63 - 1
 
@@ -61,32 +64,40 @@ def node_count(depth: int) -> int:
     return (1 << (depth + 1)) - 1
 
 
-def _heap_tables(depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ancestor and descendant tables of the depth-``depth`` heap.
+def _heap_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ancestor, descendant and common-level tables of the depth-``depth`` heap.
 
     Row ``i`` of the ancestor table lists the nodes of the root -> ``i``
     path below the root, right-aligned (the last column is ``i`` itself)
     and left-padded with the root index 0.  Entry ``[a, i]`` of the
     descendant table is 1.0 when ``i`` lies in the subtree of ``a``,
-    ``a`` included.  Node ``i`` sits at level ``floor(log2(i + 1))`` and
-    its ancestor ``k`` levels up is ``((i + 1) >> k) - 1``.
+    ``a`` included.  Entry ``[p, q]`` of the common-level table is the
+    level of the deepest common ancestor of ``p`` and ``q``, so its
+    diagonal holds the node levels.  Node ``i`` sits at level
+    ``floor(log2(i + 1))`` and its ancestor ``k`` levels up is
+    ``((i + 1) >> k) - 1``.
     """
     one_based = np.arange(1, node_count(depth) + 1)
     shifts = np.arange(depth - 1, -1, -1)
     ancestors = np.maximum((one_based[:, None] >> shifts) - 1, 0).astype(np.intp)
     levels = np.frexp(one_based)[1] - 1
-    up = levels[None, :] - levels[:, None]
-    below = (one_based[None, :] >> np.maximum(up, 0)) == one_based[:, None]
-    descendants = ((up >= 0) & below).astype(float)
-    for table in (ancestors, descendants):
+    # cut both labels to their common length; the bit length (np.frexp's
+    # exponent) of the XOR of the cuts is how far above it the ancestor sits
+    common = np.minimum.outer(levels, levels)
+    cut = one_based[:, None] >> (levels[:, None] - common)
+    common_levels = common - np.frexp(cut ^ cut.T)[1]
+    # i lies in the subtree of a when a is their deepest common ancestor
+    descendants = (common_levels == levels[:, None]).astype(float)
+    for table in (ancestors, descendants, common_levels):
         table.setflags(write=False)
-    return ancestors, descendants
+    return ancestors, descendants, common_levels
 
 
 # Shared read-only tables of the deepest supported tree.  Heap indices of a
 # depth-d tree are a prefix of these, so a depth-d learner uses
-# ``ANCESTORS[:n, MAX_TABLE_DEPTH - d:]`` and ``DESCENDANTS[:n, :n]``.
-ANCESTORS, DESCENDANTS = _heap_tables(MAX_TABLE_DEPTH)
+# ``ANCESTORS[:n, MAX_TABLE_DEPTH - d:]`` and ``DESCENDANTS[:n, :n]``, and
+# ``rho_table(d)`` reads ``_COMMON_LEVELS[:n, :n]``.
+ANCESTORS, DESCENDANTS, _COMMON_LEVELS = _heap_tables(MAX_TABLE_DEPTH)
 
 
 class TreeLearner:
@@ -163,9 +174,11 @@ class TreeLearner:
         every node of the tree exactly once, every ``w`` must be a finite
         number, every ``v`` row (and every internal node's ``theta`` row,
         when gated) must hold ``dim + 1`` finite numbers, leaves carry no
-        ``theta``, and ``t`` must be an integer >= 1; anything else raises
-        ValueError.
+        ``theta``, and ``t`` must be an integer >= 1; anything else,
+        including a ``state`` that is not a dict, raises ValueError.
         """
+        if not isinstance(state, dict):
+            raise ValueError(f"snapshot state must be an object, got {type(state).__name__}")
         if state["depth"] != self.depth:
             raise ValueError("snapshot depth does not match learner")
         t = state.get("t")
@@ -245,50 +258,68 @@ def gamma(depth: int, l: int) -> int:
     return out
 
 
+def _pair_count(depth: int, l_p: int, l_q: int, l_c: int) -> int:
+    """Number of partitions of the depth-``depth`` tree holding two nodes
+    at levels ``l_p`` and ``l_q``, whose deepest common ancestor lies at
+    level ``l_c``, as leaves.
+
+    It is gamma(depth, l_p) when the nodes coincide (all three levels
+    equal), zero when one is an ancestor of the other (``l_c`` is the
+    smaller level), and otherwise the exact integer quotient
+    gamma(depth, l_p) * gamma(d', l_q - l_c - 1) / beta(d') with
+    d' = depth - l_c - 1.
+    """
+    if l_c == l_p == l_q:
+        return gamma(depth, l_p)
+    if l_c == min(l_p, l_q):
+        return 0
+    d_sub = depth - l_c - 1
+    num = gamma(depth, l_p) * gamma(d_sub, l_q - l_c - 1)
+    den = beta(d_sub)
+    if num % den:
+        raise AssertionError(f"rho quotient not integral for levels {l_p}, {l_q} "
+                             f"below level {l_c} at depth {depth}")
+    return num // den
+
+
 def rho(p: int, q: int, depth: int) -> int:
     """Number of partitions of the depth-``depth`` tree having both nodes
-    ``p`` and ``q`` (heap indices) as leaves.
-
-    Equals gamma(depth, l(p)) when p == q, zero when one is an
-    ancestor of the other, and otherwise the exact integer quotient
-    gamma(depth, l(p)) * gamma(d', l(q) - l(c) - 1) / beta(d') with
-    c their deepest common ancestor and d' = depth - l(c) - 1.  Symmetric
-    in ``p`` and ``q``.
+    ``p`` and ``q`` (heap indices) as leaves: ``_pair_count`` of the levels
+    of ``p``, ``q`` and their deepest common ancestor.  Symmetric in ``p``
+    and ``q``; the pairwise reference for ``rho_table``.
     """
     n = node_count(depth)
     if not (0 <= p < n and 0 <= q < n):
         raise ValueError(f"nodes {p}, {q} must lie in the depth-{depth} tree (0 to {n - 1})")
     lp, lq = level(p), level(q)
-    if p == q:
-        return gamma(depth, lp)
     # level of the deepest common ancestor: the labels' common prefix length
     common = min(lp, lq)
     lc = common - (((p + 1) >> (lp - common)) ^ ((q + 1) >> (lq - common))).bit_length()
-    if lc == common:  # the shorter label prefixes the other: an ancestor
-        return 0
-    d_sub = depth - lc - 1
-    num = gamma(depth, lp) * gamma(d_sub, lq - lc - 1)
-    den = beta(d_sub)
-    if num % den:
-        raise AssertionError(f"rho quotient not integral for nodes {p}, {q}")
-    return num // den
+    return _pair_count(depth, lp, lq, lc)
 
 
 @lru_cache(maxsize=None)
 def rho_table(depth: int) -> np.ndarray:
     """Dense (n_nodes, n_nodes) int64 table of rho over heap indices.
 
-    The table is computed once per depth and cached read-only; learners
-    share it for their per-step kappa products.
+    ``rho`` depends only on the levels of the two nodes and of their
+    deepest common ancestor, so the table is gathered from the exact
+    counts of the (depth + 1)**3 level triples, indexed at once by the
+    levels of every pair, which the shared heap tables hold.  It is built
+    once per depth and cached read-only; learners share it for their
+    per-step kappa products.
     """
     if depth > MAX_TABLE_DEPTH:
         raise ValueError(f"depth {depth} > {MAX_TABLE_DEPTH}: combinatorial tables refused")
+    counts = np.zeros((depth + 1,) * 3, dtype=np.int64)
+    for l_c in range(depth + 1):  # a common ancestor lies no deeper than either node
+        for l_p in range(l_c, depth + 1):
+            for l_q in range(l_c, depth + 1):
+                counts[l_p, l_q, l_c] = _pair_count(depth, l_p, l_q, l_c)
     n = node_count(depth)
-    table = np.zeros((n, n), dtype=np.int64)
-    for p in range(n):
-        table[p, p] = gamma(depth, level(p))
-        for q in range(p + 1, n):
-            table[p, q] = table[q, p] = rho(p, q, depth)
+    lc = _COMMON_LEVELS[:n, :n]
+    lv = lc.diagonal()
+    table = counts[lv[:, None], lv[None, :], lc]
     table.setflags(write=False)
     return table
 

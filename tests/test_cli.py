@@ -246,6 +246,13 @@ class TestGenCommand:
         assert main(["gen", "henon", "--n", "3", "--out", str(out)]) == 1
         assert f"pwltree: cannot write {out}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_refuses_stream_length_below_one(self, tmp_path, capsys, n):
+        out = tmp_path / "h.csv"
+        assert main(["gen", "henon", "--n", n, "--out", str(out)]) == 1
+        assert f"stream length n must be an integer >= 1, got {n}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_matched_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -335,6 +342,22 @@ class TestSnapshotRestore:
                      "--out", str(snap)]) == 0
         snapshot = json.loads(snap.read_text())
         malform(snapshot["state"], shape)
+        snap.write_text(json.dumps(snapshot))
+        assert main(["restore", "--snapshot", str(snap), "--steps", "5"]) == 1
+        assert "pwltree: malformed snapshot: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("part, value", [("state", []), ("state", "x"), ("learner", []),
+                                             (None, None)])
+    def test_restore_rejects_non_object_parts(self, tmp_path, capsys, part, value):
+        # part None: the file holds a JSON list around the snapshot
+        snap = tmp_path / "s.json"
+        assert main(["snapshot", "--mode", "dft", "--depth", "1", "--n", "200", "--steps", "100",
+                     "--out", str(snap)]) == 0
+        snapshot = json.loads(snap.read_text())
+        if part is None:
+            snapshot = [snapshot]
+        else:
+            snapshot[part] = value
         snap.write_text(json.dumps(snapshot))
         assert main(["restore", "--snapshot", str(snap), "--steps", "5"]) == 1
         assert "pwltree: malformed snapshot: " in capsys.readouterr().err

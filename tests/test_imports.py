@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import pwltree
-from pwltree import harness
+from pwltree import harness, trees
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")])
@@ -47,16 +47,19 @@ def test_imported_and_exported_names_resolve():
 def test_benchmark_patch_points_resolve(monkeypatch):
     # the tracer wraps module attributes and learner methods by name, so
     # entering it and building and stepping each traced learner kind
-    # resolves every one of them
+    # resolves every one of them; every benchmark round clears the
+    # rho_table cache first, and the tracer reads its cache_info
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     instrument = importlib.import_module("instrument")
     x = np.array([0.3, -0.2, 1.0])
+    trees.rho_table.cache_clear()
     with instrument.installed(instrument.Tracer()) as tracer:
         for kind in ("dft", "dat", "direct"):
             learner = harness.make_learner({"kind": kind, "depth": 2}, 2)
             learner.step(x, 0.5)
             pred = learner.predict(x)
             learner.update(x, 0.5, pred)
+    assert trees.rho_table.cache_info().currsize == 1
     assert not tracer.counter_problems()
     assert len(tracer.tree_learners) == 2
 

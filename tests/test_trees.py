@@ -170,6 +170,18 @@ def test_malformed_node_entry_refused(make, shape):
     assert (lrn.w == 7.0).all() and (lrn.v == 3.0).all() and lrn.t == 9
 
 
+@pytest.mark.parametrize("make", [FixedTreeRegressor, AdaptiveTreeRegressor])
+@pytest.mark.parametrize("state", [[], "x"])
+def test_non_object_state_refused(make, state):
+    lrn = make(1, 2)
+    lrn.w[:] = 7.0
+    lrn.v[:] = 3.0
+    lrn.t = 9
+    with pytest.raises(ValueError, match="snapshot state must be an object"):
+        lrn.load_state(state)
+    assert (lrn.w == 7.0).all() and (lrn.v == 3.0).all() and lrn.t == 9
+
+
 def test_non_finite_separator_refused():
     lrn = AdaptiveTreeRegressor(1, 2)
     theta = lrn.theta.copy()
@@ -324,11 +336,20 @@ class TestEnumeration:
 
 
 class TestRhoTable:
-    def test_matches_pairwise_rho(self):
-        table = rho_table(2)
-        for i in range(7):
-            for j in range(7):
-                assert table[i, j] == rho(i, j, 2)
+    @pytest.mark.parametrize("depth", range(MAX_TABLE_DEPTH + 1))
+    def test_matches_pairwise_rho(self, depth):
+        table = rho_table(depth)
+        n = node_count(depth)
+        assert table.dtype == np.int64
+        assert table.shape == (n, n)
+        assert np.array_equal(table, table.T)
+        assert table.tolist() == [[rho(p, q, depth) for q in range(n)] for p in range(n)]
+
+    @pytest.mark.parametrize("depth", range(MAX_ENUMERATION_DEPTH + 1))
+    def test_equals_co_leaf_counts(self, depth):
+        # entry (p, q) of M^T M counts the partitions holding both p and q
+        m = membership_matrix(depth)
+        assert np.array_equal(rho_table(depth), (m.T @ m).astype(np.int64))
 
     def test_read_only_and_cached(self):
         table = rho_table(2)
