@@ -8,14 +8,12 @@ family of subtree partitions (:class:`DirectMixtureRegressor`), plus the
 stream generators, baselines and benchmark harness used to exercise them.
 """
 
-from .adaptive_tree import AdaptiveTreePrediction, AdaptiveTreeRegressor
+from .adaptive_tree import AdaptiveTreeRegressor
 from .baselines import GaussianKernelRegressor, LinearFilter, VolterraFilter, vf_features
 from .datagen import Stream, generate, stream_to_csv
-from .fixed_tree import FixedTreePrediction, FixedTreeRegressor
+from .fixed_tree import FixedTreeRegressor
 from .harness import (
     ExperimentConfig,
-    ExperimentResult,
-    NormalizedDataset,
     RunMetrics,
     load_csv_dataset,
     run_experiment,
@@ -26,7 +24,6 @@ from .mixture import (
     DirectMixtureRegressor,
     batch_best_weights,
     empirical_strong_convexity,
-    regret,
 )
 from .separators import initial_directions
 from .trees import (
@@ -40,16 +37,12 @@ from .trees import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveTreePrediction",
     "AdaptiveTreeRegressor",
     "DirectMixtureRegressor",
     "ExperimentConfig",
-    "ExperimentResult",
-    "FixedTreePrediction",
     "FixedTreeRegressor",
     "GaussianKernelRegressor",
     "LinearFilter",
-    "NormalizedDataset",
     "RunMetrics",
     "Stream",
     "VolterraFilter",
@@ -61,7 +54,6 @@ __all__ = [
     "generate",
     "initial_directions",
     "load_csv_dataset",
-    "regret",
     "rho",
     "rho_table",
     "run_experiment",

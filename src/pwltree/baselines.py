@@ -89,21 +89,16 @@ class VolterraFilter:
         return pred.y_hat, d_t - pred.y_hat
 
 
-def gaussian_kernel(x, center, cov_inv, norm) -> float:
-    """Mixture kernel ``norm * exp(-(x - c)' S^-1 (x - c) / 2)`` where
-    ``norm`` is ``1 / (2 pi sqrt(det S))`` regardless of dimension (the
-    convention this benchmark family uses, not the general Gaussian
-    constant)."""
-    delta = x - center
-    return float(norm * np.exp(-0.5 * delta @ cov_inv @ delta))
-
-
 class GaussianKernelRegressor:
     """Fixed Gaussian mixture gating a bank of affine regressors.
 
     Centres and covariances are chosen in hindsight and never adapt; only
     the per-centre regressors learn, each scaled by its kernel value
-    (the gradient of the squared error through the fixed mixture).
+    (the gradient of the squared error through the fixed mixture).  The
+    kernel of centre ``c`` with covariance ``S`` is
+    ``norm * exp(-(x - c)' S^-1 (x - c) / 2)``, where ``norm`` is
+    ``1 / (2 pi sqrt(det S))`` regardless of dimension (the convention
+    this benchmark family uses, not the general Gaussian constant).
     """
 
     def __init__(self, centers, covariances, mu=1.0):

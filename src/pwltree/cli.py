@@ -79,7 +79,7 @@ def _cmd_gen(args) -> int:
     try:
         _check_out_dirs(args.out)
         stream = harness.build_stream({"kind": args.kind, "n": args.n, **params}, args.seed)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
     datagen.stream_to_csv(stream, args.out)
     print(f"wrote {len(stream)} rows to {args.out}")
@@ -148,21 +148,26 @@ def _cmd_restore(args) -> int:
     try:
         if not isinstance(snapshot["learner"], dict):
             raise ValueError(f"learner must be an object, got {type(snapshot['learner']).__name__}")
-        stream = harness.build_stream(snapshot["stream"], snapshot["seed"])
-        learner, metrics = _run_segment(snapshot["learner"], stream, snapshot["position"],
-                                        args.steps, snapshot)
+        position, seed = snapshot["position"], snapshot["seed"]
+        if isinstance(position, bool) or not isinstance(position, int) or position < 0:
+            raise ValueError(f"position must be an integer >= 0, got {position!r}")
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        stream = harness.build_stream(snapshot["stream"], seed)
+        learner, metrics = _run_segment(snapshot["learner"], stream, position, args.steps,
+                                        snapshot)
     except (ValueError, KeyError) as exc:
         return _fail(f"malformed snapshot: {exc}")
     except harness.TrialDiverged as exc:
-        return _fail(f"{exc} after position {snapshot['position']}")
+        return _fail(f"{exc} after position {position}")
     if args.metrics:
         harness.write_metrics_csv({snapshot["learner"]["kind"]: metrics}, args.metrics,
-                                  start=snapshot["position"])
+                                  start=position)
     if args.state_out:
         with open(args.state_out, "w") as fh:
             json.dump(learner.state_snapshot(), fh, indent=2)
             fh.write("\n")
-    print(f"continued {args.steps} steps from position {snapshot['position']}")
+    print(f"continued {args.steps} steps from position {position}")
     return 0
 
 

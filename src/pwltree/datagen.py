@@ -18,7 +18,7 @@ initial state is an arbitrary convention.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -32,15 +32,12 @@ _W = np.array([1.0, 1.0])
 class Stream:
     """A finite stream of (input, target) pairs.
 
-    ``inputs`` holds raw regressors (n, m); learners consume ``extended``
-    which appends the constant-1 entry.
+    ``inputs`` holds raw regressors (n, m) and ``targets`` the n responses;
+    learners consume ``extended``, which appends the constant-1 entry.
     """
 
-    kind: str
     inputs: np.ndarray
     targets: np.ndarray
-    seed: int | None = None
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.inputs.ndim != 2 or len(self.inputs) != len(self.targets):
@@ -68,13 +65,13 @@ def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     return ndtri((k + 0.5) * 2.0**-53)
 
 
-def _piecewise(kind, n, seed, noise_var, values):
+def _piecewise(n, seed, noise_var, values):
     rng = _generator(seed)
     x = _standard_normals(rng, (n, 2))
     d = values(x)
     if noise_var > 0:
         d = d + np.sqrt(noise_var) * _standard_normals(rng, n)
-    return Stream(kind, x, d, seed=seed, params={"noise_var": noise_var})
+    return Stream(x, d)
 
 
 def matched_values(x: np.ndarray) -> np.ndarray:
@@ -122,19 +119,19 @@ def third_order_values(x: np.ndarray) -> np.ndarray:
 
 
 def gen_matched(n, seed, noise_var=DEFAULT_NOISE_VAR) -> Stream:
-    return _piecewise("matched", n, seed, noise_var, matched_values)
+    return _piecewise(n, seed, noise_var, matched_values)
 
 
 def gen_mismatched(n, seed, noise_var=DEFAULT_NOISE_VAR) -> Stream:
-    return _piecewise("mismatched", n, seed, noise_var, mismatched_values)
+    return _piecewise(n, seed, noise_var, mismatched_values)
 
 
 def gen_first_order(n, seed, noise_var=DEFAULT_NOISE_VAR) -> Stream:
-    return _piecewise("first_order", n, seed, noise_var, first_order_values)
+    return _piecewise(n, seed, noise_var, first_order_values)
 
 
 def gen_third_order(n, seed, noise_var=DEFAULT_NOISE_VAR) -> Stream:
-    return _piecewise("third_order", n, seed, noise_var, third_order_values)
+    return _piecewise(n, seed, noise_var, third_order_values)
 
 
 def gen_henon(n, init=(0.0, 0.0), zeta=1.4, eta=0.3, burn_in=100) -> Stream:
@@ -155,8 +152,7 @@ def gen_henon(n, init=(0.0, 0.0), zeta=1.4, eta=0.3, burn_in=100) -> Stream:
             inputs[t] = (d1, d2)
             targets[t] = d_new
         d1, d2 = d_new, d1
-    return Stream("henon", inputs, targets,
-                  params={"init": tuple(init), "zeta": zeta, "eta": eta, "burn_in": burn_in})
+    return Stream(inputs, targets)
 
 
 def gen_lorenz(n, init=(1.0, 1.0, 1.0), dt=0.01, rho=28.0, sigma=10.0,
@@ -175,9 +171,7 @@ def gen_lorenz(n, init=(1.0, 1.0, 1.0), dt=0.01, rho=28.0, sigma=10.0,
         if t >= 0:
             inputs[t] = (y, z)
             targets[t] = x
-    return Stream("lorenz", inputs, targets,
-                  params={"init": tuple(init), "dt": dt, "rho": rho, "sigma": sigma,
-                          "beta": beta, "burn_in": burn_in})
+    return Stream(inputs, targets)
 
 
 GENERATORS = {

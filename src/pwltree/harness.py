@@ -159,13 +159,16 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.stride < 1:
             raise ConfigError("stride must be >= 1")
+        if not isinstance(self.learners, list) \
+                or not all(isinstance(entry, dict) for entry in self.learners):
+            raise ConfigError("learners must be a list of objects")
         if not self.learners:
             raise ConfigError("at least one learner is required")
         names = [entry.get("name") or entry.get("kind") for entry in self.learners]
         if len(set(names)) != len(names):
             raise ConfigError("learner names must be unique")
-        if "kind" not in self.stream:
-            raise ConfigError("stream requires a kind")
+        if not isinstance(self.stream, dict) or "kind" not in self.stream:
+            raise ConfigError("stream must be an object with a kind")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -202,29 +205,51 @@ class ExperimentConfig:
 
 
 def build_stream(spec: dict, seed: int) -> Stream:
+    """Turn a stream spec into a :class:`Stream`; a malformed spec raises
+    ConfigError.  A ``csv`` spec holds ``path``, ``target`` and no other
+    key; a generator spec holds ``n`` and the generator's own parameters,
+    and is seeded with ``seed``.  Either may set ``normalize`` (default on
+    for ``csv``, off otherwise) to apply :func:`normalize_stream`."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"stream must be an object, got {type(spec).__name__}")
     params = dict(spec)
-    kind = params.pop("kind")
+    kind = params.pop("kind", None)
+    normalize = params.pop("normalize", kind == "csv")
     if kind == "csv":
-        dataset = load_csv_dataset(params["path"], params["target"],
-                                   normalize=params.get("normalize", True))
-        return dataset.stream
-    normalize = params.pop("normalize", False)
-    n = params.pop("n", None)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ConfigError(f"stream length n must be an integer >= 1, got {n!r}")
-    stream = generate(kind, n, seed=seed, **params)
+        missing = [key for key in ("path", "target") if key not in params]
+        if missing:
+            raise ConfigError(f"csv stream requires {' and '.join(map(repr, missing))}")
+        unknown = sorted(set(params) - {"path", "target"})
+        if unknown:
+            raise ConfigError("csv stream takes only path, target and normalize, not "
+                              + ", ".join(map(repr, unknown)))
+        stream = load_csv_dataset(params["path"], params["target"])
+    else:
+        n = params.pop("n", None)
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ConfigError(f"stream length n must be an integer >= 1, got {n!r}")
+        try:
+            stream = generate(kind, n, seed=seed, **params)
+        except TypeError as exc:
+            raise ConfigError(f"cannot build stream kind {kind!r}: {exc}") from exc
     return normalize_stream(stream) if normalize else stream
 
 
 def normalize_stream(stream: Stream) -> Stream:
-    """Map every input column and the target affinely onto [-1, 1] using
-    their min/max over the whole stream (the offline preprocessing used
-    for the chaotic benchmarks)."""
-    cols = [_normalize_column(stream.inputs[:, j], f"x{j + 1}")[0]
-            for j in range(stream.dim)]
-    targets, _ = _normalize_column(stream.targets, "d")
-    return Stream(stream.kind, np.column_stack(cols), targets,
-                  seed=stream.seed, params={**stream.params, "normalized": True})
+    """Map every input column and the target affinely onto [-1, 1] by
+    their min/max over the whole stream (the offline preprocessing of the
+    chaotic streams and CSV datasets).  A constant column maps to 0 with a
+    warning naming it ``x<j>`` or ``d``, as ``stream_to_csv`` heads it."""
+    cols = [_normalize_column(stream.inputs[:, j], f"x{j + 1}") for j in range(stream.dim)]
+    return Stream(np.column_stack(cols), _normalize_column(stream.targets, "d"))
+
+
+def _normalize_column(col: np.ndarray, name: str) -> np.ndarray:
+    lo, hi = float(col.min()), float(col.max())
+    if hi == lo:
+        warnings.warn(f"column {name!r} is constant; normalized to 0")
+        return np.zeros_like(col)
+    return 2.0 * (col - lo) / (hi - lo) - 1.0
 
 
 @dataclass
@@ -306,39 +331,11 @@ def write_summary_json(result: ExperimentResult, path) -> None:
 # external datasets
 # ----------------------------------------------------------------------
 
-@dataclass
-class NormalizedDataset:
-    """A CSV dataset mapped onto [-1, 1] per column, plus the affine maps
-    needed to undo it."""
-
-    stream: Stream
-    input_ranges: list[tuple[float, float]]
-    target_range: tuple[float, float]
-
-    def error_scale(self) -> float:
-        """Multiplier taking normalized-space errors back to original
-        units (the offset cancels in differences)."""
-        lo, hi = self.target_range
-        return (hi - lo) / 2.0 if hi > lo else 1.0
-
-    def denormalize_target(self, values) -> np.ndarray:
-        lo, hi = self.target_range
-        return (np.asarray(values, dtype=float) + 1.0) * (hi - lo) / 2.0 + lo
-
-
-def _normalize_column(col: np.ndarray, name: str) -> tuple[np.ndarray, tuple[float, float]]:
-    lo, hi = float(col.min()), float(col.max())
-    if hi == lo:
-        warnings.warn(f"column {name!r} is constant; normalized to 0")
-        return np.zeros_like(col), (lo, hi)
-    return 2.0 * (col - lo) / (hi - lo) - 1.0, (lo, hi)
-
-
-def load_csv_dataset(path, target_column, normalize: bool = True) -> NormalizedDataset:
-    """Read a rectangular numeric CSV (header row required) and map every
-    column affinely onto [-1, 1] using its own min/max over the whole
-    file.  ``target_column`` picks the response by name or 0-based index;
-    the remaining columns become the regressor."""
+def load_csv_dataset(path, target_column) -> Stream:
+    """Read a rectangular, finite, numeric CSV (header row required) as a
+    raw stream, or raise ValueError.  ``target_column`` picks the response
+    by name or 0-based index; the other columns, in file order, become
+    the regressor."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -369,22 +366,7 @@ def load_csv_dataset(path, target_column, normalize: bool = True) -> NormalizedD
         raise ValueError(f"target column {target_column!r} is neither a name in header "
                          f"{header} nor a 0-based index below {len(header)}")
     input_idx = [i for i in range(data.shape[1]) if i != target_idx]
-    inputs = data[:, input_idx]
-    targets = data[:, target_idx]
-    input_ranges = []
-    if normalize:
-        cols = []
-        for j, i in enumerate(input_idx):
-            col, rng = _normalize_column(inputs[:, j], header[i])
-            cols.append(col)
-            input_ranges.append(rng)
-        inputs = np.column_stack(cols)
-        targets, target_range = _normalize_column(targets, header[target_idx])
-    else:
-        input_ranges = [(float(c.min()), float(c.max())) for c in inputs.T]
-        target_range = (float(targets.min()), float(targets.max()))
-    stream = Stream("csv", inputs, targets, params={"path": str(path)})
-    return NormalizedDataset(stream, input_ranges, target_range)
+    return Stream(data[:, input_idx], data[:, target_idx])
 
 
 # ----------------------------------------------------------------------

@@ -201,11 +201,3 @@ def empirical_strong_convexity(model_estimates: np.ndarray) -> float:
     gram = D.T @ D / len(D)
     return float(np.linalg.eigvalsh(gram)[0])
 
-
-def regret(realized_sq_errors: np.ndarray, model_estimates: np.ndarray,
-           targets: np.ndarray) -> float:
-    """Cumulative squared error of the sequential learner minus that of
-    the best fixed weight vector in hindsight."""
-    w_star = batch_best_weights(model_estimates, targets)
-    best = float(np.sum((targets - model_estimates @ w_star) ** 2))
-    return float(np.sum(realized_sq_errors)) - best

@@ -7,7 +7,6 @@ from pwltree.baselines import (
     GaussianKernelRegressor,
     LinearFilter,
     VolterraFilter,
-    gaussian_kernel,
     vf_features,
 )
 from pwltree.datagen import generate
@@ -78,23 +77,19 @@ class TestVolterraFilter:
 
 
 class TestGaussianKernel:
-    def test_value_at_center_identity_covariance(self):
-        x = np.array([1.2, -0.4])
-        got = gaussian_kernel(x, x, np.eye(2), 1.0 / (2 * np.pi))
-        assert got == pytest.approx(1.0 / (2 * np.pi))
-
     def test_matches_dense_evaluation(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            cov = rng.normal(size=(2, 2))
-            cov = cov @ cov.T + 0.5 * np.eye(2)
-            center = rng.normal(size=2)
+            covs = rng.normal(size=(3, 2, 2))
+            covs = covs @ covs.transpose(0, 2, 1) + 0.5 * np.eye(2)
+            centers = rng.normal(size=(3, 2))
             x = rng.normal(size=2)
-            norm = 1.0 / (2 * np.pi * np.sqrt(np.linalg.det(cov)))
-            delta = x - center
-            expected = norm * np.exp(-0.5 * delta @ np.linalg.inv(cov) @ delta)
-            got = gaussian_kernel(x, center, np.linalg.inv(cov), norm)
-            assert got == pytest.approx(expected, rel=1e-12)
+            got = GaussianKernelRegressor(centers, covs).kernel_values(x)
+            for p, (center, cov) in enumerate(zip(centers, covs)):
+                norm = 1.0 / (2 * np.pi * np.sqrt(np.linalg.det(cov)))
+                delta = x - center
+                expected = norm * np.exp(-0.5 * delta @ np.linalg.inv(cov) @ delta)
+                assert got[p] == pytest.approx(expected, rel=1e-12)
 
 
 class TestGaussianKernelRegressor:

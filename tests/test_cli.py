@@ -164,6 +164,40 @@ class TestRunCommand:
         assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out_metrics.csv").exists()
 
+    @pytest.mark.parametrize("stream, named", [
+        ({"kind": "matched", "n": 10, "bogus": 1}, "'bogus'"),
+        ({"kind": "csv"}, "'path'"),
+        ({"kind": "csv", "path": "data.csv", "target": "y", "bogus": 1}, "'bogus'"),
+        ({"kind": "csv", "path": "data.csv", "target": "y", "n": 5}, "'n'"),
+    ], ids=["generator-unknown-key", "csv-no-path", "csv-unknown-key", "csv-n"])
+    def test_malformed_stream_spec_exits_one(self, tmp_path, capsys, stream, named):
+        if "path" in stream:
+            stream["path"] = str(tmp_path / stream["path"])
+            (tmp_path / "data.csv").write_text("a,y\n0,1\n1,2\n")
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": stream,
+            "learners": [{"kind": "lf", "mu": 0.05}],
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pwltree: ") and named in err
+        assert not (tmp_path / "out_metrics.csv").exists()
+
+    @pytest.mark.parametrize("learners", [[5], "abc"], ids=["int-entry", "string"])
+    def test_non_object_learner_entries_exit_one(self, tmp_path, capsys, learners):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": {"kind": "matched", "n": 10},
+            "learners": learners,
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "pwltree: learners must be a list of objects" in capsys.readouterr().err
+        assert not (tmp_path / "out_metrics.csv").exists()
+        assert not (tmp_path / "out_summary.json").exists()
+
     def test_fractional_stride_exits_one_before_running(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({
@@ -251,6 +285,13 @@ class TestGenCommand:
         out = tmp_path / "h.csv"
         assert main(["gen", "henon", "--n", n, "--out", str(out)]) == 1
         assert f"stream length n must be an integer >= 1, got {n}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_refuses_a_parameter_the_generator_does_not_take(self, tmp_path, capsys):
+        out = tmp_path / "h.csv"
+        assert main(["gen", "henon", "--n", "3", "--noise-var", "0.1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pwltree: cannot build stream kind 'henon'") and "noise_var" in err
         assert not out.exists()
 
     def test_matched_deterministic(self, tmp_path):
@@ -347,7 +388,7 @@ class TestSnapshotRestore:
         assert "pwltree: malformed snapshot: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("part, value", [("state", []), ("state", "x"), ("learner", []),
-                                             (None, None)])
+                                             ("stream", 5), (None, None)])
     def test_restore_rejects_non_object_parts(self, tmp_path, capsys, part, value):
         # part None: the file holds a JSON list around the snapshot
         snap = tmp_path / "s.json"
@@ -361,6 +402,25 @@ class TestSnapshotRestore:
         snap.write_text(json.dumps(snapshot))
         assert main(["restore", "--snapshot", str(snap), "--steps", "5"]) == 1
         assert "pwltree: malformed snapshot: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("part, value", [
+        ("stream", {"kind": "matched", "n": 200, "bogus": 1}),
+        ("position", "x"), ("position", True), ("position", 1.5), ("position", -1),
+        ("seed", 1.5), ("seed", True), ("seed", "3"),
+    ], ids=["stream-unknown-key", "position-str", "position-bool", "position-float",
+            "position-negative", "seed-float", "seed-bool", "seed-str"])
+    def test_restore_rejects_malformed_stream_position_and_seed(self, tmp_path, capsys,
+                                                                 part, value):
+        snap, metrics = tmp_path / "s.json", tmp_path / "m.csv"
+        assert main(["snapshot", "--mode", "dft", "--depth", "1", "--n", "200", "--steps", "100",
+                     "--out", str(snap)]) == 0
+        snapshot = json.loads(snap.read_text())
+        snapshot[part] = value
+        snap.write_text(json.dumps(snapshot))
+        assert main(["restore", "--snapshot", str(snap), "--steps", "10",
+                     "--metrics", str(metrics)]) == 1
+        assert "pwltree: malformed snapshot: " in capsys.readouterr().err
+        assert not metrics.exists()
 
     def test_snapshot_rejects_overrun(self, tmp_path):
         assert main(["snapshot", "--mode", "dft", "--n", "10", "--steps", "20",

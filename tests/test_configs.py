@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from pwltree.datagen import generate, stream_to_csv
 from pwltree.harness import ExperimentConfig, build_stream, make_learner, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -19,13 +20,18 @@ def test_config_parses(path):
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
-def test_learners_constructible_on_short_stream(path):
+def test_learners_constructible_on_short_stream(path, tmp_path):
     cfg = ExperimentConfig.from_file(path)
-    if cfg.stream["kind"] == "csv":
-        pytest.skip("external dataset not bundled")
     spec = dict(cfg.stream)
-    spec["n"] = 50
+    if spec["kind"] == "csv":
+        # the template's placeholders pointed at a small generated file
+        spec["path"] = tmp_path / "data.csv"
+        spec["target"] = "d"
+        stream_to_csv(generate("matched", 50, seed=cfg.seed), spec["path"])
+    else:
+        spec["n"] = 50
     stream = build_stream(spec, cfg.seed)
+    assert len(stream) == 50
     for entry in cfg.learners:
         make_learner(entry, stream.dim)
 

@@ -232,4 +232,4 @@ class TestCsvExport:
 
     def test_stream_validation(self):
         with pytest.raises(ValueError):
-            Stream("x", np.zeros((3, 2)), np.zeros(4))
+            Stream(np.zeros((3, 2)), np.zeros(4))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pwltree.adaptive_tree import AdaptiveTreeRegressor
-from pwltree.datagen import gen_henon, generate
+from pwltree.datagen import gen_henon, generate, stream_to_csv
 from pwltree import harness
 from pwltree.fixed_tree import FixedTreeRegressor
 from pwltree.harness import (
@@ -203,6 +203,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("learners", [[5], "abc", [{"kind": "lf"}, []], {"kind": "lf"}],
+                             ids=["int-entry", "string", "list-entry", "object"])
+    def test_learners_not_a_list_of_objects(self, learners):
+        raw = self.base()
+        raw["learners"] = learners
+        with pytest.raises(ConfigError, match="learners must be a list of objects"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("spec, named", [
+        (5, "stream must be an object, got int"),
+        (["kind", "matched"], "stream must be an object, got list"),
+        ({"kind": "matched", "n": 10, "bogus": 1}, "'bogus'"),
+        ({"kind": "henon", "n": 10, "noise_var": 0.1}, "'noise_var'"),
+        ({"kind": "csv"}, "csv stream requires 'path' and 'target'"),
+        ({"kind": "csv", "path": "data.csv"}, "csv stream requires 'target'"),
+        ({"kind": "csv", "path": "data.csv", "target": "d", "bogus": 1}, "not 'bogus'"),
+        ({"kind": "csv", "path": "data.csv", "target": "d", "n": 5}, "not 'n'"),
+    ], ids=["int", "list", "generator-unknown-key", "henon-noise-var", "csv-empty",
+            "csv-no-target", "csv-unknown-key", "csv-n"])
+    def test_malformed_stream_spec(self, spec, named):
+        with pytest.raises(ConfigError, match=named):
+            build_stream(spec, seed=0)
+
     def test_unknown_learner_kind(self):
         with pytest.raises(ConfigError):
             make_learner({"kind": "mystery"}, dim=2)
@@ -284,38 +307,44 @@ class TestCsvDataset:
         path.write_text(header + "\n" + "\n".join(rows) + "\n")
         return path
 
+    def build(self, path, target="y"):
+        return build_stream({"kind": "csv", "path": str(path), "target": target}, seed=0)
+
     def test_normalization_endpoints_and_midpoint(self, tmp_path):
         path = self.write_csv(tmp_path, ["0,4,-2", "10,5,0", "5,6,2"])
-        ds = load_csv_dataset(path, "y")
-        col = ds.stream.inputs[:, 0]
-        np.testing.assert_allclose(col, [-1.0, 1.0, 0.0])
-        np.testing.assert_allclose(ds.stream.targets, [-1.0, 0.0, 1.0])
+        stream = self.build(path)
+        np.testing.assert_allclose(stream.inputs[:, 0], [-1.0, 1.0, 0.0])
+        np.testing.assert_allclose(stream.targets, [-1.0, 0.0, 1.0])
 
     def test_constant_column_warns_and_zeroes(self, tmp_path):
         path = self.write_csv(tmp_path, ["0,5,-2", "10,5,0"])
-        with pytest.warns(UserWarning):
-            ds = load_csv_dataset(path, "y")
-        assert (ds.stream.inputs[:, 1] == 0.0).all()
+        with pytest.warns(UserWarning, match="column 'x2' is constant"):
+            stream = self.build(path)
+        assert (stream.inputs[:, 1] == 0.0).all()
 
-    def test_round_trip_denormalization(self, tmp_path):
-        rng = np.random.default_rng(0)
-        data = rng.normal(size=(50, 3)) * [2.0, 7.0, 0.5] + [1.0, -3.0, 4.0]
-        rows = [",".join(repr(float(v)) for v in row) for row in data]
-        path = self.write_csv(tmp_path, rows)
-        ds = load_csv_dataset(path, 2)
-        back = ds.denormalize_target(ds.stream.targets)
-        np.testing.assert_allclose(back, data[:, 2], atol=1e-12)
+    def test_loader_returns_the_raw_columns(self, tmp_path):
+        path = self.write_csv(tmp_path, ["0,4,-2", "10,5,0", "5,6,2"])
+        stream = load_csv_dataset(path, "b")
+        np.testing.assert_array_equal(stream.inputs, [[0.0, -2.0], [10.0, 0.0], [5.0, 2.0]])
+        np.testing.assert_array_equal(stream.targets, [4.0, 5.0, 6.0])
+        raw = build_stream({"kind": "csv", "path": str(path), "target": 1, "normalize": False},
+                           seed=0)
+        np.testing.assert_array_equal(raw.inputs, stream.inputs)
+        np.testing.assert_array_equal(raw.targets, stream.targets)
 
-    def test_error_scale_is_half_range(self, tmp_path):
-        path = self.write_csv(tmp_path, ["0,1,-2", "1,2,6"])
-        ds = load_csv_dataset(path, "y")
-        assert ds.error_scale() == pytest.approx(4.0)
+    def test_generated_stream_round_trips_bit_for_bit(self, tmp_path):
+        stream = generate("mismatched", 200, seed=9)
+        path = tmp_path / "stream.csv"
+        stream_to_csv(stream, path)
+        back = load_csv_dataset(path, "d")
+        np.testing.assert_array_equal(back.inputs, stream.inputs)
+        np.testing.assert_array_equal(back.targets, stream.targets)
 
     def test_target_by_index_and_name_agree(self, tmp_path):
         path = self.write_csv(tmp_path, ["0,1,2", "3,4,5", "6,7,8"])
         by_name = load_csv_dataset(path, "b")
         by_index = load_csv_dataset(path, 1)
-        np.testing.assert_array_equal(by_name.stream.targets, by_index.stream.targets)
+        np.testing.assert_array_equal(by_name.targets, by_index.targets)
 
     def test_non_numeric_cell(self, tmp_path):
         path = self.write_csv(tmp_path, ["0,oops,1", "2,3,4"])

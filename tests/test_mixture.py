@@ -13,7 +13,6 @@ from pwltree.mixture import (
     _subtree_indices,
     batch_best_weights,
     empirical_strong_convexity,
-    regret,
 )
 from pwltree.trees import DESCENDANTS
 
@@ -151,19 +150,6 @@ class TestBatchBestWeights:
         y = rng.normal(size=100)
         w_hat = batch_best_weights(D, y)
         assert np.isfinite(w_hat).all()
-
-    def test_regret_non_negative_on_stationary_prefixes(self):
-        stream = generate("matched", 2000, seed=19)
-        lrn = DirectMixtureRegressor(1, 2, mode="hard", mu=0.01)
-        D = np.empty((2000, 2))
-        e2 = np.empty(2000)
-        for t, (x, d) in enumerate(zip(stream.extended, stream.targets)):
-            pred = lrn.predict(x)
-            D[t] = pred.model_estimates
-            e2[t] = (d - pred.y_hat) ** 2
-            lrn.update(x, d, pred)
-        for n in (100, 500, 2000):
-            assert regret(e2[:n], D[:n], stream.targets[:n]) >= 0.0
 
 
 class TestStrongConvexity:
