@@ -11,7 +11,7 @@
 import numpy as np
 
 from pwltree import beta, enumerate_partitions, gamma, rho, rho_table
-from pwltree.trees import label, level, node_count
+from pwltree.trees import level, node_count
 
 print("partitions representable by a depth-j tree:")
 for j in range(6):
@@ -20,7 +20,8 @@ for j in range(6):
 # The five depth-2 partitions, spelled out.
 print("\nall partitions of a depth-2 tree:")
 for part in enumerate_partitions(2):
-    cells = sorted(label(p) or "root" for p in part)
+    # the paper's name for heap node p: p + 1 in binary without its leading 1
+    cells = sorted(bin(p + 1)[3:] or "root" for p in part)
     print("  {" + ", ".join(cells) + "}")
 
 # gamma(d, l) counts the partitions in which a node at depth l is a leaf;

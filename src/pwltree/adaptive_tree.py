@@ -145,13 +145,15 @@ class AdaptiveTreeRegressor(TreeLearner):
 
     # ------------------------------------------------------------------
     def state_snapshot(self) -> dict:
-        """The shared snapshot (thetas on internal nodes only) plus the
-        gate clamp ``s_plus``."""
+        """The shared snapshot (with ``theta``) plus the gate clamp ``s_plus``."""
         return {**super().state_snapshot(), "s_plus": self.s_plus}
 
     def load_state(self, state: dict) -> None:
         """Replace the state with a ``state_snapshot`` taken at the same
-        gate clamp; a refused snapshot leaves the learner unchanged."""
-        if isinstance(state, dict) and float(state["s_plus"]) != self.s_plus:
-            raise ValueError("snapshot clamp does not match learner")
+        gate clamp; a refused snapshot raises ValueError and leaves the
+        learner unchanged."""
+        s_plus = state.get("s_plus") if isinstance(state, dict) else self.s_plus
+        if s_plus != self.s_plus:
+            raise ValueError(f"snapshot clamp s_plus {s_plus!r} does not match the "
+                             f"learner's {self.s_plus}")
         super().load_state(state)

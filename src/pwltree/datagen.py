@@ -56,6 +56,8 @@ class Stream:
 
 
 def _generator(seed: int) -> np.random.Generator:
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64) to key the generator, got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 

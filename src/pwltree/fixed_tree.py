@@ -87,7 +87,7 @@ class FixedTreeRegressor(TreeLearner):
         return i
 
     def locate_leaf(self, x_ext) -> int:
-        """Heap index of the depth-d cell containing ``x_ext`` (``trees.label`` names it)."""
+        """Heap index of the depth-d cell containing ``x_ext``."""
         return self._leaf_index(np.asarray(x_ext, dtype=float))
 
     def predict(self, x_ext) -> FixedTreePrediction:

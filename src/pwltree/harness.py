@@ -38,7 +38,12 @@ class TrialDiverged(RuntimeError):
 
 
 def default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    """The integer in ``PWLTREE_SEED``, 0 when unset; ConfigError otherwise."""
+    raw = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 @dataclass
@@ -223,6 +228,8 @@ def build_stream(spec: dict, seed: int) -> Stream:
         if unknown:
             raise ConfigError("csv stream takes only path, target and normalize, not "
                               + ", ".join(map(repr, unknown)))
+        if not isinstance(params["path"], (str, os.PathLike)):
+            raise ConfigError(f"csv stream path must be a string, got {params['path']!r}")
         stream = load_csv_dataset(params["path"], params["target"])
     else:
         n = params.pop("n", None)

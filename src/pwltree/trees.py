@@ -2,10 +2,10 @@
 
 A node of a depth-``d`` tree is addressed by its heap (level-order)
 index: the root is 0 and the children of ``i`` are ``2i + 1`` and
-``2i + 2`` (root, 0, 1, 00, 01, ...).  The paper's binary-string label
-of node ``i``, where appending ``0`` selects the lower child and ``1`` the
-upper one, is ``i + 1`` written in binary without its leading 1: ``label``
-and ``index_of`` convert between the two.
+``2i + 2``.  The paper names node ``i`` by a bit string, where appending
+``0`` selects the lower child and ``1`` the upper one; that string is
+``i + 1`` written in binary without its leading 1, so ancestor and
+subtree tests are bit shifts of ``i + 1``.
 
 A *partition* is a set of nodes whose subtrees tile the depth-``d`` leaf
 set exactly once.  A depth-``d`` tree represents ``beta(d)`` partitions,
@@ -16,7 +16,7 @@ deepest common ancestor.  ``rho_table`` holds ``rho`` over every node pair
 for the learners' kappa products, gathered from the exact counts of those
 level triples, and ``enumerate_partitions`` is the brute-force ground truth
 used to validate them.  ``TreeLearner`` holds the per-node state both
-collapsed tree learners keep, and its snapshot format.
+collapsed tree learners keep, and its heap-ordered snapshot format.
 """
 
 from __future__ import annotations
@@ -34,27 +34,13 @@ _INT64_MAX = 2**63 - 1
 
 
 def level(i: int) -> int:
-    """Level of heap node ``i``: the length of its label, 0 at the root."""
+    """Level of heap node ``i``: its distance from the root, 0 at the root."""
     return (i + 1).bit_length() - 1
-
-
-def label(i: int) -> str:
-    """Bit-string label of heap node ``i``: ``i + 1`` in binary without its
-    leading 1, so the root is the empty string."""
-    return bin(i + 1)[3:]
-
-
-def index_of(bits: str) -> int:
-    """Heap index of the node labelled ``bits``, the inverse of ``label``;
-    raises ValueError unless ``bits`` is a string over {0,1}."""
-    if not isinstance(bits, str) or set(bits) - {"0", "1"}:
-        raise ValueError(f"label must be a string over {{0,1}}, got {bits!r}")
-    return int("1" + bits, 2) - 1
 
 
 def _is_ancestor(a: int, i: int) -> bool:
     """True when ``a`` lies on the root -> ``i`` path, ``i`` included: the
-    label of ``a`` is a prefix of the label of ``i``."""
+    binary of ``a + 1`` is a prefix of the binary of ``i + 1``."""
     up = level(i) - level(a)
     return up >= 0 and (i + 1) >> up == a + 1
 
@@ -81,7 +67,7 @@ def _heap_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     shifts = np.arange(depth - 1, -1, -1)
     ancestors = np.maximum((one_based[:, None] >> shifts) - 1, 0).astype(np.intp)
     levels = np.frexp(one_based)[1] - 1
-    # cut both labels to their common length; the bit length (np.frexp's
+    # cut both bit strings to their common length; the bit length (np.frexp's
     # exponent) of the XOR of the cuts is how far above it the ancestor sits
     common = np.minimum.outer(levels, levels)
     cut = one_based[:, None] >> (levels[:, None] - common)
@@ -157,77 +143,71 @@ class TreeLearner:
 
     # ------------------------------------------------------------------
     def state_snapshot(self) -> dict:
-        """JSON-ready state: ``{depth, t, nodes: [{label, w, v[], theta[]?}]}``,
-        with ``theta`` on the internal nodes of a gated learner only."""
-        nodes = [{"label": label(i), "w": float(w), "v": row.tolist()}
-                 for i, (w, row) in enumerate(zip(self.w, self.v))]
+        """JSON-ready state in heap order: ``{depth, t, w[n_nodes],
+        v[n_nodes][dim + 1]}``, plus ``theta[n_internal][dim + 1]`` when
+        gated."""
+        state = {"depth": self.depth, "t": self.t, "w": self.w.tolist(), "v": self.v.tolist()}
         if self.gated:
-            for entry, row in zip(nodes, self.theta):
-                entry["theta"] = row.tolist()
-        return {"depth": self.depth, "t": self.t, "nodes": nodes}
+            state["theta"] = self.theta.tolist()
+        return state
 
     def load_state(self, state: dict) -> None:
         """Replace the state with a ``state_snapshot``; a refused snapshot
         leaves the learner unchanged.
 
-        ``nodes`` must be a list of objects whose bit-string labels name
-        every node of the tree exactly once, every ``w`` must be a finite
-        number, every ``v`` row (and every internal node's ``theta`` row,
-        when gated) must hold ``dim + 1`` finite numbers, leaves carry no
-        ``theta``, and ``t`` must be an integer >= 1; anything else,
+        ``depth`` must be the learner's, ``t`` an integer >= 1, and ``w``,
+        ``v`` (and ``theta``, when gated) lists of finite numbers in
+        exactly the shapes ``state_snapshot`` writes; anything else,
         including a ``state`` that is not a dict, raises ValueError.
         """
         if not isinstance(state, dict):
             raise ValueError(f"snapshot state must be an object, got {type(state).__name__}")
-        if state["depth"] != self.depth:
-            raise ValueError("snapshot depth does not match learner")
-        t = state.get("t")
+        depth, t = state.get("depth"), state.get("t")
+        if isinstance(depth, bool) or depth != self.depth:
+            raise ValueError(f"snapshot depth {depth!r} does not match the learner's {self.depth}")
         if isinstance(t, bool) or not isinstance(t, int) or t < 1:
             raise ValueError(f"snapshot step counter t must be an integer >= 1, got {t!r}")
-        nodes = state["nodes"]
-        if not isinstance(nodes, list) or len(nodes) != self.n_nodes:
-            raise ValueError(f"snapshot nodes must be a list of the learner's {self.n_nodes} nodes")
         width = self.dim + 1
-        w = np.empty(self.n_nodes)
-        v = np.empty((self.n_nodes, width))
-        theta = np.empty((self.n_internal, width)) if self.gated else None
-        seen = np.zeros(self.n_nodes, dtype=bool)
-        for entry in nodes:
-            if not isinstance(entry, dict):
-                raise ValueError(f"snapshot node entry must be an object, got {entry!r}")
-            i = index_of(entry["label"])
-            if i >= self.n_nodes:
-                raise ValueError(f"snapshot node {entry['label']!r} is deeper than {self.depth}")
-            if seen[i]:
-                raise ValueError(f"snapshot lists node {entry['label']!r} twice")
-            seen[i] = True
-            w[i] = self._snapshot_row(entry, "w", ())
-            v[i] = self._snapshot_row(entry, "v", (width,))
-            if not self.gated:
-                continue
-            if i < self.n_internal:
-                theta[i] = self._snapshot_row(entry, "theta", (width,))
-            elif "theta" in entry:
-                raise ValueError(f"leaf {entry['label']!r} must not carry a separator")
-        self.w, self.v, self.t = w, v, t
+        w = _snapshot_array(state, "w", (self.n_nodes,))
+        v = _snapshot_array(state, "v", (self.n_nodes, width))
         if self.gated:
-            self.theta = theta
+            self.theta = _snapshot_array(state, "theta", (self.n_internal, width))
+        self.w, self.v, self.t = w, v, t
 
-    @staticmethod
-    def _snapshot_row(entry: dict, field: str, shape: tuple) -> np.ndarray:
-        """``entry[field]`` as a float array of ``shape``, all finite."""
-        try:
-            row = np.array(entry[field], dtype=float)
-        except TypeError as exc:
-            raise ValueError(f"snapshot {field} of node {entry['label']!r} is not numeric: "
-                             f"{entry[field]!r}") from exc
-        if row.shape != shape:
-            raise ValueError(f"snapshot {field} of node {entry['label']!r} has shape "
-                             f"{row.shape}, expected {shape}")
-        if not np.isfinite(row).all():
-            raise ValueError(f"snapshot {field} of node {entry['label']!r} is not finite: "
-                             f"{entry[field]!r}")
-        return row
+
+def _numeric(value, shape: tuple) -> np.ndarray | None:
+    """``value`` as a float array, or None unless it holds only numbers in
+    exactly ``shape``."""
+    try:
+        array = np.array(value)
+    except ValueError:  # ragged rows
+        return None
+    if array.dtype.kind not in "iuf" or array.shape != shape:
+        return None
+    return array.astype(float)
+
+
+def _snapshot_array(state: dict, name: str, shape: tuple) -> np.ndarray:
+    """``state[name]`` as a float array of exactly ``shape``, one entry per
+    node in heap order, all finite; otherwise ValueError naming the array
+    and, when one entry is at fault, the heap index of the first."""
+    value = state.get(name)
+    if not isinstance(value, list) or len(value) != shape[0]:
+        got = (len(value) if isinstance(value, list)
+               else "none" if value is None else type(value).__name__)
+        raise ValueError(f"snapshot {name} must be a list of {shape[0]} node entries, got {got}")
+    if not value:  # a depth-0 tree's theta: [] carries no row width to check
+        return np.empty(shape)
+    array = _numeric(value, shape)
+    if array is None:
+        entry = "a number" if len(shape) == 1 else f"a row of {shape[1]} numbers"
+        i = next(i for i, row in enumerate(value) if _numeric(row, shape[1:]) is None)
+        raise ValueError(f"snapshot {name} of node {i} is not {entry}: {value[i]!r}")
+    bad = ~np.isfinite(array.reshape(shape[0], -1)).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"snapshot {name} of node {i} is not finite: {value[i]!r}")
+    return array
 
 
 @lru_cache(maxsize=None)
@@ -292,7 +272,7 @@ def rho(p: int, q: int, depth: int) -> int:
     if not (0 <= p < n and 0 <= q < n):
         raise ValueError(f"nodes {p}, {q} must lie in the depth-{depth} tree (0 to {n - 1})")
     lp, lq = level(p), level(q)
-    # level of the deepest common ancestor: the labels' common prefix length
+    # level of the deepest common ancestor: the bit strings' common prefix length
     common = min(lp, lq)
     lc = common - (((p + 1) >> (lp - common)) ^ ((q + 1) >> (lq - common))).bit_length()
     return _pair_count(depth, lp, lq, lc)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from pwltree import harness
-from pwltree.cli import main
+from pwltree.cli import SNAPSHOT_SCHEMA, main
+
+from helpers import MALFORMED_STATES
 
 
 def read_csv(path):
@@ -14,17 +16,13 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def malform(state, shape):
-    """Break one node entry of a tree learner's ``state_snapshot`` in place."""
-    nodes = state["nodes"]
-    if shape == "int label":
-        nodes[1]["label"] = 0
-    elif shape == "list entry":
-        nodes[1] = list(nodes[1].values())
-    elif shape == "dict nodes":
-        state["nodes"] = {entry["label"]: entry for entry in nodes}
-    elif shape == "dict v":
-        nodes[1]["v"] = dict(enumerate(nodes[1]["v"]))
+@pytest.fixture(scope="module")
+def dat_snapshot(tmp_path_factory):
+    """A ``pwltree snapshot`` file of a depth-2 adaptive tree, as a dict."""
+    path = tmp_path_factory.mktemp("snapshot") / "s.json"
+    assert main(["snapshot", "--mode", "dat", "--depth", "2", "--n", "30", "--steps", "10",
+                 "--out", str(path)]) == 0
+    return json.loads(path.read_text())
 
 
 class TestVerifyCommand:
@@ -227,6 +225,23 @@ class TestRunCommand:
         assert f"pwltree: cannot write {out}_metrics.csv: no directory {out.parent}" \
             in capsys.readouterr().err
 
+    def test_integer_csv_path_exits_one_without_reading_stdin(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # open(0) would read standard input and close it
+        def load_csv_dataset(path, target):
+            raise AssertionError("the csv file must not be opened")
+
+        monkeypatch.setattr(harness, "load_csv_dataset", load_csv_dataset)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": {"kind": "csv", "path": 0, "target": "y"},
+            "learners": [{"kind": "lf", "mu": 0.05}],
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "pwltree: csv stream path must be a string, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out_metrics.csv").exists()
+
     def test_run_writes_metrics_and_summary(self, tmp_path):
         config = {
             "schema": 1,
@@ -356,7 +371,7 @@ class TestSnapshotRestore:
         assert main(["snapshot", "--mode", "dat", "--depth", "1", "--n", "20", "--steps", "10",
                      "--out", str(snap)]) == 0
         snapshot = json.loads(snap.read_text())
-        assert snapshot["schema"] == 2
+        assert snapshot["schema"] == SNAPSHOT_SCHEMA == 3
         assert "t" not in snapshot
         assert snapshot["state"]["t"] == 11
 
@@ -365,27 +380,29 @@ class TestSnapshotRestore:
         assert main(["snapshot", "--mode", "dft", "--n", "20", "--steps", "10",
                      "--out", str(snap)]) == 0
         snapshot = json.loads(snap.read_text())
-        snapshot["schema"] = 1
-        snap.write_text(json.dumps(snapshot))
-        assert main(["restore", "--snapshot", str(snap), "--steps", "5"]) == 1
-        assert "unsupported snapshot schema 1 (this version reads schema 2)" \
-            in capsys.readouterr().err
+        for schema in (1, 2):  # 2 held one {label, w, v, theta?} object per node
+            snapshot["schema"] = schema
+            snap.write_text(json.dumps(snapshot))
+            assert main(["restore", "--snapshot", str(snap), "--steps", "5"]) == 1
+            assert f"unsupported snapshot schema {schema} (this version reads schema 3)" \
+                in capsys.readouterr().err
 
     def test_restore_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert main(["restore", "--snapshot", str(bad), "--steps", "5"]) == 1
 
-    @pytest.mark.parametrize("shape", ["int label", "list entry", "dict nodes", "dict v"])
-    def test_restore_rejects_malformed_node_entries(self, tmp_path, capsys, shape):
-        snap = tmp_path / "s.json"
-        assert main(["snapshot", "--mode", "dft", "--depth", "1", "--n", "20", "--steps", "10",
-                     "--out", str(snap)]) == 0
-        snapshot = json.loads(snap.read_text())
-        malform(snapshot["state"], shape)
+    @pytest.mark.parametrize("mutate", [pytest.param(mutate, id=case)
+                                        for case, _, mutate in MALFORMED_STATES])
+    def test_restore_rejects_malformed_state(self, tmp_path, capsys, dat_snapshot, mutate):
+        snapshot = json.loads(json.dumps(dat_snapshot))
+        snapshot["state"] = mutate(snapshot["state"])
+        snap, metrics = tmp_path / "s.json", tmp_path / "m.csv"
         snap.write_text(json.dumps(snapshot))
-        assert main(["restore", "--snapshot", str(snap), "--steps", "5"]) == 1
-        assert "pwltree: malformed snapshot: " in capsys.readouterr().err
+        assert main(["restore", "--snapshot", str(snap), "--steps", "5",
+                     "--metrics", str(metrics)]) == 1
+        assert "pwltree: malformed snapshot: snapshot " in capsys.readouterr().err
+        assert not metrics.exists()
 
     @pytest.mark.parametrize("part, value", [("state", []), ("state", "x"), ("learner", []),
                                              ("stream", 5), (None, None)])
@@ -463,3 +480,61 @@ class TestSnapshotRestore:
         snap.write_text(json.dumps(snapshot))
         assert main(["restore", "--snapshot", str(snap), "--steps", "5"]) == 1
         assert "cannot build learner kind 'dat'" in capsys.readouterr().err
+
+
+class TestSeedRange:
+    """A seed must key the stream generator, so it lies in [0, 2**64)."""
+
+    def run_config(self, tmp_path, seed, trials=1):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1, "seed": seed, "trials": trials,
+            "stream": {"kind": "matched", "n": 20},
+            "learners": [{"kind": "lf", "mu": 0.05}],
+        }))
+        return ["run", str(path), "--out", str(tmp_path / "out")]
+
+    def restore_seed(self, tmp_path, seed):
+        snap = tmp_path / "s.json"
+        assert main(["snapshot", "--mode", "dft", "--depth", "1", "--n", "20", "--steps", "10",
+                     "--out", str(snap)]) == 0
+        snapshot = json.loads(snap.read_text())
+        snapshot["seed"] = seed
+        snap.write_text(json.dumps(snapshot))
+        return ["restore", "--snapshot", str(snap), "--steps", "5"]
+
+    @pytest.mark.parametrize("entry, seed", [
+        ("run", -1), ("run-trials", 2**64 - 1), ("gen", -1), ("snapshot", 2**64),
+        ("restore", -1), ("verify", -1),
+    ])
+    def test_seed_outside_the_key_range_exits_one(self, tmp_path, capsys, entry, seed):
+        out = str(tmp_path / "o.out")
+        argv = {
+            "run": lambda: self.run_config(tmp_path, seed),
+            # trial 1 is seeded with base seed + 1 = 2**64
+            "run-trials": lambda: self.run_config(tmp_path, seed, trials=2),
+            "gen": lambda: ["gen", "matched", "--n", "5", "--seed", str(seed), "--out", out],
+            "snapshot": lambda: ["snapshot", "--mode", "dft", "--n", "20", "--steps", "10",
+                                 "--seed", str(seed), "--out", out],
+            "restore": lambda: self.restore_seed(tmp_path, seed),
+            "verify": lambda: ["verify", "--depth", "1", "--steps", "5", "--mode", "dft",
+                               "--seed", str(seed)],
+        }[entry]()
+        capsys.readouterr()
+        assert main(argv) == 1
+        bad = seed + 1 if entry == "run-trials" else seed
+        assert f"seed must lie in [0, 2**64) to key the generator, got {bad}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "o.out").exists() and not (tmp_path / "out_metrics.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--depth", "1", "--steps", "5", "--mode", "dft"],
+    ["verify", "--depth", "1", "--steps", "5", "--mode", "dft", "--seed", "3"],
+    ["gen", "matched", "--n", "5", "--out", "absent/never.csv"],
+], ids=["verify", "verify-seed-given", "gen"])
+def test_non_integer_seed_variable_exits_one(monkeypatch, capsys, argv):
+    # the variable fills every --seed default, so it is read before any command runs
+    monkeypatch.setenv("PWLTREE_SEED", "abc")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "pwltree: PWLTREE_SEED must be an integer, got 'abc'\n"

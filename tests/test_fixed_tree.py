@@ -6,7 +6,9 @@ import pytest
 from pwltree.datagen import generate
 from pwltree.fixed_tree import FixedTreeRegressor
 from pwltree.mixture import DirectMixtureRegressor
-from pwltree.trees import label, rho_table
+from pwltree.trees import rho_table
+
+from helpers import label
 
 
 def ext(x1, x2):
@@ -220,8 +222,9 @@ class TestSnapshot:
         lrn = FixedTreeRegressor(2, 2)
         state = lrn.state_snapshot()
         assert state["depth"] == 2
-        assert [n["label"] for n in state["nodes"]] == ["", "0", "1", "00", "01", "10", "11"]
-        assert all(len(n["v"]) == 3 for n in state["nodes"])
+        assert state["w"] == lrn.w.tolist() and len(state["w"]) == 7
+        assert state["v"] == lrn.v.tolist() and all(len(row) == 3 for row in state["v"])
+        assert "theta" not in state
 
     def test_bit_exact_round_trip_through_json(self):
         stream = generate("matched", 200, seed=5)
@@ -262,20 +265,11 @@ class TestSnapshot:
         lrn.w[:] = 7.0
         lrn.v[:] = 3.0
         state = FixedTreeRegressor(1, 2).state_snapshot()
-        state["nodes"][2]["v"] = [5.0]
-        with pytest.raises(ValueError, match="snapshot v of node '1'"):
+        state["v"][2] = [5.0]
+        with pytest.raises(ValueError, match="snapshot v of node 2"):
             lrn.load_state(state)
         assert (lrn.w == 7.0).all()
         assert (lrn.v == 3.0).all()
-
-    def test_duplicate_label_refused(self):
-        lrn = FixedTreeRegressor(1, 2)
-        lrn.w[:] = 7.0
-        state = FixedTreeRegressor(1, 2).state_snapshot()
-        state["nodes"][2] = dict(state["nodes"][1])
-        with pytest.raises(ValueError, match="lists node '0' twice"):
-            lrn.load_state(state)
-        assert (lrn.w == 7.0).all()
 
 
 class TestDeterminism:

@@ -195,6 +195,13 @@ class TestConfig:
         assert ExperimentConfig.from_dict(raw).seed == 777
         assert default_seed() == 777
 
+    def test_non_integer_seed_env_refused(self, monkeypatch):
+        monkeypatch.setenv("PWLTREE_SEED", "abc")
+        raw = self.base()
+        raw.pop("seed")
+        with pytest.raises(ConfigError, match="PWLTREE_SEED must be an integer, got 'abc'"):
+            ExperimentConfig.from_dict(raw)
+
     @pytest.mark.parametrize("field, value", [("stride", 2.5), ("trials", 1.5), ("seed", "7"),
                                               ("trials", True)])
     def test_non_integer_field_rejected(self, field, value):

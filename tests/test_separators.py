@@ -17,7 +17,8 @@ from pwltree.adaptive_tree import AdaptiveTreeRegressor
 from pwltree.fixed_tree import FixedTreeRegressor
 from pwltree.mixture import DirectMixtureRegressor
 from pwltree.separators import initial_directions
-from pwltree.trees import label
+
+from helpers import label
 
 
 def ext(x1, x2):

@@ -17,15 +17,17 @@ from pwltree.trees import (
     beta,
     enumerate_partitions,
     gamma,
-    index_of,
     is_valid_partition,
-    label,
     level,
     membership_matrix,
     node_count,
     rho,
     rho_table,
 )
+
+from helpers import MALFORMED_STATES, index_of, label
+
+LEARNERS = {"dft": FixedTreeRegressor, "dat": AdaptiveTreeRegressor}
 
 
 def subtree_bits(bits, depth):
@@ -38,12 +40,6 @@ class TestNodeLabel:
         assert label(0) == ""
         assert level(0) == 0
         assert label(4) == "01"
-
-    def test_from_string_rejects_bad_alphabet(self):
-        """``index_of``, which reads snapshot labels, takes only strings over {0,1}."""
-        for bits in ("012", "a", 0, 1, None, ["0"]):
-            with pytest.raises(ValueError):
-                index_of(bits)
 
     def test_heap_index_round_trip(self):
         for i in range(63):
@@ -81,9 +77,9 @@ class TestShape:
         for lrn in (FixedTreeRegressor(2, 2), AdaptiveTreeRegressor(2, 2)):
             assert lrn.n_nodes == 7 == node_count(2)
             assert lrn.n_internal == 3
-            nodes = [entry["label"] for entry in lrn.state_snapshot()["nodes"]]
-            assert len(nodes) == 7
-            assert nodes[lrn.n_internal:] == ["00", "01", "10", "11"]
+            state = lrn.state_snapshot()
+            assert len(state["w"]) == len(state["v"]) == 7
+            assert [label(i) for i in range(lrn.n_internal, 7)] == ["00", "01", "10", "11"]
 
     def test_negative_depth_rejected(self):
         for make in (FixedTreeRegressor, AdaptiveTreeRegressor, DirectMixtureRegressor):
@@ -125,7 +121,8 @@ class TestSnapshotStepCounter:
 
 @pytest.mark.parametrize("make", [FixedTreeRegressor, AdaptiveTreeRegressor])
 class TestSnapshotFiniteness:
-    """A snapshot holding NaN or inf is refused with the node and field named."""
+    """A snapshot holding NaN, inf or a string is refused with the array and
+    the node's heap index named."""
 
     @pytest.mark.parametrize("node, field, value, shown", [
         (0, "w", "nan", "'nan'"),
@@ -139,35 +136,27 @@ class TestSnapshotFiniteness:
         lrn.v[:] = 3.0
         lrn.t = 9
         state = make(1, 2).state_snapshot()
-        label = state["nodes"][node]["label"]
-        state["nodes"][node][field] = value
-        with pytest.raises(ValueError, match=re.escape(
-                f"snapshot {field} of node {label!r} is not finite: {shown}")):
+        state[field][node] = value
+        with pytest.raises(ValueError, match=re.escape(f"snapshot {field} of node {node} is not ")
+                           + ".*" + re.escape(shown)):
             lrn.load_state(state)
         assert (lrn.w == 7.0).all() and (lrn.v == 3.0).all() and lrn.t == 9
         assert np.isfinite(lrn.predict(np.array([0.3, -0.2, 1.0])).y_hat)
 
 
-@pytest.mark.parametrize("make", [FixedTreeRegressor, AdaptiveTreeRegressor])
-@pytest.mark.parametrize("shape", ["int label", "list entry", "dict nodes", "dict v"])
-def test_malformed_node_entry_refused(make, shape):
-    lrn = make(1, 2)
+@pytest.mark.parametrize("kind, mutate", [
+    pytest.param(kind, mutate, id=f"{case}-{LEARNERS[kind].__name__}")
+    for case, kinds, mutate in MALFORMED_STATES for kind in kinds])
+def test_malformed_state_refused(kind, mutate):
+    make = LEARNERS[kind]
+    lrn = make(2, 2)
     lrn.w[:] = 7.0
     lrn.v[:] = 3.0
     lrn.t = 9
-    state = make(1, 2).state_snapshot()
-    nodes = state["nodes"]
-    if shape == "int label":
-        nodes[1]["label"] = 0
-    elif shape == "list entry":
-        nodes[1] = list(nodes[1].values())
-    elif shape == "dict nodes":
-        state["nodes"] = {entry["label"]: entry for entry in nodes}
-    elif shape == "dict v":
-        nodes[1]["v"] = dict(enumerate(nodes[1]["v"]))
-    with pytest.raises(ValueError):
-        lrn.load_state(state)
-    assert (lrn.w == 7.0).all() and (lrn.v == 3.0).all() and lrn.t == 9
+    before = lrn.state_snapshot()
+    with pytest.raises(ValueError, match="snapshot"):
+        lrn.load_state(mutate(make(2, 2).state_snapshot()))
+    assert lrn.state_snapshot() == before
 
 
 @pytest.mark.parametrize("make", [FixedTreeRegressor, AdaptiveTreeRegressor])
@@ -186,8 +175,8 @@ def test_non_finite_separator_refused():
     lrn = AdaptiveTreeRegressor(1, 2)
     theta = lrn.theta.copy()
     state = AdaptiveTreeRegressor(1, 2).state_snapshot()
-    state["nodes"][0]["theta"] = [float("nan"), 1.0, 0.0]
-    with pytest.raises(ValueError, match="snapshot theta of node '' is not finite"):
+    state["theta"][0] = [float("nan"), 1.0, 0.0]
+    with pytest.raises(ValueError, match="snapshot theta of node 0 is not finite"):
         lrn.load_state(state)
     assert np.array_equal(lrn.theta, theta)
 
