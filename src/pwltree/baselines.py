@@ -137,7 +137,8 @@ class GaussianKernelRegressor:
 
     def update(self, x_ext, d_t, pred) -> None:
         e = d_t - pred.y_hat
-        self.v += self.mu * e * pred.kernel[:, None] * pred.features
+        # the rank-1 step as a (p, 1) x (1, m + 1) product, one cheap BLAS call
+        self.v += (self.mu * e * pred.kernel)[:, None].dot(pred.features[None, :])
 
     def step(self, x_ext, d_t) -> tuple[float, float]:
         pred = self.predict(x_ext)

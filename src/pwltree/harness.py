@@ -162,6 +162,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        # trial k is seeded with seed + k, and every trial seed keys a generator
+        last = self.seed + self.trials - 1
+        if self.seed < 0 or last >= 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64) to key the generator, got "
+                              f"{self.seed if self.seed < 0 else last}: trial seeds run "
+                              f"from {self.seed} to {last}")
         if self.stride < 1:
             raise ConfigError("stride must be >= 1")
         if not isinstance(self.learners, list) \

@@ -155,15 +155,16 @@ class TreeLearner:
         """Replace the state with a ``state_snapshot``; a refused snapshot
         leaves the learner unchanged.
 
-        ``depth`` must be the learner's, ``t`` an integer >= 1, and ``w``,
-        ``v`` (and ``theta``, when gated) lists of finite numbers in
-        exactly the shapes ``state_snapshot`` writes; anything else,
-        including a ``state`` that is not a dict, raises ValueError.
+        ``depth`` must be the learner's, as an integer, ``t`` an integer
+        >= 1, and ``w``, ``v`` (and ``theta``, when gated) lists of finite
+        numbers, booleans excluded, in exactly the shapes
+        ``state_snapshot`` writes; anything else, including a ``state``
+        that is not a dict, raises ValueError.
         """
         if not isinstance(state, dict):
             raise ValueError(f"snapshot state must be an object, got {type(state).__name__}")
         depth, t = state.get("depth"), state.get("t")
-        if isinstance(depth, bool) or depth != self.depth:
+        if isinstance(depth, bool) or not isinstance(depth, int) or depth != self.depth:
             raise ValueError(f"snapshot depth {depth!r} does not match the learner's {self.depth}")
         if isinstance(t, bool) or not isinstance(t, int) or t < 1:
             raise ValueError(f"snapshot step counter t must be an integer >= 1, got {t!r}")
@@ -175,14 +176,22 @@ class TreeLearner:
         self.w, self.v, self.t = w, v, t
 
 
+def _holds_bool(value) -> bool:
+    """True when ``value`` is a boolean or a (nested) list holding one."""
+    if isinstance(value, list):
+        return any(map(_holds_bool, value))
+    return isinstance(value, (bool, np.bool_))
+
+
 def _numeric(value, shape: tuple) -> np.ndarray | None:
     """``value`` as a float array, or None unless it holds only numbers in
-    exactly ``shape``."""
+    exactly ``shape``; a boolean is not a number, although numpy would
+    turn ``[true, 0.5]`` into ``[1.0, 0.5]``."""
     try:
         array = np.array(value)
     except ValueError:  # ragged rows
         return None
-    if array.dtype.kind not in "iuf" or array.shape != shape:
+    if array.dtype.kind not in "iuf" or array.shape != shape or _holds_bool(value):
         return None
     return array.astype(float)
 

@@ -4,11 +4,18 @@
 node name and back, so a test can name a node as the paper does.
 ``MALFORMED_STATES`` is one table of broken tree-learner snapshot states,
 used by the library tests of ``load_state`` and by the CLI tests of
-``pwltree restore``.
+``pwltree restore``.  ``reference_step`` is one predict-and-update step
+of either tree learner in plain ``@`` and broadcasting, against which the
+learners' own step is checked.
 """
 
 import copy
 import math
+
+import numpy as np
+from scipy.special import expit
+
+from pwltree.trees import rho_table
 
 
 def label(i: int) -> str:
@@ -68,6 +75,8 @@ def _array_cases(key, kinds, row):
         (f"{key}-wrong-shape", kinds, _map(key, lambda rows: [_widen(r) for r in rows])),
         (f"{key}-non-finite", kinds, _entry(key, 2, row(math.inf))),
         (f"{key}-nan", kinds, _entry(key, 0, row(math.nan))),
+        # numpy would read [true, 0.5] as [1.0, 0.5]
+        (f"{key}-bool", kinds, _entry(key, 1, row(True))),
     ]
 
 
@@ -83,6 +92,7 @@ MALFORMED_STATES = [
     ("depth-missing", BOTH, _drop("depth")),
     ("depth-wrong", BOTH, _set("depth", 3)),
     ("depth-string", BOTH, _set("depth", "2")),
+    ("depth-float", BOTH, _set("depth", 2.0)),
     ("t-missing", BOTH, _drop("t")),
     ("t-zero", BOTH, _set("t", 0)),
     ("t-float", BOTH, _set("t", 2.0)),
@@ -96,3 +106,51 @@ MALFORMED_STATES = [
     ("s_plus-string", GATED, _set("s_plus", "0.01")),
     ("s_plus-other", GATED, _set("s_plus", 0.02)),
 ]
+
+
+def _subtree_matrix(n):
+    """(n, n) matrix whose entry [a, i] is 1.0 when heap node i lies in the
+    subtree of a, a included."""
+    table = np.eye(n)
+    for i in range(n - 1, 0, -1):  # a child's row is complete before its parent's
+        table[(i - 1) // 2] += table[i]
+    return table
+
+
+def reference_step(lrn, x, d):
+    """One predict-and-update step of a fixed or adaptive tree learner,
+    computed from its state without touching it: returns ``(y_hat, w, v,
+    theta)``, the new state, ``theta`` None for the fixed tree."""
+    mu = lrn.mu(lrn.t) if callable(lrn.mu) else lrn.mu
+    rho = rho_table(lrn.depth).astype(float)
+    w, v = lrn.w.copy(), lrn.v.copy()
+    if not lrn.gated:
+        i, path = 0, [0]
+        for _ in range(lrn.depth):
+            i = 2 * i + 1 if lrn.boundaries[i] @ x < 0.0 else 2 * i + 2
+            path.append(i)
+        estimates = lrn.v[path] @ x
+        y_hat = float(estimates @ (rho[path] @ lrn.w))
+        e = d - y_hat
+        v[path] += mu * e * x
+        w[path] += mu * e * estimates
+        return y_hat, w, v, None
+    s_plus = lrn.s_plus
+    u = expit(-(lrn.theta @ x))
+    s = np.clip(s_plus + (1.0 - 2.0 * s_plus) * u, s_plus, 1.0 - s_plus)
+    alphas = np.ones(lrn.n_nodes)
+    for i in range(lrn.n_internal):
+        alphas[2 * i + 1] = alphas[i] * s[i]
+        alphas[2 * i + 2] = alphas[i] * (1.0 - s[i])
+    h = alphas * (lrn.v @ x)
+    kappas = rho @ lrn.w
+    y_hat = float(kappas @ h)
+    e = d - y_hat
+    v += mu * e * alphas[:, None] * x
+    w += mu * e * h
+    sub = _subtree_matrix(lrn.n_nodes) @ (kappas * h)
+    sigma = sub[1::2] / s - sub[2::2] / (1.0 - s)
+    factors = np.clip(sigma * (1.0 - 2.0 * s_plus) * u * (1.0 - u), -lrn.step_cap, lrn.step_cap)
+    eta = mu / (s_plus * (1.0 - s_plus))
+    theta = lrn.theta - eta * e * factors[:, None] * x
+    return y_hat, w, v, theta

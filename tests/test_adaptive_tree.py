@@ -260,6 +260,22 @@ class TestBoundaryUpdates:
         assert lrn.theta.shape[0] == 3
 
 
+class TestPhases:
+    def test_update_reaches_each_phase_through_the_instance(self):
+        # a tracer times the phases by wrapping them on the instance; a fused
+        # update would bypass the wrappers and report every phase as 0 us
+        lrn = AdaptiveTreeRegressor(2, 2, mu=0.05)
+        calls = []
+        for name in ("update_weights", "update_boundaries", "boundary_factors"):
+            method = getattr(lrn, name)
+            setattr(lrn, name, lambda *args, _name=name, _method=method:
+                    calls.append(_name) or _method(*args))
+        x = ext(0.4, -0.8)
+        lrn.update(x, 1.5, lrn.predict(x))
+        assert sorted(calls) == ["boundary_factors", "update_boundaries", "update_weights"]
+        assert lrn.t == 2
+
+
 class TestCounters:
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_all_node_counts(self, depth):

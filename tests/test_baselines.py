@@ -120,6 +120,17 @@ class TestGaussianKernelRegressor:
         # each update moved v by mu * e * f * x, i.e. plain LMS with gain mu*f
         np.testing.assert_allclose(lf_gain[0][0], 0.5 * 1.0 * f * x)
 
+    def test_update_is_the_broadcast_rank_one_step_bit_for_bit(self):
+        gkr = self.make(mu=0.3)
+        stream = generate("mismatched", 300, seed=4)
+        for x, d in zip(stream.extended, stream.targets):
+            pred = gkr.predict(x)
+            e = d - pred.y_hat
+            want = gkr.v + gkr.mu * e * pred.kernel[:, None] * pred.features
+            gkr.update(x, d, pred)
+            np.testing.assert_array_equal(gkr.v, want)
+        assert np.abs(gkr.v).max() > 0.1
+
     def test_covariance_validation(self):
         with pytest.raises(ValueError):
             GaussianKernelRegressor(np.zeros((2, 2)), np.zeros((2, 2)))  # singular

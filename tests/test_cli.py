@@ -527,6 +527,14 @@ class TestSeedRange:
             in capsys.readouterr().err
         assert not (tmp_path / "o.out").exists() and not (tmp_path / "out_metrics.csv").exists()
 
+    def test_out_of_range_trial_seed_runs_no_trial(self, tmp_path, capsys, monkeypatch):
+        # trial 0's seed 2**64 - 1 is valid, trial 1's is not: refused before any step
+        calls = []
+        monkeypatch.setattr(harness, "run_stream", lambda *args: calls.append(args))
+        assert main(self.run_config(tmp_path, 2**64 - 1, trials=2)) == 1
+        assert calls == []
+        assert f"trial seeds run from {2**64 - 1} to {2**64}" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--depth", "1", "--steps", "5", "--mode", "dft"],

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -201,6 +202,22 @@ class TestConfig:
         raw.pop("seed")
         with pytest.raises(ConfigError, match="PWLTREE_SEED must be an integer, got 'abc'"):
             ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("seed, trials, bad", [(-1, 1, -1), (-5, 3, -5),
+                                                   (2**64 - 1, 2, 2**64), (2**64, 1, 2**64),
+                                                   (2**64 - 3, 4, 2**64)])
+    def test_trial_seed_outside_the_key_range_refused(self, seed, trials, bad):
+        raw = self.base()
+        raw["seed"], raw["trials"] = seed, trials
+        last = seed + trials - 1
+        with pytest.raises(ConfigError, match=re.escape(
+                f"got {bad}: trial seeds run from {seed} to {last}")):
+            ExperimentConfig.from_dict(raw)
+
+    def test_last_key_is_a_valid_trial_seed(self):
+        raw = self.base()
+        raw["seed"], raw["trials"] = 2**64 - 2, 2
+        assert ExperimentConfig.from_dict(raw).seed == 2**64 - 2
 
     @pytest.mark.parametrize("field, value", [("stride", 2.5), ("trials", 1.5), ("seed", "7"),
                                               ("trials", True)])

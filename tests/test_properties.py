@@ -1,6 +1,7 @@
 """Property tests over options and states that the seeded tests do not
 reach: collapsed == explicit mixture under callable step schedules and
-several gate clamps, and bit-exact snapshot round trips."""
+several gate clamps, one full step against a plain reference step from
+random states, and bit-exact snapshot round trips."""
 
 import json
 import math
@@ -14,6 +15,8 @@ from pwltree.adaptive_tree import AdaptiveTreeRegressor
 from pwltree.datagen import generate
 from pwltree.fixed_tree import FixedTreeRegressor
 from pwltree.mixture import DirectMixtureRegressor
+
+from helpers import reference_step
 
 
 def schedule(base, tau, wiggle):
@@ -97,3 +100,36 @@ def test_snapshot_round_trip_is_exact(gated, depth, seed, bits, t):
         other.step(x, 0.5)
     for field in fields:
         assert np.array_equal(getattr(other, field), getattr(lrn, field), equal_nan=True)
+
+
+def assert_close(got, want):
+    """Equal to a relative 1e-12 of the array's largest entry."""
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(initial=0.0))
+
+
+@pytest.mark.parametrize("gated", [False, True])
+@pytest.mark.parametrize("depth", range(6))
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), mu=st.floats(1e-4, 0.1), t=st.integers(1, 10**6),
+       s_plus=st.sampled_from([1e-4, 0.01, 0.2]), scale=st.floats(-2.0, 2.0))
+def test_step_matches_reference(gated, depth, seed, mu, t, s_plus, scale):
+    # a decaying schedule, so a step that reads mu at the wrong t shows
+    lrn = (AdaptiveTreeRegressor(depth, 2, mu=lambda k: mu / k ** 0.5, s_plus=s_plus) if gated
+           else FixedTreeRegressor(depth, 2, mu=lambda k: mu / k ** 0.5))
+    rng = np.random.default_rng(seed)
+    lrn.w = rng.normal(size=lrn.w.shape) * 10.0 ** scale
+    lrn.v = rng.normal(size=lrn.v.shape) * 10.0 ** scale
+    if gated:
+        lrn.theta = rng.normal(size=lrn.theta.shape) * 10.0 ** rng.uniform(-1, 1)
+    lrn.t = t
+    x = np.append(rng.normal(size=2), 1.0)
+    d = float(rng.normal())
+    y_want, w_want, v_want, theta_want = reference_step(lrn, x, d)
+    pred = lrn.predict(x)
+    lrn.update(x, d, pred)
+    assert pred.y_hat == pytest.approx(y_want, rel=1e-12, abs=1e-300)
+    assert_close(lrn.w, w_want)
+    assert_close(lrn.v, v_want)
+    if gated:
+        assert_close(lrn.theta, theta_want)
+    assert lrn.t == t + 1
