@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -61,13 +62,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # a NaN tolerance would pass every gap, an infinite one every finite gap
+    if not 0.0 <= args.tol < math.inf:
+        return _fail(f"--tol must be a finite number >= 0, got {args.tol}")
     try:
         gap = harness.verify_equivalence(args.mode, args.depth, args.steps, args.seed)
     except (harness.ConfigError, ValueError) as exc:
         return _fail(str(exc))
     print(f"max per-step relative gap over {args.steps} steps (depth {args.depth}, "
           f"{args.mode}): {gap:.3e}")
-    if gap > args.tol:
+    if not gap <= args.tol:
         return _fail(f"gap {gap:.3e} exceeds tolerance {args.tol:.1e}", code=2)
     return 0
 

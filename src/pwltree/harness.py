@@ -280,9 +280,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for trial in range(config.trials):
         stream = build_stream(config.stream, config.seed + trial)
         x_ext = stream.extended
-        for entry in config.learners:
-            name = entry.get("name") or entry["kind"]
-            learner = make_learner(entry, stream.dim)
+        # every entry is built before any learner steps, so a bad one
+        # throws no finished run away
+        learners = [(entry.get("name") or entry["kind"], make_learner(entry, stream.dim))
+                    for entry in config.learners]
+        for name, learner in learners:
             try:
                 metrics = run_stream(learner, x_ext, stream.targets)
             except TrialDiverged as exc:

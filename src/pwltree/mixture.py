@@ -11,6 +11,24 @@ gradient sums the partition weights onto the nodes once, then totals the
 weighted node estimates under each gate's two child subtrees through 0/1
 span masks built here, apart from the learners' heap tables.  It exists to
 verify, not to scale: construction is refused beyond depth 4.
+
+Each instance builds its own partitions, membership matrix, span masks
+and (hard mode) root-to-leaf paths, and every step still forms all
+``beta(depth)`` estimates and moves all ``beta(depth)`` weights.  Three
+products carry that work: ``membership . h``, ``w_vec . membership`` and
+the ``w_vec`` step.  The rest is a fixed number of numpy calls whatever
+the depth: about 13 in hard mode (9 in ``predict``, 4 in ``update``) and
+35 in soft mode (14 in ``predict``, 21 in ``update``, 11 of them in
+``boundary_factors``).  On these small arrays a call's dispatch outweighs
+its arithmetic, so every product is a ``.dot``, which reaches BLAS with
+less dispatch than ``@``; the rank-1 steps of ``v`` and ``theta`` are
+``(n, 1) . (1, dim + 1)`` products, with the bits of the broadcast
+``a[:, None] * x``; the clamp and the cap are a ``np.minimum`` and
+``np.maximum`` pair each; the activation cascade and the hard path walk
+run on Python floats; both child-subtree sums of every gate come from one
+product; and the input is converted once, in ``predict``, and carried on
+the prediction.  The result is bit-identical to the plain ``@``,
+broadcast and numpy-scalar loop form.
 """
 
 from __future__ import annotations
@@ -28,9 +46,14 @@ MAX_DIRECT_DEPTH = 4  # beta(4) = 677 partitions
 
 @dataclass
 class DirectPrediction:
+    """Everything one prediction pass computed.  ``x`` is the input as the
+    float array the step reads; ``s``, ``u`` and ``alphas`` belong to the
+    soft mode, ``path_indices`` (root -> leaf heap indices) to the hard one."""
+
     y_hat: float
     model_estimates: np.ndarray
     h: np.ndarray
+    x: np.ndarray
     s: np.ndarray | None = None
     u: np.ndarray | None = None
     alphas: np.ndarray | None = None
@@ -50,7 +73,9 @@ class DirectMixtureRegressor:
 
     def __init__(self, depth, dim, mode="hard", mu=0.01, boundaries=None, s_plus=0.01):
         if not 0 <= depth <= MAX_DIRECT_DEPTH:
-            raise ValueError(f"direct mixture refused beyond depth {MAX_DIRECT_DEPTH}")
+            raise ValueError(f"direct mixture depth must be in [0, {MAX_DIRECT_DEPTH}], got {depth}")
+        if dim < 1:
+            raise ValueError("dim must be >= 1")
         if mode not in ("hard", "soft"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "soft" and not 0.0 < s_plus < 0.5:
@@ -76,13 +101,19 @@ class DirectMixtureRegressor:
         if mode == "hard":
             self.boundaries = init
             self.boundaries.setflags(write=False)
+            # root -> leaf path of every leaf: its ancestors are (leaf + 1) >> k, less 1
+            leaves = np.arange(self.n_internal, self.n_nodes)
+            self._paths = ((leaves[:, None] + 1) >> np.arange(depth, -1, -1)) - 1
+            self._paths.setflags(write=False)
         else:
             self.theta = init
-        # row i: 0/1 masks of the heap indices in internal node i's two child subtrees
-        self._span0, self._span1 = np.zeros((2, self.n_internal, self.n_nodes))
-        for i in range(self.n_internal):
-            self._span0[i, _subtree_indices(2 * i + 1, self.n_nodes)] = 1.0
-            self._span1[i, _subtree_indices(2 * i + 2, self.n_nodes)] = 1.0
+        # 0/1 masks of the heap indices in a subtree: row i - 1 for the
+        # subtree of node i, so internal node j's two child subtrees are
+        # rows 2j (_span0) and 2j + 1 (_span1), and one product sums both
+        self._spans = np.zeros((2 * self.n_internal, self.n_nodes))
+        for i in range(1, self.n_nodes):
+            self._spans[i - 1, _subtree_indices(i, self.n_nodes)] = 1.0
+        self._span0, self._span1 = self._spans[0::2], self._spans[1::2]
         self.t = 1
 
     # ------------------------------------------------------------------
@@ -94,63 +125,63 @@ class DirectMixtureRegressor:
         """Bound on the magnitude of each boundary step's scalar factor."""
         return 10.0 * self.s_plus * (1.0 - self.s_plus)
 
-    def _eta_t(self) -> float:
-        return self._mu_t() / (self.s_plus * (1.0 - self.s_plus))
-
     def predict(self, x_ext) -> DirectPrediction:
         """Every partition's estimate, then their weighted sum."""
-        x_ext = np.asarray(x_ext, dtype=float)
+        x = np.asarray(x_ext, dtype=float)
         if self.mode == "hard":
-            gates = self.boundaries @ x_ext
-            path = np.empty(self.depth + 1, dtype=np.intp)
+            # a point strictly on the negative side goes to the lower child
+            gates = self.boundaries.dot(x).tolist()
             i = 0
-            for k in range(self.depth):
-                path[k] = i
-                i = 2 * i + 1 if float(gates[i]) < 0.0 else 2 * i + 2
-            path[self.depth] = i
+            for _ in range(self.depth):
+                i = 2 * i + 1 if gates[i] < 0.0 else 2 * i + 2
+            path = self._paths[i - self.n_internal]
             h = np.zeros(self.n_nodes)
-            h[path] = self.v[path] @ x_ext
-            d_vec = self.membership @ h
-            return DirectPrediction(float(self.w_vec @ d_vec), d_vec, h, path_indices=path)
-        u = expit(-(self.theta @ x_ext)) if self.n_internal else np.empty(0)
-        s = np.clip(self.s_plus + (1.0 - 2.0 * self.s_plus) * u,
-                    self.s_plus, 1.0 - self.s_plus)
-        alphas = np.empty(self.n_nodes)
-        alphas[0] = 1.0
-        for i in range(self.n_internal):
-            alphas[2 * i + 1] = alphas[i] * s[i]
-            alphas[2 * i + 2] = alphas[i] * (1.0 - s[i])
-        h = alphas * (self.v @ x_ext)
-        d_vec = self.membership @ h
-        return DirectPrediction(float(self.w_vec @ d_vec), d_vec, h, s=s, u=u, alphas=alphas)
+            h[path] = self.v.take(path, axis=0).dot(x)
+            d_vec = self.membership.dot(h)
+            return DirectPrediction(float(self.w_vec.dot(d_vec)), d_vec, h, x, path_indices=path)
+        u = expit(-self.theta.dot(x))
+        s = self.s_plus + (1.0 - 2.0 * self.s_plus) * u
+        np.minimum(s, 1.0 - self.s_plus, out=s)
+        np.maximum(s, self.s_plus, out=s)
+        alphas = [1.0] * self.n_nodes
+        for i, s_i in enumerate(s.tolist()):
+            alphas[2 * i + 1] = alphas[i] * s_i
+            alphas[2 * i + 2] = alphas[i] * (1.0 - s_i)
+        alphas = np.array(alphas)
+        h = alphas * self.v.dot(x)
+        d_vec = self.membership.dot(h)
+        return DirectPrediction(float(self.w_vec.dot(d_vec)), d_vec, h, x, s=s, u=u, alphas=alphas)
 
     def update(self, x_ext, d_t: float, pred: DirectPrediction) -> None:
         """Gradient step on the partition weights plus the same node-state
-        side effects the collapsed learners perform."""
-        x_ext = np.asarray(x_ext, dtype=float)
-        mu = self._mu_t()
+        side effects the collapsed learners perform.  The step reads the
+        input ``pred.x`` that ``predict`` was given as ``x_ext``."""
         e = d_t - pred.y_hat
+        step = self._mu_t() * e
         if self.mode == "hard":
-            self.v[pred.path_indices] += (mu * e) * x_ext
+            # the path holds distinct nodes, so add.at matches a fancy-index +=
+            np.add.at(self.v, pred.path_indices, step * pred.x)
         else:
-            self.v += (mu * e) * pred.alphas[:, None] * x_ext
-            self._update_theta(x_ext, e, pred)
-        self.w_vec += (mu * e) * pred.model_estimates
+            self.v += (step * pred.alphas)[:, None].dot(pred.x[None, :])
+            self._update_theta(x_ext, e, pred)  # reads w_vec before its step
+        self.w_vec += step * pred.model_estimates
         self.t += 1
 
     def boundary_factors(self, pred: DirectPrediction) -> np.ndarray:
         """Scalar factor of each internal node's boundary step (before the
         cap): the partition-weighted node estimates under the gate's two
         child subtrees, differenced, times the gate derivative."""
-        c_h = (self.w_vec @ self.membership) * pred.h
-        sigma = (self._span0 @ c_h) / pred.s - (self._span1 @ c_h) / (1.0 - pred.s)
+        sub = self._spans.dot(self.w_vec.dot(self.membership) * pred.h)
+        sigma = sub[0::2] / pred.s - sub[1::2] / (1.0 - pred.s)
         return sigma * ((1.0 - 2.0 * self.s_plus) * pred.u * (1.0 - pred.u))
 
     def _update_theta(self, x_ext, e: float, pred: DirectPrediction) -> None:
-        eta = self._eta_t()
+        eta = self._mu_t() / (self.s_plus * (1.0 - self.s_plus))
         factors = self.boundary_factors(pred)
-        np.clip(factors, -self.step_cap, self.step_cap, out=factors)
-        self.theta -= (eta * e) * factors[:, None] * x_ext
+        cap = self.step_cap
+        np.minimum(factors, cap, out=factors)
+        np.maximum(factors, -cap, out=factors)
+        self.theta -= (factors * (eta * e))[:, None].dot(pred.x[None, :])
 
     def step(self, x_ext, d_t: float) -> tuple[float, float]:
         pred = self.predict(x_ext)
@@ -160,7 +191,7 @@ class DirectMixtureRegressor:
     def node_weight_image(self, node_weights: np.ndarray) -> np.ndarray:
         """Map collapsed per-node weights to partition space:
         partition k's weight is the sum of its members' node weights."""
-        return self.membership @ np.asarray(node_weights, dtype=float)
+        return self.membership.dot(np.asarray(node_weights, dtype=float))
 
 
 def _subtree_indices(root: int, n_nodes: int) -> np.ndarray:

@@ -22,6 +22,7 @@ collapsed tree learners keep, and its heap-ordered snapshot format.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -356,8 +357,10 @@ def membership_matrix(depth: int, partitions: list[frozenset[int]] | None = None
     k-th partition at their heap indices."""
     if partitions is None:
         partitions = enumerate_partitions(depth)
+    sizes = [len(part) for part in partitions]
+    # one fancy assignment: row k repeated once per member, members in order
+    rows = np.repeat(np.arange(len(partitions)), sizes)
+    cols = np.fromiter(chain.from_iterable(partitions), dtype=np.intp, count=rows.size)
     m = np.zeros((len(partitions), node_count(depth)))
-    for k, part in enumerate(partitions):
-        for p in part:
-            m[k, p] = 1.0
+    m[rows, cols] = 1.0
     return m

@@ -6,7 +6,10 @@ node name and back, so a test can name a node as the paper does.
 used by the library tests of ``load_state`` and by the CLI tests of
 ``pwltree restore``.  ``reference_step`` is one predict-and-update step
 of either tree learner in plain ``@`` and broadcasting, against which the
-learners' own step is checked.
+learners' own step is checked; ``reference_mixture_step`` is the same for
+the explicit mixture, in the form its step had before it was written as
+``.dot`` products, and ``loop_membership`` its membership matrix filled
+entry by entry.
 """
 
 import copy
@@ -154,3 +157,63 @@ def reference_step(lrn, x, d):
     eta = mu / (s_plus * (1.0 - s_plus))
     theta = lrn.theta - eta * e * factors[:, None] * x
     return y_hat, w, v, theta
+
+
+def loop_membership(partitions, n_nodes):
+    """(n_partitions, n_nodes) 0/1 matrix filled one member at a time."""
+    m = np.zeros((len(partitions), n_nodes))
+    for k, part in enumerate(partitions):
+        for p in part:
+            m[k, p] = 1.0
+    return m
+
+
+def reference_mixture_step(lrn, x, d):
+    """One predict-and-update step of the explicit mixture in plain ``@``,
+    broadcasting and a numpy-scalar activation loop, computed from its
+    state without touching it: returns ``(y_hat, w_vec, v, theta)``, the
+    new state, ``theta`` None in hard mode.  The membership matrix and the
+    span masks are rebuilt here, not read from the learner."""
+    membership = loop_membership(lrn.partitions, lrn.n_nodes)
+    mu = float(lrn.mu(lrn.t)) if callable(lrn.mu) else float(lrn.mu)
+    w_vec, v = lrn.w_vec.copy(), lrn.v.copy()
+    if lrn.mode == "hard":
+        gates = lrn.boundaries @ x
+        path = np.empty(lrn.depth + 1, dtype=np.intp)
+        i = 0
+        for k in range(lrn.depth):
+            path[k] = i
+            i = 2 * i + 1 if float(gates[i]) < 0.0 else 2 * i + 2
+        path[lrn.depth] = i
+        h = np.zeros(lrn.n_nodes)
+        h[path] = lrn.v[path] @ x
+        d_vec = membership @ h
+        y_hat = float(lrn.w_vec @ d_vec)
+        e = d - y_hat
+        v[path] += (mu * e) * x
+        w_vec += (mu * e) * d_vec
+        return y_hat, w_vec, v, None
+    s_plus = lrn.s_plus
+    u = expit(-(lrn.theta @ x)) if lrn.n_internal else np.empty(0)
+    s = np.clip(s_plus + (1.0 - 2.0 * s_plus) * u, s_plus, 1.0 - s_plus)
+    alphas = np.empty(lrn.n_nodes)
+    alphas[0] = 1.0
+    for i in range(lrn.n_internal):
+        alphas[2 * i + 1] = alphas[i] * s[i]
+        alphas[2 * i + 2] = alphas[i] * (1.0 - s[i])
+    h = alphas * (lrn.v @ x)
+    d_vec = membership @ h
+    y_hat = float(lrn.w_vec @ d_vec)
+    e = d - y_hat
+    v += (mu * e) * alphas[:, None] * x
+    subtrees = _subtree_matrix(lrn.n_nodes)
+    span0, span1 = subtrees[1::2].copy(), subtrees[2::2].copy()
+    c_h = (lrn.w_vec @ membership) * h
+    sigma = (span0 @ c_h) / s - (span1 @ c_h) / (1.0 - s)
+    factors = sigma * ((1.0 - 2.0 * s_plus) * u * (1.0 - u))
+    cap = 10.0 * s_plus * (1.0 - s_plus)
+    np.clip(factors, -cap, cap, out=factors)
+    eta = mu / (s_plus * (1.0 - s_plus))
+    theta = lrn.theta - (eta * e) * factors[:, None] * x
+    w_vec += (mu * e) * d_vec
+    return y_hat, w_vec, v, theta

@@ -40,6 +40,21 @@ class TestVerifyCommand:
         assert code == 2
         assert "exceeds tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tolerance_that_is_no_bound_exits_one(self, monkeypatch, capsys, tol):
+        # a NaN tolerance passed every gap, since gap > nan is False
+        calls = []
+        monkeypatch.setattr(harness, "verify_equivalence", lambda *args: calls.append(args))
+        assert main(["verify", "--depth", "2", "--steps", "10", "--mode", "dft",
+                     "--tol", tol]) == 1
+        assert calls == []
+        assert f"--tol must be a finite number >= 0, got {float(tol)}" in capsys.readouterr().err
+
+    def test_nan_gap_fails_the_tolerance(self, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "verify_equivalence", lambda *args: float("nan"))
+        assert main(["verify", "--depth", "2", "--steps", "10", "--mode", "dft"]) == 2
+        assert "gap nan exceeds tolerance" in capsys.readouterr().err
+
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_no_steps_exits_one(self, capsys, steps):
         assert main(["verify", "--depth", "2", "--steps", steps, "--mode", "dft"]) == 1
@@ -195,6 +210,21 @@ class TestRunCommand:
         assert "pwltree: learners must be a list of objects" in capsys.readouterr().err
         assert not (tmp_path / "out_metrics.csv").exists()
         assert not (tmp_path / "out_summary.json").exists()
+
+    def test_bad_learner_entry_runs_no_learner(self, tmp_path, capsys, monkeypatch):
+        # the lf entry comes first, but the dat entry is refused before it steps
+        calls = []
+        monkeypatch.setattr(harness, "run_stream", lambda *args: calls.append(args))
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": {"kind": "matched", "n": 20},
+            "learners": [{"kind": "lf"}, {"kind": "dat", "depth": 9}],
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert calls == []
+        assert "cannot build learner kind 'dat': depth must be in [0, 5]" in capsys.readouterr().err
+        assert not (tmp_path / "out_metrics.csv").exists()
 
     def test_fractional_stride_exits_one_before_running(self, tmp_path, capsys):
         path = tmp_path / "exp.json"

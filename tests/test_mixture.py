@@ -53,6 +53,27 @@ class TestDirectPredict:
         with pytest.raises(ValueError):
             DirectMixtureRegressor(5, 2)
 
+    @pytest.mark.parametrize("depth", [-1, 5])
+    def test_depth_outside_the_range_is_refused_naming_it(self, depth):
+        with pytest.raises(ValueError, match=rf"depth must be in \[0, 4\], got {depth}"):
+            DirectMixtureRegressor(depth, 2)
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dim_below_one_is_refused(self, dim):
+        # as the tree learners refuse it
+        for make in (lambda: DirectMixtureRegressor(2, dim),
+                     lambda: FixedTreeRegressor(2, dim)):
+            with pytest.raises(ValueError, match="dim must be >= 1"):
+                make()
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_each_instance_builds_its_own_tables(self, mode):
+        # an oracle must not share what it checks with another instance
+        a, b = DirectMixtureRegressor(3, 2, mode=mode), DirectMixtureRegressor(3, 2, mode=mode)
+        assert a.partitions == b.partitions and a.partitions is not b.partitions
+        assert np.array_equal(a.membership, b.membership)
+        assert not np.shares_memory(a.membership, b.membership)
+
 
 class TestDirectUpdate:
     def test_zero_error_is_a_no_op(self):

@@ -25,7 +25,7 @@ from pwltree.trees import (
     rho_table,
 )
 
-from helpers import MALFORMED_STATES, index_of, label
+from helpers import MALFORMED_STATES, index_of, label, loop_membership
 
 LEARNERS = {"dft": FixedTreeRegressor, "dat": AdaptiveTreeRegressor}
 
@@ -376,6 +376,16 @@ class TestHeapTables:
 
 
 class TestMembership:
+    @pytest.mark.parametrize("depth", range(MAX_ENUMERATION_DEPTH + 1))
+    def test_equals_the_per_entry_loop(self, depth):
+        parts = enumerate_partitions(depth)
+        n = node_count(depth)
+        assert np.array_equal(membership_matrix(depth), loop_membership(parts, n))
+        # a caller's own list: a subset, reordered, as tuples, and none at all
+        given = [tuple(sorted(p, reverse=True)) for p in parts[::-2]]
+        assert np.array_equal(membership_matrix(depth, given), loop_membership(given, n))
+        assert membership_matrix(depth, []).shape == (0, n)
+
     def test_rows_mark_partition_leaves(self):
         parts = enumerate_partitions(2)
         m = membership_matrix(2, parts)
