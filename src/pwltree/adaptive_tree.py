@@ -10,11 +10,12 @@ node correlates with every node weight.
 
 The activation cascade and the subtree sums behind the boundary steps read
 the fixed heap tables ``ANCESTORS`` and ``DESCENDANTS`` of
-:mod:`pwltree.trees`: activations are one gather of per-node branch
-factors and a row product, subtree sums one matrix-vector product.
+:mod:`pwltree.trees`, as shared views: activations are one gather of
+per-node branch factors and a product down the level-major ancestor rows,
+subtree sums one matrix-vector product.
 
-A step is about 34 numpy calls at every depth (16 in ``predict``, 5 in
-``update_weights``, 8 in ``boundary_factors``, 5 in
+A step is about 33 numpy calls at every depth (16 in ``predict``, 5 in
+``update_weights``, 7 in ``boundary_factors``, 5 in
 ``update_boundaries``), against some 4k flops at depth 5, so on these
 small arrays the form of a call sets its cost.  Every product is a
 ``.dot``, which reaches BLAS with less dispatch than ``@``; the rank-1
@@ -22,7 +23,8 @@ steps of ``v`` and ``theta`` are ``(n, 1) . (1, dim + 1)`` products,
 which give the bits of the broadcast ``a[:, None] * x`` in half the time
 or less.  Scalar step factors are multiplied together before they touch
 an array, the input is converted once, in ``predict``, and the boundary
-sensitivities divide by the branch factors ``predict`` already built.
+sensitivities divide by the branch factors and scale by the gate rise
+``(1 - 2 s_plus) u`` that ``predict`` already built.
 """
 
 from __future__ import annotations
@@ -44,13 +46,16 @@ class AdaptiveTreePrediction:
     every node's branch factor: 1.0 at the root, then the clamped gate
     value ``s`` of each internal node at its lower child and ``1 - s`` at
     its upper one.  ``u`` covers internal nodes only (unclamped gate
-    values); the remaining arrays cover every node.
+    values), as does ``cu``, ``(1 - 2 s_plus) u``: the gate's rise above
+    ``s_plus`` before the clamp, which the boundary step reuses.  The
+    remaining arrays cover every node.
     """
 
     y_hat: float
     x: np.ndarray
     f: np.ndarray
     u: np.ndarray
+    cu: np.ndarray
     estimates: np.ndarray
     alphas: np.ndarray
     h: np.ndarray
@@ -96,7 +101,7 @@ class AdaptiveTreeRegressor(TreeLearner):
             theta = initial_directions(depth, dim)
         self.theta = self._hyperplanes(theta, "theta")
         self._rho = rho_table(depth).astype(float)
-        self._ancestors = ANCESTORS[: self.n_nodes, MAX_TABLE_DEPTH - depth:]
+        self._ancestors = ANCESTORS[MAX_TABLE_DEPTH - depth:, : self.n_nodes]
         self._descendants = DESCENDANTS[: self.n_nodes, : self.n_nodes]
 
     # ------------------------------------------------------------------
@@ -113,21 +118,24 @@ class AdaptiveTreeRegressor(TreeLearner):
         collapse the mixture over all nodes."""
         x = np.asarray(x_ext, dtype=float)
         u = expit(-self.theta.dot(x))
+        cu = (1.0 - 2.0 * self.s_plus) * u
         # branch factor of every node; the root's 1.0 also pads the
-        # ancestor rows of shallow nodes, so the products stay exact
+        # ancestor columns of shallow nodes, so the products stay exact
         f = np.empty(self.n_nodes)
         f[0] = 1.0
         s = f[1::2]
         # only the upper clamp can bind: fl(s_plus + c u) >= s_plus for c u >= 0
-        np.minimum(self.s_plus + (1.0 - 2.0 * self.s_plus) * u, 1.0 - self.s_plus, out=s)
+        np.minimum(self.s_plus + cu, 1.0 - self.s_plus, out=s)
         np.subtract(1.0, s, out=f[2::2])
-        alphas = f[self._ancestors].prod(axis=1)
+        # level-major ancestors: the product runs down contiguous rows
+        alphas = f[self._ancestors].prod(axis=0)
         estimates = self.v.dot(x)
         h = alphas * estimates
         kappas = self._rho.dot(self.w)
         self.regressor_evaluations += self.n_nodes
         self.kappa_accumulations += self.n_nodes * self.n_nodes
-        return AdaptiveTreePrediction(float(kappas.dot(h)), x, f, u, estimates, alphas, h, kappas)
+        return AdaptiveTreePrediction(float(kappas.dot(h)), x, f, u, cu, estimates, alphas, h,
+                                      kappas)
 
     def update_weights(self, x_ext, e: float, pred: AdaptiveTreePrediction) -> None:
         """Regressor and weight steps for every node, scaled by the node's
@@ -146,8 +154,7 @@ class AdaptiveTreeRegressor(TreeLearner):
         # each child's subtree sum over its branch factor: s at the lower
         # child, 1 - s at the upper one
         q = sub[1:] / pred.f[1:]
-        u = pred.u
-        return (q[0::2] - q[1::2]) * ((1.0 - 2.0 * self.s_plus) * u * (1.0 - u))
+        return (q[0::2] - q[1::2]) * (pred.cu * (1.0 - pred.u))
 
     def update_boundaries(self, x_ext, e: float, pred: AdaptiveTreePrediction) -> None:
         """Gradient step on every internal hyperplane, with the scalar

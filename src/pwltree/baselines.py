@@ -3,7 +3,27 @@
 All three are strictly sequential first-order (LMS-style) learners: a
 plain linear filter, a truncated Volterra filter (LMS over polynomial
 features of the raw input), and a fixed Gaussian-kernel mixture with one
-affine regressor per centre.
+affine regressor per centre.  Each checks its step size ``mu`` when it is
+built: a finite real number > 0.
+
+On inputs this small a step's cost is its numpy calls, not its flops, so
+every product is a ``.dot`` (less dispatch than ``@``) and the scalar step
+factor ``mu e`` is formed before it touches an array.  A step of the
+linear filter is 4 numpy calls (``asarray`` and ``v.dot(x)`` in
+``predict``, a scaling of the input and an in-place add in ``update``).
+The Volterra filter's ``predict`` builds its features in a Python loop of
+about one numpy scalar product per feature, then takes 2 calls, and its
+``update`` 2, as the linear filter's.  The Gaussian-kernel mixture whitens the extended input
+``x_ext = (x, 1)`` once per step: the constructor stacks, for the Cholesky
+factor ``L_p`` of every covariance, the block ``[L_p^-1 | -L_p^-1 c_p]``
+into one ``(p m, m + 1)`` matrix, so ``r = whiten . x_ext`` holds every
+``L_p^-1 (x - c_p)`` and the quadratic form of centre ``p`` is the sum of
+the squares of its block of ``r``.  ``predict`` is then 8 numpy calls
+(``asarray``, the whitening product, ``r * r``, one product with a
+``(p, p m)`` matrix of -1/2 block sums, ``exp``, the scaling by the
+normalisers, and the two products of ``f . (v . x_ext)``) and ``update``
+3 (the scaling of the kernel values, a ``(p, 1) . (1, m + 1)`` rank-1
+product and its in-place add).
 """
 
 from __future__ import annotations
@@ -12,6 +32,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
+
+from .trees import _step_size
 
 
 @dataclass
@@ -26,16 +48,15 @@ class LinearFilter:
 
     def __init__(self, dim, mu=0.01):
         self.dim = dim
-        self.mu = float(mu)
+        self.mu = float(_step_size(mu))
         self.v = np.zeros(dim + 1)
 
     def predict(self, x_ext) -> SimplePrediction:
         x_ext = np.asarray(x_ext, dtype=float)
-        return SimplePrediction(float(self.v @ x_ext), features=x_ext)
+        return SimplePrediction(float(self.v.dot(x_ext)), features=x_ext)
 
     def update(self, x_ext, d_t, pred) -> None:
-        e = d_t - pred.y_hat
-        self.v += self.mu * e * pred.features
+        self.v += (self.mu * (d_t - pred.y_hat)) * pred.features
 
     def step(self, x_ext, d_t) -> tuple[float, float]:
         pred = self.predict(x_ext)
@@ -72,16 +93,15 @@ class VolterraFilter:
     def __init__(self, dim, order=2, mu=0.01):
         self.dim = dim
         self.order = order
-        self.mu = float(mu)
+        self.mu = float(_step_size(mu))
         self.v = np.zeros(vf_features(np.zeros(dim), order).size)
 
     def predict(self, x_ext) -> SimplePrediction:
         feats = vf_features(np.asarray(x_ext, dtype=float)[:-1], self.order)
-        return SimplePrediction(float(self.v @ feats), features=feats)
+        return SimplePrediction(float(self.v.dot(feats)), features=feats)
 
     def update(self, x_ext, d_t, pred) -> None:
-        e = d_t - pred.y_hat
-        self.v += self.mu * e * pred.features
+        self.v += (self.mu * (d_t - pred.y_hat)) * pred.features
 
     def step(self, x_ext, d_t) -> tuple[float, float]:
         pred = self.predict(x_ext)
@@ -99,10 +119,18 @@ class GaussianKernelRegressor:
     ``norm * exp(-(x - c)' S^-1 (x - c) / 2)``, where ``norm`` is
     ``1 / (2 pi sqrt(det S))`` regardless of dimension (the convention
     this benchmark family uses, not the general Gaussian constant).
+
+    Both come from the Cholesky factor ``S = L L'``: the quadratic form is
+    ``|L^-1 (x - c)|^2`` and ``sqrt(det S)`` the product of the diagonal
+    of ``L``.  Centres must be finite, one row of ``m`` numbers each.
     """
 
     def __init__(self, centers, covariances, mu=1.0):
         self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        if self.centers.ndim != 2:
+            raise ValueError("centers must be a list of points")
+        if not np.isfinite(self.centers).all():
+            raise ValueError("centers must be finite")
         p, m = self.centers.shape
         covariances = np.asarray(covariances, dtype=float)
         if covariances.ndim == 0:
@@ -115,30 +143,37 @@ class GaussianKernelRegressor:
                 and np.array_equal(covariances, covariances.transpose(0, 2, 1))):
             raise ValueError("covariances must be finite symmetric matrices")
         try:
-            np.linalg.cholesky(covariances)
+            chol = np.linalg.cholesky(covariances)
         except np.linalg.LinAlgError:
             raise ValueError("covariances must be positive definite") from None
-        self.cov_inv = np.linalg.inv(covariances)
-        dets = np.linalg.det(covariances)
-        self.norms = 1.0 / (2.0 * np.pi * np.sqrt(dets))
-        self.mu = float(mu)
+        # one (p m, m + 1) matrix: block p is [L_p^-1 | -L_p^-1 c_p], so its
+        # product with (x, 1) is L_p^-1 (x - c_p) for every centre at once
+        inv_chol = np.linalg.inv(chol)
+        blocks = np.concatenate([inv_chol, -np.matmul(inv_chol, self.centers[:, :, None])], axis=2)
+        self._whiten = blocks.reshape(p * m, m + 1)
+        # -1/2 times the sum of each centre's m squares
+        self._half_sums = np.repeat(np.eye(p), m, axis=1) * -0.5
+        self.norms = 1.0 / (2.0 * np.pi * chol.diagonal(axis1=1, axis2=2).prod(axis=1))
+        self.mu = float(_step_size(mu))
         self.v = np.zeros((p, m + 1))
 
+    def _kernel(self, x_ext: np.ndarray) -> np.ndarray:
+        r = self._whiten.dot(x_ext)
+        return self.norms * np.exp(self._half_sums.dot(r * r))
+
     def kernel_values(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        delta = x - self.centers
-        quad = np.einsum("pi,pij,pj->p", delta, self.cov_inv, delta)
-        return self.norms * np.exp(-0.5 * quad)
+        """Kernel value of every centre at the raw input ``x``."""
+        return self._kernel(np.append(np.asarray(x, dtype=float), 1.0))
 
     def predict(self, x_ext) -> SimplePrediction:
         x_ext = np.asarray(x_ext, dtype=float)
-        f = self.kernel_values(x_ext[:-1])
-        return SimplePrediction(float(f @ (self.v @ x_ext)), features=x_ext, kernel=f)
+        f = self._kernel(x_ext)
+        return SimplePrediction(float(f.dot(self.v.dot(x_ext))), features=x_ext, kernel=f)
 
     def update(self, x_ext, d_t, pred) -> None:
-        e = d_t - pred.y_hat
+        step = self.mu * (d_t - pred.y_hat)
         # the rank-1 step as a (p, 1) x (1, m + 1) product, one cheap BLAS call
-        self.v += (self.mu * e * pred.kernel)[:, None].dot(pred.features[None, :])
+        self.v += (step * pred.kernel)[:, None].dot(pred.features[None, :])
 
     def step(self, x_ext, d_t) -> tuple[float, float]:
         pred = self.predict(x_ext)

@@ -10,10 +10,11 @@ O(beta(depth)).  The collapsed prediction is identical (not approximate)
 to the explicit mixture maintained by
 :class:`pwltree.mixture.DirectMixtureRegressor`.
 
-A step costs a fixed number of numpy calls whatever the depth, about 13
-(8 in ``predict``, 5 in ``update``).  All ``2**depth - 1`` gates are
+A step costs a fixed number of numpy calls whatever the depth, about 12
+(7 in ``predict``, 5 in ``update``).  All ``2**depth - 1`` gates are
 evaluated in one product, O(m * 2**depth) flops in a single call, and
-the path is then walked on Python booleans; only the d gates on the path
+the path is then walked on their Python floats (``gate < 0.0``, no
+comparison ufunc); only the d gates on the path
 are read.  The kappa product reads the leaf's (d + 1, n_nodes) block of
 rho rows, built once per learner, so it stays O(depth * 2**depth).  On
 arrays this small a call's dispatch outweighs its arithmetic, so every
@@ -74,9 +75,9 @@ class FixedTreeRegressor(TreeLearner):
             boundaries = initial_directions(depth, dim)
         self.boundaries = self._hyperplanes(boundaries, "boundaries")
         self.boundaries.setflags(write=False)
-        # root -> leaf path of every leaf: the root, then the leaf's ancestor row
+        # root -> leaf path of every leaf: the root, then the leaf's ancestor column
         self._paths = np.zeros((self.n_nodes - self.n_internal, depth + 1), dtype=np.intp)
-        self._paths[:, 1:] = ANCESTORS[self.n_internal:self.n_nodes, MAX_TABLE_DEPTH - depth:]
+        self._paths[:, 1:] = ANCESTORS[MAX_TABLE_DEPTH - depth:, self.n_internal:self.n_nodes].T
         self._paths.setflags(write=False)
         # rho rows of every leaf's path, (n_leaves, depth + 1, n_nodes)
         self._path_rho = rho_table(depth).astype(float)[self._paths]
@@ -84,12 +85,13 @@ class FixedTreeRegressor(TreeLearner):
 
     # ------------------------------------------------------------------
     def _leaf_index(self, x_ext) -> int:
-        # every gate in one product; separator value 1 (x strictly on the
-        # negative side) selects child 0, a point on the plane child 1
-        negative = (self.boundaries.dot(x_ext) < 0.0).tolist()
+        # every gate in one product, walked as Python floats; separator
+        # value 1 (x strictly on the negative side) selects child 0, a
+        # point on the plane child 1
+        gates = self.boundaries.dot(x_ext).tolist()
         i = 0
         for _ in range(self.depth):
-            i = 2 * i + 1 if negative[i] else 2 * i + 2
+            i = 2 * i + 1 if gates[i] < 0.0 else 2 * i + 2
         return i
 
     def locate_leaf(self, x_ext) -> int:

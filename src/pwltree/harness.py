@@ -134,7 +134,11 @@ def make_learner(spec: dict, dim: int):
         if kind == "vf":
             return VolterraFilter(dim=dim, **params)
         if kind == "gkr":
-            return GaussianKernelRegressor(**params)
+            learner = GaussianKernelRegressor(**params)
+            if learner.centers.shape[1] != dim:
+                raise ValueError(f"centers must have {dim} coordinates, the stream's dim, "
+                                 f"not {learner.centers.shape[1]}")
+            return learner
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"cannot build learner kind {kind!r}: {exc}") from exc
     raise ConfigError(f"unknown learner kind {kind!r}")

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import expit
 
 from .separators import initial_directions
-from .trees import enumerate_partitions, membership_matrix, node_count
+from .trees import _step_size, enumerate_partitions, membership_matrix, node_count
 
 MAX_DIRECT_DEPTH = 4  # beta(4) = 677 partitions
 
@@ -83,7 +83,7 @@ class DirectMixtureRegressor:
         self.depth = depth
         self.dim = dim
         self.mode = mode
-        self.mu = mu
+        self.mu = _step_size(mu, schedule=True)
         self.s_plus = float(s_plus)
         self.n_nodes = node_count(depth)
         self.n_internal = (1 << depth) - 1

@@ -21,6 +21,7 @@ collapsed tree learners keep, and its heap-ordered snapshot format.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import chain
 from typing import Iterable
@@ -51,12 +52,27 @@ def node_count(depth: int) -> int:
     return (1 << (depth + 1)) - 1
 
 
+def _step_size(mu, schedule: bool = False):
+    """``mu`` when it is a usable step size: a finite int or float > 0
+    (numpy's included), or, with ``schedule``, a callable of the 1-based
+    step index.  Anything else, booleans and numeric strings included,
+    raises ValueError."""
+    if schedule and callable(mu):
+        return mu
+    if isinstance(mu, bool) or not isinstance(mu, (int, float, np.integer, np.floating)) \
+            or not (math.isfinite(mu) and mu > 0):
+        also = " or a callable of the step index" if schedule else ""
+        raise ValueError(f"mu must be a finite number > 0{also}, got {mu!r}")
+    return mu
+
+
 def _heap_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ancestor, descendant and common-level tables of the depth-``depth`` heap.
 
-    Row ``i`` of the ancestor table lists the nodes of the root -> ``i``
-    path below the root, right-aligned (the last column is ``i`` itself)
-    and left-padded with the root index 0.  Entry ``[a, i]`` of the
+    The ancestor table is level-major: column ``i`` lists the nodes of the
+    root -> ``i`` path below the root, bottom-aligned (the last row is
+    ``i`` itself) and top-padded with the root index 0, so a product over
+    each node's path runs down contiguous rows.  Entry ``[a, i]`` of the
     descendant table is 1.0 when ``i`` lies in the subtree of ``a``,
     ``a`` included.  Entry ``[p, q]`` of the common-level table is the
     level of the deepest common ancestor of ``p`` and ``q``, so its
@@ -66,7 +82,7 @@ def _heap_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     one_based = np.arange(1, node_count(depth) + 1)
     shifts = np.arange(depth - 1, -1, -1)
-    ancestors = np.maximum((one_based[:, None] >> shifts) - 1, 0).astype(np.intp)
+    ancestors = np.maximum((one_based >> shifts[:, None]) - 1, 0).astype(np.intp)
     levels = np.frexp(one_based)[1] - 1
     # cut both bit strings to their common length; the bit length (np.frexp's
     # exponent) of the XOR of the cuts is how far above it the ancestor sits
@@ -81,8 +97,8 @@ def _heap_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # Shared read-only tables of the deepest supported tree.  Heap indices of a
-# depth-d tree are a prefix of these, so a depth-d learner uses
-# ``ANCESTORS[:n, MAX_TABLE_DEPTH - d:]`` and ``DESCENDANTS[:n, :n]``, and
+# depth-d tree are a prefix of these, so a depth-d learner uses views
+# ``ANCESTORS[MAX_TABLE_DEPTH - d:, :n]`` and ``DESCENDANTS[:n, :n]``, and
 # ``rho_table(d)`` reads ``_COMMON_LEVELS[:n, :n]``.
 ANCESTORS, DESCENDANTS, _COMMON_LEVELS = _heap_tables(MAX_TABLE_DEPTH)
 
@@ -93,9 +109,9 @@ class TreeLearner:
     Both learners hold one scalar weight ``w`` and one affine regressor
     ``v`` per node of a complete depth-``depth`` tree, combine them through
     the ``rho`` table, and differ only in their gates and updates.  This
-    base owns what they share: the depth and dimension checks, the state
-    arrays and step counter ``t``, the work counters, step-size schedules
-    and the snapshot format, in which ``t`` travels with the state.
+    base owns what they share: the depth, dimension and step-size checks,
+    the state arrays and step counter ``t``, the work counters, step-size
+    schedules and the snapshot format, in which ``t`` travels with the state.
     Subclasses implement ``predict`` and ``update``; ``update`` advances
     ``t``.  A subclass with trained hyperplanes sets ``gated`` and keeps
     them in ``theta``, one row per internal node.
@@ -110,7 +126,7 @@ class TreeLearner:
             raise ValueError("dim must be >= 1")
         self.depth = depth
         self.dim = dim
-        self.mu = mu
+        self.mu = _step_size(mu, schedule=True)
         self.n_nodes = node_count(depth)
         self.n_internal = (1 << depth) - 1
         self.v = np.zeros((self.n_nodes, dim + 1))

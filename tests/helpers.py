@@ -6,7 +6,10 @@ node name and back, so a test can name a node as the paper does.
 used by the library tests of ``load_state`` and by the CLI tests of
 ``pwltree restore``.  ``reference_step`` is one predict-and-update step
 of either tree learner in plain ``@`` and broadcasting, against which the
-learners' own step is checked; ``reference_mixture_step`` is the same for
+learners' own step is checked; ``reference_dot_step`` is that step in the
+``.dot`` form it had before the ancestor table became level-major, the
+gate rise was carried on the prediction and the hard path was walked on
+floats; ``reference_mixture_step`` is the same for
 the explicit mixture, in the form its step had before it was written as
 ``.dot`` products, and ``loop_membership`` its membership matrix filled
 entry by entry.
@@ -18,7 +21,7 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from pwltree.trees import rho_table
+from pwltree.trees import DESCENDANTS, MAX_TABLE_DEPTH, node_count, rho_table
 
 
 def label(i: int) -> str:
@@ -156,6 +159,67 @@ def reference_step(lrn, x, d):
     factors = np.clip(sigma * (1.0 - 2.0 * s_plus) * u * (1.0 - u), -lrn.step_cap, lrn.step_cap)
     eta = mu / (s_plus * (1.0 - s_plus))
     theta = lrn.theta - eta * e * factors[:, None] * x
+    return y_hat, w, v, theta
+
+
+def _row_ancestors(depth):
+    """(n_nodes, depth) ancestor table, node-major: row ``i`` holds the
+    root -> ``i`` path below the root, left-padded with the root 0."""
+    one_based = np.arange(1, node_count(MAX_TABLE_DEPTH) + 1)
+    shifts = np.arange(MAX_TABLE_DEPTH - 1, -1, -1)
+    table = np.maximum((one_based[:, None] >> shifts) - 1, 0).astype(np.intp)
+    return table[:node_count(depth), MAX_TABLE_DEPTH - depth:]
+
+
+def reference_dot_step(lrn, x, d):
+    """One predict-and-update step of a fixed or adaptive tree learner in
+    the ``.dot`` form it had before the level-major ancestor table,
+    computed from its state without touching it: returns ``(y_hat, w, v,
+    theta)``, the new state, ``theta`` None for the fixed tree.  The hard
+    path is walked on the booleans of ``gates < 0.0``, and the adaptive
+    tree's activations are a product along node-major ancestor rows."""
+    mu = float(lrn.mu(lrn.t)) if callable(lrn.mu) else float(lrn.mu)
+    n = lrn.n_nodes
+    rho = rho_table(lrn.depth).astype(float)
+    w, v = lrn.w.copy(), lrn.v.copy()
+    x = np.asarray(x, dtype=float)
+    if not lrn.gated:
+        negative = (lrn.boundaries.dot(x) < 0.0).tolist()
+        i = 0
+        for _ in range(lrn.depth):
+            i = 2 * i + 1 if negative[i] else 2 * i + 2
+        path = np.zeros(lrn.depth + 1, dtype=np.intp)
+        path[1:] = _row_ancestors(lrn.depth)[i]
+        estimates = v.take(path, axis=0).dot(x)
+        y_hat = float(estimates.dot(rho[path].dot(w)))
+        step = mu * (d - y_hat)
+        np.add.at(v, path, step * x)
+        w[path] += step * estimates
+        return y_hat, w, v, None
+    s_plus = lrn.s_plus
+    u = expit(-lrn.theta.dot(x))
+    f = np.empty(n)
+    f[0] = 1.0
+    s = f[1::2]
+    np.minimum(s_plus + (1.0 - 2.0 * s_plus) * u, 1.0 - s_plus, out=s)
+    np.subtract(1.0, s, out=f[2::2])
+    alphas = f[_row_ancestors(lrn.depth)].prod(axis=1)
+    estimates = v.dot(x)
+    h = alphas * estimates
+    kappas = rho.dot(w)
+    y_hat = float(kappas.dot(h))
+    e = d - y_hat
+    step = mu * e
+    v += (step * alphas)[:, None].dot(x[None, :])
+    w += step * h
+    sub = DESCENDANTS[:n, :n].dot(kappas * h)
+    q = sub[1:] / f[1:]
+    factors = (q[0::2] - q[1::2]) * ((1.0 - 2.0 * s_plus) * u * (1.0 - u))
+    cap = 10.0 * s_plus * (1.0 - s_plus)
+    np.minimum(factors, cap, out=factors)
+    np.maximum(factors, -cap, out=factors)
+    eta = mu / (s_plus * (1.0 - s_plus))
+    theta = lrn.theta - (factors * (eta * e))[:, None].dot(x[None, :])
     return y_hat, w, v, theta
 
 

@@ -13,6 +13,25 @@ from pwltree.datagen import generate
 from pwltree.harness import ConfigError, make_learner
 
 
+# the entries a config needs besides kind and mu
+BASELINE_SPECS = {"lf": {}, "vf": {}, "gkr": {"centers": [[0.0, 0.0]], "covariances": 1.0}}
+
+
+@pytest.mark.parametrize("kind", BASELINE_SPECS)
+class TestStepSize:
+    @pytest.mark.parametrize("mu", ["abc", "0.01", np.nan, -np.inf, 0, -0.5, True, None,
+                                    lambda t: 0.1])
+    def test_refused_when_built(self, kind, mu):
+        # only the tree learners and the oracle take a step-size schedule
+        with pytest.raises(ConfigError, match=f"cannot build learner kind '{kind}': mu must be "
+                                              "a finite number > 0, got"):
+            make_learner({"kind": kind, "mu": mu, **BASELINE_SPECS[kind]}, 2)
+
+    @pytest.mark.parametrize("mu", [0.05, 1, np.float64(0.5), np.int64(2)])
+    def test_number_accepted(self, kind, mu):
+        assert make_learner({"kind": kind, "mu": mu, **BASELINE_SPECS[kind]}, 2).mu == float(mu)
+
+
 class TestLinearFilter:
     def test_zero_init_predicts_zero(self):
         assert LinearFilter(2).predict(np.array([1.0, 2.0, 1.0])).y_hat == 0.0
@@ -130,6 +149,17 @@ class TestGaussianKernelRegressor:
             gkr.update(x, d, pred)
             np.testing.assert_array_equal(gkr.v, want)
         assert np.abs(gkr.v).max() > 0.1
+
+    def test_centre_validation(self):
+        with pytest.raises(ValueError, match="centers must be finite"):
+            GaussianKernelRegressor([[np.nan, 0.0]], 1.0)
+        with pytest.raises(ValueError, match="centers must be finite"):
+            GaussianKernelRegressor([[0.0, 0.0], [np.inf, 1.0]], 1.0)
+        with pytest.raises(ValueError, match="centers must be a list of points"):
+            GaussianKernelRegressor(np.zeros((2, 2, 2)), 1.0)
+        with pytest.raises(ConfigError, match="centers must have 2 coordinates, the stream's "
+                                              "dim, not 3"):
+            make_learner({"kind": "gkr", "centers": [[0.0, 0.0, 0.0]], "covariances": 1.0}, 2)
 
     def test_covariance_validation(self):
         with pytest.raises(ValueError):

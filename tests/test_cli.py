@@ -1,6 +1,7 @@
 import csv
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -224,6 +225,45 @@ class TestRunCommand:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         assert calls == []
         assert "cannot build learner kind 'dat': depth must be in [0, 5]" in capsys.readouterr().err
+        assert not (tmp_path / "out_metrics.csv").exists()
+
+    @pytest.mark.parametrize("mu", ["abc", "0.01", math.nan, 0.0, True],
+                             ids=["string", "numeric-string", "nan", "zero", "bool"])
+    def test_bad_step_size_runs_no_learner(self, tmp_path, capsys, monkeypatch, mu):
+        # json.dumps writes NaN and json.load reads it back as a float
+        calls = []
+        monkeypatch.setattr(harness, "run_stream", lambda *args: calls.append(args))
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": {"kind": "matched", "n": 20},
+            "learners": [{"kind": "lf"}, {"kind": "dft", "depth": 2, "mu": mu}],
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert calls == []
+        assert (f"cannot build learner kind 'dft': mu must be a finite number > 0 or a "
+                f"callable of the step index, got {mu!r}") in capsys.readouterr().err
+        assert not (tmp_path / "out_metrics.csv").exists()
+
+    @pytest.mark.parametrize("centers, message", [
+        ([[math.nan, 0.0]], "centers must be finite"),
+        ([[0.0, 0.0, 0.0]], "centers must have 2 coordinates, the stream's dim, not 3"),
+        ([[0.0]], "centers must have 2 coordinates, the stream's dim, not 1"),
+    ], ids=["nan", "too-wide", "too-narrow"])
+    def test_bad_kernel_centres_run_no_learner(self, tmp_path, capsys, monkeypatch, centers,
+                                               message):
+        calls = []
+        monkeypatch.setattr(harness, "run_stream", lambda *args: calls.append(args))
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": {"kind": "mismatched", "n": 20},
+            "learners": [{"kind": "lf"},
+                         {"kind": "gkr", "centers": centers, "covariances": 1.0}],
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert calls == []
+        assert f"cannot build learner kind 'gkr': {message}" in capsys.readouterr().err
         assert not (tmp_path / "out_metrics.csv").exists()
 
     def test_fractional_stride_exits_one_before_running(self, tmp_path, capsys):

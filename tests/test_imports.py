@@ -9,6 +9,7 @@ import importlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -52,16 +53,29 @@ def test_benchmark_patch_points_resolve(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     instrument = importlib.import_module("instrument")
     x = np.array([0.3, -0.2, 1.0])
+    specs = [{"kind": kind, "depth": 2} for kind in ("dft", "dat", "direct")]
+    specs += [{"kind": "lf"}, {"kind": "vf"},
+              {"kind": "gkr", "centers": [[0.0, 0.0], [1.0, -1.0]], "covariances": 1.2}]
     trees.rho_table.cache_clear()
     with instrument.installed(instrument.Tracer()) as tracer:
-        for kind in ("dft", "dat", "direct"):
-            learner = harness.make_learner({"kind": kind, "depth": 2}, 2)
+        for spec in specs:
+            learner = harness.make_learner(spec, 2)
             learner.step(x, 0.5)
             pred = learner.predict(x)
             learner.update(x, 0.5, pred)
     assert trees.rho_table.cache_info().currsize == 1
     assert not tracer.counter_problems()
     assert len(tracer.tree_learners) == 2
+    # step must reach predict, update and the adaptive tree's phases through
+    # the instance: the per-layer metrics (baselines.lf_step_us, ...) are
+    # read from those spans, so a step that bypasses them would report 0 us
+    spans = Counter(tracer.names[i] for i in tracer.arrays()["name"].tolist())
+    layers = ["fixed_tree", "adaptive_tree", "mixture", "baselines.lf", "baselines.vf",
+              "baselines.gkr"]
+    methods = [f"{layer}.{name}" for layer in layers for name in ("predict", "update")]
+    methods += [f"adaptive_tree.{name}"
+                for name in ("update_weights", "update_boundaries", "boundary_factors")]
+    assert {name: spans[name] for name in methods} == dict.fromkeys(methods, 2)
 
 
 @pytest.mark.parametrize("demo", ["partition_calculus.py", "collapsed_equals_direct.py"])

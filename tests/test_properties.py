@@ -1,7 +1,8 @@
 """Property tests over options and states that the seeded tests do not
 reach: collapsed == explicit mixture under callable step schedules and
 several gate clamps, one full step of each learner against a plain
-reference step from random states, and bit-exact snapshot round trips."""
+reference step from random states, the bits of each learner's step
+against its earlier ``.dot`` form, and bit-exact snapshot round trips."""
 
 import json
 import math
@@ -16,7 +17,7 @@ from pwltree.datagen import generate
 from pwltree.fixed_tree import FixedTreeRegressor
 from pwltree.mixture import DirectMixtureRegressor
 
-from helpers import reference_mixture_step, reference_step
+from helpers import reference_dot_step, reference_mixture_step, reference_step
 
 
 def schedule(base, tau, wiggle):
@@ -137,6 +138,41 @@ def test_step_matches_reference(gated, depth, seed, mu, t, s_plus, scale):
 
 def same_bits(got, want):
     return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("gated", [False, True])
+@pytest.mark.parametrize("depth", range(6))
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), mu=st.floats(1e-4, 0.1), t=st.integers(1, 10**6),
+       s_plus=st.sampled_from([1e-4, 0.01, 0.2]), scale=st.floats(-2.0, 2.0),
+       on_plane=st.booleans())
+def test_step_matches_dot_reference_bit_for_bit(gated, depth, seed, mu, t, s_plus, scale,
+                                                on_plane):
+    # the tree learners must give the bits of their earlier .dot form: a
+    # decaying schedule shows a step that reads mu at the wrong t, random
+    # hyperplanes send the hard path and the soft gates everywhere, and
+    # zero hyperplanes put the point on the plane (the upper child, or u = 1/2)
+    rng = np.random.default_rng(seed)
+    planes = rng.normal(size=((1 << depth) - 1, 3)) * 10.0 ** rng.uniform(-1, 1)
+    if on_plane:
+        planes[rng.random(len(planes)) < 0.5] = 0.0
+    lrn = (AdaptiveTreeRegressor(depth, 2, mu=lambda k: mu / k ** 0.5, s_plus=s_plus,
+                                 theta=planes) if gated
+           else FixedTreeRegressor(depth, 2, mu=lambda k: mu / k ** 0.5, boundaries=planes))
+    lrn.w = rng.normal(size=lrn.w.shape) * 10.0 ** scale
+    lrn.v = rng.normal(size=lrn.v.shape) * 10.0 ** scale
+    lrn.t = t
+    x = np.append(rng.normal(size=2), 1.0)
+    d = float(rng.normal())
+    y_want, w_want, v_want, theta_want = reference_dot_step(lrn, x, d)
+    pred = lrn.predict(x)
+    lrn.update(x, d, pred)
+    assert same_bits(pred.y_hat, y_want)
+    assert same_bits(lrn.w, w_want)
+    assert same_bits(lrn.v, v_want)
+    if gated:
+        assert same_bits(lrn.theta, theta_want)
+    assert lrn.t == t + 1
 
 
 @pytest.mark.parametrize("mode", ["hard", "soft"])

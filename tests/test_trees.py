@@ -86,6 +86,26 @@ class TestShape:
             with pytest.raises(ValueError):
                 make(-1, 2)
 
+    @pytest.mark.parametrize("mu", ["abc", "0.01", np.nan, np.inf, 0.0, -0.01, True,
+                                    np.bool_(True), None, [0.01], 1j])
+    def test_bad_step_size_rejected_when_built(self, mu):
+        for make in (FixedTreeRegressor, AdaptiveTreeRegressor, DirectMixtureRegressor):
+            with pytest.raises(ValueError, match="mu must be a finite number > 0 or a callable"):
+                make(2, 2, mu=mu)
+
+    def test_step_size_kinds_accepted(self):
+        for make in (FixedTreeRegressor, AdaptiveTreeRegressor, DirectMixtureRegressor):
+            for mu in (0.01, 1, np.float64(0.02), np.float32(0.5), np.int64(2), lambda t: 0.1 / t):
+                assert make(2, 2, mu=mu).mu is mu
+
+    @pytest.mark.parametrize("depth", range(1, MAX_TABLE_DEPTH + 1))
+    def test_learners_view_the_shared_tables(self, depth):
+        # each learner slices the shared tables rather than copying them
+        lrn = AdaptiveTreeRegressor(depth, 2)
+        assert np.shares_memory(lrn._ancestors, ANCESTORS)
+        assert np.shares_memory(lrn._descendants, DESCENDANTS)
+        assert lrn._ancestors.shape == (depth, lrn.n_nodes)
+
 
 @pytest.mark.parametrize("make", [FixedTreeRegressor, AdaptiveTreeRegressor])
 class TestSnapshotStepCounter:
@@ -352,13 +372,15 @@ class TestRhoTable:
 
 
 class TestHeapTables:
-    def test_ancestor_rows_are_padded_prefix_paths(self):
-        assert ANCESTORS.shape == (node_count(MAX_TABLE_DEPTH), MAX_TABLE_DEPTH)
+    def test_ancestor_columns_are_padded_prefix_paths(self):
+        # level-major, so a product over every node's path runs down rows
+        assert ANCESTORS.shape == (MAX_TABLE_DEPTH, node_count(MAX_TABLE_DEPTH))
+        assert ANCESTORS.flags.c_contiguous
         for i in range(node_count(MAX_TABLE_DEPTH)):
             bits = label(i)
             path = [index_of(bits[:k]) for k in range(1, len(bits) + 1)]
             pad = [0] * (MAX_TABLE_DEPTH - len(path))
-            assert ANCESTORS[i].tolist() == pad + path
+            assert ANCESTORS[:, i].tolist() == pad + path
 
     def test_descendants_mark_prefix_relation(self):
         n = node_count(MAX_TABLE_DEPTH)
