@@ -5,27 +5,22 @@
 # three nested splits (a depth-2 tree underfits it).  Because the
 # adaptive learner can move its boundaries, it makes the most of whatever
 # depth it has in both directions, while the fixed tree pays for every
-# mismatch between its frozen quadrants and the generator.
+# mismatch between its frozen quadrants and the generator.  Both runs are
+# the shipped configs, the experiment acceptance criterion 8 checks.
 
-from pwltree import AdaptiveTreeRegressor, FixedTreeRegressor, generate
-from pwltree.harness import average_metrics, run_stream
+from pathlib import Path
 
-n = 30_000
-trials = 5
+from pwltree import ExperimentConfig, run_experiment
 
-for kind, story in (("first_order", "depth-2 tree on a one-split generator (overfit)"),
-                    ("third_order", "depth-2 tree on a three-level generator (underfit)")):
-    adaptive_runs, fixed_runs = [], []
-    for trial in range(trials):
-        stream = generate(kind, n, seed=500 + trial)
-        adaptive_runs.append(run_stream(AdaptiveTreeRegressor(2, 2, mu=0.005, s_plus=0.01),
-                                        stream.extended, stream.targets))
-        fixed_runs.append(run_stream(FixedTreeRegressor(2, 2, mu=0.005),
-                                     stream.extended, stream.targets))
-    adaptive = average_metrics(adaptive_runs)
-    fixed = average_metrics(fixed_runs)
+configs = Path(__file__).resolve().parent.parent / "configs"
+
+for name, story in (("overfit_first_order", "depth-2 tree on a one-split generator (overfit)"),
+                    ("underfit_third_order", "depth-2 tree on a three-level generator (underfit)")):
+    config = ExperimentConfig.from_file(configs / f"{name}.json")
+    result = run_experiment(config)
+    adaptive, fixed = result.metrics["dat"], result.metrics["dft"]
     print(story)
-    print(f"  final normalized error over {trials} trials: "
+    print(f"  final normalized error over {config.trials} trials: "
           f"adaptive {adaptive.final_norm_err:.4f}, fixed {fixed.final_norm_err:.4f}")
     print(f"  converged level (last-3000 mean): "
           f"adaptive {adaptive.e2[-3000:].mean():.4f}, fixed {fixed.e2[-3000:].mean():.4f}\n")

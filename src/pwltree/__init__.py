@@ -20,11 +20,7 @@ from .harness import (
     run_stream,
     verify_equivalence,
 )
-from .mixture import (
-    DirectMixtureRegressor,
-    batch_best_weights,
-    empirical_strong_convexity,
-)
+from .mixture import DirectMixtureRegressor
 from .separators import initial_directions
 from .trees import (
     beta,
@@ -46,9 +42,7 @@ __all__ = [
     "RunMetrics",
     "Stream",
     "VolterraFilter",
-    "batch_best_weights",
     "beta",
-    "empirical_strong_convexity",
     "enumerate_partitions",
     "gamma",
     "generate",

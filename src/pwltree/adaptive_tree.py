@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import expit
 
 from .separators import initial_directions
-from .trees import ANCESTORS, DESCENDANTS, MAX_TABLE_DEPTH, TreeLearner, rho_table
+from .trees import ANCESTORS, DESCENDANTS, MAX_TABLE_DEPTH, TreeLearner, _gate_clamp, rho_table
 
 
 @dataclass
@@ -94,9 +94,7 @@ class AdaptiveTreeRegressor(TreeLearner):
 
     def __init__(self, depth, dim, mu=0.005, s_plus=0.01, theta=None):
         super().__init__(depth, dim, mu)
-        if not 0.0 < s_plus < 0.5:
-            raise ValueError("s_plus must lie in (0, 0.5)")
-        self.s_plus = float(s_plus)
+        self.s_plus = _gate_clamp(s_plus)
         if theta is None:
             theta = initial_directions(depth, dim)
         self.theta = self._hyperplanes(theta, "theta")

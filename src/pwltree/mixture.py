@@ -39,7 +39,14 @@ import numpy as np
 from scipy.special import expit
 
 from .separators import initial_directions
-from .trees import _step_size, enumerate_partitions, membership_matrix, node_count
+from .trees import (
+    _gate_clamp,
+    _integer,
+    _step_size,
+    enumerate_partitions,
+    membership_matrix,
+    node_count,
+)
 
 MAX_DIRECT_DEPTH = 4  # beta(4) = 677 partitions
 
@@ -72,19 +79,18 @@ class DirectMixtureRegressor:
     """
 
     def __init__(self, depth, dim, mode="hard", mu=0.01, boundaries=None, s_plus=0.01):
+        depth = _integer(depth, "depth")
         if not 0 <= depth <= MAX_DIRECT_DEPTH:
             raise ValueError(f"direct mixture depth must be in [0, {MAX_DIRECT_DEPTH}], got {depth}")
         if dim < 1:
             raise ValueError("dim must be >= 1")
         if mode not in ("hard", "soft"):
             raise ValueError(f"unknown mode {mode!r}")
-        if mode == "soft" and not 0.0 < s_plus < 0.5:
-            raise ValueError("s_plus must lie in (0, 0.5)")
         self.depth = depth
         self.dim = dim
         self.mode = mode
         self.mu = _step_size(mu, schedule=True)
-        self.s_plus = float(s_plus)
+        self.s_plus = _gate_clamp(s_plus)
         self.n_nodes = node_count(depth)
         self.n_internal = (1 << depth) - 1
         self.partitions = enumerate_partitions(depth)

@@ -66,6 +66,25 @@ def _step_size(mu, schedule: bool = False):
     return mu
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int when it is an integer (numpy's included);
+    anything else, booleans and integral floats included, raises
+    ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _gate_clamp(s_plus) -> float:
+    """``s_plus`` as a float when it is a usable gate clamp: a real number
+    (numpy's included) in ``(0, 0.5)``.  Anything else, booleans, numeric
+    strings and NaN included, raises ValueError."""
+    if isinstance(s_plus, bool) or not isinstance(s_plus, (int, float, np.integer, np.floating)) \
+            or not 0.0 < s_plus < 0.5:
+        raise ValueError(f"s_plus must lie in (0, 0.5), got {s_plus!r}")
+    return float(s_plus)
+
+
 def _heap_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ancestor, descendant and common-level tables of the depth-``depth`` heap.
 
@@ -120,6 +139,7 @@ class TreeLearner:
     gated = False
 
     def __init__(self, depth, dim, mu):
+        depth = _integer(depth, "depth")
         if not 0 <= depth <= MAX_TABLE_DEPTH:
             raise ValueError(f"depth must be in [0, {MAX_TABLE_DEPTH}]")
         if dim < 1:

@@ -19,6 +19,7 @@ learner up to step 10^4 and its converged error afterwards.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,16 +30,14 @@ from pwltree.cli import main as cli_main
 from pwltree.datagen import generate
 from pwltree.fixed_tree import FixedTreeRegressor
 from pwltree.harness import (
+    ExperimentConfig,
     average_metrics,
-    inverse_time_schedule,
+    run_experiment,
     run_stream,
     verify_equivalence,
+    weight_regret,
 )
-from pwltree.mixture import (
-    DirectMixtureRegressor,
-    batch_best_weights,
-    empirical_strong_convexity,
-)
+from pwltree.mixture import DirectMixtureRegressor
 from pwltree.trees import (
     beta,
     enumerate_partitions,
@@ -49,6 +48,7 @@ from pwltree.trees import (
 )
 
 BASE_SEED = 100
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def criterion(num, ok, description, detail=""):
@@ -143,56 +143,10 @@ def test_criterion_04_boundary_gradient():
 # 5. empirical regret growth
 # ----------------------------------------------------------------------
 
-def _regret_curve(seed, n_max=100_000, warmup=1000, checkpoints=(1000, 10_000, 100_000)):
-    """Weight-recursion regret against the hindsight-optimal combination.
-
-    A depth-1 tree split on the first axis is the largest configuration
-    whose per-partition estimates are not structurally collinear (for any
-    depth >= 2 the estimate sums of partition pairs coincide identically,
-    so the strong-convexity premise of the decaying schedule is
-    unattainable there).  Constituent regressors train during warm-up and
-    are then frozen; the combination weights follow the 2/(lambda t)
-    schedule.
-    """
-    stream = generate("matched", n_max + warmup, seed=seed)
-    x_ext, targets = stream.extended, stream.targets
-    axis = np.array([[0.0, -1.0, 0.0]])
-    lrn = DirectMixtureRegressor(1, 2, mode="hard", mu=0.01, boundaries=axis)
-    d_warm = np.empty((warmup, 2))
-    for t in range(warmup):
-        pred = lrn.predict(x_ext[t])
-        d_warm[t] = pred.model_estimates
-        lrn.update(x_ext[t], targets[t], pred)
-    lam = empirical_strong_convexity(d_warm[warmup // 2:])
-    mu_t = inverse_time_schedule(lam)
-    w = lrn.w_vec.copy()
-    feats = np.empty((n_max, 2))
-    e2 = np.empty(n_max)
-    tail = targets[warmup:]
-    for t in range(n_max):
-        d_vec = lrn.predict(x_ext[warmup + t]).model_estimates
-        feats[t] = d_vec
-        e = tail[t] - float(w @ d_vec)
-        e2[t] = e * e
-        w += mu_t(t + 1) * e * d_vec
-    out = {}
-    for n in checkpoints:
-        w_star = batch_best_weights(feats[:n], tail[:n])
-        best = float(np.sum((tail[:n] - feats[:n] @ w_star) ** 2))
-        out[n] = float(np.sum(e2[:n])) - best
-    return out
-
-
 def test_criterion_05_logarithmic_regret():
-    checkpoints = (1000, 10_000, 100_000)
-    sums = {n: 0.0 for n in checkpoints}
-    non_negative = True
-    for seed in range(11, 16):
-        curve = _regret_curve(seed)
-        for n, r in curve.items():
-            sums[n] += r / 5.0
-            non_negative &= r >= 0.0
-    c = {n: sums[n] / (1.0 + np.log(n)) for n in checkpoints}
+    curves = [weight_regret(seed) for seed in range(11, 16)]
+    non_negative = all(r >= 0.0 for curve in curves for r in curve.values())
+    c = {n: sum(curve[n] / 5.0 for curve in curves) / (1.0 + np.log(n)) for n in curves[0]}
     ok = (non_negative
           and c[10_000] <= 2.0 * c[1000]
           and c[100_000] <= 2.0 * c[10_000])
@@ -290,18 +244,14 @@ def test_criterion_07_adaptation_ordering():
 # ----------------------------------------------------------------------
 
 def test_criterion_08_depth_mismatch_robustness():
-    n = 50_000
     finals = {}
-    for kind in ("first_order", "third_order"):
-        dat_runs, dft_runs = [], []
-        for trial in range(10):
-            stream = generate(kind, n, seed=BASE_SEED + trial)
-            x_ext, targets = stream.extended, stream.targets
-            dat_runs.append(run_stream(AdaptiveTreeRegressor(2, 2, mu=0.005, s_plus=0.01),
-                                       x_ext, targets))
-            dft_runs.append(run_stream(FixedTreeRegressor(2, 2, mu=0.005), x_ext, targets))
-        finals[kind] = (average_metrics(dat_runs).final_norm_err,
-                        average_metrics(dft_runs).final_norm_err)
+    for name in ("overfit_first_order", "underfit_third_order"):
+        config = ExperimentConfig.from_file(CONFIG_DIR / f"{name}.json")
+        assert (config.seed, config.trials, config.stream["n"]) == (BASE_SEED, 10, 50_000)
+        result = run_experiment(config)
+        assert not result.failures
+        finals[config.stream["kind"]] = (result.metrics["dat"].final_norm_err,
+                                         result.metrics["dft"].final_norm_err)
     ok = all(dat <= dft for dat, dft in finals.values())
     criterion(8, ok, "adaptive tree is no worse than fixed under depth mismatch",
               "; ".join(f"{k}: adaptive {a:.3f} vs fixed {f:.3f}"

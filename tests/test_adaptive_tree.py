@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -47,9 +49,13 @@ def random_state(lrn, rng):
 
 class TestConstruction:
     def test_clamp_must_be_strictly_interior(self):
-        for bad in (0.0, 0.5, 0.7):
-            with pytest.raises(ValueError):
-                AdaptiveTreeRegressor(2, 2, s_plus=bad)
+        for bad in (0.0, 0.5, 0.7, math.nan, math.inf, "0.01", True, np.bool_(True), None):
+            for make in (lambda: AdaptiveTreeRegressor(2, 2, s_plus=bad),
+                         lambda: DirectMixtureRegressor(2, 2, mode="soft", s_plus=bad),
+                         lambda: DirectMixtureRegressor(2, 2, mode="hard", s_plus=bad)):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"s_plus must lie in (0, 0.5), got {bad!r}")):
+                    make()
 
     def test_auto_cap_value(self):
         lrn = AdaptiveTreeRegressor(2, 2, s_plus=0.01)

@@ -227,6 +227,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("output", [["a"], 5, True, {"a": 1}])
+    def test_non_string_output_rejected(self, output):
+        raw = self.base()
+        raw["output"] = output
+        with pytest.raises(ConfigError, match=re.escape(
+                f"output must be a string or null, got {output!r}")):
+            ExperimentConfig.from_dict(raw)
+
     @pytest.mark.parametrize("learners", [[5], "abc", [{"kind": "lf"}, []], {"kind": "lf"}],
                              ids=["int-entry", "string", "list-entry", "object"])
     def test_learners_not_a_list_of_objects(self, learners):
@@ -244,8 +252,15 @@ class TestConfig:
         ({"kind": "csv", "path": "data.csv"}, "csv stream requires 'target'"),
         ({"kind": "csv", "path": "data.csv", "target": "d", "bogus": 1}, "not 'bogus'"),
         ({"kind": "csv", "path": "data.csv", "target": "d", "n": 5}, "not 'n'"),
+        ({"kind": "matched", "n": 50, "normalize": "false"},
+         "stream normalize must be true or false, got 'false'"),
+        ({"kind": "matched", "n": 50, "normalize": 1},
+         "stream normalize must be true or false, got 1"),
+        ({"kind": "matched", "n": 50, "normalize": None},
+         "stream normalize must be true or false, got None"),
     ], ids=["int", "list", "generator-unknown-key", "henon-noise-var", "csv-empty",
-            "csv-no-target", "csv-unknown-key", "csv-n"])
+            "csv-no-target", "csv-unknown-key", "csv-n", "normalize-string", "normalize-int",
+            "normalize-null"])
     def test_malformed_stream_spec(self, spec, named):
         with pytest.raises(ConfigError, match=named):
             build_stream(spec, seed=0)
@@ -257,6 +272,24 @@ class TestConfig:
     def test_bad_learner_params(self):
         with pytest.raises(ConfigError):
             make_learner({"kind": "dft", "depth": 99}, dim=2)
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "dft", "depth": True}, "depth must be an integer, got True"),
+        ({"kind": "direct", "depth": True}, "depth must be an integer, got True"),
+        ({"kind": "dat", "depth": 2.0}, "depth must be an integer, got 2.0"),
+        ({"kind": "direct", "depth": "2"}, "depth must be an integer, got '2'"),
+        ({"kind": "dat", "depth": 2, "s_plus": "0.01"},
+         "s_plus must lie in (0, 0.5), got '0.01'"),
+        ({"kind": "direct", "depth": 2, "mode": "soft", "s_plus": True},
+         "s_plus must lie in (0, 0.5), got True"),
+        ({"kind": "direct", "depth": 2, "s_plus": "0.01"},
+         "s_plus must lie in (0, 0.5), got '0.01'"),
+    ], ids=["dft-bool-depth", "direct-bool-depth", "dat-float-depth", "direct-string-depth",
+            "dat-string-s-plus", "soft-direct-bool-s-plus", "hard-direct-string-s-plus"])
+    def test_learner_param_type_named(self, spec, message):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"cannot build learner kind '{spec['kind']}': {message}")):
+            make_learner(spec, dim=2)
 
     @pytest.mark.parametrize("key, value", [("eta", 0.25), ("step_cap", None),
                                             ("literal_gradient", True)])
@@ -411,12 +444,6 @@ class TestCsvDataset:
 
 
 class TestVerify:
-    def test_inverse_time_schedule(self):
-        from pwltree.harness import inverse_time_schedule
-        mu = inverse_time_schedule(0.5)
-        assert mu(1) == 4.0
-        assert mu(4) == 1.0
-
     def test_dft_within_tolerance(self):
         assert verify_equivalence("dft", 2, 200, seed=5) <= 1e-9
 

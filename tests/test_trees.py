@@ -86,6 +86,18 @@ class TestShape:
             with pytest.raises(ValueError):
                 make(-1, 2)
 
+    @pytest.mark.parametrize("depth", [True, np.bool_(True), 2.0, "2", None])
+    def test_non_integer_depth_rejected(self, depth):
+        for make in (FixedTreeRegressor, AdaptiveTreeRegressor, DirectMixtureRegressor):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"depth must be an integer, got {depth!r}")):
+                make(depth, 2)
+
+    def test_numpy_integer_depth_stored_as_int(self):
+        for make in (FixedTreeRegressor, AdaptiveTreeRegressor, DirectMixtureRegressor):
+            lrn = make(np.int64(2), 2)
+            assert lrn.depth == 2 and type(lrn.depth) is int
+
     @pytest.mark.parametrize("mu", ["abc", "0.01", np.nan, np.inf, 0.0, -0.01, True,
                                     np.bool_(True), None, [0.01], 1j])
     def test_bad_step_size_rejected_when_built(self, mu):
