@@ -35,7 +35,8 @@ import numpy as np
 from scipy.special import expit
 
 from .separators import initial_directions
-from .trees import ANCESTORS, DESCENDANTS, MAX_TABLE_DEPTH, TreeLearner, _gate_clamp, rho_table
+from .trees import (ANCESTORS, DESCENDANTS, MAX_TABLE_DEPTH, TreeLearner, _gate_clamp,
+                    _hyperplanes, rho_table)
 
 
 @dataclass
@@ -97,7 +98,7 @@ class AdaptiveTreeRegressor(TreeLearner):
         self.s_plus = _gate_clamp(s_plus)
         if theta is None:
             theta = initial_directions(depth, dim)
-        self.theta = self._hyperplanes(theta, "theta")
+        self.theta = _hyperplanes(theta, self.n_internal, self.dim, "theta")
         self._rho = rho_table(depth).astype(float)
         self._ancestors = ANCESTORS[MAX_TABLE_DEPTH - depth:, : self.n_nodes]
         self._descendants = DESCENDANTS[: self.n_nodes, : self.n_nodes]

@@ -4,7 +4,9 @@ All three are strictly sequential first-order (LMS-style) learners: a
 plain linear filter, a truncated Volterra filter (LMS over polynomial
 features of the raw input), and a fixed Gaussian-kernel mixture with one
 affine regressor per centre.  Each checks its step size ``mu`` when it is
-built: a finite real number > 0.
+built: a finite real number > 0.  All three inherit ``step`` from
+:class:`pwltree.trees.Learner`, and the Volterra filter is the linear
+filter over :func:`vf_features`, whose ``update`` it inherits.
 
 On inputs this small a step's cost is its numpy calls, not its flops, so
 every product is a ``.dot`` (less dispatch than ``@``) and the scalar step
@@ -13,17 +15,17 @@ linear filter is 4 numpy calls (``asarray`` and ``v.dot(x)`` in
 ``predict``, a scaling of the input and an in-place add in ``update``).
 The Volterra filter's ``predict`` builds its features in a Python loop of
 about one numpy scalar product per feature, then takes 2 calls, and its
-``update`` 2, as the linear filter's.  The Gaussian-kernel mixture whitens the extended input
-``x_ext = (x, 1)`` once per step: the constructor stacks, for the Cholesky
-factor ``L_p`` of every covariance, the block ``[L_p^-1 | -L_p^-1 c_p]``
-into one ``(p m, m + 1)`` matrix, so ``r = whiten . x_ext`` holds every
-``L_p^-1 (x - c_p)`` and the quadratic form of centre ``p`` is the sum of
-the squares of its block of ``r``.  ``predict`` is then 8 numpy calls
-(``asarray``, the whitening product, ``r * r``, one product with a
-``(p, p m)`` matrix of -1/2 block sums, ``exp``, the scaling by the
-normalisers, and the two products of ``f . (v . x_ext)``) and ``update``
-3 (the scaling of the kernel values, a ``(p, 1) . (1, m + 1)`` rank-1
-product and its in-place add).
+``update`` is the linear filter's 2.  The Gaussian-kernel mixture whitens
+the extended input ``x_ext = (x, 1)`` once per step: the constructor
+stacks, for the Cholesky factor ``L_p`` of every covariance, the block
+``[L_p^-1 | -L_p^-1 c_p]`` into one ``(p m, m + 1)`` matrix, so
+``r = whiten . x_ext`` holds every ``L_p^-1 (x - c_p)`` and the quadratic
+form of centre ``p`` is the sum of the squares of its block of ``r``.
+``predict`` is then 8 numpy calls (``asarray``, the whitening product,
+``r * r``, one product with a ``(p, p m)`` matrix of -1/2 block sums,
+``exp``, the scaling by the normalisers, and the two products of
+``f . (v . x_ext)``) and ``update`` 3 (the scaling of the kernel values,
+a ``(p, 1) . (1, m + 1)`` rank-1 product and its in-place add).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .trees import _step_size
+from .trees import Learner, _dimension, _step_size
 
 
 @dataclass
@@ -43,13 +45,13 @@ class SimplePrediction:
     kernel: np.ndarray | None = None
 
 
-class LinearFilter:
+class LinearFilter(Learner):
     """LMS over the extended input."""
 
     def __init__(self, dim, mu=0.01):
-        self.dim = dim
+        self.dim = _dimension(dim)
         self.mu = float(_step_size(mu))
-        self.v = np.zeros(dim + 1)
+        self.v = np.zeros(self.dim + 1)
 
     def predict(self, x_ext) -> SimplePrediction:
         x_ext = np.asarray(x_ext, dtype=float)
@@ -57,11 +59,6 @@ class LinearFilter:
 
     def update(self, x_ext, d_t, pred) -> None:
         self.v += (self.mu * (d_t - pred.y_hat)) * pred.features
-
-    def step(self, x_ext, d_t) -> tuple[float, float]:
-        pred = self.predict(x_ext)
-        self.update(x_ext, d_t, pred)
-        return pred.y_hat, d_t - pred.y_hat
 
 
 def vf_features(x, order: int = 2) -> np.ndarray:
@@ -85,31 +82,22 @@ def vf_features(x, order: int = 2) -> np.ndarray:
     return np.array(feats)
 
 
-class VolterraFilter:
-    """Truncated Volterra filter: LMS over :func:`vf_features` of the raw
-    input (the extended input's constant entry is dropped; the expansion
-    carries its own constant term)."""
+class VolterraFilter(LinearFilter):
+    """Truncated Volterra filter: the linear filter over :func:`vf_features`
+    of the raw input (the extended input's constant entry is dropped; the
+    expansion carries its own constant term)."""
 
     def __init__(self, dim, order=2, mu=0.01):
-        self.dim = dim
+        super().__init__(dim, mu)
         self.order = order
-        self.mu = float(_step_size(mu))
-        self.v = np.zeros(vf_features(np.zeros(dim), order).size)
+        self.v = np.zeros(vf_features(np.zeros(self.dim), order).size)
 
     def predict(self, x_ext) -> SimplePrediction:
         feats = vf_features(np.asarray(x_ext, dtype=float)[:-1], self.order)
         return SimplePrediction(float(self.v.dot(feats)), features=feats)
 
-    def update(self, x_ext, d_t, pred) -> None:
-        self.v += (self.mu * (d_t - pred.y_hat)) * pred.features
 
-    def step(self, x_ext, d_t) -> tuple[float, float]:
-        pred = self.predict(x_ext)
-        self.update(x_ext, d_t, pred)
-        return pred.y_hat, d_t - pred.y_hat
-
-
-class GaussianKernelRegressor:
+class GaussianKernelRegressor(Learner):
     """Fixed Gaussian mixture gating a bank of affine regressors.
 
     Centres and covariances are chosen in hindsight and never adapt; only
@@ -174,8 +162,3 @@ class GaussianKernelRegressor:
         step = self.mu * (d_t - pred.y_hat)
         # the rank-1 step as a (p, 1) x (1, m + 1) product, one cheap BLAS call
         self.v += (step * pred.kernel)[:, None].dot(pred.features[None, :])
-
-    def step(self, x_ext, d_t) -> tuple[float, float]:
-        pred = self.predict(x_ext)
-        self.update(x_ext, d_t, pred)
-        return pred.y_hat, d_t - pred.y_hat

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .separators import initial_directions
-from .trees import ANCESTORS, MAX_TABLE_DEPTH, TreeLearner, rho_table
+from .trees import ANCESTORS, MAX_TABLE_DEPTH, TreeLearner, _hyperplanes, rho_table
 
 
 @dataclass
@@ -73,7 +73,7 @@ class FixedTreeRegressor(TreeLearner):
         super().__init__(depth, dim, mu)
         if boundaries is None:
             boundaries = initial_directions(depth, dim)
-        self.boundaries = self._hyperplanes(boundaries, "boundaries")
+        self.boundaries = _hyperplanes(boundaries, self.n_internal, self.dim, "boundaries")
         self.boundaries.setflags(write=False)
         # root -> leaf path of every leaf: the root, then the leaf's ancestor column
         self._paths = np.zeros((self.n_nodes - self.n_internal, depth + 1), dtype=np.intp)

@@ -195,6 +195,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
         raw = dict(raw)
         schema = raw.pop("schema", CONFIG_SCHEMA)
         if schema != CONFIG_SCHEMA:

@@ -15,8 +15,10 @@ a pair's count depends only on the levels of the two nodes and of their
 deepest common ancestor.  ``rho_table`` holds ``rho`` over every node pair
 for the learners' kappa products, gathered from the exact counts of those
 level triples, and ``enumerate_partitions`` is the brute-force ground truth
-used to validate them.  ``TreeLearner`` holds the per-node state both
-collapsed tree learners keep, and its heap-ordered snapshot format.
+used to validate them.  ``Learner`` holds the one ``step`` of the
+sequential protocol every learner in the package follows, and
+``TreeLearner`` the per-node state both collapsed tree learners keep, and
+its heap-ordered snapshot format.
 """
 
 from __future__ import annotations
@@ -75,6 +77,28 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _dimension(dim) -> int:
+    """``dim`` as an int when it is an integer >= 1 (numpy's included);
+    anything else, booleans and integral floats included, raises
+    ValueError."""
+    dim = _integer(dim, "dim")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    return dim
+
+
+def _hyperplanes(planes, n_internal: int, dim: int, name: str) -> np.ndarray:
+    """``planes`` as a fresh float array, one finite row of ``dim + 1``
+    numbers per internal node; anything else raises ValueError naming
+    ``name``."""
+    planes = np.array(planes, dtype=float)
+    if planes.shape != (n_internal, dim + 1):
+        raise ValueError(f"{name} must have shape ({n_internal}, {dim + 1})")
+    if not np.isfinite(planes).all():
+        raise ValueError(f"{name} must be finite")
+    return planes
+
+
 def _gate_clamp(s_plus) -> float:
     """``s_plus`` as a float when it is a usable gate clamp: a real number
     (numpy's included) in ``(0, 0.5)``.  Anything else, booleans, numeric
@@ -122,7 +146,21 @@ def _heap_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 ANCESTORS, DESCENDANTS, _COMMON_LEVELS = _heap_tables(MAX_TABLE_DEPTH)
 
 
-class TreeLearner:
+class Learner:
+    """The sequential protocol every learner follows: ``predict`` from the
+    current state, then ``update`` once the target is revealed.  Subclasses
+    implement both; ``update(x_ext, d_t, pred)`` reads the prediction
+    object, whose ``y_hat`` is the prediction."""
+
+    def step(self, x_ext, d_t: float) -> tuple[float, float]:
+        """Predict, then learn from the revealed target; returns the
+        prediction made before seeing it and the resulting error."""
+        pred = self.predict(x_ext)
+        self.update(x_ext, d_t, pred)
+        return pred.y_hat, d_t - pred.y_hat
+
+
+class TreeLearner(Learner):
     """State and bookkeeping shared by the collapsed tree learners.
 
     Both learners hold one scalar weight ``w`` and one affine regressor
@@ -142,10 +180,8 @@ class TreeLearner:
         depth = _integer(depth, "depth")
         if not 0 <= depth <= MAX_TABLE_DEPTH:
             raise ValueError(f"depth must be in [0, {MAX_TABLE_DEPTH}]")
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
         self.depth = depth
-        self.dim = dim
+        self.dim = dim = _dimension(dim)
         self.mu = _step_size(mu, schedule=True)
         self.n_nodes = node_count(depth)
         self.n_internal = (1 << depth) - 1
@@ -156,27 +192,10 @@ class TreeLearner:
         self.regressor_evaluations = 0
         self.kappa_accumulations = 0
 
-    def _hyperplanes(self, planes, name: str) -> np.ndarray:
-        """``planes`` as a fresh float array, one finite row of ``dim + 1``
-        numbers per internal node; anything else raises ValueError."""
-        planes = np.array(planes, dtype=float)
-        if planes.shape != (self.n_internal, self.dim + 1):
-            raise ValueError(f"{name} must have shape ({self.n_internal}, {self.dim + 1})")
-        if not np.isfinite(planes).all():
-            raise ValueError(f"{name} must be finite")
-        return planes
-
     def _at_t(self, schedule) -> float:
         """A step size: ``schedule`` itself, or its value at the 1-based
         step index when it is callable."""
         return float(schedule(self.t)) if callable(schedule) else float(schedule)
-
-    def step(self, x_ext, d_t: float) -> tuple[float, float]:
-        """Predict, then learn from the revealed target; returns the
-        prediction made before seeing it and the resulting error."""
-        pred = self.predict(x_ext)
-        self.update(x_ext, d_t, pred)
-        return pred.y_hat, d_t - pred.y_hat
 
     # ------------------------------------------------------------------
     def state_snapshot(self) -> dict:
@@ -353,15 +372,16 @@ def rho_table(depth: int) -> np.ndarray:
 MAX_ENUMERATION_DEPTH = 4  # beta(4) = 677 partitions
 
 
-def enumerate_partitions(depth: int, cap: int = MAX_ENUMERATION_DEPTH) -> list[frozenset[int]]:
+def enumerate_partitions(depth: int) -> list[frozenset[int]]:
     """All beta(depth) partitions of the depth-``depth`` tree, as sets of heap indices.
 
     Recursion: partitions(node, r) = {node alone} plus the cross product of
     the two children's partitions with r - 1 remaining levels; the
     construction never produces duplicates.
     """
-    if depth > cap:
-        raise ValueError(f"enumeration refused beyond depth {cap} (beta grows doubly exponentially)")
+    if depth > MAX_ENUMERATION_DEPTH:
+        raise ValueError(f"enumeration refused beyond depth {MAX_ENUMERATION_DEPTH} "
+                         "(beta grows doubly exponentially)")
 
     def rec(i: int, remaining: int) -> list[frozenset[int]]:
         out = [frozenset((i,))]

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from pwltree.adaptive_tree import AdaptiveTreeRegressor
-from pwltree.baselines import LinearFilter, VolterraFilter
+from pwltree.baselines import LinearFilter
 from pwltree.cli import main as cli_main
 from pwltree.datagen import generate
 from pwltree.fixed_tree import FixedTreeRegressor
@@ -57,11 +57,6 @@ def criterion(num, ok, description, detail=""):
         line += f" ({detail})"
     print(line)
     assert ok, line
-
-
-def unit_interval(v):
-    lo, hi = v.min(), v.max()
-    return 2.0 * (v - lo) / (hi - lo) - 1.0
 
 
 # ----------------------------------------------------------------------
@@ -263,13 +258,14 @@ def test_criterion_08_depth_mismatch_robustness():
 # ----------------------------------------------------------------------
 
 def test_criterion_09_henon_parity():
-    stream = generate("henon", 100_000)
-    x_ext = np.column_stack([unit_interval(stream.inputs[:, 0]),
-                             unit_interval(stream.inputs[:, 1]),
-                             np.ones(len(stream))])
-    targets = unit_interval(stream.targets)
-    dat = run_stream(AdaptiveTreeRegressor(2, 2, mu=0.05, s_plus=0.01), x_ext, targets)
-    vf = run_stream(VolterraFilter(2, order=2, mu=0.05), x_ext, targets)
+    config = ExperimentConfig.from_file(CONFIG_DIR / "henon.json")
+    learners = {entry["name"]: entry for entry in config.learners}
+    assert (config.trials, config.stream) == (1, {"kind": "henon", "n": 100_000, "normalize": True})
+    assert learners["dat"] == {"name": "dat", "kind": "dat", "depth": 2, "mu": 0.05, "s_plus": 0.01}
+    assert learners["vf"] == {"name": "vf", "kind": "vf", "order": 2, "mu": 0.05}
+    result = run_experiment(config)
+    assert not result.failures
+    dat, vf = result.metrics["dat"], result.metrics["vf"]
     ratio = dat.final_norm_err / vf.final_norm_err
     criterion(9, ratio <= 1.2, "adaptive tree stays within 1.2x of the Volterra filter",
               f"adaptive {dat.final_norm_err:.2e}, volterra {vf.final_norm_err:.2e}, "

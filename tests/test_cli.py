@@ -82,6 +82,17 @@ class TestRunCommand:
         path.write_text(json.dumps({"schema": 1, "stream": {"n": 5}, "learners": []}))
         assert main(["run", str(path)]) == 1
 
+    @pytest.mark.parametrize("top, kind", [(5, "int"), ([1], "list"), (None, "NoneType"),
+                                           ("abc", "str")])
+    def test_config_that_is_not_an_object_exits_one(self, tmp_path, capsys, top, kind):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(top))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"pwltree: config must be a JSON object, got {kind}\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
+
     def test_non_finite_csv_cell_exits_one(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("a,b,y\n0,1,2\n3,nan,5\n")

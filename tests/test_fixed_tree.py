@@ -74,7 +74,7 @@ class TestLocateLeaf:
         x = ext(0.0, 0.7)
         assert label(FixedTreeRegressor(2, 2).locate_leaf(x)) == "10"
         direct = DirectMixtureRegressor(2, 2, mode="hard")
-        assert direct.predict(x).path_indices.tolist() == [0, 2, 5]
+        assert np.flatnonzero(direct.predict(x).alphas).tolist() == [0, 2, 5]
 
     def test_depth_zero_everything_is_root(self):
         lrn = FixedTreeRegressor(0, 2)
@@ -100,7 +100,8 @@ class TestLocateLeaf:
         lrn = FixedTreeRegressor(depth, 2, boundaries=planes)
         oracle = DirectMixtureRegressor(depth, 2, mode="hard", boundaries=planes)
         for x in points_on_planes(planes, 3000 // len(planes), rng):
-            assert lrn.predict(x).path_indices.tolist() == oracle.predict(x).path_indices.tolist()
+            assert lrn.predict(x).path_indices.tolist() \
+                == np.flatnonzero(oracle.predict(x).alphas).tolist()
 
 
 class TestPredict:

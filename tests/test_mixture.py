@@ -6,6 +6,7 @@ import pytest
 
 from pwltree import mixture
 from pwltree.adaptive_tree import AdaptiveTreeRegressor
+from pwltree.baselines import LinearFilter, VolterraFilter
 from pwltree.datagen import generate
 from pwltree.fixed_tree import FixedTreeRegressor
 from pwltree.mixture import (
@@ -58,12 +59,17 @@ class TestDirectPredict:
         with pytest.raises(ValueError, match=rf"depth must be in \[0, 4\], got {depth}"):
             DirectMixtureRegressor(depth, 2)
 
-    @pytest.mark.parametrize("dim", [0, -1])
+    @pytest.mark.parametrize("dim", [0, -1, True, 2.0, "2"])
     def test_dim_below_one_is_refused(self, dim):
-        # as the tree learners refuse it
+        # as every other learner with a dim refuses it; a dim that is no
+        # integer is refused as such, not read as 1 or 2
+        message = "dim must be >= 1" if type(dim) is int else f"dim must be an integer, got {dim!r}"
         for make in (lambda: DirectMixtureRegressor(2, dim),
-                     lambda: FixedTreeRegressor(2, dim)):
-            with pytest.raises(ValueError, match="dim must be >= 1"):
+                     lambda: FixedTreeRegressor(2, dim),
+                     lambda: AdaptiveTreeRegressor(2, dim),
+                     lambda: LinearFilter(dim),
+                     lambda: VolterraFilter(dim)):
+            with pytest.raises(ValueError, match=message):
                 make()
 
     @pytest.mark.parametrize("mode", ["hard", "soft"])
@@ -136,8 +142,8 @@ class TestBoundaryGradient:
     def test_span_masks_are_the_childrens_descendant_rows(self, depth):
         lrn = DirectMixtureRegressor(depth, 2, mode="soft")
         internal = np.arange(lrn.n_internal)
-        assert np.array_equal(lrn._span0, DESCENDANTS[2 * internal + 1, :lrn.n_nodes])
-        assert np.array_equal(lrn._span1, DESCENDANTS[2 * internal + 2, :lrn.n_nodes])
+        assert np.array_equal(lrn._spans[0::2], DESCENDANTS[2 * internal + 1, :lrn.n_nodes])
+        assert np.array_equal(lrn._spans[1::2], DESCENDANTS[2 * internal + 2, :lrn.n_nodes])
 
     def test_oracle_reads_no_heap_table(self):
         # the oracle checks the learners, so it builds its own subtree spans

@@ -104,7 +104,7 @@ class TestEvaluate:
                                # a point exactly on the plane goes to child 1
                                (ext(0.0, 0.0), "1", 2)):
             assert label(fixed.locate_leaf(x)) == leaf
-            assert list(direct.predict(x).path_indices) == [0, index]
+            assert list(np.flatnonzero(direct.predict(x).alphas)) == [0, index]
 
     def test_hard_is_sharp_soft_limit(self):
         rng = np.random.default_rng(3)
@@ -208,7 +208,8 @@ class TestPathProduct:
         x = ext(1.0, -1.0)
         path = FixedTreeRegressor(2, 2).predict(x).path_indices
         assert [label(int(i)) for i in path] == ["", "0", "01"]
-        assert list(DirectMixtureRegressor(2, 2, mode="hard").predict(x).path_indices) == [0, 1, 4]
+        assert list(np.flatnonzero(DirectMixtureRegressor(2, 2, mode="hard").predict(x).alphas)) \
+            == [0, 1, 4]
 
 
 class TestInitialDirections:
