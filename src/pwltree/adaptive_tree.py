@@ -76,9 +76,8 @@ class AdaptiveTreeRegressor(TreeLearner):
     depth, dim : int
         Tree depth and raw input dimension (inputs arrive extended by a
         constant 1).
-    mu : float or callable
-        Step size for weight/regressor updates (callable of the 1-based
-        step index).
+    mu : float
+        Step size for weight/regressor updates.
     s_plus : float
         Gate clamp: separator outputs stay in ``[s_plus, 1 - s_plus]`` so
         boundary gradients never vanish.  It also fixes the boundary step:
@@ -109,9 +108,6 @@ class AdaptiveTreeRegressor(TreeLearner):
         """Bound on the magnitude of each boundary step's scalar factor."""
         return 10.0 * self.s_plus * (1.0 - self.s_plus)
 
-    def _eta_t(self) -> float:
-        return self._at_t(self.mu) / (self.s_plus * (1.0 - self.s_plus))
-
     def predict(self, x_ext) -> AdaptiveTreePrediction:
         """Evaluate every gate once, cascade activations down the tree and
         collapse the mixture over all nodes."""
@@ -141,7 +137,7 @@ class AdaptiveTreeRegressor(TreeLearner):
         activation (which the clamp keeps strictly positive).  The step
         reads the input ``pred.x`` that ``predict`` was given as
         ``x_ext``."""
-        step = self._at_t(self.mu) * e
+        step = self.mu * e
         self.v += (step * pred.alphas)[:, None].dot(pred.x[None, :])
         self.w += step * pred.h
 
@@ -163,7 +159,8 @@ class AdaptiveTreeRegressor(TreeLearner):
         cap = self.step_cap
         np.minimum(factors, cap, out=factors)
         np.maximum(factors, -cap, out=factors)
-        self.theta -= (factors * (self._eta_t() * e))[:, None].dot(pred.x[None, :])
+        eta = self.mu / (self.s_plus * (1.0 - self.s_plus))
+        self.theta -= (factors * (eta * e))[:, None].dot(pred.x[None, :])
 
     def update(self, x_ext, d_t: float, pred: AdaptiveTreePrediction) -> None:
         e = d_t - pred.y_hat

@@ -35,7 +35,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .trees import Learner, _dimension, _step_size
+from .trees import Learner, _dimension, _integer, _numeric, _step_size
 
 
 @dataclass
@@ -50,7 +50,7 @@ class LinearFilter(Learner):
 
     def __init__(self, dim, mu=0.01):
         self.dim = _dimension(dim)
-        self.mu = float(_step_size(mu))
+        self.mu = _step_size(mu)
         self.v = np.zeros(self.dim + 1)
 
     def predict(self, x_ext) -> SimplePrediction:
@@ -89,7 +89,7 @@ class VolterraFilter(LinearFilter):
 
     def __init__(self, dim, order=2, mu=0.01):
         super().__init__(dim, mu)
-        self.order = order
+        self.order = _integer(order, "order")
         self.v = np.zeros(vf_features(np.zeros(self.dim), order).size)
 
     def predict(self, x_ext) -> SimplePrediction:
@@ -110,17 +110,21 @@ class GaussianKernelRegressor(Learner):
 
     Both come from the Cholesky factor ``S = L L'``: the quadratic form is
     ``|L^-1 (x - c)|^2`` and ``sqrt(det S)`` the product of the diagonal
-    of ``L``.  Centres must be finite, one row of ``m`` numbers each.
+    of ``L``.  Centres must be finite, one row of ``m`` numbers each, and
+    centres and covariances hold numbers only: no booleans, no strings.
     """
 
     def __init__(self, centers, covariances, mu=1.0):
-        self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
-        if self.centers.ndim != 2:
-            raise ValueError("centers must be a list of points")
+        centers = _numeric(centers)
+        if centers is None or centers.ndim > 2:
+            raise ValueError("centers must be a list of points, numbers only")
+        self.centers = np.atleast_2d(centers)
         if not np.isfinite(self.centers).all():
             raise ValueError("centers must be finite")
         p, m = self.centers.shape
-        covariances = np.asarray(covariances, dtype=float)
+        covariances = _numeric(covariances)
+        if covariances is None:
+            raise ValueError("covariances must hold only numbers")
         if covariances.ndim == 0:
             covariances = np.stack([float(covariances) * np.eye(m)] * p)
         elif covariances.ndim == 2:
@@ -142,7 +146,7 @@ class GaussianKernelRegressor(Learner):
         # -1/2 times the sum of each centre's m squares
         self._half_sums = np.repeat(np.eye(p), m, axis=1) * -0.5
         self.norms = 1.0 / (2.0 * np.pi * chol.diagonal(axis1=1, axis2=2).prod(axis=1))
-        self.mu = float(_step_size(mu))
+        self.mu = _step_size(mu)
         self.v = np.zeros((p, m + 1))
 
     def _kernel(self, x_ext: np.ndarray) -> np.ndarray:

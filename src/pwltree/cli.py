@@ -179,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pwltree",
                                      description="tree-partition mixture regressors")
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = harness.default_seed()
 
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config", help="JSON experiment config")
@@ -190,14 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--depth", type=int, required=True)
     p_verify.add_argument("--steps", type=int, required=True)
     p_verify.add_argument("--mode", choices=("dft", "dat"), required=True)
-    p_verify.add_argument("--seed", type=int, default=seed)
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tol", type=float, default=1e-9)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_gen = sub.add_parser("gen", help="write a synthetic stream to CSV")
     p_gen.add_argument("kind", choices=sorted(datagen.GENERATORS))
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--seed", type=int, default=seed)
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--noise-var", type=float, default=None)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen)
@@ -210,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_snap.add_argument("--stream", choices=sorted(datagen.GENERATORS), default="matched")
     p_snap.add_argument("--n", type=int, required=True, help="total stream length")
     p_snap.add_argument("--steps", type=int, required=True, help="steps to run before saving")
-    p_snap.add_argument("--seed", type=int, default=seed)
+    p_snap.add_argument("--seed", type=int, default=0)
     p_snap.add_argument("--out", required=True, help="snapshot JSON path")
     p_snap.add_argument("--metrics", help="optional CSV of the pre-snapshot segment")
     p_snap.set_defaults(func=_cmd_snapshot)
@@ -225,11 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        parser = build_parser()  # reads the default seed from the environment
-    except harness.ConfigError as exc:
-        return _fail(str(exc))
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

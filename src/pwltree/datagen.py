@@ -67,15 +67,6 @@ def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     return ndtri((k + 0.5) * 2.0**-53)
 
 
-def _piecewise(n, seed, noise_var, values):
-    rng = _generator(seed)
-    x = _standard_normals(rng, (n, 2))
-    d = values(x)
-    if noise_var > 0:
-        d = d + np.sqrt(noise_var) * _standard_normals(rng, n)
-    return Stream(x, d)
-
-
 def matched_values(x: np.ndarray) -> np.ndarray:
     """Noiseless targets of the quadrant-matched model: +/- the linear
     response, positive where the two axis tests agree in sign."""
@@ -120,20 +111,24 @@ def third_order_values(x: np.ndarray) -> np.ndarray:
     return np.where(plus, 1.0, -1.0) * (x @ _W)
 
 
-def gen_matched(n, seed, noise_var=DEFAULT_NOISE_VAR) -> Stream:
-    return _piecewise(n, seed, noise_var, matched_values)
+# kind -> noiseless targets of a piecewise-linear stream
+PIECEWISE = {
+    "matched": matched_values,
+    "mismatched": mismatched_values,
+    "first_order": first_order_values,
+    "third_order": third_order_values,
+}
 
 
-def gen_mismatched(n, seed, noise_var=DEFAULT_NOISE_VAR) -> Stream:
-    return _piecewise(n, seed, noise_var, mismatched_values)
-
-
-def gen_first_order(n, seed, noise_var=DEFAULT_NOISE_VAR) -> Stream:
-    return _piecewise(n, seed, noise_var, first_order_values)
-
-
-def gen_third_order(n, seed, noise_var=DEFAULT_NOISE_VAR) -> Stream:
-    return _piecewise(n, seed, noise_var, third_order_values)
+def _piecewise(values, n, seed, noise_var=DEFAULT_NOISE_VAR) -> Stream:
+    """``n`` standard-normal inputs and their ``values`` targets, plus
+    white Gaussian noise of variance ``noise_var``."""
+    rng = _generator(seed)
+    x = _standard_normals(rng, (n, 2))
+    d = values(x)
+    if noise_var > 0:
+        d = d + np.sqrt(noise_var) * _standard_normals(rng, n)
+    return Stream(x, d)
 
 
 def gen_henon(n, init=(0.0, 0.0), zeta=1.4, eta=0.3, burn_in=100) -> Stream:
@@ -176,25 +171,18 @@ def gen_lorenz(n, init=(1.0, 1.0, 1.0), dt=0.01, rho=28.0, sigma=10.0,
     return Stream(inputs, targets)
 
 
-GENERATORS = {
-    "matched": gen_matched,
-    "mismatched": gen_mismatched,
-    "first_order": gen_first_order,
-    "third_order": gen_third_order,
-    "henon": gen_henon,
-    "lorenz": gen_lorenz,
-}
+GENERATORS = {**PIECEWISE, "henon": gen_henon, "lorenz": gen_lorenz}
 
 
 def generate(kind: str, n: int, seed: int | None = None, **params) -> Stream:
-    """Dispatch on stream kind; seeded kinds require ``seed``."""
+    """Dispatch on stream kind; the piecewise kinds require ``seed``."""
     if kind not in GENERATORS:
         raise ValueError(f"unknown stream kind {kind!r}")
-    if kind in ("henon", "lorenz"):
+    if kind not in PIECEWISE:
         return GENERATORS[kind](n, **params)
     if seed is None:
         raise ValueError(f"stream kind {kind!r} requires a seed")
-    return GENERATORS[kind](n, seed, **params)
+    return _piecewise(PIECEWISE[kind], n, seed, **params)
 
 
 def stream_to_csv(stream: Stream, path) -> None:

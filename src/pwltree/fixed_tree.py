@@ -60,9 +60,8 @@ class FixedTreeRegressor(TreeLearner):
     dim : int
         Raw input dimension m; the learner consumes extended inputs of
         length m + 1 whose last entry is 1.
-    mu : float or callable
-        Step size for the weight and regressor updates; a callable is
-        evaluated at the 1-based step index.
+    mu : float
+        Step size for the weight and regressor updates.
     boundaries : ndarray (n_internal, dim + 1), optional
         Hyperplane vectors of the internal nodes, heap order.  Defaults to
         the axis-cycling directions of :func:`initial_directions` (the
@@ -119,7 +118,7 @@ class FixedTreeRegressor(TreeLearner):
         against the prediction error, leave everything else untouched.
         The step reads the input ``pred.x`` that ``predict`` was given as
         ``x_ext``."""
-        step = self._at_t(self.mu) * (d_t - pred.y_hat)
+        step = self.mu * (d_t - pred.y_hat)
         path = pred.path_indices
         # the path holds distinct nodes, so add.at matches a fancy-index +=
         np.add.at(self.v, path, step * pred.x)

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .fixed_tree import FixedTreeRegressor
 from .mixture import DirectMixtureRegressor, batch_best_weights, empirical_strong_convexity
 
 CONFIG_SCHEMA = 1
-SEED_ENV_VAR = "PWLTREE_SEED"
 DIVERGENCE_LIMIT = 1e100
 
 
@@ -41,15 +40,6 @@ class ConfigError(ValueError):
 
 class TrialDiverged(RuntimeError):
     """Raised when a learner's error stops being finite mid-trial."""
-
-
-def default_seed() -> int:
-    """The integer in ``PWLTREE_SEED``, 0 when unset; ConfigError otherwise."""
-    raw = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 @dataclass
@@ -159,13 +149,11 @@ class ExperimentConfig:
     stream: dict
     learners: list[dict]
     trials: int = 1
-    seed: int | None = None
+    seed: int = 0
     stride: int = 1
     output: str | None = None
 
     def __post_init__(self):
-        if self.seed is None:
-            self.seed = default_seed()
         for name in ("trials", "seed", "stride"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -218,15 +206,7 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": CONFIG_SCHEMA,
-            "stream": self.stream,
-            "learners": self.learners,
-            "trials": self.trials,
-            "seed": self.seed,
-            "stride": self.stride,
-            "output": self.output,
-        }
+        return {"schema": CONFIG_SCHEMA, **asdict(self)}
 
 
 def build_stream(spec: dict, seed: int) -> Stream:

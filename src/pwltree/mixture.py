@@ -101,7 +101,7 @@ class DirectMixtureRegressor(Learner):
         self.depth = depth
         self.dim = dim
         self.mode = mode
-        self.mu = _step_size(mu, schedule=True)
+        self.mu = _step_size(mu)
         self.s_plus = _gate_clamp(s_plus)
         self.n_nodes = node_count(depth)
         self.n_internal = (1 << depth) - 1
@@ -128,12 +128,8 @@ class DirectMixtureRegressor(Learner):
             self._path_alphas.setflags(write=False)
         else:
             self.theta = init
-        self.t = 1
 
     # ------------------------------------------------------------------
-    def _mu_t(self) -> float:
-        return float(self.mu(self.t)) if callable(self.mu) else float(self.mu)
-
     @property
     def step_cap(self) -> float:
         """Bound on the magnitude of each boundary step's scalar factor."""
@@ -170,12 +166,11 @@ class DirectMixtureRegressor(Learner):
         side effects the collapsed learners perform.  The step reads the
         input ``pred.x`` that ``predict`` was given as ``x_ext``."""
         e = d_t - pred.y_hat
-        step = self._mu_t() * e
+        step = self.mu * e
         self.v += (step * pred.alphas)[:, None].dot(pred.x[None, :])
         if self.mode == "soft":
             self._update_theta(x_ext, e, pred)  # reads w_vec before its step
         self.w_vec += step * pred.model_estimates
-        self.t += 1
 
     def boundary_factors(self, pred: DirectPrediction) -> np.ndarray:
         """Scalar factor of each internal node's boundary step (before the
@@ -186,7 +181,7 @@ class DirectMixtureRegressor(Learner):
         return sigma * ((1.0 - 2.0 * self.s_plus) * pred.u * (1.0 - pred.u))
 
     def _update_theta(self, x_ext, e: float, pred: DirectPrediction) -> None:
-        eta = self._mu_t() / (self.s_plus * (1.0 - self.s_plus))
+        eta = self.mu / (self.s_plus * (1.0 - self.s_plus))
         factors = self.boundary_factors(pred)
         cap = self.step_cap
         np.minimum(factors, cap, out=factors)

@@ -54,18 +54,14 @@ def node_count(depth: int) -> int:
     return (1 << (depth + 1)) - 1
 
 
-def _step_size(mu, schedule: bool = False):
-    """``mu`` when it is a usable step size: a finite int or float > 0
-    (numpy's included), or, with ``schedule``, a callable of the 1-based
-    step index.  Anything else, booleans and numeric strings included,
-    raises ValueError."""
-    if schedule and callable(mu):
-        return mu
+def _step_size(mu) -> float:
+    """``mu`` as a float when it is a usable step size: a finite int or
+    float > 0 (numpy's included).  Anything else, booleans, numeric
+    strings and functions included, raises ValueError."""
     if isinstance(mu, bool) or not isinstance(mu, (int, float, np.integer, np.floating)) \
             or not (math.isfinite(mu) and mu > 0):
-        also = " or a callable of the step index" if schedule else ""
-        raise ValueError(f"mu must be a finite number > 0{also}, got {mu!r}")
-    return mu
+        raise ValueError(f"mu must be a finite number > 0, got {mu!r}")
+    return float(mu)
 
 
 def _integer(value, name: str) -> int:
@@ -89,11 +85,11 @@ def _dimension(dim) -> int:
 
 def _hyperplanes(planes, n_internal: int, dim: int, name: str) -> np.ndarray:
     """``planes`` as a fresh float array, one finite row of ``dim + 1``
-    numbers per internal node; anything else raises ValueError naming
-    ``name``."""
-    planes = np.array(planes, dtype=float)
-    if planes.shape != (n_internal, dim + 1):
-        raise ValueError(f"{name} must have shape ({n_internal}, {dim + 1})")
+    numbers per internal node, booleans and strings excluded; anything
+    else raises ValueError naming ``name``."""
+    planes = _numeric(planes, (n_internal, dim + 1))
+    if planes is None:
+        raise ValueError(f"{name} must have shape ({n_internal}, {dim + 1}) and hold only numbers")
     if not np.isfinite(planes).all():
         raise ValueError(f"{name} must be finite")
     return planes
@@ -167,8 +163,8 @@ class TreeLearner(Learner):
     ``v`` per node of a complete depth-``depth`` tree, combine them through
     the ``rho`` table, and differ only in their gates and updates.  This
     base owns what they share: the depth, dimension and step-size checks,
-    the state arrays and step counter ``t``, the work counters, step-size
-    schedules and the snapshot format, in which ``t`` travels with the state.
+    the state arrays and step counter ``t``, the work counters and the
+    snapshot format, in which ``t`` travels with the state.
     Subclasses implement ``predict`` and ``update``; ``update`` advances
     ``t``.  A subclass with trained hyperplanes sets ``gated`` and keeps
     them in ``theta``, one row per internal node.
@@ -182,7 +178,7 @@ class TreeLearner(Learner):
             raise ValueError(f"depth must be in [0, {MAX_TABLE_DEPTH}]")
         self.depth = depth
         self.dim = dim = _dimension(dim)
-        self.mu = _step_size(mu, schedule=True)
+        self.mu = _step_size(mu)
         self.n_nodes = node_count(depth)
         self.n_internal = (1 << depth) - 1
         self.v = np.zeros((self.n_nodes, dim + 1))
@@ -191,11 +187,6 @@ class TreeLearner(Learner):
         # per-run work counters
         self.regressor_evaluations = 0
         self.kappa_accumulations = 0
-
-    def _at_t(self, schedule) -> float:
-        """A step size: ``schedule`` itself, or its value at the 1-based
-        step index when it is callable."""
-        return float(schedule(self.t)) if callable(schedule) else float(schedule)
 
     # ------------------------------------------------------------------
     def state_snapshot(self) -> dict:
@@ -239,15 +230,15 @@ def _holds_bool(value) -> bool:
     return isinstance(value, (bool, np.bool_))
 
 
-def _numeric(value, shape: tuple) -> np.ndarray | None:
-    """``value`` as a float array, or None unless it holds only numbers in
-    exactly ``shape``; a boolean is not a number, although numpy would
-    turn ``[true, 0.5]`` into ``[1.0, 0.5]``."""
+def _numeric(value, shape: tuple | None = None) -> np.ndarray | None:
+    """``value`` as a fresh float array, or None unless it holds only
+    numbers, in exactly ``shape`` when one is given; a boolean is not a
+    number, although numpy would turn ``[true, 0.5]`` into ``[1.0, 0.5]``."""
     try:
         array = np.array(value)
     except ValueError:  # ragged rows
         return None
-    if array.dtype.kind not in "iuf" or array.shape != shape or _holds_bool(value):
+    if array.dtype.kind not in "iuf" or shape not in (None, array.shape) or _holds_bool(value):
         return None
     return array.astype(float)
 

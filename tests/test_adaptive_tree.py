@@ -62,8 +62,17 @@ class TestConstruction:
         assert lrn.step_cap == pytest.approx(10 * 0.01 * 0.99)
 
     def test_eta_defaults_to_compensated_mu(self):
-        lrn = AdaptiveTreeRegressor(2, 2, mu=0.005, s_plus=0.01)
-        assert lrn._eta_t() == pytest.approx(0.005 / (0.01 * 0.99))
+        # below the cap, a boundary step moves theta by mu / (s_plus (1 - s_plus))
+        # times its factor, the error and the input
+        lrn = AdaptiveTreeRegressor(1, 2, mu=0.005, s_plus=0.01, theta=np.zeros((1, 3)))
+        lrn.v[:] = [[0.1, 0.0, 0.1], [0.1, 0.0, 0.05], [0.0, 0.0, -0.02]]
+        lrn.w[:] = 0.1
+        x = np.array([0.5, -0.2, 1.0])
+        pred = lrn.predict(x)
+        factor = lrn.boundary_factors(pred)[0]
+        assert 0.0 < abs(factor) < lrn.step_cap
+        lrn.update_boundaries(x, 1.0, pred)
+        np.testing.assert_allclose(-lrn.theta[0], 0.005 / (0.01 * 0.99) * factor * x, rtol=1e-12)
 
 
 class TestPredict:
@@ -253,7 +262,7 @@ class TestBoundaryUpdates:
         theta_before = lrn.theta.copy()
         lrn.update_boundaries(x, 1.0, pred)
         oracle._update_theta(x, 1.0, oracle_pred)
-        applied = (theta_before - lrn.theta) / (lrn._eta_t() * 1.0)
+        applied = (theta_before - lrn.theta) / (lrn.mu / (lrn.s_plus * (1.0 - lrn.s_plus)))
         np.testing.assert_allclose(applied[0], lrn.step_cap * np.sign(raw[0]) * x)
         np.testing.assert_array_equal(oracle.theta, lrn.theta)
 

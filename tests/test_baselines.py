@@ -76,6 +76,9 @@ class TestVolterraFeatures:
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
             vf_features(np.zeros(2), 4)
+        for order in (2.0, True, "2"):
+            with pytest.raises(ValueError, match="order must be an integer"):
+                VolterraFilter(2, order=order)
 
 
 class TestVolterraFilter:
@@ -157,6 +160,9 @@ class TestGaussianKernelRegressor:
             GaussianKernelRegressor([[0.0, 0.0], [np.inf, 1.0]], 1.0)
         with pytest.raises(ValueError, match="centers must be a list of points"):
             GaussianKernelRegressor(np.zeros((2, 2, 2)), 1.0)
+        for centers in ([[True, 0.0]], [["0.5", 0.0]], [[0.0, 0.0], [1.0]]):
+            with pytest.raises(ValueError, match="centers must be a list of points, numbers only"):
+                GaussianKernelRegressor(centers, 1.0)
         with pytest.raises(ConfigError, match="centers must have 2 coordinates, the stream's "
                                               "dim, not 3"):
             make_learner({"kind": "gkr", "centers": [[0.0, 0.0, 0.0]], "covariances": 1.0}, 2)
@@ -176,6 +182,10 @@ class TestGaussianKernelRegressor:
             GaussianKernelRegressor(np.zeros((1, 2)), np.nan)
         with pytest.raises(ConfigError, match="must be positive definite"):
             make_learner({"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": -1.2}, 2)
+        # numbers only, as in a snapshot: numpy would read true as 1.0 and "1.2" as 1.2
+        for bad in (True, np.bool_(True), "1.2", [[1.0, 0.0], [0.0, True]], None):
+            with pytest.raises(ValueError, match="covariances must hold only numbers"):
+                GaussianKernelRegressor(np.zeros((1, 2)), bad)
         GaussianKernelRegressor(np.zeros((1, 2)), [[2.0, 0.3], [0.3, 1.0]])
 
     def test_learns_smooth_target(self):

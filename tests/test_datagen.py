@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from pwltree.datagen import (
+    PIECEWISE,
     Stream,
     first_order_values,
-    gen_henon,
-    gen_lorenz,
-    gen_matched,
-    gen_mismatched,
     generate,
     matched_values,
     mismatched_values,
@@ -110,29 +107,29 @@ class TestPiecewiseValues:
 
 class TestGaussianStreams:
     def test_deterministic_reruns(self):
-        a = gen_matched(500, seed=7)
-        b = gen_matched(500, seed=7)
+        a = generate("matched", 500, seed=7)
+        b = generate("matched", 500, seed=7)
         assert (a.inputs == b.inputs).all()
         assert (a.targets == b.targets).all()
 
     def test_different_seeds_differ(self):
-        a = gen_matched(500, seed=7)
-        b = gen_matched(500, seed=8)
+        a = generate("matched", 500, seed=7)
+        b = generate("matched", 500, seed=8)
         assert (a.inputs != b.inputs).any()
 
     def test_noiseless_targets_exact(self):
-        s = gen_matched(500, seed=7, noise_var=0.0)
+        s = generate("matched", 500, seed=7, noise_var=0.0)
         np.testing.assert_allclose(s.targets, matched_values(s.inputs))
 
     def test_noise_variance_close_to_configured(self):
-        s = gen_mismatched(200000, seed=9)
+        s = generate("mismatched", 200000, seed=9)
         clean = mismatched_values(s.inputs)
         noise = s.targets - clean
         assert abs(noise.var() - 0.1) < 0.005
         assert abs(noise.mean()) < 0.01
 
     def test_sampler_moments_within_one_percent(self):
-        s = gen_matched(1_000_000, seed=1)
+        s = generate("matched", 1_000_000, seed=1)
         x = s.inputs
         assert np.abs(x.mean(axis=0)).max() < 0.01
         cov = np.cov(x.T)
@@ -141,7 +138,7 @@ class TestGaussianStreams:
         assert abs(cov[0, 1]) < 0.01
 
     def test_all_mismatched_branches_visited(self):
-        s = gen_mismatched(100000, seed=3, noise_var=0.0)
+        s = generate("mismatched", 100000, seed=3, noise_var=0.0)
         x = s.inputs
         p0 = 4 * x[:, 0] - x[:, 1] >= 0.5
         p1 = x[:, 0] + x[:, 1] >= 1.0
@@ -152,55 +149,55 @@ class TestGaussianStreams:
         assert all(c > 0 for c in counts)
 
     def test_extended_appends_ones(self):
-        s = gen_matched(10, seed=0)
+        s = generate("matched", 10, seed=0)
         assert (s.extended[:, -1] == 1.0).all()
         assert s.extended.shape == (10, 3)
 
 
 class TestHenon:
     def test_hand_iteration_from_origin(self):
-        s = gen_henon(3, burn_in=0)
+        s = generate("henon", 3, burn_in=0)
         np.testing.assert_allclose(s.targets, [1.0, -0.4, 1.076])
         np.testing.assert_allclose(s.inputs[0], [0.0, 0.0])
         np.testing.assert_allclose(s.inputs[1], [1.0, 0.0])
         np.testing.assert_allclose(s.inputs[2], [-0.4, 1.0])
 
     def test_degenerate_parameters_give_constant(self):
-        s = gen_henon(50, zeta=0.0, eta=0.0, burn_in=0)
+        s = generate("henon", 50, zeta=0.0, eta=0.0, burn_in=0)
         np.testing.assert_allclose(s.targets, 1.0)
 
     def test_orbit_stays_bounded(self):
-        s = gen_henon(100000)
+        s = generate("henon", 100000)
         assert np.abs(s.targets).max() < 2.0
 
     def test_divergent_initial_state_raises(self):
         with pytest.raises(ValueError):
-            gen_henon(10, init=(1e6, 0.0), burn_in=0)
+            generate("henon", 10, init=(1e6, 0.0), burn_in=0)
 
     def test_inputs_are_lagged_targets(self):
-        s = gen_henon(500)
+        s = generate("henon", 500)
         np.testing.assert_allclose(s.inputs[1:, 0], s.targets[:-1])
         np.testing.assert_allclose(s.inputs[2:, 1], s.targets[:-2])
 
 
 class TestLorenz:
     def test_single_euler_step(self):
-        s = gen_lorenz(1, burn_in=0)
+        s = generate("lorenz", 1, burn_in=0)
         assert s.targets[0] == pytest.approx(1.0)
         assert s.inputs[0, 0] == pytest.approx(1.26)
         assert s.inputs[0, 1] == pytest.approx(1.0 + (1.0 - 8.0 / 3.0) * 0.01)
 
     def test_zero_coupling_keeps_first_coordinate(self):
-        s = gen_lorenz(100, sigma=0.0, burn_in=0)
+        s = generate("lorenz", 100, sigma=0.0, burn_in=0)
         np.testing.assert_allclose(s.targets, 1.0)
 
     def test_trajectory_bounded(self):
-        s = gen_lorenz(100000)
+        s = generate("lorenz", 100000)
         assert np.abs(s.inputs[:, 1]).max() < 60.0
 
     def test_deterministic(self):
-        a = gen_lorenz(1000)
-        b = gen_lorenz(1000)
+        a = generate("lorenz", 1000)
+        b = generate("lorenz", 1000)
         assert (a.targets == b.targets).all()
 
 
@@ -217,10 +214,19 @@ class TestDispatch:
         with pytest.raises(ValueError):
             generate("nope", 10, seed=1)
 
+    def test_piecewise_kinds_share_inputs_and_map_their_targets(self):
+        # one seed draws the same inputs for every piecewise kind; only the
+        # noiseless target table differs
+        first = generate("matched", 50, seed=7, noise_var=0.0)
+        for kind, values in PIECEWISE.items():
+            s = generate(kind, 50, seed=7, noise_var=0.0)
+            np.testing.assert_array_equal(s.inputs, first.inputs)
+            np.testing.assert_array_equal(s.targets, values(s.inputs))
+
 
 class TestCsvExport:
     def test_round_trip(self, tmp_path):
-        s = gen_matched(30, seed=5)
+        s = generate("matched", 30, seed=5)
         path = tmp_path / "stream.csv"
         stream_to_csv(s, path)
         rows = path.read_text().strip().splitlines()

@@ -194,18 +194,6 @@ class TestUpdate:
             assert np.array_equal(lrn.v, v)
             assert np.array_equal(lrn.w, w)
 
-    def test_schedule_callable_gets_step_index(self):
-        seen = []
-
-        def mu(t):
-            seen.append(t)
-            return 0.01
-
-        lrn = FixedTreeRegressor(1, 2, mu=mu)
-        for d in (1.0, 2.0, 3.0):
-            lrn.step(ext(0.5, 0.5), d)
-        assert seen == [1, 2, 3]
-
 
 class TestCounters:
     @pytest.mark.parametrize("depth", [1, 2, 3])

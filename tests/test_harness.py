@@ -16,7 +16,6 @@ from pwltree.harness import (
     TrialDiverged,
     average_metrics,
     build_stream,
-    default_seed,
     load_csv_dataset,
     make_learner,
     run_experiment,
@@ -189,18 +188,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw)
 
-    def test_seed_env_default(self, monkeypatch):
+    def test_missing_seed_is_zero_and_null_refused(self, monkeypatch):
+        # the seed comes from the config alone; no environment variable sets it
         monkeypatch.setenv("PWLTREE_SEED", "777")
         raw = self.base()
         raw.pop("seed")
-        assert ExperimentConfig.from_dict(raw).seed == 777
-        assert default_seed() == 777
-
-    def test_non_integer_seed_env_refused(self, monkeypatch):
-        monkeypatch.setenv("PWLTREE_SEED", "abc")
-        raw = self.base()
-        raw.pop("seed")
-        with pytest.raises(ConfigError, match="PWLTREE_SEED must be an integer, got 'abc'"):
+        assert ExperimentConfig.from_dict(raw).seed == 0
+        raw["seed"] = None
+        with pytest.raises(ConfigError, match="seed must be an integer, got None"):
             ExperimentConfig.from_dict(raw)
 
     @pytest.mark.parametrize("seed, trials, bad", [(-1, 1, -1), (-5, 3, -5),
@@ -284,8 +279,26 @@ class TestConfig:
          "s_plus must lie in (0, 0.5), got True"),
         ({"kind": "direct", "depth": 2, "s_plus": "0.01"},
          "s_plus must lie in (0, 0.5), got '0.01'"),
+        ({"kind": "vf", "order": 2.0}, "order must be an integer, got 2.0"),
+        ({"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": True},
+         "covariances must hold only numbers"),
+        ({"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": "1.2"},
+         "covariances must hold only numbers"),
+        ({"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": [[1.0, 0.0], [0.0, True]]},
+         "covariances must hold only numbers"),
+        ({"kind": "gkr", "centers": [[True, 0.0]], "covariances": 1.0},
+         "centers must be a list of points, numbers only"),
+        ({"kind": "dat", "depth": 1, "theta": [[True, 0, 0]]},
+         "theta must have shape (1, 3) and hold only numbers"),
+        ({"kind": "dft", "depth": 1, "boundaries": [[True, 0, 0]]},
+         "boundaries must have shape (1, 3) and hold only numbers"),
+        ({"kind": "direct", "depth": 1, "boundaries": [["0.5", 0, 0]]},
+         "boundaries must have shape (1, 3) and hold only numbers"),
     ], ids=["dft-bool-depth", "direct-bool-depth", "dat-float-depth", "direct-string-depth",
-            "dat-string-s-plus", "soft-direct-bool-s-plus", "hard-direct-string-s-plus"])
+            "dat-string-s-plus", "soft-direct-bool-s-plus", "hard-direct-string-s-plus",
+            "vf-float-order", "gkr-bool-covariance", "gkr-string-covariance",
+            "gkr-bool-in-covariance", "gkr-bool-in-centers", "dat-bool-in-theta",
+            "dft-bool-in-boundaries", "direct-string-in-boundaries"])
     def test_learner_param_type_named(self, spec, message):
         with pytest.raises(ConfigError, match=re.escape(
                 f"cannot build learner kind '{spec['kind']}': {message}")):

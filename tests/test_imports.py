@@ -85,3 +85,17 @@ def test_fast_demo_runs(demo, tmp_path):
     done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("kind", ["dft", "dat"])
+def test_benchmark_snapshot_check_passes(monkeypatch, kind):
+    # deep-single's restore check rebuilds the learner by keyword, sets its
+    # step counter t and needs the next prediction bit for bit
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    spec = {"name": kind, "kind": kind, "depth": 2, "mu": 0.005}
+    stream = pwltree.generate("mismatched", 201, seed=4)
+    learner = harness.make_learner(spec, stream.dim)
+    harness.run_stream(learner, stream.extended[:200], stream.targets[:200])
+    assert learner.t == 201
+    assert workloads._snapshot_problem(learner, spec, stream.dim, stream.extended[200]) is None
