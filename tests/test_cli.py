@@ -618,20 +618,25 @@ class TestSeedRange:
         assert f"trial seeds run from {2**64 - 1} to {2**64}" in capsys.readouterr().err
 
 
-def test_seed_variable_is_not_read(monkeypatch, capsys, tmp_path):
-    # every --seed defaults to 0: PWLTREE_SEED sets nothing, even when malformed
+@pytest.mark.parametrize("argv, seed", [
+    (["verify", "--depth", "1", "--steps", "5", "--mode", "dft"], 0),
+    (["verify", "--depth", "1", "--steps", "5", "--mode", "dft", "--seed", "3"], 3),
+    (["gen", "matched", "--n", "5", "--out", "m.csv"], 0),
+], ids=["verify", "verify-seed-given", "gen"])
+def test_non_integer_seed_variable_exits_one(monkeypatch, capsys, tmp_path, argv, seed):
+    # a malformed PWLTREE_SEED once made every command exit 1; the variable is
+    # no longer read, so every --seed defaults to 0 and the command runs
     monkeypatch.setenv("PWLTREE_SEED", "abc")
+    monkeypatch.chdir(tmp_path)
     seeds = []
     verify = harness.verify_equivalence
     monkeypatch.setattr(harness, "verify_equivalence",
                         lambda *args: seeds.append(args[3]) or verify(*args))
-    argv = ["verify", "--depth", "1", "--steps", "5", "--mode", "dft"]
     assert main(argv) == 0
-    assert main(argv + ["--seed", "3"]) == 0
-    assert seeds == [0, 3]
-    out = tmp_path / "m.csv"
-    assert main(["gen", "matched", "--n", "5", "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
-    got = np.array([[float(c) for c in row] for row in read_csv(out)[1:]])
-    want = generate("matched", 5, seed=0)
+    if argv[0] == "verify":
+        assert seeds == [seed]
+        return
+    got = np.array([[float(c) for c in row] for row in read_csv(tmp_path / "m.csv")[1:]])
+    want = generate("matched", 5, seed=seed)
     np.testing.assert_array_equal(got, np.column_stack([want.inputs, want.targets]))

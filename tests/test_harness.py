@@ -188,9 +188,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw)
 
-    def test_missing_seed_is_zero_and_null_refused(self, monkeypatch):
-        # the seed comes from the config alone; no environment variable sets it
+    def test_seed_env_default(self, monkeypatch):
+        # the seed comes from the config alone: PWLTREE_SEED is not read
         monkeypatch.setenv("PWLTREE_SEED", "777")
+        raw = self.base()
+        raw.pop("seed")
+        assert ExperimentConfig.from_dict(raw).seed == 0
+
+    def test_non_integer_seed_env_refused(self, monkeypatch):
+        # a malformed variable refuses nothing; a non-integer seed in the config,
+        # null included, is what is refused
+        monkeypatch.setenv("PWLTREE_SEED", "abc")
         raw = self.base()
         raw.pop("seed")
         assert ExperimentConfig.from_dict(raw).seed == 0
