@@ -18,10 +18,13 @@ initial state is an arbitrary convention.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
+
+from .trees import _integer
 
 DEFAULT_NOISE_VAR = 0.1
 
@@ -122,13 +125,26 @@ PIECEWISE = {
 
 def _piecewise(values, n, seed, noise_var=DEFAULT_NOISE_VAR) -> Stream:
     """``n`` standard-normal inputs and their ``values`` targets, plus
-    white Gaussian noise of variance ``noise_var``."""
+    white Gaussian noise of variance ``noise_var``, a finite number >= 0
+    (booleans excluded); anything else raises ValueError."""
+    number = isinstance(noise_var, (int, float, np.integer, np.floating))
+    if isinstance(noise_var, bool) or not number or not (math.isfinite(noise_var) and noise_var >= 0):
+        raise ValueError(f"noise_var must be a finite number >= 0, got {noise_var!r}")
     rng = _generator(seed)
     x = _standard_normals(rng, (n, 2))
     d = values(x)
     if noise_var > 0:
         d = d + np.sqrt(noise_var) * _standard_normals(rng, n)
     return Stream(x, d)
+
+
+def _burn_in(burn_in) -> int:
+    """``burn_in`` as an int when it is an integer >= 0 (numpy's included);
+    anything else, booleans and integral floats included, raises ValueError."""
+    burn_in = _integer(burn_in, "burn_in")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    return burn_in
 
 
 def gen_henon(n, init=(0.0, 0.0), zeta=1.4, eta=0.3, burn_in=100) -> Stream:
@@ -138,6 +154,7 @@ def gen_henon(n, init=(0.0, 0.0), zeta=1.4, eta=0.3, burn_in=100) -> Stream:
     The map is chaotic at the default parameters.  Iterates exceeding
     1e10 in magnitude raise, signalling a divergent initial state.
     """
+    burn_in = _burn_in(burn_in)
     d1, d2 = float(init[0]), float(init[1])
     inputs = np.empty((n, 2))
     targets = np.empty(n)
@@ -156,6 +173,7 @@ def gen_lorenz(n, init=(1.0, 1.0, 1.0), dt=0.01, rho=28.0, sigma=10.0,
                beta=8.0 / 3.0, burn_in=100) -> Stream:
     """Forward-Euler iterates of the three-variable convection flow; the
     first coordinate is the target, the other two form the input."""
+    burn_in = _burn_in(burn_in)
     x, y, z = (float(c) for c in init)
     inputs = np.empty((n, 2))
     targets = np.empty(n)

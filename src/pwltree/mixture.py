@@ -17,10 +17,11 @@ elsewhere in hard mode, its product of clamped gates in soft mode; from
 the activations on both modes share one step, and soft mode then also
 steps ``theta``.
 
-Each instance builds its own partitions, membership matrix, span masks
-and (hard mode) the 0/1 activations of every root-to-leaf path, and every
-step still forms all ``beta(depth)`` estimates and moves all
-``beta(depth)`` weights.  Three products carry that work:
+Each instance builds its own membership matrix, by level recursion, its
+span masks and (hard mode) the 0/1 activations of every root-to-leaf
+path; it forms no partition set (``partitions`` enumerates them on
+demand), and every step still forms all ``beta(depth)`` estimates and
+moves all ``beta(depth)`` weights.  Three products carry that work:
 ``membership . h``, ``w_vec . membership`` and the ``w_vec`` step.  The
 rest is a fixed number of numpy calls whatever the depth: about 12 in
 hard mode (7 in ``predict``, 5 in ``update``) and 35 in soft mode (14 in
@@ -105,16 +106,16 @@ class DirectMixtureRegressor(Learner):
         self.s_plus = _gate_clamp(s_plus)
         self.n_nodes = node_count(depth)
         self.n_internal = (1 << depth) - 1
-        self.partitions = enumerate_partitions(depth)
-        self.membership = membership_matrix(depth, self.partitions)
-        self.w_vec = np.zeros(len(self.partitions))
+        self.membership = membership_matrix(depth)
+        self.w_vec = np.zeros(len(self.membership))
         self.v = np.zeros((self.n_nodes, dim + 1))
         # 0/1 masks of the heap indices in a subtree: row i - 1 for the
-        # subtree of node i, so internal node j's two child subtrees are
-        # rows 2j and 2j + 1, and one product sums both
-        self._spans = np.zeros((2 * self.n_internal, self.n_nodes))
-        for i in range(1, self.n_nodes):
-            self._spans[i - 1, _subtree_indices(i, self.n_nodes)] = 1.0
+        # subtree of node i, which holds j when the bit string i + 1 is a
+        # prefix of j + 1; internal node j's two child subtrees are rows 2j
+        # and 2j + 1, so one product sums both
+        ids = np.arange(1, self.n_nodes + 1)
+        bits = np.frexp(ids)[1]  # bit lengths
+        self._spans = (ids >> np.maximum(bits - bits[1:, None], 0) == ids[1:, None]).astype(float)
         if boundaries is None:
             boundaries = initial_directions(depth, dim)
         init = _hyperplanes(boundaries, self.n_internal, dim, "boundaries")
@@ -130,6 +131,12 @@ class DirectMixtureRegressor(Learner):
             self.theta = init
 
     # ------------------------------------------------------------------
+    @property
+    def partitions(self) -> list[frozenset[int]]:
+        """The ``beta(depth)`` partitions in ``membership`` row order,
+        enumerated afresh on each access; no step reads them."""
+        return enumerate_partitions(self.depth)
+
     @property
     def step_cap(self) -> float:
         """Bound on the magnitude of each boundary step's scalar factor."""
@@ -192,17 +199,6 @@ class DirectMixtureRegressor(Learner):
         """Map collapsed per-node weights to partition space:
         partition k's weight is the sum of its members' node weights."""
         return self.membership.dot(np.asarray(node_weights, dtype=float))
-
-
-def _subtree_indices(root: int, n_nodes: int) -> np.ndarray:
-    out = []
-    frontier = [root]
-    while frontier:
-        i = frontier.pop()
-        if i < n_nodes:
-            out.append(i)
-            frontier.extend((2 * i + 1, 2 * i + 2))
-    return np.array(sorted(out), dtype=np.intp)
 
 
 def batch_best_weights(model_estimates: np.ndarray, targets: np.ndarray) -> np.ndarray:

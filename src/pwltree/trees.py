@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -363,6 +362,12 @@ def rho_table(depth: int) -> np.ndarray:
 MAX_ENUMERATION_DEPTH = 4  # beta(4) = 677 partitions
 
 
+def _check_enumeration_depth(depth: int) -> None:
+    if depth > MAX_ENUMERATION_DEPTH:
+        raise ValueError(f"enumeration refused beyond depth {MAX_ENUMERATION_DEPTH} "
+                         "(beta grows doubly exponentially)")
+
+
 def enumerate_partitions(depth: int) -> list[frozenset[int]]:
     """All beta(depth) partitions of the depth-``depth`` tree, as sets of heap indices.
 
@@ -370,9 +375,7 @@ def enumerate_partitions(depth: int) -> list[frozenset[int]]:
     the two children's partitions with r - 1 remaining levels; the
     construction never produces duplicates.
     """
-    if depth > MAX_ENUMERATION_DEPTH:
-        raise ValueError(f"enumeration refused beyond depth {MAX_ENUMERATION_DEPTH} "
-                         "(beta grows doubly exponentially)")
+    _check_enumeration_depth(depth)
 
     def rec(i: int, remaining: int) -> list[frozenset[int]]:
         out = [frozenset((i,))]
@@ -399,15 +402,16 @@ def is_valid_partition(leaves: Iterable[int], depth: int) -> bool:
     return sum(1 << (depth - level(p)) for p in members) == (1 << depth)
 
 
-def membership_matrix(depth: int, partitions: list[frozenset[int]] | None = None) -> np.ndarray:
-    """(n_partitions, n_nodes) 0/1 matrix: row k marks the leaves of the
-    k-th partition at their heap indices."""
-    if partitions is None:
-        partitions = enumerate_partitions(depth)
-    sizes = [len(part) for part in partitions]
-    # one fancy assignment: row k repeated once per member, members in order
-    rows = np.repeat(np.arange(len(partitions)), sizes)
-    cols = np.fromiter(chain.from_iterable(partitions), dtype=np.intp, count=rows.size)
-    m = np.zeros((len(partitions), node_count(depth)))
-    m[rows, cols] = 1.0
-    return m
+def membership_matrix(depth: int) -> np.ndarray:
+    """(beta(depth), n_nodes) 0/1 matrix: row k marks the leaves of
+    ``enumerate_partitions(depth)[k]``.  Built bottom-up by the same
+    recursion, one broadcast add per level, forming no partition set: a
+    node's rows are itself, then each lower-child row plus each upper-child row."""
+    _check_enumeration_depth(depth)
+    eye = np.eye(node_count(depth))
+    rows = eye[(1 << depth) - 1:, None]  # a leaf's one partition: itself
+    for lev in range(depth - 1, -1, -1):
+        kids = rows.reshape(1 << lev, 2, rows.shape[1], -1)  # siblings adjacent: lower, upper
+        cross = (kids[:, 0, :, None] + kids[:, 1, None]).reshape(1 << lev, -1, len(eye))
+        rows = np.concatenate([eye[(1 << lev) - 1:(2 << lev) - 1, None], cross], axis=1)
+    return rows[0]

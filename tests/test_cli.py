@@ -145,6 +145,17 @@ class TestRunCommand:
         assert f"pwltree: {data} has no header row" in capsys.readouterr().err
         assert not (tmp_path / "out_metrics.csv").exists()
 
+    def test_negative_burn_in_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": {"kind": "henon", "n": 20, "burn_in": -4},
+            "learners": [{"kind": "lf", "mu": 0.05}],
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "pwltree: burn_in must be >= 0, got -4\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("n", [0, -3, 2.5, "10", True, None, "missing"])
     def test_bad_stream_length_exits_one(self, tmp_path, capsys, n):
         stream = {"kind": "matched", "n": n}
@@ -389,6 +400,15 @@ class TestGenCommand:
         assert main(["gen", "henon", "--n", "3", "--noise-var", "0.1", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("pwltree: cannot build stream kind 'henon'") and "noise_var" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise_var", ["-1", "nan"])
+    def test_refuses_a_noise_variance_that_is_no_variance(self, tmp_path, capsys, noise_var):
+        out = tmp_path / "m.csv"
+        assert main(["gen", "matched", "--n", "3", "--noise-var", noise_var,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"pwltree: noise_var must be a finite number >= 0, got {float(noise_var)!r}\n"
         assert not out.exists()
 
     def test_matched_deterministic(self, tmp_path):

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -152,6 +155,39 @@ class TestGaussianStreams:
         s = generate("matched", 10, seed=0)
         assert (s.extended[:, -1] == 1.0).all()
         assert s.extended.shape == (10, 3)
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize("kind", ["henon", "lorenz"])
+    @pytest.mark.parametrize("burn_in, message", [
+        (-4, "burn_in must be >= 0, got -4"),
+        (True, "burn_in must be an integer, got True"),
+        (2.5, "burn_in must be an integer, got 2.5"),
+    ])
+    def test_bad_burn_in_is_refused(self, kind, burn_in, message):
+        # a negative burn-in used to leave rows of the np.empty arrays unset
+        with pytest.raises(ValueError, match=message):
+            generate(kind, 8, burn_in=burn_in)
+
+    @pytest.mark.parametrize("kind", ["henon", "lorenz"])
+    def test_zero_burn_in_starts_at_the_initial_state(self, kind):
+        full = generate(kind, 30)
+        tail = generate(kind, 130, burn_in=0)
+        np.testing.assert_array_equal(full.targets, tail.targets[100:])
+        np.testing.assert_array_equal(full.inputs, tail.inputs[100:])
+
+    @pytest.mark.parametrize("noise_var", [-1, -1e-12, math.nan, math.inf, True, "0.1", None])
+    def test_bad_noise_var_is_refused(self, noise_var):
+        message = f"noise_var must be a finite number >= 0, got {noise_var!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate("matched", 5, seed=0, noise_var=noise_var)
+
+    def test_numbers_at_least_zero_are_taken(self):
+        default = generate("matched", 50, seed=7)
+        same = generate("matched", 50, seed=7, noise_var=np.float64(0.1))
+        np.testing.assert_array_equal(same.targets, default.targets)
+        clean = generate("matched", 50, seed=7, noise_var=0)
+        np.testing.assert_array_equal(clean.targets, matched_values(clean.inputs))
 
 
 class TestHenon:

@@ -11,11 +11,18 @@ from pwltree.datagen import generate
 from pwltree.fixed_tree import FixedTreeRegressor
 from pwltree.mixture import (
     DirectMixtureRegressor,
-    _subtree_indices,
     batch_best_weights,
     empirical_strong_convexity,
 )
-from pwltree.trees import DESCENDANTS
+from pwltree.trees import DESCENDANTS, beta
+
+from helpers import label, loop_membership
+
+
+def subtree_of(root, n_nodes):
+    """Heap indices of the subtree of ``root``: the nodes whose bit-string
+    name starts with the name of ``root``."""
+    return [j for j in range(n_nodes) if label(j).startswith(label(root))]
 
 
 def loop_boundary_factors(lrn, pred):
@@ -23,8 +30,8 @@ def loop_boundary_factors(lrn, pred):
     estimates restricted to each child subtree, weighted by ``w_vec``."""
     factors = np.empty(lrn.n_internal)
     for i in range(lrn.n_internal):
-        span0 = _subtree_indices(2 * i + 1, lrn.n_nodes)
-        span1 = _subtree_indices(2 * i + 2, lrn.n_nodes)
+        span0 = subtree_of(2 * i + 1, lrn.n_nodes)
+        span1 = subtree_of(2 * i + 2, lrn.n_nodes)
         lo = lrn.membership[:, span0] @ pred.h[span0]
         hi = lrn.membership[:, span1] @ pred.h[span1]
         sigma = float(lrn.w_vec @ lo) / pred.s[i] - float(lrn.w_vec @ hi) / (1.0 - pred.s[i])
@@ -79,6 +86,22 @@ class TestDirectPredict:
         assert a.partitions == b.partitions and a.partitions is not b.partitions
         assert np.array_equal(a.membership, b.membership)
         assert not np.shares_memory(a.membership, b.membership)
+
+    @pytest.mark.parametrize("depth", range(5))
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_construction_enumerates_no_partition(self, monkeypatch, depth, mode):
+        # the tables are built by level recursion; the partition sets are
+        # enumerated only when asked for
+        def refuse(depth):
+            raise AssertionError("enumerate_partitions called while building")
+
+        monkeypatch.setattr(mixture, "enumerate_partitions", refuse)
+        lrn = DirectMixtureRegressor(depth, 2, mode=mode)
+        monkeypatch.undo()
+        parts = lrn.partitions
+        assert len(parts) == beta(depth) and all(type(p) is frozenset for p in parts)
+        assert np.array_equal(lrn.membership, loop_membership(parts, lrn.n_nodes))
+        assert lrn.w_vec.shape == (beta(depth),)
 
 
 class TestDirectUpdate:

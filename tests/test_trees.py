@@ -417,14 +417,17 @@ class TestMembership:
         parts = enumerate_partitions(depth)
         n = node_count(depth)
         assert np.array_equal(membership_matrix(depth), loop_membership(parts, n))
-        # a caller's own list: a subset, reordered, as tuples, and none at all
-        given = [tuple(sorted(p, reverse=True)) for p in parts[::-2]]
-        assert np.array_equal(membership_matrix(depth, given), loop_membership(given, n))
-        assert membership_matrix(depth, []).shape == (0, n)
+
+    def test_refused_beyond_the_enumeration_depth(self):
+        depth = MAX_ENUMERATION_DEPTH + 1
+        with pytest.raises(ValueError) as refused:
+            enumerate_partitions(depth)
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            membership_matrix(depth)
 
     def test_rows_mark_partition_leaves(self):
         parts = enumerate_partitions(2)
-        m = membership_matrix(2, parts)
+        m = membership_matrix(2)
         assert m.shape == (5, 7)
         for k, part in enumerate(parts):
             assert m[k].sum() == len(part)
