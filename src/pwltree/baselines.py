@@ -153,10 +153,6 @@ class GaussianKernelRegressor(Learner):
         r = self._whiten.dot(x_ext)
         return self.norms * np.exp(self._half_sums.dot(r * r))
 
-    def kernel_values(self, x) -> np.ndarray:
-        """Kernel value of every centre at the raw input ``x``."""
-        return self._kernel(np.append(np.asarray(x, dtype=float), 1.0))
-
     def predict(self, x_ext) -> SimplePrediction:
         x_ext = np.asarray(x_ext, dtype=float)
         f = self._kernel(x_ext)

@@ -93,10 +93,6 @@ class FixedTreeRegressor(TreeLearner):
             i = 2 * i + 1 if gates[i] < 0.0 else 2 * i + 2
         return i
 
-    def locate_leaf(self, x_ext) -> int:
-        """Heap index of the depth-d cell containing ``x_ext``."""
-        return self._leaf_index(np.asarray(x_ext, dtype=float))
-
     def predict(self, x_ext) -> FixedTreePrediction:
         """Collapsed mixture prediction from the current state.
 

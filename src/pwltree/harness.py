@@ -29,6 +29,7 @@ from .baselines import GaussianKernelRegressor, LinearFilter, VolterraFilter
 from .datagen import Stream, generate
 from .fixed_tree import FixedTreeRegressor
 from .mixture import DirectMixtureRegressor, batch_best_weights, empirical_strong_convexity
+from .trees import MAX_ENUMERATION_DEPTH, _integer
 
 CONFIG_SCHEMA = 1
 DIVERGENCE_LIMIT = 1e100
@@ -388,9 +389,14 @@ def verify_equivalence(mode: str, depth: int, steps: int, seed: int, mu: float =
     """Run a collapsed learner and the explicit mixture in lockstep on a
     matched stream and return the worst relative prediction gap
     ``|a - b| / (1 + |b|)`` over the run, or ``inf`` as soon as either
-    prediction stops being finite (a diverged run verifies nothing)."""
+    prediction stops being finite (a diverged run verifies nothing).  The
+    depth must be one the explicit mixture enumerates, ``[0,
+    MAX_ENUMERATION_DEPTH]``; another raises ValueError naming that range."""
     if steps < 1:
         raise ValueError(f"verify needs at least one step, got {steps}")
+    depth = _integer(depth, "depth")
+    if not 0 <= depth <= MAX_ENUMERATION_DEPTH:
+        raise ValueError(f"verify depth must be in [0, {MAX_ENUMERATION_DEPTH}], got {depth}")
     stream = generate("matched", steps, seed=seed)
     x_ext = stream.extended
     if mode == "dft":

@@ -13,30 +13,53 @@ span masks built here, apart from the learners' heap tables.  It exists to
 verify, not to scale: construction is refused beyond depth 4.
 
 A node's activation is 1 on the path the frozen boundaries select and 0
-elsewhere in hard mode, its product of clamped gates in soft mode; from
-the activations on both modes share one step, and soft mode then also
-steps ``theta``.
+elsewhere in hard mode, its product of clamped gates in soft mode; both
+modes then share the ``v`` and ``w_vec`` steps, and soft mode also steps
+``theta``.
 
-Each instance builds its own membership matrix, by level recursion, its
-span masks and (hard mode) the 0/1 activations of every root-to-leaf
-path; it forms no partition set (``partitions`` enumerates them on
-demand), and every step still forms all ``beta(depth)`` estimates and
-moves all ``beta(depth)`` weights.  Three products carry that work:
-``membership . h``, ``w_vec . membership`` and the ``w_vec`` step.  The
-rest is a fixed number of numpy calls whatever the depth: about 12 in
-hard mode (7 in ``predict``, 5 in ``update``) and 35 in soft mode (14 in
-``predict``, 21 in ``update``, 11 of them in ``boundary_factors``).  On
+Each instance builds its own membership matrix, by level recursion, and
+its own span masks; in hard mode also the 0/1 activations of every
+root -> leaf path and the owner table, in soft mode a level-major
+ancestor table, both from the bit strings ``i + 1``.  It forms no
+partition set (``partitions`` enumerates them on demand), and every step
+still forms all ``beta(depth)`` estimates and moves all ``beta(depth)``
+weights.
+
+The partitions tile the leaves, so each holds exactly one node of any
+root -> leaf path (the fact that lets context-tree weighting spend
+O(depth) per symbol).  In hard mode every other node's activation is 0,
+so row ``k`` of ``membership . h`` has one nonzero term, and the estimate
+of partition ``k`` is that of its path node: the owner table names it, per
+leaf and partition, and a step gathers the ``beta(depth)`` estimates from
+the node estimates with one ``take``.  A sum whose other terms are zeros
+is that one term exactly, so the gather has the bits of the product; it
+can differ only where a path estimate is ``-0.0`` (the sum may give
+``+0.0``) or an off-path node estimate is not finite, as after a
+divergence (``0 * inf`` puts a NaN in the sum), and the default state
+reaches neither.
+
+In soft mode every node is active and ``membership . h`` is a full
+product.  The activations are the branch factors ``f`` (1.0 at the root,
+``s`` at a lower child, ``1 - s`` at an upper one) multiplied down the
+contiguous rows of the ancestor table, and the boundary step divides both
+child subtree sums of every gate by ``f`` at once and reuses the gate
+rise ``(1 - 2 s_plus) u`` that ``predict`` built, as the adaptive tree
+does.
+
+A step is a fixed number of numpy calls whatever the depth: 11 in hard
+mode (6 in ``predict``, 5 in ``update``) and 34 in soft mode (16 in
+``predict``, 18 in ``update``, 8 of them in ``boundary_factors``).  On
 these small arrays a call's dispatch outweighs its arithmetic, so every
 product is a ``.dot``, which reaches BLAS with less dispatch than ``@``;
 the rank-1 steps of ``v`` and ``theta`` are ``(n, 1) . (1, dim + 1)``
-products, with the bits of the broadcast ``a[:, None] * x``; the clamp
-and the cap are a ``np.minimum`` and ``np.maximum`` pair each; the
-activation cascade and the hard path walk run on Python floats; both
-child-subtree sums of every gate come from one product; and the input is
-converted once, in ``predict``, and carried on the prediction.  The
-result is bit-identical to the plain ``@``, broadcast and numpy-scalar
-loop form, and in hard mode to the path-only form that touches just the
-``depth + 1`` path rows of ``v``.
+products, with the bits of the broadcast ``a[:, None] * x``; only the
+upper gate clamp can bind, and the boundary factor cap is a
+``np.minimum`` and ``np.maximum`` pair; the hard path walk runs on Python
+floats; both child-subtree sums of every gate come from one product; and
+the input is converted once, in ``predict``, and carried on the
+prediction.  The result is bit-identical to the plain ``@``, broadcast
+and numpy-scalar loop form that touches just the ``depth + 1`` path rows
+of ``v`` in hard mode.
 """
 
 from __future__ import annotations
@@ -67,17 +90,28 @@ RIDGE_EPS = 1e-8
 @dataclass
 class DirectPrediction:
     """Everything one prediction pass computed.  ``x`` is the input as the
-    float array the step reads and ``alphas`` every node's activation (0/1
-    in hard mode, 1 on the root -> leaf path); the gate values ``s`` and
-    ``u`` belong to the soft mode."""
+    float array the step reads, ``model_estimates`` every partition's
+    estimate and ``alphas`` every node's activation (0/1 in hard mode, 1 on
+    the root -> leaf path).  The rest belongs to the soft mode: ``h`` holds
+    the activation-weighted node estimates, ``f`` every node's branch
+    factor (1.0 at the root, then the clamped gate value ``s`` of each
+    internal node at its lower child and ``1 - s`` at its upper one),
+    ``u`` the unclamped gate values and ``cu``, ``(1 - 2 s_plus) u``, each
+    gate's rise above ``s_plus`` before the clamp."""
 
     y_hat: float
     model_estimates: np.ndarray
-    h: np.ndarray
     x: np.ndarray
     alphas: np.ndarray
-    s: np.ndarray | None = None
+    h: np.ndarray | None = None
+    f: np.ndarray | None = None
     u: np.ndarray | None = None
+    cu: np.ndarray | None = None
+
+    @property
+    def s(self) -> np.ndarray | None:
+        """Clamped gate value of every internal node (soft mode)."""
+        return None if self.f is None else self.f[1::2]
 
 
 class DirectMixtureRegressor(Learner):
@@ -123,12 +157,26 @@ class DirectMixtureRegressor(Learner):
             self.boundaries = init
             self.boundaries.setflags(write=False)
             # a leaf's root -> leaf path is every node whose subtree holds
-            # it: row leaf - n_internal is 1 on that path and 0 elsewhere
-            subtrees = np.vstack([np.ones(self.n_nodes), self._spans])
-            self._path_alphas = subtrees[:, self.n_internal:].T.copy()
+            # it: column leaf - n_internal of paths (row of _path_alphas)
+            # is 1 on that path and 0 elsewhere
+            paths = np.vstack([np.ones(self.n_nodes), self._spans])[:, self.n_internal:]
+            self._path_alphas = paths.T.copy()
             self._path_alphas.setflags(write=False)
+            # a partition tiles the leaves, so it holds exactly one node of
+            # each root -> leaf path: row leaf - n_internal names that node
+            # for every partition, and one product finds it by summing the
+            # heap indices of the path nodes in each partition
+            owners = self.membership.dot(paths * np.arange(self.n_nodes)[:, None])
+            self._owners = owners.T.astype(np.intp, order="C")
+            self._owners.setflags(write=False)
         else:
             self.theta = init
+            # level-major ancestors: column i is the root -> i path below
+            # the root, bottom-aligned and top-padded with the root 0, the
+            # ancestor k levels up being ((i + 1) >> k) - 1
+            shifts = np.arange(depth - 1, -1, -1)
+            self._ancestors = np.maximum((ids >> shifts[:, None]) - 1, 0)
+            self._ancestors.setflags(write=False)
 
     # ------------------------------------------------------------------
     @property
@@ -146,27 +194,31 @@ class DirectMixtureRegressor(Learner):
         """Every node's activation, every partition's estimate, then their
         weighted sum."""
         x = np.asarray(x_ext, dtype=float)
-        s = u = None
         if self.mode == "hard":
             # a point strictly on the negative side goes to the lower child
             gates = self.boundaries.dot(x).tolist()
             i = 0
             for _ in range(self.depth):
                 i = 2 * i + 1 if gates[i] < 0.0 else 2 * i + 2
-            alphas = self._path_alphas[i - self.n_internal]
-        else:
-            u = expit(-self.theta.dot(x))
-            s = self.s_plus + (1.0 - 2.0 * self.s_plus) * u
-            np.minimum(s, 1.0 - self.s_plus, out=s)
-            np.maximum(s, self.s_plus, out=s)
-            alphas = [1.0] * self.n_nodes
-            for i, s_i in enumerate(s.tolist()):
-                alphas[2 * i + 1] = alphas[i] * s_i
-                alphas[2 * i + 2] = alphas[i] * (1.0 - s_i)
-            alphas = np.array(alphas)
+            leaf = i - self.n_internal
+            # each partition's estimate is that of its one node on the path
+            d_vec = self.v.dot(x).take(self._owners[leaf])
+            return DirectPrediction(float(self.w_vec.dot(d_vec)), d_vec, x,
+                                    self._path_alphas[leaf])
+        u = expit(-self.theta.dot(x))
+        cu = (1.0 - 2.0 * self.s_plus) * u
+        # branch factor of every node; the root's 1.0 also pads the
+        # ancestor columns of shallow nodes, so the products stay exact
+        f = np.empty(self.n_nodes)
+        f[0] = 1.0
+        s = f[1::2]
+        # only the upper clamp can bind: fl(s_plus + c u) >= s_plus for c u >= 0
+        np.minimum(self.s_plus + cu, 1.0 - self.s_plus, out=s)
+        np.subtract(1.0, s, out=f[2::2])
+        alphas = f[self._ancestors].prod(axis=0)
         h = alphas * self.v.dot(x)
         d_vec = self.membership.dot(h)
-        return DirectPrediction(float(self.w_vec.dot(d_vec)), d_vec, h, x, alphas, s, u)
+        return DirectPrediction(float(self.w_vec.dot(d_vec)), d_vec, x, alphas, h, f, u, cu)
 
     def update(self, x_ext, d_t: float, pred: DirectPrediction) -> None:
         """Gradient step on the partition weights plus the same node-state
@@ -184,8 +236,10 @@ class DirectMixtureRegressor(Learner):
         cap): the partition-weighted node estimates under the gate's two
         child subtrees, differenced, times the gate derivative."""
         sub = self._spans.dot(self.w_vec.dot(self.membership) * pred.h)
-        sigma = sub[0::2] / pred.s - sub[1::2] / (1.0 - pred.s)
-        return sigma * ((1.0 - 2.0 * self.s_plus) * pred.u * (1.0 - pred.u))
+        # each child's subtree sum over its branch factor: s at the lower
+        # child, 1 - s at the upper one
+        q = sub / pred.f[1:]
+        return (q[0::2] - q[1::2]) * (pred.cu * (1.0 - pred.u))
 
     def _update_theta(self, x_ext, e: float, pred: DirectPrediction) -> None:
         eta = self.mu / (self.s_plus * (1.0 - self.s_plus))

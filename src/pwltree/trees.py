@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -39,13 +38,6 @@ _INT64_MAX = 2**63 - 1
 def level(i: int) -> int:
     """Level of heap node ``i``: its distance from the root, 0 at the root."""
     return (i + 1).bit_length() - 1
-
-
-def _is_ancestor(a: int, i: int) -> bool:
-    """True when ``a`` lies on the root -> ``i`` path, ``i`` included: the
-    binary of ``a + 1`` is a prefix of the binary of ``i + 1``."""
-    up = level(i) - level(a)
-    return up >= 0 and (i + 1) >> up == a + 1
 
 
 def node_count(depth: int) -> int:
@@ -386,20 +378,6 @@ def enumerate_partitions(depth: int) -> list[frozenset[int]]:
         return out
 
     return rec(0, depth)
-
-
-def is_valid_partition(leaves: Iterable[int], depth: int) -> bool:
-    """True when every member lies in the depth-``depth`` tree, no member is
-    an ancestor of another and the member subtrees cover the leaf set
-    exactly once."""
-    members = list(leaves)
-    if any(not 0 <= p < node_count(depth) for p in members):
-        return False
-    for i, p in enumerate(members):
-        for q in members[i + 1:]:
-            if _is_ancestor(p, q) or _is_ancestor(q, p):
-                return False
-    return sum(1 << (depth - level(p)) for p in members) == (1 << depth)
 
 
 def membership_matrix(depth: int) -> np.ndarray:

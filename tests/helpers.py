@@ -1,7 +1,10 @@
 """Helpers shared by the test modules.
 
 ``label`` and ``index_of`` convert a heap index to the paper's bit-string
-node name and back, so a test can name a node as the paper does.
+node name and back, so a test can name a node as the paper does;
+``is_ancestor`` and ``is_valid_partition`` check node sets by the same
+bit strings, ``locate_leaf`` reads the cell a fixed tree routes an input
+to, and ``kernel_values`` a Gaussian-kernel mixture's kernel values.
 ``MALFORMED_STATES`` is one table of broken tree-learner snapshot states,
 used by the library tests of ``load_state`` and by the CLI tests of
 ``pwltree restore``.  ``reference_step`` is one predict-and-update step
@@ -21,7 +24,7 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from pwltree.trees import DESCENDANTS, MAX_TABLE_DEPTH, node_count, rho_table
+from pwltree.trees import DESCENDANTS, MAX_TABLE_DEPTH, level, node_count, rho_table
 
 
 def label(i: int) -> str:
@@ -33,6 +36,37 @@ def label(i: int) -> str:
 def index_of(bits: str) -> int:
     """Heap index of the node named ``bits``, the inverse of ``label``."""
     return int("1" + bits, 2) - 1
+
+
+def is_ancestor(a: int, i: int) -> bool:
+    """True when ``a`` lies on the root -> ``i`` path, ``i`` included: the
+    binary of ``a + 1`` is a prefix of the binary of ``i + 1``."""
+    up = level(i) - level(a)
+    return up >= 0 and (i + 1) >> up == a + 1
+
+
+def is_valid_partition(leaves, depth: int) -> bool:
+    """True when every member lies in the depth-``depth`` tree, no member is
+    an ancestor of another and the member subtrees cover the leaf set
+    exactly once."""
+    members = list(leaves)
+    if any(not 0 <= p < node_count(depth) for p in members):
+        return False
+    for i, p in enumerate(members):
+        for q in members[i + 1:]:
+            if is_ancestor(p, q) or is_ancestor(q, p):
+                return False
+    return sum(1 << (depth - level(p)) for p in members) == (1 << depth)
+
+
+def locate_leaf(lrn, x_ext) -> int:
+    """Heap index of the depth-d cell of fixed tree ``lrn`` containing ``x_ext``."""
+    return lrn._leaf_index(np.asarray(x_ext, dtype=float))
+
+
+def kernel_values(gkr, x) -> np.ndarray:
+    """Kernel value of every centre of ``gkr`` at the raw input ``x``."""
+    return gkr._kernel(np.append(np.asarray(x, dtype=float), 1.0))
 
 
 def _set(key, value):

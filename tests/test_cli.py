@@ -62,6 +62,18 @@ class TestVerifyCommand:
         assert main(["verify", "--depth", "2", "--steps", steps, "--mode", "dft"]) == 1
         assert f"verify needs at least one step, got {steps}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["dft", "dat"])
+    @pytest.mark.parametrize("depth", ["-1", "5"])
+    def test_depth_outside_the_enumeration_range_exits_one(self, monkeypatch, capsys, depth,
+                                                           mode):
+        # the collapsed learners take depth 5, so the range named must be the
+        # explicit mixture's, and it is checked before any stream is drawn
+        drawn = []
+        monkeypatch.setattr(harness, "generate", lambda *args, **kw: drawn.append(args))
+        assert main(["verify", "--depth", depth, "--steps", "10", "--mode", mode]) == 1
+        assert drawn == []
+        assert capsys.readouterr().err == f"pwltree: verify depth must be in [0, 4], got {depth}\n"
+
     def test_exit_two_when_run_diverges(self, monkeypatch, capsys):
         # at mu = 1 the lockstep run overflows by step 13; the CLI must not
         # report the NaN gaps that follow as agreement

@@ -8,7 +8,7 @@ from pwltree.fixed_tree import FixedTreeRegressor
 from pwltree.mixture import DirectMixtureRegressor
 from pwltree.trees import rho_table
 
-from helpers import label
+from helpers import label, locate_leaf
 
 
 def ext(x1, x2):
@@ -58,27 +58,27 @@ class TestLocateLeaf:
     def test_quadrants(self):
         lrn = FixedTreeRegressor(2, 2)
         # default split: root on x1, children on x2; each quadrant its own leaf
-        leaves = {label(lrn.locate_leaf(ext(sx, sy))) for sx in (1, -1) for sy in (1, -1)}
+        leaves = {label(locate_leaf(lrn, ext(sx, sy))) for sx in (1, -1) for sy in (1, -1)}
         assert len(leaves) == 4
-        assert lrn.locate_leaf(ext(1.0, 1.0)) != lrn.locate_leaf(ext(-1.0, -1.0))
+        assert locate_leaf(lrn, ext(1.0, 1.0)) != locate_leaf(lrn, ext(-1.0, -1.0))
 
     def test_opposite_points_land_in_mirror_cells(self):
         lrn = FixedTreeRegressor(2, 2)
-        a = label(lrn.locate_leaf(ext(1.0, 1.0)))
-        b = label(lrn.locate_leaf(ext(-1.0, -1.0)))
+        a = label(locate_leaf(lrn, ext(1.0, 1.0)))
+        b = label(locate_leaf(lrn, ext(-1.0, -1.0)))
         assert a == "".join("1" if c == "0" else "0" for c in b)
 
     def test_point_on_a_plane_goes_to_child_one(self):
         # x1 = 0 lies on the root plane, so the tie sends it to child 1;
         # x2 = 0.7 then puts it below that child's plane, in child 0
         x = ext(0.0, 0.7)
-        assert label(FixedTreeRegressor(2, 2).locate_leaf(x)) == "10"
+        assert label(locate_leaf(FixedTreeRegressor(2, 2), x)) == "10"
         direct = DirectMixtureRegressor(2, 2, mode="hard")
         assert np.flatnonzero(direct.predict(x).alphas).tolist() == [0, 2, 5]
 
     def test_depth_zero_everything_is_root(self):
         lrn = FixedTreeRegressor(0, 2)
-        assert label(lrn.locate_leaf(ext(3.0, -5.0))) == ""
+        assert label(locate_leaf(lrn, ext(3.0, -5.0))) == ""
 
     @pytest.mark.parametrize("depth", range(6))
     def test_one_product_walk_matches_per_level_walk(self, depth):

@@ -16,7 +16,7 @@ from pwltree.mixture import (
 )
 from pwltree.trees import DESCENDANTS, beta
 
-from helpers import label, loop_membership
+from helpers import is_ancestor, label, loop_membership
 
 
 def subtree_of(root, n_nodes):
@@ -84,8 +84,9 @@ class TestDirectPredict:
         # an oracle must not share what it checks with another instance
         a, b = DirectMixtureRegressor(3, 2, mode=mode), DirectMixtureRegressor(3, 2, mode=mode)
         assert a.partitions == b.partitions and a.partitions is not b.partitions
-        assert np.array_equal(a.membership, b.membership)
-        assert not np.shares_memory(a.membership, b.membership)
+        for table in ("membership", "_spans", "_owners" if mode == "hard" else "_ancestors"):
+            assert np.array_equal(getattr(a, table), getattr(b, table))
+            assert not np.shares_memory(getattr(a, table), getattr(b, table))
 
     @pytest.mark.parametrize("depth", range(5))
     @pytest.mark.parametrize("mode", ["hard", "soft"])
@@ -102,6 +103,48 @@ class TestDirectPredict:
         assert len(parts) == beta(depth) and all(type(p) is frozenset for p in parts)
         assert np.array_equal(lrn.membership, loop_membership(parts, lrn.n_nodes))
         assert lrn.w_vec.shape == (beta(depth),)
+
+
+class TestPathOwners:
+    @pytest.mark.parametrize("depth", range(5))
+    def test_owner_lies_on_the_path_and_in_the_partition(self, depth):
+        lrn = DirectMixtureRegressor(depth, 2, mode="hard")
+        assert lrn._owners.shape == (1 << depth, beta(depth))
+        for leaf, owners in enumerate(lrn._owners.tolist()):
+            node = leaf + lrn.n_internal
+            for k, owner in enumerate(owners):
+                assert is_ancestor(owner, node)
+                assert lrn.membership[k, owner] == 1.0
+
+    @pytest.mark.parametrize("depth", range(5))
+    def test_gather_has_the_bits_of_the_membership_product(self, depth):
+        lrn = DirectMixtureRegressor(depth, 2, mode="hard")
+        rng = np.random.default_rng(400 + depth)
+        for leaf, path in enumerate(lrn._path_alphas):
+            for scale in (1e-300, 1e-3, 1.0, 1e300):
+                h = np.where(path == 1.0, rng.normal(size=lrn.n_nodes) * scale, 0.0)
+                got = h.take(lrn._owners[leaf])
+                assert got.tobytes() == lrn.membership.dot(h).tobytes()
+
+    @pytest.mark.parametrize("depth", range(5))
+    def test_soft_ancestor_table_is_the_adaptive_tree_layout(self, depth):
+        # built by the oracle from the bit strings, not read from the heap tables
+        ours = DirectMixtureRegressor(depth, 2, mode="soft")._ancestors
+        theirs = AdaptiveTreeRegressor(depth, 2)._ancestors
+        assert ours.shape == theirs.shape == (depth, (2 << depth) - 1)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
+    def test_prediction_carries_the_soft_gates(self):
+        lrn = DirectMixtureRegressor(2, 2, mode="soft", s_plus=0.05)
+        lrn.theta = np.array([[4e3, 0.0, 0.0], [-1.0, 2.0, 0.5], [0.0, 0.0, 0.0]])
+        pred = lrn.predict(np.array([0.3, -0.4, 1.0]))
+        assert np.array_equal(pred.s, pred.f[1::2]) and pred.f[0] == 1.0
+        assert np.array_equal(pred.f[2::2], 1.0 - pred.s)
+        assert np.array_equal(pred.cu, (1.0 - 2.0 * lrn.s_plus) * pred.u)
+        assert pred.s[0] == lrn.s_plus  # u = 0: the clamp's floor, reached unclamped
+        assert pred.s[2] == lrn.s_plus + (1.0 - 2.0 * lrn.s_plus) * 0.5
+        hard = DirectMixtureRegressor(2, 2, mode="hard").predict(np.array([0.3, -0.4, 1.0]))
+        assert hard.h is hard.f is hard.s is hard.u is hard.cu is None
 
 
 class TestDirectUpdate:

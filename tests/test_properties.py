@@ -1,8 +1,9 @@
 """Property tests over options and states that the seeded tests do not
-reach: collapsed == explicit mixture over a range of step sizes and
-several gate clamps, one full step of each learner against a plain
-reference step from random states, the bits of each learner's step
-against its earlier ``.dot`` form, and bit-exact snapshot round trips."""
+reach: collapsed == explicit mixture over a range of step sizes, several
+gate clamps and random hyperplanes, one full step of each learner
+against a plain reference step from random states, the bits of each
+learner's step against its earlier ``.dot`` form, and bit-exact snapshot
+round trips."""
 
 import json
 
@@ -31,22 +32,45 @@ def lockstep(fast, slow, kind, seed, steps):
         assert abs(y_fast - y_slow) <= 1e-9 * (1.0 + abs(y_slow))
 
 
+def random_planes(depth, seed, on_plane):
+    """Random hyperplanes for a depth-``depth`` tree, or None for the
+    default axis planes: rows over two decades, and with ``on_plane`` some
+    rows zeroed, so that every point lies on those planes."""
+    if seed is None:
+        return None
+    rng = np.random.default_rng(seed)
+    planes = rng.normal(size=((1 << depth) - 1, 3)) * 10.0 ** rng.uniform(-1, 1)
+    if on_plane:
+        planes[rng.random(len(planes)) < 0.5] = 0.0
+    return planes
+
+
+plane_seeds = st.one_of(st.none(), st.integers(0, 2**32 - 1))
+
+
 @pytest.mark.parametrize("depth", range(5))
 @settings(max_examples=15, deadline=None, derandomize=True)
-@given(mu=st.floats(1e-3, 2e-2), s_plus=st.sampled_from([0.01, 0.05, 0.2]), stream=streams)
-def test_soft_lockstep_under_schedules_and_options(depth, mu, s_plus, stream):
-    fast = AdaptiveTreeRegressor(depth, 2, mu=mu, s_plus=s_plus)
-    slow = DirectMixtureRegressor(depth, 2, mode="soft", mu=mu, s_plus=s_plus)
+@given(mu=st.floats(1e-3, 2e-2), s_plus=st.sampled_from([0.01, 0.05, 0.2]), stream=streams,
+       plane_seed=plane_seeds, on_plane=st.booleans())
+def test_soft_lockstep_under_schedules_and_options(depth, mu, s_plus, stream, plane_seed,
+                                                   on_plane):
+    planes = random_planes(depth, plane_seed, on_plane)
+    fast = AdaptiveTreeRegressor(depth, 2, mu=mu, s_plus=s_plus, theta=planes)
+    slow = DirectMixtureRegressor(depth, 2, mode="soft", mu=mu, s_plus=s_plus, boundaries=planes)
     lockstep(fast, slow, *stream)
     np.testing.assert_allclose(fast.theta, slow.theta, rtol=1e-9, atol=1e-9)
 
 
 @pytest.mark.parametrize("depth", range(5))
 @settings(max_examples=10, deadline=None, derandomize=True)
-@given(mu=st.floats(1e-3, 2e-2), stream=streams)
-def test_hard_lockstep_under_schedules(depth, mu, stream):
-    fast = FixedTreeRegressor(depth, 2, mu=mu)
-    slow = DirectMixtureRegressor(depth, 2, mode="hard", mu=mu)
+@given(mu=st.floats(1e-3, 2e-2), stream=streams, plane_seed=plane_seeds,
+       on_plane=st.booleans())
+def test_hard_lockstep_under_schedules(depth, mu, stream, plane_seed, on_plane):
+    # random planes route the stream to every leaf, so every row of the
+    # oracle's owner table is read
+    planes = random_planes(depth, plane_seed, on_plane)
+    fast = FixedTreeRegressor(depth, 2, mu=mu, boundaries=planes)
+    slow = DirectMixtureRegressor(depth, 2, mode="hard", mu=mu, boundaries=planes)
     lockstep(fast, slow, *stream)
 
 

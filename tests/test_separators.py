@@ -18,7 +18,7 @@ from pwltree.fixed_tree import FixedTreeRegressor
 from pwltree.mixture import DirectMixtureRegressor
 from pwltree.separators import initial_directions
 
-from helpers import label
+from helpers import label, locate_leaf
 
 
 def ext(x1, x2):
@@ -103,7 +103,7 @@ class TestEvaluate:
         for x, leaf, index in ((ext(-1.0, 0.0), "0", 1), (ext(2.0, 0.0), "1", 2),
                                # a point exactly on the plane goes to child 1
                                (ext(0.0, 0.0), "1", 2)):
-            assert label(fixed.locate_leaf(x)) == leaf
+            assert label(locate_leaf(fixed, x)) == leaf
             assert list(np.flatnonzero(direct.predict(x).alphas)) == [0, index]
 
     def test_hard_is_sharp_soft_limit(self):
@@ -115,7 +115,7 @@ class TestEvaluate:
             x = np.append(rng.normal(size=2), 1.0)
             if abs(float(x @ theta)) < 1e-3:
                 continue  # undecided band around the plane
-            leaf = hard.locate_leaf(x)
+            leaf = locate_leaf(hard, x)
             assert abs(sharp.predict(x).alphas[leaf] - 1.0) < 1e-3
 
     def test_dimension_mismatch(self):

@@ -13,11 +13,9 @@ from pwltree.trees import (
     DESCENDANTS,
     MAX_ENUMERATION_DEPTH,
     MAX_TABLE_DEPTH,
-    _is_ancestor,
     beta,
     enumerate_partitions,
     gamma,
-    is_valid_partition,
     level,
     membership_matrix,
     node_count,
@@ -25,7 +23,8 @@ from pwltree.trees import (
     rho_table,
 )
 
-from helpers import MALFORMED_STATES, index_of, label, loop_membership
+from helpers import (MALFORMED_STATES, index_of, is_ancestor, is_valid_partition, label,
+                     loop_membership)
 
 LEARNERS = {"dft": FixedTreeRegressor, "dat": AdaptiveTreeRegressor}
 
@@ -51,10 +50,10 @@ class TestNodeLabel:
         assert order == ["", "0", "1", "00", "01", "10", "11"]
 
     def test_prefix_test(self):
-        assert _is_ancestor(0, index_of("0110"))
-        assert _is_ancestor(index_of("01"), index_of("011"))
-        assert not _is_ancestor(index_of("01"), index_of("001"))
-        assert not _is_ancestor(index_of("011"), index_of("01"))
+        assert is_ancestor(0, index_of("0110"))
+        assert is_ancestor(index_of("01"), index_of("011"))
+        assert not is_ancestor(index_of("01"), index_of("001"))
+        assert not is_ancestor(index_of("011"), index_of("01"))
 
 
 class TestPrefixesAndSpan:
@@ -403,7 +402,7 @@ class TestHeapTables:
             for i in range(n):
                 inside = label(i).startswith(label(a))
                 assert DESCENDANTS[a, i] == float(inside)
-                assert _is_ancestor(a, i) == inside
+                assert is_ancestor(a, i) == inside
 
     def test_read_only(self):
         for table in (ANCESTORS, DESCENDANTS):
