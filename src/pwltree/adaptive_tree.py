@@ -8,23 +8,30 @@ separating hyperplanes themselves all follow stochastic-gradient steps.
 A step costs O(dim * 4**depth) because the combination weight of every
 node correlates with every node weight.
 
-The activation cascade and the subtree sums behind the boundary steps read
-the fixed heap tables ``ANCESTORS`` and ``DESCENDANTS`` of
-:mod:`pwltree.trees`, as shared views: activations are one gather of
-per-node branch factors and a product down the level-major ancestor rows,
-subtree sums one matrix-vector product.
+The gates, the activation cascade, the boundary-step factors and the
+capped hyperplane step are the soft-gate kernel of :mod:`pwltree.trees`,
+which the explicit mixture's soft mode calls too.  This learner hands it
+shared tables: ``BRANCHES[depth]``, the gate, sign and offset of every
+entry of the level-major ancestor table, built once at import, and the
+root-less rows of ``DESCENDANTS`` as a view.  Activations are one gather
+of the gate values, a sign and an offset per ancestor entry and one
+``np.multiply.reduce`` down the rows; the subtree sums of every child are
+one matrix-vector product.
 
-A step is about 33 numpy calls at every depth (16 in ``predict``, 5 in
+A step is about 32 numpy calls at every depth (15 in ``predict``, 5 in
 ``update_weights``, 7 in ``boundary_factors``, 5 in
 ``update_boundaries``), against some 4k flops at depth 5, so on these
 small arrays the form of a call sets its cost.  Every product is a
 ``.dot``, which reaches BLAS with less dispatch than ``@``; the rank-1
 steps of ``v`` and ``theta`` are ``(n, 1) . (1, dim + 1)`` products,
 which give the bits of the broadcast ``a[:, None] * x`` in half the time
-or less.  Scalar step factors are multiplied together before they touch
-an array, the input is converted once, in ``predict``, and the boundary
-sensitivities divide by the branch factors and scale by the gate rise
-``(1 - 2 s_plus) u`` that ``predict`` already built.
+or less.  The kernel holds the gate clamp's constants as 0-d arrays,
+which numpy takes with less dispatch than Python floats, and its gather
+is a ``take``, cheaper than fancy indexing.  Scalar step factors are
+multiplied together before they touch an array, the input is converted
+once, in ``predict``, and the boundary sensitivities divide by the
+branch factors and scale by the gate rise ``(1 - 2 s_plus) u`` that
+``predict`` already built.
 """
 
 from __future__ import annotations
@@ -32,11 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .separators import initial_directions
-from .trees import (ANCESTORS, DESCENDANTS, MAX_TABLE_DEPTH, TreeLearner, _gate_clamp,
-                    _hyperplanes, rho_table)
+from .trees import (BRANCHES, DESCENDANTS, TreeLearner, _gate_clamp, _hyperplanes, _SoftGates,
+                    rho_table)
 
 
 @dataclass
@@ -99,8 +105,8 @@ class AdaptiveTreeRegressor(TreeLearner):
             theta = initial_directions(depth, dim)
         self.theta = _hyperplanes(theta, self.n_internal, self.dim, "theta")
         self._rho = rho_table(depth).astype(float)
-        self._ancestors = ANCESTORS[MAX_TABLE_DEPTH - depth:, : self.n_nodes]
-        self._descendants = DESCENDANTS[: self.n_nodes, : self.n_nodes]
+        self._gates = _SoftGates(self.s_plus, BRANCHES[depth],
+                                 DESCENDANTS[1: self.n_nodes, : self.n_nodes])
 
     # ------------------------------------------------------------------
     @property
@@ -112,18 +118,7 @@ class AdaptiveTreeRegressor(TreeLearner):
         """Evaluate every gate once, cascade activations down the tree and
         collapse the mixture over all nodes."""
         x = np.asarray(x_ext, dtype=float)
-        u = expit(-self.theta.dot(x))
-        cu = (1.0 - 2.0 * self.s_plus) * u
-        # branch factor of every node; the root's 1.0 also pads the
-        # ancestor columns of shallow nodes, so the products stay exact
-        f = np.empty(self.n_nodes)
-        f[0] = 1.0
-        s = f[1::2]
-        # only the upper clamp can bind: fl(s_plus + c u) >= s_plus for c u >= 0
-        np.minimum(self.s_plus + cu, 1.0 - self.s_plus, out=s)
-        np.subtract(1.0, s, out=f[2::2])
-        # level-major ancestors: the product runs down contiguous rows
-        alphas = f[self._ancestors].prod(axis=0)
+        u, cu, f, alphas = self._gates.cascade(self.theta, x)
         estimates = self.v.dot(x)
         h = alphas * estimates
         kappas = self._rho.dot(self.w)
@@ -145,22 +140,13 @@ class AdaptiveTreeRegressor(TreeLearner):
         """Scalar factor of each internal node's boundary step (before the
         cap): the mixture's sensitivity to that gate times the gate
         derivative."""
-        sub = self._descendants.dot(pred.kappas * pred.h)
-        # each child's subtree sum over its branch factor: s at the lower
-        # child, 1 - s at the upper one
-        q = sub[1:] / pred.f[1:]
-        return (q[0::2] - q[1::2]) * (pred.cu * (1.0 - pred.u))
+        return self._gates.factors(pred.kappas, pred)
 
     def update_boundaries(self, x_ext, e: float, pred: AdaptiveTreePrediction) -> None:
         """Gradient step on every internal hyperplane, with the scalar
         factor clipped to ``step_cap``; the input is read from ``pred.x``
         as in ``update_weights``."""
-        factors = self.boundary_factors(pred)
-        cap = self.step_cap
-        np.minimum(factors, cap, out=factors)
-        np.maximum(factors, -cap, out=factors)
-        eta = self.mu / (self.s_plus * (1.0 - self.s_plus))
-        self.theta -= (factors * (eta * e))[:, None].dot(pred.x[None, :])
+        self._gates.step(self.theta, self.boundary_factors(pred), pred.x, e, self.mu)
 
     def update(self, x_ext, d_t: float, pred: AdaptiveTreePrediction) -> None:
         e = d_t - pred.y_hat

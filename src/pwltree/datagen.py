@@ -58,8 +58,11 @@ class Stream:
         return np.hstack([self.inputs, np.ones((len(self), 1))])
 
 
-def _generator(seed: int) -> np.random.Generator:
-    if not 0 <= seed < 2**64:
+def _generator(seed) -> np.random.Generator:
+    """Philox keyed by ``seed``, an integer (numpy's included) in ``[0,
+    2**64)``; anything else, booleans and integral floats included, raises
+    ValueError."""
+    if not 0 <= _integer(seed, "seed") < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64) to key the generator, got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
@@ -193,9 +196,13 @@ GENERATORS = {**PIECEWISE, "henon": gen_henon, "lorenz": gen_lorenz}
 
 
 def generate(kind: str, n: int, seed: int | None = None, **params) -> Stream:
-    """Dispatch on stream kind; the piecewise kinds require ``seed``."""
+    """Dispatch on stream kind; the piecewise kinds require ``seed``.  The
+    length ``n`` is an integer >= 0 (numpy's included); anything else,
+    booleans and integral floats included, raises ValueError."""
     if kind not in GENERATORS:
         raise ValueError(f"unknown stream kind {kind!r}")
+    if _integer(n, "n") < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if kind not in PIECEWISE:
         return GENERATORS[kind](n, **params)
     if seed is None:

@@ -391,24 +391,22 @@ def verify_equivalence(mode: str, depth: int, steps: int, seed: int, mu: float =
     ``|a - b| / (1 + |b|)`` over the run, or ``inf`` as soon as either
     prediction stops being finite (a diverged run verifies nothing).  The
     depth must be one the explicit mixture enumerates, ``[0,
-    MAX_ENUMERATION_DEPTH]``; another raises ValueError naming that range."""
-    if steps < 1:
+    MAX_ENUMERATION_DEPTH]``; another raises ValueError naming that range.
+    ``steps`` (an integer >= 1), ``depth`` and ``mode`` (``dft`` or
+    ``dat``) are checked before the stream is drawn."""
+    if _integer(steps, "steps") < 1:
         raise ValueError(f"verify needs at least one step, got {steps}")
     depth = _integer(depth, "depth")
     if not 0 <= depth <= MAX_ENUMERATION_DEPTH:
         raise ValueError(f"verify depth must be in [0, {MAX_ENUMERATION_DEPTH}], got {depth}")
-    stream = generate("matched", steps, seed=seed)
-    x_ext = stream.extended
-    if mode == "dft":
-        fast = FixedTreeRegressor(depth, stream.dim, mu=mu)
-        slow = DirectMixtureRegressor(depth, stream.dim, mode="hard", mu=mu)
-    elif mode == "dat":
-        fast = AdaptiveTreeRegressor(depth, stream.dim, mu=mu)
-        slow = DirectMixtureRegressor(depth, stream.dim, mode="soft", mu=mu)
-    else:
+    if mode not in ("dft", "dat"):
         raise ConfigError(f"unknown verify mode {mode!r}")
+    stream = generate("matched", steps, seed=seed)
+    hard = mode == "dft"
+    fast = (FixedTreeRegressor if hard else AdaptiveTreeRegressor)(depth, stream.dim, mu=mu)
+    slow = DirectMixtureRegressor(depth, stream.dim, mode="hard" if hard else "soft", mu=mu)
     worst = 0.0
-    for x, d in zip(x_ext, stream.targets.tolist()):
+    for x, d in zip(stream.extended, stream.targets.tolist()):
         y_fast, _ = fast.step(x, d)
         y_slow, _ = slow.step(x, d)
         if not (math.isfinite(y_fast) and math.isfinite(y_slow)):

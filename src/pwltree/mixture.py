@@ -19,8 +19,8 @@ modes then share the ``v`` and ``w_vec`` steps, and soft mode also steps
 
 Each instance builds its own membership matrix, by level recursion, and
 its own span masks; in hard mode also the 0/1 activations of every
-root -> leaf path and the owner table, in soft mode a level-major
-ancestor table, both from the bit strings ``i + 1``.  It forms no
+root -> leaf path and the owner table, in soft mode the branch tables of
+a level-major ancestor table, both from the bit strings ``i + 1``.  It forms no
 partition set (``partitions`` enumerates them on demand), and every step
 still forms all ``beta(depth)`` estimates and moves all ``beta(depth)``
 weights.
@@ -39,15 +39,20 @@ divergence (``0 * inf`` puts a NaN in the sum), and the default state
 reaches neither.
 
 In soft mode every node is active and ``membership . h`` is a full
-product.  The activations are the branch factors ``f`` (1.0 at the root,
-``s`` at a lower child, ``1 - s`` at an upper one) multiplied down the
+product.  The gates, the activations, the boundary-step factors and the
+capped hyperplane step are the soft-gate kernel of :mod:`pwltree.trees`
+that the adaptive tree calls, run on this instance's own tables: the
+activations are the branch factors ``f`` (1.0 at the root, ``s`` at a
+lower child, ``1 - s`` at an upper one) gathered and multiplied down the
 contiguous rows of the ancestor table, and the boundary step divides both
-child subtree sums of every gate by ``f`` at once and reuses the gate
-rise ``(1 - 2 s_plus) u`` that ``predict`` built, as the adaptive tree
-does.
+child subtree sums of every gate, read from the span masks, by ``f`` at
+once and reuses the gate rise ``(1 - 2 s_plus) u`` that ``predict``
+built.  What the oracle checks stays its own: the partition weights, the
+estimates of every partition and the membership sums that carry them to
+the nodes.
 
 A step is a fixed number of numpy calls whatever the depth: 11 in hard
-mode (6 in ``predict``, 5 in ``update``) and 34 in soft mode (16 in
+mode (6 in ``predict``, 5 in ``update``) and 33 in soft mode (15 in
 ``predict``, 18 in ``update``, 8 of them in ``boundary_factors``).  On
 these small arrays a call's dispatch outweighs its arithmetic, so every
 product is a ``.dot``, which reaches BLAS with less dispatch than ``@``;
@@ -67,16 +72,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .separators import initial_directions
 from .trees import (
     MAX_ENUMERATION_DEPTH,
     Learner,
+    _branch_tables,
     _dimension,
     _gate_clamp,
     _hyperplanes,
     _integer,
+    _SoftGates,
     _step_size,
     enumerate_partitions,
     membership_matrix,
@@ -173,10 +179,10 @@ class DirectMixtureRegressor(Learner):
             self.theta = init
             # level-major ancestors: column i is the root -> i path below
             # the root, bottom-aligned and top-padded with the root 0, the
-            # ancestor k levels up being ((i + 1) >> k) - 1
-            shifts = np.arange(depth - 1, -1, -1)
-            self._ancestors = np.maximum((ids >> shifts[:, None]) - 1, 0)
-            self._ancestors.setflags(write=False)
+            # ancestor k levels up being ((i + 1) >> k) - 1; the gate kernel
+            # reads its branch tables and the span masks
+            ancestors = np.maximum((ids >> np.arange(depth - 1, -1, -1)[:, None]) - 1, 0)
+            self._gates = _SoftGates(self.s_plus, _branch_tables(ancestors), self._spans)
 
     # ------------------------------------------------------------------
     @property
@@ -205,17 +211,7 @@ class DirectMixtureRegressor(Learner):
             d_vec = self.v.dot(x).take(self._owners[leaf])
             return DirectPrediction(float(self.w_vec.dot(d_vec)), d_vec, x,
                                     self._path_alphas[leaf])
-        u = expit(-self.theta.dot(x))
-        cu = (1.0 - 2.0 * self.s_plus) * u
-        # branch factor of every node; the root's 1.0 also pads the
-        # ancestor columns of shallow nodes, so the products stay exact
-        f = np.empty(self.n_nodes)
-        f[0] = 1.0
-        s = f[1::2]
-        # only the upper clamp can bind: fl(s_plus + c u) >= s_plus for c u >= 0
-        np.minimum(self.s_plus + cu, 1.0 - self.s_plus, out=s)
-        np.subtract(1.0, s, out=f[2::2])
-        alphas = f[self._ancestors].prod(axis=0)
+        u, cu, f, alphas = self._gates.cascade(self.theta, x)
         h = alphas * self.v.dot(x)
         d_vec = self.membership.dot(h)
         return DirectPrediction(float(self.w_vec.dot(d_vec)), d_vec, x, alphas, h, f, u, cu)
@@ -235,19 +231,10 @@ class DirectMixtureRegressor(Learner):
         """Scalar factor of each internal node's boundary step (before the
         cap): the partition-weighted node estimates under the gate's two
         child subtrees, differenced, times the gate derivative."""
-        sub = self._spans.dot(self.w_vec.dot(self.membership) * pred.h)
-        # each child's subtree sum over its branch factor: s at the lower
-        # child, 1 - s at the upper one
-        q = sub / pred.f[1:]
-        return (q[0::2] - q[1::2]) * (pred.cu * (1.0 - pred.u))
+        return self._gates.factors(self.w_vec.dot(self.membership), pred)
 
     def _update_theta(self, x_ext, e: float, pred: DirectPrediction) -> None:
-        eta = self.mu / (self.s_plus * (1.0 - self.s_plus))
-        factors = self.boundary_factors(pred)
-        cap = self.step_cap
-        np.minimum(factors, cap, out=factors)
-        np.maximum(factors, -cap, out=factors)
-        self.theta -= (factors * (eta * e))[:, None].dot(pred.x[None, :])
+        self._gates.step(self.theta, self.boundary_factors(pred), pred.x, e, self.mu)
 
     def node_weight_image(self, node_weights: np.ndarray) -> np.ndarray:
         """Map collapsed per-node weights to partition space:

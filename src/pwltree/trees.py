@@ -18,7 +18,10 @@ level triples, and ``enumerate_partitions`` is the brute-force ground truth
 used to validate them.  ``Learner`` holds the one ``step`` of the
 sequential protocol every learner in the package follows, and
 ``TreeLearner`` the per-node state both collapsed tree learners keep, and
-its heap-ordered snapshot format.
+its heap-ordered snapshot format.  ``_SoftGates`` is the gate kernel
+both soft learners, the adaptive tree and the explicit mixture's soft
+mode, call: their gates, activation cascade, boundary-step factors and
+capped hyperplane step are written once, here.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import expit
 
 # The deepest tree the learners and the shared tables support.  beta(7)
 # already overflows int64; deeper trees also need per-step kappa products
@@ -126,11 +130,79 @@ def _heap_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ancestors, descendants, common_levels
 
 
+def _branch_tables(ancestors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gate, sign and offset of every entry ``a`` of a level-major ancestor
+    table, so that ``offset + sign * s.take(gate)`` is the branch factor of
+    node ``a`` for the clamped gate values ``s``, bit for bit: ``0 + s`` at
+    a lower (odd) child, ``1 + (-s)``, which rounds as ``1 - s``, at an
+    upper one, and ``1 + 0 s = 1`` at the root padding (``s`` finite)."""
+    odd = ancestors % 2
+    gate = np.maximum(ancestors - 1, 0) >> 1
+    sign = 2.0 * odd - (ancestors > 0)
+    offset = 1.0 - odd
+    for table in (gate, sign, offset):
+        table.setflags(write=False)
+    return gate, sign, offset
+
+
 # Shared read-only tables of the deepest supported tree.  Heap indices of a
 # depth-d tree are a prefix of these, so a depth-d learner uses views
 # ``ANCESTORS[MAX_TABLE_DEPTH - d:, :n]`` and ``DESCENDANTS[:n, :n]``, and
-# ``rho_table(d)`` reads ``_COMMON_LEVELS[:n, :n]``.
+# ``rho_table(d)`` reads ``_COMMON_LEVELS[:n, :n]``.  ``BRANCHES[d]`` holds
+# the branch tables of the depth-d ancestor view, contiguous, since the
+# per-step gather and arithmetic on a strided view cost more than on a copy.
 ANCESTORS, DESCENDANTS, _COMMON_LEVELS = _heap_tables(MAX_TABLE_DEPTH)
+BRANCHES = tuple(_branch_tables(ANCESTORS[MAX_TABLE_DEPTH - d:, :node_count(d)])
+                 for d in range(MAX_TABLE_DEPTH + 1))
+
+
+class _SoftGates:
+    """The gate kernel both soft learners call: the cascade from the
+    hyperplanes to every node's activation, each gate's boundary-step
+    factor and the capped hyperplane step, for one gate clamp ``s_plus``
+    and one tree.  ``branches`` are the ``_branch_tables`` of the tree's
+    level-major ancestor table and ``below`` its root-less descendant rows
+    (row ``i - 1`` marks the subtree of node ``i``, so the two child
+    subtrees of gate ``j`` are rows ``2j`` and ``2j + 1``).  The clamp's
+    constants are 0-d arrays, which numpy takes with less dispatch than
+    Python floats and with the same bits."""
+
+    def __init__(self, s_plus: float, branches, below):
+        (self.gate, self.sign, self.offset), self.below = branches, below
+        cap = 10.0 * s_plus * (1.0 - s_plus)
+        self.low, self.rise, self.high, self.cap, self.neg_cap, self.one = map(
+            np.array, (s_plus, 1.0 - 2.0 * s_plus, 1.0 - s_plus, cap, -cap, 1.0))
+        self.spread = s_plus * (1.0 - s_plus)
+
+    def cascade(self, theta, x) -> tuple:
+        """``(u, cu, f, alphas)`` for the hyperplanes ``theta`` at the input
+        ``x``: the unclamped gate values, each gate's rise ``(1 - 2 s_plus)
+        u`` above ``s_plus`` before the clamp, every node's branch factor
+        and every node's activation, the product of the branch factors down
+        the contiguous rows of the branch tables."""
+        u = expit(-theta.dot(x))
+        cu = self.rise * u
+        # only the upper clamp can bind: fl(s_plus + c u) >= s_plus for c u >= 0
+        factors = self.offset + self.sign * np.minimum(self.low + cu, self.high).take(self.gate)
+        alphas = np.multiply.reduce(factors, axis=0)
+        # the bottom row holds each node's own; without gates (depth 0), f is alphas = [1.0]
+        return u, cu, factors[-1] if len(factors) else alphas, alphas
+
+    def factors(self, g, pred) -> np.ndarray:
+        """Scalar factor of each gate's boundary step, before the cap: the
+        node weights ``g`` times the weighted node estimates ``pred.h``,
+        summed under each child subtree, each sum over its branch factor,
+        differenced, times the gate derivative."""
+        q = self.below.dot(g * pred.h) / pred.f[1:]
+        return (q[0::2] - q[1::2]) * (pred.cu * (self.one - pred.u))
+
+    def step(self, theta, factors, x, e: float, mu: float) -> None:
+        """Clip ``factors`` to the step cap ``10 s_plus (1 - s_plus)`` in
+        place, then step ``theta`` in place by ``-eta e factors x`` with
+        ``eta = mu / (s_plus (1 - s_plus))``."""
+        np.minimum(factors, self.cap, out=factors)
+        np.maximum(factors, self.neg_cap, out=factors)
+        theta -= (factors * (mu / self.spread * e))[:, None].dot(x[None, :])
 
 
 class Learner:

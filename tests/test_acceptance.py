@@ -212,6 +212,7 @@ def test_criterion_12_no_simplex_constraint(matched_reference_runs):
 # 7. boundary adaptation beats fixed partitions
 # ----------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_07_adaptation_ordering():
     n = 50_000
     target_direction = np.array([4.0, -1.0]) / np.hypot(4.0, 1.0)
@@ -238,6 +239,7 @@ def test_criterion_07_adaptation_ordering():
 # 8. robustness to over- and under-fit depth
 # ----------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_08_depth_mismatch_robustness():
     finals = {}
     for name in ("overfit_first_order", "underfit_third_order"):

@@ -250,6 +250,31 @@ class TestDispatch:
         with pytest.raises(ValueError):
             generate("nope", 10, seed=1)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, np.bool_(True), "3", [1]])
+    def test_non_integer_seed_refused(self, seed):
+        # a float or boolean seed used to key the generator as np.uint64(seed)
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            generate("matched", 5, seed=seed)
+
+    @pytest.mark.parametrize("kind", ["matched", "henon", "lorenz"])
+    @pytest.mark.parametrize("n, message", [
+        (2.5, "n must be an integer, got 2.5"),
+        (True, "n must be an integer, got True"),
+        ("5", "n must be an integer, got '5'"),
+        (-3, "n must be >= 0, got -3"),
+    ])
+    def test_bad_length_refused(self, kind, n, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate(kind, n, seed=1)
+
+    def test_integer_kinds_keep_the_default_streams(self):
+        # a numpy integer seed or length names the same stream as the int
+        ref = generate("mismatched", 40, seed=3)
+        same = generate("mismatched", np.int64(40), seed=np.uint64(3))
+        assert same.inputs.tobytes() == ref.inputs.tobytes()
+        assert same.targets.tobytes() == ref.targets.tobytes()
+        assert len(generate("matched", 0, seed=3)) == 0
+
     def test_piecewise_kinds_share_inputs_and_map_their_targets(self):
         # one seed draws the same inputs for every piecewise kind; only the
         # noiseless target table differs

@@ -498,3 +498,16 @@ class TestVerify:
     def test_no_steps_refused(self, steps):
         with pytest.raises(ValueError, match=f"verify needs at least one step, got {steps}"):
             verify_equivalence("dft", 2, steps, seed=1)
+
+    @pytest.mark.parametrize("steps", [2.5, 10.0, True, "10", None])
+    def test_non_integer_steps_refused(self, steps):
+        with pytest.raises(ValueError, match=re.escape(f"steps must be an integer, got {steps!r}")):
+            verify_equivalence("dft", 2, steps, seed=1)
+
+    def test_unknown_mode_refused_before_the_stream_is_drawn(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("stream drawn for an unknown mode")
+
+        monkeypatch.setattr(harness, "generate", refuse)
+        with pytest.raises(ConfigError, match=re.escape("unknown verify mode 'nope'")):
+            verify_equivalence("nope", 2, 10, seed=1)

@@ -84,9 +84,11 @@ class TestDirectPredict:
         # an oracle must not share what it checks with another instance
         a, b = DirectMixtureRegressor(3, 2, mode=mode), DirectMixtureRegressor(3, 2, mode=mode)
         assert a.partitions == b.partitions and a.partitions is not b.partitions
-        for table in ("membership", "_spans", "_owners" if mode == "hard" else "_ancestors"):
-            assert np.array_equal(getattr(a, table), getattr(b, table))
-            assert not np.shares_memory(getattr(a, table), getattr(b, table))
+        pairs = [(a.membership, b.membership), (a._spans, b._spans)]
+        pairs += [(a._owners, b._owners)] if mode == "hard" else [
+            (getattr(a._gates, name), getattr(b._gates, name)) for name in ("gate", "sign", "offset")]
+        for ours, theirs in pairs:
+            assert np.array_equal(ours, theirs) and not np.shares_memory(ours, theirs)
 
     @pytest.mark.parametrize("depth", range(5))
     @pytest.mark.parametrize("mode", ["hard", "soft"])
@@ -128,11 +130,14 @@ class TestPathOwners:
 
     @pytest.mark.parametrize("depth", range(5))
     def test_soft_ancestor_table_is_the_adaptive_tree_layout(self, depth):
-        # built by the oracle from the bit strings, not read from the heap tables
-        ours = DirectMixtureRegressor(depth, 2, mode="soft")._ancestors
-        theirs = AdaptiveTreeRegressor(depth, 2)._ancestors
-        assert ours.shape == theirs.shape == (depth, (2 << depth) - 1)
-        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+        # built by the oracle from the bit strings, not read from the heap
+        # tables: the gate, sign and offset of every ancestor-table entry
+        oracle = DirectMixtureRegressor(depth, 2, mode="soft")._gates
+        tree = AdaptiveTreeRegressor(depth, 2)._gates
+        for name in ("gate", "sign", "offset"):
+            ours, theirs = getattr(oracle, name), getattr(tree, name)
+            assert ours.shape == theirs.shape == (depth, (2 << depth) - 1)
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
 
     def test_prediction_carries_the_soft_gates(self):
         lrn = DirectMixtureRegressor(2, 2, mode="soft", s_plus=0.05)
@@ -216,7 +221,8 @@ class TestBoundaryGradient:
         tree = ast.parse(Path(mixture.__file__).read_text())
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                     and node.module == "trees" for alias in node.names}
-        assert imported and imported.isdisjoint({"ANCESTORS", "DESCENDANTS", "rho_table"})
+        assert imported and imported.isdisjoint({"ANCESTORS", "BRANCHES", "DESCENDANTS",
+                                                     "rho_table"})
 
 
 class TestBatchBestWeights:

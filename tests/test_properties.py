@@ -2,8 +2,9 @@
 reach: collapsed == explicit mixture over a range of step sizes, several
 gate clamps and random hyperplanes, one full step of each learner
 against a plain reference step from random states, the bits of each
-learner's step against its earlier ``.dot`` form, and bit-exact snapshot
-round trips."""
+learner's step against its earlier ``.dot`` form, the shared soft-gate
+kernel against the branch factors it replaces and across the two soft
+learners, and bit-exact snapshot round trips."""
 
 import json
 
@@ -16,6 +17,7 @@ from pwltree.adaptive_tree import AdaptiveTreeRegressor
 from pwltree.datagen import generate
 from pwltree.fixed_tree import FixedTreeRegressor
 from pwltree.mixture import DirectMixtureRegressor
+from pwltree.trees import ANCESTORS, BRANCHES, MAX_ENUMERATION_DEPTH, MAX_TABLE_DEPTH, node_count
 
 from helpers import reference_dot_step, reference_mixture_step, reference_step
 
@@ -211,3 +213,60 @@ def test_mixture_step_matches_reference_bit_for_bit(mode, depth, seed, mu, s_plu
     assert same_bits(lrn.v, v_want)
     if mode == "soft":
         assert same_bits(lrn.theta, theta_want)
+
+
+gate_values = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                        st.sampled_from([1e-4, 0.01, 0.2]).flatmap(
+                            lambda s_plus: st.sampled_from([s_plus, 1.0 - s_plus])))
+
+
+@pytest.mark.parametrize("depth", range(6))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(s=st.lists(gate_values, min_size=31, max_size=31))
+def test_branch_tables_give_the_gathered_branch_factors_bit_for_bit(depth, s):
+    # offset + sign * s.take(gate) against the branch factors written out
+    # (1.0 at the root, s at a lower child, 1 - s at an upper one) and
+    # gathered down the level-major ancestor table; the oracle's own tables
+    # give the same bits
+    n = node_count(depth)
+    s = np.array(s[:(1 << depth) - 1])
+    f = np.empty(n)
+    f[0] = 1.0
+    f[1::2] = s
+    np.subtract(1.0, s, out=f[2::2])
+    want = f[ANCESTORS[MAX_TABLE_DEPTH - depth:, :n]]
+    tables = [BRANCHES[depth]]
+    if depth <= MAX_ENUMERATION_DEPTH:
+        gates = DirectMixtureRegressor(depth, 2, mode="soft")._gates
+        tables.append((gates.gate, gates.sign, gates.offset))
+    for gate, sign, offset in tables:
+        got = offset + sign * s.take(gate)
+        assert got.shape == want.shape and same_bits(got, want)
+        assert same_bits(np.multiply.reduce(got, axis=0), want.prod(axis=0))
+
+
+@pytest.mark.parametrize("depth", range(5))
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), s_plus=st.sampled_from([1e-4, 0.01, 0.2]),
+       e=st.floats(-10.0, 10.0), on_plane=st.booleans())
+def test_adaptive_tree_and_soft_oracle_share_the_gate_kernel(depth, seed, s_plus, e, on_plane):
+    # in the same state the two soft learners give the same activations,
+    # branch factors and capped hyperplane steps, bit for bit; integer node
+    # weights make the collapsed and the partition-space node weights exact
+    rng = np.random.default_rng(seed)
+    planes = random_planes(depth, seed, on_plane)
+    tree = AdaptiveTreeRegressor(depth, 2, mu=0.05, s_plus=s_plus, theta=planes)
+    oracle = DirectMixtureRegressor(depth, 2, mode="soft", mu=0.05, s_plus=s_plus,
+                                    boundaries=planes)
+    tree.v = rng.normal(size=tree.v.shape) * 10.0
+    oracle.v = tree.v.copy()
+    tree.w = rng.integers(-3, 4, size=tree.w.shape).astype(float)
+    oracle.w_vec = oracle.node_weight_image(tree.w)
+    x = np.append(3.0 * rng.normal(size=2), 1.0)
+    ours, theirs = tree.predict(x), oracle.predict(x)
+    for field in ("alphas", "f", "u", "cu", "h"):
+        assert same_bits(getattr(ours, field), getattr(theirs, field))
+    assert same_bits(tree.boundary_factors(ours), oracle.boundary_factors(theirs))
+    tree.update_boundaries(x, e, ours)
+    oracle._update_theta(x, e, theirs)
+    assert same_bits(tree.theta, oracle.theta)

@@ -10,6 +10,7 @@ from pwltree.fixed_tree import FixedTreeRegressor
 from pwltree.mixture import DirectMixtureRegressor
 from pwltree.trees import (
     ANCESTORS,
+    BRANCHES,
     DESCENDANTS,
     MAX_ENUMERATION_DEPTH,
     MAX_TABLE_DEPTH,
@@ -113,11 +114,13 @@ class TestShape:
 
     @pytest.mark.parametrize("depth", range(1, MAX_TABLE_DEPTH + 1))
     def test_learners_view_the_shared_tables(self, depth):
-        # each learner slices the shared tables rather than copying them
+        # each learner reads the shared tables rather than copying them
         lrn = AdaptiveTreeRegressor(depth, 2)
-        assert np.shares_memory(lrn._ancestors, ANCESTORS)
-        assert np.shares_memory(lrn._descendants, DESCENDANTS)
-        assert lrn._ancestors.shape == (depth, lrn.n_nodes)
+        gates = lrn._gates
+        for table, shared in zip((gates.gate, gates.sign, gates.offset), BRANCHES[depth], strict=True):
+            assert table is shared and table.shape == (depth, lrn.n_nodes)
+        assert np.shares_memory(gates.below, DESCENDANTS)
+        assert gates.below.shape == (lrn.n_nodes - 1, lrn.n_nodes)
 
 
 @pytest.mark.parametrize("make", [FixedTreeRegressor, AdaptiveTreeRegressor])
@@ -405,7 +408,7 @@ class TestHeapTables:
                 assert is_ancestor(a, i) == inside
 
     def test_read_only(self):
-        for table in (ANCESTORS, DESCENDANTS):
+        for table in (ANCESTORS, DESCENDANTS, *(t for tables in BRANCHES[1:] for t in tables)):
             with pytest.raises(ValueError):
                 table[0, 0] = 1
 
