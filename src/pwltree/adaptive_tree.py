@@ -11,12 +11,12 @@ node correlates with every node weight.
 The gates, the activation cascade, the boundary-step factors and the
 capped hyperplane step are the soft-gate kernel of :mod:`pwltree.trees`,
 which the explicit mixture's soft mode calls too.  This learner hands it
-shared tables: ``BRANCHES[depth]``, the gate, sign and offset of every
-entry of the level-major ancestor table, built once at import, and the
-root-less rows of ``DESCENDANTS`` as a view.  Activations are one gather
-of the gate values, a sign and an offset per ancestor entry and one
-``np.multiply.reduce`` down the rows; the subtree sums of every child are
-one matrix-vector product.
+the cached heap tables of its depth, contiguous and shared with every
+learner of that depth: the branch tables, the gate, sign and offset of
+every entry of the level-major ancestor table, and the root-less rows of
+the descendant table.  Activations are one gather of the gate values, a
+sign and an offset per ancestor entry and one ``np.multiply.reduce`` down
+the rows; the subtree sums of every child are one matrix-vector product.
 
 A step is about 32 numpy calls at every depth (15 in ``predict``, 5 in
 ``update_weights``, 7 in ``boundary_factors``, 5 in
@@ -41,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .separators import initial_directions
-from .trees import (BRANCHES, DESCENDANTS, TreeLearner, _gate_clamp, _hyperplanes, _SoftGates,
-                    rho_table)
+from .trees import TreeLearner, _gate_clamp, _heap_tables, _hyperplanes, _SoftGates, rho_table
 
 
 @dataclass
@@ -105,8 +104,8 @@ class AdaptiveTreeRegressor(TreeLearner):
             theta = initial_directions(depth, dim)
         self.theta = _hyperplanes(theta, self.n_internal, self.dim, "theta")
         self._rho = rho_table(depth).astype(float)
-        self._gates = _SoftGates(self.s_plus, BRANCHES[depth],
-                                 DESCENDANTS[1: self.n_nodes, : self.n_nodes])
+        _, descendants, _, branches = _heap_tables(depth)
+        self._gates = _SoftGates(self.s_plus, branches, descendants[1:])
 
     # ------------------------------------------------------------------
     @property

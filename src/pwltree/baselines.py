@@ -35,7 +35,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .trees import Learner, _dimension, _integer, _numeric, _step_size
+from .trees import Learner, _integer, _numeric, _step_size
 
 
 @dataclass
@@ -49,7 +49,7 @@ class LinearFilter(Learner):
     """LMS over the extended input."""
 
     def __init__(self, dim, mu=0.01):
-        self.dim = _dimension(dim)
+        self.dim = _integer(dim, "dim", 1)
         self.mu = _step_size(mu)
         self.v = np.zeros(self.dim + 1)
 

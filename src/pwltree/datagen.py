@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .trees import _integer
+from .trees import _integer, _numeric, _real
 
 DEFAULT_NOISE_VAR = 0.1
 
@@ -130,9 +130,7 @@ def _piecewise(values, n, seed, noise_var=DEFAULT_NOISE_VAR) -> Stream:
     """``n`` standard-normal inputs and their ``values`` targets, plus
     white Gaussian noise of variance ``noise_var``, a finite number >= 0
     (booleans excluded); anything else raises ValueError."""
-    number = isinstance(noise_var, (int, float, np.integer, np.floating))
-    if isinstance(noise_var, bool) or not number or not (math.isfinite(noise_var) and noise_var >= 0):
-        raise ValueError(f"noise_var must be a finite number >= 0, got {noise_var!r}")
+    _real(noise_var, "noise_var", lambda v: 0 <= v < math.inf, "be a finite number >= 0")
     rng = _generator(seed)
     x = _standard_normals(rng, (n, 2))
     d = values(x)
@@ -141,13 +139,13 @@ def _piecewise(values, n, seed, noise_var=DEFAULT_NOISE_VAR) -> Stream:
     return Stream(x, d)
 
 
-def _burn_in(burn_in) -> int:
-    """``burn_in`` as an int when it is an integer >= 0 (numpy's included);
-    anything else, booleans and integral floats included, raises ValueError."""
-    burn_in = _integer(burn_in, "burn_in")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-    return burn_in
+def _initial_state(init, size: int) -> list[float]:
+    """``init`` as ``size`` floats when it holds exactly ``size`` finite
+    numbers, booleans excluded; anything else raises ValueError."""
+    state = _numeric(init, (size,))
+    if state is None or not np.isfinite(state).all():
+        raise ValueError(f"init must be {size} finite numbers, got {init!r}")
+    return state.tolist()
 
 
 def gen_henon(n, init=(0.0, 0.0), zeta=1.4, eta=0.3, burn_in=100) -> Stream:
@@ -156,9 +154,12 @@ def gen_henon(n, init=(0.0, 0.0), zeta=1.4, eta=0.3, burn_in=100) -> Stream:
 
     The map is chaotic at the default parameters.  Iterates exceeding
     1e10 in magnitude raise, signalling a divergent initial state.
+    ``init`` must be 2 finite numbers and ``zeta`` and ``eta`` finite
+    numbers; anything else raises ValueError naming the parameter.
     """
-    burn_in = _burn_in(burn_in)
-    d1, d2 = float(init[0]), float(init[1])
+    burn_in = _integer(burn_in, "burn_in", 0)
+    d1, d2 = _initial_state(init, 2)
+    zeta, eta = _real(zeta, "zeta"), _real(eta, "eta")
     inputs = np.empty((n, 2))
     targets = np.empty(n)
     for t in range(-burn_in, n):
@@ -175,9 +176,14 @@ def gen_henon(n, init=(0.0, 0.0), zeta=1.4, eta=0.3, burn_in=100) -> Stream:
 def gen_lorenz(n, init=(1.0, 1.0, 1.0), dt=0.01, rho=28.0, sigma=10.0,
                beta=8.0 / 3.0, burn_in=100) -> Stream:
     """Forward-Euler iterates of the three-variable convection flow; the
-    first coordinate is the target, the other two form the input."""
-    burn_in = _burn_in(burn_in)
-    x, y, z = (float(c) for c in init)
+    first coordinate is the target, the other two form the input.
+    ``init`` must be 3 finite numbers and ``dt``, ``rho``, ``sigma`` and
+    ``beta`` finite numbers; anything else raises ValueError naming the
+    parameter."""
+    burn_in = _integer(burn_in, "burn_in", 0)
+    x, y, z = _initial_state(init, 3)
+    dt, rho, sigma, beta = (_real(value, name) for value, name in
+                            ((dt, "dt"), (rho, "rho"), (sigma, "sigma"), (beta, "beta")))
     inputs = np.empty((n, 2))
     targets = np.empty(n)
     for t in range(-burn_in, n):
@@ -201,8 +207,7 @@ def generate(kind: str, n: int, seed: int | None = None, **params) -> Stream:
     booleans and integral floats included, raises ValueError."""
     if kind not in GENERATORS:
         raise ValueError(f"unknown stream kind {kind!r}")
-    if _integer(n, "n") < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _integer(n, "n", 0)
     if kind not in PIECEWISE:
         return GENERATORS[kind](n, **params)
     if seed is None:

@@ -14,13 +14,14 @@ A step costs a fixed number of numpy calls whatever the depth, about 12
 (7 in ``predict``, 5 in ``update``).  All ``2**depth - 1`` gates are
 evaluated in one product, O(m * 2**depth) flops in a single call, and
 the path is then walked on their Python floats (``gate < 0.0``, no
-comparison ufunc); only the d gates on the path
-are read.  The kappa product reads the leaf's (d + 1, n_nodes) block of
-rho rows, built once per learner, so it stays O(depth * 2**depth).  On
-arrays this small a call's dispatch outweighs its arithmetic, so every
-product is a ``.dot``, cheaper than ``@``, the scalar step factor is
-formed before it touches an array, and the input is converted once, in
-``predict``.
+comparison ufunc); only the d gates on the path are read.  Every leaf's
+root -> leaf path is taken once per learner from the ancestor table of
+its depth, which :mod:`pwltree.trees` builds on first use and caches.
+The kappa product reads the leaf's (d + 1, n_nodes) block of rho rows,
+built once per learner, so it stays O(depth * 2**depth).  On arrays this
+small a call's dispatch outweighs its arithmetic, so every product is a
+``.dot``, cheaper than ``@``, the scalar step factor is formed before it
+touches an array, and the input is converted once, in ``predict``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .separators import initial_directions
-from .trees import ANCESTORS, MAX_TABLE_DEPTH, TreeLearner, _hyperplanes, rho_table
+from .trees import TreeLearner, _heap_tables, _hyperplanes, rho_table
 
 
 @dataclass
@@ -76,7 +77,7 @@ class FixedTreeRegressor(TreeLearner):
         self.boundaries.setflags(write=False)
         # root -> leaf path of every leaf: the root, then the leaf's ancestor column
         self._paths = np.zeros((self.n_nodes - self.n_internal, depth + 1), dtype=np.intp)
-        self._paths[:, 1:] = ANCESTORS[MAX_TABLE_DEPTH - depth:, self.n_internal:self.n_nodes].T
+        self._paths[:, 1:] = _heap_tables(depth)[0][:, self.n_internal:].T
         self._paths.setflags(write=False)
         # rho rows of every leaf's path, (n_leaves, depth + 1, n_nodes)
         self._path_rho = rho_table(depth).astype(float)[self._paths]

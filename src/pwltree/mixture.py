@@ -78,7 +78,6 @@ from .trees import (
     MAX_ENUMERATION_DEPTH,
     Learner,
     _branch_tables,
-    _dimension,
     _gate_clamp,
     _hyperplanes,
     _integer,
@@ -136,7 +135,7 @@ class DirectMixtureRegressor(Learner):
         if not 0 <= depth <= MAX_ENUMERATION_DEPTH:
             raise ValueError(f"direct mixture depth must be in [0, {MAX_ENUMERATION_DEPTH}], "
                              f"got {depth}")
-        dim = _dimension(dim)
+        dim = _integer(dim, "dim", 1)
         if mode not in ("hard", "soft"):
             raise ValueError(f"unknown mode {mode!r}")
         self.depth = depth

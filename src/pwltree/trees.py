@@ -12,16 +12,18 @@ set exactly once.  A depth-``d`` tree represents ``beta(d)`` partitions,
 with ``beta(0) = 1`` and ``beta(j+1) = beta(j)**2 + 1`` (doubly
 exponential growth).  ``gamma`` and ``rho`` count partition memberships;
 a pair's count depends only on the levels of the two nodes and of their
-deepest common ancestor.  ``rho_table`` holds ``rho`` over every node pair
-for the learners' kappa products, gathered from the exact counts of those
-level triples, and ``enumerate_partitions`` is the brute-force ground truth
-used to validate them.  ``Learner`` holds the one ``step`` of the
-sequential protocol every learner in the package follows, and
-``TreeLearner`` the per-node state both collapsed tree learners keep, and
-its heap-ordered snapshot format.  ``_SoftGates`` is the gate kernel
-both soft learners, the adaptive tree and the explicit mixture's soft
-mode, call: their gates, activation cascade, boundary-step factors and
-capped hyperplane step are written once, here.
+deepest common ancestor; the counts are exact Python ints at every depth.
+``rho_table`` holds ``rho`` over every node pair for the learners' kappa
+products, gathered from the exact counts of those level triples, and
+``enumerate_partitions`` is the brute-force ground truth used to validate
+them.  ``_heap_tables`` builds the node tables of one depth on first use
+and caches them, so importing the package builds none.  ``Learner`` holds
+the one ``step`` of the sequential protocol every learner in the package
+follows, and ``TreeLearner`` the per-node state both collapsed tree
+learners keep, and its heap-ordered snapshot format.  ``_SoftGates`` is
+the gate kernel both soft learners, the adaptive tree and the explicit
+mixture's soft mode, call: their gates, activation cascade, boundary-step
+factors and capped hyperplane step are written once, here.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import expit
 
-# The deepest tree the learners and the shared tables support.  beta(7)
-# already overflows int64; deeper trees also need per-step kappa products
-# that do not touch a dense n_nodes x n_nodes table.
+# The deepest tree whose int64 rho_table is built, and so the deepest tree
+# the collapsed learners run.  Its counts overflow int64 from depth 7
+# (gamma(7, 7) is about 1.7e22); deeper tables need float entries rounded
+# from the exact counts.
 MAX_TABLE_DEPTH = 5
-_INT64_MAX = 2**63 - 1
 
 
 def level(i: int) -> int:
@@ -49,33 +51,31 @@ def node_count(depth: int) -> int:
     return (1 << (depth + 1)) - 1
 
 
-def _step_size(mu) -> float:
-    """``mu`` as a float when it is a usable step size: a finite int or
-    float > 0 (numpy's included).  Anything else, booleans, numeric
-    strings and functions included, raises ValueError."""
-    if isinstance(mu, bool) or not isinstance(mu, (int, float, np.integer, np.floating)) \
-            or not (math.isfinite(mu) and mu > 0):
-        raise ValueError(f"mu must be a finite number > 0, got {mu!r}")
-    return float(mu)
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int when it is an integer (numpy's included);
-    anything else, booleans and integral floats included, raises
-    ValueError naming ``name``."""
+def _integer(value, name: str, low: int | None = None) -> int:
+    """``value`` as an int when it is an integer (numpy's included) and, if
+    ``low`` is given, at least ``low``; anything else, booleans and
+    integral floats included, raises ValueError naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
     return int(value)
 
 
-def _dimension(dim) -> int:
-    """``dim`` as an int when it is an integer >= 1 (numpy's included);
-    anything else, booleans and integral floats included, raises
-    ValueError."""
-    dim = _integer(dim, "dim")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return dim
+def _real(value, name: str, test=math.isfinite, want: str = "be a finite number") -> float:
+    """``value`` as a float when it is a real number (numpy's included)
+    that passes ``test``; anything else, booleans and strings included,
+    raises ValueError saying that ``name`` must ``want``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
+            or not test(value):
+        raise ValueError(f"{name} must {want}, got {value!r}")
+    return float(value)
+
+
+def _step_size(mu) -> float:
+    """``mu`` as a float when it is a usable step size: a finite number > 0
+    (numpy's included); anything else, functions included, raises ValueError."""
+    return _real(mu, "mu", lambda mu: 0 < mu < math.inf, "be a finite number > 0")
 
 
 def _hyperplanes(planes, n_internal: int, dim: int, name: str) -> np.ndarray:
@@ -92,16 +92,16 @@ def _hyperplanes(planes, n_internal: int, dim: int, name: str) -> np.ndarray:
 
 def _gate_clamp(s_plus) -> float:
     """``s_plus`` as a float when it is a usable gate clamp: a real number
-    (numpy's included) in ``(0, 0.5)``.  Anything else, booleans, numeric
-    strings and NaN included, raises ValueError."""
-    if isinstance(s_plus, bool) or not isinstance(s_plus, (int, float, np.integer, np.floating)) \
-            or not 0.0 < s_plus < 0.5:
-        raise ValueError(f"s_plus must lie in (0, 0.5), got {s_plus!r}")
-    return float(s_plus)
+    (numpy's included) in ``(0, 0.5)``; anything else, NaN included,
+    raises ValueError."""
+    return _real(s_plus, "s_plus", lambda s: 0 < s < 0.5, "lie in (0, 0.5)")
 
 
-def _heap_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ancestor, descendant and common-level tables of the depth-``depth`` heap.
+@lru_cache(maxsize=None)
+def _heap_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """Ancestor, descendant, common-level and branch tables of the
+    depth-``depth`` heap, built once per depth on first use and cached,
+    read-only and C-contiguous.
 
     The ancestor table is level-major: column ``i`` lists the nodes of the
     root -> ``i`` path below the root, bottom-aligned (the last row is
@@ -110,7 +110,8 @@ def _heap_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     descendant table is 1.0 when ``i`` lies in the subtree of ``a``,
     ``a`` included.  Entry ``[p, q]`` of the common-level table is the
     level of the deepest common ancestor of ``p`` and ``q``, so its
-    diagonal holds the node levels.  Node ``i`` sits at level
+    diagonal holds the node levels.  The branch tables are the
+    ``_branch_tables`` of the ancestor table.  Node ``i`` sits at level
     ``floor(log2(i + 1))`` and its ancestor ``k`` levels up is
     ``((i + 1) >> k) - 1``.
     """
@@ -127,7 +128,7 @@ def _heap_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     descendants = (common_levels == levels[:, None]).astype(float)
     for table in (ancestors, descendants, common_levels):
         table.setflags(write=False)
-    return ancestors, descendants, common_levels
+    return ancestors, descendants, common_levels, _branch_tables(ancestors)
 
 
 def _branch_tables(ancestors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,17 +144,6 @@ def _branch_tables(ancestors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     for table in (gate, sign, offset):
         table.setflags(write=False)
     return gate, sign, offset
-
-
-# Shared read-only tables of the deepest supported tree.  Heap indices of a
-# depth-d tree are a prefix of these, so a depth-d learner uses views
-# ``ANCESTORS[MAX_TABLE_DEPTH - d:, :n]`` and ``DESCENDANTS[:n, :n]``, and
-# ``rho_table(d)`` reads ``_COMMON_LEVELS[:n, :n]``.  ``BRANCHES[d]`` holds
-# the branch tables of the depth-d ancestor view, contiguous, since the
-# per-step gather and arithmetic on a strided view cost more than on a copy.
-ANCESTORS, DESCENDANTS, _COMMON_LEVELS = _heap_tables(MAX_TABLE_DEPTH)
-BRANCHES = tuple(_branch_tables(ANCESTORS[MAX_TABLE_DEPTH - d:, :node_count(d)])
-                 for d in range(MAX_TABLE_DEPTH + 1))
 
 
 class _SoftGates:
@@ -240,7 +230,7 @@ class TreeLearner(Learner):
         if not 0 <= depth <= MAX_TABLE_DEPTH:
             raise ValueError(f"depth must be in [0, {MAX_TABLE_DEPTH}]")
         self.depth = depth
-        self.dim = dim = _dimension(dim)
+        self.dim = dim = _integer(dim, "dim", 1)
         self.mu = _step_size(mu)
         self.n_nodes = node_count(depth)
         self.n_internal = (1 << depth) - 1
@@ -330,31 +320,31 @@ def _snapshot_array(state: dict, name: str, shape: tuple) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def beta(j: int) -> int:
-    """Number of partitions representable by a depth-``j`` tree.
+def _beta(j: int) -> int:
+    return 1 if j == 0 else _beta(j - 1) ** 2 + 1
 
-    beta(0) = 1, beta(j+1) = beta(j)**2 + 1.  Raises OverflowError once the
-    value no longer fits a 64-bit signed integer (j >= 7).
-    """
-    if j < 0:
-        raise ValueError("depth must be >= 0")
-    if j == 0:
-        return 1
-    b = beta(j - 1) ** 2 + 1
-    if b > _INT64_MAX:
-        raise OverflowError(f"beta({j}) exceeds 64-bit integer range")
-    return b
+
+def beta(j: int) -> int:
+    """Number of partitions representable by a depth-``j`` tree, an exact
+    Python int: beta(0) = 1, beta(j+1) = beta(j)**2 + 1.  ``j`` must be an
+    integer >= 0 (numpy's included); anything else, booleans and integral
+    floats included, raises ValueError naming the depth."""
+    return _beta(_integer(j, "depth", 0))
+
+
+def _gamma(depth: int, l: int) -> int:
+    return math.prod(map(_beta, range(depth - l, depth)))
 
 
 def gamma(depth: int, l: int) -> int:
     """Number of partitions of a depth-``depth`` tree in which a node at
-    depth ``l`` is a leaf: product of beta(depth - j) for j = 1..l."""
+    depth ``l`` is a leaf: product of beta(depth - j) for j = 1..l.  Both
+    must be integers with ``0 <= l <= depth``; anything else raises
+    ValueError."""
+    depth, l = _integer(depth, "depth", 0), _integer(l, "node depth")
     if not 0 <= l <= depth:
         raise ValueError(f"node depth {l} out of range for tree depth {depth}")
-    out = 1
-    for j in range(1, l + 1):
-        out *= beta(depth - j)
-    return out
+    return _gamma(depth, l)
 
 
 def _pair_count(depth: int, l_p: int, l_q: int, l_c: int) -> int:
@@ -369,12 +359,12 @@ def _pair_count(depth: int, l_p: int, l_q: int, l_c: int) -> int:
     d' = depth - l_c - 1.
     """
     if l_c == l_p == l_q:
-        return gamma(depth, l_p)
+        return _gamma(depth, l_p)
     if l_c == min(l_p, l_q):
         return 0
     d_sub = depth - l_c - 1
-    num = gamma(depth, l_p) * gamma(d_sub, l_q - l_c - 1)
-    den = beta(d_sub)
+    num = _gamma(depth, l_p) * _gamma(d_sub, l_q - l_c - 1)
+    den = _beta(d_sub)
     if num % den:
         raise AssertionError(f"rho quotient not integral for levels {l_p}, {l_q} "
                              f"below level {l_c} at depth {depth}")
@@ -387,6 +377,7 @@ def rho(p: int, q: int, depth: int) -> int:
     of ``p``, ``q`` and their deepest common ancestor.  Symmetric in ``p``
     and ``q``; the pairwise reference for ``rho_table``.
     """
+    depth, p, q = _integer(depth, "depth", 0), _integer(p, "node p"), _integer(q, "node q")
     n = node_count(depth)
     if not (0 <= p < n and 0 <= q < n):
         raise ValueError(f"nodes {p}, {q} must lie in the depth-{depth} tree (0 to {n - 1})")
@@ -397,26 +388,28 @@ def rho(p: int, q: int, depth: int) -> int:
     return _pair_count(depth, lp, lq, lc)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def rho_table(depth: int) -> np.ndarray:
     """Dense (n_nodes, n_nodes) int64 table of rho over heap indices.
 
     ``rho`` depends only on the levels of the two nodes and of their
     deepest common ancestor, so the table is gathered from the exact
     counts of the (depth + 1)**3 level triples, indexed at once by the
-    levels of every pair, which the shared heap tables hold.  It is built
-    once per depth and cached read-only; learners share it for their
-    per-step kappa products.
+    levels of every pair, which the depth's common-level table holds.  It
+    is built once per depth and cached read-only; learners share it for
+    their per-step kappa products.  ``depth`` must be an integer in ``[0,
+    MAX_TABLE_DEPTH]``; anything else raises ValueError naming it.
     """
+    depth = _integer(depth, "depth", 0)
     if depth > MAX_TABLE_DEPTH:
-        raise ValueError(f"depth {depth} > {MAX_TABLE_DEPTH}: combinatorial tables refused")
+        raise ValueError(f"rho_table is int64 and built only to depth {MAX_TABLE_DEPTH}, "
+                         f"got depth {depth}")
     counts = np.zeros((depth + 1,) * 3, dtype=np.int64)
     for l_c in range(depth + 1):  # a common ancestor lies no deeper than either node
         for l_p in range(l_c, depth + 1):
             for l_q in range(l_c, depth + 1):
                 counts[l_p, l_q, l_c] = _pair_count(depth, l_p, l_q, l_c)
-    n = node_count(depth)
-    lc = _COMMON_LEVELS[:n, :n]
+    lc = _heap_tables(depth)[2]
     lv = lc.diagonal()
     table = counts[lv[:, None], lv[None, :], lc]
     table.setflags(write=False)

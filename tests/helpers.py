@@ -15,16 +15,19 @@ gate rise was carried on the prediction and the hard path was walked on
 floats; ``reference_mixture_step`` is the same for
 the explicit mixture, in the form its step had before it was written as
 ``.dot`` products, and ``loop_membership`` its membership matrix filled
-entry by entry.
+entry by entry.  The references build their own descendant and ancestor
+tables, ``subtree_matrix`` and ``row_ancestors``, from the bit strings
+``i + 1``, so they read none of the heap tables they check.
 """
 
 import copy
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import expit
 
-from pwltree.trees import DESCENDANTS, MAX_TABLE_DEPTH, level, node_count, rho_table
+from pwltree.trees import level, node_count, rho_table
 
 
 def label(i: int) -> str:
@@ -148,12 +151,13 @@ MALFORMED_STATES = [
 ]
 
 
-def _subtree_matrix(n):
+@lru_cache(maxsize=None)
+def subtree_matrix(n):
     """(n, n) matrix whose entry [a, i] is 1.0 when heap node i lies in the
-    subtree of a, a included."""
-    table = np.eye(n)
-    for i in range(n - 1, 0, -1):  # a child's row is complete before its parent's
-        table[(i - 1) // 2] += table[i]
+    subtree of a, a included: the binary of ``a + 1`` is a prefix of the
+    binary of ``i + 1``.  Built once per size, read-only."""
+    table = np.array([[float(is_ancestor(a, i)) for i in range(n)] for a in range(n)])
+    table.setflags(write=False)
     return table
 
 
@@ -188,7 +192,7 @@ def reference_step(lrn, x, d):
     e = d - y_hat
     v += mu * e * alphas[:, None] * x
     w += mu * e * h
-    sub = _subtree_matrix(lrn.n_nodes) @ (kappas * h)
+    sub = subtree_matrix(lrn.n_nodes) @ (kappas * h)
     sigma = sub[1::2] / s - sub[2::2] / (1.0 - s)
     factors = np.clip(sigma * (1.0 - 2.0 * s_plus) * u * (1.0 - u), -lrn.step_cap, lrn.step_cap)
     eta = mu / (s_plus * (1.0 - s_plus))
@@ -196,13 +200,13 @@ def reference_step(lrn, x, d):
     return y_hat, w, v, theta
 
 
-def _row_ancestors(depth):
+def row_ancestors(depth):
     """(n_nodes, depth) ancestor table, node-major: row ``i`` holds the
-    root -> ``i`` path below the root, left-padded with the root 0."""
-    one_based = np.arange(1, node_count(MAX_TABLE_DEPTH) + 1)
-    shifts = np.arange(MAX_TABLE_DEPTH - 1, -1, -1)
-    table = np.maximum((one_based[:, None] >> shifts) - 1, 0).astype(np.intp)
-    return table[:node_count(depth), MAX_TABLE_DEPTH - depth:]
+    root -> ``i`` path below the root, left-padded with the root 0; the
+    ancestor ``k`` levels above ``i`` is ``((i + 1) >> k) - 1``."""
+    one_based = np.arange(1, node_count(depth) + 1)
+    shifts = np.arange(depth - 1, -1, -1)
+    return np.maximum((one_based[:, None] >> shifts) - 1, 0).astype(np.intp)
 
 
 def reference_dot_step(lrn, x, d):
@@ -223,7 +227,7 @@ def reference_dot_step(lrn, x, d):
         for _ in range(lrn.depth):
             i = 2 * i + 1 if negative[i] else 2 * i + 2
         path = np.zeros(lrn.depth + 1, dtype=np.intp)
-        path[1:] = _row_ancestors(lrn.depth)[i]
+        path[1:] = row_ancestors(lrn.depth)[i]
         estimates = v.take(path, axis=0).dot(x)
         y_hat = float(estimates.dot(rho[path].dot(w)))
         step = mu * (d - y_hat)
@@ -237,7 +241,7 @@ def reference_dot_step(lrn, x, d):
     s = f[1::2]
     np.minimum(s_plus + (1.0 - 2.0 * s_plus) * u, 1.0 - s_plus, out=s)
     np.subtract(1.0, s, out=f[2::2])
-    alphas = f[_row_ancestors(lrn.depth)].prod(axis=1)
+    alphas = f[row_ancestors(lrn.depth)].prod(axis=1)
     estimates = v.dot(x)
     h = alphas * estimates
     kappas = rho.dot(w)
@@ -246,7 +250,7 @@ def reference_dot_step(lrn, x, d):
     step = mu * e
     v += (step * alphas)[:, None].dot(x[None, :])
     w += step * h
-    sub = DESCENDANTS[:n, :n].dot(kappas * h)
+    sub = subtree_matrix(n).dot(kappas * h)
     q = sub[1:] / f[1:]
     factors = (q[0::2] - q[1::2]) * ((1.0 - 2.0 * s_plus) * u * (1.0 - u))
     cap = 10.0 * s_plus * (1.0 - s_plus)
@@ -304,7 +308,7 @@ def reference_mixture_step(lrn, x, d):
     y_hat = float(lrn.w_vec @ d_vec)
     e = d - y_hat
     v += (mu * e) * alphas[:, None] * x
-    subtrees = _subtree_matrix(lrn.n_nodes)
+    subtrees = subtree_matrix(lrn.n_nodes)
     span0, span1 = subtrees[1::2].copy(), subtrees[2::2].copy()
     c_h = (lrn.w_vec @ membership) * h
     sigma = (span0 @ c_h) / s - (span1 @ c_h) / (1.0 - s)

@@ -168,6 +168,28 @@ class TestRunCommand:
         assert capsys.readouterr().err == "pwltree: burn_in must be >= 0, got -4\n"
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("params, message", [
+        ({"kind": "henon", "init": [0.5]}, "init must be 2 finite numbers, got [0.5]"),
+        ({"kind": "henon", "init": [0.5, 0.1, 7.0]},
+         "init must be 2 finite numbers, got [0.5, 0.1, 7.0]"),
+        ({"kind": "henon", "zeta": True}, "zeta must be a finite number, got True"),
+        ({"kind": "henon", "eta": "0.3"}, "eta must be a finite number, got '0.3'"),
+        ({"kind": "lorenz", "init": [1.0, 1.0]}, "init must be 3 finite numbers, got [1.0, 1.0]"),
+        ({"kind": "lorenz", "dt": None}, "dt must be a finite number, got None"),
+        ({"kind": "lorenz", "sigma": [10.0]}, "sigma must be a finite number, got [10.0]"),
+    ])
+    def test_bad_chaotic_stream_parameter_exits_one(self, tmp_path, capsys, params, message):
+        # a one-value Henon init used to end the run in an IndexError traceback
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": {**params, "n": 20},
+            "learners": [{"kind": "lf", "mu": 0.05}],
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"pwltree: {message}\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("n", [0, -3, 2.5, "10", True, None, "missing"])
     def test_bad_stream_length_exits_one(self, tmp_path, capsys, n):
         stream = {"kind": "matched", "n": n}

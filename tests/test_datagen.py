@@ -182,6 +182,67 @@ class TestParameterChecks:
         with pytest.raises(ValueError, match=re.escape(message)):
             generate("matched", 5, seed=0, noise_var=noise_var)
 
+    @pytest.mark.parametrize("kind, init", [
+        ("henon", [0.5]),
+        ("henon", [0.5, 0.1, 7.0]),
+        ("henon", (math.nan, 0.0)),
+        ("henon", [0.0, -math.inf]),
+        ("henon", [True, 0.0]),
+        ("henon", "ab"),
+        ("henon", 0.5),
+        ("henon", None),
+        ("lorenz", [1.0, 1.0]),
+        ("lorenz", [1.0, 1.0, 1.0, 1.0]),
+        ("lorenz", [1.0, math.nan, 1.0]),
+        ("lorenz", ["1", 1.0, 1.0]),
+        ("lorenz", [[1.0], [1.0], [1.0]]),
+    ])
+    def test_bad_initial_state_is_refused(self, kind, init):
+        # a short init used to raise IndexError, a long one was cut silently
+        # and a NaN one gave a NaN stream
+        size = 2 if kind == "henon" else 3
+        message = f"init must be {size} finite numbers, got {init!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate(kind, 5, init=init)
+
+    @pytest.mark.parametrize("kind, key", [("henon", "zeta"), ("henon", "eta"), ("lorenz", "dt"),
+                                           ("lorenz", "rho"), ("lorenz", "sigma"),
+                                           ("lorenz", "beta")])
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "1.4", math.nan, -math.inf, None,
+                                       [1.4]])
+    def test_bad_map_parameter_is_refused(self, kind, key, value):
+        message = f"{key} must be a finite number, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate(kind, 5, **{key: value})
+
+    def test_numeric_map_parameters_keep_the_streams(self):
+        henon = generate("henon", 200)
+        same = generate("henon", 200, init=np.array([0, 0]), zeta=np.float64(1.4), eta=0.3)
+        assert same.inputs.tobytes() == henon.inputs.tobytes()
+        assert same.targets.tobytes() == henon.targets.tobytes()
+        lorenz = generate("lorenz", 200)
+        same = generate("lorenz", 200, init=[1, np.int64(1), 1.0], rho=28, sigma=np.float32(10.0))
+        assert same.inputs.tobytes() == lorenz.inputs.tobytes()
+        assert same.targets.tobytes() == lorenz.targets.tobytes()
+
+    def test_default_streams_are_the_plain_recursions(self):
+        # the checked parameters leave the defaults' arithmetic as it was
+        d1 = d2 = 0.0
+        want = []
+        for _ in range(300):
+            d1, d2 = 1.0 - 1.4 * d1 * d1 + 0.3 * d2, d1
+            want.append(d1)
+        assert generate("henon", 200).targets.tobytes() == np.array(want[100:]).tobytes()
+        x = y = z = 1.0
+        want = []
+        for _ in range(300):
+            x, y, z = (x + 10.0 * (y - x) * 0.01, y + (x * (28.0 - z) - y) * 0.01,
+                       z + (x * y - 8.0 / 3.0 * z) * 0.01)
+            want.append((x, y, z))
+        lorenz = generate("lorenz", 200)
+        assert lorenz.targets.tobytes() == np.array(want[100:])[:, 0].tobytes()
+        assert lorenz.inputs.tobytes() == np.array(want[100:])[:, 1:].tobytes()
+
     def test_numbers_at_least_zero_are_taken(self):
         default = generate("matched", 50, seed=7)
         same = generate("matched", 50, seed=7, noise_var=np.float64(0.1))

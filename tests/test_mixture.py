@@ -14,9 +14,9 @@ from pwltree.mixture import (
     batch_best_weights,
     empirical_strong_convexity,
 )
-from pwltree.trees import DESCENDANTS, beta
+from pwltree.trees import beta
 
-from helpers import is_ancestor, label, loop_membership
+from helpers import is_ancestor, label, loop_membership, subtree_matrix
 
 
 def subtree_of(root, n_nodes):
@@ -212,17 +212,16 @@ class TestBoundaryGradient:
     @pytest.mark.parametrize("depth", range(5))
     def test_span_masks_are_the_childrens_descendant_rows(self, depth):
         lrn = DirectMixtureRegressor(depth, 2, mode="soft")
-        internal = np.arange(lrn.n_internal)
-        assert np.array_equal(lrn._spans[0::2], DESCENDANTS[2 * internal + 1, :lrn.n_nodes])
-        assert np.array_equal(lrn._spans[1::2], DESCENDANTS[2 * internal + 2, :lrn.n_nodes])
+        rows = subtree_matrix(lrn.n_nodes)
+        assert np.array_equal(lrn._spans[0::2], rows[1::2])
+        assert np.array_equal(lrn._spans[1::2], rows[2::2])
 
     def test_oracle_reads_no_heap_table(self):
         # the oracle checks the learners, so it builds its own subtree spans
         tree = ast.parse(Path(mixture.__file__).read_text())
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                     and node.module == "trees" for alias in node.names}
-        assert imported and imported.isdisjoint({"ANCESTORS", "BRANCHES", "DESCENDANTS",
-                                                     "rho_table"})
+        assert imported and imported.isdisjoint({"_heap_tables", "rho_table"})
 
 
 class TestBatchBestWeights:

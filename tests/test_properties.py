@@ -17,9 +17,9 @@ from pwltree.adaptive_tree import AdaptiveTreeRegressor
 from pwltree.datagen import generate
 from pwltree.fixed_tree import FixedTreeRegressor
 from pwltree.mixture import DirectMixtureRegressor
-from pwltree.trees import ANCESTORS, BRANCHES, MAX_ENUMERATION_DEPTH, MAX_TABLE_DEPTH, node_count
+from pwltree.trees import MAX_ENUMERATION_DEPTH, _heap_tables, node_count
 
-from helpers import reference_dot_step, reference_mixture_step, reference_step
+from helpers import reference_dot_step, reference_mixture_step, reference_step, row_ancestors
 
 
 streams = st.tuples(st.sampled_from(["matched", "mismatched"]), st.integers(0, 2**16),
@@ -234,8 +234,8 @@ def test_branch_tables_give_the_gathered_branch_factors_bit_for_bit(depth, s):
     f[0] = 1.0
     f[1::2] = s
     np.subtract(1.0, s, out=f[2::2])
-    want = f[ANCESTORS[MAX_TABLE_DEPTH - depth:, :n]]
-    tables = [BRANCHES[depth]]
+    want = f[row_ancestors(depth).T]
+    tables = [_heap_tables(depth)[3]]
     if depth <= MAX_ENUMERATION_DEPTH:
         gates = DirectMixtureRegressor(depth, 2, mode="soft")._gates
         tables.append((gates.gate, gates.sign, gates.offset))

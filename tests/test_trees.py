@@ -1,19 +1,22 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pwltree
 from pwltree.adaptive_tree import AdaptiveTreeRegressor
 from pwltree.datagen import generate
 from pwltree.fixed_tree import FixedTreeRegressor
 from pwltree.mixture import DirectMixtureRegressor
 from pwltree.trees import (
-    ANCESTORS,
-    BRANCHES,
-    DESCENDANTS,
     MAX_ENUMERATION_DEPTH,
     MAX_TABLE_DEPTH,
+    _heap_tables,
     beta,
     enumerate_partitions,
     gamma,
@@ -29,9 +32,13 @@ from helpers import (MALFORMED_STATES, index_of, is_ancestor, is_valid_partition
 
 LEARNERS = {"dft": FixedTreeRegressor, "dat": AdaptiveTreeRegressor}
 
+# every depth the heap tables are checked at: past the learners' cap, since
+# the tables are built per depth and nothing in them stops at it
+TABLE_DEPTHS = range(8)
+
 
 def subtree_bits(bits, depth):
-    row = DESCENDANTS[index_of(bits), : node_count(depth)]
+    row = _heap_tables(depth)[1][index_of(bits)]
     return {label(int(i)) for i in np.flatnonzero(row)}
 
 
@@ -114,13 +121,17 @@ class TestShape:
 
     @pytest.mark.parametrize("depth", range(1, MAX_TABLE_DEPTH + 1))
     def test_learners_view_the_shared_tables(self, depth):
-        # each learner reads the shared tables rather than copying them
+        # each learner reads the cached tables of its depth rather than copying them
+        ancestors, descendants, _, branches = _heap_tables(depth)
         lrn = AdaptiveTreeRegressor(depth, 2)
         gates = lrn._gates
-        for table, shared in zip((gates.gate, gates.sign, gates.offset), BRANCHES[depth], strict=True):
+        for table, shared in zip((gates.gate, gates.sign, gates.offset), branches, strict=True):
             assert table is shared and table.shape == (depth, lrn.n_nodes)
-        assert np.shares_memory(gates.below, DESCENDANTS)
+        assert gates.below.base is descendants and gates.below.flags.c_contiguous
         assert gates.below.shape == (lrn.n_nodes - 1, lrn.n_nodes)
+        fixed = FixedTreeRegressor(depth, 2)
+        assert np.array_equal(fixed._paths[:, 1:].T, ancestors[:, fixed.n_internal:])
+        assert not fixed._paths[:, 0].any()
 
 
 @pytest.mark.parametrize("make", [FixedTreeRegressor, AdaptiveTreeRegressor])
@@ -222,10 +233,13 @@ class TestBetaGamma:
         assert [beta(j) for j in range(5)] == [1, 2, 5, 26, 677]
         assert beta(5) == 458330
 
-    def test_beta_overflow_guard(self):
-        beta(6)  # still within int64
-        with pytest.raises(OverflowError):
-            beta(7)
+    def test_beta_is_exact_through_depth_9(self):
+        # exact Python ints, past the int64 range from beta(7) on
+        want = 1
+        for j in range(10):
+            assert beta(j) == want and type(beta(j)) is int
+            want = want * want + 1
+        assert beta(7) > 2**63 and beta(9) == beta(8) ** 2 + 1
 
     def test_beta_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -383,34 +397,122 @@ class TestRhoTable:
             table[0, 0] = 5
 
     def test_depth_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                f"rho_table is int64 and built only to depth {MAX_TABLE_DEPTH}, got depth 6")):
             rho_table(6)
+
+
+COUNTS = [
+    pytest.param(beta, id="beta"),
+    pytest.param(lambda depth: gamma(depth, 0), id="gamma"),
+    pytest.param(lambda depth: rho(0, 0, depth), id="rho"),
+    pytest.param(rho_table, id="rho_table"),
+]
+
+
+@pytest.mark.parametrize("count", COUNTS)
+@pytest.mark.parametrize("depth", [True, np.bool_(True), 1.0, 2.0, 2.5, "2", None])
+def test_partition_counts_refuse_a_non_integer_depth(count, depth):
+    # the valid depths 1 and 2 are cached first, so a cache keyed on
+    # 1 == True == 1.0 would hand their counts back without a check
+    count(1), count(2), count(np.int64(2))
+    with pytest.raises(ValueError, match=re.escape(f"depth must be an integer, got {depth!r}")):
+        count(depth)
+
+
+@pytest.mark.parametrize("count", COUNTS)
+@pytest.mark.parametrize("depth", [-1, -3, np.int64(-1)])
+def test_partition_counts_refuse_a_negative_depth(count, depth):
+    # rho_table(-1) used to return an empty (0, 0) table
+    with pytest.raises(ValueError, match=re.escape(f"depth must be >= 0, got {int(depth)}")):
+        count(depth)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gamma(2, True), "node depth must be an integer, got True"),
+    (lambda: gamma(2, 1.0), "node depth must be an integer, got 1.0"),
+    (lambda: rho(True, 0, 2), "node p must be an integer, got True"),
+    (lambda: rho(0, 2.0, 2), "node q must be an integer, got 2.0"),
+])
+def test_partition_counts_refuse_a_non_integer_node(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_partition_counts_take_numpy_integers():
+    assert beta(np.int64(3)) == 26 and type(beta(np.int64(3))) is int
+    assert gamma(np.int64(2), np.int64(1)) == 2
+    assert rho(np.int64(3), np.int64(4), np.int64(2)) == 2
+    assert np.array_equal(rho_table(np.int64(2)), rho_table(2))
 
 
 class TestHeapTables:
     def test_ancestor_columns_are_padded_prefix_paths(self):
         # level-major, so a product over every node's path runs down rows
-        assert ANCESTORS.shape == (MAX_TABLE_DEPTH, node_count(MAX_TABLE_DEPTH))
-        assert ANCESTORS.flags.c_contiguous
-        for i in range(node_count(MAX_TABLE_DEPTH)):
-            bits = label(i)
-            path = [index_of(bits[:k]) for k in range(1, len(bits) + 1)]
-            pad = [0] * (MAX_TABLE_DEPTH - len(path))
-            assert ANCESTORS[:, i].tolist() == pad + path
+        for depth in TABLE_DEPTHS:
+            ancestors = _heap_tables(depth)[0]
+            assert ancestors.shape == (depth, node_count(depth))
+            for i in range(node_count(depth)):
+                bits = label(i)
+                path = [index_of(bits[:k]) for k in range(1, len(bits) + 1)]
+                pad = [0] * (depth - len(path))
+                assert ancestors[:, i].tolist() == pad + path, (depth, i)
 
     def test_descendants_mark_prefix_relation(self):
-        n = node_count(MAX_TABLE_DEPTH)
-        assert DESCENDANTS.shape == (n, n)
-        for a in range(n):
-            for i in range(n):
-                inside = label(i).startswith(label(a))
-                assert DESCENDANTS[a, i] == float(inside)
-                assert is_ancestor(a, i) == inside
+        for depth in TABLE_DEPTHS:
+            descendants = _heap_tables(depth)[1]
+            n = node_count(depth)
+            assert descendants.shape == (n, n)
+            want = [[float(label(i).startswith(label(a))) for i in range(n)] for a in range(n)]
+            assert descendants.tolist() == want, depth
+            assert [[is_ancestor(a, i) for i in range(n)] for a in range(n)] == np.array(
+                want, dtype=bool).tolist()
+
+    def test_common_level_diagonal_holds_the_node_levels(self):
+        for depth in TABLE_DEPTHS:
+            common = _heap_tables(depth)[2]
+            n = node_count(depth)
+            assert common.diagonal().tolist() == [len(label(i)) for i in range(n)], depth
+            for p in range(0, n, 7):
+                for q in range(n):
+                    a, b = label(p), label(q)
+                    shared = next((k for k in range(min(len(a), len(b))) if a[k] != b[k]),
+                                  min(len(a), len(b)))
+                    assert common[p, q] == common[q, p] == shared, (depth, p, q)
 
     def test_read_only(self):
-        for table in (ANCESTORS, DESCENDANTS, *(t for tables in BRANCHES[1:] for t in tables)):
-            with pytest.raises(ValueError):
-                table[0, 0] = 1
+        for depth in TABLE_DEPTHS:
+            ancestors, descendants, common, branches = _heap_tables(depth)
+            for table in (ancestors, descendants, common, *branches):
+                assert not table.flags.writeable
+                if table.size:
+                    with pytest.raises(ValueError):
+                        table[(0,) * table.ndim] = 1
+
+    def test_cached_and_contiguous_per_depth(self):
+        for depth in TABLE_DEPTHS:
+            tables = _heap_tables(depth)
+            assert _heap_tables(depth) is tables
+            ancestors, descendants, common, branches = tables
+            assert descendants[1:].flags.c_contiguous
+            for table in (ancestors, descendants, common, *branches):
+                assert table.flags.c_contiguous
+            for table in branches:
+                assert table.shape == ancestors.shape
+
+    def test_import_builds_no_table(self):
+        # the tables are built on first use, per depth, never at import
+        code = ("import pwltree\n"
+                "from pwltree import trees\n"
+                "print(trees._heap_tables.cache_info().currsize, "
+                "trees.rho_table.cache_info().currsize)")
+        src = str(Path(pwltree.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "0"]
 
 
 class TestMembership:
