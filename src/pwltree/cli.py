@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_gen = sub.add_parser("gen", help="write a synthetic stream to CSV")
-    p_gen.add_argument("kind", choices=sorted(datagen.GENERATORS))
+    p_gen.add_argument("kind", choices=sorted(datagen.KINDS))
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--noise-var", type=float, default=None)
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_snap.add_argument("--depth", type=int, default=2)
     p_snap.add_argument("--mu", type=float, default=0.005)
     p_snap.add_argument("--s-plus", type=float, default=0.01)
-    p_snap.add_argument("--stream", choices=sorted(datagen.GENERATORS), default="matched")
+    p_snap.add_argument("--stream", choices=sorted(datagen.KINDS), default="matched")
     p_snap.add_argument("--n", type=int, required=True, help="total stream length")
     p_snap.add_argument("--steps", type=int, required=True, help="steps to run before saving")
     p_snap.add_argument("--seed", type=int, default=0)

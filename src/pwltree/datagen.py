@@ -7,12 +7,14 @@ open unit interval and normal variates are their inverse-CDF images
 and the recipe is simple enough to replay outside this package.
 
 The four piecewise-linear streams draw two-dimensional standard-normal
-inputs and flip the sign of a fixed linear response across half-space
-cells, plus white
-Gaussian noise of variance 0.1.  The two chaotic streams (quadratic map
-and the three-variable convection flow) are noise-free recursions; their
-first 100 iterates are discarded as transient by default since the
-initial state is an arbitrary convention.
+inputs; each target is the fixed linear response ``x1 + x2`` times the
+sign of the leaf the input reaches in the kind's generating tree of
+half-space tests (``PIECEWISE``), plus white Gaussian noise of variance
+0.1 by default.  The two chaotic streams are noise-free recursions at
+fixed parameters from a fixed initial state: the Henon map at zeta = 1.4,
+eta = 0.3 (Henon, 1976) and the forward-Euler Lorenz flow at sigma = 10,
+rho = 28, beta = 8/3 (Lorenz, 1963).  Their first ``BURN_IN`` = 100
+iterates are discarded as transient.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .trees import _integer, _numeric, _real
+from .trees import _integer, _real
 
 DEFAULT_NOISE_VAR = 0.1
+
+BURN_IN = 100
 
 _W = np.array([1.0, 1.0])
 
@@ -73,99 +77,65 @@ def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     return ndtri((k + 0.5) * 2.0**-53)
 
 
-def matched_values(x: np.ndarray) -> np.ndarray:
-    """Noiseless targets of the quadrant-matched model: +/- the linear
-    response, positive where the two axis tests agree in sign."""
-    x = np.atleast_2d(x)
-    sign = np.where((x[:, 0] >= 0) == (x[:, 1] >= 0), 1.0, -1.0)
-    return sign * (x @ _W)
-
-
-def mismatched_values(x: np.ndarray) -> np.ndarray:
-    """Noiseless targets of the rotated/shifted two-level model."""
-    x = np.atleast_2d(x)
-    p0 = x @ np.array([4.0, -1.0])
-    p1 = x @ np.array([1.0, 1.0])
-    p2 = x @ np.array([1.0, 2.0])
-    upper = p0 >= 0.5
-    sign = np.where(upper, np.where(p1 >= 1.0, 1.0, -1.0), np.where(p2 >= -1.0, -1.0, 1.0))
-    return sign * (x @ _W)
-
-
-def first_order_values(x: np.ndarray) -> np.ndarray:
-    """Noiseless targets of the single-split model (one hyperplane)."""
-    x = np.atleast_2d(x)
-    sign = np.where(x @ np.array([4.0, -1.0]) >= 0.5, 1.0, -1.0)
-    return sign * (x @ _W)
-
-
-def third_order_values(x: np.ndarray) -> np.ndarray:
-    """Noiseless targets of the eight-cell, three-level model."""
-    x = np.atleast_2d(x)
-    p0 = x @ np.array([4.0, -1.0]) >= 0.5
-    p1 = x @ np.array([1.0, 1.0]) >= 1.0
-    p2 = x @ np.array([-1.0, -2.0]) >= 0.5
-    p3 = x @ np.array([0.0, 1.0]) >= 0.5
-    p4 = x @ np.array([1.0, 0.0]) >= 0.5
-    p5 = x @ np.array([-1.0, 0.0]) >= 0.5
-    p6 = x @ np.array([0.0, -1.0]) >= 0.5
-    plus = np.where(
-        p0,
-        np.where(p1, p3, p4),
-        np.where(~p2, ~p5, ~p6),
-    )
-    return np.where(plus, 1.0, -1.0) * (x @ _W)
-
-
-# kind -> noiseless targets of a piecewise-linear stream
+# kind -> (planes, signs): the generating tree of a piecewise-linear
+# stream.  Row i of ``planes`` is internal node i's test ``x @ (a1, a2) >=
+# c`` in heap order; a point that passes it goes to the upper child
+# 2i + 2, one that fails to the lower child 2i + 1.  ``signs`` holds one
+# response sign per leaf, left to right.
 PIECEWISE = {
-    "matched": matched_values,
-    "mismatched": mismatched_values,
-    "first_order": first_order_values,
-    "third_order": third_order_values,
+    # quadrants: positive where the two axis tests agree
+    "matched": (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]),
+                (1.0, -1.0, -1.0, 1.0)),
+    # the same two-level shape on rotated and shifted planes
+    "mismatched": (np.array([[4.0, -1.0, 0.5], [1.0, 2.0, -1.0], [1.0, 1.0, 1.0]]),
+                   (1.0, -1.0, -1.0, 1.0)),
+    # one hyperplane
+    "first_order": (np.array([[4.0, -1.0, 0.5]]), (-1.0, 1.0)),
+    # eight cells, three levels
+    "third_order": (np.array([[4.0, -1.0, 0.5], [-1.0, -2.0, 0.5], [1.0, 1.0, 1.0],
+                              [-1.0, 0.0, 0.5], [0.0, -1.0, 0.5], [1.0, 0.0, 0.5],
+                              [0.0, 1.0, 0.5]]),
+                    (1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0)),
 }
 
 
-def _piecewise(values, n, seed, noise_var=DEFAULT_NOISE_VAR) -> Stream:
-    """``n`` standard-normal inputs and their ``values`` targets, plus
-    white Gaussian noise of variance ``noise_var``, a finite number >= 0
+def piecewise_values(kind: str, x: np.ndarray) -> np.ndarray:
+    """Noiseless targets of the piecewise kind ``kind`` at the rows of
+    ``x``: the sign of the leaf each row reaches in the generating tree
+    times the fixed linear response ``x @ _W``."""
+    planes, signs = PIECEWISE[kind]
+    x = np.atleast_2d(x)
+
+    def sign(i):
+        if i >= len(planes):
+            return signs[i - len(planes)]
+        return np.where(x @ planes[i, :2] >= planes[i, 2], sign(2 * i + 2), sign(2 * i + 1))
+
+    return sign(0) * (x @ _W)
+
+
+def _piecewise(kind, n, seed, noise_var=DEFAULT_NOISE_VAR) -> Stream:
+    """``n`` standard-normal inputs and their ``kind`` targets, plus white
+    Gaussian noise of variance ``noise_var``, a finite number >= 0
     (booleans excluded); anything else raises ValueError."""
     _real(noise_var, "noise_var", lambda v: 0 <= v < math.inf, "be a finite number >= 0")
     rng = _generator(seed)
     x = _standard_normals(rng, (n, 2))
-    d = values(x)
+    d = piecewise_values(kind, x)
     if noise_var > 0:
         d = d + np.sqrt(noise_var) * _standard_normals(rng, n)
     return Stream(x, d)
 
 
-def _initial_state(init, size: int) -> list[float]:
-    """``init`` as ``size`` floats when it holds exactly ``size`` finite
-    numbers, booleans excluded; anything else raises ValueError."""
-    state = _numeric(init, (size,))
-    if state is None or not np.isfinite(state).all():
-        raise ValueError(f"init must be {size} finite numbers, got {init!r}")
-    return state.tolist()
-
-
-def gen_henon(n, init=(0.0, 0.0), zeta=1.4, eta=0.3, burn_in=100) -> Stream:
-    """Quadratic-map recursion ``d = 1 - zeta d'^2 + eta d''`` in a
-    prediction framing: the input is the pair of previous values.
-
-    The map is chaotic at the default parameters.  Iterates exceeding
-    1e10 in magnitude raise, signalling a divergent initial state.
-    ``init`` must be 2 finite numbers and ``zeta`` and ``eta`` finite
-    numbers; anything else raises ValueError naming the parameter.
-    """
-    burn_in = _integer(burn_in, "burn_in", 0)
-    d1, d2 = _initial_state(init, 2)
-    zeta, eta = _real(zeta, "zeta"), _real(eta, "eta")
+def gen_henon(n) -> Stream:
+    """Quadratic-map recursion ``d = 1 - 1.4 d'^2 + 0.3 d''`` from ``d' =
+    d'' = 0`` in a prediction framing: the input is the pair of previous
+    values.  The first ``BURN_IN`` iterates are discarded."""
     inputs = np.empty((n, 2))
     targets = np.empty(n)
-    for t in range(-burn_in, n):
-        d_new = 1.0 - zeta * d1 * d1 + eta * d2
-        if abs(d_new) > 1e10:
-            raise ValueError("orbit diverged; bad initial state or parameters")
+    d1 = d2 = 0.0
+    for t in range(-BURN_IN, n):
+        d_new = 1.0 - 1.4 * d1 * d1 + 0.3 * d2
         if t >= 0:
             inputs[t] = (d1, d2)
             targets[t] = d_new
@@ -173,24 +143,19 @@ def gen_henon(n, init=(0.0, 0.0), zeta=1.4, eta=0.3, burn_in=100) -> Stream:
     return Stream(inputs, targets)
 
 
-def gen_lorenz(n, init=(1.0, 1.0, 1.0), dt=0.01, rho=28.0, sigma=10.0,
-               beta=8.0 / 3.0, burn_in=100) -> Stream:
-    """Forward-Euler iterates of the three-variable convection flow; the
-    first coordinate is the target, the other two form the input.
-    ``init`` must be 3 finite numbers and ``dt``, ``rho``, ``sigma`` and
-    ``beta`` finite numbers; anything else raises ValueError naming the
-    parameter."""
-    burn_in = _integer(burn_in, "burn_in", 0)
-    x, y, z = _initial_state(init, 3)
-    dt, rho, sigma, beta = (_real(value, name) for value, name in
-                            ((dt, "dt"), (rho, "rho"), (sigma, "sigma"), (beta, "beta")))
+def gen_lorenz(n) -> Stream:
+    """Forward-Euler iterates, step 0.01 from ``(1, 1, 1)``, of the
+    three-variable convection flow at sigma = 10, rho = 28, beta = 8/3;
+    the first coordinate is the target, the other two form the input.
+    The first ``BURN_IN`` iterates are discarded."""
     inputs = np.empty((n, 2))
     targets = np.empty(n)
-    for t in range(-burn_in, n):
+    x = y = z = 1.0
+    for t in range(-BURN_IN, n):
         x, y, z = (
-            x + sigma * (y - x) * dt,
-            y + (x * (rho - z) - y) * dt,
-            z + (x * y - beta * z) * dt,
+            x + 10.0 * (y - x) * 0.01,
+            y + (x * (28.0 - z) - y) * 0.01,
+            z + (x * y - 8.0 / 3.0 * z) * 0.01,
         )
         if t >= 0:
             inputs[t] = (y, z)
@@ -198,21 +163,24 @@ def gen_lorenz(n, init=(1.0, 1.0, 1.0), dt=0.01, rho=28.0, sigma=10.0,
     return Stream(inputs, targets)
 
 
-GENERATORS = {**PIECEWISE, "henon": gen_henon, "lorenz": gen_lorenz}
+CHAOTIC = {"henon": gen_henon, "lorenz": gen_lorenz}
+
+KINDS = (*PIECEWISE, *CHAOTIC)
 
 
 def generate(kind: str, n: int, seed: int | None = None, **params) -> Stream:
-    """Dispatch on stream kind; the piecewise kinds require ``seed``.  The
-    length ``n`` is an integer >= 0 (numpy's included); anything else,
-    booleans and integral floats included, raises ValueError."""
-    if kind not in GENERATORS:
+    """Dispatch on stream kind; the piecewise kinds require ``seed`` and
+    take ``noise_var``, the chaotic kinds take no parameter.  The length
+    ``n`` is an integer >= 0 (numpy's included); anything else, booleans
+    and integral floats included, raises ValueError."""
+    if kind not in KINDS:
         raise ValueError(f"unknown stream kind {kind!r}")
     _integer(n, "n", 0)
-    if kind not in PIECEWISE:
-        return GENERATORS[kind](n, **params)
+    if kind in CHAOTIC:
+        return CHAOTIC[kind](n, **params)
     if seed is None:
         raise ValueError(f"stream kind {kind!r} requires a seed")
-    return _piecewise(PIECEWISE[kind], n, seed, **params)
+    return _piecewise(kind, n, seed, **params)
 
 
 def stream_to_csv(stream: Stream, path) -> None:

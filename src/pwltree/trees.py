@@ -62,14 +62,20 @@ def _integer(value, name: str, low: int | None = None) -> int:
     return int(value)
 
 
-def _real(value, name: str, test=math.isfinite, want: str = "be a finite number") -> float:
+def _real(value, name: str, test, want: str) -> float:
     """``value`` as a float when it is a real number (numpy's included)
-    that passes ``test``; anything else, booleans and strings included,
-    raises ValueError saying that ``name`` must ``want``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
-            or not test(value):
-        raise ValueError(f"{name} must {want}, got {value!r}")
-    return float(value)
+    whose float passes ``test``; anything else, booleans, strings and
+    integers too large for a float included, raises ValueError saying that
+    ``name`` must ``want``."""
+    if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+        else:
+            if test(number):
+                return number
+    raise ValueError(f"{name} must {want}, got {value!r}")
 
 
 def _step_size(mu) -> float:

@@ -157,37 +157,43 @@ class TestRunCommand:
         assert f"pwltree: {data} has no header row" in capsys.readouterr().err
         assert not (tmp_path / "out_metrics.csv").exists()
 
-    def test_negative_burn_in_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind, key", [
+        ("henon", "init"), ("henon", "zeta"), ("henon", "eta"), ("henon", "burn_in"),
+        ("lorenz", "init"), ("lorenz", "dt"), ("lorenz", "rho"), ("lorenz", "sigma"),
+        ("lorenz", "beta"), ("lorenz", "burn_in"),
+    ])
+    def test_bad_chaotic_stream_parameter_exits_one(self, tmp_path, capsys, kind, key):
+        # the chaotic streams run at fixed parameters, so a config that sets
+        # one is refused by name before any work is done
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({
             "schema": 1,
-            "stream": {"kind": "henon", "n": 20, "burn_in": -4},
+            "stream": {"kind": kind, "n": 20, key: 1},
             "learners": [{"kind": "lf", "mu": 0.05}],
         }))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == "pwltree: burn_in must be >= 0, got -4\n"
+        assert capsys.readouterr().err == (f"pwltree: cannot build stream kind {kind!r}: gen_{kind}() "
+                                           f"got an unexpected keyword argument {key!r}\n")
         assert list(tmp_path.iterdir()) == [path]
 
-    @pytest.mark.parametrize("params, message", [
-        ({"kind": "henon", "init": [0.5]}, "init must be 2 finite numbers, got [0.5]"),
-        ({"kind": "henon", "init": [0.5, 0.1, 7.0]},
-         "init must be 2 finite numbers, got [0.5, 0.1, 7.0]"),
-        ({"kind": "henon", "zeta": True}, "zeta must be a finite number, got True"),
-        ({"kind": "henon", "eta": "0.3"}, "eta must be a finite number, got '0.3'"),
-        ({"kind": "lorenz", "init": [1.0, 1.0]}, "init must be 3 finite numbers, got [1.0, 1.0]"),
-        ({"kind": "lorenz", "dt": None}, "dt must be a finite number, got None"),
-        ({"kind": "lorenz", "sigma": [10.0]}, "sigma must be a finite number, got [10.0]"),
-    ])
-    def test_bad_chaotic_stream_parameter_exits_one(self, tmp_path, capsys, params, message):
-        # a one-value Henon init used to end the run in an IndexError traceback
+    @pytest.mark.parametrize("stream, learner, message", [
+        ({"noise_var": 10**400}, {"kind": "lf", "mu": 0.05},
+         "noise_var must be a finite number >= 0"),
+        ({}, {"kind": "dft", "depth": 1, "mu": 10**400},
+         "cannot build learner kind 'dft': mu must be a finite number > 0"),
+    ], ids=["noise_var", "mu"])
+    def test_integer_too_large_for_a_float_exits_one(self, tmp_path, capsys, stream, learner,
+                                                     message):
+        # float() of such an integer raises OverflowError, which the run
+        # must turn into its one-line refusal
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({
             "schema": 1,
-            "stream": {**params, "n": 20},
-            "learners": [{"kind": "lf", "mu": 0.05}],
+            "stream": {"kind": "matched", "n": 20, **stream},
+            "learners": [learner],
         }))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == f"pwltree: {message}\n"
+        assert capsys.readouterr().err == f"pwltree: {message}, got {10**400}\n"
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("n", [0, -3, 2.5, "10", True, None, "missing"])

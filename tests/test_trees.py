@@ -16,7 +16,9 @@ from pwltree.mixture import DirectMixtureRegressor
 from pwltree.trees import (
     MAX_ENUMERATION_DEPTH,
     MAX_TABLE_DEPTH,
+    _gate_clamp,
     _heap_tables,
+    _step_size,
     beta,
     enumerate_partitions,
     gamma,
@@ -112,6 +114,15 @@ class TestShape:
             with pytest.raises(ValueError, match=re.escape(
                     f"mu must be a finite number > 0, got {mu!r}")):
                 make(2, 2, mu=mu)
+
+    @pytest.mark.parametrize("check, want", [(_step_size, "mu must be a finite number > 0"),
+                                             (_gate_clamp, "s_plus must lie in (0, 0.5)")],
+                             ids=["mu", "s_plus"])
+    @pytest.mark.parametrize("value", [10**400, -10**400], ids=["plus", "minus"])
+    def test_integer_too_large_for_a_float_is_refused(self, check, want, value):
+        # float() of such an integer raises OverflowError, not the one-line refusal
+        with pytest.raises(ValueError, match=re.escape(f"{want}, got {value!r}")):
+            check(value)
 
     def test_step_size_kinds_accepted(self):
         for make in (FixedTreeRegressor, AdaptiveTreeRegressor, DirectMixtureRegressor):
