@@ -157,18 +157,22 @@ class TestRunCommand:
         assert f"pwltree: {data} has no header row" in capsys.readouterr().err
         assert not (tmp_path / "out_metrics.csv").exists()
 
-    @pytest.mark.parametrize("kind, key", [
-        ("henon", "init"), ("henon", "zeta"), ("henon", "eta"), ("henon", "burn_in"),
-        ("lorenz", "init"), ("lorenz", "dt"), ("lorenz", "rho"), ("lorenz", "sigma"),
-        ("lorenz", "beta"), ("lorenz", "burn_in"),
-    ])
-    def test_bad_chaotic_stream_parameter_exits_one(self, tmp_path, capsys, kind, key):
+    @pytest.mark.parametrize("kind, key, value", [
+        ("henon", "init", [0.5]), ("henon", "init", [0.0, 0.0]), ("henon", "zeta", 1),
+        ("henon", "eta", 1), ("henon", "burn_in", 1), ("lorenz", "init", 1), ("lorenz", "dt", 1),
+        ("lorenz", "rho", 1), ("lorenz", "sigma", 1), ("lorenz", "beta", 1),
+        ("lorenz", "burn_in", 1),
+    ], ids=["henon-init", "henon-init_default", "henon-zeta", "henon-eta", "henon-burn_in",
+            "lorenz-init", "lorenz-dt", "lorenz-rho", "lorenz-sigma", "lorenz-beta",
+            "lorenz-burn_in"])
+    def test_bad_chaotic_stream_parameter_exits_one(self, tmp_path, capsys, kind, key, value):
         # the chaotic streams run at fixed parameters, so a config that sets
-        # one is refused by name before any work is done
+        # one is refused by name before any work is done, even when it
+        # names the value the stream would use anyway
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({
             "schema": 1,
-            "stream": {"kind": kind, "n": 20, key: 1},
+            "stream": {"kind": kind, "n": 20, key: value},
             "learners": [{"kind": "lf", "mu": 0.05}],
         }))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
