@@ -1,12 +1,13 @@
 """Reference regressors the tree learners are benchmarked against.
 
-All three are strictly sequential first-order (LMS-style) learners: a
-plain linear filter, a truncated Volterra filter (LMS over polynomial
-features of the raw input), and a fixed Gaussian-kernel mixture with one
-affine regressor per centre.  Each checks its step size ``mu`` when it is
-built: a finite real number > 0.  All three inherit ``step`` from
-:class:`pwltree.trees.Learner`, and the Volterra filter is the linear
-filter over :func:`vf_features`, whose ``update`` it inherits.
+All three are strictly sequential stochastic-gradient (LMS) learners: a
+plain linear filter, a quadratic Volterra filter (LMS over the raw
+input's components and their pairwise products), and a fixed
+Gaussian-kernel mixture with one affine regressor per centre.  Each
+checks its step size ``mu`` when it is built: a finite real number > 0.
+All three inherit ``step`` from :class:`pwltree.trees.Learner`, and the
+Volterra filter is the linear filter over :func:`vf_features`, whose
+``update`` it inherits.
 
 On inputs this small a step's cost is its numpy calls, not its flops, so
 every product is a ``.dot`` (less dispatch than ``@``) and the scalar step
@@ -16,11 +17,12 @@ linear filter is 4 numpy calls (``asarray`` and ``v.dot(x)`` in
 The Volterra filter's ``predict`` builds its features in a Python loop of
 about one numpy scalar product per feature, then takes 2 calls, and its
 ``update`` is the linear filter's 2.  The Gaussian-kernel mixture whitens
-the extended input ``x_ext = (x, 1)`` once per step: the constructor
-stacks, for the Cholesky factor ``L_p`` of every covariance, the block
-``[L_p^-1 | -L_p^-1 c_p]`` into one ``(p m, m + 1)`` matrix, so
-``r = whiten . x_ext`` holds every ``L_p^-1 (x - c_p)`` and the quadratic
-form of centre ``p`` is the sum of the squares of its block of ``r``.
+the extended input ``x_ext = (x, 1)`` once per step: every centre's
+kernel is isotropic with the one variance ``sigma^2``, so the constructor
+stacks the block ``[I / sigma | -c_p / sigma]`` of every centre into one
+``(p m, m + 1)`` matrix, ``r = whiten . x_ext`` holds every
+``(x - c_p) / sigma`` and the quadratic form of centre ``p`` is the sum of
+the squares of its block of ``r``; no matrix is factored or inverted.
 ``predict`` is then 8 numpy calls (``asarray``, the whitening product,
 ``r * r``, one product with a ``(p, p m)`` matrix of -1/2 block sums,
 ``exp``, the scaling by the normalisers, and the two products of
@@ -30,12 +32,13 @@ a ``(p, 1) . (1, m + 1)`` rank-1 product and its in-place add).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .trees import Learner, _integer, _numeric, _step_size
+from .trees import Learner, _integer, _numeric, _real, _step_size
 
 
 @dataclass
@@ -61,57 +64,49 @@ class LinearFilter(Learner):
         self.v += (self.mu * (d_t - pred.y_hat)) * pred.features
 
 
-def vf_features(x, order: int = 2) -> np.ndarray:
-    """Polynomial feature expansion of a raw input vector.
+def vf_features(x) -> np.ndarray:
+    """Quadratic polynomial feature expansion of a raw input vector.
 
-    Concatenates 1, every component, every distinct product of two
-    components (i <= j), and for order 3 every distinct product of three.
-    The dimension is the sum of multiset coefficients C(m + q - 1, q) for
-    q = 0..order.
+    Concatenates 1, every component and every distinct product of two
+    components (i <= j): ``1 + m + m (m + 1) / 2`` features in all.
     """
-    if order not in (2, 3):
-        raise ValueError("only orders 2 and 3 are supported")
     x = np.asarray(x, dtype=float)
     feats = [1.0]
     feats.extend(x)
-    for combo in combinations_with_replacement(range(x.size), 2):
-        feats.append(x[combo[0]] * x[combo[1]])
-    if order == 3:
-        for combo in combinations_with_replacement(range(x.size), 3):
-            feats.append(x[combo[0]] * x[combo[1]] * x[combo[2]])
+    for i, j in combinations_with_replacement(range(x.size), 2):
+        feats.append(x[i] * x[j])
     return np.array(feats)
 
 
 class VolterraFilter(LinearFilter):
-    """Truncated Volterra filter: the linear filter over :func:`vf_features`
-    of the raw input (the extended input's constant entry is dropped; the
-    expansion carries its own constant term)."""
+    """Quadratic Volterra filter: the linear filter over
+    :func:`vf_features` of the raw input (the extended input's constant
+    entry is dropped; the expansion carries its own constant term)."""
 
-    def __init__(self, dim, order=2, mu=0.01):
+    def __init__(self, dim, mu=0.01):
         super().__init__(dim, mu)
-        self.order = _integer(order, "order")
-        self.v = np.zeros(vf_features(np.zeros(self.dim), order).size)
+        self.v = np.zeros(vf_features(np.zeros(self.dim)).size)
 
     def predict(self, x_ext) -> SimplePrediction:
-        feats = vf_features(np.asarray(x_ext, dtype=float)[:-1], self.order)
+        feats = vf_features(np.asarray(x_ext, dtype=float)[:-1])
         return SimplePrediction(float(self.v.dot(feats)), features=feats)
 
 
 class GaussianKernelRegressor(Learner):
     """Fixed Gaussian mixture gating a bank of affine regressors.
 
-    Centres and covariances are chosen in hindsight and never adapt; only
-    the per-centre regressors learn, each scaled by its kernel value
-    (the gradient of the squared error through the fixed mixture).  The
-    kernel of centre ``c`` with covariance ``S`` is
-    ``norm * exp(-(x - c)' S^-1 (x - c) / 2)``, where ``norm`` is
-    ``1 / (2 pi sqrt(det S))`` regardless of dimension (the convention
-    this benchmark family uses, not the general Gaussian constant).
+    Centres are chosen in hindsight and never adapt; only the per-centre
+    regressors learn, each scaled by its kernel value (the gradient of the
+    squared error through the fixed mixture).  Every kernel is isotropic
+    with the one variance ``covariances``, ``sigma^2``: the kernel of
+    centre ``c`` is ``norm * exp(-|x - c|^2 / (2 sigma^2))``, where
+    ``norm`` is ``1 / (2 pi sigma^m)``, that is ``1 / (2 pi sqrt(det S))``
+    for ``S = sigma^2 I`` regardless of dimension (the convention this
+    benchmark family uses, not the general Gaussian constant).
 
-    Both come from the Cholesky factor ``S = L L'``: the quadratic form is
-    ``|L^-1 (x - c)|^2`` and ``sqrt(det S)`` the product of the diagonal
-    of ``L``.  Centres must be finite, one row of ``m`` numbers each, and
-    centres and covariances hold numbers only: no booleans, no strings.
+    Centres must be finite, one row of ``m`` numbers each, numbers only;
+    ``covariances`` must be a finite number > 0.  Booleans and strings are
+    refused in both.
     """
 
     def __init__(self, centers, covariances, mu=1.0):
@@ -122,30 +117,22 @@ class GaussianKernelRegressor(Learner):
         if not np.isfinite(self.centers).all():
             raise ValueError("centers must be finite")
         p, m = self.centers.shape
-        covariances = _numeric(covariances)
-        if covariances is None:
-            raise ValueError("covariances must hold only numbers")
-        if covariances.ndim == 0:
-            covariances = np.stack([float(covariances) * np.eye(m)] * p)
-        elif covariances.ndim == 2:
-            covariances = np.stack([covariances] * p)
-        if covariances.shape != (p, m, m):
-            raise ValueError("need one covariance per centre")
-        if not (np.isfinite(covariances).all()
-                and np.array_equal(covariances, covariances.transpose(0, 2, 1))):
-            raise ValueError("covariances must be finite symmetric matrices")
-        try:
-            chol = np.linalg.cholesky(covariances)
-        except np.linalg.LinAlgError:
-            raise ValueError("covariances must be positive definite") from None
-        # one (p m, m + 1) matrix: block p is [L_p^-1 | -L_p^-1 c_p], so its
-        # product with (x, 1) is L_p^-1 (x - c_p) for every centre at once
-        inv_chol = np.linalg.inv(chol)
-        blocks = np.concatenate([inv_chol, -np.matmul(inv_chol, self.centers[:, :, None])], axis=2)
+        var = _real(covariances, "covariances", lambda v: 0 < v < math.inf,
+                    "be a finite number > 0")
+        # a numpy scalar, so an extreme variance gives an infinite normaliser
+        # with a warning, as numpy arithmetic does, not ZeroDivisionError
+        sigma = np.sqrt(var)
+        s = 1.0 / sigma
+        # one (p m, m + 1) matrix: block p is [I / sigma | -c_p / sigma], so
+        # its product with (x, 1) is (x - c_p) / sigma for every centre at once
+        blocks = np.zeros((p, m, m + 1))
+        blocks[:, :, :m] = s * np.eye(m)
+        blocks[:, :, m] = -(s * self.centers)
         self._whiten = blocks.reshape(p * m, m + 1)
         # -1/2 times the sum of each centre's m squares
         self._half_sums = np.repeat(np.eye(p), m, axis=1) * -0.5
-        self.norms = 1.0 / (2.0 * np.pi * chol.diagonal(axis1=1, axis2=2).prod(axis=1))
+        # sigma^m as m copies of sigma multiplied left to right, not sigma ** m
+        self.norms = np.full(p, 1.0 / (2.0 * np.pi * math.prod([sigma] * m)))
         self.mu = _step_size(mu)
         self.v = np.zeros((p, m + 1))
 

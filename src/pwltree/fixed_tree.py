@@ -13,8 +13,9 @@ to the explicit mixture maintained by
 A step costs a fixed number of numpy calls whatever the depth, about 12
 (7 in ``predict``, 5 in ``update``).  All ``2**depth - 1`` gates are
 evaluated in one product, O(m * 2**depth) flops in a single call, and
-the path is then walked on their Python floats (``gate < 0.0``, no
-comparison ufunc); only the d gates on the path are read.  Every leaf's
+the path is then walked on their Python floats by the hard-gate walk
+of :mod:`pwltree.trees` that the explicit mixture shares; only the d
+gates on the path are read.  Every leaf's
 root -> leaf path is taken once per learner from the ancestor table of
 its depth, which :mod:`pwltree.trees` builds on first use and caches.
 The kappa product reads the leaf's (d + 1, n_nodes) block of rho rows,
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .separators import initial_directions
-from .trees import TreeLearner, _heap_tables, _hyperplanes, rho_table
+from .trees import TreeLearner, _hard_leaf, _heap_tables, _hyperplanes, rho_table
 
 
 @dataclass
@@ -84,16 +85,6 @@ class FixedTreeRegressor(TreeLearner):
         self._path_rho.setflags(write=False)
 
     # ------------------------------------------------------------------
-    def _leaf_index(self, x_ext) -> int:
-        # every gate in one product, walked as Python floats; separator
-        # value 1 (x strictly on the negative side) selects child 0, a
-        # point on the plane child 1
-        gates = self.boundaries.dot(x_ext).tolist()
-        i = 0
-        for _ in range(self.depth):
-            i = 2 * i + 1 if gates[i] < 0.0 else 2 * i + 2
-        return i
-
     def predict(self, x_ext) -> FixedTreePrediction:
         """Collapsed mixture prediction from the current state.
 
@@ -102,7 +93,7 @@ class FixedTreeRegressor(TreeLearner):
         weights); the output is their inner product.
         """
         x = np.asarray(x_ext, dtype=float)
-        leaf = self._leaf_index(x) - self.n_internal
+        leaf = _hard_leaf(self.boundaries, x, self.depth) - self.n_internal
         path = self._paths[leaf]
         estimates = self.v.take(path, axis=0).dot(x)
         kappas = self._path_rho[leaf].dot(self.w)

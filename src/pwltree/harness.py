@@ -20,13 +20,13 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .adaptive_tree import AdaptiveTreeRegressor
 from .baselines import GaussianKernelRegressor, LinearFilter, VolterraFilter
-from .datagen import Stream, generate
+from .datagen import CHAOTIC, PIECEWISE, Stream, generate
 from .fixed_tree import FixedTreeRegressor
 from .mixture import DirectMixtureRegressor, batch_best_weights, empirical_strong_convexity
 from .trees import MAX_ENUMERATION_DEPTH, _integer
@@ -190,10 +190,15 @@ class ExperimentConfig:
         schema = raw.pop("schema", CONFIG_SCHEMA)
         if schema != CONFIG_SCHEMA:
             raise ConfigError(f"unsupported config schema {schema!r}")
-        try:
-            return cls(**raw)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        keys = [f.name for f in fields(cls)]
+        unknown = sorted(set(raw) - set(keys))
+        if unknown:
+            raise ConfigError(f"a config takes only schema, {', '.join(keys[:-1])} and "
+                              f"{keys[-1]}, not {', '.join(map(repr, unknown))}")
+        missing = [key for key in ("stream", "learners") if key not in raw]
+        if missing:
+            raise ConfigError(f"config requires {' and '.join(map(repr, missing))}")
+        return cls(**raw)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -210,16 +215,29 @@ class ExperimentConfig:
         return {"schema": CONFIG_SCHEMA, **asdict(self)}
 
 
+# the keys each stream kind takes besides kind and normalize
+_STREAM_KEYS = {"csv": ("path", "target"), **dict.fromkeys(PIECEWISE, ("n", "noise_var")),
+                **dict.fromkeys(CHAOTIC, ("n",))}
+
+
 def build_stream(spec: dict, seed: int) -> Stream:
     """Turn a stream spec into a :class:`Stream`; a malformed spec raises
-    ConfigError.  A ``csv`` spec holds ``path``, ``target`` and no other
-    key; a generator spec holds ``n`` and the generator's own parameters,
-    and is seeded with ``seed``.  Either may set ``normalize`` (default on
-    for ``csv``, off otherwise) to apply :func:`normalize_stream`."""
+    ConfigError.  A spec holds only the keys its kind takes: ``path`` and
+    ``target`` for ``csv``, ``n`` for a generator, which is seeded with
+    ``seed``, and ``noise_var`` for a piecewise one.  Any may set
+    ``normalize`` (default on for ``csv``) to apply :func:`normalize_stream`."""
     if not isinstance(spec, dict):
         raise ConfigError(f"stream must be an object, got {type(spec).__name__}")
     params = dict(spec)
     kind = params.pop("kind", None)
+    if not isinstance(kind, str) or kind not in _STREAM_KEYS:
+        raise ConfigError(f"unknown stream kind {kind!r}")
+    takes = [*_STREAM_KEYS[kind], "normalize"]
+    unknown = sorted(set(params) - set(takes))
+    if unknown:
+        raise ConfigError(f"cannot build stream kind {kind!r}: it takes only "
+                          f"{', '.join(takes[:-1])} and {takes[-1]}, not "
+                          + ", ".join(map(repr, unknown)))
     normalize = params.pop("normalize", kind == "csv")
     if not isinstance(normalize, bool):
         raise ConfigError(f"stream normalize must be true or false, got {normalize!r}")
@@ -227,10 +245,6 @@ def build_stream(spec: dict, seed: int) -> Stream:
         missing = [key for key in ("path", "target") if key not in params]
         if missing:
             raise ConfigError(f"csv stream requires {' and '.join(map(repr, missing))}")
-        unknown = sorted(set(params) - {"path", "target"})
-        if unknown:
-            raise ConfigError("csv stream takes only path, target and normalize, not "
-                              + ", ".join(map(repr, unknown)))
         if not isinstance(params["path"], (str, os.PathLike)):
             raise ConfigError(f"csv stream path must be a string, got {params['path']!r}")
         stream = load_csv_dataset(params["path"], params["target"])
@@ -238,10 +252,7 @@ def build_stream(spec: dict, seed: int) -> Stream:
         n = params.pop("n", None)
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ConfigError(f"stream length n must be an integer >= 1, got {n!r}")
-        try:
-            stream = generate(kind, n, seed=seed, **params)
-        except TypeError as exc:
-            raise ConfigError(f"cannot build stream kind {kind!r}: {exc}") from exc
+        stream = generate(kind, n, seed=seed, **params)
     return normalize_stream(stream) if normalize else stream
 
 

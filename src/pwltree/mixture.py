@@ -79,6 +79,7 @@ from .trees import (
     Learner,
     _branch_tables,
     _gate_clamp,
+    _hard_leaf,
     _hyperplanes,
     _integer,
     _SoftGates,
@@ -200,12 +201,7 @@ class DirectMixtureRegressor(Learner):
         weighted sum."""
         x = np.asarray(x_ext, dtype=float)
         if self.mode == "hard":
-            # a point strictly on the negative side goes to the lower child
-            gates = self.boundaries.dot(x).tolist()
-            i = 0
-            for _ in range(self.depth):
-                i = 2 * i + 1 if gates[i] < 0.0 else 2 * i + 2
-            leaf = i - self.n_internal
+            leaf = _hard_leaf(self.boundaries, x, self.depth) - self.n_internal
             # each partition's estimate is that of its one node on the path
             d_vec = self.v.dot(x).take(self._owners[leaf])
             return DirectPrediction(float(self.w_vec.dot(d_vec)), d_vec, x,

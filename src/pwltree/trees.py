@@ -23,7 +23,8 @@ follows, and ``TreeLearner`` the per-node state both collapsed tree
 learners keep, and its heap-ordered snapshot format.  ``_SoftGates`` is
 the gate kernel both soft learners, the adaptive tree and the explicit
 mixture's soft mode, call: their gates, activation cascade, boundary-step
-factors and capped hyperplane step are written once, here.
+factors and capped hyperplane step are written once, here, as is the hard
+gates' walk, ``_hard_leaf``, of the fixed tree and the mixture's hard mode.
 """
 
 from __future__ import annotations
@@ -150,6 +151,17 @@ def _branch_tables(ancestors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     for table in (gate, sign, offset):
         table.setflags(write=False)
     return gate, sign, offset
+
+
+def _hard_leaf(boundaries, x, depth: int) -> int:
+    """Heap index of the leaf the hard gates ``boundaries`` route ``x`` to:
+    all gates in one product, walked as Python floats (no comparison ufunc);
+    a point strictly below a plane goes to child ``2i + 1``, else ``2i + 2``."""
+    gates = boundaries.dot(x).tolist()
+    i = 0
+    for _ in range(depth):
+        i = 2 * i + 1 if gates[i] < 0.0 else 2 * i + 2
+    return i
 
 
 class _SoftGates:

@@ -4,7 +4,11 @@
 node name and back, so a test can name a node as the paper does;
 ``is_ancestor`` and ``is_valid_partition`` check node sets by the same
 bit strings, ``locate_leaf`` reads the cell a fixed tree routes an input
-to, and ``kernel_values`` a Gaussian-kernel mixture's kernel values.
+to, and ``kernel_values`` a Gaussian-kernel mixture's kernel values;
+``cholesky_kernel`` builds that mixture's whitening matrix, normalisers
+and kernel values the way the general-covariance form did, through a
+Cholesky factor and its inverse, as the reference its direct isotropic
+construction is pinned to.
 ``MALFORMED_STATES`` is one table of broken tree-learner snapshot states,
 used by the library tests of ``load_state`` and by the CLI tests of
 ``pwltree restore``.  ``reference_step`` is one predict-and-update step
@@ -27,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import expit
 
-from pwltree.trees import level, node_count, rho_table
+from pwltree.trees import _hard_leaf, level, node_count, rho_table
 
 
 def label(i: int) -> str:
@@ -64,12 +68,30 @@ def is_valid_partition(leaves, depth: int) -> bool:
 
 def locate_leaf(lrn, x_ext) -> int:
     """Heap index of the depth-d cell of fixed tree ``lrn`` containing ``x_ext``."""
-    return lrn._leaf_index(np.asarray(x_ext, dtype=float))
+    return _hard_leaf(lrn.boundaries, np.asarray(x_ext, dtype=float), lrn.depth)
 
 
 def kernel_values(gkr, x) -> np.ndarray:
     """Kernel value of every centre of ``gkr`` at the raw input ``x``."""
     return gkr._kernel(np.append(np.asarray(x, dtype=float), 1.0))
+
+
+def cholesky_kernel(centers, var, x):
+    """``(whiten, norms, kernel)`` of a Gaussian-kernel mixture with the
+    covariance ``var * I`` at every centre, at the raw input ``x``, built
+    through the Cholesky factor ``L`` of each covariance: the block
+    ``[L^-1 | -L^-1 c]`` of every centre stacked into one matrix, and
+    ``1 / (2 pi)`` over the product of the diagonal of ``L``."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    p, m = centers.shape
+    chol = np.linalg.cholesky(np.stack([float(var) * np.eye(m)] * p))
+    inv_chol = np.linalg.inv(chol)
+    blocks = np.concatenate([inv_chol, -np.matmul(inv_chol, centers[:, :, None])], axis=2)
+    whiten = blocks.reshape(p * m, m + 1)
+    norms = 1.0 / (2.0 * np.pi * chol.diagonal(axis1=1, axis2=2).prod(axis=1))
+    r = whiten.dot(np.append(np.asarray(x, dtype=float), 1.0))
+    kernel = norms * np.exp((np.repeat(np.eye(p), m, axis=1) * -0.5).dot(r * r))
+    return whiten, norms, kernel
 
 
 def _set(key, value):

@@ -264,7 +264,7 @@ def test_criterion_09_henon_parity():
     learners = {entry["name"]: entry for entry in config.learners}
     assert (config.trials, config.stream) == (1, {"kind": "henon", "n": 100_000, "normalize": True})
     assert learners["dat"] == {"name": "dat", "kind": "dat", "depth": 2, "mu": 0.05, "s_plus": 0.01}
-    assert learners["vf"] == {"name": "vf", "kind": "vf", "order": 2, "mu": 0.05}
+    assert learners["vf"] == {"name": "vf", "kind": "vf", "mu": 0.05}
     result = run_experiment(config)
     assert not result.failures
     dat, vf = result.metrics["dat"], result.metrics["vf"]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from pwltree.baselines import (
 from pwltree.datagen import generate
 from pwltree.harness import ConfigError, make_learner
 
-from helpers import kernel_values
+from helpers import cholesky_kernel, kernel_values
 
 
 # the entries a config needs besides kind and mu
@@ -59,28 +60,25 @@ class TestLinearFilter:
 class TestVolterraFeatures:
     def test_two_dim_second_order(self):
         x = np.array([2.0, 3.0])
-        np.testing.assert_allclose(vf_features(x, 2), [1.0, 2.0, 3.0, 4.0, 6.0, 9.0])
+        np.testing.assert_allclose(vf_features(x), [1.0, 2.0, 3.0, 4.0, 6.0, 9.0])
 
     def test_zero_input(self):
-        feats = vf_features(np.zeros(2), 2)
+        feats = vf_features(np.zeros(2))
         assert feats[0] == 1.0
         assert not feats[1:].any()
 
-    def test_third_order_dimension(self):
-        assert vf_features(np.zeros(2), 3).size == 10
-
     @pytest.mark.parametrize("m", range(1, 9))
-    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("order", [2])
     def test_dimension_matches_multiset_count(self, m, order):
         expected = sum(math.comb(m + q - 1, q) for q in range(order + 1))
-        assert vf_features(np.zeros(m), order).size == expected
+        assert vf_features(np.zeros(m)).size == expected
+        assert VolterraFilter(m).v.size == expected
 
     def test_unsupported_order(self):
-        with pytest.raises(ValueError):
-            vf_features(np.zeros(2), 4)
-        for order in (2.0, True, "2"):
-            with pytest.raises(ValueError, match="order must be an integer"):
-                VolterraFilter(2, order=order)
+        # the filter is second order only, so an order key is refused by name
+        for order in (2, 3, 2.0, True, "2"):
+            with pytest.raises(ConfigError, match="cannot build learner kind 'vf': .*'order'"):
+                make_learner({"kind": "vf", "order": order}, 2)
 
 
 class TestVolterraFilter:
@@ -92,7 +90,7 @@ class TestVolterraFilter:
         x_ext = np.column_stack([unit(stream.inputs[:, 0]), unit(stream.inputs[:, 1]),
                                  np.ones(len(stream))])
         d = unit(stream.targets)
-        vf = VolterraFilter(2, order=2, mu=0.05)
+        vf = VolterraFilter(2, mu=0.05)
         for t in range(len(d)):
             vf.step(x_ext[t], d[t])
         # the generating recursion lives in the order-2 feature span
@@ -104,16 +102,31 @@ class TestGaussianKernel:
     def test_matches_dense_evaluation(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            covs = rng.normal(size=(3, 2, 2))
-            covs = covs @ covs.transpose(0, 2, 1) + 0.5 * np.eye(2)
+            var = rng.uniform(0.1, 5.0)
+            cov = var * np.eye(2)
             centers = rng.normal(size=(3, 2))
             x = rng.normal(size=2)
-            got = kernel_values(GaussianKernelRegressor(centers, covs), x)
-            for p, (center, cov) in enumerate(zip(centers, covs)):
+            got = kernel_values(GaussianKernelRegressor(centers, var), x)
+            for p, center in enumerate(centers):
                 norm = 1.0 / (2 * np.pi * np.sqrt(np.linalg.det(cov)))
                 delta = x - center
                 expected = norm * np.exp(-0.5 * delta @ np.linalg.inv(cov) @ delta)
                 assert got[p] == pytest.approx(expected, rel=1e-12)
+
+    def test_whitening_is_the_cholesky_form_bit_for_bit(self):
+        # the blocks [I / sigma | -c / sigma] and the normalisers from m
+        # copies of sigma carry the bits the Cholesky factor and its inverse gave
+        rng = np.random.default_rng(25)
+        for k in range(600):
+            p, m = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+            centers = rng.normal(scale=2.0, size=(p, m))
+            var = (1.2, rng.uniform(0.01, 10.0), np.exp(rng.normal(scale=5.0)))[k % 3]
+            x = rng.normal(scale=2.0, size=m)
+            gkr = GaussianKernelRegressor(centers, var)
+            whiten, norms, kernel = cholesky_kernel(centers, var, x)
+            assert gkr._whiten.tobytes() == whiten.tobytes()
+            assert gkr.norms.tobytes() == norms.tobytes()
+            assert kernel_values(gkr, x).tobytes() == kernel.tobytes()
 
 
 class TestGaussianKernelRegressor:
@@ -170,25 +183,23 @@ class TestGaussianKernelRegressor:
             make_learner({"kind": "gkr", "centers": [[0.0, 0.0, 0.0]], "covariances": 1.0}, 2)
 
     def test_covariance_validation(self):
-        with pytest.raises(ValueError):
-            GaussianKernelRegressor(np.zeros((2, 2)), np.zeros((2, 2)))  # singular
-        with pytest.raises(ValueError):
-            GaussianKernelRegressor(np.zeros((2, 2)), np.zeros((3, 2, 2)))
-        # det 1.44 > 0, yet negative definite: the kernel grows away from the centre
-        with pytest.raises(ValueError, match="covariances must be positive definite"):
-            GaussianKernelRegressor(np.zeros((1, 2)), -1.2)
-        # positive determinant, not symmetric
-        with pytest.raises(ValueError, match="covariances must be finite symmetric matrices"):
-            GaussianKernelRegressor(np.zeros((2, 2)), [np.eye(2), [[1.0, 0.5], [0.0, 1.0]]])
-        with pytest.raises(ValueError, match="must be finite symmetric matrices"):
-            GaussianKernelRegressor(np.zeros((1, 2)), np.nan)
-        with pytest.raises(ConfigError, match="must be positive definite"):
-            make_learner({"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": -1.2}, 2)
-        # numbers only, as in a snapshot: numpy would read true as 1.0 and "1.2" as 1.2
-        for bad in (True, np.bool_(True), "1.2", [[1.0, 0.0], [0.0, True]], None):
-            with pytest.raises(ValueError, match="covariances must hold only numbers"):
+        # one variance for every centre: a finite number > 0, numbers only
+        # (numpy would read true as 1.0 and "1.2" as 1.2)
+        for bad in (np.nan, np.inf, 0, 0.0, -1.2, True, np.bool_(True), "1.2", None,
+                    np.eye(2), [[2.0, 0.3], [0.3, 1.0]], [1.2], np.zeros((1, 2, 2)), 10**400):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"covariances must be a finite number > 0, got {bad!r}")):
                 GaussianKernelRegressor(np.zeros((1, 2)), bad)
-        GaussianKernelRegressor(np.zeros((1, 2)), [[2.0, 0.3], [0.3, 1.0]])
+        with pytest.raises(ConfigError, match=re.escape(
+                "cannot build learner kind 'gkr': covariances must be a finite number > 0, "
+                "got -1.2")):
+            make_learner({"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": -1.2}, 2)
+        for good in (1.2, 1, np.float64(0.5), np.int64(3), 1e-300):
+            assert GaussianKernelRegressor(np.zeros((1, 2)), good).norms[0] > 0
+        # sigma^3 underflows to 0: an infinite normaliser with a numpy warning, as
+        # the Cholesky form gave, not a ZeroDivisionError
+        with pytest.warns(RuntimeWarning):
+            assert GaussianKernelRegressor(np.zeros((1, 3)), 1e-300).norms[0] == np.inf
 
     def test_learns_smooth_target(self):
         rng = np.random.default_rng(3)

@@ -121,6 +121,8 @@ class TestRunCommand:
         assert not (tmp_path / "out_metrics.csv").exists()
 
     def test_indefinite_kernel_covariance_exits_one(self, tmp_path, capsys):
+        # the one kernel variance must be > 0: a negative one would make the
+        # kernel grow away from its centre
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({
             "schema": 1,
@@ -128,7 +130,8 @@ class TestRunCommand:
             "learners": [{"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": -1.2}],
         }))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert "covariances must be positive definite" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("pwltree: cannot build learner kind 'gkr': covariances "
+                                           "must be a finite number > 0, got -1.2\n")
         assert not (tmp_path / "out_metrics.csv").exists()
 
     def test_csv_row_wider_than_header_exits_one(self, tmp_path, capsys):
@@ -176,8 +179,30 @@ class TestRunCommand:
             "learners": [{"kind": "lf", "mu": 0.05}],
         }))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == (f"pwltree: cannot build stream kind {kind!r}: gen_{kind}() "
-                                           f"got an unexpected keyword argument {key!r}\n")
+        assert capsys.readouterr().err == (f"pwltree: cannot build stream kind {kind!r}: it takes "
+                                           f"only n and normalize, not {key!r}\n")
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("stream, top, message", [
+        ({"nois_var": 0.1}, {},
+         "cannot build stream kind 'matched': it takes only n, noise_var and normalize, "
+         "not 'nois_var'"),
+        ({"kind": "henon", "noise_var": 0.1}, {},
+         "cannot build stream kind 'henon': it takes only n and normalize, not 'noise_var'"),
+        ({}, {"trails": 2}, "a config takes only schema, stream, learners, trials, seed, stride and output, not 'trails'"),
+    ], ids=["piecewise-misspelt", "henon-noise_var", "top-level-misspelt"])
+    def test_unknown_config_key_exits_one(self, tmp_path, capsys, stream, top, message):
+        # a key no part of the config takes is refused by name, with the
+        # kind that does not take it, before any work is done
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": {"kind": "matched", "n": 20, **stream},
+            "learners": [{"kind": "lf", "mu": 0.05}],
+            **top,
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"pwltree: {message}\n"
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("stream, learner, message", [

@@ -89,7 +89,7 @@ class TestLocateLeaf:
             # axis-aligned default planes are hit exactly by zero coordinates
             points += [ext(0.0, y) for y in (-1.0, 0.0, 0.5)] + [ext(x, 0.0) for x in (-2.0, 1.5)]
             for x in points:
-                assert lrn._leaf_index(x) == per_level_leaf_index(lrn, x)
+                assert locate_leaf(lrn, x) == per_level_leaf_index(lrn, x)
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_points_on_a_plane_take_the_oracle_path(self, depth):

@@ -185,8 +185,19 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         raw = self.base()
         raw["bogus"] = 1
-        with pytest.raises(ConfigError):
+        raw["trails"] = 3
+        with pytest.raises(ConfigError) as info:
             ExperimentConfig.from_dict(raw)
+        assert str(info.value) == "a config takes only schema, stream, learners, trials, seed, stride and output, not 'bogus', 'trails'"
+
+    @pytest.mark.parametrize("keys", [("stream",), ("learners",), ("stream", "learners")])
+    def test_missing_key_named(self, keys):
+        raw = self.base()
+        for key in keys:
+            raw.pop(key)
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict(raw)
+        assert str(info.value) == "config requires " + " and ".join(map(repr, keys))
 
     def test_seed_env_default(self, monkeypatch):
         # the seed comes from the config alone: PWLTREE_SEED is not read
@@ -268,6 +279,28 @@ class TestConfig:
         with pytest.raises(ConfigError, match=named):
             build_stream(spec, seed=0)
 
+    @pytest.mark.parametrize("spec, takes", [
+        ({"kind": "matched", "n": 5, "nois_var": 0.1}, "n, noise_var and normalize, not 'nois_var'"),
+        ({"kind": "henon", "n": 5, "zeta": 1.4}, "n and normalize, not 'zeta'"),
+        ({"kind": "henon", "n": 5, "noise_var": 0.1}, "n and normalize, not 'noise_var'"),
+        ({"kind": "lorenz", "n": 5, "seed": 1, "dt": 0.01}, "n and normalize, not 'dt', 'seed'"),
+        ({"kind": "csv", "path": "data.csv", "target": "d", "n": 5},
+         "path, target and normalize, not 'n'"),
+    ], ids=["piecewise-misspelt", "henon-zeta", "henon-noise_var", "lorenz-two", "csv-n"])
+    def test_stream_key_refused_by_kind(self, spec, takes):
+        # one check names the kind and the keys it takes, never the
+        # private function that builds the stream
+        with pytest.raises(ConfigError) as info:
+            build_stream(spec, seed=0)
+        message = str(info.value)
+        assert message == f"cannot build stream kind {spec['kind']!r}: it takes only {takes}"
+        assert not any(name in message for name in ("_piecewise", "gen_", "__init__"))
+
+    @pytest.mark.parametrize("kind", ["mystery", None, ["matched"], 3])
+    def test_unknown_stream_kind(self, kind):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown stream kind {kind!r}")):
+            build_stream({"kind": kind, "n": 5}, seed=0)
+
     def test_unknown_learner_kind(self):
         with pytest.raises(ConfigError):
             make_learner({"kind": "mystery"}, dim=2)
@@ -287,13 +320,15 @@ class TestConfig:
          "s_plus must lie in (0, 0.5), got True"),
         ({"kind": "direct", "depth": 2, "s_plus": "0.01"},
          "s_plus must lie in (0, 0.5), got '0.01'"),
-        ({"kind": "vf", "order": 2.0}, "order must be an integer, got 2.0"),
+        # the Volterra filter is second order only: an order key is refused by name
+        ({"kind": "vf", "order": 2.0},
+         "VolterraFilter.__init__() got an unexpected keyword argument 'order'"),
         ({"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": True},
-         "covariances must hold only numbers"),
+         "covariances must be a finite number > 0, got True"),
         ({"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": "1.2"},
-         "covariances must hold only numbers"),
+         "covariances must be a finite number > 0, got '1.2'"),
         ({"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": [[1.0, 0.0], [0.0, True]]},
-         "covariances must hold only numbers"),
+         "covariances must be a finite number > 0, got [[1.0, 0.0], [0.0, True]]"),
         ({"kind": "gkr", "centers": [[True, 0.0]], "covariances": 1.0},
          "centers must be a list of points, numbers only"),
         ({"kind": "dat", "depth": 1, "theta": [[True, 0, 0]]},
