@@ -9,7 +9,7 @@ stream generators, baselines and benchmark harness used to exercise them.
 """
 
 from .adaptive_tree import AdaptiveTreeRegressor
-from .baselines import GaussianKernelRegressor, LinearFilter, VolterraFilter, vf_features
+from .baselines import GaussianKernelRegressor, LinearFilter, VolterraFilter
 from .datagen import Stream, generate, stream_to_csv
 from .fixed_tree import FixedTreeRegressor
 from .harness import (
@@ -54,5 +54,4 @@ __all__ = [
     "run_stream",
     "stream_to_csv",
     "verify_equivalence",
-    "vf_features",
 ]

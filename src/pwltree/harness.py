@@ -74,8 +74,10 @@ def run_stream(learner, x_ext: np.ndarray, targets: np.ndarray) -> RunMetrics:
     The prediction for step t is stored before ``update`` ever sees the
     target, so no learner can peek ahead.  Raises ValueError, before any
     step runs, when ``x_ext`` and ``targets`` differ in length or when an
-    input or target is not finite (naming the first such step).  Learners
-    receive each target as a Python float.
+    input or target is not finite (naming the first such step).  Then
+    ``learner.features`` maps the whole stream once, and step t's
+    ``predict`` and ``update`` read its row t.  Learners receive each
+    target as a Python float.
     """
     if len(x_ext) != len(targets):
         raise ValueError(f"{len(x_ext)} input rows but {len(targets)} targets")
@@ -83,16 +85,17 @@ def run_stream(learner, x_ext: np.ndarray, targets: np.ndarray) -> RunMetrics:
     bad = ~(np.isfinite(x_ext).all(axis=1) & np.isfinite(targets))
     if bad.any():
         raise ValueError(f"non-finite input or target at step {int(np.argmax(bad)) + 1}")
+    rows = learner.features(x_ext)
     predict, update = learner.predict, learner.update
     preds = []
-    for x, d in zip(x_ext, targets.tolist()):
-        pred = predict(x)
+    for row, d in zip(rows, targets.tolist()):
+        pred = predict(row)
         y = pred.y_hat
         # the comparison is false for NaN as well as for +-inf
         if not abs(y) <= DIVERGENCE_LIMIT:
             raise TrialDiverged(f"prediction diverged at step {len(preds) + 1}")
         preds.append(y)
-        update(x, d, pred)
+        update(row, d, pred)
     counters = {}
     for name in ("regressor_evaluations", "kappa_accumulations"):
         if hasattr(learner, name):
@@ -113,32 +116,49 @@ def average_metrics(runs: list[RunMetrics]) -> RunMetrics:
 # learner construction
 # ----------------------------------------------------------------------
 
-def make_learner(spec: dict, dim: int):
-    """Build a learner from its config entry (everything but ``name`` and
-    ``kind`` is passed through as keyword parameters)."""
+# the keys each learner kind takes besides name and kind; the stream sets dim
+_LEARNER_KEYS = {"dft": ("depth", "mu", "boundaries"), "dat": ("depth", "mu", "s_plus", "theta"),
+                 "direct": ("depth", "mode", "mu", "boundaries", "s_plus"), "lf": ("mu",),
+                 "vf": ("mu",), "gkr": ("centers", "covariances", "mu")}
+
+
+def _and(words) -> str:
+    """``words`` listed as prose: ``a``, ``a and b``, ``a, b and c``."""
+    return " and ".join(filter(None, [", ".join(words[:-1]), words[-1]]))
+
+
+def _learner_params(spec: dict) -> tuple[str, dict]:
+    """The kind of a learner's config entry and the keyword parameters it
+    sets, or ConfigError when the kind is unknown or the entry holds a key
+    that kind does not take (``dim`` included: the stream sets it)."""
     params = dict(spec)
     params.pop("name", None)
     kind = params.pop("kind", None)
+    if not isinstance(kind, str) or kind not in _LEARNER_KEYS:
+        raise ConfigError(f"unknown learner kind {kind!r}")
+    unknown = sorted(set(params) - set(_LEARNER_KEYS[kind]))
+    if unknown:
+        raise ConfigError(f"cannot build learner kind {kind!r}: it takes only "
+                          f"{_and(_LEARNER_KEYS[kind])}, not " + ", ".join(map(repr, unknown)))
+    return kind, params
+
+
+def make_learner(spec: dict, dim: int):
+    """Build a learner from its config entry, once :func:`_learner_params`
+    has checked its keys; each is passed as a keyword parameter."""
+    kind, params = _learner_params(spec)
     try:
-        if kind == "dft":
-            return FixedTreeRegressor(dim=dim, **params)
-        if kind == "dat":
-            return AdaptiveTreeRegressor(dim=dim, **params)
-        if kind == "direct":
-            return DirectMixtureRegressor(dim=dim, **params)
-        if kind == "lf":
-            return LinearFilter(dim=dim, **params)
-        if kind == "vf":
-            return VolterraFilter(dim=dim, **params)
         if kind == "gkr":
             learner = GaussianKernelRegressor(**params)
             if learner.centers.shape[1] != dim:
                 raise ValueError(f"centers must have {dim} coordinates, the stream's dim, "
                                  f"not {learner.centers.shape[1]}")
             return learner
+        # looked up when called, so a class name rebound in this module is honoured
+        return {"dft": FixedTreeRegressor, "dat": AdaptiveTreeRegressor, "lf": LinearFilter,
+                "direct": DirectMixtureRegressor, "vf": VolterraFilter}[kind](dim=dim, **params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"cannot build learner kind {kind!r}: {exc}") from exc
-    raise ConfigError(f"unknown learner kind {kind!r}")
 
 
 # ----------------------------------------------------------------------
@@ -176,6 +196,9 @@ class ExperimentConfig:
             raise ConfigError("learners must be a list of objects")
         if not self.learners:
             raise ConfigError("at least one learner is required")
+        # a bad key is refused before any stream is drawn or learner built
+        for entry in self.learners:
+            _learner_params(entry)
         names = [entry.get("name") or entry.get("kind") for entry in self.learners]
         if len(set(names)) != len(names):
             raise ConfigError("learner names must be unique")
@@ -193,8 +216,8 @@ class ExperimentConfig:
         keys = [f.name for f in fields(cls)]
         unknown = sorted(set(raw) - set(keys))
         if unknown:
-            raise ConfigError(f"a config takes only schema, {', '.join(keys[:-1])} and "
-                              f"{keys[-1]}, not {', '.join(map(repr, unknown))}")
+            raise ConfigError(f"a config takes only {_and(['schema', *keys])}, not "
+                              + ", ".join(map(repr, unknown)))
         missing = [key for key in ("stream", "learners") if key not in raw]
         if missing:
             raise ConfigError(f"config requires {' and '.join(map(repr, missing))}")
@@ -235,8 +258,7 @@ def build_stream(spec: dict, seed: int) -> Stream:
     takes = [*_STREAM_KEYS[kind], "normalize"]
     unknown = sorted(set(params) - set(takes))
     if unknown:
-        raise ConfigError(f"cannot build stream kind {kind!r}: it takes only "
-                          f"{', '.join(takes[:-1])} and {takes[-1]}, not "
+        raise ConfigError(f"cannot build stream kind {kind!r}: it takes only {_and(takes)}, not "
                           + ", ".join(map(repr, unknown)))
     normalize = params.pop("normalize", kind == "csv")
     if not isinstance(normalize, bool):

@@ -19,8 +19,8 @@ products, gathered from the exact counts of those level triples, and
 them.  ``_heap_tables`` builds the node tables of one depth on first use
 and caches them, so importing the package builds none.  ``Learner`` holds
 the one ``step`` of the sequential protocol every learner in the package
-follows, and ``TreeLearner`` the per-node state both collapsed tree
-learners keep, and its heap-ordered snapshot format.  ``_SoftGates`` is
+follows and its ``features`` map of a whole stream, and ``TreeLearner``
+the per-node state both collapsed tree learners keep, and its heap-ordered snapshot format.  ``_SoftGates`` is
 the gate kernel both soft learners, the adaptive tree and the explicit
 mixture's soft mode, call: their gates, activation cascade, boundary-step
 factors and capped hyperplane step are written once, here, as is the hard
@@ -217,7 +217,13 @@ class Learner:
     """The sequential protocol every learner follows: ``predict`` from the
     current state, then ``update`` once the target is revealed.  Subclasses
     implement both; ``update(x_ext, d_t, pred)`` reads the prediction
-    object, whose ``y_hat`` is the prediction."""
+    object, whose ``y_hat`` is the prediction.  All three read a *row*: one
+    row of ``features``, the map a runner applies to a whole stream of
+    extended inputs once, before its first step."""
+
+    def features(self, x_ext):
+        """One row per extended input of the stream ``x_ext``: ``x_ext`` itself."""
+        return x_ext
 
     def step(self, x_ext, d_t: float) -> tuple[float, float]:
         """Predict, then learn from the revealed target; returns the

@@ -7,8 +7,13 @@ bit strings, ``locate_leaf`` reads the cell a fixed tree routes an input
 to, and ``kernel_values`` a Gaussian-kernel mixture's kernel values;
 ``cholesky_kernel`` builds that mixture's whitening matrix, normalisers
 and kernel values the way the general-covariance form did, through a
-Cholesky factor and its inverse, as the reference its direct isotropic
-construction is pinned to.
+Cholesky factor and its inverse, as the reference its stream-level
+kernel map is checked against.  ``vf_features`` is the Volterra filter's
+feature expansion of one raw input, built in a Python loop as it was
+before the filter mapped a whole stream at once, and
+``reference_kernel_step`` one step of the Gaussian-kernel mixture in its
+per-step form, ``f . (v . x_ext)`` and a rank-1 update over the kernel
+values ``cholesky_kernel`` gives.
 ``MALFORMED_STATES`` is one table of broken tree-learner snapshot states,
 used by the library tests of ``load_state`` and by the CLI tests of
 ``pwltree restore``.  ``reference_step`` is one predict-and-update step
@@ -27,6 +32,7 @@ tables, ``subtree_matrix`` and ``row_ancestors``, from the bit strings
 import copy
 import math
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.special import expit
@@ -72,8 +78,22 @@ def locate_leaf(lrn, x_ext) -> int:
 
 
 def kernel_values(gkr, x) -> np.ndarray:
-    """Kernel value of every centre of ``gkr`` at the raw input ``x``."""
-    return gkr._kernel(np.append(np.asarray(x, dtype=float), 1.0))
+    """Kernel value of every centre of ``gkr`` at the raw input ``x``: the
+    last entry of each centre's block of its feature row, ``k * 1``."""
+    row = gkr.features(np.append(np.asarray(x, dtype=float), 1.0)[None])[0]
+    return row.reshape(len(gkr.centers), -1)[:, -1]
+
+
+def vf_features(x) -> np.ndarray:
+    """Quadratic polynomial feature expansion of a raw input vector, one
+    feature at a time: 1, every component and every distinct product of
+    two components (``i <= j``)."""
+    x = np.asarray(x, dtype=float)
+    feats = [1.0]
+    feats.extend(x)
+    for i, j in combinations_with_replacement(range(x.size), 2):
+        feats.append(x[i] * x[j])
+    return np.array(feats)
 
 
 def cholesky_kernel(centers, var, x):
@@ -92,6 +112,19 @@ def cholesky_kernel(centers, var, x):
     r = whiten.dot(np.append(np.asarray(x, dtype=float), 1.0))
     kernel = norms * np.exp((np.repeat(np.eye(p), m, axis=1) * -0.5).dot(r * r))
     return whiten, norms, kernel
+
+
+def reference_kernel_step(v, centers, var, mu, x_ext, d_t) -> float:
+    """One predict-and-update step of a Gaussian-kernel mixture with
+    regressors ``v`` (one row of ``m + 1`` per centre, updated in place):
+    the prediction ``f . (v . x_ext)`` over ``cholesky_kernel``'s kernel
+    values ``f``, then the rank-1 step ``v += (mu e f) x_ext^T``.  Returns
+    the prediction."""
+    x_ext = np.asarray(x_ext, dtype=float)
+    f = cholesky_kernel(centers, var, x_ext[:-1])[2]
+    y_hat = float(f.dot(v.dot(x_ext)))
+    v += ((mu * (d_t - y_hat)) * f)[:, None].dot(x_ext[None, :])
+    return y_hat
 
 
 def _set(key, value):

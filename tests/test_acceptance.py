@@ -39,6 +39,7 @@ from pwltree.harness import (
 )
 from pwltree.mixture import DirectMixtureRegressor
 from pwltree.trees import (
+    Learner,
     beta,
     enumerate_partitions,
     gamma,
@@ -154,7 +155,7 @@ def test_criterion_05_logarithmic_regret():
 # 6 and 12 share one set of matched-stream runs
 # ----------------------------------------------------------------------
 
-class TrueCellLMS:
+class TrueCellLMS(Learner):
     """One LMS filter per quadrant of the matched generator, each told which
     cell the input falls in.  It knows the generating partition, so its
     whole-run error is the LMS transient cost at the given step size."""

@@ -4,16 +4,15 @@ import re
 import numpy as np
 import pytest
 
-from pwltree.baselines import (
-    GaussianKernelRegressor,
-    LinearFilter,
-    VolterraFilter,
-    vf_features,
-)
+from pwltree.baselines import GaussianKernelRegressor, LinearFilter, VolterraFilter
 from pwltree.datagen import generate
-from pwltree.harness import ConfigError, make_learner
+from pwltree.harness import ConfigError, make_learner, run_stream
 
-from helpers import cholesky_kernel, kernel_values
+from helpers import cholesky_kernel, kernel_values, reference_kernel_step, vf_features
+
+# the worst relative gap allowed between the stream-level kernel map and the
+# per-step Cholesky form, whose sums of squares are associated differently
+KERNEL_RTOL = 1e-12
 
 
 # the entries a config needs besides kind and mu
@@ -59,11 +58,13 @@ class TestLinearFilter:
 
 class TestVolterraFeatures:
     def test_two_dim_second_order(self):
-        x = np.array([2.0, 3.0])
-        np.testing.assert_allclose(vf_features(x), [1.0, 2.0, 3.0, 4.0, 6.0, 9.0])
+        rows = VolterraFilter(2).features(np.array([[2.0, 3.0, 1.0], [-1.0, 0.5, 1.0]]))
+        np.testing.assert_array_equal(rows, [[1.0, 2.0, 3.0, 4.0, 6.0, 9.0],
+                                             [1.0, -1.0, 0.5, 1.0, -0.5, 0.25]])
 
     def test_zero_input(self):
-        feats = vf_features(np.zeros(2))
+        # the extended input's constant entry is dropped, the expansion's own kept
+        feats = VolterraFilter(2).features(np.array([[0.0, 0.0, 1.0]]))[0]
         assert feats[0] == 1.0
         assert not feats[1:].any()
 
@@ -72,12 +73,26 @@ class TestVolterraFeatures:
     def test_dimension_matches_multiset_count(self, m, order):
         expected = sum(math.comb(m + q - 1, q) for q in range(order + 1))
         assert vf_features(np.zeros(m)).size == expected
+        assert VolterraFilter(m).features(np.ones((3, m + 1))).shape == (3, expected)
         assert VolterraFilter(m).v.size == expected
+
+    def test_map_is_the_per_row_loop_bit_for_bit(self):
+        # one numpy pass over the stream gives every row the bytes, and the
+        # column order, of the per-row loop
+        rng = np.random.default_rng(26)
+        for k in range(120):
+            m = int(rng.integers(1, 9))
+            scale = (1e-3, 1.0, 1e3, np.exp(rng.normal(scale=10.0)))[k % 4]
+            x_ext = np.column_stack([rng.normal(scale=scale, size=(25, m)), np.ones(25)])
+            rows = VolterraFilter(m).features(x_ext)
+            for row, x in zip(rows, x_ext):
+                assert row.tobytes() == vf_features(x[:-1]).tobytes()
 
     def test_unsupported_order(self):
         # the filter is second order only, so an order key is refused by name
         for order in (2, 3, 2.0, True, "2"):
-            with pytest.raises(ConfigError, match="cannot build learner kind 'vf': .*'order'"):
+            with pytest.raises(ConfigError, match=re.escape(
+                    "cannot build learner kind 'vf': it takes only mu, not 'order'")):
                 make_learner({"kind": "vf", "order": order}, 2)
 
 
@@ -91,11 +106,24 @@ class TestVolterraFilter:
                                  np.ones(len(stream))])
         d = unit(stream.targets)
         vf = VolterraFilter(2, mu=0.05)
+        rows = vf.features(x_ext)
         for t in range(len(d)):
-            vf.step(x_ext[t], d[t])
+            vf.step(rows[t], d[t])
         # the generating recursion lives in the order-2 feature span
-        errs = [abs(vf.predict(x_ext[t]).y_hat - d[t]) for t in range(len(d) - 100, len(d))]
+        errs = [abs(vf.predict(rows[t]).y_hat - d[t]) for t in range(len(d) - 100, len(d))]
         assert max(errs) < 1e-3
+
+    def test_run_is_the_per_step_filter_bit_for_bit(self):
+        # LMS over the one-pass rows repeats LMS over features built each step
+        stream = generate("mismatched", 2000, seed=7)
+        e2 = run_stream(VolterraFilter(2, mu=0.05), stream.extended, stream.targets).e2
+        v, want = np.zeros(6), []
+        for x, d in zip(stream.inputs, stream.targets.tolist()):
+            feats = vf_features(x)
+            e = d - float(v.dot(feats))
+            want.append(e)
+            v += (0.05 * e) * feats
+        assert e2.tobytes() == (np.array(want) ** 2).tobytes()
 
 
 class TestGaussianKernel:
@@ -114,8 +142,9 @@ class TestGaussianKernel:
                 assert got[p] == pytest.approx(expected, rel=1e-12)
 
     def test_whitening_is_the_cholesky_form_bit_for_bit(self):
-        # the blocks [I / sigma | -c / sigma] and the normalisers from m
-        # copies of sigma carry the bits the Cholesky factor and its inverse gave
+        # the normalisers from m copies of sigma carry the bits the Cholesky
+        # factor gave; the kernel values, whose sums of squares the stream
+        # map associates differently, agree to KERNEL_RTOL
         rng = np.random.default_rng(25)
         for k in range(600):
             p, m = int(rng.integers(1, 6)), int(rng.integers(1, 7))
@@ -123,10 +152,9 @@ class TestGaussianKernel:
             var = (1.2, rng.uniform(0.01, 10.0), np.exp(rng.normal(scale=5.0)))[k % 3]
             x = rng.normal(scale=2.0, size=m)
             gkr = GaussianKernelRegressor(centers, var)
-            whiten, norms, kernel = cholesky_kernel(centers, var, x)
-            assert gkr._whiten.tobytes() == whiten.tobytes()
+            _, norms, kernel = cholesky_kernel(centers, var, x)
             assert gkr.norms.tobytes() == norms.tobytes()
-            assert kernel_values(gkr, x).tobytes() == kernel.tobytes()
+            np.testing.assert_allclose(kernel_values(gkr, x), kernel, rtol=KERNEL_RTOL, atol=0)
 
 
 class TestGaussianKernelRegressor:
@@ -136,7 +164,8 @@ class TestGaussianKernelRegressor:
 
     def test_zero_regressors_predict_zero(self):
         gkr = self.make()
-        assert gkr.predict(np.array([0.4, 0.4, 1.0])).y_hat == 0.0
+        assert gkr.v.shape == (4 * 3,)
+        assert gkr.predict(gkr.features(np.array([[0.4, 0.4, 1.0]]))[0]).y_hat == 0.0
 
     def test_kernel_values_positive_and_peaked_at_centers(self):
         gkr = self.make()
@@ -149,24 +178,53 @@ class TestGaussianKernelRegressor:
         gkr = GaussianKernelRegressor(np.array([[0.0, 0.0]]), 1.0, mu=0.5)
         x = np.array([1.0, 0.0, 1.0])
         f = float(kernel_values(gkr, x[:-1])[0])
+        row = gkr.features(x[None])[0]
         lf_gain = []
         for d in (1.0, -0.5, 2.0):
-            pred = gkr.predict(x)
-            gkr.update(x, d, pred)
+            pred = gkr.predict(row)
+            gkr.update(row, d, pred)
             lf_gain.append(gkr.v.copy())
         # each update moved v by mu * e * f * x, i.e. plain LMS with gain mu*f
-        np.testing.assert_allclose(lf_gain[0][0], 0.5 * 1.0 * f * x)
+        np.testing.assert_allclose(lf_gain[0], 0.5 * 1.0 * f * x)
 
     def test_update_is_the_broadcast_rank_one_step_bit_for_bit(self):
+        # the rank-1 step over every centre's regressor is the LMS step on
+        # the row k (x) x_ext
         gkr = self.make(mu=0.3)
         stream = generate("mismatched", 300, seed=4)
-        for x, d in zip(stream.extended, stream.targets):
-            pred = gkr.predict(x)
+        for row, d in zip(gkr.features(stream.extended), stream.targets):
+            pred = gkr.predict(row)
             e = d - pred.y_hat
-            want = gkr.v + gkr.mu * e * pred.kernel[:, None] * pred.features
-            gkr.update(x, d, pred)
+            want = gkr.v + gkr.mu * e * row
+            gkr.update(row, d, pred)
             np.testing.assert_array_equal(gkr.v, want)
         assert np.abs(gkr.v).max() > 0.1
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_lockstep_with_the_per_step_form(self, case):
+        # LMS over k (x) x_ext predicts what f . (v . x_ext) with the rank-1
+        # step predicted, to the association order: |dy| / (1 + |y|) <= 1e-12
+        rng = np.random.default_rng(100 + case)
+        if case == 0:  # the mismatched benchmark mix's centres and step
+            stream = generate("mismatched", 3000, seed=100)
+            centers = [[1.4565, 1.0203], [0.6203, -0.4565], [-0.5013, 0.5903], [-1.0903, -1.0013]]
+            var, mu, x_ext, targets = 1.2, 1.0, stream.extended, stream.targets
+        else:
+            p, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            centers = rng.normal(size=(p, m))
+            var, mu = rng.uniform(0.3, 3.0), rng.uniform(0.1, 1.0)
+            x_ext = np.column_stack([rng.uniform(-1.5, 1.5, size=(1000, m)), np.ones(1000)])
+            targets = np.sin(x_ext[:, :-1].sum(axis=1)) + 0.1 * rng.normal(size=1000)
+        gkr = GaussianKernelRegressor(centers, var, mu=mu)
+        v = np.zeros((len(gkr.centers), x_ext.shape[1]))
+        worst = 0.0
+        for row, x, d in zip(gkr.features(x_ext), x_ext, targets.tolist()):
+            pred = gkr.predict(row)
+            gkr.update(row, d, pred)
+            y_ref = reference_kernel_step(v, centers, var, mu, x, d)
+            worst = max(worst, abs(pred.y_hat - y_ref) / (1.0 + abs(y_ref)))
+        assert worst <= 1e-12
+        assert np.abs(v).max() > 0.01
 
     def test_centre_validation(self):
         with pytest.raises(ValueError, match="centers must be finite"):
@@ -196,21 +254,25 @@ class TestGaussianKernelRegressor:
             make_learner({"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": -1.2}, 2)
         for good in (1.2, 1, np.float64(0.5), np.int64(3), 1e-300):
             assert GaussianKernelRegressor(np.zeros((1, 2)), good).norms[0] > 0
-        # sigma^3 underflows to 0: an infinite normaliser with a numpy warning, as
-        # the Cholesky form gave, not a ZeroDivisionError
-        with pytest.warns(RuntimeWarning):
-            assert GaussianKernelRegressor(np.zeros((1, 3)), 1e-300).norms[0] == np.inf
+        # sigma^m underflows, or 1 / (2 pi sigma^m) overflows: the normaliser is
+        # not finite, so the variance is refused in that dimension, by value
+        for var, m in ((1e-300, 3), (1e-320, 2), (1e-200, 4)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"covariances {var!r} is too small in {m} dimensions: the kernel "
+                    f"normaliser 1 / (2 pi sigma^{m}) is not finite")):
+                GaussianKernelRegressor(np.zeros((2, m)), var)
+        with pytest.raises(ConfigError, match=re.escape(
+                "cannot build learner kind 'gkr': covariances 1e-300 is too small in 3 "
+                "dimensions")):
+            make_learner({"kind": "gkr", "centers": [[0.0, 0.0, 0.0]], "covariances": 1e-300}, 3)
 
     def test_learns_smooth_target(self):
         rng = np.random.default_rng(3)
         gkr = self.make(mu=1.0)
-        for _ in range(3000):
-            x = rng.normal(size=2)
-            d = 0.5 * x[0] - 0.2 * x[1]
-            gkr.step(np.append(x, 1.0), d)
-        errs = []
-        for _ in range(200):
-            x = rng.normal(size=2)
-            d = 0.5 * x[0] - 0.2 * x[1]
-            errs.append((gkr.predict(np.append(x, 1.0)).y_hat - d) ** 2)
+        x = rng.normal(size=(3200, 2))
+        d = 0.5 * x[:, 0] - 0.2 * x[:, 1]
+        rows = gkr.features(np.column_stack([x, np.ones(len(x))]))
+        for t in range(3000):
+            gkr.step(rows[t], d[t])
+        errs = [(gkr.predict(rows[t]).y_hat - d[t]) ** 2 for t in range(3000, 3200)]
         assert np.mean(errs) < 0.05

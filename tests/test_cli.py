@@ -134,6 +134,42 @@ class TestRunCommand:
                                            "must be a finite number > 0, got -1.2\n")
         assert not (tmp_path / "out_metrics.csv").exists()
 
+    def test_underflowing_kernel_variance_exits_one(self, tmp_path, capsys):
+        # sigma^2 underflows in two dimensions, so no kernel normaliser is finite
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": {"kind": "matched", "n": 20},
+            "learners": [{"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": 1e-320}],
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "pwltree: cannot build learner kind 'gkr': covariances 1e-320 is too small in 2 "
+            "dimensions: the kernel normaliser 1 / (2 pi sigma^2) is not finite\n")
+        assert not (tmp_path / "out_metrics.csv").exists()
+
+    @pytest.mark.parametrize("learner, message", [
+        ({"kind": "dft", "depth": 2, "theta": None}, "depth, mu and boundaries, not 'theta'"),
+        ({"kind": "dat", "depth": 2, "mode": "soft"}, "depth, mu, s_plus and theta, not 'mode'"),
+        ({"kind": "direct", "depth": 2, "eta": 0.25},
+         "depth, mode, mu, boundaries and s_plus, not 'eta'"),
+        ({"kind": "lf", "dim": 2}, "mu, not 'dim'"),
+        ({"kind": "vf", "order": 2}, "mu, not 'order'"),
+        ({"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": 1.0, "sigma": 1.0},
+         "centers, covariances and mu, not 'sigma'"),
+    ], ids=["dft", "dat", "direct", "lf", "vf", "gkr"])
+    def test_learner_key_refused_by_kind_exits_one(self, tmp_path, capsys, learner, message):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": {"kind": "matched", "n": 20},
+            "learners": [{"kind": "lf"}, learner],
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (f"pwltree: cannot build learner kind "
+                                           f"{learner['kind']!r}: it takes only {message}\n")
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_csv_row_wider_than_header_exits_one(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("a,y\n1,2,3\n")

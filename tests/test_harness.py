@@ -1,14 +1,19 @@
 import csv
+import inspect
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pwltree.adaptive_tree import AdaptiveTreeRegressor
+from pwltree.baselines import GaussianKernelRegressor, LinearFilter, VolterraFilter
 from pwltree.datagen import gen_henon, generate, stream_to_csv
 from pwltree import harness
 from pwltree.fixed_tree import FixedTreeRegressor
+from pwltree.mixture import DirectMixtureRegressor
+from pwltree.trees import Learner
 from pwltree.harness import (
     ConfigError,
     ExperimentConfig,
@@ -26,15 +31,22 @@ from pwltree.harness import (
 )
 
 
-class ProbeLearner:
-    """Records the order of predict/update calls to audit causality."""
+class ProbeLearner(Learner):
+    """Records the order of features/predict/update calls to audit
+    causality, and the rows ``predict`` and ``update`` read."""
 
     def __init__(self):
         self.events = []
         self.seen_targets = []
+        self.rows = {"predict": [], "update": []}
+
+    def features(self, x_ext):
+        self.events.append(("features", len(self.seen_targets)))
+        return 2.0 * x_ext
 
     def predict(self, x_ext):
         self.events.append(("predict", len(self.seen_targets)))
+        self.rows["predict"].append(x_ext)
 
         class P:
             y_hat = 0.0
@@ -43,10 +55,11 @@ class ProbeLearner:
 
     def update(self, x_ext, d_t, pred):
         self.events.append(("update", len(self.seen_targets)))
+        self.rows["update"].append(x_ext)
         self.seen_targets.append(d_t)
 
 
-class BlowUpLearner:
+class BlowUpLearner(Learner):
     """Predicts 0 until step ``at`` (1-based), then ``value``."""
 
     def __init__(self, at, value):
@@ -67,7 +80,19 @@ class TestRunStream:
         probe = ProbeLearner()
         stream = generate("matched", 25, seed=1)
         run_stream(probe, stream.extended, stream.targets)
-        assert probe.events == [(kind, t) for t in range(25) for kind in ("predict", "update")]
+        assert probe.events == [("features", 0)] + [
+            (kind, t) for t in range(25) for kind in ("predict", "update")]
+
+    def test_features_map_the_stream_once_and_feed_every_step(self):
+        # the map runs once, before the first predict, and each step reads
+        # its row of the map, never the extended input itself
+        probe = ProbeLearner()
+        stream = generate("matched", 25, seed=1)
+        run_stream(probe, stream.extended, stream.targets)
+        assert [kind for kind, _ in probe.events].count("features") == 1
+        assert probe.events[0] == ("features", 0)
+        for method in ("predict", "update"):
+            assert np.array_equal(probe.rows[method], 2.0 * stream.extended)
 
     def test_learners_get_python_float_targets(self):
         probe = ProbeLearner()
@@ -305,6 +330,56 @@ class TestConfig:
         with pytest.raises(ConfigError):
             make_learner({"kind": "mystery"}, dim=2)
 
+    @pytest.mark.parametrize("spec, takes", [
+        ({"kind": "dft", "depth": 2, "s_plus": 0.01}, "depth, mu and boundaries, not 's_plus'"),
+        ({"kind": "dat", "depth": 2, "boundaries": [[1.0, 0.0, 0.0]] * 3},
+         "depth, mu, s_plus and theta, not 'boundaries'"),
+        ({"kind": "direct", "depth": 2, "theta": None},
+         "depth, mode, mu, boundaries and s_plus, not 'theta'"),
+        ({"kind": "lf", "mu": 0.1, "order": 1}, "mu, not 'order'"),
+        ({"kind": "vf", "mu": 0.1, "order": 2}, "mu, not 'order'"),
+        ({"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": 1.0, "covariance": 1.0},
+         "centers, covariances and mu, not 'covariance'"),
+        *[({"kind": kind, "dim": 2, **extra}, f"{takes}, not 'dim'") for kind, extra, takes in [
+            ("dft", {"depth": 2}, "depth, mu and boundaries"),
+            ("dat", {"depth": 2}, "depth, mu, s_plus and theta"),
+            ("direct", {"depth": 2}, "depth, mode, mu, boundaries and s_plus"),
+            ("lf", {}, "mu"), ("vf", {}, "mu"),
+            ("gkr", {"centers": [[0.0, 0.0]], "covariances": 1.0}, "centers, covariances and mu")]],
+        ({"kind": "vf", "order": 2, "dim": 2, "name": "v"}, "mu, not 'dim', 'order'"),
+    ], ids=["dft-s_plus", "dat-boundaries", "direct-theta", "lf-order", "vf-order",
+            "gkr-covariance", "dft-dim", "dat-dim", "direct-dim", "lf-dim", "vf-dim", "gkr-dim",
+            "vf-two"])
+    def test_learner_key_refused_by_kind(self, spec, takes):
+        # one check names the kind and the keys it takes, never the
+        # constructor the kind is built by; a config holding the entry is
+        # refused when it is read, before any stream is drawn
+        message = f"cannot build learner kind {spec['kind']!r}: it takes only {takes}"
+        with pytest.raises(ConfigError) as info:
+            make_learner(spec, dim=2)
+        assert str(info.value) == message
+        assert "__init__" not in message
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(stream={"kind": "matched", "n": 5}, learners=[spec])
+
+    def test_learner_key_table_matches_the_constructors(self):
+        # the table must follow the constructors' keyword parameters (the
+        # stream sets dim), and every shipped config's learner entries,
+        # csv_template.json's included, must pass it, so a constructor or
+        # config edit that leaves the table behind fails
+        classes = {"dft": FixedTreeRegressor, "dat": AdaptiveTreeRegressor,
+                   "direct": DirectMixtureRegressor, "lf": LinearFilter, "vf": VolterraFilter,
+                   "gkr": GaussianKernelRegressor}
+        assert set(harness._LEARNER_KEYS) == set(classes)
+        for kind, cls in classes.items():
+            takes = [name for name in inspect.signature(cls).parameters if name != "dim"]
+            assert sorted(harness._LEARNER_KEYS[kind]) == sorted(takes), kind
+        configs = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+        assert "csv_template.json" in [path.name for path in configs]
+        for path in configs:
+            for entry in json.loads(path.read_text())["learners"]:
+                assert harness._learner_params(entry)[0] == entry["kind"], path.name
+
     def test_bad_learner_params(self):
         with pytest.raises(ConfigError):
             make_learner({"kind": "dft", "depth": 99}, dim=2)
@@ -321,8 +396,7 @@ class TestConfig:
         ({"kind": "direct", "depth": 2, "s_plus": "0.01"},
          "s_plus must lie in (0, 0.5), got '0.01'"),
         # the Volterra filter is second order only: an order key is refused by name
-        ({"kind": "vf", "order": 2.0},
-         "VolterraFilter.__init__() got an unexpected keyword argument 'order'"),
+        ({"kind": "vf", "order": 2.0}, "it takes only mu, not 'order'"),
         ({"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": True},
          "covariances must be a finite number > 0, got True"),
         ({"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": "1.2"},

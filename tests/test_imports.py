@@ -60,9 +60,12 @@ def test_benchmark_patch_points_resolve(monkeypatch):
     with instrument.installed(instrument.Tracer()) as tracer:
         for spec in specs:
             learner = harness.make_learner(spec, 2)
-            learner.step(x, 0.5)
-            pred = learner.predict(x)
-            learner.update(x, 0.5, pred)
+            # each learner steps on its own row of the input: vf's and gkr's
+            # feature rows, the input itself for the others
+            row = learner.features(x[None])[0]
+            learner.step(row, 0.5)
+            pred = learner.predict(row)
+            learner.update(row, 0.5, pred)
     assert trees.rho_table.cache_info().currsize == 1
     assert not tracer.counter_problems()
     assert len(tracer.tree_learners) == 2
