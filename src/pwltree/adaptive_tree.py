@@ -10,11 +10,13 @@ node correlates with every node weight.
 
 The gates, the activation cascade, the boundary-step factors and the
 capped hyperplane step are the soft-gate kernel of :mod:`pwltree.trees`,
-which the explicit mixture's soft mode calls too.  This learner hands it
-the cached heap tables of its depth, contiguous and shared with every
-learner of that depth: the branch tables, the gate, sign and offset of
-every entry of the level-major ancestor table, and the root-less rows of
-the descendant table.  Activations are one gather of the gate values, a
+which the explicit mixture's soft mode calls too.  The clamp check,
+``step_cap`` and ``update_boundaries`` are the soft tail the two share,
+and the prediction fields the kernel reads are declared there once.
+This learner hands the kernel the cached heap tables of its depth,
+contiguous and shared with every learner of that depth: the branch
+tables, the gate, sign and offset of every entry of the level-major
+ancestor table, and the root-less rows of the descendant table.  Activations are one gather of the gate values, a
 sign and an offset per ancestor entry and one ``np.multiply.reduce`` down
 the rows; the subtree sums of every child are one matrix-vector product.
 
@@ -41,39 +43,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .separators import initial_directions
-from .trees import TreeLearner, _gate_clamp, _heap_tables, _hyperplanes, _SoftGates, rho_table
+from .trees import SoftPrediction, TreeLearner, _heap_tables, _hyperplanes, _SoftTail, rho_table
 
 
 @dataclass
-class AdaptiveTreePrediction:
-    """Per-node quantities of one prediction pass, heap-indexed.
+class AdaptiveTreePrediction(SoftPrediction):
+    """Per-node quantities of one prediction pass, heap-indexed: the
+    fields the soft-gate kernel reads (see :class:`SoftPrediction`; here
+    ``h``, ``f``, ``u`` and ``cu`` are always set, ``u`` and ``cu`` over
+    the internal nodes only), every node's affine estimate and every
+    node's combination weight ``kappas``."""
 
-    ``x`` is the input as the float array the step reads.  ``f`` holds
-    every node's branch factor: 1.0 at the root, then the clamped gate
-    value ``s`` of each internal node at its lower child and ``1 - s`` at
-    its upper one.  ``u`` covers internal nodes only (unclamped gate
-    values), as does ``cu``, ``(1 - 2 s_plus) u``: the gate's rise above
-    ``s_plus`` before the clamp, which the boundary step reuses.  The
-    remaining arrays cover every node.
-    """
-
-    y_hat: float
-    x: np.ndarray
-    f: np.ndarray
-    u: np.ndarray
-    cu: np.ndarray
     estimates: np.ndarray
-    alphas: np.ndarray
-    h: np.ndarray
     kappas: np.ndarray
 
-    @property
-    def s(self) -> np.ndarray:
-        """Clamped gate value of every internal node."""
-        return self.f[1::2]
 
-
-class AdaptiveTreeRegressor(TreeLearner):
+class AdaptiveTreeRegressor(_SoftTail, TreeLearner):
     """Piecewise-linear mixture regressor with trained soft boundaries.
 
     Parameters
@@ -99,20 +84,14 @@ class AdaptiveTreeRegressor(TreeLearner):
 
     def __init__(self, depth, dim, mu=0.005, s_plus=0.01, theta=None):
         super().__init__(depth, dim, mu)
-        self.s_plus = _gate_clamp(s_plus)
+        _, descendants, _, branches = _heap_tables(depth)
+        self._soft_gates(s_plus, (branches, descendants[1:]))
         if theta is None:
             theta = initial_directions(depth, dim)
         self.theta = _hyperplanes(theta, self.n_internal, self.dim, "theta")
         self._rho = rho_table(depth).astype(float)
-        _, descendants, _, branches = _heap_tables(depth)
-        self._gates = _SoftGates(self.s_plus, branches, descendants[1:])
 
     # ------------------------------------------------------------------
-    @property
-    def step_cap(self) -> float:
-        """Bound on the magnitude of each boundary step's scalar factor."""
-        return 10.0 * self.s_plus * (1.0 - self.s_plus)
-
     def predict(self, x_ext) -> AdaptiveTreePrediction:
         """Evaluate every gate once, cascade activations down the tree and
         collapse the mixture over all nodes."""
@@ -123,7 +102,7 @@ class AdaptiveTreeRegressor(TreeLearner):
         kappas = self._rho.dot(self.w)
         self.regressor_evaluations += self.n_nodes
         self.kappa_accumulations += self.n_nodes * self.n_nodes
-        return AdaptiveTreePrediction(float(kappas.dot(h)), x, f, u, cu, estimates, alphas, h,
+        return AdaptiveTreePrediction(float(kappas.dot(h)), x, alphas, h, f, u, cu, estimates,
                                       kappas)
 
     def update_weights(self, x_ext, e: float, pred: AdaptiveTreePrediction) -> None:
@@ -140,12 +119,6 @@ class AdaptiveTreeRegressor(TreeLearner):
         cap): the mixture's sensitivity to that gate times the gate
         derivative."""
         return self._gates.factors(pred.kappas, pred)
-
-    def update_boundaries(self, x_ext, e: float, pred: AdaptiveTreePrediction) -> None:
-        """Gradient step on every internal hyperplane, with the scalar
-        factor clipped to ``step_cap``; the input is read from ``pred.x``
-        as in ``update_weights``."""
-        self._gates.step(self.theta, self.boundary_factors(pred), pred.x, e, self.mu)
 
     def update(self, x_ext, d_t: float, pred: AdaptiveTreePrediction) -> None:
         e = d_t - pred.y_hat

@@ -82,7 +82,8 @@ class GaussianKernelRegressor(LinearFilter):
 
     Centres must be finite, one row of ``m`` numbers each, numbers only;
     ``covariances`` must be a finite number > 0 whose ``norm`` is finite
-    in ``m`` dimensions.  Booleans and strings are refused in both.
+    and > 0 in ``m`` dimensions (``sigma^m`` neither underflows nor
+    overflows).  Booleans and strings are refused in both.
     """
 
     def __init__(self, centers, covariances, mu=1.0):
@@ -99,9 +100,10 @@ class GaussianKernelRegressor(LinearFilter):
         # sigma^m as m copies of sigma multiplied left to right, not sigma ** m
         scale = 2.0 * math.pi * math.prod([self.sigma] * m)
         norm = 1.0 / scale if scale > 0.0 else math.inf
-        if not math.isfinite(norm):
-            raise ValueError(f"covariances {covariances!r} is too small in {m} dimensions: "
-                             f"the kernel normaliser 1 / (2 pi sigma^{m}) is not finite")
+        if not 0.0 < norm < math.inf:
+            size, fault = ("small", "is not finite") if norm else ("large", "is 0")
+            raise ValueError(f"covariances {covariances!r} is too {size} in {m} dimensions: "
+                             f"the kernel normaliser 1 / (2 pi sigma^{m}) {fault}")
         self.norms = np.full(p, norm)
         self.mu = _step_size(mu)
         self.v = np.zeros(p * (m + 1))

@@ -16,6 +16,7 @@ for the combination-weight recursion against its best fixed weights.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import os
@@ -116,10 +117,18 @@ def average_metrics(runs: list[RunMetrics]) -> RunMetrics:
 # learner construction
 # ----------------------------------------------------------------------
 
-# the keys each learner kind takes besides name and kind; the stream sets dim
-_LEARNER_KEYS = {"dft": ("depth", "mu", "boundaries"), "dat": ("depth", "mu", "s_plus", "theta"),
-                 "direct": ("depth", "mode", "mu", "boundaries", "s_plus"), "lf": ("mu",),
-                 "vf": ("mu",), "gkr": ("centers", "covariances", "mu")}
+# the class each learner kind is built by, named as in this module:
+# make_learner looks it up when called, so a class name rebound here is honoured
+_LEARNER_CLASSES = {"dft": "FixedTreeRegressor", "dat": "AdaptiveTreeRegressor",
+                    "direct": "DirectMixtureRegressor", "lf": "LinearFilter",
+                    "vf": "VolterraFilter", "gkr": "GaussianKernelRegressor"}
+# the keys each kind takes besides name and kind, read from its constructor
+# in its order (the stream sets dim), each mapped to whether the kind
+# requires it: a parameter without a default
+_LEARNER_KEYS = {kind: {key: param.default is param.empty
+                        for key, param in inspect.signature(globals()[cls]).parameters.items()
+                        if key != "dim"}
+                 for kind, cls in _LEARNER_CLASSES.items()}
 
 
 def _and(words) -> str:
@@ -129,17 +138,22 @@ def _and(words) -> str:
 
 def _learner_params(spec: dict) -> tuple[str, dict]:
     """The kind of a learner's config entry and the keyword parameters it
-    sets, or ConfigError when the kind is unknown or the entry holds a key
-    that kind does not take (``dim`` included: the stream sets it)."""
+    sets, or ConfigError when the kind is unknown, the entry holds a key
+    that kind does not take (``dim`` included: the stream sets it) or
+    lacks one that it requires."""
     params = dict(spec)
     params.pop("name", None)
     kind = params.pop("kind", None)
     if not isinstance(kind, str) or kind not in _LEARNER_KEYS:
         raise ConfigError(f"unknown learner kind {kind!r}")
-    unknown = sorted(set(params) - set(_LEARNER_KEYS[kind]))
+    takes = _LEARNER_KEYS[kind]
+    unknown = sorted(set(params) - set(takes))
     if unknown:
-        raise ConfigError(f"cannot build learner kind {kind!r}: it takes only "
-                          f"{_and(_LEARNER_KEYS[kind])}, not " + ", ".join(map(repr, unknown)))
+        raise ConfigError(f"cannot build learner kind {kind!r}: it takes only {_and(list(takes))}, "
+                          "not " + ", ".join(map(repr, unknown)))
+    missing = [repr(key) for key, required in takes.items() if required and key not in params]
+    if missing:
+        raise ConfigError(f"cannot build learner kind {kind!r}: it requires {_and(missing)}")
     return kind, params
 
 
@@ -154,9 +168,7 @@ def make_learner(spec: dict, dim: int):
                 raise ValueError(f"centers must have {dim} coordinates, the stream's dim, "
                                  f"not {learner.centers.shape[1]}")
             return learner
-        # looked up when called, so a class name rebound in this module is honoured
-        return {"dft": FixedTreeRegressor, "dat": AdaptiveTreeRegressor, "lf": LinearFilter,
-                "direct": DirectMixtureRegressor, "vf": VolterraFilter}[kind](dim=dim, **params)
+        return globals()[_LEARNER_CLASSES[kind]](dim=dim, **params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"cannot build learner kind {kind!r}: {exc}") from exc
 

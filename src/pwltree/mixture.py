@@ -17,13 +17,19 @@ elsewhere in hard mode, its product of clamped gates in soft mode; both
 modes then share the ``v`` and ``w_vec`` steps, and soft mode also steps
 ``theta``.
 
-Each instance builds its own membership matrix, by level recursion, and
-its own span masks; in hard mode also the 0/1 activations of every
-root -> leaf path and the owner table, in soft mode the branch tables of
-a level-major ancestor table, both from the bit strings ``i + 1``.  It forms no
-partition set (``partitions`` enumerates them on demand), and every step
-still forms all ``beta(depth)`` estimates and moves all ``beta(depth)``
-weights.
+The oracle is built on the tree learners' base, :class:`TreeBase` of
+:mod:`pwltree.trees`, capped at ``MAX_ENUMERATION_DEPTH``: the base
+checks the depth, dimension and step size, with the messages the
+collapsed learners give, and holds the node counts and the node
+regressors ``v``.  What the oracle checks the learners with stays its
+own.  Each instance builds its own membership matrix, by level
+recursion, its own partition weights ``w_vec`` and its own span masks;
+in hard mode also the 0/1 activations of every root -> leaf path and the
+owner table, in soft mode the branch tables of a level-major ancestor
+table, both from the bit strings ``i + 1``.  It reads no heap table of
+:mod:`pwltree.trees`, forms no partition set (``partitions`` enumerates
+them on demand), and every step still forms all ``beta(depth)``
+estimates and moves all ``beta(depth)`` weights.
 
 The partitions tile the leaves, so each holds exactly one node of any
 root -> leaf path (the fact that lets context-tree weighting spend
@@ -41,13 +47,14 @@ reaches neither.
 In soft mode every node is active and ``membership . h`` is a full
 product.  The gates, the activations, the boundary-step factors and the
 capped hyperplane step are the soft-gate kernel of :mod:`pwltree.trees`
-that the adaptive tree calls, run on this instance's own tables: the
-activations are the branch factors ``f`` (1.0 at the root, ``s`` at a
-lower child, ``1 - s`` at an upper one) gathered and multiplied down the
-contiguous rows of the ancestor table, and the boundary step divides both
-child subtree sums of every gate, read from the span masks, by ``f`` at
-once and reuses the gate rise ``(1 - 2 s_plus) u`` that ``predict``
-built.  What the oracle checks stays its own: the partition weights, the
+that the adaptive tree calls, run on this instance's own tables (the
+clamp check, ``step_cap`` and ``update_boundaries`` are the soft tail
+the two share): the activations are the branch factors ``f`` (1.0 at
+the root, ``s`` at a lower child, ``1 - s`` at an upper one) gathered
+and multiplied down the contiguous rows of the ancestor table, and the
+boundary step divides both child subtree sums of every gate, read from
+the span masks, by ``f`` at once and reuses the gate rise ``(1 - 2
+s_plus) u`` that ``predict`` built.  What the oracle checks stays its own: the partition weights, the
 estimates of every partition and the membership sums that carry them to
 the nodes.
 
@@ -76,17 +83,14 @@ import numpy as np
 from .separators import initial_directions
 from .trees import (
     MAX_ENUMERATION_DEPTH,
-    Learner,
+    SoftPrediction,
+    TreeBase,
     _branch_tables,
-    _gate_clamp,
     _hard_leaf,
     _hyperplanes,
-    _integer,
-    _SoftGates,
-    _step_size,
+    _SoftTail,
     enumerate_partitions,
     membership_matrix,
-    node_count,
 )
 
 # ridge added to the normal equations of a rank-deficient least-squares fit
@@ -94,33 +98,16 @@ RIDGE_EPS = 1e-8
 
 
 @dataclass
-class DirectPrediction:
-    """Everything one prediction pass computed.  ``x`` is the input as the
-    float array the step reads, ``model_estimates`` every partition's
-    estimate and ``alphas`` every node's activation (0/1 in hard mode, 1 on
-    the root -> leaf path).  The rest belongs to the soft mode: ``h`` holds
-    the activation-weighted node estimates, ``f`` every node's branch
-    factor (1.0 at the root, then the clamped gate value ``s`` of each
-    internal node at its lower child and ``1 - s`` at its upper one),
-    ``u`` the unclamped gate values and ``cu``, ``(1 - 2 s_plus) u``, each
-    gate's rise above ``s_plus`` before the clamp."""
+class DirectPrediction(SoftPrediction):
+    """Everything one prediction pass computed: the fields the soft-gate
+    kernel reads (see :class:`~pwltree.trees.SoftPrediction`; in hard
+    mode ``alphas`` is 0/1, 1 on the root -> leaf path, and the soft
+    fields are None) and every partition's estimate."""
 
-    y_hat: float
     model_estimates: np.ndarray
-    x: np.ndarray
-    alphas: np.ndarray
-    h: np.ndarray | None = None
-    f: np.ndarray | None = None
-    u: np.ndarray | None = None
-    cu: np.ndarray | None = None
-
-    @property
-    def s(self) -> np.ndarray | None:
-        """Clamped gate value of every internal node (soft mode)."""
-        return None if self.f is None else self.f[1::2]
 
 
-class DirectMixtureRegressor(Learner):
+class DirectMixtureRegressor(_SoftTail, TreeBase):
     """O(beta(depth)) reference learner over all partitions.
 
     Parameters mirror the collapsed learners so the two can run in
@@ -131,24 +118,15 @@ class DirectMixtureRegressor(Learner):
     factor clipped to ``step_cap = 10 s_plus (1 - s_plus)``).
     """
 
+    max_depth = MAX_ENUMERATION_DEPTH
+
     def __init__(self, depth, dim, mode="hard", mu=0.01, boundaries=None, s_plus=0.01):
-        depth = _integer(depth, "depth")
-        if not 0 <= depth <= MAX_ENUMERATION_DEPTH:
-            raise ValueError(f"direct mixture depth must be in [0, {MAX_ENUMERATION_DEPTH}], "
-                             f"got {depth}")
-        dim = _integer(dim, "dim", 1)
+        super().__init__(depth, dim, mu)
         if mode not in ("hard", "soft"):
             raise ValueError(f"unknown mode {mode!r}")
-        self.depth = depth
-        self.dim = dim
         self.mode = mode
-        self.mu = _step_size(mu)
-        self.s_plus = _gate_clamp(s_plus)
-        self.n_nodes = node_count(depth)
-        self.n_internal = (1 << depth) - 1
-        self.membership = membership_matrix(depth)
+        self.membership = membership_matrix(self.depth)
         self.w_vec = np.zeros(len(self.membership))
-        self.v = np.zeros((self.n_nodes, dim + 1))
         # 0/1 masks of the heap indices in a subtree: row i - 1 for the
         # subtree of node i, which holds j when the bit string i + 1 is a
         # prefix of j + 1; internal node j's two child subtrees are rows 2j
@@ -156,9 +134,18 @@ class DirectMixtureRegressor(Learner):
         ids = np.arange(1, self.n_nodes + 1)
         bits = np.frexp(ids)[1]  # bit lengths
         self._spans = (ids >> np.maximum(bits - bits[1:, None], 0) == ids[1:, None]).astype(float)
+        tables = None
+        if mode == "soft":
+            # level-major ancestors: column i is the root -> i path below
+            # the root, bottom-aligned and top-padded with the root 0, the
+            # ancestor k levels up being ((i + 1) >> k) - 1; the gate kernel
+            # reads its branch tables and the span masks
+            ancestors = np.maximum((ids >> np.arange(self.depth - 1, -1, -1)[:, None]) - 1, 0)
+            tables = (_branch_tables(ancestors), self._spans)
+        self._soft_gates(s_plus, tables)
         if boundaries is None:
-            boundaries = initial_directions(depth, dim)
-        init = _hyperplanes(boundaries, self.n_internal, dim, "boundaries")
+            boundaries = initial_directions(self.depth, self.dim)
+        init = _hyperplanes(boundaries, self.n_internal, self.dim, "boundaries")
         if mode == "hard":
             self.boundaries = init
             self.boundaries.setflags(write=False)
@@ -177,12 +164,6 @@ class DirectMixtureRegressor(Learner):
             self._owners.setflags(write=False)
         else:
             self.theta = init
-            # level-major ancestors: column i is the root -> i path below
-            # the root, bottom-aligned and top-padded with the root 0, the
-            # ancestor k levels up being ((i + 1) >> k) - 1; the gate kernel
-            # reads its branch tables and the span masks
-            ancestors = np.maximum((ids >> np.arange(depth - 1, -1, -1)[:, None]) - 1, 0)
-            self._gates = _SoftGates(self.s_plus, _branch_tables(ancestors), self._spans)
 
     # ------------------------------------------------------------------
     @property
@@ -190,11 +171,6 @@ class DirectMixtureRegressor(Learner):
         """The ``beta(depth)`` partitions in ``membership`` row order,
         enumerated afresh on each access; no step reads them."""
         return enumerate_partitions(self.depth)
-
-    @property
-    def step_cap(self) -> float:
-        """Bound on the magnitude of each boundary step's scalar factor."""
-        return 10.0 * self.s_plus * (1.0 - self.s_plus)
 
     def predict(self, x_ext) -> DirectPrediction:
         """Every node's activation, every partition's estimate, then their
@@ -204,12 +180,12 @@ class DirectMixtureRegressor(Learner):
             leaf = _hard_leaf(self.boundaries, x, self.depth) - self.n_internal
             # each partition's estimate is that of its one node on the path
             d_vec = self.v.dot(x).take(self._owners[leaf])
-            return DirectPrediction(float(self.w_vec.dot(d_vec)), d_vec, x,
-                                    self._path_alphas[leaf])
+            return DirectPrediction(float(self.w_vec.dot(d_vec)), x, self._path_alphas[leaf],
+                                    None, None, None, None, d_vec)
         u, cu, f, alphas = self._gates.cascade(self.theta, x)
         h = alphas * self.v.dot(x)
         d_vec = self.membership.dot(h)
-        return DirectPrediction(float(self.w_vec.dot(d_vec)), d_vec, x, alphas, h, f, u, cu)
+        return DirectPrediction(float(self.w_vec.dot(d_vec)), x, alphas, h, f, u, cu, d_vec)
 
     def update(self, x_ext, d_t: float, pred: DirectPrediction) -> None:
         """Gradient step on the partition weights plus the same node-state
@@ -219,7 +195,7 @@ class DirectMixtureRegressor(Learner):
         step = self.mu * e
         self.v += (step * pred.alphas)[:, None].dot(pred.x[None, :])
         if self.mode == "soft":
-            self._update_theta(x_ext, e, pred)  # reads w_vec before its step
+            self.update_boundaries(x_ext, e, pred)  # reads w_vec before its step
         self.w_vec += step * pred.model_estimates
 
     def boundary_factors(self, pred: DirectPrediction) -> np.ndarray:
@@ -227,9 +203,6 @@ class DirectMixtureRegressor(Learner):
         cap): the partition-weighted node estimates under the gate's two
         child subtrees, differenced, times the gate derivative."""
         return self._gates.factors(self.w_vec.dot(self.membership), pred)
-
-    def _update_theta(self, x_ext, e: float, pred: DirectPrediction) -> None:
-        self._gates.step(self.theta, self.boundary_factors(pred), pred.x, e, self.mu)
 
     def node_weight_image(self, node_weights: np.ndarray) -> np.ndarray:
         """Map collapsed per-node weights to partition space:

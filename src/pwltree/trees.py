@@ -17,19 +17,31 @@ deepest common ancestor; the counts are exact Python ints at every depth.
 products, gathered from the exact counts of those level triples, and
 ``enumerate_partitions`` is the brute-force ground truth used to validate
 them.  ``_heap_tables`` builds the node tables of one depth on first use
-and caches them, so importing the package builds none.  ``Learner`` holds
-the one ``step`` of the sequential protocol every learner in the package
-follows and its ``features`` map of a whole stream, and ``TreeLearner``
-the per-node state both collapsed tree learners keep, and its heap-ordered snapshot format.  ``_SoftGates`` is
-the gate kernel both soft learners, the adaptive tree and the explicit
-mixture's soft mode, call: their gates, activation cascade, boundary-step
-factors and capped hyperplane step are written once, here, as is the hard
-gates' walk, ``_hard_leaf``, of the fixed tree and the mixture's hard mode.
+and caches them, so importing the package builds none.
+
+Every learner is built one way, from the classes here.  ``Learner``
+holds the one ``step`` of the sequential protocol every learner in the
+package follows and its ``features`` map of a whole stream.
+``TreeBase`` is the one base of the three tree learners, the fixed tree,
+the adaptive tree and the explicit mixture: it checks the depth against
+its class's cap, the dimension and the step size, and holds the node
+counts and the per-node regressors ``v``.  ``TreeLearner`` adds the node
+weights, step counter, work counters and heap-ordered snapshot format of
+the two collapsed learners.  ``_SoftGates`` is the gate kernel both soft
+learners, the adaptive tree and the explicit mixture's soft mode, call:
+their gates, activation cascade, boundary-step factors and capped
+hyperplane step are written once, here, as is the hard gates' walk,
+``_hard_leaf``, of the fixed tree and the mixture's hard mode.
+``_SoftTail`` is what the two soft learners share around that kernel:
+the gate clamp's check, the kernel's build, ``step_cap`` and
+``update_boundaries``; ``SoftPrediction`` declares the fields of a
+prediction pass that the kernel reads.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -213,6 +225,63 @@ class _SoftGates:
         theta -= (factors * (mu / self.spread * e))[:, None].dot(x[None, :])
 
 
+@dataclass
+class SoftPrediction:
+    """The fields of one prediction pass that the soft-gate kernel reads,
+    declared once for both soft learners' predictions.  ``x`` is the input
+    as the float array the step reads and ``alphas`` every node's
+    activation.  ``h`` holds the activation-weighted node estimates, ``f``
+    every node's branch factor (1.0 at the root, then the clamped gate
+    value ``s`` of each internal node at its lower child and ``1 - s`` at
+    its upper one), ``u`` the unclamped gate values and ``cu``, ``(1 - 2
+    s_plus) u``, each gate's rise above ``s_plus`` before the clamp, which
+    the boundary step reuses.  A pass without soft gates (the explicit
+    mixture's hard mode) sets the last four to None.  Subclasses add
+    their own fields after these; every field is passed by position,
+    which is cheaper than by keyword."""
+
+    y_hat: float
+    x: np.ndarray
+    alphas: np.ndarray
+    h: np.ndarray | None
+    f: np.ndarray | None
+    u: np.ndarray | None
+    cu: np.ndarray | None
+
+    @property
+    def s(self) -> np.ndarray | None:
+        """Clamped gate value of every internal node (None without soft gates)."""
+        return None if self.f is None else self.f[1::2]
+
+
+class _SoftTail:
+    """The tail both soft learners share, the adaptive tree and the
+    explicit mixture's soft mode: the gate clamp ``s_plus`` and its check,
+    the gate kernel built on the learner's own tables, the step cap and
+    the capped hyperplane step.  A learner with this tail keeps its
+    hyperplanes in ``theta`` and defines ``boundary_factors(pred)``, which
+    ``update_boundaries`` reaches through the instance."""
+
+    def _soft_gates(self, s_plus, tables=None) -> None:
+        """Keep the gate clamp ``s_plus`` once it passes its check and, given
+        a tree's ``(branches, below)`` tables (see ``_SoftGates``), the gate
+        kernel on them."""
+        self.s_plus = _gate_clamp(s_plus)
+        if tables is not None:
+            self._gates = _SoftGates(self.s_plus, *tables)
+
+    @property
+    def step_cap(self) -> float:
+        """Bound on the magnitude of each boundary step's scalar factor."""
+        return 10.0 * self.s_plus * (1.0 - self.s_plus)
+
+    def update_boundaries(self, x_ext, e: float, pred: SoftPrediction) -> None:
+        """Gradient step on every internal hyperplane, with the scalar
+        factor clipped to ``step_cap``; the input is read from ``pred.x``,
+        the one ``predict`` was given as ``x_ext``."""
+        self._gates.step(self.theta, self.boundary_factors(pred), pred.x, e, self.mu)
+
+
 class Learner:
     """The sequential protocol every learner follows: ``predict`` from the
     current state, then ``update`` once the target is revealed.  Subclasses
@@ -233,32 +302,50 @@ class Learner:
         return pred.y_hat, d_t - pred.y_hat
 
 
-class TreeLearner(Learner):
-    """State and bookkeeping shared by the collapsed tree learners.
+class TreeBase(Learner):
+    """A learner over the nodes of a complete binary tree no deeper than
+    its class's ``max_depth``: the collapsed learners' ``MAX_TABLE_DEPTH``
+    or the explicit mixture's ``MAX_ENUMERATION_DEPTH``.
 
-    Both learners hold one scalar weight ``w`` and one affine regressor
-    ``v`` per node of a complete depth-``depth`` tree, combine them through
-    the ``rho`` table, and differ only in their gates and updates.  This
-    base owns what they share: the depth, dimension and step-size checks,
-    the state arrays and step counter ``t``, the work counters and the
-    snapshot format, in which ``t`` travels with the state.
-    Subclasses implement ``predict`` and ``update``; ``update`` advances
-    ``t``.  A subclass with trained hyperplanes sets ``gated`` and keeps
-    them in ``theta``, one row per internal node.
+    It checks the depth, dimension and step size, one message each, and
+    holds what every tree learner reads of its tree: ``n_nodes``,
+    ``n_internal`` and one affine regressor ``v`` per node.  How the
+    nodes combine is a subclass's own: the collapsed learners' node
+    weights and ``rho`` table (:class:`TreeLearner`), the explicit
+    mixture's partition weights, membership matrix, span masks and
+    ancestor table.
     """
-
-    gated = False
 
     def __init__(self, depth, dim, mu):
         depth = _integer(depth, "depth")
-        if not 0 <= depth <= MAX_TABLE_DEPTH:
-            raise ValueError(f"depth must be in [0, {MAX_TABLE_DEPTH}]")
+        if not 0 <= depth <= self.max_depth:
+            raise ValueError(f"depth must be in [0, {self.max_depth}], got {depth}")
         self.depth = depth
         self.dim = dim = _integer(dim, "dim", 1)
         self.mu = _step_size(mu)
         self.n_nodes = node_count(depth)
         self.n_internal = (1 << depth) - 1
         self.v = np.zeros((self.n_nodes, dim + 1))
+
+
+class TreeLearner(TreeBase):
+    """State and bookkeeping shared by the collapsed tree learners.
+
+    The fixed and the adaptive tree hold one scalar weight ``w`` beside
+    the base's regressor ``v`` per node, combine them through the ``rho``
+    table, and differ only in their gates and updates.  This class adds
+    what they share past the base: the weights, the step counter ``t``,
+    the work counters and the snapshot format, in which ``t`` travels
+    with the state.  Subclasses implement ``predict`` and ``update``;
+    ``update`` advances ``t``.  A subclass with trained hyperplanes sets
+    ``gated`` and keeps them in ``theta``, one row per internal node.
+    """
+
+    gated = False
+    max_depth = MAX_TABLE_DEPTH
+
+    def __init__(self, depth, dim, mu):
+        super().__init__(depth, dim, mu)
         self.w = np.zeros(self.n_nodes)
         self.t = 1
         # per-run work counters

@@ -261,7 +261,7 @@ class TestBoundaryUpdates:
         assert oracle.step_cap == lrn.step_cap
         theta_before = lrn.theta.copy()
         lrn.update_boundaries(x, 1.0, pred)
-        oracle._update_theta(x, 1.0, oracle_pred)
+        oracle.update_boundaries(x, 1.0, oracle_pred)
         applied = (theta_before - lrn.theta) / (lrn.mu / (lrn.s_plus * (1.0 - lrn.s_plus)))
         np.testing.assert_allclose(applied[0], lrn.step_cap * np.sign(raw[0]) * x)
         np.testing.assert_array_equal(oracle.theta, lrn.theta)

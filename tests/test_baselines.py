@@ -266,6 +266,20 @@ class TestGaussianKernelRegressor:
                 "dimensions")):
             make_learner({"kind": "gkr", "centers": [[0.0, 0.0, 0.0]], "covariances": 1e-300}, 3)
 
+    @pytest.mark.parametrize("var, m", [(1e300, 3), (1e200, 4), (1e308, 2)])
+    def test_overflowing_variance_is_refused(self, var, m):
+        # 2 pi sigma^m overflows, so the normaliser would be 0 and every
+        # prediction 0: the variance is refused in that dimension, by value
+        message = (f"covariances {var!r} is too large in {m} dimensions: the kernel "
+                   f"normaliser 1 / (2 pi sigma^{m}) is 0")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GaussianKernelRegressor(np.zeros((1, m)), var)
+        refused = f"cannot build learner kind 'gkr': {message}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(refused)}$"):
+            make_learner({"kind": "gkr", "centers": [[0.0] * m], "covariances": var}, m)
+        # in one dimension the same variance keeps a normaliser > 0
+        assert GaussianKernelRegressor(np.zeros((1, 1)), var).norms[0] > 0.0
+
     def test_learns_smooth_target(self):
         rng = np.random.default_rng(3)
         gkr = self.make(mu=1.0)

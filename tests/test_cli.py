@@ -148,6 +148,21 @@ class TestRunCommand:
             "dimensions: the kernel normaliser 1 / (2 pi sigma^2) is not finite\n")
         assert not (tmp_path / "out_metrics.csv").exists()
 
+    def test_overflowing_kernel_variance_exits_one(self, tmp_path, capsys):
+        # 2 pi sigma^2 overflows, so the kernel normaliser would be 0 and
+        # every prediction 0: the run is refused before it writes anything
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": {"kind": "matched", "n": 20},
+            "learners": [{"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": 1e308}],
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "pwltree: cannot build learner kind 'gkr': covariances 1e+308 is too large in 2 "
+            "dimensions: the kernel normaliser 1 / (2 pi sigma^2) is 0\n")
+        assert not (tmp_path / "out_metrics.csv").exists()
+
     @pytest.mark.parametrize("learner, message", [
         ({"kind": "dft", "depth": 2, "theta": None}, "depth, mu and boundaries, not 'theta'"),
         ({"kind": "dat", "depth": 2, "mode": "soft"}, "depth, mu, s_plus and theta, not 'mode'"),

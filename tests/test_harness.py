@@ -1,5 +1,4 @@
 import csv
-import inspect
 import json
 import re
 from pathlib import Path
@@ -8,11 +7,9 @@ import numpy as np
 import pytest
 
 from pwltree.adaptive_tree import AdaptiveTreeRegressor
-from pwltree.baselines import GaussianKernelRegressor, LinearFilter, VolterraFilter
 from pwltree.datagen import gen_henon, generate, stream_to_csv
 from pwltree import harness
 from pwltree.fixed_tree import FixedTreeRegressor
-from pwltree.mixture import DirectMixtureRegressor
 from pwltree.trees import Learner
 from pwltree.harness import (
     ConfigError,
@@ -362,18 +359,38 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             ExperimentConfig(stream={"kind": "matched", "n": 5}, learners=[spec])
 
+    @pytest.mark.parametrize("spec, requires", [
+        ({"kind": "dft"}, "'depth'"),
+        ({"kind": "dat", "mu": 0.01}, "'depth'"),
+        ({"kind": "direct", "mode": "soft"}, "'depth'"),
+        ({"kind": "gkr", "covariances": 1.0}, "'centers'"),
+        ({"kind": "gkr", "centers": [[0.0, 0.0]], "mu": 0.5}, "'covariances'"),
+        ({"kind": "gkr"}, "'centers' and 'covariances'"),
+    ], ids=["dft-depth", "dat-depth", "direct-depth", "gkr-centers", "gkr-covariances",
+            "gkr-both"])
+    def test_learner_missing_required_key_refused_when_read(self, spec, requires,
+                                                             monkeypatch):
+        # a key without a constructor default is required: a config that
+        # lacks it is refused when read, naming the kind and the key, never
+        # the constructor, and no stream is drawn
+        def no_stream(*args, **kwargs):
+            raise AssertionError("stream drawn for a config that lacks a required key")
+
+        monkeypatch.setattr(harness, "generate", no_stream)
+        message = f"cannot build learner kind {spec['kind']!r}: it requires {requires}"
+        raw = {"stream": {"kind": "matched", "n": 5}, "learners": [{"name": "x", **spec}]}
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict(raw)
+        assert str(info.value) == message
+        assert "__init__" not in message
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            make_learner(spec, dim=2)
+
     def test_learner_key_table_matches_the_constructors(self):
-        # the table must follow the constructors' keyword parameters (the
-        # stream sets dim), and every shipped config's learner entries,
-        # csv_template.json's included, must pass it, so a constructor or
-        # config edit that leaves the table behind fails
-        classes = {"dft": FixedTreeRegressor, "dat": AdaptiveTreeRegressor,
-                   "direct": DirectMixtureRegressor, "lf": LinearFilter, "vf": VolterraFilter,
-                   "gkr": GaussianKernelRegressor}
-        assert set(harness._LEARNER_KEYS) == set(classes)
-        for kind, cls in classes.items():
-            takes = [name for name in inspect.signature(cls).parameters if name != "dim"]
-            assert sorted(harness._LEARNER_KEYS[kind]) == sorted(takes), kind
+        # the table is read from the constructors' signatures, so every
+        # shipped config's learner entries, csv_template.json's included,
+        # must pass it: a constructor or config edit that leaves the
+        # shipped configs behind fails
         configs = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
         assert "csv_template.json" in [path.name for path in configs]
         for path in configs:

@@ -81,6 +81,17 @@ def test_benchmark_patch_points_resolve(monkeypatch):
     assert {name: spans[name] for name in methods} == dict.fromkeys(methods, 2)
 
 
+@pytest.mark.parametrize("name", ["trials-mismatched", "deep-single", "oracle-lockstep"])
+def test_benchmark_workloads_set_up(monkeypatch, tmp_path, name):
+    # each workload's setup builds what its rounds build: the learner specs
+    # through make_learner, and oracle-lockstep's direct constructor calls,
+    # so a constructor change that breaks the benchmark fails here
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    assert sorted(workloads.WORKLOADS) == ["deep-single", "oracle-lockstep", "trials-mismatched"]
+    workloads.WORKLOADS[name](0, tmp_path).setup()
+
+
 @pytest.mark.parametrize("demo", ["partition_calculus.py", "collapsed_equals_direct.py"])
 def test_fast_demo_runs(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -268,5 +268,5 @@ def test_adaptive_tree_and_soft_oracle_share_the_gate_kernel(depth, seed, s_plus
         assert same_bits(getattr(ours, field), getattr(theirs, field))
     assert same_bits(tree.boundary_factors(ours), oracle.boundary_factors(theirs))
     tree.update_boundaries(x, e, ours)
-    oracle._update_theta(x, e, theirs)
+    oracle.update_boundaries(x, e, theirs)
     assert same_bits(tree.theta, oracle.theta)

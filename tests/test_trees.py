@@ -130,6 +130,29 @@ class TestShape:
                 lrn = make(2, 2, mu=mu)
                 assert lrn.mu == float(mu) and type(lrn.mu) is float
 
+    @pytest.mark.parametrize("make, cap", [
+        (FixedTreeRegressor, MAX_TABLE_DEPTH), (AdaptiveTreeRegressor, MAX_TABLE_DEPTH),
+        (lambda *args, **kw: DirectMixtureRegressor(*args, mode="hard", **kw),
+         MAX_ENUMERATION_DEPTH),
+        (lambda *args, **kw: DirectMixtureRegressor(*args, mode="soft", **kw),
+         MAX_ENUMERATION_DEPTH),
+    ], ids=["dft", "dat", "direct-hard", "direct-soft"])
+    def test_tree_base_refuses_depth_dim_and_mu_with_one_message(self, make, cap):
+        # every tree learner checks its depth, dim and mu in the one base,
+        # so each refusal reads the same and names the value, whatever the cap
+        for depth in (-1, cap + 1):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"depth must be in [0, {cap}], got {depth}") + "$"):
+                make(depth, 2)
+        for dim in (2.0, "2"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"dim must be an integer, got {dim!r}") + "$"):
+                make(2, dim)
+        with pytest.raises(ValueError, match=re.escape(
+                "mu must be a finite number > 0, got -0.5") + "$"):
+            make(2, 2, mu=-0.5)
+        assert make(cap, 2).n_nodes == node_count(cap)
+
     @pytest.mark.parametrize("depth", range(1, MAX_TABLE_DEPTH + 1))
     def test_learners_view_the_shared_tables(self, depth):
         # each learner reads the cached tables of its depth rather than copying them
