@@ -18,6 +18,7 @@ its step size ``mu`` when it is built: a finite real number > 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,12 +82,18 @@ class GaussianKernelRegressor(LinearFilter):
     benchmark family uses, not the general Gaussian constant).
 
     Centres must be finite, one row of ``m`` numbers each, numbers only;
-    ``covariances`` must be a finite number > 0 whose ``norm`` is finite
-    and > 0 in ``m`` dimensions (``sigma^m`` neither underflows nor
-    overflows).  Booleans and strings are refused in both.
+    ``covariances`` must be a finite number > 0 whose ``norm`` is finite in
+    ``m`` dimensions (``sigma^m`` does not underflow), and whose largest
+    LMS step, ``mu norm^2`` (the kernel at its centre is ``norm``), is at
+    least the smallest normal float, so that the regressors can move at
+    all.  Booleans and strings are refused in both.  Only that
+    floating-point case is refused: a variance such as ``1e10`` in two
+    dimensions also learns nothing within a few thousand steps, and it is
+    accepted.
     """
 
     def __init__(self, centers, covariances, mu=1.0):
+        self.mu = _step_size(mu)
         centers = _numeric(centers)
         if centers is None or centers.ndim > 2:
             raise ValueError("centers must be a list of points, numbers only")
@@ -100,12 +107,15 @@ class GaussianKernelRegressor(LinearFilter):
         # sigma^m as m copies of sigma multiplied left to right, not sigma ** m
         scale = 2.0 * math.pi * math.prod([self.sigma] * m)
         norm = 1.0 / scale if scale > 0.0 else math.inf
-        if not 0.0 < norm < math.inf:
-            size, fault = ("small", "is not finite") if norm else ("large", "is 0")
-            raise ValueError(f"covariances {covariances!r} is too {size} in {m} dimensions: "
-                             f"the kernel normaliser 1 / (2 pi sigma^{m}) {fault}")
+        if norm == math.inf:
+            raise ValueError(f"covariances {covariances!r} is too small in {m} dimensions: "
+                             f"the kernel normaliser 1 / (2 pi sigma^{m}) is not finite")
+        step = self.mu * norm * norm
+        if step < sys.float_info.min:
+            raise ValueError(f"covariances {covariances!r} is too large in {m} dimensions for mu "
+                             f"{mu!r}: the largest LMS step mu (1 / (2 pi sigma^{m}))^2 is "
+                             f"{step!r}, below the smallest normal float")
         self.norms = np.full(p, norm)
-        self.mu = _step_size(mu)
         self.v = np.zeros(p * (m + 1))
 
     def features(self, x_ext) -> np.ndarray:

@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 
 from . import datagen, harness
+from .trees import _integer
 
 SNAPSHOT_SCHEMA = 3  # 3: the learner state holds heap-ordered w/v/theta arrays
 
@@ -90,12 +91,15 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _run_segment(spec: dict, stream, start: int, steps: int, snapshot=None):
-    """Build the tree learner ``spec`` names, restore ``snapshot`` into it
-    when given, and step it through ``steps`` stream steps from ``start``.
-    Returns the learner and the segment's metrics."""
-    if spec.get("kind") not in ("dft", "dat"):
-        raise harness.ConfigError(f"snapshots support tree learners only, not {spec.get('kind')!r}")
+def _run_segment(config: harness.ExperimentConfig, start: int, steps: int, snapshot=None):
+    """Build the stream and the one learner of ``config``, which must be a
+    tree learner, restore ``snapshot`` into the learner when given, and
+    step it through ``steps`` stream steps from ``start``.  Returns the
+    learner and the segment's metrics."""
+    spec = config.learners[0]
+    if spec["kind"] not in ("dft", "dat"):
+        raise harness.ConfigError(f"snapshots support tree learners only, not {spec['kind']!r}")
+    stream = harness.build_stream(config.stream, config.seed)
     stop = start + steps
     if not 0 <= start <= stop <= len(stream):
         raise harness.ConfigError(f"stream has {len(stream)} steps; cannot run {steps} steps "
@@ -114,8 +118,8 @@ def _cmd_snapshot(args) -> int:
     stream_spec = {"kind": args.stream, "n": args.n}
     try:
         _check_out_dirs(args.out, args.metrics)
-        stream = harness.build_stream(stream_spec, args.seed)
-        learner, metrics = _run_segment(spec, stream, 0, args.steps)
+        config = harness.ExperimentConfig(stream_spec, [spec], seed=args.seed)
+        learner, metrics = _run_segment(config, 0, args.steps)
     except (ValueError, harness.TrialDiverged) as exc:
         return _fail(str(exc))
     snapshot = {
@@ -150,22 +154,16 @@ def _cmd_restore(args) -> int:
         return _fail(f"unsupported snapshot schema {snapshot.get('schema')!r} "
                      f"(this version reads schema {SNAPSHOT_SCHEMA})")
     try:
-        if not isinstance(snapshot["learner"], dict):
-            raise ValueError(f"learner must be an object, got {type(snapshot['learner']).__name__}")
-        position, seed = snapshot["position"], snapshot["seed"]
-        if isinstance(position, bool) or not isinstance(position, int) or position < 0:
-            raise ValueError(f"position must be an integer >= 0, got {position!r}")
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        stream = harness.build_stream(snapshot["stream"], seed)
-        learner, metrics = _run_segment(snapshot["learner"], stream, position, args.steps,
-                                        snapshot)
+        position = _integer(snapshot["position"], "position", 0)
+        config = harness.ExperimentConfig(snapshot["stream"], [snapshot["learner"]],
+                                          seed=snapshot["seed"])
+        learner, metrics = _run_segment(config, position, args.steps, snapshot)
     except (ValueError, KeyError) as exc:
         return _fail(f"malformed snapshot: {exc}")
     except harness.TrialDiverged as exc:
         return _fail(f"{exc} after position {position}")
     if args.metrics:
-        harness.write_metrics_csv({snapshot["learner"]["kind"]: metrics}, args.metrics,
+        harness.write_metrics_csv({config.learners[0]["kind"]: metrics}, args.metrics,
                                   start=position)
     if args.state_out:
         with open(args.state_out, "w") as fh:

@@ -169,8 +169,9 @@ KINDS = (*PIECEWISE, *CHAOTIC)
 
 
 def generate(kind: str, n: int, seed: int | None = None, **params) -> Stream:
-    """Dispatch on stream kind; the piecewise kinds require ``seed`` and
-    take ``noise_var``, the chaotic kinds take no parameter.  The length
+    """Dispatch on stream kind; the piecewise kinds require an integer
+    ``seed`` (see :func:`_generator`) and take ``noise_var``, the chaotic
+    kinds take no parameter.  The length
     ``n`` is an integer >= 0 (numpy's included); anything else, booleans
     and integral floats included, raises ValueError."""
     if kind not in KINDS:
@@ -178,8 +179,6 @@ def generate(kind: str, n: int, seed: int | None = None, **params) -> Stream:
     _integer(n, "n", 0)
     if kind in CHAOTIC:
         return CHAOTIC[kind](n, **params)
-    if seed is None:
-        raise ValueError(f"stream kind {kind!r} requires a seed")
     return _piecewise(kind, n, seed, **params)
 
 

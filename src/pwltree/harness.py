@@ -11,6 +11,18 @@ goes through one of three runners: :func:`run_experiment` for a config's
 learners over seeded trials, :func:`verify_equivalence` for a collapsed
 learner in lockstep with the explicit mixture, and :func:`weight_regret`
 for the combination-weight recursion against its best fixed weights.
+
+A config is checked whole when it is read, before any stream is drawn or
+learner built.  One key rule serves its three kinds of object, the top
+level, the stream spec and each learner entry: each has a table of the
+keys it takes, read from ``ExperimentConfig``'s fields, written per stream
+kind, or read from the learner's constructor, and a key outside the table
+or a required key left out is refused in one form, ``... takes only a, b
+and c, not 'x'`` or ``... requires 'y'``.  Its integer settings
+(``trials``, ``seed``, ``stride``, a stream's ``n``), a learner's
+``depth`` and a snapshot's ``position``, ``depth`` and ``t`` are checked
+by ``trees._integer``.  ``pwltree snapshot`` and ``restore`` read their
+stream, learner and seed as a one-learner config.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -136,6 +148,19 @@ def _and(words) -> str:
     return " and ".join(filter(None, [", ".join(words[:-1]), words[-1]]))
 
 
+def _check_keys(what: str, spec: dict, table: dict) -> None:
+    """Raise ConfigError when ``spec`` holds a key that ``table`` lacks,
+    ``{what} takes only <table's keys>, not <the unknown keys>``, or lacks
+    one that ``table`` maps to True, ``{what} requires <the missing keys>``."""
+    unknown = sorted(set(spec) - set(table))
+    if unknown:
+        raise ConfigError(f"{what} takes only {_and(list(table))}, not "
+                          + ", ".join(map(repr, unknown)))
+    missing = [repr(key) for key, required in table.items() if required and key not in spec]
+    if missing:
+        raise ConfigError(f"{what} requires {_and(missing)}")
+
+
 def _learner_params(spec: dict) -> tuple[str, dict]:
     """The kind of a learner's config entry and the keyword parameters it
     sets, or ConfigError when the kind is unknown, the entry holds a key
@@ -146,15 +171,17 @@ def _learner_params(spec: dict) -> tuple[str, dict]:
     kind = params.pop("kind", None)
     if not isinstance(kind, str) or kind not in _LEARNER_KEYS:
         raise ConfigError(f"unknown learner kind {kind!r}")
-    takes = _LEARNER_KEYS[kind]
-    unknown = sorted(set(params) - set(takes))
-    if unknown:
-        raise ConfigError(f"cannot build learner kind {kind!r}: it takes only {_and(list(takes))}, "
-                          "not " + ", ".join(map(repr, unknown)))
-    missing = [repr(key) for key, required in takes.items() if required and key not in params]
-    if missing:
-        raise ConfigError(f"cannot build learner kind {kind!r}: it requires {_and(missing)}")
+    _check_keys(f"cannot build learner kind {kind!r}: it", params, _LEARNER_KEYS[kind])
     return kind, params
+
+
+def _learner_name(entry: dict) -> str:
+    """The name a checked learner entry's metrics are filed under: its
+    ``name``, which must be a non-empty string, or else its kind."""
+    name = entry.get("name", entry["kind"])
+    if not isinstance(name, str) or not name:
+        raise ConfigError(f"learner name must be a non-empty string, got {name!r}")
+    return name
 
 
 def make_learner(spec: dict, dim: int):
@@ -187,20 +214,15 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
-        for name in ("trials", "seed", "stride"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        self.trials = _integer(self.trials, "trials", 1, ConfigError)
+        self.seed = _integer(self.seed, "seed", error=ConfigError)
+        self.stride = _integer(self.stride, "stride", 1, ConfigError)
         # trial k is seeded with seed + k, and every trial seed keys a generator
         last = self.seed + self.trials - 1
         if self.seed < 0 or last >= 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64) to key the generator, got "
                               f"{self.seed if self.seed < 0 else last}: trial seeds run "
                               f"from {self.seed} to {last}")
-        if self.stride < 1:
-            raise ConfigError("stride must be >= 1")
         if self.output is not None and not isinstance(self.output, str):
             raise ConfigError(f"output must be a string or null, got {self.output!r}")
         if not isinstance(self.learners, list) \
@@ -211,11 +233,10 @@ class ExperimentConfig:
         # a bad key is refused before any stream is drawn or learner built
         for entry in self.learners:
             _learner_params(entry)
-        names = [entry.get("name") or entry.get("kind") for entry in self.learners]
+        names = list(map(_learner_name, self.learners))
         if len(set(names)) != len(names):
             raise ConfigError("learner names must be unique")
-        if not isinstance(self.stream, dict) or "kind" not in self.stream:
-            raise ConfigError("stream must be an object with a kind")
+        _stream_params(self.stream)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -225,14 +246,7 @@ class ExperimentConfig:
         schema = raw.pop("schema", CONFIG_SCHEMA)
         if schema != CONFIG_SCHEMA:
             raise ConfigError(f"unsupported config schema {schema!r}")
-        keys = [f.name for f in fields(cls)]
-        unknown = sorted(set(raw) - set(keys))
-        if unknown:
-            raise ConfigError(f"a config takes only {_and(['schema', *keys])}, not "
-                              + ", ".join(map(repr, unknown)))
-        missing = [key for key in ("stream", "learners") if key not in raw]
-        if missing:
-            raise ConfigError(f"config requires {' and '.join(map(repr, missing))}")
+        _check_keys("a config", raw, _CONFIG_KEYS)
         return cls(**raw)
 
     @classmethod
@@ -250,43 +264,52 @@ class ExperimentConfig:
         return {"schema": CONFIG_SCHEMA, **asdict(self)}
 
 
-# the keys each stream kind takes besides kind and normalize
-_STREAM_KEYS = {"csv": ("path", "target"), **dict.fromkeys(PIECEWISE, ("n", "noise_var")),
-                **dict.fromkeys(CHAOTIC, ("n",))}
+# the top-level keys a config takes, each mapped to whether it is required:
+# a field without a default
+_CONFIG_KEYS = {"schema": False,
+                **{f.name: f.default is MISSING for f in fields(ExperimentConfig)}}
+# the keys each stream kind takes besides kind, each mapped to whether it is required
+_STREAM_KEYS = {"csv": {"path": True, "target": True, "normalize": False},
+                **dict.fromkeys(PIECEWISE, {"n": True, "noise_var": False, "normalize": False}),
+                **dict.fromkeys(CHAOTIC, {"n": True, "normalize": False})}
 
 
-def build_stream(spec: dict, seed: int) -> Stream:
-    """Turn a stream spec into a :class:`Stream`; a malformed spec raises
-    ConfigError.  A spec holds only the keys its kind takes: ``path`` and
-    ``target`` for ``csv``, ``n`` for a generator, which is seeded with
-    ``seed``, and ``noise_var`` for a piecewise one.  Any may set
-    ``normalize`` (default on for ``csv``) to apply :func:`normalize_stream`."""
+def _stream_params(spec: dict) -> tuple[str, dict, bool]:
+    """The kind of a stream spec, the parameters it passes to its generator
+    or loader, and whether it is normalized; ConfigError when the spec is
+    not an object, its kind is unknown, it holds a key that kind does not
+    take or lacks one that it requires, its ``n`` is not an integer >= 1,
+    its ``normalize`` is not true or false, or its csv ``path`` is not a
+    string."""
     if not isinstance(spec, dict):
         raise ConfigError(f"stream must be an object, got {type(spec).__name__}")
     params = dict(spec)
     kind = params.pop("kind", None)
     if not isinstance(kind, str) or kind not in _STREAM_KEYS:
         raise ConfigError(f"unknown stream kind {kind!r}")
-    takes = [*_STREAM_KEYS[kind], "normalize"]
-    unknown = sorted(set(params) - set(takes))
-    if unknown:
-        raise ConfigError(f"cannot build stream kind {kind!r}: it takes only {_and(takes)}, not "
-                          + ", ".join(map(repr, unknown)))
+    _check_keys(f"cannot build stream kind {kind!r}: it", params, _STREAM_KEYS[kind])
     normalize = params.pop("normalize", kind == "csv")
     if not isinstance(normalize, bool):
         raise ConfigError(f"stream normalize must be true or false, got {normalize!r}")
+    if kind != "csv":
+        _integer(params["n"], "stream length n", 1, ConfigError)
+    elif not isinstance(params["path"], (str, os.PathLike)):
+        raise ConfigError(f"csv stream path must be a string, got {params['path']!r}")
+    return kind, params, normalize
+
+
+def build_stream(spec: dict, seed: int) -> Stream:
+    """Turn a stream spec into a :class:`Stream` once :func:`_stream_params`
+    has checked it; a malformed spec raises ConfigError.  A spec holds only
+    the keys its kind takes: ``path`` and ``target`` for ``csv``, ``n`` for
+    a generator, which is seeded with ``seed``, and ``noise_var`` for a
+    piecewise one.  Any may set ``normalize`` (default on for ``csv``) to
+    apply :func:`normalize_stream`."""
+    kind, params, normalize = _stream_params(spec)
     if kind == "csv":
-        missing = [key for key in ("path", "target") if key not in params]
-        if missing:
-            raise ConfigError(f"csv stream requires {' and '.join(map(repr, missing))}")
-        if not isinstance(params["path"], (str, os.PathLike)):
-            raise ConfigError(f"csv stream path must be a string, got {params['path']!r}")
         stream = load_csv_dataset(params["path"], params["target"])
     else:
-        n = params.pop("n", None)
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ConfigError(f"stream length n must be an integer >= 1, got {n!r}")
-        stream = generate(kind, n, seed=seed, **params)
+        stream = generate(kind, seed=seed, **params)
     return normalize_stream(stream) if normalize else stream
 
 
@@ -324,7 +347,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         x_ext = stream.extended
         # every entry is built before any learner steps, so a bad one
         # throws no finished run away
-        learners = [(entry.get("name") or entry["kind"], make_learner(entry, stream.dim))
+        learners = [(_learner_name(entry), make_learner(entry, stream.dim))
                     for entry in config.learners]
         for name, learner in learners:
             try:

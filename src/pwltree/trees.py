@@ -64,14 +64,16 @@ def node_count(depth: int) -> int:
     return (1 << (depth + 1)) - 1
 
 
-def _integer(value, name: str, low: int | None = None) -> int:
+def _integer(value, name: str, low: int | None = None, error=ValueError) -> int:
     """``value`` as an int when it is an integer (numpy's included) and, if
     ``low`` is given, at least ``low``; anything else, booleans and
-    integral floats included, raises ValueError naming ``name``."""
+    integral floats included, raises ``error`` (a ValueError subclass)
+    naming ``name``: ``name must be an integer, got value`` or ``name must
+    be >= low, got value``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
+        raise error(f"{name} must be >= {low}, got {value}")
     return int(value)
 
 
@@ -374,11 +376,10 @@ class TreeLearner(TreeBase):
         """
         if not isinstance(state, dict):
             raise ValueError(f"snapshot state must be an object, got {type(state).__name__}")
-        depth, t = state.get("depth"), state.get("t")
-        if isinstance(depth, bool) or not isinstance(depth, int) or depth != self.depth:
-            raise ValueError(f"snapshot depth {depth!r} does not match the learner's {self.depth}")
-        if isinstance(t, bool) or not isinstance(t, int) or t < 1:
-            raise ValueError(f"snapshot step counter t must be an integer >= 1, got {t!r}")
+        depth = _integer(state.get("depth"), "snapshot depth")
+        if depth != self.depth:
+            raise ValueError(f"snapshot depth {depth} does not match the learner's {self.depth}")
+        t = _integer(state.get("t"), "snapshot step counter t", 1)
         width = self.dim + 1
         w = _snapshot_array(state, "w", (self.n_nodes,))
         v = _snapshot_array(state, "v", (self.n_nodes, width))

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -270,15 +271,41 @@ class TestGaussianKernelRegressor:
     def test_overflowing_variance_is_refused(self, var, m):
         # 2 pi sigma^m overflows, so the normaliser would be 0 and every
         # prediction 0: the variance is refused in that dimension, by value
-        message = (f"covariances {var!r} is too large in {m} dimensions: the kernel "
-                   f"normaliser 1 / (2 pi sigma^{m}) is 0")
+        message = (f"covariances {var!r} is too large in {m} dimensions for mu 1.0: the "
+                   f"largest LMS step mu (1 / (2 pi sigma^{m}))^2 is 0.0, below the smallest "
+                   "normal float")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             GaussianKernelRegressor(np.zeros((1, m)), var)
         refused = f"cannot build learner kind 'gkr': {message}"
         with pytest.raises(ConfigError, match=f"^{re.escape(refused)}$"):
             make_learner({"kind": "gkr", "centers": [[0.0] * m], "covariances": var}, m)
-        # in one dimension the same variance keeps a normaliser > 0
-        assert GaussianKernelRegressor(np.zeros((1, 1)), var).norms[0] > 0.0
+        # in one dimension, at a step size that keeps mu norm^2 a normal
+        # float (1e308's norm^2 is 2.5e-310), the same variance is accepted
+        assert GaussianKernelRegressor(np.zeros((1, 1)), var, mu=1e4).norms[0] > 0.0
+
+    @pytest.mark.parametrize("var, m, mu", [(1e300, 2, 1.0), (1e200, 3, 0.5), (1e153, 2, 0.5)])
+    def test_variance_too_large_to_learn_is_refused(self, var, m, mu):
+        # the normaliser is > 0, but mu norm^2, the largest step a regressor
+        # can take, is below the smallest normal float, so none can learn
+        message = (f"covariances {var!r} is too large in {m} dimensions for mu {mu!r}: the "
+                   f"largest LMS step mu (1 / (2 pi sigma^{m}))^2 is ")
+        tail = ", below the smallest normal float"
+        pattern = f"^{re.escape(message)}[^ ]+{re.escape(tail)}$"
+        with pytest.raises(ValueError, match=pattern):
+            GaussianKernelRegressor(np.zeros((1, m)), var, mu=mu)
+        with pytest.raises(ConfigError, match=pattern.replace(
+                "^", "^" + re.escape("cannot build learner kind 'gkr': "), 1)):
+            make_learner({"kind": "gkr", "centers": [[0.0] * m], "covariances": var, "mu": mu}, m)
+        # mu is checked first, so a bad step size is named as such
+        with pytest.raises(ValueError, match=re.escape("mu must be a finite number > 0, got -1")):
+            GaussianKernelRegressor(np.zeros((1, m)), var, mu=-1)
+
+    @pytest.mark.parametrize("var, m, mu", [(1.2, 2, 1.0), (1e10, 2, 1.0), (1e153, 2, 1.0)])
+    def test_variance_with_a_normal_lms_step_is_accepted(self, var, m, mu):
+        # 1.2 is the shipped configs' variance; 1e10 learns little in a few
+        # thousand steps, but its step is a normal float, so it is accepted
+        gkr = GaussianKernelRegressor(np.zeros((1, m)), var, mu=mu)
+        assert gkr.mu * gkr.norms[0] ** 2 >= sys.float_info.min
 
     def test_learns_smooth_target(self):
         rng = np.random.default_rng(3)

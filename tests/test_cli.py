@@ -160,8 +160,41 @@ class TestRunCommand:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
             "pwltree: cannot build learner kind 'gkr': covariances 1e+308 is too large in 2 "
-            "dimensions: the kernel normaliser 1 / (2 pi sigma^2) is 0\n")
+            "dimensions for mu 1.0: the largest LMS step mu (1 / (2 pi sigma^2))^2 is 0.0, "
+            "below the smallest normal float\n")
         assert not (tmp_path / "out_metrics.csv").exists()
+
+    def test_kernel_variance_too_large_to_learn_exits_one(self, tmp_path, capsys):
+        # the normaliser 1.6e-301 is > 0, but its square, the largest LMS
+        # step at mu 1.0, underflows to 0: no regressor could move
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": {"kind": "matched", "n": 20},
+            "learners": [{"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": 1e300}],
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "pwltree: cannot build learner kind 'gkr': covariances 1e+300 is too large in 2 "
+            "dimensions for mu 1.0: the largest LMS step mu (1 / (2 pi sigma^2))^2 is 0.0, "
+            "below the smallest normal float\n")
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("learners, message", [
+        ([{"kind": "lf", "name": [1]}], "learner name must be a non-empty string, got [1]"),
+        ([{"kind": "lf", "name": 5}, {"kind": "vf", "name": "5"}],
+         "learner name must be a non-empty string, got 5"),
+    ], ids=["list", "int-beside-string"])
+    def test_bad_learner_name_exits_one(self, tmp_path, capsys, learners, message):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "stream": {"kind": "matched", "n": 20},
+            "learners": learners,
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"pwltree: {message}\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("learner, message", [
         ({"kind": "dft", "depth": 2, "theta": None}, "depth, mu and boundaries, not 'theta'"),
@@ -276,8 +309,16 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"pwltree: {message}, got {10**400}\n"
         assert list(tmp_path.iterdir()) == [path]
 
-    @pytest.mark.parametrize("n", [0, -3, 2.5, "10", True, None, "missing"])
-    def test_bad_stream_length_exits_one(self, tmp_path, capsys, n):
+    @pytest.mark.parametrize("n, message", [
+        (0, "stream length n must be >= 1, got 0"),
+        (-3, "stream length n must be >= 1, got -3"),
+        (2.5, "stream length n must be an integer, got 2.5"),
+        ("10", "stream length n must be an integer, got '10'"),
+        (True, "stream length n must be an integer, got True"),
+        (None, "stream length n must be an integer, got None"),
+        ("missing", "cannot build stream kind 'matched': it requires 'n'"),
+    ], ids=["0", "-3", "2.5", "10", "True", "None", "missing"])
+    def test_bad_stream_length_exits_one(self, tmp_path, capsys, n, message):
         stream = {"kind": "matched", "n": n}
         if n == "missing":
             del stream["n"]
@@ -288,7 +329,7 @@ class TestRunCommand:
             "learners": [{"kind": "lf", "mu": 0.05}],
         }))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert "pwltree: stream length n must be an integer >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"pwltree: {message}\n"
         assert not (tmp_path / "out_metrics.csv").exists()
 
     def test_missing_csv_path_exits_one(self, tmp_path, capsys):
@@ -512,7 +553,7 @@ class TestGenCommand:
     def test_refuses_stream_length_below_one(self, tmp_path, capsys, n):
         out = tmp_path / "h.csv"
         assert main(["gen", "henon", "--n", n, "--out", str(out)]) == 1
-        assert f"stream length n must be an integer >= 1, got {n}" in capsys.readouterr().err
+        assert f"stream length n must be >= 1, got {n}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_refuses_a_parameter_the_generator_does_not_take(self, tmp_path, capsys):
@@ -702,6 +743,53 @@ class TestSnapshotRestore:
         snap.write_text(json.dumps(snapshot))
         assert main(["restore", "--snapshot", str(snap), "--steps", "5"]) == 1
         assert "cannot build learner kind 'dat'" in capsys.readouterr().err
+
+
+class TestSnapshotChecksAsRun:
+    """``snapshot`` and ``restore`` read their stream, learner and seed as a
+    one-learner config, so each refuses a bad value with ``run``'s line
+    (``restore`` adds ``malformed snapshot:``)."""
+
+    def run_line(self, tmp_path, capsys, stream, learner, seed):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"stream": stream, "learners": [learner], "seed": seed}))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out_metrics.csv").exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, stream, learner, seed", [
+        (["--seed", "-1"], {"kind": "matched", "n": 20}, {"kind": "dft", "depth": 2, "mu": 0.005},
+         -1),
+        (["--depth", "9"], {"kind": "matched", "n": 20}, {"kind": "dft", "depth": 9, "mu": 0.005},
+         0),
+        (["--n", "0"], {"kind": "matched", "n": 0}, {"kind": "dft", "depth": 2, "mu": 0.005}, 0),
+    ], ids=["seed", "learner", "stream"])
+    def test_snapshot_refuses_as_run_does(self, tmp_path, capsys, flags, stream, learner, seed):
+        want = self.run_line(tmp_path, capsys, stream, learner, seed)
+        out = tmp_path / "s.json"
+        assert main(["snapshot", "--mode", "dft", "--n", "20", "--steps", "10", *flags,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == want
+        assert not out.exists()
+
+    @pytest.mark.parametrize("part, value", [
+        ("seed", -1), ("seed", 1.5),
+        ("learner", {"kind": "dft", "depth": 1, "mu": 0.005, "bogus": 1}),
+        ("stream", {"kind": "matched", "n": 200, "noise": 0.1}),
+    ], ids=["seed-negative", "seed-float", "learner-key", "stream-key"])
+    def test_restore_refuses_as_run_does(self, tmp_path, capsys, part, value):
+        snap, metrics = tmp_path / "s.json", tmp_path / "m.csv"
+        assert main(["snapshot", "--mode", "dft", "--depth", "1", "--n", "200", "--steps", "100",
+                     "--out", str(snap)]) == 0
+        snapshot = json.loads(snap.read_text())
+        snapshot[part] = value
+        snap.write_text(json.dumps(snapshot))
+        want = self.run_line(tmp_path, capsys, snapshot["stream"], snapshot["learner"],
+                             snapshot["seed"])
+        assert main(["restore", "--snapshot", str(snap), "--steps", "10",
+                     "--metrics", str(metrics)]) == 1
+        assert capsys.readouterr().err == want.replace("pwltree: ", "pwltree: malformed snapshot: ")
+        assert not metrics.exists()
 
 
 class TestSeedRange:

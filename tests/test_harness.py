@@ -219,7 +219,7 @@ class TestConfig:
             raw.pop(key)
         with pytest.raises(ConfigError) as info:
             ExperimentConfig.from_dict(raw)
-        assert str(info.value) == "config requires " + " and ".join(map(repr, keys))
+        assert str(info.value) == "a config requires " + " and ".join(map(repr, keys))
 
     def test_seed_env_default(self, monkeypatch):
         # the seed comes from the config alone: PWLTREE_SEED is not read
@@ -284,8 +284,8 @@ class TestConfig:
         (["kind", "matched"], "stream must be an object, got list"),
         ({"kind": "matched", "n": 10, "bogus": 1}, "'bogus'"),
         ({"kind": "henon", "n": 10, "noise_var": 0.1}, "'noise_var'"),
-        ({"kind": "csv"}, "csv stream requires 'path' and 'target'"),
-        ({"kind": "csv", "path": "data.csv"}, "csv stream requires 'target'"),
+        ({"kind": "csv"}, "cannot build stream kind 'csv': it requires 'path' and 'target'"),
+        ({"kind": "csv", "path": "data.csv"}, "cannot build stream kind 'csv': it requires 'target'"),
         ({"kind": "csv", "path": "data.csv", "target": "d", "bogus": 1}, "not 'bogus'"),
         ({"kind": "csv", "path": "data.csv", "target": "d", "n": 5}, "not 'n'"),
         ({"kind": "matched", "n": 50, "normalize": "false"},
@@ -385,6 +385,102 @@ class TestConfig:
         assert "__init__" not in message
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             make_learner(spec, dim=2)
+
+    @pytest.mark.parametrize("part, spec, message", [
+        ("config", {"stream": {"kind": "matched", "n": 5}, "learners": [{"kind": "lf"}],
+                    "bogus": 1},
+         "a config takes only schema, stream, learners, trials, seed, stride and output, "
+         "not 'bogus'"),
+        ("config", {"learners": [{"kind": "lf"}]}, "a config requires 'stream'"),
+        ("stream", {"kind": "csv", "path": "d.csv", "target": "y", "bogus": 1},
+         "cannot build stream kind 'csv': it takes only path, target and normalize, not 'bogus'"),
+        ("stream", {"kind": "csv", "target": "y"}, "cannot build stream kind 'csv': it requires 'path'"),
+        ("stream", {"kind": "first_order", "n": 5, "bogus": 1},
+         "cannot build stream kind 'first_order': it takes only n, noise_var and normalize, "
+         "not 'bogus'"),
+        ("stream", {"kind": "first_order", "noise_var": 0.1},
+         "cannot build stream kind 'first_order': it requires 'n'"),
+        ("stream", {"kind": "lorenz", "n": 5, "bogus": 1},
+         "cannot build stream kind 'lorenz': it takes only n and normalize, not 'bogus'"),
+        ("stream", {"kind": "lorenz"}, "cannot build stream kind 'lorenz': it requires 'n'"),
+        *[("learner", {"kind": kind, **keys, "bogus": 1},
+           f"cannot build learner kind {kind!r}: it takes only {takes}, not 'bogus'")
+          for kind, keys, takes in [
+              ("dft", {"depth": 1}, "depth, mu and boundaries"),
+              ("dat", {"depth": 1}, "depth, mu, s_plus and theta"),
+              ("direct", {"depth": 1}, "depth, mode, mu, boundaries and s_plus"),
+              ("lf", {}, "mu"), ("vf", {}, "mu"),
+              ("gkr", {"centers": [[0.0, 0.0]], "covariances": 1.2}, "centers, covariances and mu")]],
+        *[("learner", {"kind": kind, "mu": 0.01}, f"cannot build learner kind {kind!r}: it requires "
+                                                   f"{requires}")
+          for kind, requires in [("dft", "'depth'"), ("dat", "'depth'"), ("direct", "'depth'"),
+                                 ("gkr", "'centers' and 'covariances'")]],
+    ], ids=["config-unknown", "config-missing", "csv-unknown", "csv-missing", "piecewise-unknown",
+            "piecewise-missing", "chaotic-unknown", "chaotic-missing", "dft-unknown",
+            "dat-unknown", "direct-unknown", "lf-unknown", "vf-unknown", "gkr-unknown",
+            "dft-missing", "dat-missing", "direct-missing", "gkr-missing"])
+    def test_one_key_rule(self, part, spec, message, monkeypatch):
+        # the top level, every stream kind and every learner kind share one
+        # key check and its two message forms, and each is applied when the
+        # config is read, before any stream is drawn or file opened
+        def no_stream(*args, **kwargs):
+            raise AssertionError("stream drawn for a config with a bad key")
+
+        monkeypatch.setattr(harness, "generate", no_stream)
+        monkeypatch.setattr(harness, "load_csv_dataset", no_stream)
+        raw = {"config": spec,
+               "stream": {"stream": spec, "learners": [{"kind": "lf"}]},
+               "learner": {"stream": {"kind": "matched", "n": 5}, "learners": [spec]}}[part]
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict(raw)
+        assert str(info.value) == message
+        if part != "config":
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                build_stream(spec, 0) if part == "stream" else make_learner(spec, 2)
+
+    @pytest.mark.parametrize("stream, message", [
+        ({"kind": "nope", "n": 5}, "unknown stream kind 'nope'"),
+        ({"kind": "matched", "n": 5, "bogus": 1},
+         "cannot build stream kind 'matched': it takes only n, noise_var and normalize, "
+         "not 'bogus'"),
+        ({"kind": "matched"}, "cannot build stream kind 'matched': it requires 'n'"),
+        ({"kind": "henon", "n": 0}, "stream length n must be >= 1, got 0"),
+        ({"kind": "matched", "n": 5, "normalize": "yes"},
+         "stream normalize must be true or false, got 'yes'"),
+        ({"kind": "csv", "path": 0, "target": "y"}, "csv stream path must be a string, got 0"),
+    ], ids=["unknown-kind", "bogus-key", "missing-n", "zero-n", "non-bool-normalize",
+            "non-string-path"])
+    def test_bad_stream_refused_when_read(self, stream, message, monkeypatch):
+        # the stream spec gets the same checks as build_stream gives it,
+        # before any stream is drawn or dataset opened
+        def no_stream(*args, **kwargs):
+            raise AssertionError("stream drawn for a config with a bad stream")
+
+        monkeypatch.setattr(harness, "generate", no_stream)
+        monkeypatch.setattr(harness, "load_csv_dataset", no_stream)
+        raw = {"stream": stream, "learners": [{"kind": "lf"}]}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict(raw)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build_stream(stream, 0)
+
+    @pytest.mark.parametrize("learners, message", [
+        ([{"kind": "lf", "name": [1]}], "learner name must be a non-empty string, got [1]"),
+        ([{"kind": "lf", "name": 5}, {"kind": "vf", "name": "5"}],
+         "learner name must be a non-empty string, got 5"),
+        ([{"kind": "lf", "name": ""}], "learner name must be a non-empty string, got ''"),
+        ([{"kind": "lf", "name": None}], "learner name must be a non-empty string, got None"),
+        ([{"kind": "lf"}, {"kind": "vf", "name": "lf"}], "learner names must be unique"),
+    ], ids=["list", "int-beside-string", "empty", "null", "kind-taken"])
+    def test_bad_learner_name_refused(self, learners, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict({"stream": {"kind": "matched", "n": 5},
+                                        "learners": learners})
+
+    def test_learner_named_by_kind_when_unnamed(self):
+        cfg = ExperimentConfig(stream={"kind": "matched", "n": 20},
+                               learners=[{"kind": "lf"}, {"kind": "vf", "name": "quad"}])
+        assert list(run_experiment(cfg).metrics) == ["lf", "quad"]
 
     def test_learner_key_table_matches_the_constructors(self):
         # the table is read from the constructors' signatures, so every

@@ -194,7 +194,9 @@ class TestSnapshotStepCounter:
             del state["t"]
         else:
             state["t"] = t
-        with pytest.raises(ValueError, match="step counter t must be an integer >= 1"):
+        message = (f"snapshot step counter t must be >= 1, got {t}" if type(t) is int else
+                   f"snapshot step counter t must be an integer, got {state.get('t')!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             lrn.load_state(state)
         assert lrn.t == 9
         assert (lrn.w == 7.0).all()
