@@ -7,9 +7,10 @@ verify    lockstep check of a collapsed learner against the explicit
           mixture; exits 2 when any per-step gap exceeds the tolerance
           or a prediction stops being finite
 gen       write a synthetic stream to CSV
-snapshot  run a tree learner partway through a stream and save a resumable
-          state file
+snapshot  run a one-learner config partway through its stream and save a
+          resumable snapshot: the config, the position and the learner state
 restore   resume from a snapshot and continue, writing continuation metrics
+          and, when asked, the snapshot at the new position
 
 Exit codes: 0 success, 1 configuration error, 2 verification failure.
 """
@@ -25,7 +26,9 @@ from pathlib import Path
 from . import datagen, harness
 from .trees import _integer
 
-SNAPSHOT_SCHEMA = 3  # 3: the learner state holds heap-ordered w/v/theta arrays
+SNAPSHOT_SCHEMA = 4  # 4: the run config beside the position and the learner state
+# the keys a snapshot holds, each required
+_SNAPSHOT_KEYS = dict.fromkeys(("schema", "config", "position", "state"), True)
 
 
 def _fail(message: str, code: int = 1) -> int:
@@ -91,11 +94,17 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _run_segment(config: harness.ExperimentConfig, start: int, steps: int, snapshot=None):
-    """Build the stream and the one learner of ``config``, which must be a
-    tree learner, restore ``snapshot`` into the learner when given, and
-    step it through ``steps`` stream steps from ``start``.  Returns the
-    learner and the segment's metrics."""
+def _run_segment(config: harness.ExperimentConfig, start: int, steps: int, state=None):
+    """Build the stream and the one learner of ``config``, load ``state``
+    into the learner when given, and step it through ``steps`` stream
+    steps from ``start``.  A config of more than one learner or trial, or
+    of a learner kind without a state (any but ``dft`` and ``dat``), is
+    refused before the stream is drawn.  Returns the learner and the
+    segment's metrics."""
+    if len(config.learners) != 1:
+        raise harness.ConfigError(f"snapshots support one learner only, not {len(config.learners)}")
+    if config.trials != 1:
+        raise harness.ConfigError(f"snapshots support one trial only, not {config.trials}")
     spec = config.learners[0]
     if spec["kind"] not in ("dft", "dat"):
         raise harness.ConfigError(f"snapshots support tree learners only, not {spec['kind']!r}")
@@ -105,43 +114,41 @@ def _run_segment(config: harness.ExperimentConfig, start: int, steps: int, snaps
         raise harness.ConfigError(f"stream has {len(stream)} steps; cannot run {steps} steps "
                                   f"from position {start}")
     learner = harness.make_learner(spec, stream.dim)
-    if snapshot is not None:
-        learner.load_state(snapshot["state"])
+    if state is not None:
+        learner.load_state(state)
     metrics = harness.run_stream(learner, stream.extended[start:stop], stream.targets[start:stop])
     return learner, metrics
 
 
+def _write_segment(config, learner, metrics, start: int, out, metrics_path) -> None:
+    """Write, for a segment run from stream position ``start``, the
+    snapshot after it to ``out`` and its metrics, one row per step
+    numbered from ``start + 1`` and filed as ``run`` files them, to
+    ``metrics_path``; each only when its path is given."""
+    if out:
+        harness.write_json({"schema": SNAPSHOT_SCHEMA, "config": config.to_dict(),
+                            "position": start + len(metrics),
+                            "state": learner.state_snapshot()}, out)
+    if metrics_path:
+        harness.write_metrics_csv({harness._learner_name(config.learners[0]): metrics},
+                                  metrics_path, start=start)
+
+
 def _cmd_snapshot(args) -> int:
-    spec = {"kind": args.mode, "depth": args.depth, "mu": args.mu}
-    if args.mode == "dat":
-        spec["s_plus"] = args.s_plus
-    stream_spec = {"kind": args.stream, "n": args.n}
     try:
+        config = harness.ExperimentConfig.from_file(args.config)
         _check_out_dirs(args.out, args.metrics)
-        config = harness.ExperimentConfig(stream_spec, [spec], seed=args.seed)
         learner, metrics = _run_segment(config, 0, args.steps)
-    except (ValueError, harness.TrialDiverged) as exc:
+    except (OSError, ValueError, harness.TrialDiverged) as exc:
         return _fail(str(exc))
-    snapshot = {
-        "schema": SNAPSHOT_SCHEMA,
-        "learner": spec,
-        "state": learner.state_snapshot(),
-        "stream": stream_spec,
-        "seed": args.seed,
-        "position": args.steps,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(snapshot, fh, indent=2)
-        fh.write("\n")
-    if args.metrics:
-        harness.write_metrics_csv({args.mode: metrics}, args.metrics)
+    _write_segment(config, learner, metrics, 0, args.out, args.metrics)
     print(f"snapshot after {args.steps} steps written to {args.out}")
     return 0
 
 
 def _cmd_restore(args) -> int:
     try:
-        _check_out_dirs(args.metrics, args.state_out)
+        _check_out_dirs(args.metrics, args.out)
         with open(args.snapshot) as fh:
             snapshot = json.load(fh)
     except harness.ConfigError as exc:
@@ -154,21 +161,17 @@ def _cmd_restore(args) -> int:
         return _fail(f"unsupported snapshot schema {snapshot.get('schema')!r} "
                      f"(this version reads schema {SNAPSHOT_SCHEMA})")
     try:
+        harness._check_keys("a snapshot", snapshot, _SNAPSHOT_KEYS)
         position = _integer(snapshot["position"], "position", 0)
-        config = harness.ExperimentConfig(snapshot["stream"], [snapshot["learner"]],
-                                          seed=snapshot["seed"])
-        learner, metrics = _run_segment(config, position, args.steps, snapshot)
-    except (ValueError, KeyError) as exc:
+        config = harness.ExperimentConfig.from_dict(snapshot["config"])
+        learner, metrics = _run_segment(config, position, args.steps, snapshot["state"])
+    except ValueError as exc:
         return _fail(f"malformed snapshot: {exc}")
+    except OSError as exc:
+        return _fail(str(exc))
     except harness.TrialDiverged as exc:
         return _fail(f"{exc} after position {position}")
-    if args.metrics:
-        harness.write_metrics_csv({config.learners[0]["kind"]: metrics}, args.metrics,
-                                  start=position)
-    if args.state_out:
-        with open(args.state_out, "w") as fh:
-            json.dump(learner.state_snapshot(), fh, indent=2)
-            fh.write("\n")
+    _write_segment(config, learner, metrics, position, args.out, args.metrics)
     print(f"continued {args.steps} steps from position {position}")
     return 0
 
@@ -200,14 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=_cmd_gen)
 
     p_snap = sub.add_parser("snapshot", help="run partway and save resumable state")
-    p_snap.add_argument("--mode", choices=("dft", "dat"), required=True)
-    p_snap.add_argument("--depth", type=int, default=2)
-    p_snap.add_argument("--mu", type=float, default=0.005)
-    p_snap.add_argument("--s-plus", type=float, default=0.01)
-    p_snap.add_argument("--stream", choices=sorted(datagen.KINDS), default="matched")
-    p_snap.add_argument("--n", type=int, required=True, help="total stream length")
+    p_snap.add_argument("config", help="JSON experiment config of one dft or dat learner")
     p_snap.add_argument("--steps", type=int, required=True, help="steps to run before saving")
-    p_snap.add_argument("--seed", type=int, default=0)
     p_snap.add_argument("--out", required=True, help="snapshot JSON path")
     p_snap.add_argument("--metrics", help="optional CSV of the pre-snapshot segment")
     p_snap.set_defaults(func=_cmd_snapshot)
@@ -216,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_restore.add_argument("--snapshot", required=True)
     p_restore.add_argument("--steps", type=int, required=True)
     p_restore.add_argument("--metrics", help="CSV of the continuation segment")
-    p_restore.add_argument("--state-out", help="optional final state JSON")
+    p_restore.add_argument("--out", help="optional snapshot JSON at the final position")
     p_restore.set_defaults(func=_cmd_restore)
     return parser
 

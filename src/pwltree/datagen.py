@@ -114,11 +114,17 @@ def piecewise_values(kind: str, x: np.ndarray) -> np.ndarray:
     return sign(0) * (x @ _W)
 
 
+def _noise_var(value, error=ValueError) -> float:
+    """``value`` as a noise variance, a finite number >= 0 (booleans
+    excluded); anything else raises ``error`` (a ValueError subclass)."""
+    return _real(value, "noise_var", lambda v: 0 <= v < math.inf, "be a finite number >= 0",
+                 error)
+
+
 def _piecewise(kind, n, seed, noise_var=DEFAULT_NOISE_VAR) -> Stream:
     """``n`` standard-normal inputs and their ``kind`` targets, plus white
-    Gaussian noise of variance ``noise_var``, a finite number >= 0
-    (booleans excluded); anything else raises ValueError."""
-    _real(noise_var, "noise_var", lambda v: 0 <= v < math.inf, "be a finite number >= 0")
+    Gaussian noise of variance ``noise_var`` (see :func:`_noise_var`)."""
+    _noise_var(noise_var)
     rng = _generator(seed)
     x = _standard_normals(rng, (n, 2))
     d = piecewise_values(kind, x)

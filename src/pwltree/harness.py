@@ -21,8 +21,8 @@ or a required key left out is refused in one form, ``... takes only a, b
 and c, not 'x'`` or ``... requires 'y'``.  Its integer settings
 (``trials``, ``seed``, ``stride``, a stream's ``n``), a learner's
 ``depth`` and a snapshot's ``position``, ``depth`` and ``t`` are checked
-by ``trees._integer``.  ``pwltree snapshot`` and ``restore`` read their
-stream, learner and seed as a one-learner config.
+by ``trees._integer``.  ``pwltree snapshot`` reads its experiment as
+``run`` does, and a snapshot file carries that config for ``restore``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .adaptive_tree import AdaptiveTreeRegressor
 from .baselines import GaussianKernelRegressor, LinearFilter, VolterraFilter
-from .datagen import CHAOTIC, PIECEWISE, Stream, generate
+from .datagen import CHAOTIC, PIECEWISE, Stream, _noise_var, generate
 from .fixed_tree import FixedTreeRegressor
 from .mixture import DirectMixtureRegressor, batch_best_weights, empirical_strong_convexity
 from .trees import MAX_ENUMERATION_DEPTH, _integer
@@ -279,8 +279,9 @@ def _stream_params(spec: dict) -> tuple[str, dict, bool]:
     or loader, and whether it is normalized; ConfigError when the spec is
     not an object, its kind is unknown, it holds a key that kind does not
     take or lacks one that it requires, its ``n`` is not an integer >= 1,
-    its ``normalize`` is not true or false, or its csv ``path`` is not a
-    string."""
+    its ``noise_var`` is not a finite number >= 0, its ``normalize`` is not
+    true or false, or its csv ``path`` is not a string or its ``target``
+    neither a string nor an integer >= 0."""
     if not isinstance(spec, dict):
         raise ConfigError(f"stream must be an object, got {type(spec).__name__}")
     params = dict(spec)
@@ -293,8 +294,13 @@ def _stream_params(spec: dict) -> tuple[str, dict, bool]:
         raise ConfigError(f"stream normalize must be true or false, got {normalize!r}")
     if kind != "csv":
         _integer(params["n"], "stream length n", 1, ConfigError)
+        if "noise_var" in params:
+            _noise_var(params["noise_var"], ConfigError)
     elif not isinstance(params["path"], (str, os.PathLike)):
         raise ConfigError(f"csv stream path must be a string, got {params['path']!r}")
+    elif not _is_target(params["target"]):
+        raise ConfigError(f"csv stream target must be a column name or a 0-based index, "
+                          f"got {params['target']!r}")
     return kind, params, normalize
 
 
@@ -402,14 +408,40 @@ def write_summary_json(result: ExperimentResult, path) -> None:
             for name, metrics in result.metrics.items()
         },
     }
+    write_json(summary, path)
+
+
+def write_json(obj, path) -> None:
+    """Write ``obj`` to ``path`` as indented JSON with sorted keys, numpy
+    scalars and arrays as their ``tolist()``.  The whole text is encoded
+    before the file is opened, so a value JSON cannot hold raises
+    TypeError and leaves no file."""
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_plain)
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _plain(value):
+    """``value``, a numpy scalar or array, as plain Python values for JSON;
+    TypeError for anything else, as ``json`` raises it."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # ----------------------------------------------------------------------
 # external datasets
 # ----------------------------------------------------------------------
+
+def _is_target(target, header=None) -> bool:
+    """Whether ``target`` can pick a csv column: a string or an integer
+    >= 0 (booleans excluded) and, given the ``header``, a name in it or an
+    index below its length."""
+    if isinstance(target, str):
+        return header is None or target in header
+    return (not isinstance(target, bool) and isinstance(target, int)
+            and 0 <= target < (math.inf if header is None else len(header)))
+
 
 def load_csv_dataset(path, target_column) -> Stream:
     """Read a rectangular, finite, numeric CSV (header row required) as a
@@ -437,14 +469,10 @@ def load_csv_dataset(path, target_column) -> Stream:
         row, col = bad[0]
         raise ValueError(f"non-finite cell {rows[row][col]!r} in {path}: data row {row + 1} "
                          f"(line {row + 2}), column {header[col]!r}")
-    if isinstance(target_column, str) and target_column in header:
-        target_idx = header.index(target_column)
-    elif not isinstance(target_column, bool) and isinstance(target_column, int) \
-            and 0 <= target_column < len(header):
-        target_idx = target_column
-    else:
+    if not _is_target(target_column, header):
         raise ValueError(f"target column {target_column!r} is neither a name in header "
                          f"{header} nor a 0-based index below {len(header)}")
+    target_idx = header.index(target_column) if isinstance(target_column, str) else target_column
     input_idx = [i for i in range(data.shape[1]) if i != target_idx]
     return Stream(data[:, input_idx], data[:, target_idx])
 

@@ -77,11 +77,11 @@ def _integer(value, name: str, low: int | None = None, error=ValueError) -> int:
     return int(value)
 
 
-def _real(value, name: str, test, want: str) -> float:
+def _real(value, name: str, test, want: str, error=ValueError) -> float:
     """``value`` as a float when it is a real number (numpy's included)
     whose float passes ``test``; anything else, booleans, strings and
-    integers too large for a float included, raises ValueError saying that
-    ``name`` must ``want``."""
+    integers too large for a float included, raises ``error`` (a
+    ValueError subclass) saying that ``name`` must ``want``."""
     if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
         try:
             number = float(value)
@@ -90,7 +90,7 @@ def _real(value, name: str, test, want: str) -> float:
         else:
             if test(number):
                 return number
-    raise ValueError(f"{name} must {want}, got {value!r}")
+    raise error(f"{name} must {want}, got {value!r}")
 
 
 def _step_size(mu) -> float:

@@ -331,21 +331,24 @@ def test_criterion_11_determinism_and_serialization(tmp_path):
         half_snap = tmp_path / f"{mode}_half.json"
         full_csv = tmp_path / f"{mode}_full.csv"
         res_csv = tmp_path / f"{mode}_res.csv"
-        res_state = tmp_path / f"{mode}_state.json"
-        base = ["--mode", mode, "--depth", "2", "--mu", "0.005",
-                "--stream", "matched", "--n", "1000", "--seed", "7"]
-        assert cli_main(["snapshot", *base, "--steps", "1000",
+        res_snap = tmp_path / f"{mode}_res.json"
+        mode_cfg = tmp_path / f"{mode}.json"
+        mode_cfg.write_text(json.dumps({
+            "seed": 7, "stream": {"kind": "matched", "n": 1000},
+            "learners": [{"kind": mode, "depth": 2, "mu": 0.005}],
+        }))
+        assert cli_main(["snapshot", str(mode_cfg), "--steps", "1000",
                          "--out", str(full_snap), "--metrics", str(full_csv)]) == 0
-        assert cli_main(["snapshot", *base, "--steps", "500",
+        assert cli_main(["snapshot", str(mode_cfg), "--steps", "500",
                          "--out", str(half_snap)]) == 0
         assert cli_main(["restore", "--snapshot", str(half_snap), "--steps", "500",
-                         "--metrics", str(res_csv), "--state-out", str(res_state)]) == 0
+                         "--metrics", str(res_csv), "--out", str(res_snap)]) == 0
         straight = {line.split(",")[0]: line.split(",")[2]
                     for line in full_csv.read_text().splitlines()[1:]}
         for line in res_csv.read_text().splitlines()[1:]:
             t, _, e2 = line.split(",")[:3]
             resumed_ok &= straight[t] == e2
-        resumed_ok &= (json.loads(res_state.read_text())
+        resumed_ok &= (json.loads(res_snap.read_text())["state"]
                        == json.loads(full_snap.read_text())["state"])
     criterion(11, identical and resumed_ok,
               "runs are bit-reproducible and snapshots resume bit-identically",

@@ -2,13 +2,15 @@ import csv
 import functools
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pwltree import harness
 from pwltree.datagen import generate
-from pwltree.cli import SNAPSHOT_SCHEMA, main
+from pwltree.cli import SNAPSHOT_SCHEMA, build_parser, main
 
 from helpers import MALFORMED_STATES
 
@@ -18,11 +20,35 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def write_config(path, kind, n, depth=2, mu=0.005, stream="matched", seed=0, **top):
+    """Write to ``path`` a config of one ``kind`` tree learner over an
+    ``n``-step stream, as ``pwltree snapshot`` reads it, and return the
+    path as a string; ``top`` sets other top-level keys (``learners``
+    among them, in place of the one learner)."""
+    learner = {"kind": kind, "depth": depth, "mu": mu}
+    path.write_text(json.dumps({"stream": {"kind": stream, "n": n}, "learners": [learner],
+                                "seed": seed, **top}))
+    return str(path)
+
+
+def put(snapshot, part, value):
+    """Set ``part`` of a snapshot dict to ``value``: ``config``,
+    ``position`` and ``state`` are its own keys, ``learner`` the one learner
+    entry of its config, and any other part a key of its config."""
+    if part in ("config", "position", "state"):
+        snapshot[part] = value
+    elif part == "learner":
+        snapshot["config"]["learners"] = [value]
+    else:
+        snapshot["config"][part] = value
+
+
 @pytest.fixture(scope="module")
 def dat_snapshot(tmp_path_factory):
     """A ``pwltree snapshot`` file of a depth-2 adaptive tree, as a dict."""
-    path = tmp_path_factory.mktemp("snapshot") / "s.json"
-    assert main(["snapshot", "--mode", "dat", "--depth", "2", "--n", "30", "--steps", "10",
+    tmp = tmp_path_factory.mktemp("snapshot")
+    path = tmp / "s.json"
+    assert main(["snapshot", write_config(tmp / "exp.json", "dat", 30), "--steps", "10",
                  "--out", str(path)]) == 0
     return json.loads(path.read_text())
 
@@ -584,23 +610,19 @@ class TestSnapshotRestore:
     @pytest.mark.parametrize("mode", ["dft", "dat"])
     def test_continuation_is_bit_identical(self, tmp_path, mode):
         total, half = 400, 200
+        config = write_config(tmp_path / "exp.json", mode, total, stream="mismatched", seed=3)
         straight_metrics = tmp_path / "straight.csv"
         straight_snap = tmp_path / "straight.json"
-        assert main(["snapshot", "--mode", mode, "--depth", "2", "--mu", "0.005",
-                     "--stream", "mismatched", "--n", str(total), "--steps", str(total),
-                     "--seed", "3", "--out", str(straight_snap),
+        assert main(["snapshot", config, "--steps", str(total), "--out", str(straight_snap),
                      "--metrics", str(straight_metrics)]) == 0
 
         half_snap = tmp_path / "half.json"
-        assert main(["snapshot", "--mode", mode, "--depth", "2", "--mu", "0.005",
-                     "--stream", "mismatched", "--n", str(total), "--steps", str(half),
-                     "--seed", "3", "--out", str(half_snap)]) == 0
+        assert main(["snapshot", config, "--steps", str(half), "--out", str(half_snap)]) == 0
 
         resumed_metrics = tmp_path / "resumed.csv"
-        resumed_state = tmp_path / "resumed_state.json"
+        resumed_snap = tmp_path / "resumed.json"
         assert main(["restore", "--snapshot", str(half_snap), "--steps", str(half),
-                     "--metrics", str(resumed_metrics),
-                     "--state-out", str(resumed_state)]) == 0
+                     "--metrics", str(resumed_metrics), "--out", str(resumed_snap)]) == 0
 
         straight = read_csv(straight_metrics)[1:]
         resumed = read_csv(resumed_metrics)[1:]
@@ -610,44 +632,95 @@ class TestSnapshotRestore:
             assert half < t <= total
             assert row[2] == straight_e2[t]  # identical repr -> identical float
 
-        final_state = json.loads((tmp_path / "resumed_state.json").read_text())
+        final_state = json.loads(resumed_snap.read_text())["state"]
         reference = json.loads(straight_snap.read_text())["state"]
         assert final_state == reference
 
+    @pytest.mark.parametrize("mode", ["dft", "dat"])
+    def test_restores_chain_to_the_straight_run(self, tmp_path, mode):
+        # snapshot at 300, restore 300 more into a new snapshot, restore that
+        # for the last 400: every per-step error, its step number and the
+        # learner name it is filed under, and the final snapshot, match one
+        # straight 1000-step snapshot
+        config = write_config(tmp_path / "exp.json", mode, 1000, stream="mismatched", seed=3,
+                              learners=[{"name": "tree", "kind": mode, "depth": 2, "mu": 0.005}])
+        assert main(["snapshot", config, "--steps", "1000", "--out", str(tmp_path / "full.json"),
+                     "--metrics", str(tmp_path / "full.csv")]) == 0
+        assert main(["snapshot", config, "--steps", "300", "--out", str(tmp_path / "s1.json"),
+                     "--metrics", str(tmp_path / "m1.csv")]) == 0
+        for k, steps in ((1, 300), (2, 400)):
+            assert main(["restore", "--snapshot", str(tmp_path / f"s{k}.json"),
+                         "--steps", str(steps), "--out", str(tmp_path / f"s{k + 1}.json"),
+                         "--metrics", str(tmp_path / f"m{k + 1}.csv")]) == 0
+
+        def per_step(path):
+            return [row[:3] for row in read_csv(path)[1:]]
+
+        chained = sum((per_step(tmp_path / f"m{k}.csv") for k in (1, 2, 3)), [])
+        straight = per_step(tmp_path / "full.csv")
+        assert len(straight) == 1000 and {row[1] for row in straight} == {"tree"}
+        assert chained == straight
+        final = json.loads((tmp_path / "s3.json").read_text())
+        assert final["position"] == 1000
+        assert final == json.loads((tmp_path / "full.json").read_text())
+
+    @pytest.mark.parametrize("learners, top, message", [
+        ([{"kind": "dft", "depth": 1}, {"kind": "dat", "depth": 1}], {},
+         "snapshots support one learner only, not 2"),
+        ([{"kind": "dft", "depth": 1}], {"trials": 2}, "snapshots support one trial only, not 2"),
+        ([{"kind": "lf"}], {}, "snapshots support tree learners only, not 'lf'"),
+    ], ids=["two-learners", "two-trials", "lf"])
+    def test_snapshot_refuses_a_config_without_one_state(self, tmp_path, monkeypatch, capsys,
+                                                         learners, top, message):
+        def no_stream(*args, **kwargs):
+            raise AssertionError("stream drawn for a config snapshot refuses")
+
+        monkeypatch.setattr(harness, "generate", no_stream)
+        config = write_config(tmp_path / "exp.json", "dft", 20, learners=learners, **top)
+        out, metrics = tmp_path / "s.json", tmp_path / "m.csv"
+        assert main(["snapshot", config, "--steps", "10", "--out", str(out),
+                     "--metrics", str(metrics)]) == 1
+        assert capsys.readouterr().err == f"pwltree: {message}\n"
+        assert not out.exists() and not metrics.exists()
+
     def test_snapshot_to_missing_directory_exits_one(self, tmp_path, capsys):
         out = tmp_path / "absent" / "s.json"
-        assert main(["snapshot", "--mode", "dft", "--n", "10", "--steps", "5",
+        assert main(["snapshot", write_config(tmp_path / "exp.json", "dft", 10), "--steps", "5",
                      "--out", str(out)]) == 1
         assert f"pwltree: cannot write {out}: no directory {out.parent}" in capsys.readouterr().err
 
     def test_restore_to_missing_directory_exits_one(self, tmp_path, capsys):
         snap = tmp_path / "s.json"
-        assert main(["snapshot", "--mode", "dft", "--n", "10", "--steps", "5",
+        assert main(["snapshot", write_config(tmp_path / "exp.json", "dft", 10), "--steps", "5",
                      "--out", str(snap)]) == 0
-        for flag in ("--metrics", "--state-out"):
+        for flag in ("--metrics", "--out"):
             out = tmp_path / "absent" / "m.out"
             assert main(["restore", "--snapshot", str(snap), "--steps", "5", flag, str(out)]) == 1
             assert f"pwltree: cannot write {out}" in capsys.readouterr().err
 
     def test_state_carries_the_step_counter(self, tmp_path):
         snap = tmp_path / "s.json"
-        assert main(["snapshot", "--mode", "dat", "--depth", "1", "--n", "20", "--steps", "10",
-                     "--out", str(snap)]) == 0
+        config = write_config(tmp_path / "exp.json", "dat", 20, depth=1)
+        assert main(["snapshot", config, "--steps", "10", "--out", str(snap)]) == 0
         snapshot = json.loads(snap.read_text())
-        assert snapshot["schema"] == SNAPSHOT_SCHEMA == 3
+        assert snapshot["schema"] == SNAPSHOT_SCHEMA == 4
         assert "t" not in snapshot
         assert snapshot["state"]["t"] == 11
+        assert snapshot["config"] == harness.ExperimentConfig.from_file(config).to_dict()
+        assert snapshot["position"] == 10
 
     def test_restore_refuses_schema_one(self, tmp_path, capsys):
         snap = tmp_path / "s.json"
-        assert main(["snapshot", "--mode", "dft", "--n", "20", "--steps", "10",
+        assert main(["snapshot", write_config(tmp_path / "exp.json", "dft", 20), "--steps", "10",
                      "--out", str(snap)]) == 0
         snapshot = json.loads(snap.read_text())
-        for schema in (1, 2):  # 2 held one {label, w, v, theta?} object per node
+        # 2 held one {label, w, v, theta?} object per node; 3 held the stream,
+        # learner and seed in place of the config
+        for schema in (1, 2, 3):
             snapshot["schema"] = schema
             snap.write_text(json.dumps(snapshot))
             assert main(["restore", "--snapshot", str(snap), "--steps", "5"]) == 1
-            assert f"unsupported snapshot schema {schema} (this version reads schema 3)" \
+            assert f"unsupported snapshot schema {schema} (this version reads schema 4)" \
                 in capsys.readouterr().err
 
     def test_restore_rejects_garbage(self, tmp_path, capsys):
@@ -668,17 +741,21 @@ class TestSnapshotRestore:
         assert not metrics.exists()
 
     @pytest.mark.parametrize("part, value", [("state", []), ("state", "x"), ("learner", []),
-                                             ("stream", 5), (None, None)])
+                                             ("stream", 5), (None, None), ("config", []),
+                                             ("bogus", 1)])
     def test_restore_rejects_non_object_parts(self, tmp_path, capsys, part, value):
-        # part None: the file holds a JSON list around the snapshot
+        # part None: the file holds a JSON list around the snapshot; part
+        # bogus: a key no snapshot holds, beside the four a snapshot holds
         snap = tmp_path / "s.json"
-        assert main(["snapshot", "--mode", "dft", "--depth", "1", "--n", "200", "--steps", "100",
-                     "--out", str(snap)]) == 0
+        assert main(["snapshot", write_config(tmp_path / "exp.json", "dft", 200, depth=1),
+                     "--steps", "100", "--out", str(snap)]) == 0
         snapshot = json.loads(snap.read_text())
         if part is None:
             snapshot = [snapshot]
-        else:
+        elif part == "bogus":
             snapshot[part] = value
+        else:
+            put(snapshot, part, value)
         snap.write_text(json.dumps(snapshot))
         assert main(["restore", "--snapshot", str(snap), "--steps", "5"]) == 1
         assert "pwltree: malformed snapshot: " in capsys.readouterr().err
@@ -692,10 +769,10 @@ class TestSnapshotRestore:
     def test_restore_rejects_malformed_stream_position_and_seed(self, tmp_path, capsys,
                                                                  part, value):
         snap, metrics = tmp_path / "s.json", tmp_path / "m.csv"
-        assert main(["snapshot", "--mode", "dft", "--depth", "1", "--n", "200", "--steps", "100",
-                     "--out", str(snap)]) == 0
+        assert main(["snapshot", write_config(tmp_path / "exp.json", "dft", 200, depth=1),
+                     "--steps", "100", "--out", str(snap)]) == 0
         snapshot = json.loads(snap.read_text())
-        snapshot[part] = value
+        put(snapshot, part, value)
         snap.write_text(json.dumps(snapshot))
         assert main(["restore", "--snapshot", str(snap), "--steps", "10",
                      "--metrics", str(metrics)]) == 1
@@ -703,52 +780,51 @@ class TestSnapshotRestore:
         assert not metrics.exists()
 
     def test_snapshot_rejects_overrun(self, tmp_path):
-        assert main(["snapshot", "--mode", "dft", "--n", "10", "--steps", "20",
+        assert main(["snapshot", write_config(tmp_path / "exp.json", "dft", 10), "--steps", "20",
                      "--out", str(tmp_path / "s.json")]) == 1
 
     def test_snapshot_rejects_negative_steps(self, tmp_path, capsys):
-        assert main(["snapshot", "--mode", "dft", "--n", "10", "--steps", "-5",
+        assert main(["snapshot", write_config(tmp_path / "exp.json", "dft", 10), "--steps", "-5",
                      "--out", str(tmp_path / "s.json")]) == 1
         assert "cannot run -5 steps from position 0" in capsys.readouterr().err
         assert not (tmp_path / "s.json").exists()
 
     def test_diverging_snapshot_exits_one_and_writes_nothing(self, tmp_path, capsys):
         out, metrics = tmp_path / "s.json", tmp_path / "m.csv"
+        config = write_config(tmp_path / "exp.json", "dat", 1000, depth=5, stream="mismatched")
         with np.errstate(all="ignore"):
-            code = main(["snapshot", "--mode", "dat", "--depth", "5", "--mu", "0.005",
-                         "--stream", "mismatched", "--n", "1000", "--steps", "1000",
-                         "--seed", "0", "--out", str(out), "--metrics", str(metrics)])
+            code = main(["snapshot", config, "--steps", "1000", "--out", str(out),
+                         "--metrics", str(metrics)])
         assert code == 1
         assert "prediction diverged at step 158" in capsys.readouterr().err
         assert not out.exists() and not metrics.exists()
 
     def test_diverging_restore_exits_one_and_writes_nothing(self, tmp_path, capsys):
         snap, metrics, state = tmp_path / "s.json", tmp_path / "m.csv", tmp_path / "f.json"
-        assert main(["snapshot", "--mode", "dat", "--depth", "5", "--mu", "0.005",
-                     "--stream", "mismatched", "--n", "1000", "--steps", "100",
-                     "--seed", "0", "--out", str(snap)]) == 0
+        config = write_config(tmp_path / "exp.json", "dat", 1000, depth=5, stream="mismatched")
+        assert main(["snapshot", config, "--steps", "100", "--out", str(snap)]) == 0
         with np.errstate(all="ignore"):
             code = main(["restore", "--snapshot", str(snap), "--steps", "900",
-                         "--metrics", str(metrics), "--state-out", str(state)])
+                         "--metrics", str(metrics), "--out", str(state)])
         assert code == 1
         assert "prediction diverged at step 58 after position 100" in capsys.readouterr().err
         assert not metrics.exists() and not state.exists()
 
     def test_restore_rejects_unknown_learner_key(self, tmp_path, capsys):
         snap = tmp_path / "s.json"
-        assert main(["snapshot", "--mode", "dat", "--depth", "1", "--n", "20", "--steps", "10",
-                     "--out", str(snap)]) == 0
+        assert main(["snapshot", write_config(tmp_path / "exp.json", "dat", 20, depth=1),
+                     "--steps", "10", "--out", str(snap)]) == 0
         snapshot = json.loads(snap.read_text())
-        snapshot["learner"]["bogus"] = 1
+        snapshot["config"]["learners"][0]["bogus"] = 1
         snap.write_text(json.dumps(snapshot))
         assert main(["restore", "--snapshot", str(snap), "--steps", "5"]) == 1
         assert "cannot build learner kind 'dat'" in capsys.readouterr().err
 
 
 class TestSnapshotChecksAsRun:
-    """``snapshot`` and ``restore`` read their stream, learner and seed as a
-    one-learner config, so each refuses a bad value with ``run``'s line
-    (``restore`` adds ``malformed snapshot:``)."""
+    """``snapshot`` reads its config as ``run`` does, and ``restore`` reads
+    the config a snapshot carries as one, so each refuses a bad value with
+    ``run``'s line (``restore`` adds ``malformed snapshot:``)."""
 
     def run_line(self, tmp_path, capsys, stream, learner, seed):
         path = tmp_path / "exp.json"
@@ -757,17 +833,15 @@ class TestSnapshotChecksAsRun:
         assert not (tmp_path / "out_metrics.csv").exists()
         return capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags, stream, learner, seed", [
-        (["--seed", "-1"], {"kind": "matched", "n": 20}, {"kind": "dft", "depth": 2, "mu": 0.005},
-         -1),
-        (["--depth", "9"], {"kind": "matched", "n": 20}, {"kind": "dft", "depth": 9, "mu": 0.005},
-         0),
-        (["--n", "0"], {"kind": "matched", "n": 0}, {"kind": "dft", "depth": 2, "mu": 0.005}, 0),
+    @pytest.mark.parametrize("stream, learner, seed", [
+        ({"kind": "matched", "n": 20}, {"kind": "dft", "depth": 2, "mu": 0.005}, -1),
+        ({"kind": "matched", "n": 20}, {"kind": "dft", "depth": 9, "mu": 0.005}, 0),
+        ({"kind": "matched", "n": 0}, {"kind": "dft", "depth": 2, "mu": 0.005}, 0),
     ], ids=["seed", "learner", "stream"])
-    def test_snapshot_refuses_as_run_does(self, tmp_path, capsys, flags, stream, learner, seed):
+    def test_snapshot_refuses_as_run_does(self, tmp_path, capsys, stream, learner, seed):
         want = self.run_line(tmp_path, capsys, stream, learner, seed)
         out = tmp_path / "s.json"
-        assert main(["snapshot", "--mode", "dft", "--n", "20", "--steps", "10", *flags,
+        assert main(["snapshot", str(tmp_path / "exp.json"), "--steps", "10",
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == want
         assert not out.exists()
@@ -779,13 +853,14 @@ class TestSnapshotChecksAsRun:
     ], ids=["seed-negative", "seed-float", "learner-key", "stream-key"])
     def test_restore_refuses_as_run_does(self, tmp_path, capsys, part, value):
         snap, metrics = tmp_path / "s.json", tmp_path / "m.csv"
-        assert main(["snapshot", "--mode", "dft", "--depth", "1", "--n", "200", "--steps", "100",
-                     "--out", str(snap)]) == 0
+        assert main(["snapshot", write_config(tmp_path / "snap.json", "dft", 200, depth=1),
+                     "--steps", "100", "--out", str(snap)]) == 0
         snapshot = json.loads(snap.read_text())
-        snapshot[part] = value
+        put(snapshot, part, value)
         snap.write_text(json.dumps(snapshot))
-        want = self.run_line(tmp_path, capsys, snapshot["stream"], snapshot["learner"],
-                             snapshot["seed"])
+        config = snapshot["config"]
+        want = self.run_line(tmp_path, capsys, config["stream"], config["learners"][0],
+                             config["seed"])
         assert main(["restore", "--snapshot", str(snap), "--steps", "10",
                      "--metrics", str(metrics)]) == 1
         assert capsys.readouterr().err == want.replace("pwltree: ", "pwltree: malformed snapshot: ")
@@ -806,10 +881,10 @@ class TestSeedRange:
 
     def restore_seed(self, tmp_path, seed):
         snap = tmp_path / "s.json"
-        assert main(["snapshot", "--mode", "dft", "--depth", "1", "--n", "20", "--steps", "10",
-                     "--out", str(snap)]) == 0
+        assert main(["snapshot", write_config(tmp_path / "snap.json", "dft", 20, depth=1),
+                     "--steps", "10", "--out", str(snap)]) == 0
         snapshot = json.loads(snap.read_text())
-        snapshot["seed"] = seed
+        put(snapshot, "seed", seed)
         snap.write_text(json.dumps(snapshot))
         return ["restore", "--snapshot", str(snap), "--steps", "5"]
 
@@ -824,8 +899,9 @@ class TestSeedRange:
             # trial 1 is seeded with base seed + 1 = 2**64
             "run-trials": lambda: self.run_config(tmp_path, seed, trials=2),
             "gen": lambda: ["gen", "matched", "--n", "5", "--seed", str(seed), "--out", out],
-            "snapshot": lambda: ["snapshot", "--mode", "dft", "--n", "20", "--steps", "10",
-                                 "--seed", str(seed), "--out", out],
+            "snapshot": lambda: ["snapshot", write_config(tmp_path / "snap.json", "dft", 20,
+                                                          seed=seed),
+                                 "--steps", "10", "--out", out],
             "restore": lambda: self.restore_seed(tmp_path, seed),
             "verify": lambda: ["verify", "--depth", "1", "--steps", "5", "--mode", "dft",
                                "--seed", str(seed)],
@@ -868,3 +944,20 @@ def test_non_integer_seed_variable_exits_one(monkeypatch, capsys, tmp_path, argv
     got = np.array([[float(c) for c in row] for row in read_csv(tmp_path / "m.csv")[1:]])
     want = generate("matched", 5, seed=seed)
     np.testing.assert_array_equal(got, np.column_stack([want.inputs, want.targets]))
+
+
+def test_readme_command_lines_parse(capsys):
+    # README's "Command line" block is the CLI's one worked example: each
+    # pwltree line in it, \-continued lines joined and # comments dropped,
+    # must parse, so a flag removed from the parser cannot stay in the docs
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```", 2)[1]
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["pwltree"]]
+    assert {argv[0] for argv in commands} == {"run", "verify", "gen", "snapshot", "restore"}
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: pwltree {shlex.join(argv)}\n"
+                        f"{capsys.readouterr().err}")

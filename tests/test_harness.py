@@ -448,8 +448,14 @@ class TestConfig:
         ({"kind": "matched", "n": 5, "normalize": "yes"},
          "stream normalize must be true or false, got 'yes'"),
         ({"kind": "csv", "path": 0, "target": "y"}, "csv stream path must be a string, got 0"),
+        ({"kind": "matched", "n": 5, "noise_var": -1},
+         "noise_var must be a finite number >= 0, got -1"),
+        ({"kind": "matched", "n": 5, "noise_var": "0.1"},
+         "noise_var must be a finite number >= 0, got '0.1'"),
+        ({"kind": "csv", "path": "data.csv", "target": 1.5},
+         "csv stream target must be a column name or a 0-based index, got 1.5"),
     ], ids=["unknown-kind", "bogus-key", "missing-n", "zero-n", "non-bool-normalize",
-            "non-string-path"])
+            "non-string-path", "noise-negative", "noise-string", "csv-target-float"])
     def test_bad_stream_refused_when_read(self, stream, message, monkeypatch):
         # the stream spec gets the same checks as build_stream gives it,
         # before any stream is drawn or dataset opened
@@ -599,6 +605,31 @@ class TestOutputs:
         assert summary["config"]["stream"]["kind"] == "matched"
         assert "lf" in summary["results"]
         assert summary["results"]["lf"]["n"] == 20
+
+    @pytest.mark.parametrize("learner, plain", [
+        ({"kind": "dft", "depth": np.int64(1)}, {"kind": "dft", "depth": 1}),
+        ({"kind": "gkr", "centers": np.zeros((2, 2)), "covariances": 1.0},
+         {"kind": "gkr", "centers": [[0.0, 0.0], [0.0, 0.0]], "covariances": 1.0}),
+    ], ids=["numpy-depth", "numpy-centres"])
+    def test_summary_of_a_numpy_config_reads_back_plain(self, tmp_path, learner, plain):
+        # a config built in Python may hold numpy values, which json alone
+        # cannot encode: the summary writes them as their tolist()
+        cfg = ExperimentConfig({"kind": "matched", "n": 20}, [learner])
+        path = tmp_path / "s.json"
+        write_summary_json(run_experiment(cfg), path)
+        summary = json.loads(path.read_text())
+        assert summary["config"]["learners"] == [plain]
+        assert summary["results"][learner["kind"]]["n"] == 20
+
+    def test_value_json_cannot_hold_leaves_no_file(self, tmp_path):
+        # the whole summary is encoded before the file is opened, so a
+        # refused value leaves no file cut off mid-object
+        result = self.make_result(tmp_path)
+        result.failures.append({1, 2})
+        path = tmp_path / "s.json"
+        with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+            write_summary_json(result, path)
+        assert not path.exists()
 
 
 class TestCsvDataset:
