@@ -20,20 +20,26 @@ ancestor table, and the root-less rows of the descendant table.  Activations are
 sign and an offset per ancestor entry and one ``np.multiply.reduce`` down
 the rows; the subtree sums of every child are one matrix-vector product.
 
-A step is about 32 numpy calls at every depth (15 in ``predict``, 5 in
-``update_weights``, 7 in ``boundary_factors``, 5 in
-``update_boundaries``), against some 4k flops at depth 5, so on these
-small arrays the form of a call sets its cost.  Every product is a
-``.dot``, which reaches BLAS with less dispatch than ``@``; the rank-1
-steps of ``v`` and ``theta`` are ``(n, 1) . (1, dim + 1)`` products,
-which give the bits of the broadcast ``a[:, None] * x`` in half the time
-or less.  The kernel holds the gate clamp's constants as 0-d arrays,
-which numpy takes with less dispatch than Python floats, and its gather
-is a ``take``, cheaper than fancy indexing.  Scalar step factors are
-multiplied together before they touch an array, the input is converted
-once, in ``predict``, and the boundary sensitivities divide by the
-branch factors and scale by the gate rise ``(1 - 2 s_plus) u`` that
-``predict`` already built.
+The regressors ``v`` and the hyperplanes ``theta`` are the two parts of
+one array of rows (see :class:`pwltree.trees.TreeBase`), both moved along
+the input on every step, so ``predict`` forms every node's estimate and
+every gate's product in one product and ``update_boundaries`` steps both
+in one rank-1 step; ``update_weights`` steps only the node weights.  A
+step is about 33 numpy calls at every depth (14 in ``predict``, 3 in
+``update_weights``, 7 in ``boundary_factors``, 9 in
+``update_boundaries``; three of them write a scalar step factor into a
+0-d array), against some 4k flops at depth 5, so on these small arrays
+the form of a call sets its cost.  Every product is a ``.dot``, which
+reaches BLAS with less dispatch than ``@``; the rank-1 step is an
+``(n, 1) . (1, dim + 1)`` product, which gives the bits of the broadcast
+``a[:, None] * x`` in half the time or less.  The kernel holds the gate
+clamp's constants as 0-d arrays, and the step factors ``mu e`` and
+``-eta e`` are written into 0-d arrays, which numpy takes with less
+dispatch than Python floats; its gather is a ``take``, cheaper than
+fancy indexing.  Scalar step factors are multiplied together before
+they touch an array, the input is converted once, in ``predict``, and
+the boundary sensitivities divide by the branch factors and scale by the
+gate rise ``(1 - 2 s_plus) u`` that ``predict`` already built.
 """
 
 from __future__ import annotations
@@ -96,8 +102,10 @@ class AdaptiveTreeRegressor(_SoftTail, TreeLearner):
         """Evaluate every gate once, cascade activations down the tree and
         collapse the mixture over all nodes."""
         x = np.asarray(x_ext, dtype=float)
-        u, cu, f, alphas = self._gates.cascade(self.theta, x)
-        estimates = self.v.dot(x)
+        rows_x = self._rows.dot(x)  # every node's estimate, then every gate's product
+        n = self.n_nodes
+        u, cu, f, alphas = self._gates.cascade(rows_x[n:])
+        estimates = rows_x[:n]
         h = alphas * estimates
         kappas = self._rho.dot(self.w)
         self.regressor_evaluations += self.n_nodes
@@ -106,13 +114,12 @@ class AdaptiveTreeRegressor(_SoftTail, TreeLearner):
                                       kappas)
 
     def update_weights(self, x_ext, e: float, pred: AdaptiveTreePrediction) -> None:
-        """Regressor and weight steps for every node, scaled by the node's
-        activation (which the clamp keeps strictly positive).  The step
-        reads the input ``pred.x`` that ``predict`` was given as
-        ``x_ext``."""
-        step = self.mu * e
-        self.v += (step * pred.alphas)[:, None].dot(pred.x[None, :])
-        self.w += step * pred.h
+        """Weight step for every node, scaled by the node's activation
+        (which the clamp keeps strictly positive) times its estimate; the
+        regressors move in ``update_boundaries``, in the one rank-1 step of
+        the learner's rows along the input."""
+        self._gain[()] = self.mu * e
+        self.w += self._gain * pred.h
 
     def boundary_factors(self, pred: AdaptiveTreePrediction) -> np.ndarray:
         """Scalar factor of each internal node's boundary step (before the

@@ -9,9 +9,11 @@ filter's ``(1, x, x_i x_j for i <= j)`` and the Gaussian-kernel mixture's
 ``k (x) x_ext``, with ``k`` the kernel values of its fixed centres at
 ``x``: then ``v . (k (x) x_ext)`` is ``sum_p k_p (v_p . x_ext)``, every
 centre's affine regressor gated by its kernel.  No feature is built and
-no kernel evaluated per step, and a step is 4 numpy calls: ``asarray``
-and ``v.dot(row)`` in ``predict``, then a scaling of the row by the
-scalar ``mu e`` and an in-place add in ``update``.  Each learner checks
+no kernel evaluated per step, and a step is 5 numpy calls: ``asarray``
+and ``v.dot(row)`` in ``predict``, then the scalar ``mu e`` written into
+a 0-d array the learner owns, which numpy takes with less dispatch than
+a Python float, a scaling of the row by it and an in-place add in
+``update``.  Each learner checks
 its step size ``mu`` when it is built: a finite real number > 0.
 """
 
@@ -41,13 +43,17 @@ class LinearFilter(Learner):
         self.dim = _integer(dim, "dim", 1)
         self.mu = _step_size(mu)
         self.v = np.zeros(self.dim + 1)
+        # the scalar step factor mu e, written in place on every step
+        self._gain = np.zeros(())
 
     def predict(self, row) -> SimplePrediction:
         row = np.asarray(row, dtype=float)
         return SimplePrediction(float(self.v.dot(row)), features=row)
 
     def update(self, row, d_t, pred) -> None:
-        self.v += (self.mu * (d_t - pred.y_hat)) * pred.features
+        step = self._gain
+        step[()] = self.mu * (d_t - pred.y_hat)
+        self.v += step * pred.features
 
 
 class VolterraFilter(LinearFilter):
@@ -117,6 +123,7 @@ class GaussianKernelRegressor(LinearFilter):
                              f"{step!r}, below the smallest normal float")
         self.norms = np.full(p, norm)
         self.v = np.zeros(p * (m + 1))
+        self._gain = np.zeros(())
 
     def features(self, x_ext) -> np.ndarray:
         """One row per extended input: block ``p`` of ``m + 1`` entries is

@@ -31,6 +31,11 @@ SNAPSHOT_SCHEMA = 4  # 4: the run config beside the position and the learner sta
 _SNAPSHOT_KEYS = dict.fromkeys(("schema", "config", "position", "state"), True)
 
 
+class _StreamFault(ValueError):
+    """A fault of a stream's data, found when the stream is built: ``restore``
+    prints it as ``run`` does, not as a fault of the snapshot."""
+
+
 def _fail(message: str, code: int = 1) -> int:
     print(f"pwltree: {message}", file=sys.stderr)
     return code
@@ -99,8 +104,9 @@ def _run_segment(config: harness.ExperimentConfig, start: int, steps: int, state
     into the learner when given, and step it through ``steps`` stream
     steps from ``start``.  A config of more than one learner or trial, or
     of a learner kind without a state (any but ``dft`` and ``dat``), is
-    refused before the stream is drawn.  Returns the learner and the
-    segment's metrics."""
+    refused before the stream is drawn, and a fault of the stream's data
+    raises ``_StreamFault``.  Returns the learner and the segment's
+    metrics."""
     if len(config.learners) != 1:
         raise harness.ConfigError(f"snapshots support one learner only, not {len(config.learners)}")
     if config.trials != 1:
@@ -108,7 +114,10 @@ def _run_segment(config: harness.ExperimentConfig, start: int, steps: int, state
     spec = config.learners[0]
     if spec["kind"] not in ("dft", "dat"):
         raise harness.ConfigError(f"snapshots support tree learners only, not {spec['kind']!r}")
-    stream = harness.build_stream(config.stream, config.seed)
+    try:
+        stream = harness.build_stream(config.stream, config.seed)
+    except ValueError as exc:
+        raise _StreamFault(exc) from exc
     stop = start + steps
     if not 0 <= start <= stop <= len(stream):
         raise harness.ConfigError(f"stream has {len(stream)} steps; cannot run {steps} steps "
@@ -165,10 +174,10 @@ def _cmd_restore(args) -> int:
         position = _integer(snapshot["position"], "position", 0)
         config = harness.ExperimentConfig.from_dict(snapshot["config"])
         learner, metrics = _run_segment(config, position, args.steps, snapshot["state"])
+    except (_StreamFault, OSError) as exc:  # the data's fault, not the snapshot's
+        return _fail(str(exc))
     except ValueError as exc:
         return _fail(f"malformed snapshot: {exc}")
-    except OSError as exc:
-        return _fail(str(exc))
     except harness.TrialDiverged as exc:
         return _fail(f"{exc} after position {position}")
     _write_segment(config, learner, metrics, position, args.out, args.metrics)

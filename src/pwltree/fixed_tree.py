@@ -10,8 +10,11 @@ O(beta(depth)).  The collapsed prediction is identical (not approximate)
 to the explicit mixture maintained by
 :class:`pwltree.mixture.DirectMixtureRegressor`.
 
-A step costs a fixed number of numpy calls whatever the depth, about 12
-(7 in ``predict``, 5 in ``update``).  All ``2**depth - 1`` gates are
+A step costs a fixed number of numpy calls whatever the depth, about 13
+(7 in ``predict``, 6 in ``update``, one of them writing the step factor
+``mu e`` into a 0-d array, which numpy takes with less dispatch than a
+Python float).  The regressors are read and stepped in the tree base's
+array of rows, which holds only ``v`` for this learner.  All ``2**depth - 1`` gates are
 evaluated in one product, O(m * 2**depth) flops in a single call, and
 the path is then walked on their Python floats by the hard-gate walk
 of :mod:`pwltree.trees` that the explicit mixture shares; only the d
@@ -95,7 +98,7 @@ class FixedTreeRegressor(TreeLearner):
         x = np.asarray(x_ext, dtype=float)
         leaf = _hard_leaf(self.boundaries, x, self.depth) - self.n_internal
         path = self._paths[leaf]
-        estimates = self.v.take(path, axis=0).dot(x)
+        estimates = self._rows.take(path, axis=0).dot(x)
         kappas = self._path_rho[leaf].dot(self.w)
         self.regressor_evaluations += path.size
         self.kappa_accumulations += path.size * self.n_nodes
@@ -106,9 +109,10 @@ class FixedTreeRegressor(TreeLearner):
         against the prediction error, leave everything else untouched.
         The step reads the input ``pred.x`` that ``predict`` was given as
         ``x_ext``."""
-        step = self.mu * (d_t - pred.y_hat)
+        step = self._gain
+        step[()] = self.mu * (d_t - pred.y_hat)
         path = pred.path_indices
         # the path holds distinct nodes, so add.at matches a fancy-index +=
-        np.add.at(self.v, path, step * pred.x)
+        np.add.at(self._rows, path, step * pred.x)
         self.w[path] += step * pred.estimates
         self.t += 1

@@ -13,16 +13,17 @@ span masks built here, apart from the learners' heap tables.  It exists to
 verify, not to scale: construction is refused beyond depth 4.
 
 A node's activation is 1 on the path the frozen boundaries select and 0
-elsewhere in hard mode, its product of clamped gates in soft mode; both
-modes then share the ``v`` and ``w_vec`` steps, and soft mode also steps
-``theta``.
+elsewhere in hard mode, its product of clamped gates in soft mode.  Both
+modes step ``v`` and ``w_vec``; soft mode steps ``v`` together with
+``theta``, in the soft tail's one rank-1 step of the learner's rows.
 
 The oracle is built on the tree learners' base, :class:`TreeBase` of
 :mod:`pwltree.trees`, capped at ``MAX_ENUMERATION_DEPTH``: the base
 checks the depth, dimension and step size, with the messages the
-collapsed learners give, and holds the node counts and the node
-regressors ``v``.  What the oracle checks the learners with stays its
-own.  Each instance builds its own membership matrix, by level
+collapsed learners give, and holds the node counts and the one array
+of rows a step moves along the input: the node regressors ``v`` and, in
+soft mode, the hyperplanes ``theta`` below them.  What the oracle
+checks the learners with stays its own.  Each instance builds its own membership matrix, by level
 recursion, its own partition weights ``w_vec`` and its own span masks;
 in hard mode also the 0/1 activations of every root -> leaf path and the
 owner table, in soft mode the branch tables of a level-major ancestor
@@ -58,13 +59,16 @@ s_plus) u`` that ``predict`` built.  What the oracle checks stays its own: the p
 estimates of every partition and the membership sums that carry them to
 the nodes.
 
-A step is a fixed number of numpy calls whatever the depth: 11 in hard
-mode (6 in ``predict``, 5 in ``update``) and 33 in soft mode (15 in
-``predict``, 18 in ``update``, 8 of them in ``boundary_factors``).  On
-these small arrays a call's dispatch outweighs its arithmetic, so every
-product is a ``.dot``, which reaches BLAS with less dispatch than ``@``;
-the rank-1 steps of ``v`` and ``theta`` are ``(n, 1) . (1, dim + 1)``
-products, with the bits of the broadcast ``a[:, None] * x``; only the
+A step is a fixed number of numpy calls whatever the depth: 12 in hard
+mode (6 in ``predict``, 6 in ``update``) and 34 in soft mode (14 in
+``predict``, 20 in ``update``, 8 of them in ``boundary_factors``), the
+scalar step factors written into 0-d arrays.  On these small arrays a
+call's dispatch outweighs its arithmetic, so every product is a
+``.dot``, which reaches BLAS with less dispatch than ``@``; one product
+of the row array with the input gives every node's estimate and, in
+soft mode, every gate's product, and the rank-1 step of the rows is an
+``(n, 1) . (1, dim + 1)`` product, with the bits of the broadcast
+``a[:, None] * x``; only the
 upper gate clamp can bind, and the boundary factor cap is a
 ``np.minimum`` and ``np.maximum`` pair; the hard path walk runs on Python
 floats; both child-subtree sums of every gate come from one product; and
@@ -121,6 +125,7 @@ class DirectMixtureRegressor(_SoftTail, TreeBase):
     max_depth = MAX_ENUMERATION_DEPTH
 
     def __init__(self, depth, dim, mode="hard", mu=0.01, boundaries=None, s_plus=0.01):
+        self.gated = mode == "soft"  # read by the base, which allocates the hyperplane rows
         super().__init__(depth, dim, mu)
         if mode not in ("hard", "soft"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -176,14 +181,16 @@ class DirectMixtureRegressor(_SoftTail, TreeBase):
         """Every node's activation, every partition's estimate, then their
         weighted sum."""
         x = np.asarray(x_ext, dtype=float)
+        rows_x = self._rows.dot(x)  # every node's estimate, then (soft) every gate's product
         if self.mode == "hard":
             leaf = _hard_leaf(self.boundaries, x, self.depth) - self.n_internal
             # each partition's estimate is that of its one node on the path
-            d_vec = self.v.dot(x).take(self._owners[leaf])
+            d_vec = rows_x.take(self._owners[leaf])
             return DirectPrediction(float(self.w_vec.dot(d_vec)), x, self._path_alphas[leaf],
                                     None, None, None, None, d_vec)
-        u, cu, f, alphas = self._gates.cascade(self.theta, x)
-        h = alphas * self.v.dot(x)
+        n = self.n_nodes
+        u, cu, f, alphas = self._gates.cascade(rows_x[n:])
+        h = alphas * rows_x[:n]
         d_vec = self.membership.dot(h)
         return DirectPrediction(float(self.w_vec.dot(d_vec)), x, alphas, h, f, u, cu, d_vec)
 
@@ -192,10 +199,13 @@ class DirectMixtureRegressor(_SoftTail, TreeBase):
         side effects the collapsed learners perform.  The step reads the
         input ``pred.x`` that ``predict`` was given as ``x_ext``."""
         e = d_t - pred.y_hat
-        step = self.mu * e
-        self.v += (step * pred.alphas)[:, None].dot(pred.x[None, :])
+        step = self._gain
+        step[()] = self.mu * e
         if self.mode == "soft":
-            self.update_boundaries(x_ext, e, pred)  # reads w_vec before its step
+            # v and theta in one rank-1 step; reads w_vec before its step
+            self.update_boundaries(x_ext, e, pred)
+        else:
+            self._rows += (step * pred.alphas)[:, None].dot(pred.x[None, :])
         self.w_vec += step * pred.model_estimates
 
     def boundary_factors(self, pred: DirectPrediction) -> np.ndarray:

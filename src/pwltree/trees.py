@@ -25,17 +25,21 @@ package follows and its ``features`` map of a whole stream.
 ``TreeBase`` is the one base of the three tree learners, the fixed tree,
 the adaptive tree and the explicit mixture: it checks the depth against
 its class's cap, the dimension and the step size, and holds the node
-counts and the per-node regressors ``v``.  ``TreeLearner`` adds the node
+counts and the one array of rows a step moves along the input: the
+per-node regressors ``v`` and, below them on a gated learner, the
+hyperplanes ``theta``.  ``TreeLearner`` adds the node
 weights, step counter, work counters and heap-ordered snapshot format of
 the two collapsed learners.  ``_SoftGates`` is the gate kernel both soft
 learners, the adaptive tree and the explicit mixture's soft mode, call:
-their gates, activation cascade, boundary-step factors and capped
-hyperplane step are written once, here, as is the hard gates' walk,
+their gates, activation cascade, boundary-step factors and the capped
+step of their rows are written once, here, as is the hard gates' walk,
 ``_hard_leaf``, of the fixed tree and the mixture's hard mode.
 ``_SoftTail`` is what the two soft learners share around that kernel:
 the gate clamp's check, the kernel's build, ``step_cap`` and
 ``update_boundaries``; ``SoftPrediction`` declares the fields of a
-prediction pass that the kernel reads.
+prediction pass that the kernel reads.  A soft learner's step is one
+product of its rows with the input, whose gate part the cascade takes,
+and one rank-1 step of all its rows, regressors and hyperplanes at once.
 """
 
 from __future__ import annotations
@@ -180,14 +184,16 @@ def _hard_leaf(boundaries, x, depth: int) -> int:
 
 class _SoftGates:
     """The gate kernel both soft learners call: the cascade from the
-    hyperplanes to every node's activation, each gate's boundary-step
-    factor and the capped hyperplane step, for one gate clamp ``s_plus``
-    and one tree.  ``branches`` are the ``_branch_tables`` of the tree's
+    hyperplanes' products with the input to every node's activation, each
+    gate's boundary-step factor and the one rank-1 step of the regressors
+    and the capped hyperplanes, for one gate clamp ``s_plus`` and one
+    tree.  ``branches`` are the ``_branch_tables`` of the tree's
     level-major ancestor table and ``below`` its root-less descendant rows
     (row ``i - 1`` marks the subtree of node ``i``, so the two child
     subtrees of gate ``j`` are rows ``2j`` and ``2j + 1``).  The clamp's
-    constants are 0-d arrays, which numpy takes with less dispatch than
-    Python floats and with the same bits."""
+    constants, and the step's two scalar factors, are 0-d arrays, which
+    numpy takes with less dispatch than Python floats and with the same
+    bits."""
 
     def __init__(self, s_plus: float, branches, below):
         (self.gate, self.sign, self.offset), self.below = branches, below
@@ -195,14 +201,16 @@ class _SoftGates:
         self.low, self.rise, self.high, self.cap, self.neg_cap, self.one = map(
             np.array, (s_plus, 1.0 - 2.0 * s_plus, 1.0 - s_plus, cap, -cap, 1.0))
         self.spread = s_plus * (1.0 - s_plus)
+        # the step's scalar factors mu e and -eta e, written in place on every step
+        self.gain, self.drift = np.zeros(()), np.zeros(())
 
-    def cascade(self, theta, x) -> tuple:
-        """``(u, cu, f, alphas)`` for the hyperplanes ``theta`` at the input
-        ``x``: the unclamped gate values, each gate's rise ``(1 - 2 s_plus)
-        u`` above ``s_plus`` before the clamp, every node's branch factor
-        and every node's activation, the product of the branch factors down
-        the contiguous rows of the branch tables."""
-        u = expit(-theta.dot(x))
+    def cascade(self, planes_x) -> tuple:
+        """``(u, cu, f, alphas)`` for the products ``planes_x`` of the
+        hyperplanes with the input: the unclamped gate values, each gate's
+        rise ``(1 - 2 s_plus) u`` above ``s_plus`` before the clamp, every
+        node's branch factor and every node's activation, the product of
+        the branch factors down the contiguous rows of the branch tables."""
+        u = expit(-planes_x)
         cu = self.rise * u
         # only the upper clamp can bind: fl(s_plus + c u) >= s_plus for c u >= 0
         factors = self.offset + self.sign * np.minimum(self.low + cu, self.high).take(self.gate)
@@ -218,13 +226,19 @@ class _SoftGates:
         q = self.below.dot(g * pred.h) / pred.f[1:]
         return (q[0::2] - q[1::2]) * (pred.cu * (self.one - pred.u))
 
-    def step(self, theta, factors, x, e: float, mu: float) -> None:
+    def step(self, rows, alphas, factors, x, e: float, mu: float) -> None:
         """Clip ``factors`` to the step cap ``10 s_plus (1 - s_plus)`` in
-        place, then step ``theta`` in place by ``-eta e factors x`` with
-        ``eta = mu / (s_plus (1 - s_plus))``."""
+        place, then step ``rows``, the node regressors and below them the
+        hyperplanes, in place by one rank-1 product: ``mu e alphas x`` on
+        the regressors and ``-eta e factors x`` on the hyperplanes, with
+        ``eta = mu / (s_plus (1 - s_plus))``.  The two scalar factors go
+        through 0-d arrays; ``theta + (-a)`` has the bits of ``theta - a``."""
         np.minimum(factors, self.cap, out=factors)
         np.maximum(factors, self.neg_cap, out=factors)
-        theta -= (factors * (mu / self.spread * e))[:, None].dot(x[None, :])
+        self.gain[()] = mu * e
+        self.drift[()] = -(mu / self.spread * e)
+        moves = np.concatenate((alphas * self.gain, factors * self.drift))
+        rows += moves[:, None].dot(x[None, :])
 
 
 @dataclass
@@ -260,9 +274,11 @@ class _SoftTail:
     """The tail both soft learners share, the adaptive tree and the
     explicit mixture's soft mode: the gate clamp ``s_plus`` and its check,
     the gate kernel built on the learner's own tables, the step cap and
-    the capped hyperplane step.  A learner with this tail keeps its
-    hyperplanes in ``theta`` and defines ``boundary_factors(pred)``, which
-    ``update_boundaries`` reaches through the instance."""
+    the one step of the regressors and the capped hyperplanes.  A learner
+    with this tail keeps its hyperplanes in ``theta``, below its
+    regressors in the tree base's array of rows, and defines
+    ``boundary_factors(pred)``, which ``update_boundaries`` reaches through
+    the instance."""
 
     def _soft_gates(self, s_plus, tables=None) -> None:
         """Keep the gate clamp ``s_plus`` once it passes its check and, given
@@ -278,10 +294,13 @@ class _SoftTail:
         return 10.0 * self.s_plus * (1.0 - self.s_plus)
 
     def update_boundaries(self, x_ext, e: float, pred: SoftPrediction) -> None:
-        """Gradient step on every internal hyperplane, with the scalar
-        factor clipped to ``step_cap``; the input is read from ``pred.x``,
-        the one ``predict`` was given as ``x_ext``."""
-        self._gates.step(self.theta, self.boundary_factors(pred), pred.x, e, self.mu)
+        """Gradient step on every node regressor and every internal
+        hyperplane, one rank-1 step of the learner's rows along the input,
+        with each hyperplane's scalar factor clipped to ``step_cap``; the
+        input is read from ``pred.x``, the one ``predict`` was given as
+        ``x_ext``."""
+        self._gates.step(self._rows, pred.alphas, self.boundary_factors(pred), pred.x, e,
+                         self.mu)
 
 
 class Learner:
@@ -316,7 +335,20 @@ class TreeBase(Learner):
     weights and ``rho`` table (:class:`TreeLearner`), the explicit
     mixture's partition weights, membership matrix, span masks and
     ancestor table.
+
+    Every row a step moves along the input lives in one C-contiguous
+    array, allocated here once: the ``n_nodes`` regressors, then, for a
+    learner that is ``gated`` (one with trained hyperplanes), the
+    ``n_internal`` hyperplanes.  ``v`` and ``theta`` are views of it,
+    made afresh on each access, so a copy of a learner reads its own
+    array; assigning either copies the value into the array, and a value
+    of any other shape raises ValueError and changes nothing.  The soft
+    learners form every row's product with the input in one product, in
+    which a depth-1 tree's one hyperplane row is a matrix-vector row and
+    not the dot product it was alone, which can differ in the last bit.
     """
+
+    gated = False
 
     def __init__(self, depth, dim, mu):
         depth = _integer(depth, "depth")
@@ -327,7 +359,40 @@ class TreeBase(Learner):
         self.mu = _step_size(mu)
         self.n_nodes = node_count(depth)
         self.n_internal = (1 << depth) - 1
-        self.v = np.zeros((self.n_nodes, dim + 1))
+        self._rows = np.zeros((self.n_nodes + self.n_internal * self.gated, dim + 1))
+        # the scalar step factor mu e, written in place on every step
+        self._gain = np.zeros(())
+
+    @property
+    def v(self) -> np.ndarray:
+        """The node regressors, one row of ``dim + 1`` per node in heap order."""
+        return self._rows[:self.n_nodes]
+
+    @v.setter
+    def v(self, value) -> None:
+        _assign(self.v, value, "v")
+
+    @property
+    def theta(self) -> np.ndarray:
+        """The hyperplanes of a gated learner, one row of ``dim + 1`` per
+        internal node in heap order; a learner without trained hyperplanes
+        has none."""
+        if not self.gated:
+            raise AttributeError(f"{type(self).__name__} has no trained hyperplanes theta")
+        return self._rows[self.n_nodes:]
+
+    @theta.setter
+    def theta(self, value) -> None:
+        _assign(self.theta, value, "theta")
+
+
+def _assign(rows: np.ndarray, value, name: str) -> None:
+    """Copy ``value`` into the view ``rows`` when it has exactly their
+    shape; otherwise raise ValueError naming ``name``, copying nothing."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != rows.shape:
+        raise ValueError(f"{name} must have shape {rows.shape}, got {value.shape}")
+    rows[...] = value
 
 
 class TreeLearner(TreeBase):
@@ -343,7 +408,6 @@ class TreeLearner(TreeBase):
     ``gated`` and keeps them in ``theta``, one row per internal node.
     """
 
-    gated = False
     max_depth = MAX_TABLE_DEPTH
 
     def __init__(self, depth, dim, mu):

@@ -174,10 +174,14 @@ class TestWeightUpdates:
         assert (lrn.theta == theta0).all()
 
     def test_every_node_moves_on_error(self):
+        # the regressors move with the hyperplanes, in update_boundaries'
+        # one rank-1 step of the learner's rows; update_weights leaves them
         lrn = AdaptiveTreeRegressor(2, 2, mu=0.1)
         x = ext(0.5, -0.5)
         pred = lrn.predict(x)
         lrn.update_weights(x, 1.0, pred)
+        assert (lrn.v == 0.0).all()
+        lrn.update_boundaries(x, 1.0, pred)
         assert (lrn.v != 0.0).any(axis=1).all()  # every node's regressor moved
 
     def test_activation_floor(self):

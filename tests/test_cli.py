@@ -866,6 +866,24 @@ class TestSnapshotChecksAsRun:
         assert capsys.readouterr().err == want.replace("pwltree: ", "pwltree: malformed snapshot: ")
         assert not metrics.exists()
 
+    def test_restore_reports_a_dataset_fault_as_run_does(self, tmp_path, capsys):
+        # the snapshot is sound; its stream's data file lost its rows after it was taken
+        data, snap, metrics = tmp_path / "data.csv", tmp_path / "s.json", tmp_path / "m.csv"
+        data.write_text("a,b,y\n" + "".join(f"{i / 10},{-i / 10},{i % 3}\n" for i in range(20)))
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({
+            "stream": {"kind": "csv", "path": str(data), "target": "y"},
+            "learners": [{"kind": "dft", "depth": 1, "mu": 0.005}]}))
+        assert main(["snapshot", str(config), "--steps", "10", "--out", str(snap)]) == 0
+        data.write_text("a,b,y\n")
+        capsys.readouterr()
+        assert main(["restore", "--snapshot", str(snap), "--steps", "5",
+                     "--metrics", str(metrics)]) == 1
+        assert capsys.readouterr().err == "pwltree: dataset has no data rows\n"
+        assert not metrics.exists()
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "pwltree: dataset has no data rows\n"
+
 
 class TestSeedRange:
     """A seed must key the stream generator, so it lies in [0, 2**64)."""

@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -30,7 +32,7 @@ from pwltree.trees import (
 )
 
 from helpers import (MALFORMED_STATES, index_of, is_ancestor, is_valid_partition, label,
-                     loop_membership)
+                     loop_membership, reference_mixture_step, reference_step)
 
 LEARNERS = {"dft": FixedTreeRegressor, "dat": AdaptiveTreeRegressor}
 
@@ -262,6 +264,106 @@ def test_non_finite_separator_refused():
     with pytest.raises(ValueError, match="snapshot theta of node 0 is not finite"):
         lrn.load_state(state)
     assert np.array_equal(lrn.theta, theta)
+
+
+# every tree learner, built at depth 2, keyed by the name of its kind
+ROW_LEARNERS = {
+    "dft": lambda: FixedTreeRegressor(2, 2, mu=0.05),
+    "dat": lambda: AdaptiveTreeRegressor(2, 2, mu=0.05),
+    "direct-hard": lambda: DirectMixtureRegressor(2, 2, mode="hard", mu=0.05),
+    "direct-soft": lambda: DirectMixtureRegressor(2, 2, mode="soft", mu=0.05),
+}
+GATED = ("dat", "direct-soft")
+
+
+def row_state(lrn) -> bytes:
+    """The bytes of everything a tree learner's step moves: its weights,
+    its regressors and, when gated, its hyperplanes."""
+    weights = lrn.w_vec if isinstance(lrn, DirectMixtureRegressor) else lrn.w
+    return b"".join(a.tobytes() for a in (weights, lrn.v, *([lrn.theta] if lrn.gated else [])))
+
+
+def randomize(lrn, rng) -> None:
+    """Random weights and regressors, so that every row reaches the prediction."""
+    if isinstance(lrn, DirectMixtureRegressor):
+        lrn.w_vec = rng.normal(size=lrn.w_vec.shape)
+    else:
+        lrn.w = rng.normal(size=lrn.w.shape)
+    lrn.v = rng.normal(size=lrn.v.shape)
+
+
+class TestOneRowArray:
+    """The regressors and hyperplanes a step moves live in one array, of
+    which ``v`` and ``theta`` are views made afresh on each access."""
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda lrn: pickle.loads(pickle.dumps(lrn))],
+                             ids=["deepcopy", "pickle"])
+    @pytest.mark.parametrize("kind", ROW_LEARNERS)
+    def test_copy_steps_as_the_original(self, kind, copier):
+        stream = generate("mismatched", 80, seed=21)
+        lrn = ROW_LEARNERS[kind]()
+        for x, d in zip(stream.extended[:40], stream.targets[:40]):
+            lrn.step(x, d)
+        before = row_state(lrn)  # read the views before the copy is made
+        twin = copier(lrn)
+        # the copy steps its own array and leaves the original's alone
+        theirs = [twin.step(x, d) for x, d in zip(stream.extended[40:], stream.targets[40:])]
+        assert row_state(lrn) == before
+        ours = [lrn.step(x, d) for x, d in zip(stream.extended[40:], stream.targets[40:])]
+        assert np.array(theirs).tobytes() == np.array(ours).tobytes()
+        assert row_state(twin) == row_state(lrn) != before
+
+    @pytest.mark.parametrize("kind, write", [
+        *((kind, write) for kind in ROW_LEARNERS for write in ("v", "v-row")),
+        *((kind, write) for kind in GATED for write in ("theta", "theta-row"))])
+    def test_writes_are_seen_by_the_next_predict(self, kind, write):
+        rng = np.random.default_rng(31)
+        lrn = ROW_LEARNERS[kind]()
+        randomize(lrn, rng)
+        x = np.array([0.4, -0.3, 1.0])
+        before = lrn.predict(x).y_hat
+        name = write.removesuffix("-row")
+        value = rng.normal(size=getattr(lrn, name).shape)
+        if write.endswith("-row"):  # the root's row, on every path
+            getattr(lrn, name)[0] = value[0]
+        else:
+            setattr(lrn, name, value)
+        reference = reference_mixture_step if kind.startswith("direct") else reference_step
+        got = lrn.predict(x).y_hat
+        assert got == pytest.approx(reference(lrn, x, 0.0)[0], rel=1e-12) and got != before
+
+    @pytest.mark.parametrize("kind", ["dft", "dat"])
+    def test_loaded_state_is_seen_by_the_next_predict(self, kind):
+        stream = generate("mismatched", 41, seed=22)
+        source = ROW_LEARNERS[kind]()
+        for x, d in zip(stream.extended[:40], stream.targets[:40]):
+            source.step(x, d)
+        lrn = ROW_LEARNERS[kind]()
+        lrn.load_state(json.loads(json.dumps(source.state_snapshot())))
+        x = stream.extended[40]
+        assert lrn.predict(x).y_hat.hex() == source.predict(x).y_hat.hex()
+        assert row_state(lrn) == row_state(source)
+
+    @pytest.mark.parametrize("shape", ["row", "scalar", "short", "long"])
+    @pytest.mark.parametrize("kind, name", [
+        *((kind, "v") for kind in ROW_LEARNERS), *((kind, "theta") for kind in GATED)])
+    def test_assignment_of_another_shape_refused(self, kind, name, shape):
+        # numpy would broadcast a row or a number into every row of the array
+        lrn = ROW_LEARNERS[kind]()
+        randomize(lrn, np.random.default_rng(32))
+        before = row_state(lrn)
+        n, width = getattr(lrn, name).shape
+        value = {"row": np.ones(width), "scalar": 0.5, "short": np.ones((n - 1, width)),
+                 "long": np.ones((n + 1, width))}[shape]
+        with pytest.raises(ValueError, match=re.escape(f"{name} must have shape ({n}, {width})")):
+            setattr(lrn, name, value)
+        assert row_state(lrn) == before
+
+    @pytest.mark.parametrize("kind", ["dft", "direct-hard"])
+    def test_hard_learners_have_no_theta(self, kind):
+        lrn = ROW_LEARNERS[kind]()
+        assert not hasattr(lrn, "theta")
+        assert lrn._rows.shape == lrn.v.shape == (lrn.n_nodes, lrn.dim + 1)
 
 
 class TestBetaGamma:
