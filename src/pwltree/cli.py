@@ -3,9 +3,11 @@
 Subcommands
 -----------
 run       run an experiment config (JSON) and write metrics CSV + summary
-verify    lockstep check of a collapsed learner against the explicit
-          mixture; exits 2 when any per-step gap exceeds the tolerance
-          or a prediction stops being finite
+verify    read an experiment config as run does and step each of its dft
+          and dat learners in lockstep with the explicit mixture built
+          from the same entry, over every trial's stream; exits 2 when
+          any per-step gap exceeds the tolerance or a prediction stops
+          being finite
 gen       write a synthetic stream to CSV
 snapshot  run a one-learner config partway through its stream and save a
           resumable snapshot: the config, the position and the learner state
@@ -24,11 +26,11 @@ import sys
 from pathlib import Path
 
 from . import datagen, harness
-from .trees import _integer
+from .trees import _integer, _real
 
-SNAPSHOT_SCHEMA = 4  # 4: the run config beside the position and the learner state
+SNAPSHOT_SCHEMA = 5  # 5: the summed e2 of the steps taken beside the config, position and state
 # the keys a snapshot holds, each required
-_SNAPSHOT_KEYS = dict.fromkeys(("schema", "config", "position", "state"), True)
+_SNAPSHOT_KEYS = dict.fromkeys(("schema", "config", "position", "cum_e2", "state"), True)
 
 
 class _StreamFault(ValueError):
@@ -75,14 +77,15 @@ def _cmd_verify(args) -> int:
     if not 0.0 <= args.tol < math.inf:
         return _fail(f"--tol must be a finite number >= 0, got {args.tol}")
     try:
-        gap = harness.verify_equivalence(args.mode, args.depth, args.steps, args.seed)
-    except (harness.ConfigError, ValueError) as exc:
+        gaps = harness.verify_config(harness.ExperimentConfig.from_file(args.config))
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    print(f"max per-step relative gap over {args.steps} steps (depth {args.depth}, "
-          f"{args.mode}): {gap:.3e}")
-    if not gap <= args.tol:
-        return _fail(f"gap {gap:.3e} exceeds tolerance {args.tol:.1e}", code=2)
-    return 0
+    code = 0
+    for name, gap in gaps.items():
+        print(f"{name}: max per-step relative gap {gap:.3e}")
+        if not gap <= args.tol:
+            code = _fail(f"{name}: gap {gap:.3e} exceeds tolerance {args.tol:.1e}", code=2)
+    return code
 
 
 def _cmd_gen(args) -> int:
@@ -99,10 +102,12 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _run_segment(config: harness.ExperimentConfig, start: int, steps: int, state=None):
+def _run_segment(config: harness.ExperimentConfig, start: int, steps: int, state=None,
+                 prior_e2: float = 0.0):
     """Build the stream and the one learner of ``config``, load ``state``
     into the learner when given, and step it through ``steps`` stream
-    steps from ``start``.  A config of more than one learner or trial, or
+    steps from ``start``, after steps whose squared errors summed to
+    ``prior_e2``.  A config of more than one learner or trial, or
     of a learner kind without a state (any but ``dft`` and ``dat``), is
     refused before the stream is drawn, and a fault of the stream's data
     raises ``_StreamFault``.  Returns the learner and the segment's
@@ -126,21 +131,24 @@ def _run_segment(config: harness.ExperimentConfig, start: int, steps: int, state
     if state is not None:
         learner.load_state(state)
     metrics = harness.run_stream(learner, stream.extended[start:stop], stream.targets[start:stop])
+    metrics.start, metrics.prior_e2 = start, prior_e2
     return learner, metrics
 
 
-def _write_segment(config, learner, metrics, start: int, out, metrics_path) -> None:
-    """Write, for a segment run from stream position ``start``, the
+def _write_segment(config, learner, metrics, out, metrics_path) -> None:
+    """Write, for a segment run from stream position ``metrics.start``, the
     snapshot after it to ``out`` and its metrics, one row per step
-    numbered from ``start + 1`` and filed as ``run`` files them, to
+    numbered from ``metrics.start + 1`` and filed as ``run`` files them,
+    with running columns that continue the steps before it, to
     ``metrics_path``; each only when its path is given."""
     if out:
+        cum_e2 = float(metrics.cum_e2[-1]) if len(metrics) else metrics.prior_e2
         harness.write_json({"schema": SNAPSHOT_SCHEMA, "config": config.to_dict(),
-                            "position": start + len(metrics),
+                            "position": metrics.start + len(metrics), "cum_e2": cum_e2,
                             "state": learner.state_snapshot()}, out)
     if metrics_path:
         harness.write_metrics_csv({harness._learner_name(config.learners[0]): metrics},
-                                  metrics_path, start=start)
+                                  metrics_path)
 
 
 def _cmd_snapshot(args) -> int:
@@ -150,7 +158,7 @@ def _cmd_snapshot(args) -> int:
         learner, metrics = _run_segment(config, 0, args.steps)
     except (OSError, ValueError, harness.TrialDiverged) as exc:
         return _fail(str(exc))
-    _write_segment(config, learner, metrics, 0, args.out, args.metrics)
+    _write_segment(config, learner, metrics, args.out, args.metrics)
     print(f"snapshot after {args.steps} steps written to {args.out}")
     return 0
 
@@ -172,15 +180,18 @@ def _cmd_restore(args) -> int:
     try:
         harness._check_keys("a snapshot", snapshot, _SNAPSHOT_KEYS)
         position = _integer(snapshot["position"], "position", 0)
+        prior_e2 = _real(snapshot["cum_e2"], "cum_e2", lambda v: 0 <= v < math.inf,
+                         "be a finite number >= 0")
         config = harness.ExperimentConfig.from_dict(snapshot["config"])
-        learner, metrics = _run_segment(config, position, args.steps, snapshot["state"])
+        learner, metrics = _run_segment(config, position, args.steps, snapshot["state"],
+                                        prior_e2)
     except (_StreamFault, OSError) as exc:  # the data's fault, not the snapshot's
         return _fail(str(exc))
     except ValueError as exc:
         return _fail(f"malformed snapshot: {exc}")
     except harness.TrialDiverged as exc:
         return _fail(f"{exc} after position {position}")
-    _write_segment(config, learner, metrics, position, args.out, args.metrics)
+    _write_segment(config, learner, metrics, args.out, args.metrics)
     print(f"continued {args.steps} steps from position {position}")
     return 0
 
@@ -196,10 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="check collapsed vs explicit mixture")
-    p_verify.add_argument("--depth", type=int, required=True)
-    p_verify.add_argument("--steps", type=int, required=True)
-    p_verify.add_argument("--mode", choices=("dft", "dat"), required=True)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("config", help="JSON experiment config with a dft or dat learner")
     p_verify.add_argument("--tol", type=float, default=1e-9)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -8,9 +8,11 @@ averaged pointwise.
 
 Every experiment that the CLI, the acceptance criteria and the demos run
 goes through one of three runners: :func:`run_experiment` for a config's
-learners over seeded trials, :func:`verify_equivalence` for a collapsed
-learner in lockstep with the explicit mixture, and :func:`weight_regret`
-for the combination-weight recursion against its best fixed weights.
+learners over seeded trials, :func:`verify_config` for a config's tree
+learners, each in lockstep with the explicit mixture built from its entry
+over the same streams (:func:`verify_equivalence` is its one-learner form
+on the matched stream), and :func:`weight_regret` for the
+combination-weight recursion against its best fixed weights.
 
 A config is checked whole when it is read, before any stream is drawn or
 learner built.  One key rule serves its three kinds of object, the top
@@ -21,8 +23,9 @@ or a required key left out is refused in one form, ``... takes only a, b
 and c, not 'x'`` or ``... requires 'y'``.  Its integer settings
 (``trials``, ``seed``, ``stride``, a stream's ``n``), a learner's
 ``depth`` and a snapshot's ``position``, ``depth`` and ``t`` are checked
-by ``trees._integer``.  ``pwltree snapshot`` reads its experiment as
-``run`` does, and a snapshot file carries that config for ``restore``.
+by ``trees._integer``.  ``pwltree snapshot`` and ``pwltree verify`` read
+their experiment as ``run`` does, and a snapshot file carries that config
+for ``restore``.
 """
 
 from __future__ import annotations
@@ -58,23 +61,31 @@ class TrialDiverged(RuntimeError):
 
 @dataclass
 class RunMetrics:
-    """Per-step squared errors of one run (or a pointwise trial average)."""
+    """Per-step squared errors of one run (or a pointwise trial average).
+    A run resumed partway through its stream starts after ``start`` stream
+    steps, whose squared errors summed to ``prior_e2``; its running columns
+    continue from them."""
 
     e2: np.ndarray
     counters: dict = field(default_factory=dict)
     trials: int = 1
+    start: int = 0
+    prior_e2: float = 0.0
 
     def __len__(self) -> int:
         return len(self.e2)
 
     @property
     def cum_e2(self) -> np.ndarray:
-        return np.cumsum(self.e2)
+        """Running sum of e^2 over the stream, one sequential sum from
+        ``prior_e2``, so a resumed run's sums are a straight run's bits."""
+        return np.cumsum(np.concatenate(([self.prior_e2], self.e2)))[1:]
 
     @property
     def norm_err(self) -> np.ndarray:
-        """Time-normalized accumulated squared error (1/t) sum of e^2."""
-        return self.cum_e2 / np.arange(1, len(self.e2) + 1)
+        """Time-normalized accumulated squared error (1/t) sum of e^2, t
+        the stream step."""
+        return self.cum_e2 / np.arange(self.start + 1, self.start + len(self.e2) + 1)
 
     @property
     def final_norm_err(self) -> float:
@@ -372,12 +383,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # metric output
 # ----------------------------------------------------------------------
 
-def write_metrics_csv(metrics: dict[str, RunMetrics], path, stride: int = 1,
-                      start: int = 0) -> None:
+def write_metrics_csv(metrics: dict[str, RunMetrics], path, stride: int = 1) -> None:
     """Long-format CSV of ``{name: RunMetrics}`` every ``stride`` steps: t,
     learner, e2, cum_e2, norm_err.  The final step of a non-empty run is
     always included.  Row ``t`` of a run is written as step
-    ``start + t + 1``, so a segment resumed at stream position ``start``
+    ``run.start + t + 1``, so a run resumed partway through its stream
     keeps its stream step numbers."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -388,7 +398,7 @@ def write_metrics_csv(metrics: dict[str, RunMetrics], path, stride: int = 1,
             n = len(run)
             rows = sorted(set(range(stride - 1, n, stride)) | {n - 1}) if n else []
             for t in rows:
-                writer.writerow([start + t + 1, name, repr(float(run.e2[t])),
+                writer.writerow([run.start + t + 1, name, repr(float(run.e2[t])),
                                  repr(float(cum[t])), repr(float(norm[t]))])
 
 
@@ -482,34 +492,51 @@ def load_csv_dataset(path, target_column) -> Stream:
 # ----------------------------------------------------------------------
 
 def verify_equivalence(mode: str, depth: int, steps: int, seed: int, mu: float = 0.01) -> float:
-    """Run a collapsed learner and the explicit mixture in lockstep on a
-    matched stream and return the worst relative prediction gap
-    ``|a - b| / (1 + |b|)`` over the run, or ``inf`` as soon as either
-    prediction stops being finite (a diverged run verifies nothing).  The
-    depth must be one the explicit mixture enumerates, ``[0,
-    MAX_ENUMERATION_DEPTH]``; another raises ValueError naming that range.
-    ``steps`` (an integer >= 1), ``depth`` and ``mode`` (``dft`` or
-    ``dat``) are checked before the stream is drawn."""
-    if _integer(steps, "steps") < 1:
-        raise ValueError(f"verify needs at least one step, got {steps}")
-    depth = _integer(depth, "depth")
-    if not 0 <= depth <= MAX_ENUMERATION_DEPTH:
-        raise ValueError(f"verify depth must be in [0, {MAX_ENUMERATION_DEPTH}], got {depth}")
-    if mode not in ("dft", "dat"):
-        raise ConfigError(f"unknown verify mode {mode!r}")
-    stream = generate("matched", steps, seed=seed)
-    hard = mode == "dft"
-    fast = (FixedTreeRegressor if hard else AdaptiveTreeRegressor)(depth, stream.dim, mu=mu)
-    slow = DirectMixtureRegressor(depth, stream.dim, mode="hard" if hard else "soft", mu=mu)
-    worst = 0.0
-    for x, d in zip(stream.extended, stream.targets.tolist()):
-        y_fast, _ = fast.step(x, d)
-        y_slow, _ = slow.step(x, d)
-        if not (math.isfinite(y_fast) and math.isfinite(y_slow)):
-            return math.inf
-        gap = abs(y_fast - y_slow) / (1.0 + abs(y_slow))
-        if gap > worst:
-            worst = gap
+    """The worst gap :func:`verify_config` finds for one collapsed learner,
+    ``mode`` (``dft`` or ``dat``) of ``depth`` and step size ``mu``, over
+    ``steps`` steps of the matched stream seeded with ``seed``; each value
+    is checked as a config's is."""
+    config = ExperimentConfig({"kind": "matched", "n": steps},
+                              [{"kind": mode, "depth": depth, "mu": mu}], seed=seed)
+    return verify_config(config)[mode]
+
+
+def verify_config(config: ExperimentConfig) -> dict[str, float]:
+    """Step every ``dft`` and ``dat`` learner of ``config`` in lockstep with
+    an explicit mixture built from the same entry, over every stream
+    :func:`run_experiment` would step, and return each learner's worst
+    relative prediction gap ``|a - b| / (1 + |b|)``, or ``inf`` once
+    either prediction stops being finite (a diverged run verifies nothing).
+    Its other learners are not stepped.  A config without a ``dft`` or
+    ``dat`` learner, or with one deeper than the explicit mixture
+    enumerates, ``MAX_ENUMERATION_DEPTH``, is refused before any stream is
+    drawn."""
+    entries = {_learner_name(e): e for e in config.learners if e["kind"] in ("dft", "dat")}
+    if not entries:
+        raise ConfigError("verify needs a dft or dat learner, not only "
+                          + _and([repr(_learner_name(e)) for e in config.learners]))
+    for name, entry in entries.items():
+        if not 0 <= _integer(entry["depth"], "depth", error=ConfigError) <= MAX_ENUMERATION_DEPTH:
+            raise ConfigError(f"cannot verify learner {name!r}: depth must be in "
+                              f"[0, {MAX_ENUMERATION_DEPTH}], got {entry['depth']}")
+    worst = dict.fromkeys(entries, 0.0)
+    for seed in range(config.seed, config.seed + config.trials):
+        stream = build_stream(config.stream, seed)
+        for name, entry in entries.items():
+            kind, params = _learner_params(entry)
+            fast = make_learner(entry, stream.dim)
+            # the oracle takes dat's theta as its boundaries, and the collapsed
+            # learner's mu, since dat's default is not the oracle's
+            params.update(mu=fast.mu, boundaries=params.pop("theta", params.get("boundaries")))
+            slow = DirectMixtureRegressor(dim=stream.dim, mode="hard" if kind == "dft" else "soft",
+                                          **params)
+            for x, d in zip(fast.features(stream.extended), stream.targets.tolist()):
+                y_fast, _ = fast.step(x, d)
+                y_slow, _ = slow.step(x, d)
+                if not (math.isfinite(y_fast) and math.isfinite(y_slow)):
+                    worst[name] = math.inf
+                    break
+                worst[name] = max(worst[name], abs(y_fast - y_slow) / (1.0 + abs(y_slow)))
     return worst
 
 

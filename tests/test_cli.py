@@ -1,5 +1,4 @@
 import csv
-import functools
 import json
 import math
 import shlex
@@ -33,9 +32,10 @@ def write_config(path, kind, n, depth=2, mu=0.005, stream="matched", seed=0, **t
 
 def put(snapshot, part, value):
     """Set ``part`` of a snapshot dict to ``value``: ``config``,
-    ``position`` and ``state`` are its own keys, ``learner`` the one learner
-    entry of its config, and any other part a key of its config."""
-    if part in ("config", "position", "state"):
+    ``position``, ``cum_e2`` and ``state`` are its own keys, ``learner`` the
+    one learner entry of its config, and any other part a key of its
+    config."""
+    if part in ("config", "position", "cum_e2", "state"):
         snapshot[part] = value
     elif part == "learner":
         snapshot["config"]["learners"] = [value]
@@ -54,61 +54,74 @@ def dat_snapshot(tmp_path_factory):
 
 
 class TestVerifyCommand:
-    def test_passes_at_default_tolerance(self, capsys):
-        assert main(["verify", "--depth", "2", "--steps", "200", "--mode", "dft"]) == 0
+    def test_passes_at_default_tolerance(self, tmp_path, capsys):
+        assert main(["verify", write_config(tmp_path / "exp.json", "dft", 200, mu=0.01)]) == 0
         out = capsys.readouterr().out
-        assert "max per-step relative gap" in out
+        assert out.startswith("dft: max per-step relative gap ")
 
-    def test_dat_mode(self):
-        assert main(["verify", "--depth", "1", "--steps", "150", "--mode", "dat"]) == 0
+    def test_dat_mode(self, tmp_path):
+        config = write_config(tmp_path / "exp.json", "dat", 150, depth=1, mu=0.01)
+        assert main(["verify", config]) == 0
 
-    def test_exit_two_when_tolerance_impossible(self, capsys):
-        code = main(["verify", "--depth", "2", "--steps", "200", "--mode", "dft",
+    def test_exit_two_when_tolerance_impossible(self, tmp_path, capsys):
+        code = main(["verify", write_config(tmp_path / "exp.json", "dft", 200, mu=0.01),
                      "--tol", "0"])
         assert code == 2
-        assert "exceeds tolerance" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("pwltree: dft: gap ") and err.endswith(" exceeds tolerance 0.0e+00\n")
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-    def test_tolerance_that_is_no_bound_exits_one(self, monkeypatch, capsys, tol):
+    def test_tolerance_that_is_no_bound_exits_one(self, monkeypatch, capsys, tmp_path, tol):
         # a NaN tolerance passed every gap, since gap > nan is False
         calls = []
-        monkeypatch.setattr(harness, "verify_equivalence", lambda *args: calls.append(args))
-        assert main(["verify", "--depth", "2", "--steps", "10", "--mode", "dft",
+        monkeypatch.setattr(harness, "verify_config", lambda *args: calls.append(args))
+        assert main(["verify", write_config(tmp_path / "exp.json", "dft", 10),
                      "--tol", tol]) == 1
         assert calls == []
-        assert f"--tol must be a finite number >= 0, got {float(tol)}" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"pwltree: --tol must be a finite number >= 0, got {float(tol)}\n"
 
-    def test_nan_gap_fails_the_tolerance(self, monkeypatch, capsys):
-        monkeypatch.setattr(harness, "verify_equivalence", lambda *args: float("nan"))
-        assert main(["verify", "--depth", "2", "--steps", "10", "--mode", "dft"]) == 2
-        assert "gap nan exceeds tolerance" in capsys.readouterr().err
+    def test_nan_gap_fails_the_tolerance(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(harness, "verify_config", lambda config: {"dft": float("nan")})
+        assert main(["verify", write_config(tmp_path / "exp.json", "dft", 10)]) == 2
+        assert capsys.readouterr().err == "pwltree: dft: gap nan exceeds tolerance 1.0e-09\n"
 
-    @pytest.mark.parametrize("steps", ["0", "-3"])
-    def test_no_steps_exits_one(self, capsys, steps):
-        assert main(["verify", "--depth", "2", "--steps", steps, "--mode", "dft"]) == 1
-        assert f"verify needs at least one step, got {steps}" in capsys.readouterr().err
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_no_steps_exits_one(self, tmp_path, capsys, steps):
+        assert main(["verify", write_config(tmp_path / "exp.json", "dft", steps)]) == 1
+        assert capsys.readouterr().err == f"pwltree: stream length n must be >= 1, got {steps}\n"
 
     @pytest.mark.parametrize("mode", ["dft", "dat"])
     @pytest.mark.parametrize("depth", ["-1", "5"])
-    def test_depth_outside_the_enumeration_range_exits_one(self, monkeypatch, capsys, depth,
-                                                           mode):
+    def test_depth_outside_the_enumeration_range_exits_one(self, monkeypatch, capsys, tmp_path,
+                                                           depth, mode):
         # the collapsed learners take depth 5, so the range named must be the
         # explicit mixture's, and it is checked before any stream is drawn
         drawn = []
         monkeypatch.setattr(harness, "generate", lambda *args, **kw: drawn.append(args))
-        assert main(["verify", "--depth", depth, "--steps", "10", "--mode", mode]) == 1
+        config = write_config(tmp_path / "exp.json", mode, 10, depth=int(depth))
+        assert main(["verify", config]) == 1
         assert drawn == []
-        assert capsys.readouterr().err == f"pwltree: verify depth must be in [0, 4], got {depth}\n"
+        assert capsys.readouterr().err == \
+            f"pwltree: cannot verify learner {mode!r}: depth must be in [0, 4], got {depth}\n"
 
-    def test_exit_two_when_run_diverges(self, monkeypatch, capsys):
+    def test_config_without_a_tree_learner_exits_one(self, monkeypatch, capsys, tmp_path):
+        drawn = []
+        monkeypatch.setattr(harness, "generate", lambda *args, **kw: drawn.append(args))
+        config = write_config(tmp_path / "exp.json", "dft", 10,
+                              learners=[{"kind": "lf"}, {"name": "volterra", "kind": "vf"}])
+        assert main(["verify", config]) == 1
+        assert drawn == []
+        assert capsys.readouterr().err == \
+            "pwltree: verify needs a dft or dat learner, not only 'lf' and 'volterra'\n"
+
+    def test_exit_two_when_run_diverges(self, tmp_path, capsys):
         # at mu = 1 the lockstep run overflows by step 13; the CLI must not
         # report the NaN gaps that follow as agreement
-        diverging = functools.partial(harness.verify_equivalence, mu=1.0)
-        monkeypatch.setattr(harness, "verify_equivalence", diverging)
         with np.errstate(all="ignore"):
-            code = main(["verify", "--depth", "2", "--steps", "200", "--mode", "dft"])
+            code = main(["verify", write_config(tmp_path / "exp.json", "dft", 200, mu=1.0)])
         assert code == 2
-        assert "gap inf exceeds tolerance" in capsys.readouterr().err
+        assert capsys.readouterr().err == "pwltree: dft: gap inf exceeds tolerance 1.0e-09\n"
 
 
 class TestRunCommand:
@@ -639,9 +652,9 @@ class TestSnapshotRestore:
     @pytest.mark.parametrize("mode", ["dft", "dat"])
     def test_restores_chain_to_the_straight_run(self, tmp_path, mode):
         # snapshot at 300, restore 300 more into a new snapshot, restore that
-        # for the last 400: every per-step error, its step number and the
-        # learner name it is filed under, and the final snapshot, match one
-        # straight 1000-step snapshot
+        # for the last 400: the segments' CSV rows, all five columns, match
+        # one straight run's and one straight 1000-step snapshot's, and the
+        # final snapshot matches that snapshot
         config = write_config(tmp_path / "exp.json", mode, 1000, stream="mismatched", seed=3,
                               learners=[{"name": "tree", "kind": mode, "depth": 2, "mu": 0.005}])
         assert main(["snapshot", config, "--steps", "1000", "--out", str(tmp_path / "full.json"),
@@ -653,13 +666,16 @@ class TestSnapshotRestore:
                          "--steps", str(steps), "--out", str(tmp_path / f"s{k + 1}.json"),
                          "--metrics", str(tmp_path / f"m{k + 1}.csv")]) == 0
 
-        def per_step(path):
-            return [row[:3] for row in read_csv(path)[1:]]
+        assert main(["run", config, "--out", str(tmp_path / "run")]) == 0
 
-        chained = sum((per_step(tmp_path / f"m{k}.csv") for k in (1, 2, 3)), [])
-        straight = per_step(tmp_path / "full.csv")
+        def text(path):
+            return Path(path).read_text()
+
+        chained = text(tmp_path / "m1.csv") + "".join(
+            text(tmp_path / f"m{k}.csv").split("\n", 1)[1] for k in (2, 3))
+        straight = read_csv(tmp_path / "full.csv")[1:]
         assert len(straight) == 1000 and {row[1] for row in straight} == {"tree"}
-        assert chained == straight
+        assert chained == text(tmp_path / "full.csv") == text(tmp_path / "run_metrics.csv")
         final = json.loads((tmp_path / "s3.json").read_text())
         assert final["position"] == 1000
         assert final == json.loads((tmp_path / "full.json").read_text())
@@ -703,7 +719,7 @@ class TestSnapshotRestore:
         config = write_config(tmp_path / "exp.json", "dat", 20, depth=1)
         assert main(["snapshot", config, "--steps", "10", "--out", str(snap)]) == 0
         snapshot = json.loads(snap.read_text())
-        assert snapshot["schema"] == SNAPSHOT_SCHEMA == 4
+        assert snapshot["schema"] == SNAPSHOT_SCHEMA == 5
         assert "t" not in snapshot
         assert snapshot["state"]["t"] == 11
         assert snapshot["config"] == harness.ExperimentConfig.from_file(config).to_dict()
@@ -715,13 +731,13 @@ class TestSnapshotRestore:
                      "--out", str(snap)]) == 0
         snapshot = json.loads(snap.read_text())
         # 2 held one {label, w, v, theta?} object per node; 3 held the stream,
-        # learner and seed in place of the config
-        for schema in (1, 2, 3):
+        # learner and seed in place of the config; 4 held no cum_e2
+        for schema in (1, 2, 3, 4):
             snapshot["schema"] = schema
             snap.write_text(json.dumps(snapshot))
             assert main(["restore", "--snapshot", str(snap), "--steps", "5"]) == 1
-            assert f"unsupported snapshot schema {schema} (this version reads schema 4)" \
-                in capsys.readouterr().err
+            assert capsys.readouterr().err == (f"pwltree: unsupported snapshot schema {schema} "
+                                               f"(this version reads schema 5)\n")
 
     def test_restore_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -745,7 +761,7 @@ class TestSnapshotRestore:
                                              ("bogus", 1)])
     def test_restore_rejects_non_object_parts(self, tmp_path, capsys, part, value):
         # part None: the file holds a JSON list around the snapshot; part
-        # bogus: a key no snapshot holds, beside the four a snapshot holds
+        # bogus: a key no snapshot holds, beside the five a snapshot holds
         snap = tmp_path / "s.json"
         assert main(["snapshot", write_config(tmp_path / "exp.json", "dft", 200, depth=1),
                      "--steps", "100", "--out", str(snap)]) == 0
@@ -764,8 +780,11 @@ class TestSnapshotRestore:
         ("stream", {"kind": "matched", "n": 200, "bogus": 1}),
         ("position", "x"), ("position", True), ("position", 1.5), ("position", -1),
         ("seed", 1.5), ("seed", True), ("seed", "3"),
+        ("cum_e2", "1.0"), ("cum_e2", True), ("cum_e2", None), ("cum_e2", -1.0),
+        ("cum_e2", float("nan")), ("cum_e2", float("inf")),
     ], ids=["stream-unknown-key", "position-str", "position-bool", "position-float",
-            "position-negative", "seed-float", "seed-bool", "seed-str"])
+            "position-negative", "seed-float", "seed-bool", "seed-str", "cum_e2-str",
+            "cum_e2-bool", "cum_e2-null", "cum_e2-negative", "cum_e2-nan", "cum_e2-inf"])
     def test_restore_rejects_malformed_stream_position_and_seed(self, tmp_path, capsys,
                                                                  part, value):
         snap, metrics = tmp_path / "s.json", tmp_path / "m.csv"
@@ -777,6 +796,26 @@ class TestSnapshotRestore:
         assert main(["restore", "--snapshot", str(snap), "--steps", "10",
                      "--metrics", str(metrics)]) == 1
         assert "pwltree: malformed snapshot: " in capsys.readouterr().err
+        assert not metrics.exists()
+
+    @pytest.mark.parametrize("value, message", [
+        (None, "a snapshot requires 'cum_e2'"),
+        (-1.0, "cum_e2 must be a finite number >= 0, got -1.0"),
+    ], ids=["missing", "negative"])
+    def test_restore_names_a_bad_cum_e2(self, tmp_path, capsys, value, message):
+        snap, metrics = tmp_path / "s.json", tmp_path / "m.csv"
+        assert main(["snapshot", write_config(tmp_path / "exp.json", "dft", 200, depth=1),
+                     "--steps", "100", "--out", str(snap)]) == 0
+        snapshot = json.loads(snap.read_text())
+        if value is None:
+            del snapshot["cum_e2"]
+        else:
+            snapshot["cum_e2"] = value
+        snap.write_text(json.dumps(snapshot))
+        capsys.readouterr()
+        assert main(["restore", "--snapshot", str(snap), "--steps", "10",
+                     "--metrics", str(metrics)]) == 1
+        assert capsys.readouterr().err == f"pwltree: malformed snapshot: {message}\n"
         assert not metrics.exists()
 
     def test_snapshot_rejects_overrun(self, tmp_path):
@@ -921,8 +960,8 @@ class TestSeedRange:
                                                           seed=seed),
                                  "--steps", "10", "--out", out],
             "restore": lambda: self.restore_seed(tmp_path, seed),
-            "verify": lambda: ["verify", "--depth", "1", "--steps", "5", "--mode", "dft",
-                               "--seed", str(seed)],
+            "verify": lambda: ["verify", write_config(tmp_path / "verify.json", "dft", 5, depth=1,
+                                                      seed=seed)],
         }[entry]()
         capsys.readouterr()
         assert main(argv) == 1
@@ -941,24 +980,15 @@ class TestSeedRange:
 
 
 @pytest.mark.parametrize("argv, seed", [
-    (["verify", "--depth", "1", "--steps", "5", "--mode", "dft"], 0),
-    (["verify", "--depth", "1", "--steps", "5", "--mode", "dft", "--seed", "3"], 3),
     (["gen", "matched", "--n", "5", "--out", "m.csv"], 0),
-], ids=["verify", "verify-seed-given", "gen"])
+], ids=["gen"])
 def test_non_integer_seed_variable_exits_one(monkeypatch, capsys, tmp_path, argv, seed):
     # a malformed PWLTREE_SEED once made every command exit 1; the variable is
-    # no longer read, so every --seed defaults to 0 and the command runs
+    # no longer read, so --seed defaults to 0 and the command runs
     monkeypatch.setenv("PWLTREE_SEED", "abc")
     monkeypatch.chdir(tmp_path)
-    seeds = []
-    verify = harness.verify_equivalence
-    monkeypatch.setattr(harness, "verify_equivalence",
-                        lambda *args: seeds.append(args[3]) or verify(*args))
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
-    if argv[0] == "verify":
-        assert seeds == [seed]
-        return
     got = np.array([[float(c) for c in row] for row in read_csv(tmp_path / "m.csv")[1:]])
     want = generate("matched", 5, seed=seed)
     np.testing.assert_array_equal(got, np.column_stack([want.inputs, want.targets]))

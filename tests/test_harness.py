@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from pwltree.adaptive_tree import AdaptiveTreeRegressor
 from pwltree.datagen import gen_henon, generate, stream_to_csv
 from pwltree import harness
 from pwltree.fixed_tree import FixedTreeRegressor
+from pwltree.mixture import DirectMixtureRegressor
 from pwltree.trees import Learner
 from pwltree.harness import (
     ConfigError,
@@ -22,6 +24,7 @@ from pwltree.harness import (
     make_learner,
     run_experiment,
     run_stream,
+    verify_config,
     verify_equivalence,
     write_metrics_csv,
     write_summary_json,
@@ -743,18 +746,37 @@ class TestVerify:
         with np.errstate(all="ignore"):
             assert verify_equivalence(mode, 2, 200, seed=5, mu=1.0) == float("inf")
 
+    def test_collapsed_learner_steps_before_the_oracle_once_per_row(self, monkeypatch):
+        # the benchmark's lockstep clock times a step from the collapsed
+        # learner's step to the oracle's, so the two must alternate
+        calls = []
+
+        def recording(cls, label):
+            class Recording(cls):
+                def step(self, x_ext, d_t):
+                    calls.append(label)
+                    return super().step(x_ext, d_t)
+            return Recording
+
+        monkeypatch.setattr(harness, "FixedTreeRegressor", recording(FixedTreeRegressor, "fast"))
+        monkeypatch.setattr(harness, "DirectMixtureRegressor",
+                            recording(DirectMixtureRegressor, "slow"))
+        assert verify_equivalence("dft", 1, 20, seed=5) <= 1e-9
+        assert calls == ["fast", "slow"] * 20
+
     def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^unknown learner kind 'nope'$"):
             verify_equivalence("nope", 2, 10, seed=1)
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_no_steps_refused(self, steps):
-        with pytest.raises(ValueError, match=f"verify needs at least one step, got {steps}"):
+        with pytest.raises(ConfigError, match=f"^stream length n must be >= 1, got {steps}$"):
             verify_equivalence("dft", 2, steps, seed=1)
 
     @pytest.mark.parametrize("steps", [2.5, 10.0, True, "10", None])
     def test_non_integer_steps_refused(self, steps):
-        with pytest.raises(ValueError, match=re.escape(f"steps must be an integer, got {steps!r}")):
+        message = re.escape(f"stream length n must be an integer, got {steps!r}")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             verify_equivalence("dft", 2, steps, seed=1)
 
     def test_unknown_mode_refused_before_the_stream_is_drawn(self, monkeypatch):
@@ -762,5 +784,92 @@ class TestVerify:
             raise AssertionError("stream drawn for an unknown mode")
 
         monkeypatch.setattr(harness, "generate", refuse)
-        with pytest.raises(ConfigError, match=re.escape("unknown verify mode 'nope'")):
+        with pytest.raises(ConfigError, match=r"^unknown learner kind 'nope'$"):
             verify_equivalence("nope", 2, 10, seed=1)
+
+    @pytest.mark.parametrize("mode", ["dft", "dat"])
+    @pytest.mark.parametrize("depth", [-1, 5])
+    def test_depth_outside_the_enumeration_range_refused(self, monkeypatch, mode, depth):
+        monkeypatch.setattr(harness, "generate", lambda *args, **kwargs: pytest.fail("drawn"))
+        message = re.escape(f"cannot verify learner {mode!r}: depth must be in [0, 4], got {depth}")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            verify_equivalence(mode, depth, 10, seed=1)
+
+    def test_config_without_a_tree_learner_refused(self, monkeypatch):
+        monkeypatch.setattr(harness, "generate", lambda *args, **kwargs: pytest.fail("drawn"))
+        config = ExperimentConfig({"kind": "matched", "n": 10},
+                                  [{"kind": "lf"}, {"name": "volterra", "kind": "vf"}])
+        with pytest.raises(ConfigError, match="^verify needs a dft or dat learner, not only "
+                                              "'lf' and 'volterra'$"):
+            verify_config(config)
+
+
+def non_axis(depth: int, seed: int) -> list:
+    """Hyperplanes of a depth-``depth`` tree over 2 inputs that lie along no axis."""
+    return np.random.default_rng(seed).normal(size=((1 << depth) - 1, 3)).tolist()
+
+
+class TestVerifyConfig:
+    """``verify_config`` builds each explicit mixture from the learner's own
+    entry, so every option the entry sets reaches the oracle."""
+
+    @pytest.mark.parametrize("depth", range(5))
+    @pytest.mark.parametrize("case", ["s_plus", "theta", "boundaries", "normalize",
+                                      "default-mu"])
+    def test_options_reach_the_oracle(self, depth, case):
+        stream = {"kind": "mismatched", "n": 300}
+
+        def planes(key, seed):  # a depth-0 tree has no hyperplanes to set
+            return {key: non_axis(depth, seed)} if depth else {}
+
+        learners = {
+            "s_plus": [{"kind": "dat", "depth": depth, "mu": 0.005, "s_plus": 0.05}],
+            "theta": [{"kind": "dat", "depth": depth, "mu": 0.005, **planes("theta", 1)}],
+            "boundaries": [{"kind": "dft", "depth": depth, "mu": 0.005,
+                            **planes("boundaries", 2)}],
+            "normalize": [{"kind": "dat", "depth": depth, "mu": 0.005},
+                          {"kind": "dft", "depth": depth, "mu": 0.005}],
+            # dat's default mu, 0.005, is not the oracle's, 0.01
+            "default-mu": [{"kind": "dat", "depth": depth}],
+        }[case]
+        if case == "normalize":
+            stream["normalize"] = True
+        gaps = verify_config(ExperimentConfig(stream, learners, trials=2, seed=3))
+        assert list(gaps) == [entry["kind"] for entry in learners]
+        assert all(gap <= 1e-9 for gap in gaps.values()), gaps
+
+    def test_every_stream_of_every_trial_is_stepped(self, monkeypatch):
+        seeds = []
+        build = harness.build_stream
+        monkeypatch.setattr(harness, "build_stream",
+                            lambda spec, seed: seeds.append(seed) or build(spec, seed))
+        config = ExperimentConfig({"kind": "matched", "n": 20},
+                                  [{"kind": "dft", "depth": 1}, {"kind": "lf"},
+                                   {"name": "soft", "kind": "dat", "depth": 2}],
+                                  trials=3, seed=7)
+        assert list(verify_config(config)) == ["dft", "soft"]
+        assert seeds == [7, 8, 9]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("depth", range(5))
+@pytest.mark.parametrize("mode", ["dft", "dat"])
+def test_verify_equivalence_runs_the_hand_built_lockstep(mode, depth, seed):
+    # the oracle-lockstep benchmark times verify_equivalence, so its gap must
+    # stay the arithmetic of two learners built by hand and stepped in
+    # lockstep over the matched stream
+    mu = 0.005
+    stream = generate("matched", 300, seed=seed)
+    if mode == "dft":
+        fast = FixedTreeRegressor(depth, 2, mu=mu)
+        slow = DirectMixtureRegressor(depth, 2, mode="hard", mu=mu)
+    else:
+        fast = AdaptiveTreeRegressor(depth, 2, mu=mu)
+        slow = DirectMixtureRegressor(depth, 2, mode="soft", mu=mu)
+    worst = 0.0
+    for x, d in zip(stream.extended, stream.targets.tolist()):
+        y_fast, _ = fast.step(x, d)
+        y_slow, _ = slow.step(x, d)
+        assert math.isfinite(y_fast) and math.isfinite(y_slow)
+        worst = max(worst, abs(y_fast - y_slow) / (1.0 + abs(y_slow)))
+    assert verify_equivalence(mode, depth, 300, seed, mu=mu).hex() == worst.hex()
