@@ -106,7 +106,10 @@ def _step_size(mu) -> float:
 def _hyperplanes(planes, n_internal: int, dim: int, name: str) -> np.ndarray:
     """``planes`` as a fresh float array, one finite row of ``dim + 1``
     numbers per internal node, booleans and strings excluded; anything
-    else raises ValueError naming ``name``."""
+    else raises ValueError naming ``name``.  A depth-0 tree's ``[]``, no
+    row at all, has the shape ``(0, dim + 1)``."""
+    if n_internal == 0 and isinstance(planes, list) and not planes:
+        return np.empty((0, dim + 1))
     planes = _numeric(planes, (n_internal, dim + 1))
     if planes is None:
         raise ValueError(f"{name} must have shape ({n_internal}, {dim + 1}) and hold only numbers")
@@ -625,12 +628,17 @@ def membership_matrix(depth: int) -> np.ndarray:
     """(beta(depth), n_nodes) 0/1 matrix: row k marks the leaves of
     ``enumerate_partitions(depth)[k]``.  Built bottom-up by the same
     recursion, one broadcast add per level, forming no partition set: a
-    node's rows are itself, then each lower-child row plus each upper-child row."""
+    node's rows are itself, then each lower-child row plus each upper-child row.
+
+    The matrix is column-major (F-contiguous): node ``i``'s memberships
+    are one contiguous column of ``beta(depth)`` entries.  The root's rows
+    are concatenated straight into that layout, so no copy follows."""
     _check_enumeration_depth(depth)
     eye = np.eye(node_count(depth))
     rows = eye[(1 << depth) - 1:, None]  # a leaf's one partition: itself
     for lev in range(depth - 1, -1, -1):
         kids = rows.reshape(1 << lev, 2, rows.shape[1], -1)  # siblings adjacent: lower, upper
         cross = (kids[:, 0, :, None] + kids[:, 1, None]).reshape(1 << lev, -1, len(eye))
-        rows = np.concatenate([eye[(1 << lev) - 1:(2 << lev) - 1, None], cross], axis=1)
+        out = np.empty((1 << lev, len(cross[0]) + 1, len(eye)), order="F" if lev == 0 else "C")
+        rows = np.concatenate([eye[(1 << lev) - 1:(2 << lev) - 1, None], cross], axis=1, out=out)
     return rows[0]

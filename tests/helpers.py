@@ -24,9 +24,10 @@ gate rise was carried on the prediction and the hard path was walked on
 floats; ``reference_mixture_step`` is the same for
 the explicit mixture, in the form its step had before it was written as
 ``.dot`` products, and ``loop_membership`` its membership matrix filled
-entry by entry.  The references build their own descendant and ancestor
-tables, ``subtree_matrix`` and ``row_ancestors``, from the bit strings
-``i + 1``, so they read none of the heap tables they check.
+entry by entry, in the oracle's column-major layout.  The references
+build their own descendant and ancestor tables, ``subtree_matrix`` and
+``row_ancestors``, from the bit strings ``i + 1``, so they read none of
+the heap tables they check.
 """
 
 import copy
@@ -317,8 +318,10 @@ def reference_dot_step(lrn, x, d):
 
 
 def loop_membership(partitions, n_nodes):
-    """(n_partitions, n_nodes) 0/1 matrix filled one member at a time."""
-    m = np.zeros((len(partitions), n_nodes))
+    """(n_partitions, n_nodes) 0/1 matrix filled one member at a time,
+    column-major as the oracle's: a product with it sums in the oracle's
+    order, so the references below give the oracle's bits."""
+    m = np.zeros((len(partitions), n_nodes), order="F")
     for k, part in enumerate(partitions):
         for p in part:
             m[k, p] = 1.0

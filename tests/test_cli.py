@@ -134,6 +134,19 @@ class TestRunCommand:
         path.write_text(json.dumps({"schema": 1, "stream": {"n": 5}, "learners": []}))
         assert main(["run", str(path)]) == 1
 
+    def test_depth_zero_tree_with_empty_hyperplanes_exits_zero(self, tmp_path, capsys):
+        # a depth-0 tree has no internal node, so its hyperplanes are the empty list
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "stream": {"kind": "matched", "n": 20},
+            "learners": [{"kind": "dat", "depth": 0, "theta": []},
+                         {"kind": "dft", "depth": 0, "boundaries": []}],
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        rows = read_csv(tmp_path / "out_metrics.csv")
+        assert {row[1] for row in rows[1:]} == {"dat", "dft"}
+
     @pytest.mark.parametrize("top, kind", [(5, "int"), ([1], "list"), (None, "NoneType"),
                                            ("abc", "str")])
     def test_config_that_is_not_an_object_exits_one(self, tmp_path, capsys, top, kind):

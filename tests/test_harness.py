@@ -533,11 +533,19 @@ class TestConfig:
          "boundaries must have shape (1, 3) and hold only numbers"),
         ({"kind": "direct", "depth": 1, "boundaries": [["0.5", 0, 0]]},
          "boundaries must have shape (1, 3) and hold only numbers"),
+        # a depth-0 tree takes only the empty list: an empty row is still a row
+        ({"kind": "dat", "depth": 0, "theta": [[]]},
+         "theta must have shape (0, 3) and hold only numbers"),
+        ({"kind": "dft", "depth": 0, "boundaries": [[0.0, 1.0, 0.0]]},
+         "boundaries must have shape (0, 3) and hold only numbers"),
+        ({"kind": "direct", "depth": 0, "boundaries": [[]]},
+         "boundaries must have shape (0, 3) and hold only numbers"),
     ], ids=["dft-bool-depth", "direct-bool-depth", "dat-float-depth", "direct-string-depth",
             "dat-string-s-plus", "soft-direct-bool-s-plus", "hard-direct-string-s-plus",
             "vf-float-order", "gkr-bool-covariance", "gkr-string-covariance",
             "gkr-bool-in-covariance", "gkr-bool-in-centers", "dat-bool-in-theta",
-            "dft-bool-in-boundaries", "direct-string-in-boundaries"])
+            "dft-bool-in-boundaries", "direct-string-in-boundaries", "dat-d0-empty-row-theta",
+            "dft-d0-row-in-boundaries", "direct-d0-empty-row-boundaries"])
     def test_learner_param_type_named(self, spec, message):
         with pytest.raises(ConfigError, match=re.escape(
                 f"cannot build learner kind '{spec['kind']}': {message}")):
@@ -817,16 +825,13 @@ class TestVerifyConfig:
     @pytest.mark.parametrize("case", ["s_plus", "theta", "boundaries", "normalize",
                                       "default-mu"])
     def test_options_reach_the_oracle(self, depth, case):
+        # a depth-0 tree's hyperplanes are the empty list
         stream = {"kind": "mismatched", "n": 300}
-
-        def planes(key, seed):  # a depth-0 tree has no hyperplanes to set
-            return {key: non_axis(depth, seed)} if depth else {}
-
         learners = {
             "s_plus": [{"kind": "dat", "depth": depth, "mu": 0.005, "s_plus": 0.05}],
-            "theta": [{"kind": "dat", "depth": depth, "mu": 0.005, **planes("theta", 1)}],
+            "theta": [{"kind": "dat", "depth": depth, "mu": 0.005, "theta": non_axis(depth, 1)}],
             "boundaries": [{"kind": "dft", "depth": depth, "mu": 0.005,
-                            **planes("boundaries", 2)}],
+                            "boundaries": non_axis(depth, 2)}],
             "normalize": [{"kind": "dat", "depth": depth, "mu": 0.005},
                           {"kind": "dft", "depth": depth, "mu": 0.005}],
             # dat's default mu, 0.005, is not the oracle's, 0.01

@@ -14,7 +14,7 @@ from pwltree.mixture import (
     batch_best_weights,
     empirical_strong_convexity,
 )
-from pwltree.trees import beta
+from pwltree.trees import beta, membership_matrix
 
 from helpers import is_ancestor, label, loop_membership, subtree_matrix
 
@@ -89,6 +89,18 @@ class TestDirectPredict:
             (getattr(a._gates, name), getattr(b._gates, name)) for name in ("gate", "sign", "offset")]
         for ours, theirs in pairs:
             assert np.array_equal(ours, theirs) and not np.shares_memory(ours, theirs)
+
+    @pytest.mark.parametrize("depth", range(5))
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_keeps_the_column_major_membership(self, monkeypatch, depth, mode):
+        # the oracle holds the array membership_matrix returns, looked up
+        # in this module at build time, without a copy to another layout
+        built = []
+        monkeypatch.setattr(mixture, "membership_matrix",
+                            lambda depth: built.append(membership_matrix(depth)) or built[-1])
+        lrn = DirectMixtureRegressor(depth, 2, mode=mode)
+        assert len(built) == 1 and lrn.membership is built[0]
+        assert lrn.membership.flags.f_contiguous
 
     @pytest.mark.parametrize("depth", range(5))
     @pytest.mark.parametrize("mode", ["hard", "soft"])

@@ -215,6 +215,29 @@ def test_mixture_step_matches_reference_bit_for_bit(mode, depth, seed, mu, s_plu
         assert same_bits(lrn.theta, theta_want)
 
 
+@pytest.mark.parametrize("depth", range(5))
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), s_plus=st.sampled_from([1e-4, 0.01, 0.2]),
+       scale=st.floats(-2.0, 2.0), on_plane=st.booleans())
+def test_column_major_membership_products_match_row_major(depth, seed, s_plus, scale,
+                                                          on_plane):
+    # the soft oracle's two membership products on its column-major matrix
+    # sum in another order than on a row-major copy: they agree to a
+    # relative 1e-13 of the sums of their absolute terms
+    rng = np.random.default_rng(seed)
+    lrn = DirectMixtureRegressor(depth, 2, mode="soft", s_plus=s_plus,
+                                 boundaries=random_planes(depth, seed, on_plane))
+    lrn.w_vec = rng.normal(size=lrn.w_vec.shape) * 10.0 ** scale
+    lrn.v = rng.normal(size=lrn.v.shape) * 10.0 ** scale
+    pred = lrn.predict(np.append(3.0 * rng.normal(size=2), 1.0))
+    rows = np.ascontiguousarray(lrn.membership)
+    assert lrn.membership.flags.f_contiguous and rows.flags.c_contiguous
+    for got, want, size in [
+            (pred.model_estimates, rows.dot(pred.h), rows.dot(np.abs(pred.h))),
+            (lrn.w_vec.dot(lrn.membership), lrn.w_vec.dot(rows), np.abs(lrn.w_vec).dot(rows))]:
+        assert np.all(np.abs(got - want) <= 1e-13 * size)
+
+
 gate_values = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                         st.sampled_from([1e-4, 0.01, 0.2]).flatmap(
                             lambda s_plus: st.sampled_from([s_plus, 1.0 - s_plus])))

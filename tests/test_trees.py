@@ -658,7 +658,11 @@ class TestMembership:
     def test_equals_the_per_entry_loop(self, depth):
         parts = enumerate_partitions(depth)
         n = node_count(depth)
-        assert np.array_equal(membership_matrix(depth), loop_membership(parts, n))
+        m = membership_matrix(depth)
+        assert np.array_equal(m, loop_membership(parts, n))
+        # column-major: each node's memberships are one contiguous column,
+        # so the soft oracle's two membership products stream down whole columns
+        assert m.flags.f_contiguous
 
     def test_refused_beyond_the_enumeration_depth(self):
         depth = MAX_ENUMERATION_DEPTH + 1
