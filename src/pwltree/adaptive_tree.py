@@ -15,23 +15,26 @@ which the explicit mixture's soft mode calls too.  The clamp check,
 and the prediction fields the kernel reads are declared there once.
 This learner hands the kernel the cached heap tables of its depth,
 contiguous and shared with every learner of that depth: the branch
-tables, the gate, sign and offset of every entry of the level-major
-ancestor table, and the root-less rows of the descendant table.  Activations are one gather of the gate values, a
-sign and an offset per ancestor entry and one ``np.multiply.reduce`` down
-the rows; the subtree sums of every child are one matrix-vector product.
+index of every entry of the level-major ancestor table and the root-less
+rows of the descendant table.  Activations are one gather, through that
+index, from the kernel's branch buffer ``[s | 1 - s | 1.0]`` and one
+``np.multiply.reduce`` down the rows; the subtree sums of every child are
+one matrix-vector product.
 
 The regressors ``v`` and the hyperplanes ``theta`` are the two parts of
 one array of rows (see :class:`pwltree.trees.TreeBase`), both moved along
 the input on every step, so ``predict`` forms every node's estimate and
 every gate's product in one product and ``update_boundaries`` steps both
 in one rank-1 step; ``update_weights`` steps only the node weights.  A
-step is about 33 numpy calls at every depth (14 in ``predict``, 3 in
-``update_weights``, 7 in ``boundary_factors``, 9 in
+step is at most 31 numpy calls at every depth (13 in ``predict``, 3 in
+``update_weights``, 7 in ``boundary_factors``, 8 in
 ``update_boundaries``; three of them write a scalar step factor into a
 0-d array), against some 4k flops at depth 5, so on these small arrays
-the form of a call sets its cost.  Every product is a ``.dot``, which
-reaches BLAS with less dispatch than ``@``; the rank-1 step is an
-``(n, 1) . (1, dim + 1)`` product, which gives the bits of the broadcast
+the form of a call sets its cost.  The kernel writes the clamped gates
+and the rank-1 step's moves into buffers it owns, through views made
+once, so no step slices or concatenates them.  Every product is a
+``.dot``, which reaches BLAS with less dispatch than ``@``; the rank-1
+step is an ``(n, 1) . (1, dim + 1)`` product, which gives the bits of the broadcast
 ``a[:, None] * x`` in half the time or less.  The kernel holds the gate
 clamp's constants as 0-d arrays, and the step factors ``mu e`` and
 ``-eta e`` are written into 0-d arrays, which numpy takes with less
@@ -90,8 +93,8 @@ class AdaptiveTreeRegressor(_SoftTail, TreeLearner):
 
     def __init__(self, depth, dim, mu=0.005, s_plus=0.01, theta=None):
         super().__init__(depth, dim, mu)
-        _, descendants, _, branches = _heap_tables(depth)
-        self._soft_gates(s_plus, (branches, descendants[1:]))
+        _, descendants, _, index = _heap_tables(depth)
+        self._soft_gates(s_plus, (index, descendants[1:]))
         if theta is None:
             theta = initial_directions(depth, dim)
         self.theta = _hyperplanes(theta, self.n_internal, self.dim, "theta")

@@ -26,7 +26,7 @@ soft mode, the hyperplanes ``theta`` below them.  What the oracle
 checks the learners with stays its own.  Each instance builds its own membership matrix, by level
 recursion and column-major, its own partition weights ``w_vec`` and its own span masks;
 in hard mode also the 0/1 activations of every root -> leaf path and the
-owner table, in soft mode the branch tables of a level-major ancestor
+owner table, in soft mode the branch index of a level-major ancestor
 table, both from the bit strings ``i + 1``.  It reads no heap table of
 :mod:`pwltree.trees`, forms no partition set (``partitions`` enumerates
 them on demand), and every step still forms all ``beta(depth)``
@@ -52,18 +52,20 @@ that the adaptive tree calls, run on this instance's own tables (the
 clamp check, ``step_cap`` and ``update_boundaries`` are the soft tail
 the two share): the activations are the branch factors ``f`` (1.0 at
 the root, ``s`` at a lower child, ``1 - s`` at an upper one) gathered
-and multiplied down the contiguous rows of the ancestor table, and the
-boundary step divides both child subtree sums of every gate, read from
-the span masks, by ``f`` at once and reuses the gate rise ``(1 - 2
-s_plus) u`` that ``predict`` built.  What the oracle checks stays its own: the partition weights, the
+in one ``take`` from the kernel's branch buffer and multiplied down the
+contiguous rows of the ancestor table, and the boundary step divides
+both child subtree sums of every gate, read from the span masks, by
+``f`` at once and reuses the gate rise ``(1 - 2 s_plus) u`` that
+``predict`` built.  What the oracle checks stays its own: the partition weights, the
 estimates of every partition and the membership sums that carry them to
 the nodes.
 
 A step is a fixed number of numpy calls whatever the depth: 12 in hard
-mode (6 in ``predict``, 6 in ``update``) and 34 in soft mode (14 in
-``predict``, 20 in ``update``, 8 of them in ``boundary_factors``), the
-scalar step factors written into 0-d arrays.  On these small arrays a
-call's dispatch outweighs its arithmetic, so every product is a
+mode (6 in ``predict``, 6 in ``update``) and at most 32 in soft mode
+(13 in ``predict``, 19 in ``update``, 8 of them in
+``boundary_factors``), the scalar step factors written into 0-d
+arrays.  On these small arrays a call's dispatch outweighs its
+arithmetic, so every product is a
 ``.dot``, which reaches BLAS with less dispatch than ``@``; one product
 of the row array with the input gives every node's estimate and, in
 soft mode, every gate's product, and the rank-1 step of the rows is an
@@ -103,7 +105,7 @@ from .trees import (
     MAX_ENUMERATION_DEPTH,
     SoftPrediction,
     TreeBase,
-    _branch_tables,
+    _branch_index,
     _hard_leaf,
     _hyperplanes,
     _SoftTail,
@@ -158,9 +160,9 @@ class DirectMixtureRegressor(_SoftTail, TreeBase):
             # level-major ancestors: column i is the root -> i path below
             # the root, bottom-aligned and top-padded with the root 0, the
             # ancestor k levels up being ((i + 1) >> k) - 1; the gate kernel
-            # reads its branch tables and the span masks
+            # reads its branch index and the span masks
             ancestors = np.maximum((ids >> np.arange(self.depth - 1, -1, -1)[:, None]) - 1, 0)
-            tables = (_branch_tables(ancestors), self._spans)
+            tables = (_branch_index(ancestors), self._spans)
         self._soft_gates(s_plus, tables)
         if boundaries is None:
             boundaries = initial_directions(self.depth, self.dim)

@@ -33,7 +33,11 @@ the two collapsed learners.  ``_SoftGates`` is the gate kernel both soft
 learners, the adaptive tree and the explicit mixture's soft mode, call:
 their gates, activation cascade, boundary-step factors and the capped
 step of their rows are written once, here, as is the hard gates' walk,
-``_hard_leaf``, of the fixed tree and the mixture's hard mode.
+``_hard_leaf``, of the fixed tree and the mixture's hard mode.  The
+kernel gathers every branch factor in one ``take`` through a
+``_branch_index`` table and writes each step into two buffers it owns,
+through views made once, so a step is at most 31 numpy calls on the
+adaptive tree and 32 on the soft mixture.
 ``_SoftTail`` is what the two soft learners share around that kernel:
 the gate clamp's check, the kernel's build, ``step_cap`` and
 ``update_boundaries``; ``SoftPrediction`` declares the fields of a
@@ -126,8 +130,8 @@ def _gate_clamp(s_plus) -> float:
 
 
 @lru_cache(maxsize=None)
-def _heap_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-    """Ancestor, descendant, common-level and branch tables of the
+def _heap_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Ancestor, descendant, common-level and branch-index tables of the
     depth-``depth`` heap, built once per depth on first use and cached,
     read-only and C-contiguous.
 
@@ -138,8 +142,8 @@ def _heap_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]
     descendant table is 1.0 when ``i`` lies in the subtree of ``a``,
     ``a`` included.  Entry ``[p, q]`` of the common-level table is the
     level of the deepest common ancestor of ``p`` and ``q``, so its
-    diagonal holds the node levels.  The branch tables are the
-    ``_branch_tables`` of the ancestor table.  Node ``i`` sits at level
+    diagonal holds the node levels.  The branch-index table is the
+    ``_branch_index`` of the ancestor table.  Node ``i`` sits at level
     ``floor(log2(i + 1))`` and its ancestor ``k`` levels up is
     ``((i + 1) >> k) - 1``.
     """
@@ -156,22 +160,22 @@ def _heap_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]
     descendants = (common_levels == levels[:, None]).astype(float)
     for table in (ancestors, descendants, common_levels):
         table.setflags(write=False)
-    return ancestors, descendants, common_levels, _branch_tables(ancestors)
+    return ancestors, descendants, common_levels, _branch_index(ancestors)
 
 
-def _branch_tables(ancestors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gate, sign and offset of every entry ``a`` of a level-major ancestor
-    table, so that ``offset + sign * s.take(gate)`` is the branch factor of
-    node ``a`` for the clamped gate values ``s``, bit for bit: ``0 + s`` at
-    a lower (odd) child, ``1 + (-s)``, which rounds as ``1 - s``, at an
-    upper one, and ``1 + 0 s = 1`` at the root padding (``s`` finite)."""
-    odd = ancestors % 2
-    gate = np.maximum(ancestors - 1, 0) >> 1
-    sign = 2.0 * odd - (ancestors > 0)
-    offset = 1.0 - odd
-    for table in (gate, sign, offset):
-        table.setflags(write=False)
-    return gate, sign, offset
+def _branch_index(ancestors: np.ndarray) -> np.ndarray:
+    """Index of every entry ``a`` of a level-major ancestor table into the
+    gate kernel's branch buffer ``[s | 1 - s | 1.0]`` of the ``k =
+    n_nodes // 2`` clamped gate values ``s``, so that one ``take`` gathers
+    the branch factor of every entry: ``j`` at the lower child ``2j + 1``
+    of gate ``j`` (``s``), ``k + j`` at its upper child ``2j + 2`` (``1 -
+    s``) and ``2k`` at the root padding (1.0).  Read-only, C-contiguous."""
+    ancestors = np.asarray(ancestors, dtype=np.intp)
+    k = ancestors.shape[1] // 2
+    upper = 1 - ancestors % 2
+    index = np.where(ancestors == 0, 2 * k, ((ancestors - 1) >> 1) + k * upper)
+    index.setflags(write=False)
+    return index
 
 
 def _hard_leaf(boundaries, x, depth: int) -> int:
@@ -190,33 +194,68 @@ class _SoftGates:
     hyperplanes' products with the input to every node's activation, each
     gate's boundary-step factor and the one rank-1 step of the regressors
     and the capped hyperplanes, for one gate clamp ``s_plus`` and one
-    tree.  ``branches`` are the ``_branch_tables`` of the tree's
-    level-major ancestor table and ``below`` its root-less descendant rows
-    (row ``i - 1`` marks the subtree of node ``i``, so the two child
-    subtrees of gate ``j`` are rows ``2j`` and ``2j + 1``).  The clamp's
-    constants, and the step's two scalar factors, are 0-d arrays, which
-    numpy takes with less dispatch than Python floats and with the same
-    bits."""
+    tree.  ``index`` is the ``_branch_index`` of the tree's level-major
+    ancestor table and ``below`` its root-less descendant rows (row ``i -
+    1`` marks the subtree of node ``i``, so the two child subtrees of gate
+    ``j`` are rows ``2j`` and ``2j + 1``).  The clamp's constants, and the
+    step's two scalar factors, are 0-d arrays, which numpy takes with less
+    dispatch than Python floats and with the same bits.
 
-    def __init__(self, s_plus: float, branches, below):
-        (self.gate, self.sign, self.offset), self.below = branches, below
+    The kernel owns two buffers that every step writes in place: the
+    branch buffer ``[s | 1 - s | 1.0]`` the cascade gathers from, and the
+    ``n_nodes + n_internal`` moves of the rank-1 step.  Their views are
+    made once, when the kernel is built, and again when it is copied or
+    unpickled, so no step slices either buffer; nothing a step returns is
+    a view of them.  A step's kernel calls are 8 in ``cascade`` (of the
+    13 in a soft ``predict``), 7 in ``factors`` and 8 in ``step``."""
+
+    def __init__(self, s_plus: float, index, below):
+        self.index, self.below = index, below
         cap = 10.0 * s_plus * (1.0 - s_plus)
         self.low, self.rise, self.high, self.cap, self.neg_cap, self.one = map(
             np.array, (s_plus, 1.0 - 2.0 * s_plus, 1.0 - s_plus, cap, -cap, 1.0))
         self.spread = s_plus * (1.0 - s_plus)
         # the step's scalar factors mu e and -eta e, written in place on every step
         self.gain, self.drift = np.zeros(()), np.zeros(())
+        n = index.shape[1]
+        self._branch = np.ones(n)  # [s | 1 - s | 1.0]: 2k + 1 = n_nodes entries
+        self._moves = np.zeros(n + n // 2)  # mu e alphas, then -eta e factors
+        self._views()
+
+    def _views(self) -> None:
+        """Make the views of the two buffers: the gate values ``s`` and
+        ``1 - s`` of the branch buffer, the regressor and hyperplane parts
+        of the moves and the moves as one column."""
+        k = len(self._branch) // 2
+        self._s, self._rest = self._branch[:k], self._branch[k:2 * k]
+        n = len(self._moves) - k
+        self._head, self._tail = self._moves[:n], self._moves[n:]
+        self._column = self._moves[:, None]
+
+    def __getstate__(self) -> dict:
+        # a copy's views must be views of the copy's own buffers
+        return {name: value for name, value in self.__dict__.items()
+                if name not in ("_s", "_rest", "_head", "_tail", "_column")}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._views()
 
     def cascade(self, planes_x) -> tuple:
         """``(u, cu, f, alphas)`` for the products ``planes_x`` of the
         hyperplanes with the input: the unclamped gate values, each gate's
         rise ``(1 - 2 s_plus) u`` above ``s_plus`` before the clamp, every
         node's branch factor and every node's activation, the product of
-        the branch factors down the contiguous rows of the branch tables."""
+        the branch factors down the contiguous rows of one gather from the
+        branch buffer."""
         u = expit(-planes_x)
         cu = self.rise * u
+        s = self._s
         # only the upper clamp can bind: fl(s_plus + c u) >= s_plus for c u >= 0
-        factors = self.offset + self.sign * np.minimum(self.low + cu, self.high).take(self.gate)
+        np.add(self.low, cu, out=s)
+        np.minimum(s, self.high, out=s)
+        np.subtract(self.one, s, out=self._rest)
+        factors = self._branch.take(self.index)
         alphas = np.multiply.reduce(factors, axis=0)
         # the bottom row holds each node's own; without gates (depth 0), f is alphas = [1.0]
         return u, cu, factors[-1] if len(factors) else alphas, alphas
@@ -240,8 +279,9 @@ class _SoftGates:
         np.maximum(factors, self.neg_cap, out=factors)
         self.gain[()] = mu * e
         self.drift[()] = -(mu / self.spread * e)
-        moves = np.concatenate((alphas * self.gain, factors * self.drift))
-        rows += moves[:, None].dot(x[None, :])
+        np.multiply(alphas, self.gain, out=self._head)
+        np.multiply(factors, self.drift, out=self._tail)
+        rows += self._column.dot(x[None, :])
 
 
 @dataclass
@@ -285,7 +325,7 @@ class _SoftTail:
 
     def _soft_gates(self, s_plus, tables=None) -> None:
         """Keep the gate clamp ``s_plus`` once it passes its check and, given
-        a tree's ``(branches, below)`` tables (see ``_SoftGates``), the gate
+        a tree's ``(index, below)`` tables (see ``_SoftGates``), the gate
         kernel on them."""
         self.s_plus = _gate_clamp(s_plus)
         if tables is not None:

@@ -221,7 +221,7 @@ def reference_step(lrn, x, d):
     """One predict-and-update step of a fixed or adaptive tree learner,
     computed from its state without touching it: returns ``(y_hat, w, v,
     theta)``, the new state, ``theta`` None for the fixed tree."""
-    mu = lrn.mu(lrn.t) if callable(lrn.mu) else lrn.mu
+    mu = lrn.mu
     rho = rho_table(lrn.depth).astype(float)
     w, v = lrn.w.copy(), lrn.v.copy()
     if not lrn.gated:
@@ -272,7 +272,7 @@ def reference_dot_step(lrn, x, d):
     theta)``, the new state, ``theta`` None for the fixed tree.  The hard
     path is walked on the booleans of ``gates < 0.0``, and the adaptive
     tree's activations are a product along node-major ancestor rows."""
-    mu = float(lrn.mu(lrn.t)) if callable(lrn.mu) else float(lrn.mu)
+    mu = lrn.mu
     n = lrn.n_nodes
     rho = rho_table(lrn.depth).astype(float)
     w, v = lrn.w.copy(), lrn.v.copy()
@@ -335,7 +335,7 @@ def reference_mixture_step(lrn, x, d):
     new state, ``theta`` None in hard mode.  The membership matrix and the
     span masks are rebuilt here, not read from the learner."""
     membership = loop_membership(lrn.partitions, lrn.n_nodes)
-    mu = float(lrn.mu(lrn.t)) if callable(lrn.mu) else float(lrn.mu)
+    mu = lrn.mu
     w_vec, v = lrn.w_vec.copy(), lrn.v.copy()
     if lrn.mode == "hard":
         gates = lrn.boundaries @ x

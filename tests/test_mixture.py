@@ -85,8 +85,7 @@ class TestDirectPredict:
         a, b = DirectMixtureRegressor(3, 2, mode=mode), DirectMixtureRegressor(3, 2, mode=mode)
         assert a.partitions == b.partitions and a.partitions is not b.partitions
         pairs = [(a.membership, b.membership), (a._spans, b._spans)]
-        pairs += [(a._owners, b._owners)] if mode == "hard" else [
-            (getattr(a._gates, name), getattr(b._gates, name)) for name in ("gate", "sign", "offset")]
+        pairs += [(a._owners, b._owners) if mode == "hard" else (a._gates.index, b._gates.index)]
         for ours, theirs in pairs:
             assert np.array_equal(ours, theirs) and not np.shares_memory(ours, theirs)
 
@@ -143,13 +142,11 @@ class TestPathOwners:
     @pytest.mark.parametrize("depth", range(5))
     def test_soft_ancestor_table_is_the_adaptive_tree_layout(self, depth):
         # built by the oracle from the bit strings, not read from the heap
-        # tables: the gate, sign and offset of every ancestor-table entry
-        oracle = DirectMixtureRegressor(depth, 2, mode="soft")._gates
-        tree = AdaptiveTreeRegressor(depth, 2)._gates
-        for name in ("gate", "sign", "offset"):
-            ours, theirs = getattr(oracle, name), getattr(tree, name)
-            assert ours.shape == theirs.shape == (depth, (2 << depth) - 1)
-            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+        # tables: the branch-buffer index of every ancestor-table entry
+        ours = DirectMixtureRegressor(depth, 2, mode="soft")._gates.index
+        theirs = AdaptiveTreeRegressor(depth, 2)._gates.index
+        assert ours is not theirs and ours.shape == theirs.shape == (depth, (2 << depth) - 1)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
 
     def test_prediction_carries_the_soft_gates(self):
         lrn = DirectMixtureRegressor(2, 2, mode="soft", s_plus=0.05)

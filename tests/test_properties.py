@@ -247,10 +247,10 @@ gate_values = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(s=st.lists(gate_values, min_size=31, max_size=31))
 def test_branch_tables_give_the_gathered_branch_factors_bit_for_bit(depth, s):
-    # offset + sign * s.take(gate) against the branch factors written out
-    # (1.0 at the root, s at a lower child, 1 - s at an upper one) and
-    # gathered down the level-major ancestor table; the oracle's own tables
-    # give the same bits
+    # one take from the branch buffer [s | 1 - s | 1.0] through the cached
+    # index table against the branch factors written out (1.0 at the root,
+    # s at a lower child, 1 - s at an upper one) and gathered down the
+    # level-major ancestor table; the oracle's own index gives the same bits
     n = node_count(depth)
     s = np.array(s[:(1 << depth) - 1])
     f = np.empty(n)
@@ -258,12 +258,12 @@ def test_branch_tables_give_the_gathered_branch_factors_bit_for_bit(depth, s):
     f[1::2] = s
     np.subtract(1.0, s, out=f[2::2])
     want = f[row_ancestors(depth).T]
-    tables = [_heap_tables(depth)[3]]
+    branch = np.concatenate([s, 1.0 - s, [1.0]])
+    indices = [_heap_tables(depth)[3]]
     if depth <= MAX_ENUMERATION_DEPTH:
-        gates = DirectMixtureRegressor(depth, 2, mode="soft")._gates
-        tables.append((gates.gate, gates.sign, gates.offset))
-    for gate, sign, offset in tables:
-        got = offset + sign * s.take(gate)
+        indices.append(DirectMixtureRegressor(depth, 2, mode="soft")._gates.index)
+    for index in indices:
+        got = branch.take(index)
         assert got.shape == want.shape and same_bits(got, want)
         assert same_bits(np.multiply.reduce(got, axis=0), want.prod(axis=0))
 

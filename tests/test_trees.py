@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import pickle
@@ -158,11 +159,11 @@ class TestShape:
     @pytest.mark.parametrize("depth", range(1, MAX_TABLE_DEPTH + 1))
     def test_learners_view_the_shared_tables(self, depth):
         # each learner reads the cached tables of its depth rather than copying them
-        ancestors, descendants, _, branches = _heap_tables(depth)
+        ancestors, descendants, _, index = _heap_tables(depth)
         lrn = AdaptiveTreeRegressor(depth, 2)
         gates = lrn._gates
-        for table, shared in zip((gates.gate, gates.sign, gates.offset), branches, strict=True):
-            assert table is shared and table.shape == (depth, lrn.n_nodes)
+        assert gates.index is index and index.shape == (depth, lrn.n_nodes)
+        assert AdaptiveTreeRegressor(depth, 3)._gates.index is index
         assert gates.below.base is descendants and gates.below.flags.c_contiguous
         assert gates.below.shape == (lrn.n_nodes - 1, lrn.n_nodes)
         fixed = FixedTreeRegressor(depth, 2)
@@ -174,7 +175,7 @@ class TestShape:
 class TestSnapshotStepCounter:
     """The step counter ``t`` is part of a tree learner's snapshot."""
 
-    def test_restore_resumes_a_callable_schedule(self, make):
+    def test_restore_resumes_the_step_counter(self, make):
         stream = generate("mismatched", 200, seed=4)
         straight = make(2, 2, mu=0.01)
         for x, d in zip(stream.extended[:100], stream.targets[:100]):
@@ -364,6 +365,85 @@ class TestOneRowArray:
         lrn = ROW_LEARNERS[kind]()
         assert not hasattr(lrn, "theta")
         assert lrn._rows.shape == lrn.v.shape == (lrn.n_nodes, lrn.dim + 1)
+
+
+SOFT_DEPTHS = [*(("dat", depth) for depth in range(MAX_TABLE_DEPTH + 1)),
+               *(("direct-soft", depth) for depth in range(MAX_ENUMERATION_DEPTH + 1))]
+
+
+def soft_learner(kind: str, depth: int):
+    """A soft learner of ``kind`` (the adaptive tree or the soft oracle) at ``depth``."""
+    if kind == "dat":
+        return AdaptiveTreeRegressor(depth, 2, mu=0.01)
+    return DirectMixtureRegressor(depth, 2, mode="soft", mu=0.01)
+
+
+def kernel_views(gates) -> list:
+    """``(view, buffer, start, stop)`` of every stored view of the gate
+    kernel's two buffers: ``s`` and ``1 - s`` in the branch buffer, the
+    regressor and hyperplane moves in the moves buffer."""
+    n = gates.index.shape[1]
+    k = n // 2
+    return [(gates._s, gates._branch, 0, k), (gates._rest, gates._branch, k, 2 * k),
+            (gates._head, gates._moves, 0, n), (gates._tail, gates._moves, n, n + k)]
+
+
+def assert_views_of_own_buffers(gates) -> None:
+    assert gates._branch.shape == (gates.index.shape[1],) and gates._branch[-1] == 1.0
+    for view, buffer, start, stop in kernel_views(gates):
+        assert view.base is buffer and view.shape == (stop - start,)
+        offset = view.__array_interface__["data"][0] - buffer.__array_interface__["data"][0]
+        assert offset == start * buffer.itemsize or not view.size  # numpy may rebase an empty view
+    column = gates._column
+    assert column.base is gates._moves and column.shape == (len(gates._moves), 1)
+    assert column.__array_interface__["data"][0] == gates._moves.__array_interface__["data"][0]
+
+
+@pytest.mark.parametrize("kind, depth", SOFT_DEPTHS)
+class TestKernelBuffers:
+    """The soft-gate kernel writes every step into two buffers it owns,
+    through views made once; nothing a step returns aliases them."""
+
+    def test_views_belong_to_the_kernels_own_buffers(self, kind, depth):
+        stream = generate("mismatched", 20, seed=23)
+        lrn = soft_learner(kind, depth)
+        gates = lrn._gates
+        assert_views_of_own_buffers(gates)
+        held = [gates._branch, gates._moves, gates._column,
+                *(view for view, *_ in kernel_views(gates))]
+        for x, d in zip(stream.extended[:10], stream.targets[:10]):
+            lrn.step(x, d)
+        assert_views_of_own_buffers(gates)
+        now = [gates._branch, gates._moves, gates._column,
+               *(view for view, *_ in kernel_views(gates))]
+        assert all(a is b for a, b in zip(held, now, strict=True))
+        for copier in (copy.deepcopy, lambda lrn: pickle.loads(pickle.dumps(lrn))):
+            twin = copier(lrn)
+            ours = twin._gates
+            assert_views_of_own_buffers(ours)
+            for buffer in (ours._branch, ours._moves):
+                assert not np.shares_memory(buffer, gates._branch)
+                assert not np.shares_memory(buffer, gates._moves)
+            for x, d in zip(stream.extended[10:], stream.targets[10:]):
+                assert twin.step(x, d) == lrn.step(x, d)
+            assert row_state(twin) == row_state(lrn)
+
+    def test_kept_prediction_survives_later_steps(self, kind, depth):
+        stream = generate("mismatched", 6, seed=24)
+        lrn = soft_learner(kind, depth)
+        randomize(lrn, np.random.default_rng(25))
+        x, d = stream.extended[0], stream.targets[0]
+        pred = lrn.predict(x)
+        lrn.update(x, d, pred)
+        fields = [field.name for field in dataclasses.fields(pred)]
+        before = {name: np.asarray(getattr(pred, name)).tobytes() for name in fields}
+        for x, d in zip(stream.extended[1:], stream.targets[1:]):
+            lrn.step(x, d)
+        for name in fields:
+            value = getattr(pred, name)
+            assert np.asarray(value).tobytes() == before[name], name
+            for buffer in (lrn._gates._branch, lrn._gates._moves):
+                assert not np.shares_memory(value, buffer), name
 
 
 class TestBetaGamma:
@@ -620,8 +700,7 @@ class TestHeapTables:
 
     def test_read_only(self):
         for depth in TABLE_DEPTHS:
-            ancestors, descendants, common, branches = _heap_tables(depth)
-            for table in (ancestors, descendants, common, *branches):
+            for table in _heap_tables(depth):
                 assert not table.flags.writeable
                 if table.size:
                     with pytest.raises(ValueError):
@@ -631,12 +710,11 @@ class TestHeapTables:
         for depth in TABLE_DEPTHS:
             tables = _heap_tables(depth)
             assert _heap_tables(depth) is tables
-            ancestors, descendants, common, branches = tables
+            ancestors, descendants, common, index = tables
             assert descendants[1:].flags.c_contiguous
-            for table in (ancestors, descendants, common, *branches):
+            for table in tables:
                 assert table.flags.c_contiguous
-            for table in branches:
-                assert table.shape == ancestors.shape
+            assert index.shape == ancestors.shape and index.dtype == np.intp
 
     def test_import_builds_no_table(self):
         # the tables are built on first use, per depth, never at import
