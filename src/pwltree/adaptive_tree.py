@@ -89,15 +89,13 @@ class AdaptiveTreeRegressor(_SoftTail, TreeLearner):
         Initial boundary vectors; defaults to :func:`initial_directions`.
     """
 
-    gated = True
-
     def __init__(self, depth, dim, mu=0.005, s_plus=0.01, theta=None):
         super().__init__(depth, dim, mu)
         _, descendants, _, index = _heap_tables(depth)
         self._soft_gates(s_plus, (index, descendants[1:]))
         if theta is None:
             theta = initial_directions(depth, dim)
-        self.theta = _hyperplanes(theta, self.n_internal, self.dim, "theta")
+        self.theta = _hyperplanes(theta, self.n_internal, self.dim)
         self._rho = rho_table(depth).astype(float)
 
     # ------------------------------------------------------------------
@@ -138,7 +136,7 @@ class AdaptiveTreeRegressor(_SoftTail, TreeLearner):
 
     # ------------------------------------------------------------------
     def state_snapshot(self) -> dict:
-        """The shared snapshot (with ``theta``) plus the gate clamp ``s_plus``."""
+        """The shared snapshot plus the gate clamp ``s_plus``."""
         return {**super().state_snapshot(), "s_plus": self.s_plus}
 
     def load_state(self, state: dict) -> None:

@@ -28,7 +28,7 @@ from pathlib import Path
 from . import datagen, harness
 from .trees import _integer, _real
 
-SNAPSHOT_SCHEMA = 5  # 5: the summed e2 of the steps taken beside the config, position and state
+SNAPSHOT_SCHEMA = 6  # 6: every tree learner's state carries its hyperplanes theta, dft's too
 # the keys a snapshot holds, each required
 _SNAPSHOT_KEYS = dict.fromkeys(("schema", "config", "position", "cum_e2", "state"), True)
 

@@ -10,15 +10,18 @@ O(beta(depth)).  The collapsed prediction is identical (not approximate)
 to the explicit mixture maintained by
 :class:`pwltree.mixture.DirectMixtureRegressor`.
 
-A step costs a fixed number of numpy calls whatever the depth, about 13
-(7 in ``predict``, 6 in ``update``, one of them writing the step factor
+A step costs a fixed number of numpy calls whatever the depth, about 12
+(6 in ``predict``, 6 in ``update``, one of them writing the step factor
 ``mu e`` into a 0-d array, which numpy takes with less dispatch than a
-Python float).  The regressors are read and stepped in the tree base's
-array of rows, which holds only ``v`` for this learner.  All ``2**depth - 1`` gates are
-evaluated in one product, O(m * 2**depth) flops in a single call, and
-the path is then walked on their Python floats by the hard-gate walk
-of :mod:`pwltree.trees` that the explicit mixture shares; only the d
-gates on the path are read.  Every leaf's
+Python float).  The regressors ``v`` and the hyperplanes ``theta`` are
+the two parts of the tree base's array of rows, and ``predict`` forms
+every node's estimate and every gate's product in its one product of
+those rows with the input, O(m * 2**depth) flops in a single call.  The
+path is walked on the gates' Python floats by the hard-gate walk of
+:mod:`pwltree.trees` that the explicit mixture shares, reading only the
+d gates on the path, and the path's estimates are one ``take`` from the
+same product; ``update`` steps only the path's regressors, so the
+hyperplanes never move.  Every leaf's
 root -> leaf path is taken once per learner from the ancestor table of
 its depth, which :mod:`pwltree.trees` builds on first use and caches.
 The kappa product reads the leaf's (d + 1, n_nodes) block of rho rows,
@@ -67,18 +70,17 @@ class FixedTreeRegressor(TreeLearner):
         length m + 1 whose last entry is 1.
     mu : float
         Step size for the weight and regressor updates.
-    boundaries : ndarray (n_internal, dim + 1), optional
+    theta : ndarray (n_internal, dim + 1), optional
         Hyperplane vectors of the internal nodes, heap order.  Defaults to
         the axis-cycling directions of :func:`initial_directions` (the
         four quadrants when depth = dim = 2).  Never trained.
     """
 
-    def __init__(self, depth, dim, mu=0.01, boundaries=None):
+    def __init__(self, depth, dim, mu=0.01, theta=None):
         super().__init__(depth, dim, mu)
-        if boundaries is None:
-            boundaries = initial_directions(depth, dim)
-        self.boundaries = _hyperplanes(boundaries, self.n_internal, self.dim, "boundaries")
-        self.boundaries.setflags(write=False)
+        if theta is None:
+            theta = initial_directions(depth, dim)
+        self.theta = _hyperplanes(theta, self.n_internal, self.dim)
         # root -> leaf path of every leaf: the root, then the leaf's ancestor column
         self._paths = np.zeros((self.n_nodes - self.n_internal, depth + 1), dtype=np.intp)
         self._paths[:, 1:] = _heap_tables(depth)[0][:, self.n_internal:].T
@@ -96,9 +98,10 @@ class FixedTreeRegressor(TreeLearner):
         weights); the output is their inner product.
         """
         x = np.asarray(x_ext, dtype=float)
-        leaf = _hard_leaf(self.boundaries, x, self.depth) - self.n_internal
+        rows_x = self._rows.dot(x)  # every node's estimate, then every gate's product
+        leaf = _hard_leaf(rows_x[self.n_nodes:], self.depth) - self.n_internal
         path = self._paths[leaf]
-        estimates = self._rows.take(path, axis=0).dot(x)
+        estimates = rows_x.take(path)
         kappas = self._path_rho[leaf].dot(self.w)
         self.regressor_evaluations += path.size
         self.kappa_accumulations += path.size * self.n_nodes

@@ -525,11 +525,10 @@ def verify_config(config: ExperimentConfig) -> dict[str, float]:
         for name, entry in entries.items():
             kind, params = _learner_params(entry)
             fast = make_learner(entry, stream.dim)
-            # the oracle takes dat's theta as its boundaries, and the collapsed
-            # learner's mu, since dat's default is not the oracle's
-            params.update(mu=fast.mu, boundaries=params.pop("theta", params.get("boundaries")))
+            # the oracle takes the entry's parameters as they are, but the
+            # collapsed learner's mu, since dat's default is not the oracle's
             slow = DirectMixtureRegressor(dim=stream.dim, mode="hard" if kind == "dft" else "soft",
-                                          **params)
+                                          **{**params, "mu": fast.mu})
             for x, d in zip(fast.features(stream.extended), stream.targets.tolist()):
                 y_fast, _ = fast.step(x, d)
                 y_slow, _ = slow.step(x, d)
@@ -557,7 +556,7 @@ def weight_regret(seed: int) -> dict[int, float]:
     warmup, n_max = 1000, 100_000
     stream = generate("matched", n_max + warmup, seed=seed)
     x_ext, targets = stream.extended, stream.targets
-    lrn = DirectMixtureRegressor(1, 2, mode="hard", mu=0.01, boundaries=[[0.0, -1.0, 0.0]])
+    lrn = DirectMixtureRegressor(1, 2, mode="hard", mu=0.01, theta=[[0.0, -1.0, 0.0]])
     warm = np.empty((warmup, 2))
     for t in range(warmup):
         pred = lrn.predict(x_ext[t])

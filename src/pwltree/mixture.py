@@ -12,17 +12,18 @@ weighted node estimates under each gate's two child subtrees through 0/1
 span masks built here, apart from the learners' heap tables.  It exists to
 verify, not to scale: construction is refused beyond depth 4.
 
-A node's activation is 1 on the path the frozen boundaries select and 0
-elsewhere in hard mode, its product of clamped gates in soft mode.  Both
-modes step ``v`` and ``w_vec``; soft mode steps ``v`` together with
-``theta``, in the soft tail's one rank-1 step of the learner's rows.
+A node's activation is 1 on the path the hyperplanes ``theta`` select
+and 0 elsewhere in hard mode, its product of clamped gates in soft mode.
+Both modes step ``v`` and ``w_vec``; soft mode steps ``v`` together with
+``theta``, in the soft tail's one rank-1 step of the learner's rows, and
+hard mode never moves ``theta``.
 
 The oracle is built on the tree learners' base, :class:`TreeBase` of
 :mod:`pwltree.trees`, capped at ``MAX_ENUMERATION_DEPTH``: the base
 checks the depth, dimension and step size, with the messages the
 collapsed learners give, and holds the node counts and the one array
-of rows a step moves along the input: the node regressors ``v`` and, in
-soft mode, the hyperplanes ``theta`` below them.  What the oracle
+of rows a step reads along the input: the node regressors ``v`` and,
+below them, the hyperplanes ``theta``, in either mode.  What the oracle
 checks the learners with stays its own.  Each instance builds its own membership matrix, by level
 recursion and column-major, its own partition weights ``w_vec`` and its own span masks;
 in hard mode also the 0/1 activations of every root -> leaf path and the
@@ -60,15 +61,15 @@ both child subtree sums of every gate, read from the span masks, by
 estimates of every partition and the membership sums that carry them to
 the nodes.
 
-A step is a fixed number of numpy calls whatever the depth: 12 in hard
-mode (6 in ``predict``, 6 in ``update``) and at most 32 in soft mode
+A step is a fixed number of numpy calls whatever the depth: 11 in hard
+mode (5 in ``predict``, 6 in ``update``) and at most 32 in soft mode
 (13 in ``predict``, 19 in ``update``, 8 of them in
 ``boundary_factors``), the scalar step factors written into 0-d
 arrays.  On these small arrays a call's dispatch outweighs its
 arithmetic, so every product is a
 ``.dot``, which reaches BLAS with less dispatch than ``@``; one product
-of the row array with the input gives every node's estimate and, in
-soft mode, every gate's product, and the rank-1 step of the rows is an
+of the row array with the input gives every node's estimate and every
+gate's product, in either mode, and the rank-1 step of the rows is an
 ``(n, 1) . (1, dim + 1)`` product, with the bits of the broadcast
 ``a[:, None] * x``; only the
 upper gate clamp can bind, and the boundary factor cap is a
@@ -131,8 +132,8 @@ class DirectMixtureRegressor(_SoftTail, TreeBase):
     """O(beta(depth)) reference learner over all partitions.
 
     Parameters mirror the collapsed learners so the two can run in
-    lockstep: ``mode='hard'`` twins :class:`FixedTreeRegressor` (frozen
-    ``boundaries``) and ``mode='soft'`` twins :class:`AdaptiveTreeRegressor`
+    lockstep: ``mode='hard'`` twins :class:`FixedTreeRegressor` (``theta``
+    never moves) and ``mode='soft'`` twins :class:`AdaptiveTreeRegressor`
     (the ``s_plus`` clamp and the boundary step it fixes: step size
     ``mu / (s_plus (1 - s_plus))``, exact clamped-gate derivative, scalar
     factor clipped to ``step_cap = 10 s_plus (1 - s_plus)``).
@@ -140,8 +141,7 @@ class DirectMixtureRegressor(_SoftTail, TreeBase):
 
     max_depth = MAX_ENUMERATION_DEPTH
 
-    def __init__(self, depth, dim, mode="hard", mu=0.01, boundaries=None, s_plus=0.01):
-        self.gated = mode == "soft"  # read by the base, which allocates the hyperplane rows
+    def __init__(self, depth, dim, mode="hard", mu=0.01, theta=None, s_plus=0.01):
         super().__init__(depth, dim, mu)
         if mode not in ("hard", "soft"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -155,21 +155,15 @@ class DirectMixtureRegressor(_SoftTail, TreeBase):
         ids = np.arange(1, self.n_nodes + 1)
         bits = np.frexp(ids)[1]  # bit lengths
         self._spans = (ids >> np.maximum(bits - bits[1:, None], 0) == ids[1:, None]).astype(float)
-        tables = None
         if mode == "soft":
             # level-major ancestors: column i is the root -> i path below
             # the root, bottom-aligned and top-padded with the root 0, the
             # ancestor k levels up being ((i + 1) >> k) - 1; the gate kernel
             # reads its branch index and the span masks
             ancestors = np.maximum((ids >> np.arange(self.depth - 1, -1, -1)[:, None]) - 1, 0)
-            tables = (_branch_index(ancestors), self._spans)
-        self._soft_gates(s_plus, tables)
-        if boundaries is None:
-            boundaries = initial_directions(self.depth, self.dim)
-        init = _hyperplanes(boundaries, self.n_internal, self.dim, "boundaries")
-        if mode == "hard":
-            self.boundaries = init
-            self.boundaries.setflags(write=False)
+            self._soft_gates(s_plus, (_branch_index(ancestors), self._spans))
+        else:
+            self._soft_gates(s_plus)
             # a leaf's root -> leaf path is every node whose subtree holds
             # it: column leaf - n_internal of paths (row of _path_alphas)
             # is 1 on that path and 0 elsewhere
@@ -183,8 +177,9 @@ class DirectMixtureRegressor(_SoftTail, TreeBase):
             owners = self.membership.dot(paths * np.arange(self.n_nodes)[:, None])
             self._owners = owners.T.astype(np.intp, order="C")
             self._owners.setflags(write=False)
-        else:
-            self.theta = init
+        if theta is None:
+            theta = initial_directions(self.depth, self.dim)
+        self.theta = _hyperplanes(theta, self.n_internal, self.dim)
 
     # ------------------------------------------------------------------
     @property
@@ -197,14 +192,14 @@ class DirectMixtureRegressor(_SoftTail, TreeBase):
         """Every node's activation, every partition's estimate, then their
         weighted sum."""
         x = np.asarray(x_ext, dtype=float)
-        rows_x = self._rows.dot(x)  # every node's estimate, then (soft) every gate's product
+        rows_x = self._rows.dot(x)  # every node's estimate, then every gate's product
+        n = self.n_nodes
         if self.mode == "hard":
-            leaf = _hard_leaf(self.boundaries, x, self.depth) - self.n_internal
+            leaf = _hard_leaf(rows_x[n:], self.depth) - self.n_internal
             # each partition's estimate is that of its one node on the path
             d_vec = rows_x.take(self._owners[leaf])
             return DirectPrediction(float(self.w_vec.dot(d_vec)), x, self._path_alphas[leaf],
                                     None, None, None, None, d_vec)
-        n = self.n_nodes
         u, cu, f, alphas = self._gates.cascade(rows_x[n:])
         h = alphas * rows_x[:n]
         d_vec = self.membership.dot(h)
@@ -221,7 +216,8 @@ class DirectMixtureRegressor(_SoftTail, TreeBase):
             # v and theta in one rank-1 step; reads w_vec before its step
             self.update_boundaries(x_ext, e, pred)
         else:
-            self._rows += (step * pred.alphas)[:, None].dot(pred.x[None, :])
+            v = self.v  # a view: the step moves the regressors in place, never theta
+            v += (step * pred.alphas)[:, None].dot(pred.x[None, :])
         self.w_vec += step * pred.model_estimates
 
     def boundary_factors(self, pred: DirectPrediction) -> np.ndarray:

@@ -25,15 +25,16 @@ package follows and its ``features`` map of a whole stream.
 ``TreeBase`` is the one base of the three tree learners, the fixed tree,
 the adaptive tree and the explicit mixture: it checks the depth against
 its class's cap, the dimension and the step size, and holds the node
-counts and the one array of rows a step moves along the input: the
-per-node regressors ``v`` and, below them on a gated learner, the
-hyperplanes ``theta``.  ``TreeLearner`` adds the node
+counts and the one array of rows a step reads along the input: the
+per-node regressors ``v`` and, below them, the hyperplanes ``theta`` of
+every tree form, hard or soft.  ``TreeLearner`` adds the node
 weights, step counter, work counters and heap-ordered snapshot format of
 the two collapsed learners.  ``_SoftGates`` is the gate kernel both soft
 learners, the adaptive tree and the explicit mixture's soft mode, call:
 their gates, activation cascade, boundary-step factors and the capped
 step of their rows are written once, here, as is the hard gates' walk,
-``_hard_leaf``, of the fixed tree and the mixture's hard mode.  The
+``_hard_leaf``, of the fixed tree and the mixture's hard mode, over the
+gate part of that learner's product of its rows with the input.  The
 kernel gathers every branch factor in one ``take`` through a
 ``_branch_index`` table and writes each step into two buffers it owns,
 through views made once, so a step is at most 31 numpy calls on the
@@ -41,9 +42,11 @@ adaptive tree and 32 on the soft mixture.
 ``_SoftTail`` is what the two soft learners share around that kernel:
 the gate clamp's check, the kernel's build, ``step_cap`` and
 ``update_boundaries``; ``SoftPrediction`` declares the fields of a
-prediction pass that the kernel reads.  A soft learner's step is one
-product of its rows with the input, whose gate part the cascade takes,
-and one rank-1 step of all its rows, regressors and hyperplanes at once.
+prediction pass that the kernel reads.  Every tree learner's step makes
+one product of its rows with the input, whose gate part the hard walk or
+the soft cascade takes; a soft learner's step then makes one rank-1 step
+of all its rows, regressors and hyperplanes at once, and a hard
+learner's steps only its regressors, so its hyperplanes never move.
 """
 
 from __future__ import annotations
@@ -107,18 +110,18 @@ def _step_size(mu) -> float:
     return _real(mu, "mu", lambda mu: 0 < mu < math.inf, "be a finite number > 0")
 
 
-def _hyperplanes(planes, n_internal: int, dim: int, name: str) -> np.ndarray:
+def _hyperplanes(planes, n_internal: int, dim: int) -> np.ndarray:
     """``planes`` as a fresh float array, one finite row of ``dim + 1``
     numbers per internal node, booleans and strings excluded; anything
-    else raises ValueError naming ``name``.  A depth-0 tree's ``[]``, no
+    else raises ValueError naming ``theta``.  A depth-0 tree's ``[]``, no
     row at all, has the shape ``(0, dim + 1)``."""
     if n_internal == 0 and isinstance(planes, list) and not planes:
         return np.empty((0, dim + 1))
     planes = _numeric(planes, (n_internal, dim + 1))
     if planes is None:
-        raise ValueError(f"{name} must have shape ({n_internal}, {dim + 1}) and hold only numbers")
+        raise ValueError(f"theta must have shape ({n_internal}, {dim + 1}) and hold only numbers")
     if not np.isfinite(planes).all():
-        raise ValueError(f"{name} must be finite")
+        raise ValueError("theta must be finite")
     return planes
 
 
@@ -178,11 +181,12 @@ def _branch_index(ancestors: np.ndarray) -> np.ndarray:
     return index
 
 
-def _hard_leaf(boundaries, x, depth: int) -> int:
-    """Heap index of the leaf the hard gates ``boundaries`` route ``x`` to:
-    all gates in one product, walked as Python floats (no comparison ufunc);
-    a point strictly below a plane goes to child ``2i + 1``, else ``2i + 2``."""
-    gates = boundaries.dot(x).tolist()
+def _hard_leaf(planes_x, depth: int) -> int:
+    """Heap index of the leaf that the hard gates route an input to, from
+    the products ``planes_x`` of the hyperplanes with it, walked as Python
+    floats (no comparison ufunc): a point strictly below a plane goes to
+    child ``2i + 1``, else ``2i + 2``."""
+    gates = planes_x.tolist()
     i = 0
     for _ in range(depth):
         i = 2 * i + 1 if gates[i] < 0.0 else 2 * i + 2
@@ -317,11 +321,10 @@ class _SoftTail:
     """The tail both soft learners share, the adaptive tree and the
     explicit mixture's soft mode: the gate clamp ``s_plus`` and its check,
     the gate kernel built on the learner's own tables, the step cap and
-    the one step of the regressors and the capped hyperplanes.  A learner
-    with this tail keeps its hyperplanes in ``theta``, below its
-    regressors in the tree base's array of rows, and defines
-    ``boundary_factors(pred)``, which ``update_boundaries`` reaches through
-    the instance."""
+    the one step of the regressors and the capped hyperplanes ``theta``,
+    below them in the tree base's array of rows.  A learner with this tail
+    defines ``boundary_factors(pred)``, which ``update_boundaries`` reaches
+    through the instance."""
 
     def _soft_gates(self, s_plus, tables=None) -> None:
         """Keep the gate clamp ``s_plus`` once it passes its check and, given
@@ -373,25 +376,25 @@ class TreeBase(Learner):
 
     It checks the depth, dimension and step size, one message each, and
     holds what every tree learner reads of its tree: ``n_nodes``,
-    ``n_internal`` and one affine regressor ``v`` per node.  How the
+    ``n_internal``, one affine regressor ``v`` per node and one
+    hyperplane ``theta`` per internal node.  How the
     nodes combine is a subclass's own: the collapsed learners' node
     weights and ``rho`` table (:class:`TreeLearner`), the explicit
     mixture's partition weights, membership matrix, span masks and
     ancestor table.
 
-    Every row a step moves along the input lives in one C-contiguous
-    array, allocated here once: the ``n_nodes`` regressors, then, for a
-    learner that is ``gated`` (one with trained hyperplanes), the
-    ``n_internal`` hyperplanes.  ``v`` and ``theta`` are views of it,
-    made afresh on each access, so a copy of a learner reads its own
-    array; assigning either copies the value into the array, and a value
-    of any other shape raises ValueError and changes nothing.  The soft
-    learners form every row's product with the input in one product, in
-    which a depth-1 tree's one hyperplane row is a matrix-vector row and
-    not the dot product it was alone, which can differ in the last bit.
+    Every row a step reads along the input lives in one C-contiguous
+    array, allocated here once: the ``n_nodes`` regressors, then the
+    ``n_internal`` hyperplanes, whether the learner's steps move them
+    (the soft learners) or not (the hard ones).  ``v`` and ``theta`` are
+    views of it, made afresh on each access, so a copy of a learner reads
+    its own array; assigning either copies the value into the array, and
+    a value of any other shape raises ValueError and changes nothing.
+    Every tree learner forms every row's product with the input in one
+    product, in which a depth-1 tree's one hyperplane row is a
+    matrix-vector row and not the dot product it would be alone, which
+    can differ in the last bit.
     """
-
-    gated = False
 
     def __init__(self, depth, dim, mu):
         depth = _integer(depth, "depth")
@@ -402,7 +405,7 @@ class TreeBase(Learner):
         self.mu = _step_size(mu)
         self.n_nodes = node_count(depth)
         self.n_internal = (1 << depth) - 1
-        self._rows = np.zeros((self.n_nodes + self.n_internal * self.gated, dim + 1))
+        self._rows = np.zeros((self.n_nodes + self.n_internal, dim + 1))
         # the scalar step factor mu e, written in place on every step
         self._gain = np.zeros(())
 
@@ -417,11 +420,9 @@ class TreeBase(Learner):
 
     @property
     def theta(self) -> np.ndarray:
-        """The hyperplanes of a gated learner, one row of ``dim + 1`` per
-        internal node in heap order; a learner without trained hyperplanes
-        has none."""
-        if not self.gated:
-            raise AttributeError(f"{type(self).__name__} has no trained hyperplanes theta")
+        """The hyperplanes, one row of ``dim + 1`` per internal node in heap
+        order: a point strictly below node ``i``'s plane goes to its child
+        ``2i + 1``, softly or hard."""
         return self._rows[self.n_nodes:]
 
     @theta.setter
@@ -447,8 +448,7 @@ class TreeLearner(TreeBase):
     what they share past the base: the weights, the step counter ``t``,
     the work counters and the snapshot format, in which ``t`` travels
     with the state.  Subclasses implement ``predict`` and ``update``;
-    ``update`` advances ``t``.  A subclass with trained hyperplanes sets
-    ``gated`` and keeps them in ``theta``, one row per internal node.
+    ``update`` advances ``t``.
     """
 
     max_depth = MAX_TABLE_DEPTH
@@ -464,20 +464,17 @@ class TreeLearner(TreeBase):
     # ------------------------------------------------------------------
     def state_snapshot(self) -> dict:
         """JSON-ready state in heap order: ``{depth, t, w[n_nodes],
-        v[n_nodes][dim + 1]}``, plus ``theta[n_internal][dim + 1]`` when
-        gated."""
-        state = {"depth": self.depth, "t": self.t, "w": self.w.tolist(), "v": self.v.tolist()}
-        if self.gated:
-            state["theta"] = self.theta.tolist()
-        return state
+        v[n_nodes][dim + 1], theta[n_internal][dim + 1]}``."""
+        return {"depth": self.depth, "t": self.t, "w": self.w.tolist(), "v": self.v.tolist(),
+                "theta": self.theta.tolist()}
 
     def load_state(self, state: dict) -> None:
         """Replace the state with a ``state_snapshot``; a refused snapshot
         leaves the learner unchanged.
 
         ``depth`` must be the learner's, as an integer, ``t`` an integer
-        >= 1, and ``w``, ``v`` (and ``theta``, when gated) lists of finite
-        numbers, booleans excluded, in exactly the shapes
+        >= 1, and ``w``, ``v`` and ``theta`` lists of finite numbers,
+        booleans excluded, in exactly the shapes
         ``state_snapshot`` writes; anything else, including a ``state``
         that is not a dict, raises ValueError.
         """
@@ -490,9 +487,8 @@ class TreeLearner(TreeBase):
         width = self.dim + 1
         w = _snapshot_array(state, "w", (self.n_nodes,))
         v = _snapshot_array(state, "v", (self.n_nodes, width))
-        if self.gated:
-            self.theta = _snapshot_array(state, "theta", (self.n_internal, width))
-        self.w, self.v, self.t = w, v, t
+        theta = _snapshot_array(state, "theta", (self.n_internal, width))
+        self.w, self.v, self.theta, self.t = w, v, theta, t
 
 
 def _holds_bool(value) -> bool:

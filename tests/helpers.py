@@ -38,7 +38,8 @@ from itertools import combinations_with_replacement
 import numpy as np
 from scipy.special import expit
 
-from pwltree.trees import _hard_leaf, level, node_count, rho_table
+from pwltree.fixed_tree import FixedTreeRegressor
+from pwltree.trees import level, node_count, rho_table
 
 
 def label(i: int) -> str:
@@ -74,8 +75,14 @@ def is_valid_partition(leaves, depth: int) -> bool:
 
 
 def locate_leaf(lrn, x_ext) -> int:
-    """Heap index of the depth-d cell of fixed tree ``lrn`` containing ``x_ext``."""
-    return _hard_leaf(lrn.boundaries, np.asarray(x_ext, dtype=float), lrn.depth)
+    """Heap index of the depth-d cell of fixed tree ``lrn`` containing
+    ``x_ext``: every gate in one product of the hyperplanes alone, walked
+    as Python floats."""
+    gates = lrn.theta.dot(np.asarray(x_ext, dtype=float)).tolist()
+    i = 0
+    for _ in range(lrn.depth):
+        i = 2 * i + 1 if gates[i] < 0.0 else 2 * i + 2
+    return i
 
 
 def kernel_values(gkr, x) -> np.ndarray:
@@ -179,12 +186,12 @@ def _array_cases(key, kinds, row):
     ]
 
 
-BOTH, GATED = ("dft", "dat"), ("dat",)
+BOTH, SOFT = ("dft", "dat"), ("dat",)
 
 # (case id, learner kinds it applies to, mutation): each mutation takes a
 # valid state_snapshot() of a depth-2, dim-2 tree learner, as a fresh
-# object, and returns a state that load_state must refuse.  theta and
-# s_plus exist only in the adaptive tree's state.
+# object, and returns a state that load_state must refuse.  s_plus exists
+# only in the adaptive tree's state.
 MALFORMED_STATES = [
     ("state-list", BOTH, lambda state: []),
     ("state-string", BOTH, lambda state: "x"),
@@ -199,11 +206,11 @@ MALFORMED_STATES = [
     *_array_cases("w", BOTH, lambda x: x),
     *_array_cases("v", BOTH, lambda x: [0.0, x, 0.0]),
     ("v-object-row", BOTH, _entry("v", 1, {"0": 0.0, "1": 0.0, "2": 0.0})),
-    *_array_cases("theta", GATED, lambda x: [x, 0.0, 0.0]),
-    ("s_plus-missing", GATED, _drop("s_plus")),
-    ("s_plus-list", GATED, _set("s_plus", [0.01])),
-    ("s_plus-string", GATED, _set("s_plus", "0.01")),
-    ("s_plus-other", GATED, _set("s_plus", 0.02)),
+    *_array_cases("theta", BOTH, lambda x: [x, 0.0, 0.0]),
+    ("s_plus-missing", SOFT, _drop("s_plus")),
+    ("s_plus-list", SOFT, _set("s_plus", [0.01])),
+    ("s_plus-string", SOFT, _set("s_plus", "0.01")),
+    ("s_plus-other", SOFT, _set("s_plus", 0.02)),
 ]
 
 
@@ -220,21 +227,21 @@ def subtree_matrix(n):
 def reference_step(lrn, x, d):
     """One predict-and-update step of a fixed or adaptive tree learner,
     computed from its state without touching it: returns ``(y_hat, w, v,
-    theta)``, the new state, ``theta`` None for the fixed tree."""
+    theta)``, the new state, ``theta`` unmoved for the fixed tree."""
     mu = lrn.mu
     rho = rho_table(lrn.depth).astype(float)
     w, v = lrn.w.copy(), lrn.v.copy()
-    if not lrn.gated:
+    if isinstance(lrn, FixedTreeRegressor):
         i, path = 0, [0]
         for _ in range(lrn.depth):
-            i = 2 * i + 1 if lrn.boundaries[i] @ x < 0.0 else 2 * i + 2
+            i = 2 * i + 1 if lrn.theta[i] @ x < 0.0 else 2 * i + 2
             path.append(i)
         estimates = lrn.v[path] @ x
         y_hat = float(estimates @ (rho[path] @ lrn.w))
         e = d - y_hat
         v[path] += mu * e * x
         w[path] += mu * e * estimates
-        return y_hat, w, v, None
+        return y_hat, w, v, lrn.theta.copy()
     s_plus = lrn.s_plus
     u = expit(-(lrn.theta @ x))
     s = np.clip(s_plus + (1.0 - 2.0 * s_plus) * u, s_plus, 1.0 - s_plus)
@@ -269,7 +276,7 @@ def reference_dot_step(lrn, x, d):
     """One predict-and-update step of a fixed or adaptive tree learner in
     the ``.dot`` form it had before the level-major ancestor table,
     computed from its state without touching it: returns ``(y_hat, w, v,
-    theta)``, the new state, ``theta`` None for the fixed tree.  The hard
+    theta)``, the new state, ``theta`` unmoved for the fixed tree.  The hard
     path is walked on the booleans of ``gates < 0.0``, and the adaptive
     tree's activations are a product along node-major ancestor rows."""
     mu = lrn.mu
@@ -277,8 +284,8 @@ def reference_dot_step(lrn, x, d):
     rho = rho_table(lrn.depth).astype(float)
     w, v = lrn.w.copy(), lrn.v.copy()
     x = np.asarray(x, dtype=float)
-    if not lrn.gated:
-        negative = (lrn.boundaries.dot(x) < 0.0).tolist()
+    if isinstance(lrn, FixedTreeRegressor):
+        negative = (lrn.theta.dot(x) < 0.0).tolist()
         i = 0
         for _ in range(lrn.depth):
             i = 2 * i + 1 if negative[i] else 2 * i + 2
@@ -289,7 +296,7 @@ def reference_dot_step(lrn, x, d):
         step = mu * (d - y_hat)
         np.add.at(v, path, step * x)
         w[path] += step * estimates
-        return y_hat, w, v, None
+        return y_hat, w, v, lrn.theta.copy()
     s_plus = lrn.s_plus
     u = expit(-lrn.theta.dot(x))
     f = np.empty(n)
@@ -332,13 +339,13 @@ def reference_mixture_step(lrn, x, d):
     """One predict-and-update step of the explicit mixture in plain ``@``,
     broadcasting and a numpy-scalar activation loop, computed from its
     state without touching it: returns ``(y_hat, w_vec, v, theta)``, the
-    new state, ``theta`` None in hard mode.  The membership matrix and the
+    new state, ``theta`` unmoved in hard mode.  The membership matrix and the
     span masks are rebuilt here, not read from the learner."""
     membership = loop_membership(lrn.partitions, lrn.n_nodes)
     mu = lrn.mu
     w_vec, v = lrn.w_vec.copy(), lrn.v.copy()
     if lrn.mode == "hard":
-        gates = lrn.boundaries @ x
+        gates = lrn.theta @ x
         path = np.empty(lrn.depth + 1, dtype=np.intp)
         i = 0
         for k in range(lrn.depth):
@@ -352,7 +359,7 @@ def reference_mixture_step(lrn, x, d):
         e = d - y_hat
         v[path] += (mu * e) * x
         w_vec += (mu * e) * d_vec
-        return y_hat, w_vec, v, None
+        return y_hat, w_vec, v, lrn.theta.copy()
     s_plus = lrn.s_plus
     u = expit(-(lrn.theta @ x)) if lrn.n_internal else np.empty(0)
     s = np.clip(s_plus + (1.0 - 2.0 * s_plus) * u, s_plus, 1.0 - s_plus)

@@ -153,7 +153,7 @@ def test_lockstep_on_boundaries_and_in_clamp(case):
     depth, theta, xs, targets = case
     assert not (theta @ xs[0]).any()
     fast = AdaptiveTreeRegressor(depth, 2, mu=0.05, theta=theta)
-    slow = DirectMixtureRegressor(depth, 2, mode="soft", mu=0.05, boundaries=theta)
+    slow = DirectMixtureRegressor(depth, 2, mode="soft", mu=0.05, theta=theta)
     for t, d in enumerate(targets):
         x = xs[t % len(xs)]
         y1, _ = fast.step(x, d)
@@ -253,7 +253,7 @@ class TestBoundaryUpdates:
         lrn.w[:] = 1.0
         # the oracle in the same state applies the same cap to its own factors
         oracle = DirectMixtureRegressor(1, 2, mode="soft", mu=0.1, s_plus=0.01,
-                                        boundaries=np.zeros((1, 3)))
+                                        theta=np.zeros((1, 3)))
         oracle.v[:] = lrn.v
         oracle.w_vec = oracle.node_weight_image(lrn.w)
         x = ext(1.0, 0.0)

@@ -140,7 +140,7 @@ class TestRunCommand:
         path.write_text(json.dumps({
             "stream": {"kind": "matched", "n": 20},
             "learners": [{"kind": "dat", "depth": 0, "theta": []},
-                         {"kind": "dft", "depth": 0, "boundaries": []}],
+                         {"kind": "dft", "depth": 0, "theta": []}],
         }))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
@@ -249,15 +249,18 @@ class TestRunCommand:
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("learner, message", [
-        ({"kind": "dft", "depth": 2, "theta": None}, "depth, mu and boundaries, not 'theta'"),
+        ({"kind": "dft", "depth": 2, "s_plus": 0.01}, "depth, mu and theta, not 's_plus'"),
+        ({"kind": "dft", "depth": 2, "boundaries": None}, "depth, mu and theta, not 'boundaries'"),
         ({"kind": "dat", "depth": 2, "mode": "soft"}, "depth, mu, s_plus and theta, not 'mode'"),
         ({"kind": "direct", "depth": 2, "eta": 0.25},
-         "depth, mode, mu, boundaries and s_plus, not 'eta'"),
+         "depth, mode, mu, theta and s_plus, not 'eta'"),
+        ({"kind": "direct", "depth": 2, "boundaries": None},
+         "depth, mode, mu, theta and s_plus, not 'boundaries'"),
         ({"kind": "lf", "dim": 2}, "mu, not 'dim'"),
         ({"kind": "vf", "order": 2}, "mu, not 'order'"),
         ({"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": 1.0, "sigma": 1.0},
          "centers, covariances and mu, not 'sigma'"),
-    ], ids=["dft", "dat", "direct", "lf", "vf", "gkr"])
+    ], ids=["dft", "dft-boundaries", "dat", "direct", "direct-boundaries", "lf", "vf", "gkr"])
     def test_learner_key_refused_by_kind_exits_one(self, tmp_path, capsys, learner, message):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({
@@ -732,7 +735,7 @@ class TestSnapshotRestore:
         config = write_config(tmp_path / "exp.json", "dat", 20, depth=1)
         assert main(["snapshot", config, "--steps", "10", "--out", str(snap)]) == 0
         snapshot = json.loads(snap.read_text())
-        assert snapshot["schema"] == SNAPSHOT_SCHEMA == 5
+        assert snapshot["schema"] == SNAPSHOT_SCHEMA == 6
         assert "t" not in snapshot
         assert snapshot["state"]["t"] == 11
         assert snapshot["config"] == harness.ExperimentConfig.from_file(config).to_dict()
@@ -744,13 +747,14 @@ class TestSnapshotRestore:
                      "--out", str(snap)]) == 0
         snapshot = json.loads(snap.read_text())
         # 2 held one {label, w, v, theta?} object per node; 3 held the stream,
-        # learner and seed in place of the config; 4 held no cum_e2
-        for schema in (1, 2, 3, 4):
+        # learner and seed in place of the config; 4 held no cum_e2; 5 held no
+        # theta in a fixed tree's state
+        for schema in (1, 2, 3, 4, 5):
             snapshot["schema"] = schema
             snap.write_text(json.dumps(snapshot))
             assert main(["restore", "--snapshot", str(snap), "--steps", "5"]) == 1
             assert capsys.readouterr().err == (f"pwltree: unsupported snapshot schema {schema} "
-                                               f"(this version reads schema 5)\n")
+                                               f"(this version reads schema 6)\n")
 
     def test_restore_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -19,15 +19,15 @@ def per_level_leaf_index(lrn, x_ext):
     """The leaf walk one gate at a time, each gate its own row product."""
     i = 0
     for _ in range(lrn.depth):
-        i = 2 * i + 1 if float(x_ext @ lrn.boundaries[i]) < 0.0 else 2 * i + 2
+        i = 2 * i + 1 if float(x_ext @ lrn.theta[i]) < 0.0 else 2 * i + 2
     return i
 
 
-def points_on_planes(boundaries, per_plane, rng):
+def points_on_planes(planes, per_plane, rng):
     """Points built to lie on each plane ``b`` (``b @ x_ext`` = 0 up to
     rounding): x1 drawn at random, x2 solved from the plane equation."""
     points = []
-    for b in boundaries:
+    for b in planes:
         x1 = rng.normal(size=per_plane)
         x2 = -(b[0] * x1 + b[2]) / b[1]
         points.extend(np.column_stack([x1, x2, np.ones(per_plane)]))
@@ -41,12 +41,7 @@ class TestConstruction:
 
     def test_boundary_shape_checked(self):
         with pytest.raises(ValueError):
-            FixedTreeRegressor(2, 2, boundaries=np.zeros((2, 3)))
-
-    def test_boundaries_frozen(self):
-        lrn = FixedTreeRegressor(2, 2)
-        with pytest.raises(ValueError):
-            lrn.boundaries[0, 0] = 1.0
+            FixedTreeRegressor(2, 2, theta=np.zeros((2, 3)))
 
     def test_zero_init(self):
         lrn = FixedTreeRegressor(2, 2)
@@ -84,7 +79,7 @@ class TestLocateLeaf:
     def test_one_product_walk_matches_per_level_walk(self, depth):
         rng = np.random.default_rng(70 + depth)
         planes = rng.normal(size=((1 << depth) - 1, 3))
-        for lrn in (FixedTreeRegressor(depth, 2), FixedTreeRegressor(depth, 2, boundaries=planes)):
+        for lrn in (FixedTreeRegressor(depth, 2), FixedTreeRegressor(depth, 2, theta=planes)):
             points = list(np.column_stack([rng.normal(size=(500, 2)), np.ones(500)]))
             # axis-aligned default planes are hit exactly by zero coordinates
             points += [ext(0.0, y) for y in (-1.0, 0.0, 0.5)] + [ext(x, 0.0) for x in (-2.0, 1.5)]
@@ -97,8 +92,8 @@ class TestLocateLeaf:
         # product is summed, so learner and oracle must read it alike
         rng = np.random.default_rng(80 + depth)
         planes = rng.normal(size=((1 << depth) - 1, 3))
-        lrn = FixedTreeRegressor(depth, 2, boundaries=planes)
-        oracle = DirectMixtureRegressor(depth, 2, mode="hard", boundaries=planes)
+        lrn = FixedTreeRegressor(depth, 2, theta=planes)
+        oracle = DirectMixtureRegressor(depth, 2, mode="hard", theta=planes)
         for x in points_on_planes(planes, 3000 // len(planes), rng):
             assert lrn.predict(x).path_indices.tolist() \
                 == np.flatnonzero(oracle.predict(x).alphas).tolist()
@@ -213,7 +208,8 @@ class TestSnapshot:
         assert state["depth"] == 2
         assert state["w"] == lrn.w.tolist() and len(state["w"]) == 7
         assert state["v"] == lrn.v.tolist() and all(len(row) == 3 for row in state["v"])
-        assert "theta" not in state
+        assert state["theta"] == lrn.theta.tolist() and len(state["theta"]) == 3
+        assert all(len(row) == 3 for row in state["theta"])
 
     def test_bit_exact_round_trip_through_json(self):
         stream = generate("matched", 200, seed=5)

@@ -331,25 +331,26 @@ class TestConfig:
             make_learner({"kind": "mystery"}, dim=2)
 
     @pytest.mark.parametrize("spec, takes", [
-        ({"kind": "dft", "depth": 2, "s_plus": 0.01}, "depth, mu and boundaries, not 's_plus'"),
-        ({"kind": "dat", "depth": 2, "boundaries": [[1.0, 0.0, 0.0]] * 3},
-         "depth, mu, s_plus and theta, not 'boundaries'"),
-        ({"kind": "direct", "depth": 2, "theta": None},
-         "depth, mode, mu, boundaries and s_plus, not 'theta'"),
+        ({"kind": "dft", "depth": 2, "s_plus": 0.01}, "depth, mu and theta, not 's_plus'"),
+        # every tree kind names its hyperplanes theta
+        *[({"kind": kind, "depth": 2, "boundaries": [[1.0, 0.0, 0.0]] * 3},
+           f"{takes}, not 'boundaries'") for kind, takes in [
+            ("dft", "depth, mu and theta"), ("dat", "depth, mu, s_plus and theta"),
+            ("direct", "depth, mode, mu, theta and s_plus")]],
         ({"kind": "lf", "mu": 0.1, "order": 1}, "mu, not 'order'"),
         ({"kind": "vf", "mu": 0.1, "order": 2}, "mu, not 'order'"),
         ({"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": 1.0, "covariance": 1.0},
          "centers, covariances and mu, not 'covariance'"),
         *[({"kind": kind, "dim": 2, **extra}, f"{takes}, not 'dim'") for kind, extra, takes in [
-            ("dft", {"depth": 2}, "depth, mu and boundaries"),
+            ("dft", {"depth": 2}, "depth, mu and theta"),
             ("dat", {"depth": 2}, "depth, mu, s_plus and theta"),
-            ("direct", {"depth": 2}, "depth, mode, mu, boundaries and s_plus"),
+            ("direct", {"depth": 2}, "depth, mode, mu, theta and s_plus"),
             ("lf", {}, "mu"), ("vf", {}, "mu"),
             ("gkr", {"centers": [[0.0, 0.0]], "covariances": 1.0}, "centers, covariances and mu")]],
         ({"kind": "vf", "order": 2, "dim": 2, "name": "v"}, "mu, not 'dim', 'order'"),
-    ], ids=["dft-s_plus", "dat-boundaries", "direct-theta", "lf-order", "vf-order",
-            "gkr-covariance", "dft-dim", "dat-dim", "direct-dim", "lf-dim", "vf-dim", "gkr-dim",
-            "vf-two"])
+    ], ids=["dft-s_plus", "dft-boundaries", "dat-boundaries", "direct-boundaries", "lf-order",
+            "vf-order", "gkr-covariance", "dft-dim", "dat-dim", "direct-dim", "lf-dim", "vf-dim",
+            "gkr-dim", "vf-two"])
     def test_learner_key_refused_by_kind(self, spec, takes):
         # one check names the kind and the keys it takes, never the
         # constructor the kind is built by; a config holding the entry is
@@ -361,6 +362,19 @@ class TestConfig:
         assert "__init__" not in message
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             ExperimentConfig(stream={"kind": "matched", "n": 5}, learners=[spec])
+
+    def test_readme_lists_the_keys_each_kind_takes(self):
+        # the harness reads each kind's keys from its constructor, but the
+        # README's sentence "`dft` takes ...; ...; `gkr` ..." is a copy
+        readme = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
+        sentence = "`dft` " + readme.split("`dft` takes ", 1)[1].split(".", 1)[0]
+        listed = {}
+        for clause in sentence.split(";"):
+            names = re.findall(r"`(\w+)`", clause)
+            kinds = [name for name in names if name in harness._LEARNER_KEYS]
+            assert names[:len(kinds)] == kinds, clause
+            listed.update(dict.fromkeys(kinds, names[len(kinds):]))
+        assert listed == {kind: list(keys) for kind, keys in harness._LEARNER_KEYS.items()}
 
     @pytest.mark.parametrize("spec, requires", [
         ({"kind": "dft"}, "'depth'"),
@@ -409,9 +423,9 @@ class TestConfig:
         *[("learner", {"kind": kind, **keys, "bogus": 1},
            f"cannot build learner kind {kind!r}: it takes only {takes}, not 'bogus'")
           for kind, keys, takes in [
-              ("dft", {"depth": 1}, "depth, mu and boundaries"),
+              ("dft", {"depth": 1}, "depth, mu and theta"),
               ("dat", {"depth": 1}, "depth, mu, s_plus and theta"),
-              ("direct", {"depth": 1}, "depth, mode, mu, boundaries and s_plus"),
+              ("direct", {"depth": 1}, "depth, mode, mu, theta and s_plus"),
               ("lf", {}, "mu"), ("vf", {}, "mu"),
               ("gkr", {"centers": [[0.0, 0.0]], "covariances": 1.2}, "centers, covariances and mu")]],
         *[("learner", {"kind": kind, "mu": 0.01}, f"cannot build learner kind {kind!r}: it requires "
@@ -529,17 +543,17 @@ class TestConfig:
          "centers must be a list of points, numbers only"),
         ({"kind": "dat", "depth": 1, "theta": [[True, 0, 0]]},
          "theta must have shape (1, 3) and hold only numbers"),
-        ({"kind": "dft", "depth": 1, "boundaries": [[True, 0, 0]]},
-         "boundaries must have shape (1, 3) and hold only numbers"),
-        ({"kind": "direct", "depth": 1, "boundaries": [["0.5", 0, 0]]},
-         "boundaries must have shape (1, 3) and hold only numbers"),
+        ({"kind": "dft", "depth": 1, "theta": [[True, 0, 0]]},
+         "theta must have shape (1, 3) and hold only numbers"),
+        ({"kind": "direct", "depth": 1, "theta": [["0.5", 0, 0]]},
+         "theta must have shape (1, 3) and hold only numbers"),
         # a depth-0 tree takes only the empty list: an empty row is still a row
         ({"kind": "dat", "depth": 0, "theta": [[]]},
          "theta must have shape (0, 3) and hold only numbers"),
-        ({"kind": "dft", "depth": 0, "boundaries": [[0.0, 1.0, 0.0]]},
-         "boundaries must have shape (0, 3) and hold only numbers"),
-        ({"kind": "direct", "depth": 0, "boundaries": [[]]},
-         "boundaries must have shape (0, 3) and hold only numbers"),
+        ({"kind": "dft", "depth": 0, "theta": [[0.0, 1.0, 0.0]]},
+         "theta must have shape (0, 3) and hold only numbers"),
+        ({"kind": "direct", "depth": 0, "theta": [[]]},
+         "theta must have shape (0, 3) and hold only numbers"),
     ], ids=["dft-bool-depth", "direct-bool-depth", "dat-float-depth", "direct-string-depth",
             "dat-string-s-plus", "soft-direct-bool-s-plus", "hard-direct-string-s-plus",
             "vf-float-order", "gkr-bool-covariance", "gkr-string-covariance",
@@ -831,7 +845,7 @@ class TestVerifyConfig:
             "s_plus": [{"kind": "dat", "depth": depth, "mu": 0.005, "s_plus": 0.05}],
             "theta": [{"kind": "dat", "depth": depth, "mu": 0.005, "theta": non_axis(depth, 1)}],
             "boundaries": [{"kind": "dft", "depth": depth, "mu": 0.005,
-                            "boundaries": non_axis(depth, 2)}],
+                            "theta": non_axis(depth, 2)}],
             "normalize": [{"kind": "dat", "depth": depth, "mu": 0.005},
                           {"kind": "dft", "depth": depth, "mu": 0.005}],
             # dat's default mu, 0.005, is not the oracle's, 0.01

@@ -58,7 +58,7 @@ def test_soft_lockstep_under_schedules_and_options(depth, mu, s_plus, stream, pl
                                                    on_plane):
     planes = random_planes(depth, plane_seed, on_plane)
     fast = AdaptiveTreeRegressor(depth, 2, mu=mu, s_plus=s_plus, theta=planes)
-    slow = DirectMixtureRegressor(depth, 2, mode="soft", mu=mu, s_plus=s_plus, boundaries=planes)
+    slow = DirectMixtureRegressor(depth, 2, mode="soft", mu=mu, s_plus=s_plus, theta=planes)
     lockstep(fast, slow, *stream)
     np.testing.assert_allclose(fast.theta, slow.theta, rtol=1e-9, atol=1e-9)
 
@@ -71,8 +71,8 @@ def test_hard_lockstep_under_schedules(depth, mu, stream, plane_seed, on_plane):
     # random planes route the stream to every leaf, so every row of the
     # oracle's owner table is read
     planes = random_planes(depth, plane_seed, on_plane)
-    fast = FixedTreeRegressor(depth, 2, mu=mu, boundaries=planes)
-    slow = DirectMixtureRegressor(depth, 2, mode="hard", mu=mu, boundaries=planes)
+    fast = FixedTreeRegressor(depth, 2, mu=mu, theta=planes)
+    slow = DirectMixtureRegressor(depth, 2, mode="hard", mu=mu, theta=planes)
     lockstep(fast, slow, *stream)
 
 
@@ -97,12 +97,11 @@ def test_snapshot_round_trip_is_exact(gated, depth, seed, bits, t):
     lrn = make()
     lrn.w = random_finite(rng, lrn.w.shape, bits)
     lrn.v = random_finite(rng, lrn.v.shape, bits)
-    if gated:
-        lrn.theta = random_finite(rng, lrn.theta.shape, bits)
+    lrn.theta = random_finite(rng, lrn.theta.shape, bits)
     lrn.t = t
     other = make()
     other.load_state(json.loads(json.dumps(lrn.state_snapshot())))
-    fields = ("w", "v", "theta") if gated else ("w", "v")
+    fields = ("w", "v", "theta")
     for field in fields:
         assert np.array_equal(getattr(other, field), getattr(lrn, field))
     assert other.t == lrn.t
@@ -132,8 +131,7 @@ def test_step_matches_reference(gated, depth, seed, mu, t, s_plus, scale):
     rng = np.random.default_rng(seed)
     lrn.w = rng.normal(size=lrn.w.shape) * 10.0 ** scale
     lrn.v = rng.normal(size=lrn.v.shape) * 10.0 ** scale
-    if gated:
-        lrn.theta = rng.normal(size=lrn.theta.shape) * 10.0 ** rng.uniform(-1, 1)
+    lrn.theta = rng.normal(size=lrn.theta.shape) * 10.0 ** rng.uniform(-1, 1)
     lrn.t = t
     x = np.append(rng.normal(size=2), 1.0)
     d = float(rng.normal())
@@ -143,8 +141,7 @@ def test_step_matches_reference(gated, depth, seed, mu, t, s_plus, scale):
     assert pred.y_hat == pytest.approx(y_want, rel=1e-12, abs=1e-300)
     assert_close(lrn.w, w_want)
     assert_close(lrn.v, v_want)
-    if gated:
-        assert_close(lrn.theta, theta_want)
+    assert_close(lrn.theta, theta_want)
     assert lrn.t == t + 1
 
 
@@ -168,7 +165,7 @@ def test_step_matches_dot_reference_bit_for_bit(gated, depth, seed, mu, t, s_plu
     if on_plane:
         planes[rng.random(len(planes)) < 0.5] = 0.0
     lrn = (AdaptiveTreeRegressor(depth, 2, mu=mu, s_plus=s_plus, theta=planes) if gated
-           else FixedTreeRegressor(depth, 2, mu=mu, boundaries=planes))
+           else FixedTreeRegressor(depth, 2, mu=mu, theta=planes))
     lrn.w = rng.normal(size=lrn.w.shape) * 10.0 ** scale
     lrn.v = rng.normal(size=lrn.v.shape) * 10.0 ** scale
     lrn.t = t
@@ -180,8 +177,7 @@ def test_step_matches_dot_reference_bit_for_bit(gated, depth, seed, mu, t, s_plu
     assert same_bits(pred.y_hat, y_want)
     assert same_bits(lrn.w, w_want)
     assert same_bits(lrn.v, v_want)
-    if gated:
-        assert same_bits(lrn.theta, theta_want)
+    assert same_bits(lrn.theta, theta_want)
     assert lrn.t == t + 1
 
 
@@ -200,7 +196,7 @@ def test_mixture_step_matches_reference_bit_for_bit(mode, depth, seed, mu, s_plu
     planes = rng.normal(size=((1 << depth) - 1, 3)) * 10.0 ** rng.uniform(-1, 1)
     if on_plane:
         planes[rng.random(len(planes)) < 0.5] = 0.0
-    lrn = DirectMixtureRegressor(depth, 2, mode=mode, mu=mu, s_plus=s_plus, boundaries=planes)
+    lrn = DirectMixtureRegressor(depth, 2, mode=mode, mu=mu, s_plus=s_plus, theta=planes)
     lrn.w_vec = rng.normal(size=lrn.w_vec.shape) * 10.0 ** scale
     lrn.v = rng.normal(size=lrn.v.shape) * 10.0 ** scale
     x = np.append(rng.normal(size=2), 1.0)
@@ -211,8 +207,7 @@ def test_mixture_step_matches_reference_bit_for_bit(mode, depth, seed, mu, s_plu
     assert same_bits(pred.y_hat, y_want)
     assert same_bits(lrn.w_vec, w_want)
     assert same_bits(lrn.v, v_want)
-    if mode == "soft":
-        assert same_bits(lrn.theta, theta_want)
+    assert same_bits(lrn.theta, theta_want)
 
 
 @pytest.mark.parametrize("depth", range(5))
@@ -226,7 +221,7 @@ def test_column_major_membership_products_match_row_major(depth, seed, s_plus, s
     # relative 1e-13 of the sums of their absolute terms
     rng = np.random.default_rng(seed)
     lrn = DirectMixtureRegressor(depth, 2, mode="soft", s_plus=s_plus,
-                                 boundaries=random_planes(depth, seed, on_plane))
+                                 theta=random_planes(depth, seed, on_plane))
     lrn.w_vec = rng.normal(size=lrn.w_vec.shape) * 10.0 ** scale
     lrn.v = rng.normal(size=lrn.v.shape) * 10.0 ** scale
     pred = lrn.predict(np.append(3.0 * rng.normal(size=2), 1.0))
@@ -280,7 +275,7 @@ def test_adaptive_tree_and_soft_oracle_share_the_gate_kernel(depth, seed, s_plus
     planes = random_planes(depth, seed, on_plane)
     tree = AdaptiveTreeRegressor(depth, 2, mu=0.05, s_plus=s_plus, theta=planes)
     oracle = DirectMixtureRegressor(depth, 2, mode="soft", mu=0.05, s_plus=s_plus,
-                                    boundaries=planes)
+                                    theta=planes)
     tree.v = rng.normal(size=tree.v.shape) * 10.0
     oracle.v = tree.v.copy()
     tree.w = rng.integers(-3, 4, size=tree.w.shape).astype(float)

@@ -57,9 +57,9 @@ class TestSeparatorValidation:
         with pytest.raises(ValueError):
             AdaptiveTreeRegressor(1, 2, theta=bad)
         with pytest.raises(ValueError):
-            FixedTreeRegressor(1, 2, boundaries=bad)
+            FixedTreeRegressor(1, 2, theta=bad)
         with pytest.raises(ValueError):
-            DirectMixtureRegressor(1, 2, mode="soft", boundaries=[[0.0, np.nan, 0.0]])
+            DirectMixtureRegressor(1, 2, mode="soft", theta=[[0.0, np.nan, 0.0]])
         with pytest.raises(ValueError):
             AdaptiveTreeRegressor(1, 2, theta=np.zeros((2, 2)))
 
@@ -74,7 +74,7 @@ class TestEvaluate:
         assert lrn.predict(np.array([4.0, -2.0, 1.0])).s[0] == 0.5
 
     def test_clamp_floor_reached_far_from_plane(self):
-        lrn = DirectMixtureRegressor(1, 2, mode="soft", s_plus=0.01, boundaries=[[1e4, 0.0, 0.0]])
+        lrn = DirectMixtureRegressor(1, 2, mode="soft", s_plus=0.01, theta=[[1e4, 0.0, 0.0]])
         assert lrn.predict(ext(1.0, 0.0)).s[0] == pytest.approx(0.01)
         assert lrn.predict(ext(-1.0, 0.0)).s[0] == pytest.approx(0.99)
 
@@ -98,8 +98,8 @@ class TestEvaluate:
 
     def test_hard_indicator_and_tie(self):
         plane = [[1.0, 0.0, 0.0]]
-        fixed = FixedTreeRegressor(1, 2, boundaries=plane)
-        direct = DirectMixtureRegressor(1, 2, mode="hard", boundaries=plane)
+        fixed = FixedTreeRegressor(1, 2, theta=plane)
+        direct = DirectMixtureRegressor(1, 2, mode="hard", theta=plane)
         for x, leaf, index in ((ext(-1.0, 0.0), "0", 1), (ext(2.0, 0.0), "1", 2),
                                # a point exactly on the plane goes to child 1
                                (ext(0.0, 0.0), "1", 2)):
@@ -109,7 +109,7 @@ class TestEvaluate:
     def test_hard_is_sharp_soft_limit(self):
         rng = np.random.default_rng(3)
         theta = rng.normal(size=3)
-        hard = FixedTreeRegressor(1, 2, boundaries=[theta])
+        hard = FixedTreeRegressor(1, 2, theta=[theta])
         sharp = AdaptiveTreeRegressor(1, 2, s_plus=1e-12, theta=[theta * 1e4])
         for _ in range(200):
             x = np.append(rng.normal(size=2), 1.0)
@@ -139,15 +139,10 @@ class TestGradient:
     def test_hard_mode_has_no_gradient(self):
         rng = np.random.default_rng(5)
         lrn = DirectMixtureRegressor(2, 2, mode="hard")
-        before = lrn.boundaries.copy()
+        before = lrn.theta.copy()
         for _ in range(20):
             lrn.step(np.append(rng.normal(size=2), 1.0), rng.normal())
-        np.testing.assert_array_equal(lrn.boundaries, before)
-        assert not hasattr(lrn, "theta")
-        with pytest.raises(ValueError):
-            lrn.boundaries[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            FixedTreeRegressor(2, 2).boundaries[0, 0] = 1.0
+        assert lrn.theta.tobytes() == before.tobytes()
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(7)
@@ -185,7 +180,7 @@ class TestBranchFactor:
             theta = rng.normal(size=(7, 3)) * 5
             x = np.append(rng.normal(size=2), 1.0)
             for lrn in (AdaptiveTreeRegressor(3, 2, theta=theta),
-                        DirectMixtureRegressor(3, 2, mode="soft", boundaries=theta)):
+                        DirectMixtureRegressor(3, 2, mode="soft", theta=theta)):
                 alphas = lrn.predict(x).alphas
                 np.testing.assert_allclose(alphas[1::2] + alphas[2::2], alphas[:7], rtol=1e-12)
 
@@ -197,7 +192,7 @@ class TestPathProduct:
         x = np.append(rng.normal(size=2), 1.0)
         assert AdaptiveTreeRegressor(2, 2, theta=theta).predict(x).alphas[0] == 1.0
         assert AdaptiveTreeRegressor(0, 2).predict(x).alphas[0] == 1.0
-        assert DirectMixtureRegressor(2, 2, mode="soft", boundaries=theta).predict(x).alphas[0] == 1.0
+        assert DirectMixtureRegressor(2, 2, mode="soft", theta=theta).predict(x).alphas[0] == 1.0
 
     def test_two_halvings(self):
         lrn = AdaptiveTreeRegressor(2, 2, theta=np.zeros((3, 3)))

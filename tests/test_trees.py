@@ -274,14 +274,12 @@ ROW_LEARNERS = {
     "direct-hard": lambda: DirectMixtureRegressor(2, 2, mode="hard", mu=0.05),
     "direct-soft": lambda: DirectMixtureRegressor(2, 2, mode="soft", mu=0.05),
 }
-GATED = ("dat", "direct-soft")
 
 
 def row_state(lrn) -> bytes:
-    """The bytes of everything a tree learner's step moves: its weights,
-    its regressors and, when gated, its hyperplanes."""
+    """The bytes of a tree learner's weights, regressors and hyperplanes."""
     weights = lrn.w_vec if isinstance(lrn, DirectMixtureRegressor) else lrn.w
-    return b"".join(a.tobytes() for a in (weights, lrn.v, *([lrn.theta] if lrn.gated else [])))
+    return b"".join(a.tobytes() for a in (weights, lrn.v, lrn.theta))
 
 
 def randomize(lrn, rng) -> None:
@@ -294,8 +292,9 @@ def randomize(lrn, rng) -> None:
 
 
 class TestOneRowArray:
-    """The regressors and hyperplanes a step moves live in one array, of
-    which ``v`` and ``theta`` are views made afresh on each access."""
+    """The regressors and hyperplanes of every tree learner live in one
+    array, of which ``v`` and ``theta`` are views made afresh on each
+    access."""
 
     @pytest.mark.parametrize("copier", [copy.deepcopy, lambda lrn: pickle.loads(pickle.dumps(lrn))],
                              ids=["deepcopy", "pickle"])
@@ -316,7 +315,7 @@ class TestOneRowArray:
 
     @pytest.mark.parametrize("kind, write", [
         *((kind, write) for kind in ROW_LEARNERS for write in ("v", "v-row")),
-        *((kind, write) for kind in GATED for write in ("theta", "theta-row"))])
+        *((kind, write) for kind in ROW_LEARNERS for write in ("theta", "theta-row"))])
     def test_writes_are_seen_by_the_next_predict(self, kind, write):
         rng = np.random.default_rng(31)
         lrn = ROW_LEARNERS[kind]()
@@ -325,6 +324,8 @@ class TestOneRowArray:
         before = lrn.predict(x).y_hat
         name = write.removesuffix("-row")
         value = rng.normal(size=getattr(lrn, name).shape)
+        if name == "theta":  # the new root plane puts x on its other side: a hard path moves
+            value[0] *= -np.sign(value[0].dot(x) * lrn.theta[0].dot(x))
         if write.endswith("-row"):  # the root's row, on every path
             getattr(lrn, name)[0] = value[0]
         else:
@@ -347,7 +348,7 @@ class TestOneRowArray:
 
     @pytest.mark.parametrize("shape", ["row", "scalar", "short", "long"])
     @pytest.mark.parametrize("kind, name", [
-        *((kind, "v") for kind in ROW_LEARNERS), *((kind, "theta") for kind in GATED)])
+        *((kind, "v") for kind in ROW_LEARNERS), *((kind, "theta") for kind in ROW_LEARNERS)])
     def test_assignment_of_another_shape_refused(self, kind, name, shape):
         # numpy would broadcast a row or a number into every row of the array
         lrn = ROW_LEARNERS[kind]()
@@ -360,11 +361,28 @@ class TestOneRowArray:
             setattr(lrn, name, value)
         assert row_state(lrn) == before
 
-    @pytest.mark.parametrize("kind", ["dft", "direct-hard"])
-    def test_hard_learners_have_no_theta(self, kind):
+    @pytest.mark.parametrize("kind", ROW_LEARNERS)
+    def test_theta_is_the_tail_of_the_rows(self, kind):
         lrn = ROW_LEARNERS[kind]()
-        assert not hasattr(lrn, "theta")
-        assert lrn._rows.shape == lrn.v.shape == (lrn.n_nodes, lrn.dim + 1)
+        width = lrn.dim + 1
+        assert lrn._rows.shape == (lrn.n_nodes + lrn.n_internal, width)
+        assert lrn.theta.shape == (lrn.n_internal, width)
+        assert np.shares_memory(lrn.theta, lrn._rows) and lrn.theta.base is lrn._rows
+        offset = lrn.theta.__array_interface__["data"][0] - lrn._rows.__array_interface__["data"][0]
+        assert offset == lrn.n_nodes * width * lrn._rows.itemsize
+
+    @pytest.mark.parametrize("kind, depth", [
+        *(("dft", depth) for depth in range(MAX_TABLE_DEPTH + 1)),
+        *(("direct-hard", depth) for depth in range(MAX_ENUMERATION_DEPTH + 1))])
+    def test_hard_steps_never_move_theta(self, kind, depth):
+        stream = generate("mismatched", 200, seed=26)
+        lrn = (FixedTreeRegressor(depth, 2, mu=1e-3) if kind == "dft"
+               else DirectMixtureRegressor(depth, 2, mode="hard", mu=1e-3))
+        theta = lrn.theta.tobytes()
+        for x, d in zip(stream.extended, stream.targets):
+            lrn.step(x, d)
+            assert lrn.theta.tobytes() == theta
+        assert lrn.v.any()
 
 
 SOFT_DEPTHS = [*(("dat", depth) for depth in range(MAX_TABLE_DEPTH + 1)),
