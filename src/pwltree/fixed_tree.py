@@ -73,7 +73,8 @@ class FixedTreeRegressor(TreeLearner):
     theta : ndarray (n_internal, dim + 1), optional
         Hyperplane vectors of the internal nodes, heap order.  Defaults to
         the axis-cycling directions of :func:`initial_directions` (the
-        four quadrants when depth = dim = 2).  Never trained.
+        four quadrants when depth = dim = 2).  Never trained, so
+        ``load_state`` refuses a snapshot whose ``theta`` differs.
     """
 
     def __init__(self, depth, dim, mu=0.01, theta=None):
@@ -119,3 +120,15 @@ class FixedTreeRegressor(TreeLearner):
         np.add.at(self._rows, path, step * pred.x)
         self.w[path] += step * pred.estimates
         self.t += 1
+
+    # ------------------------------------------------------------------
+    def _check_theta(self, theta: np.ndarray) -> None:
+        """Refuse a snapshot whose hyperplanes are not this tree's own: no
+        step moves them, so any other ``theta`` comes from another config
+        or an edited file."""
+        bad = (theta != self.theta).any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"snapshot theta of node {i} is {theta[i].tolist()}, not the "
+                             f"learner's {self.theta[i].tolist()}: a fixed tree's hyperplanes "
+                             "never move")

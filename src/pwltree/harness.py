@@ -21,11 +21,12 @@ keys it takes, read from ``ExperimentConfig``'s fields, written per stream
 kind, or read from the learner's constructor, and a key outside the table
 or a required key left out is refused in one form, ``... takes only a, b
 and c, not 'x'`` or ``... requires 'y'``.  Its integer settings
-(``trials``, ``seed``, ``stride``, a stream's ``n``), a learner's
-``depth`` and a snapshot's ``position``, ``depth`` and ``t`` are checked
-by ``trees._integer``.  ``pwltree snapshot`` and ``pwltree verify`` read
-their experiment as ``run`` does, and a snapshot file carries that config
-for ``restore``.
+(``trials``, ``seed``, ``stride``, a stream's ``n``) and a snapshot's
+``position``, ``depth`` and ``t`` are checked by ``trees._integer``, and
+a tree learner's ``depth``, when it is built, by ``trees._depth``, the one
+depth check of every tree learner and the explicit mixture.  ``pwltree
+snapshot`` and ``pwltree verify`` read their experiment as ``run`` does,
+and a snapshot file carries that config for ``restore``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .baselines import GaussianKernelRegressor, LinearFilter, VolterraFilter
 from .datagen import CHAOTIC, PIECEWISE, Stream, _noise_var, generate
 from .fixed_tree import FixedTreeRegressor
 from .mixture import DirectMixtureRegressor, batch_best_weights, empirical_strong_convexity
-from .trees import MAX_ENUMERATION_DEPTH, _integer
+from .trees import _integer
 
 CONFIG_SCHEMA = 1
 DIVERGENCE_LIMIT = 1e100
@@ -507,36 +508,47 @@ def verify_config(config: ExperimentConfig) -> dict[str, float]:
     :func:`run_experiment` would step, and return each learner's worst
     relative prediction gap ``|a - b| / (1 + |b|)``, or ``inf`` once
     either prediction stops being finite (a diverged run verifies nothing).
-    Its other learners are not stepped.  A config without a ``dft`` or
-    ``dat`` learner, or with one deeper than the explicit mixture
-    enumerates, ``MAX_ENUMERATION_DEPTH``, is refused before any stream is
-    drawn."""
+    Its other learners are not stepped.  The explicit mixture is built at
+    every depth the learners take.  A config without a ``dft`` or ``dat``
+    learner is refused before any stream is drawn; as in
+    :func:`run_experiment`, every learner and its mixture are built for a
+    stream before any steps, so an entry that cannot be built (a depth
+    outside ``[0, 5]``, say) is refused, with the line ``run`` gives,
+    before any step runs."""
     entries = {_learner_name(e): e for e in config.learners if e["kind"] in ("dft", "dat")}
     if not entries:
         raise ConfigError("verify needs a dft or dat learner, not only "
                           + _and([repr(_learner_name(e)) for e in config.learners]))
-    for name, entry in entries.items():
-        if not 0 <= _integer(entry["depth"], "depth", error=ConfigError) <= MAX_ENUMERATION_DEPTH:
-            raise ConfigError(f"cannot verify learner {name!r}: depth must be in "
-                              f"[0, {MAX_ENUMERATION_DEPTH}], got {entry['depth']}")
     worst = dict.fromkeys(entries, 0.0)
     for seed in range(config.seed, config.seed + config.trials):
-        stream = build_stream(config.stream, seed)
-        for name, entry in entries.items():
-            kind, params = _learner_params(entry)
-            fast = make_learner(entry, stream.dim)
-            # the oracle takes the entry's parameters as they are, but the
-            # collapsed learner's mu, since dat's default is not the oracle's
-            slow = DirectMixtureRegressor(dim=stream.dim, mode="hard" if kind == "dft" else "soft",
-                                          **{**params, "mu": fast.mu})
-            for x, d in zip(fast.features(stream.extended), stream.targets.tolist()):
-                y_fast, _ = fast.step(x, d)
-                y_slow, _ = slow.step(x, d)
-                if not (math.isfinite(y_fast) and math.isfinite(y_slow)):
-                    worst[name] = math.inf
-                    break
-                worst[name] = max(worst[name], abs(y_fast - y_slow) / (1.0 + abs(y_slow)))
+        gaps = _lockstep_gaps(entries, build_stream(config.stream, seed))
+        worst = {name: max(worst[name], gaps[name]) for name in entries}
     return worst
+
+
+def _lockstep_gaps(entries: dict, stream: Stream) -> dict[str, float]:
+    """Each learner entry's worst gap on one stream, as
+    :func:`verify_config` defines it.  Every pair is built before any
+    steps, and all are freed on return, so no stream's mixtures (~0.5 GB
+    each at depth 5) are held while the next stream's are built."""
+    pairs = {}
+    for name, entry in entries.items():
+        kind, params = _learner_params(entry)
+        fast = make_learner(entry, stream.dim)
+        # the oracle takes the entry's parameters as they are, but the
+        # collapsed learner's mu, since dat's default is not the oracle's
+        pairs[name] = fast, DirectMixtureRegressor(
+            dim=stream.dim, mode="hard" if kind == "dft" else "soft", **{**params, "mu": fast.mu})
+    gaps = dict.fromkeys(entries, 0.0)
+    for name, (fast, slow) in pairs.items():
+        for x, d in zip(fast.features(stream.extended), stream.targets.tolist()):
+            y_fast, _ = fast.step(x, d)
+            y_slow, _ = slow.step(x, d)
+            if not (math.isfinite(y_fast) and math.isfinite(y_slow)):
+                gaps[name] = math.inf
+                break
+            gaps[name] = max(gaps[name], abs(y_fast - y_slow) / (1.0 + abs(y_slow)))
+    return gaps
 
 
 def weight_regret(seed: int) -> dict[int, float]:

@@ -10,28 +10,31 @@ run must produce identical predictions at every step.  The soft boundary
 gradient sums the partition weights onto the nodes once, then totals the
 weighted node estimates under each gate's two child subtrees through 0/1
 span masks built here, apart from the learners' heap tables.  It exists to
-verify, not to scale: construction is refused beyond depth 4.
+verify, not to scale, and is built at every depth the collapsed learners
+take, 0 to 5: at depth 5 its membership matrix is 458330 x 63, 231 MB.
 
 A node's activation is 1 on the path the hyperplanes ``theta`` select
-and 0 elsewhere in hard mode, its product of clamped gates in soft mode.
-Both modes step ``v`` and ``w_vec``; soft mode steps ``v`` together with
-``theta``, in the soft tail's one rank-1 step of the learner's rows, and
-hard mode never moves ``theta``.
+and 0 elsewhere in hard mode, its product of clamped gates in soft mode;
+only soft mode has a gate clamp, ``s_plus``.  Both modes step ``v`` and
+``w_vec``; soft mode steps ``v`` together with ``theta``, in the soft
+tail's one rank-1 step of the learner's rows, and hard mode never moves
+``theta``.
 
 The oracle is built on the tree learners' base, :class:`TreeBase` of
-:mod:`pwltree.trees`, capped at ``MAX_ENUMERATION_DEPTH``: the base
-checks the depth, dimension and step size, with the messages the
-collapsed learners give, and holds the node counts and the one array
-of rows a step reads along the input: the node regressors ``v`` and,
-below them, the hyperplanes ``theta``, in either mode.  What the oracle
-checks the learners with stays its own.  Each instance builds its own membership matrix, by level
-recursion and column-major, its own partition weights ``w_vec`` and its own span masks;
-in hard mode also the 0/1 activations of every root -> leaf path and the
-owner table, in soft mode the branch index of a level-major ancestor
-table, both from the bit strings ``i + 1``.  It reads no heap table of
-:mod:`pwltree.trees`, forms no partition set (``partitions`` enumerates
-them on demand), and every step still forms all ``beta(depth)``
-estimates and moves all ``beta(depth)`` weights.
+:mod:`pwltree.trees`: the base checks the depth, dimension and step
+size, with the messages and the one depth range the collapsed learners
+give, and holds the node counts and the one array of rows a step reads
+along the input: the node regressors ``v`` and, below them, the
+hyperplanes ``theta``, in either mode.  What the oracle checks the
+learners with stays its own.  Each instance builds its own membership
+matrix, by level recursion and column-major, its own partition weights
+``w_vec`` and its own span masks; in hard mode also the 0/1 activations
+of every root -> leaf path and the owner table, in soft mode the branch
+index of a level-major ancestor table, both from the bit strings ``i +
+1``.  It reads no heap table of :mod:`pwltree.trees`, forms no partition
+set (``partitions`` enumerates them on demand), and every step still
+forms all ``beta(depth)`` estimates and moves all ``beta(depth)``
+weights.
 
 The partitions tile the leaves, so each holds exactly one node of any
 root -> leaf path (the fact that lets context-tree weighting spend
@@ -103,7 +106,6 @@ import numpy as np
 
 from .separators import initial_directions
 from .trees import (
-    MAX_ENUMERATION_DEPTH,
     SoftPrediction,
     TreeBase,
     _branch_index,
@@ -136,15 +138,18 @@ class DirectMixtureRegressor(_SoftTail, TreeBase):
     never moves) and ``mode='soft'`` twins :class:`AdaptiveTreeRegressor`
     (the ``s_plus`` clamp and the boundary step it fixes: step size
     ``mu / (s_plus (1 - s_plus))``, exact clamped-gate derivative, scalar
-    factor clipped to ``step_cap = 10 s_plus (1 - s_plus)``).
+    factor clipped to ``step_cap = 10 s_plus (1 - s_plus)``).  ``s_plus``
+    defaults to 0.01 in soft mode; hard mode has no gate clamp and refuses
+    one.  Every depth the collapsed learners take is built, 0 to 5.
     """
 
-    max_depth = MAX_ENUMERATION_DEPTH
-
-    def __init__(self, depth, dim, mode="hard", mu=0.01, theta=None, s_plus=0.01):
+    def __init__(self, depth, dim, mode="hard", mu=0.01, theta=None, s_plus=None):
         super().__init__(depth, dim, mu)
         if mode not in ("hard", "soft"):
             raise ValueError(f"unknown mode {mode!r}")
+        if mode == "hard" and s_plus is not None:
+            raise ValueError(f"s_plus is the soft gates' clamp, and mode 'hard' takes none, "
+                             f"got {s_plus!r}")
         self.mode = mode
         self.membership = membership_matrix(self.depth)
         self.w_vec = np.zeros(len(self.membership))
@@ -161,9 +166,9 @@ class DirectMixtureRegressor(_SoftTail, TreeBase):
             # ancestor k levels up being ((i + 1) >> k) - 1; the gate kernel
             # reads its branch index and the span masks
             ancestors = np.maximum((ids >> np.arange(self.depth - 1, -1, -1)[:, None]) - 1, 0)
-            self._soft_gates(s_plus, (_branch_index(ancestors), self._spans))
+            self._soft_gates(0.01 if s_plus is None else s_plus,
+                             (_branch_index(ancestors), self._spans))
         else:
-            self._soft_gates(s_plus)
             # a leaf's root -> leaf path is every node whose subtree holds
             # it: column leaf - n_internal of paths (row of _path_alphas)
             # is 1 on that path and 0 elsewhere
@@ -185,7 +190,8 @@ class DirectMixtureRegressor(_SoftTail, TreeBase):
     @property
     def partitions(self) -> list[frozenset[int]]:
         """The ``beta(depth)`` partitions in ``membership`` row order,
-        enumerated afresh on each access; no step reads them."""
+        enumerated afresh on each access; no step reads them.  Like
+        ``enumerate_partitions``, refused beyond depth 4."""
         return enumerate_partitions(self.depth)
 
     def predict(self, x_ext) -> DirectPrediction:

@@ -23,11 +23,11 @@ Every learner is built one way, from the classes here.  ``Learner``
 holds the one ``step`` of the sequential protocol every learner in the
 package follows and its ``features`` map of a whole stream.
 ``TreeBase`` is the one base of the three tree learners, the fixed tree,
-the adaptive tree and the explicit mixture: it checks the depth against
-its class's cap, the dimension and the step size, and holds the node
-counts and the one array of rows a step reads along the input: the
-per-node regressors ``v`` and, below them, the hyperplanes ``theta`` of
-every tree form, hard or soft.  ``TreeLearner`` adds the node
+the adaptive tree and the explicit mixture: it checks the depth, the
+dimension and the step size, and holds the node counts and the one
+array of rows a step reads along the input: the per-node regressors
+``v`` and, below them, the hyperplanes ``theta`` of every tree form,
+hard or soft.  ``TreeLearner`` adds the node
 weights, step counter, work counters and heap-ordered snapshot format of
 the two collapsed learners.  ``_SoftGates`` is the gate kernel both soft
 learners, the adaptive tree and the explicit mixture's soft mode, call:
@@ -59,9 +59,10 @@ import numpy as np
 from scipy.special import expit
 
 # The deepest tree whose int64 rho_table is built, and so the deepest tree
-# the collapsed learners run.  Its counts overflow int64 from depth 7
-# (gamma(7, 7) is about 1.7e22); deeper tables need float entries rounded
-# from the exact counts.
+# of every tree learner, the explicit mixture and its membership matrix
+# included: one range, [0, MAX_TABLE_DEPTH], checked by _depth.  Its counts
+# overflow int64 from depth 7 (gamma(7, 7) is about 1.7e22); deeper tables
+# need float entries rounded from the exact counts.
 MAX_TABLE_DEPTH = 5
 
 
@@ -86,6 +87,19 @@ def _integer(value, name: str, low: int | None = None, error=ValueError) -> int:
     if low is not None and value < low:
         raise error(f"{name} must be >= {low}, got {value}")
     return int(value)
+
+
+def _depth(depth) -> int:
+    """``depth`` as an int when it is a tree depth the package builds: an
+    integer (numpy's included) in ``[0, MAX_TABLE_DEPTH]``.  Anything else
+    raises ValueError, ``depth must be an integer, got value`` (booleans
+    and integral floats included) or ``depth must be in [0, 5], got
+    value``.  Every tree learner, ``rho_table``, ``membership_matrix`` and
+    ``enumerate_partitions`` check their depth here."""
+    depth = _integer(depth, "depth")
+    if not 0 <= depth <= MAX_TABLE_DEPTH:
+        raise ValueError(f"depth must be in [0, {MAX_TABLE_DEPTH}], got {depth}")
+    return depth
 
 
 def _real(value, name: str, test, want: str, error=ValueError) -> float:
@@ -326,13 +340,12 @@ class _SoftTail:
     defines ``boundary_factors(pred)``, which ``update_boundaries`` reaches
     through the instance."""
 
-    def _soft_gates(self, s_plus, tables=None) -> None:
-        """Keep the gate clamp ``s_plus`` once it passes its check and, given
-        a tree's ``(index, below)`` tables (see ``_SoftGates``), the gate
-        kernel on them."""
+    def _soft_gates(self, s_plus, tables) -> None:
+        """Keep the gate clamp ``s_plus`` once it passes its check and the
+        gate kernel on a tree's ``(index, below)`` tables (see
+        ``_SoftGates``)."""
         self.s_plus = _gate_clamp(s_plus)
-        if tables is not None:
-            self._gates = _SoftGates(self.s_plus, *tables)
+        self._gates = _SoftGates(self.s_plus, *tables)
 
     @property
     def step_cap(self) -> float:
@@ -370,18 +383,17 @@ class Learner:
 
 
 class TreeBase(Learner):
-    """A learner over the nodes of a complete binary tree no deeper than
-    its class's ``max_depth``: the collapsed learners' ``MAX_TABLE_DEPTH``
-    or the explicit mixture's ``MAX_ENUMERATION_DEPTH``.
+    """A learner over the nodes of a complete binary tree of depth 0 to
+    ``MAX_TABLE_DEPTH``, the one range of every tree learner: the fixed
+    tree, the adaptive tree and the explicit mixture.
 
-    It checks the depth, dimension and step size, one message each, and
-    holds what every tree learner reads of its tree: ``n_nodes``,
-    ``n_internal``, one affine regressor ``v`` per node and one
-    hyperplane ``theta`` per internal node.  How the
-    nodes combine is a subclass's own: the collapsed learners' node
-    weights and ``rho`` table (:class:`TreeLearner`), the explicit
-    mixture's partition weights, membership matrix, span masks and
-    ancestor table.
+    It checks the depth (by ``_depth``), dimension and step size, one
+    message each, and holds what every tree learner reads of its tree:
+    ``n_nodes``, ``n_internal``, one affine regressor ``v`` per node and
+    one hyperplane ``theta`` per internal node.  How the nodes combine
+    is a subclass's own: the collapsed learners' node weights and ``rho``
+    table (:class:`TreeLearner`), the explicit mixture's partition
+    weights, membership matrix, span masks and ancestor table.
 
     Every row a step reads along the input lives in one C-contiguous
     array, allocated here once: the ``n_nodes`` regressors, then the
@@ -397,10 +409,7 @@ class TreeBase(Learner):
     """
 
     def __init__(self, depth, dim, mu):
-        depth = _integer(depth, "depth")
-        if not 0 <= depth <= self.max_depth:
-            raise ValueError(f"depth must be in [0, {self.max_depth}], got {depth}")
-        self.depth = depth
+        self.depth = depth = _depth(depth)
         self.dim = dim = _integer(dim, "dim", 1)
         self.mu = _step_size(mu)
         self.n_nodes = node_count(depth)
@@ -451,8 +460,6 @@ class TreeLearner(TreeBase):
     ``update`` advances ``t``.
     """
 
-    max_depth = MAX_TABLE_DEPTH
-
     def __init__(self, depth, dim, mu):
         super().__init__(depth, dim, mu)
         self.w = np.zeros(self.n_nodes)
@@ -475,8 +482,9 @@ class TreeLearner(TreeBase):
         ``depth`` must be the learner's, as an integer, ``t`` an integer
         >= 1, and ``w``, ``v`` and ``theta`` lists of finite numbers,
         booleans excluded, in exactly the shapes
-        ``state_snapshot`` writes; anything else, including a ``state``
-        that is not a dict, raises ValueError.
+        ``state_snapshot`` writes, and ``theta`` one the learner takes
+        (``_check_theta``); anything else, including a ``state`` that is
+        not a dict, raises ValueError.
         """
         if not isinstance(state, dict):
             raise ValueError(f"snapshot state must be an object, got {type(state).__name__}")
@@ -488,7 +496,13 @@ class TreeLearner(TreeBase):
         w = _snapshot_array(state, "w", (self.n_nodes,))
         v = _snapshot_array(state, "v", (self.n_nodes, width))
         theta = _snapshot_array(state, "theta", (self.n_internal, width))
+        self._check_theta(theta)
         self.w, self.v, self.theta, self.t = w, v, theta, t
+
+    def _check_theta(self, theta: np.ndarray) -> None:
+        """Raise ValueError for a snapshot's hyperplanes ``theta``, of the
+        right shape and finite, that this learner cannot take; a learner
+        that trains its hyperplanes takes any."""
 
 
 def _holds_bool(value) -> bool:
@@ -612,13 +626,10 @@ def rho_table(depth: int) -> np.ndarray:
     counts of the (depth + 1)**3 level triples, indexed at once by the
     levels of every pair, which the depth's common-level table holds.  It
     is built once per depth and cached read-only; learners share it for
-    their per-step kappa products.  ``depth`` must be an integer in ``[0,
-    MAX_TABLE_DEPTH]``; anything else raises ValueError naming it.
+    their per-step kappa products.  ``depth`` must pass the one depth
+    check, ``_depth``; anything else raises ValueError naming it.
     """
-    depth = _integer(depth, "depth", 0)
-    if depth > MAX_TABLE_DEPTH:
-        raise ValueError(f"rho_table is int64 and built only to depth {MAX_TABLE_DEPTH}, "
-                         f"got depth {depth}")
+    depth = _depth(depth)
     counts = np.zeros((depth + 1,) * 3, dtype=np.int64)
     for l_c in range(depth + 1):  # a common ancestor lies no deeper than either node
         for l_p in range(l_c, depth + 1):
@@ -631,13 +642,7 @@ def rho_table(depth: int) -> np.ndarray:
     return table
 
 
-MAX_ENUMERATION_DEPTH = 4  # beta(4) = 677 partitions
-
-
-def _check_enumeration_depth(depth: int) -> None:
-    if depth > MAX_ENUMERATION_DEPTH:
-        raise ValueError(f"enumeration refused beyond depth {MAX_ENUMERATION_DEPTH} "
-                         "(beta grows doubly exponentially)")
+MAX_ENUMERATION_DEPTH = 4  # beta(4) = 677 partitions; beta(5) = 458330
 
 
 def enumerate_partitions(depth: int) -> list[frozenset[int]]:
@@ -645,9 +650,14 @@ def enumerate_partitions(depth: int) -> list[frozenset[int]]:
 
     Recursion: partitions(node, r) = {node alone} plus the cross product of
     the two children's partitions with r - 1 remaining levels; the
-    construction never produces duplicates.
+    construction never produces duplicates.  ``depth`` passes the one depth
+    check and then must be at most ``MAX_ENUMERATION_DEPTH``: a set per
+    partition is refused beyond it, as beta grows doubly exponentially.
     """
-    _check_enumeration_depth(depth)
+    depth = _depth(depth)
+    if depth > MAX_ENUMERATION_DEPTH:
+        raise ValueError(f"enumeration refused beyond depth {MAX_ENUMERATION_DEPTH} "
+                         "(beta grows doubly exponentially)")
 
     def rec(i: int, remaining: int) -> list[frozenset[int]]:
         out = [frozenset((i,))]
@@ -668,8 +678,10 @@ def membership_matrix(depth: int) -> np.ndarray:
 
     The matrix is column-major (F-contiguous): node ``i``'s memberships
     are one contiguous column of ``beta(depth)`` entries.  The root's rows
-    are concatenated straight into that layout, so no copy follows."""
-    _check_enumeration_depth(depth)
+    are concatenated straight into that layout, so no copy follows.  It
+    is built at every depth the learners take: at depth 5 it is 458330 x
+    63, 231 MB."""
+    depth = _depth(depth)
     eye = np.eye(node_count(depth))
     rows = eye[(1 << depth) - 1:, None]  # a leaf's one partition: itself
     for lev in range(depth - 1, -1, -1):

@@ -344,8 +344,11 @@ def reference_mixture_step(lrn, x, d):
     membership = loop_membership(lrn.partitions, lrn.n_nodes)
     mu = lrn.mu
     w_vec, v = lrn.w_vec.copy(), lrn.v.copy()
+    # the gate products are rows of one product of all the rows with the
+    # input, as every tree learner forms them: a depth-1 tree's lone
+    # hyperplane row, multiplied alone, can differ in the last bit
+    gates = (np.vstack([lrn.v, lrn.theta]) @ x)[lrn.n_nodes:]
     if lrn.mode == "hard":
-        gates = lrn.theta @ x
         path = np.empty(lrn.depth + 1, dtype=np.intp)
         i = 0
         for k in range(lrn.depth):
@@ -361,7 +364,7 @@ def reference_mixture_step(lrn, x, d):
         w_vec += (mu * e) * d_vec
         return y_hat, w_vec, v, lrn.theta.copy()
     s_plus = lrn.s_plus
-    u = expit(-(lrn.theta @ x)) if lrn.n_internal else np.empty(0)
+    u = expit(-gates)
     s = np.clip(s_plus + (1.0 - 2.0 * s_plus) * u, s_plus, 1.0 - s_plus)
     alphas = np.empty(lrn.n_nodes)
     alphas[0] = 1.0

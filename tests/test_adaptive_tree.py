@@ -50,12 +50,24 @@ def random_state(lrn, rng):
 class TestConstruction:
     def test_clamp_must_be_strictly_interior(self):
         for bad in (0.0, 0.5, 0.7, math.nan, math.inf, "0.01", True, np.bool_(True), None):
-            for make in (lambda: AdaptiveTreeRegressor(2, 2, s_plus=bad),
-                         lambda: DirectMixtureRegressor(2, 2, mode="soft", s_plus=bad),
-                         lambda: DirectMixtureRegressor(2, 2, mode="hard", s_plus=bad)):
+            makers = [lambda: AdaptiveTreeRegressor(2, 2, s_plus=bad)]
+            if bad is not None:  # the soft oracle reads None as its default clamp
+                makers.append(lambda: DirectMixtureRegressor(2, 2, mode="soft", s_plus=bad))
+            for make in makers:
                 with pytest.raises(ValueError, match=re.escape(
                         f"s_plus must lie in (0, 0.5), got {bad!r}")):
                     make()
+
+    def test_hard_oracle_refuses_a_clamp(self):
+        # no hard step reads a gate clamp, so a hard oracle takes none at all
+        for value in (0.01, 0.3, 0.0, "0.01", True):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"s_plus is the soft gates' clamp, and mode 'hard' takes none, "
+                    f"got {value!r}") + "$"):
+                DirectMixtureRegressor(2, 2, mode="hard", s_plus=value)
+        assert not hasattr(DirectMixtureRegressor(2, 2, mode="hard", s_plus=None), "s_plus")
+        assert DirectMixtureRegressor(2, 2, mode="soft").s_plus == 0.01
+        assert DirectMixtureRegressor(2, 2, mode="soft", s_plus=None).s_plus == 0.01
 
     def test_auto_cap_value(self):
         lrn = AdaptiveTreeRegressor(2, 2, s_plus=0.01)

@@ -63,6 +63,17 @@ class TestVerifyCommand:
         config = write_config(tmp_path / "exp.json", "dat", 150, depth=1, mu=0.01)
         assert main(["verify", config]) == 0
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("mode", ["dft", "dat"])
+    def test_depth_five_passes_at_default_tolerance(self, tmp_path, capsys, mode):
+        # the explicit mixture at the learners' deepest tree: 458330
+        # partitions, ~0.5 GB; hyperplanes along no axis reach every cell
+        planes = np.random.default_rng(5).normal(size=(31, 3)).tolist()
+        config = write_config(tmp_path / "exp.json", mode, 40, depth=5, learners=[
+            {"kind": mode, "depth": 5, "mu": 1e-3, "theta": planes}])
+        assert main(["verify", config]) == 0
+        assert capsys.readouterr().out.startswith(f"{mode}: max per-step relative gap ")
+
     def test_exit_two_when_tolerance_impossible(self, tmp_path, capsys):
         code = main(["verify", write_config(tmp_path / "exp.json", "dft", 200, mu=0.01),
                      "--tol", "0"])
@@ -92,18 +103,16 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == f"pwltree: stream length n must be >= 1, got {steps}\n"
 
     @pytest.mark.parametrize("mode", ["dft", "dat"])
-    @pytest.mark.parametrize("depth", ["-1", "5"])
-    def test_depth_outside_the_enumeration_range_exits_one(self, monkeypatch, capsys, tmp_path,
-                                                           depth, mode):
-        # the collapsed learners take depth 5, so the range named must be the
-        # explicit mixture's, and it is checked before any stream is drawn
-        drawn = []
-        monkeypatch.setattr(harness, "generate", lambda *args, **kw: drawn.append(args))
+    @pytest.mark.parametrize("depth", ["-1", "6"])
+    def test_depth_outside_the_enumeration_range_exits_one(self, capsys, tmp_path, depth, mode):
+        # the explicit mixture takes every depth the learners take, so
+        # verify refuses a depth outside their range with run's own line
         config = write_config(tmp_path / "exp.json", mode, 10, depth=int(depth))
+        assert main(["run", config, "--out", str(tmp_path / "run")]) == 1
+        ran = capsys.readouterr().err
         assert main(["verify", config]) == 1
-        assert drawn == []
-        assert capsys.readouterr().err == \
-            f"pwltree: cannot verify learner {mode!r}: depth must be in [0, 4], got {depth}\n"
+        assert capsys.readouterr().err == ran == \
+            f"pwltree: cannot build learner kind {mode!r}: depth must be in [0, 5], got {depth}\n"
 
     def test_config_without_a_tree_learner_exits_one(self, monkeypatch, capsys, tmp_path):
         drawn = []
@@ -875,6 +884,24 @@ class TestSnapshotRestore:
         snap.write_text(json.dumps(snapshot))
         assert main(["restore", "--snapshot", str(snap), "--steps", "5"]) == 1
         assert "cannot build learner kind 'dat'" in capsys.readouterr().err
+
+    def test_restore_refuses_a_fixed_tree_state_of_other_hyperplanes(self, tmp_path, capsys):
+        # no step moves a fixed tree's hyperplanes, so a state whose theta is
+        # not its config's comes from another config or an edited file
+        snap, out = tmp_path / "s.json", tmp_path / "r.json"
+        config = write_config(tmp_path / "exp.json", "dft", 40, learners=[
+            {"kind": "dft", "depth": 1, "mu": 0.005, "theta": [[1, 0, 0]]}])
+        assert main(["snapshot", config, "--steps", "20", "--out", str(snap)]) == 0
+        snapshot = json.loads(snap.read_text())
+        assert snapshot["state"]["theta"] == [[1.0, 0.0, 0.0]]
+        snapshot["state"]["theta"] = [[0, 1, 0]]
+        snap.write_text(json.dumps(snapshot))
+        capsys.readouterr()
+        assert main(["restore", "--snapshot", str(snap), "--steps", "5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "pwltree: malformed snapshot: snapshot theta of node 0 is [0.0, 1.0, 0.0], not the "
+            "learner's [1.0, 0.0, 0.0]: a fixed tree's hyperplanes never move\n")
+        assert not out.exists()
 
 
 class TestSnapshotChecksAsRun:

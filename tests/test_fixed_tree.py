@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -255,6 +256,22 @@ class TestSnapshot:
             lrn.load_state(state)
         assert (lrn.w == 7.0).all()
         assert (lrn.v == 3.0).all()
+
+    def test_state_of_other_hyperplanes_refused(self):
+        # no step moves a fixed tree's hyperplanes, so a state must carry its own
+        lrn = FixedTreeRegressor(2, 2, theta=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.5]])
+        lrn.w[:] = 7.0
+        before = lrn.state_snapshot()
+        state = FixedTreeRegressor(2, 2, theta=lrn.theta).state_snapshot()
+        state["theta"][2] = [0.0, 1.0, -0.5]
+        with pytest.raises(ValueError, match=re.escape(
+                "snapshot theta of node 2 is [0.0, 1.0, -0.5], not the learner's [0.0, 1.0, 0.5]: "
+                "a fixed tree's hyperplanes never move") + "$"):
+            lrn.load_state(state)
+        assert lrn.state_snapshot() == before
+        state["theta"][2] = [0, 1, 0.5]  # the same numbers, written as integers
+        lrn.load_state(state)
+        assert lrn.state_snapshot() == {**before, "w": [0.0] * 7}
 
 
 class TestDeterminism:

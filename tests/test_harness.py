@@ -529,8 +529,11 @@ class TestConfig:
          "s_plus must lie in (0, 0.5), got '0.01'"),
         ({"kind": "direct", "depth": 2, "mode": "soft", "s_plus": True},
          "s_plus must lie in (0, 0.5), got True"),
+        # a hard oracle takes no gate clamp, whatever its value
         ({"kind": "direct", "depth": 2, "s_plus": "0.01"},
-         "s_plus must lie in (0, 0.5), got '0.01'"),
+         "s_plus is the soft gates' clamp, and mode 'hard' takes none, got '0.01'"),
+        ({"kind": "direct", "depth": 2, "mode": "hard", "s_plus": 0.01},
+         "s_plus is the soft gates' clamp, and mode 'hard' takes none, got 0.01"),
         # the Volterra filter is second order only: an order key is refused by name
         ({"kind": "vf", "order": 2.0}, "it takes only mu, not 'order'"),
         ({"kind": "gkr", "centers": [[0.0, 0.0]], "covariances": True},
@@ -556,7 +559,7 @@ class TestConfig:
          "theta must have shape (0, 3) and hold only numbers"),
     ], ids=["dft-bool-depth", "direct-bool-depth", "dat-float-depth", "direct-string-depth",
             "dat-string-s-plus", "soft-direct-bool-s-plus", "hard-direct-string-s-plus",
-            "vf-float-order", "gkr-bool-covariance", "gkr-string-covariance",
+            "hard-direct-s-plus", "vf-float-order", "gkr-bool-covariance", "gkr-string-covariance",
             "gkr-bool-in-covariance", "gkr-bool-in-centers", "dat-bool-in-theta",
             "dft-bool-in-boundaries", "direct-string-in-boundaries", "dat-d0-empty-row-theta",
             "dft-d0-row-in-boundaries", "direct-d0-empty-row-boundaries"])
@@ -810,12 +813,29 @@ class TestVerify:
             verify_equivalence("nope", 2, 10, seed=1)
 
     @pytest.mark.parametrize("mode", ["dft", "dat"])
-    @pytest.mark.parametrize("depth", [-1, 5])
-    def test_depth_outside_the_enumeration_range_refused(self, monkeypatch, mode, depth):
-        monkeypatch.setattr(harness, "generate", lambda *args, **kwargs: pytest.fail("drawn"))
-        message = re.escape(f"cannot verify learner {mode!r}: depth must be in [0, 4], got {depth}")
+    @pytest.mark.parametrize("depth", [-1, 6])
+    def test_depth_outside_the_enumeration_range_refused(self, mode, depth):
+        # the oracle takes every depth the learners take, so the range is
+        # theirs and the refusal is the one run_experiment gives
+        message = re.escape(f"cannot build learner kind {mode!r}: depth must be in [0, 5], "
+                            f"got {depth}")
         with pytest.raises(ConfigError, match=f"^{message}$"):
             verify_equivalence(mode, depth, 10, seed=1)
+
+    @pytest.mark.parametrize("mode", ["dft", "dat"])
+    def test_every_pair_is_built_before_any_step(self, monkeypatch, mode):
+        # as in run_experiment: a bad entry after a good one is refused
+        # before the good one takes a step
+        steps = []
+        monkeypatch.setattr(Learner, "step",
+                            lambda self, x, d: steps.append(self) or (0.0, 0.0))
+        config = ExperimentConfig({"kind": "matched", "n": 10},
+                                  [{"kind": "dft", "depth": 1}, {"name": "deep", "kind": mode,
+                                                                 "depth": 6}])
+        with pytest.raises(ConfigError, match=re.escape(
+                f"cannot build learner kind {mode!r}: depth must be in [0, 5], got 6") + "$"):
+            verify_config(config)
+        assert steps == []
 
     def test_config_without_a_tree_learner_refused(self, monkeypatch):
         monkeypatch.setattr(harness, "generate", lambda *args, **kwargs: pytest.fail("drawn"))

@@ -9,12 +9,13 @@ from pwltree.adaptive_tree import AdaptiveTreeRegressor
 from pwltree.baselines import LinearFilter, VolterraFilter
 from pwltree.datagen import generate
 from pwltree.fixed_tree import FixedTreeRegressor
+from pwltree.harness import verify_equivalence
 from pwltree.mixture import (
     DirectMixtureRegressor,
     batch_best_weights,
     empirical_strong_convexity,
 )
-from pwltree.trees import beta, membership_matrix
+from pwltree.trees import beta, membership_matrix, rho_table
 
 from helpers import is_ancestor, label, loop_membership, subtree_matrix
 
@@ -59,11 +60,12 @@ class TestDirectPredict:
         lrn = DirectMixtureRegressor(4, 2, mode="hard")
         assert len(lrn.partitions) == 677
         with pytest.raises(ValueError):
-            DirectMixtureRegressor(5, 2)
+            DirectMixtureRegressor(6, 2)
 
-    @pytest.mark.parametrize("depth", [-1, 5])
+    @pytest.mark.parametrize("depth", [-1, 6])
     def test_depth_outside_the_range_is_refused_naming_it(self, depth):
-        with pytest.raises(ValueError, match=rf"depth must be in \[0, 4\], got {depth}"):
+        # the collapsed learners' range: the oracle is built at every depth they take
+        with pytest.raises(ValueError, match=rf"^depth must be in \[0, 5\], got {depth}$"):
             DirectMixtureRegressor(depth, 2)
 
     @pytest.mark.parametrize("dim", [0, -1, True, 2.0, "2"])
@@ -276,3 +278,21 @@ class TestStrongConvexity:
             for _ in range(100)
         ])
         assert empirical_strong_convexity(D) < 1e-12
+
+
+@pytest.mark.slow
+class TestDepthFive:
+    """The explicit mixture at the learners' deepest tree: 458330
+    partitions, a 231 MB membership matrix and ~0.5 GB at the peak of an
+    oracle's build, so only the full suite builds it."""
+
+    def test_membership_matrix_gives_the_rho_table(self):
+        m = membership_matrix(5)
+        assert m.shape == (beta(5), 63) and m.flags.f_contiguous
+        # entry (p, q) of M^T M counts the partitions holding both p and q
+        assert np.array_equal(m.T.dot(m), rho_table(5))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("mode, steps", [("dft", 300), ("dat", 150)])
+    def test_lockstep(self, mode, steps, seed):
+        assert verify_equivalence(mode, 5, steps, seed=seed, mu=1e-3) <= 1e-9

@@ -17,7 +17,15 @@ from pwltree.adaptive_tree import AdaptiveTreeRegressor
 from pwltree.datagen import generate
 from pwltree.fixed_tree import FixedTreeRegressor
 from pwltree.mixture import DirectMixtureRegressor
-from pwltree.trees import MAX_ENUMERATION_DEPTH, _heap_tables, node_count
+from pwltree.trees import (
+    MAX_ENUMERATION_DEPTH,
+    MAX_TABLE_DEPTH,
+    _heap_tables,
+    gamma,
+    level,
+    node_count,
+    rho_table,
+)
 
 from helpers import reference_dot_step, reference_mixture_step, reference_step, row_ancestors
 
@@ -100,6 +108,8 @@ def test_snapshot_round_trip_is_exact(gated, depth, seed, bits, t):
     lrn.theta = random_finite(rng, lrn.theta.shape, bits)
     lrn.t = t
     other = make()
+    if not gated:  # a fixed tree takes only a state of its own hyperplanes
+        other.theta = lrn.theta
     other.load_state(json.loads(json.dumps(lrn.state_snapshot())))
     fields = ("w", "v", "theta")
     for field in fields:
@@ -196,7 +206,9 @@ def test_mixture_step_matches_reference_bit_for_bit(mode, depth, seed, mu, s_plu
     planes = rng.normal(size=((1 << depth) - 1, 3)) * 10.0 ** rng.uniform(-1, 1)
     if on_plane:
         planes[rng.random(len(planes)) < 0.5] = 0.0
-    lrn = DirectMixtureRegressor(depth, 2, mode=mode, mu=mu, s_plus=s_plus, theta=planes)
+    # only the soft oracle takes a gate clamp
+    lrn = DirectMixtureRegressor(depth, 2, mode=mode, mu=mu,
+                                 s_plus=s_plus if mode == "soft" else None, theta=planes)
     lrn.w_vec = rng.normal(size=lrn.w_vec.shape) * 10.0 ** scale
     lrn.v = rng.normal(size=lrn.v.shape) * 10.0 ** scale
     x = np.append(rng.normal(size=2), 1.0)
@@ -288,3 +300,36 @@ def test_adaptive_tree_and_soft_oracle_share_the_gate_kernel(depth, seed, s_plus
     tree.update_boundaries(x, e, ours)
     oracle.update_boundaries(x, e, theirs)
     assert same_bits(tree.theta, oracle.theta)
+
+
+def leaf_paths(depth: int) -> np.ndarray:
+    """Heap indices of every root -> leaf path, one row per leaf, from the
+    bit strings ``i + 1``: the ancestor ``k`` levels above ``i`` is ``((i +
+    1) >> k) - 1``."""
+    leaves = np.arange((1 << depth) - 1, node_count(depth))
+    return ((leaves[:, None] + 1) >> np.arange(depth, -1, -1)) - 1
+
+
+@pytest.mark.parametrize("depth", range(MAX_TABLE_DEPTH + 1))
+def test_rho_path_sums_count_the_partitions_of_each_node(depth):
+    # a partition tiles the leaves, so it holds exactly one node of every
+    # root -> leaf path: summed down any path, rho[i, j] counts each
+    # partition holding j once, gamma(d, level(j)); at depth 5 no partition
+    # is enumerated, so this is the check of the depth-5 table
+    rho = rho_table(depth)
+    want = [gamma(depth, level(j)) for j in range(node_count(depth))]
+    sums = rho[leaf_paths(depth)].sum(axis=1)
+    assert sums.shape == (1 << depth, node_count(depth))
+    assert (sums == want).all()
+
+
+@pytest.mark.parametrize("depth", range(MAX_TABLE_DEPTH + 1))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(w=st.lists(st.integers(-1000, 1000), min_size=63, max_size=63))
+def test_kappa_sums_the_same_down_every_path(depth, w):
+    # so the combination weights kappa = rho w of any node weights w sum to
+    # the same total down every root -> leaf path: sum_j gamma(d, level(j)) w_j
+    w = np.array(w[:node_count(depth)], dtype=np.int64)
+    kappa = rho_table(depth).dot(w)
+    total = sum(gamma(depth, level(j)) * int(w[j]) for j in range(node_count(depth)))
+    assert kappa[leaf_paths(depth)].sum(axis=1).tolist() == [total] * (1 << depth)

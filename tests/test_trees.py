@@ -133,19 +133,21 @@ class TestShape:
                 lrn = make(2, 2, mu=mu)
                 assert lrn.mu == float(mu) and type(lrn.mu) is float
 
-    @pytest.mark.parametrize("make, cap", [
+    @pytest.mark.parametrize("make, top", [
         (FixedTreeRegressor, MAX_TABLE_DEPTH), (AdaptiveTreeRegressor, MAX_TABLE_DEPTH),
         (lambda *args, **kw: DirectMixtureRegressor(*args, mode="hard", **kw),
          MAX_ENUMERATION_DEPTH),
         (lambda *args, **kw: DirectMixtureRegressor(*args, mode="soft", **kw),
          MAX_ENUMERATION_DEPTH),
     ], ids=["dft", "dat", "direct-hard", "direct-soft"])
-    def test_tree_base_refuses_depth_dim_and_mu_with_one_message(self, make, cap):
+    def test_tree_base_refuses_depth_dim_and_mu_with_one_message(self, make, top):
         # every tree learner checks its depth, dim and mu in the one base,
-        # so each refusal reads the same and names the value, whatever the cap
-        for depth in (-1, cap + 1):
+        # so each refusal reads the same and names the value, in the one
+        # depth range; top is the deepest tree built here (a depth-5
+        # oracle, ~0.5 GB, is built only by the slow tests)
+        for depth in (-1, MAX_TABLE_DEPTH + 1):
             with pytest.raises(ValueError, match=re.escape(
-                    f"depth must be in [0, {cap}], got {depth}") + "$"):
+                    f"depth must be in [0, {MAX_TABLE_DEPTH}], got {depth}") + "$"):
                 make(depth, 2)
         for dim in (2.0, "2"):
             with pytest.raises(ValueError, match=re.escape(
@@ -154,7 +156,7 @@ class TestShape:
         with pytest.raises(ValueError, match=re.escape(
                 "mu must be a finite number > 0, got -0.5") + "$"):
             make(2, 2, mu=-0.5)
-        assert make(cap, 2).n_nodes == node_count(cap)
+        assert make(top, 2).n_nodes == node_count(top)
 
     @pytest.mark.parametrize("depth", range(1, MAX_TABLE_DEPTH + 1))
     def test_learners_view_the_shared_tables(self, depth):
@@ -450,13 +452,18 @@ class TestKernelBuffers:
         stream = generate("mismatched", 6, seed=24)
         lrn = soft_learner(kind, depth)
         randomize(lrn, np.random.default_rng(25))
+        if kind == "dat":
+            # node weights at the scale of the partition counts in rho, so
+            # that every step stays finite, at depth 5 too
+            lrn.w /= beta(depth)
         x, d = stream.extended[0], stream.targets[0]
         pred = lrn.predict(x)
         lrn.update(x, d, pred)
         fields = [field.name for field in dataclasses.fields(pred)]
         before = {name: np.asarray(getattr(pred, name)).tobytes() for name in fields}
-        for x, d in zip(stream.extended[1:], stream.targets[1:]):
-            lrn.step(x, d)
+        with np.errstate(all="raise"):
+            for x, d in zip(stream.extended[1:], stream.targets[1:]):
+                lrn.step(x, d)
         for name in fields:
             value = getattr(pred, name)
             assert np.asarray(value).tobytes() == before[name], name
@@ -633,8 +640,9 @@ class TestRhoTable:
             table[0, 0] = 5
 
     def test_depth_cap(self):
+        # the one depth check: rho_table is int64 and built only to depth 5
         with pytest.raises(ValueError, match=re.escape(
-                f"rho_table is int64 and built only to depth {MAX_TABLE_DEPTH}, got depth 6")):
+                f"depth must be in [0, {MAX_TABLE_DEPTH}], got 6") + "$"):
             rho_table(6)
 
 
@@ -659,9 +667,32 @@ def test_partition_counts_refuse_a_non_integer_depth(count, depth):
 @pytest.mark.parametrize("count", COUNTS)
 @pytest.mark.parametrize("depth", [-1, -3, np.int64(-1)])
 def test_partition_counts_refuse_a_negative_depth(count, depth):
-    # rho_table(-1) used to return an empty (0, 0) table
-    with pytest.raises(ValueError, match=re.escape(f"depth must be >= 0, got {int(depth)}")):
+    # rho_table(-1) used to return an empty (0, 0) table; rho_table takes
+    # the one depth range of the tree learners, the counts any depth >= 0
+    want = (f"depth must be in [0, {MAX_TABLE_DEPTH}]" if count is rho_table
+            else "depth must be >= 0")
+    with pytest.raises(ValueError, match=re.escape(f"{want}, got {int(depth)}") + "$"):
         count(depth)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda depth: FixedTreeRegressor(depth, 2), id="dft"),
+    pytest.param(lambda depth: AdaptiveTreeRegressor(depth, 2), id="dat"),
+    pytest.param(lambda depth: DirectMixtureRegressor(depth, 2, mode="hard"), id="direct-hard"),
+    pytest.param(lambda depth: DirectMixtureRegressor(depth, 2, mode="soft"), id="direct-soft"),
+    pytest.param(rho_table, id="rho_table"),
+    pytest.param(membership_matrix, id="membership_matrix"),
+    pytest.param(enumerate_partitions, id="enumerate_partitions"),
+])
+@pytest.mark.parametrize("depth", [-1, 6, 2.0, True, "2"])
+def test_one_depth_check(build, depth):
+    # every tree learner and every per-depth table refuses a depth in the
+    # same words: membership_matrix used to take True as depth 1 and fail
+    # at -1 on a negative shift, and enumerate_partitions(-1) returned [{0}]
+    want = (f"depth must be in [0, {MAX_TABLE_DEPTH}], got {depth}" if type(depth) is int
+            else f"depth must be an integer, got {depth!r}")
+    with pytest.raises(ValueError, match=re.escape(want) + "$"):
+        build(depth)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -761,11 +792,12 @@ class TestMembership:
         assert m.flags.f_contiguous
 
     def test_refused_beyond_the_enumeration_depth(self):
-        depth = MAX_ENUMERATION_DEPTH + 1
-        with pytest.raises(ValueError) as refused:
-            enumerate_partitions(depth)
-        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
-            membership_matrix(depth)
+        # a set per partition is enumerated only to depth 4; the matrix,
+        # built from no set, goes to the learners' depth 5 (the slow tests
+        # build it), and both refuse depth 6 by the one depth check
+        with pytest.raises(ValueError, match=re.escape(
+                f"enumeration refused beyond depth {MAX_ENUMERATION_DEPTH}")):
+            enumerate_partitions(MAX_ENUMERATION_DEPTH + 1)
 
     def test_rows_mark_partition_leaves(self):
         parts = enumerate_partitions(2)
