@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .separators import initial_directions
-from .trees import SoftPrediction, TreeLearner, _heap_tables, _hyperplanes, _SoftTail, rho_table
+from .trees import SoftPrediction, TreeLearner, _heap_tables, _SoftTail, rho_table
 
 
 @dataclass
@@ -93,9 +93,7 @@ class AdaptiveTreeRegressor(_SoftTail, TreeLearner):
         super().__init__(depth, dim, mu)
         _, descendants, _, index = _heap_tables(depth)
         self._soft_gates(s_plus, (index, descendants[1:]))
-        if theta is None:
-            theta = initial_directions(depth, dim)
-        self.theta = _hyperplanes(theta, self.n_internal, self.dim)
+        self.theta = initial_directions(depth, dim) if theta is None else theta
         self._rho = rho_table(depth).astype(float)
 
     # ------------------------------------------------------------------

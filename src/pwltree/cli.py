@@ -33,9 +33,10 @@ SNAPSHOT_SCHEMA = 6  # 6: every tree learner's state carries its hyperplanes the
 _SNAPSHOT_KEYS = dict.fromkeys(("schema", "config", "position", "cum_e2", "state"), True)
 
 
-class _StreamFault(ValueError):
-    """A fault of a stream's data, found when the stream is built: ``restore``
-    prints it as ``run`` does, not as a fault of the snapshot."""
+class _PlainFault(ValueError):
+    """A fault that ``restore`` prints as ``run`` and ``snapshot`` do, not as
+    a fault of the snapshot: one of a stream's data, found when the stream
+    is built, or a ``--steps`` that the stream cannot run."""
 
 
 def _fail(message: str, code: int = 1) -> int:
@@ -109,9 +110,10 @@ def _run_segment(config: harness.ExperimentConfig, start: int, steps: int, state
     steps from ``start``, after steps whose squared errors summed to
     ``prior_e2``.  A config of more than one learner or trial, or
     of a learner kind without a state (any but ``dft`` and ``dat``), is
-    refused before the stream is drawn, and a fault of the stream's data
-    raises ``_StreamFault``.  Returns the learner and the segment's
-    metrics."""
+    refused before the stream is drawn.  A fault of the stream's data, or
+    ``steps`` that do not fit in the stream from ``start``, raises
+    ``_PlainFault``; a ``start`` past the stream's end raises ConfigError.
+    Returns the learner and the segment's metrics."""
     if len(config.learners) != 1:
         raise harness.ConfigError(f"snapshots support one learner only, not {len(config.learners)}")
     if config.trials != 1:
@@ -122,11 +124,14 @@ def _run_segment(config: harness.ExperimentConfig, start: int, steps: int, state
     try:
         stream = harness.build_stream(config.stream, config.seed)
     except ValueError as exc:
-        raise _StreamFault(exc) from exc
+        raise _PlainFault(exc) from exc
     stop = start + steps
-    if not 0 <= start <= stop <= len(stream):
-        raise harness.ConfigError(f"stream has {len(stream)} steps; cannot run {steps} steps "
-                                  f"from position {start}")
+    if not 0 <= start <= len(stream):
+        raise harness.ConfigError(f"stream has {len(stream)} steps; position {start} lies "
+                                  "past its end")
+    if not start <= stop <= len(stream):
+        raise _PlainFault(f"stream has {len(stream)} steps; cannot run {steps} steps "
+                          f"from position {start}")
     learner = harness.make_learner(spec, stream.dim)
     if state is not None:
         learner.load_state(state)
@@ -185,7 +190,7 @@ def _cmd_restore(args) -> int:
         config = harness.ExperimentConfig.from_dict(snapshot["config"])
         learner, metrics = _run_segment(config, position, args.steps, snapshot["state"],
                                         prior_e2)
-    except (_StreamFault, OSError) as exc:  # the data's fault, not the snapshot's
+    except (_PlainFault, OSError) as exc:  # the data's or --steps' fault, not the snapshot's
         return _fail(str(exc))
     except ValueError as exc:
         return _fail(f"malformed snapshot: {exc}")

@@ -72,9 +72,10 @@ def _generator(seed) -> np.random.Generator:
 
 
 def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
-    # 53-bit draws centred into (0, 1), then the inverse normal CDF
+    # 53-bit draws centred into (0, 1), then the inverse normal CDF; the top
+    # draw's k + 0.5 rounds to 2**53, so it is clamped below 1.0 (ndtri 8.21)
     k = rng.integers(0, 1 << 53, size=shape, dtype=np.int64)
-    return ndtri((k + 0.5) * 2.0**-53)
+    return ndtri(np.minimum((k + 0.5) * 2.0**-53, np.nextafter(1.0, 0.0)))
 
 
 # kind -> (planes, signs): the generating tree of a piecewise-linear

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .separators import initial_directions
-from .trees import TreeLearner, _hard_leaf, _heap_tables, _hyperplanes, rho_table
+from .trees import TreeLearner, _hard_leaf, _heap_tables, rho_table
 
 
 @dataclass
@@ -79,9 +79,7 @@ class FixedTreeRegressor(TreeLearner):
 
     def __init__(self, depth, dim, mu=0.01, theta=None):
         super().__init__(depth, dim, mu)
-        if theta is None:
-            theta = initial_directions(depth, dim)
-        self.theta = _hyperplanes(theta, self.n_internal, self.dim)
+        self.theta = initial_directions(depth, dim) if theta is None else theta
         # root -> leaf path of every leaf: the root, then the leaf's ancestor column
         self._paths = np.zeros((self.n_nodes - self.n_internal, depth + 1), dtype=np.intp)
         self._paths[:, 1:] = _heap_tables(depth)[0][:, self.n_internal:].T

@@ -110,7 +110,6 @@ from .trees import (
     TreeBase,
     _branch_index,
     _hard_leaf,
-    _hyperplanes,
     _SoftTail,
     enumerate_partitions,
     membership_matrix,
@@ -182,9 +181,7 @@ class DirectMixtureRegressor(_SoftTail, TreeBase):
             owners = self.membership.dot(paths * np.arange(self.n_nodes)[:, None])
             self._owners = owners.T.astype(np.intp, order="C")
             self._owners.setflags(write=False)
-        if theta is None:
-            theta = initial_directions(self.depth, self.dim)
-        self.theta = _hyperplanes(theta, self.n_internal, self.dim)
+        self.theta = initial_directions(self.depth, self.dim) if theta is None else theta
 
     # ------------------------------------------------------------------
     @property

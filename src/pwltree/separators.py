@@ -21,6 +21,13 @@ def initial_directions(depth: int, dim: int) -> np.ndarray:
     axis, depth-1 nodes on the second, and so on cyclically; offsets start
     at 0.  For ``depth = dim = 2`` this carves the four quadrants.
     Returned as an ``(n_internal, dim + 1)`` array in heap order.
+
+    At ``depth > dim`` no component is left for the levels from ``dim``
+    down (the root is level 0), so every node there gets an all-zero
+    plane.  A hard gate sends every input to the upper child of such a
+    plane; a soft gate sits at 1/2, its two children stay symmetric and
+    its step factor stays 0 up to rounding, so the plane does not move.
+    Such a tree carves no more cells than a depth-``dim`` tree.
     """
     n_internal = (1 << depth) - 1
     out = np.zeros((n_internal, dim + 1))

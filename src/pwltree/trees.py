@@ -124,21 +124,6 @@ def _step_size(mu) -> float:
     return _real(mu, "mu", lambda mu: 0 < mu < math.inf, "be a finite number > 0")
 
 
-def _hyperplanes(planes, n_internal: int, dim: int) -> np.ndarray:
-    """``planes`` as a fresh float array, one finite row of ``dim + 1``
-    numbers per internal node, booleans and strings excluded; anything
-    else raises ValueError naming ``theta``.  A depth-0 tree's ``[]``, no
-    row at all, has the shape ``(0, dim + 1)``."""
-    if n_internal == 0 and isinstance(planes, list) and not planes:
-        return np.empty((0, dim + 1))
-    planes = _numeric(planes, (n_internal, dim + 1))
-    if planes is None:
-        raise ValueError(f"theta must have shape ({n_internal}, {dim + 1}) and hold only numbers")
-    if not np.isfinite(planes).all():
-        raise ValueError("theta must be finite")
-    return planes
-
-
 def _gate_clamp(s_plus) -> float:
     """``s_plus`` as a float when it is a usable gate clamp: a real number
     (numpy's included) in ``(0, 0.5)``; anything else, NaN included,
@@ -401,7 +386,10 @@ class TreeBase(Learner):
     (the soft learners) or not (the hard ones).  ``v`` and ``theta`` are
     views of it, made afresh on each access, so a copy of a learner reads
     its own array; assigning either copies the value into the array, and
-    a value of any other shape raises ValueError and changes nothing.
+    a value of any other shape, or one that holds anything but finite
+    numbers, raises ValueError and changes nothing (``_assign``).  The
+    constructors' ``theta`` and ``load_state`` write through the same
+    setters.
     Every tree learner forms every row's product with the input in one
     product, in which a depth-1 tree's one hyperplane row is a
     matrix-vector row and not the dot product it would be alone, which
@@ -441,11 +429,18 @@ class TreeBase(Learner):
 
 def _assign(rows: np.ndarray, value, name: str) -> None:
     """Copy ``value`` into the view ``rows`` when it has exactly their
-    shape; otherwise raise ValueError naming ``name``, copying nothing."""
-    value = np.asarray(value, dtype=float)
-    if value.shape != rows.shape:
-        raise ValueError(f"{name} must have shape {rows.shape}, got {value.shape}")
-    rows[...] = value
+    shape, holds only numbers (booleans and strings excluded, see
+    ``_numeric``) and is finite; otherwise raise ValueError naming
+    ``name``, ``name must have shape (k, m+1) and hold only numbers`` or
+    ``name must be finite``, copying nothing.  The one check of every
+    whole-array write of a tree's regressors and hyperplanes: the
+    constructors' ``theta``, these setters and ``load_state``."""
+    array = _numeric(value, rows.shape)
+    if array is None:
+        raise ValueError(f"{name} must have shape {rows.shape} and hold only numbers")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite")
+    rows[...] = array
 
 
 class TreeLearner(TreeBase):
@@ -515,11 +510,15 @@ def _holds_bool(value) -> bool:
 def _numeric(value, shape: tuple | None = None) -> np.ndarray | None:
     """``value`` as a fresh float array, or None unless it holds only
     numbers, in exactly ``shape`` when one is given; a boolean is not a
-    number, although numpy would turn ``[true, 0.5]`` into ``[1.0, 0.5]``."""
+    number, although numpy would turn ``[true, 0.5]`` into ``[1.0, 0.5]``.
+    An empty ``value`` such as ``[]``, no row at all, has every shape of
+    no rows, so a depth-0 tree's ``theta`` is read here as ``(0, m + 1)``."""
     try:
         array = np.array(value)
     except ValueError:  # ragged rows
         return None
+    if array.shape == (0,) and shape and not shape[0]:
+        array = array.reshape(shape)
     if array.dtype.kind not in "iuf" or shape not in (None, array.shape) or _holds_bool(value):
         return None
     return array.astype(float)
@@ -534,14 +533,12 @@ def _snapshot_array(state: dict, name: str, shape: tuple) -> np.ndarray:
         got = (len(value) if isinstance(value, list)
                else "none" if value is None else type(value).__name__)
         raise ValueError(f"snapshot {name} must be a list of {shape[0]} node entries, got {got}")
-    if not value:  # a depth-0 tree's theta: [] carries no row width to check
-        return np.empty(shape)
     array = _numeric(value, shape)
     if array is None:
         entry = "a number" if len(shape) == 1 else f"a row of {shape[1]} numbers"
         i = next(i for i, row in enumerate(value) if _numeric(row, shape[1:]) is None)
         raise ValueError(f"snapshot {name} of node {i} is not {entry}: {value[i]!r}")
-    bad = ~np.isfinite(array.reshape(shape[0], -1)).all(axis=1)
+    bad = ~np.isfinite(array).all(axis=tuple(range(1, len(shape))))  # one flag per node
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"snapshot {name} of node {i} is not finite: {value[i]!r}")

@@ -231,10 +231,14 @@ def reference_step(lrn, x, d):
     mu = lrn.mu
     rho = rho_table(lrn.depth).astype(float)
     w, v = lrn.w.copy(), lrn.v.copy()
+    # the gate products are rows of one product of all the rows with the
+    # input, as every tree learner forms them: a depth-1 tree's lone
+    # hyperplane row, multiplied alone, can differ in the last bit
+    gates = (np.vstack([lrn.v, lrn.theta]) @ x)[lrn.n_nodes:]
     if isinstance(lrn, FixedTreeRegressor):
         i, path = 0, [0]
         for _ in range(lrn.depth):
-            i = 2 * i + 1 if lrn.theta[i] @ x < 0.0 else 2 * i + 2
+            i = 2 * i + 1 if gates[i] < 0.0 else 2 * i + 2
             path.append(i)
         estimates = lrn.v[path] @ x
         y_hat = float(estimates @ (rho[path] @ lrn.w))
@@ -243,7 +247,7 @@ def reference_step(lrn, x, d):
         w[path] += mu * e * estimates
         return y_hat, w, v, lrn.theta.copy()
     s_plus = lrn.s_plus
-    u = expit(-(lrn.theta @ x))
+    u = expit(-gates)
     s = np.clip(s_plus + (1.0 - 2.0 * s_plus) * u, s_plus, 1.0 - s_plus)
     alphas = np.ones(lrn.n_nodes)
     for i in range(lrn.n_internal):
@@ -278,14 +282,17 @@ def reference_dot_step(lrn, x, d):
     computed from its state without touching it: returns ``(y_hat, w, v,
     theta)``, the new state, ``theta`` unmoved for the fixed tree.  The hard
     path is walked on the booleans of ``gates < 0.0``, and the adaptive
-    tree's activations are a product along node-major ancestor rows."""
+    tree's activations are a product along node-major ancestor rows.  Both
+    read the gate products from one product of all the rows with the
+    input, as the learners do."""
     mu = lrn.mu
     n = lrn.n_nodes
     rho = rho_table(lrn.depth).astype(float)
     w, v = lrn.w.copy(), lrn.v.copy()
     x = np.asarray(x, dtype=float)
+    gates = np.vstack([v, lrn.theta]).dot(x)[n:]
     if isinstance(lrn, FixedTreeRegressor):
-        negative = (lrn.theta.dot(x) < 0.0).tolist()
+        negative = (gates < 0.0).tolist()
         i = 0
         for _ in range(lrn.depth):
             i = 2 * i + 1 if negative[i] else 2 * i + 2
@@ -298,7 +305,7 @@ def reference_dot_step(lrn, x, d):
         w[path] += step * estimates
         return y_hat, w, v, lrn.theta.copy()
     s_plus = lrn.s_plus
-    u = expit(-lrn.theta.dot(x))
+    u = expit(-gates)
     f = np.empty(n)
     f[0] = 1.0
     s = f[1::2]

@@ -854,6 +854,35 @@ class TestSnapshotRestore:
         assert "cannot run -5 steps from position 0" in capsys.readouterr().err
         assert not (tmp_path / "s.json").exists()
 
+    @pytest.mark.parametrize("steps", ["51", "500", "-5"], ids=["past-end", "far", "negative"])
+    def test_restore_blames_steps_not_the_snapshot(self, tmp_path, capsys, steps):
+        # a --steps the stream cannot run is the argument's fault, printed
+        # as snapshot prints it, not a malformed snapshot
+        snap, metrics, out = tmp_path / "s.json", tmp_path / "m.csv", tmp_path / "r.json"
+        assert main(["snapshot", write_config(tmp_path / "exp.json", "dft", 100, depth=1),
+                     "--steps", "50", "--out", str(snap)]) == 0
+        capsys.readouterr()
+        assert main(["restore", "--snapshot", str(snap), "--steps", steps,
+                     "--metrics", str(metrics), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"pwltree: stream has 100 steps; cannot run {steps} steps from position 50\n")
+        assert not metrics.exists() and not out.exists()
+
+    def test_restore_position_past_the_stream_is_malformed(self, tmp_path, capsys):
+        # a position the snapshot's own stream does not reach is the snapshot's fault
+        snap, metrics = tmp_path / "s.json", tmp_path / "m.csv"
+        assert main(["snapshot", write_config(tmp_path / "exp.json", "dft", 100, depth=1),
+                     "--steps", "50", "--out", str(snap)]) == 0
+        snapshot = json.loads(snap.read_text())
+        snapshot["position"] = 150
+        snap.write_text(json.dumps(snapshot))
+        capsys.readouterr()
+        assert main(["restore", "--snapshot", str(snap), "--steps", "0",
+                     "--metrics", str(metrics)]) == 1
+        assert capsys.readouterr().err == (
+            "pwltree: malformed snapshot: stream has 100 steps; position 150 lies past its end\n")
+        assert not metrics.exists()
+
     def test_diverging_snapshot_exits_one_and_writes_nothing(self, tmp_path, capsys):
         out, metrics = tmp_path / "s.json", tmp_path / "m.csv"
         config = write_config(tmp_path / "exp.json", "dat", 1000, depth=5, stream="mismatched")

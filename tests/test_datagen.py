@@ -3,8 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from pwltree.datagen import BURN_IN, PIECEWISE, Stream, generate, piecewise_values, stream_to_csv
+from pwltree.datagen import (BURN_IN, PIECEWISE, Stream, _standard_normals, generate,
+                             piecewise_values, stream_to_csv)
 
 W = np.array([1.0, 1.0])
 
@@ -174,6 +176,21 @@ class TestGaussianStreams:
         s = generate("matched", 10, seed=0)
         assert (s.extended[:, -1] == 1.0).all()
         assert s.extended.shape == (10, 3)
+
+    def test_extreme_draws_give_finite_normals(self):
+        # the top 53-bit draw's midpoint k + 0.5 rounds to 2**53, so an
+        # unclamped uniform would be 1.0 and its normal +inf
+        class Extremes:
+            def integers(self, low, high, size, dtype):
+                assert (low, high) == (0, 1 << 53)
+                return np.array([0, 1, (1 << 53) - 2, (1 << 53) - 1], dtype=dtype).reshape(size)
+
+        z = _standard_normals(Extremes(), (2, 2)).ravel()
+        assert np.isfinite(z).all()
+        assert z[0] == ndtri(2.0**-54) and z[1] == ndtri(1.5 * 2.0**-53)
+        assert z[2] == ndtri((2.0**53 - 1.5) * 2.0**-53)  # the clamp moves no other draw
+        assert z[3] == ndtri(np.nextafter(1.0, 0.0)) and round(float(z[3]), 2) == 8.21
+        assert (np.diff(z) > 0).all()
 
 
 class TestParameterChecks:

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import os
 import pickle
 import re
@@ -385,6 +386,99 @@ class TestOneRowArray:
             lrn.step(x, d)
             assert lrn.theta.tobytes() == theta
         assert lrn.v.any()
+
+
+# every tree form at every depth it is built at here: the oracle's up to depth 4
+CHECKED_FORMS = [*((kind, depth) for kind in ("dft", "dat") for depth in range(MAX_TABLE_DEPTH + 1)),
+                 *((kind, depth) for kind in ("direct-hard", "direct-soft")
+                   for depth in range(MAX_ENUMERATION_DEPTH + 1))]
+
+
+def tree_form(kind: str, depth: int, **options):
+    """A tree learner of ``kind`` at ``depth`` over 2-D inputs."""
+    if kind in ("dft", "dat"):
+        return LEARNERS[kind](depth, 2, mu=0.05, **options)
+    return DirectMixtureRegressor(depth, 2, mode=kind.removeprefix("direct-"), mu=0.05, **options)
+
+
+def bad_rows(shape: tuple, fault: str):
+    """``(value, fault)``: a value for rows of ``shape`` holding ``fault``,
+    and the fault the one check finds in it, ``shape`` or ``finite``.  A
+    NaN or an inf needs a row to sit in, so for no rows it brings one."""
+    if fault in ("nan", "inf"):
+        value = np.zeros(shape if shape[0] else (1, shape[1]))
+        value[-1, 0] = math.nan if fault == "nan" else -math.inf
+        return value, "finite" if shape[0] else "shape"
+    value = {"bool-array": np.zeros(shape, dtype=bool),
+             "bool-entry": [[True] + [0.0] * (shape[1] - 1)] * max(shape[0], 1),
+             "string": "0.5", "string-array": np.full(shape, "0.5")}[fault]
+    return value, "shape"
+
+
+class TestOneRowCheck:
+    """The ``v`` and ``theta`` setters are the one check of every
+    whole-array write of a tree learner's rows: the constructors' ``theta``
+    and ``load_state`` write through them too."""
+
+    @pytest.mark.parametrize("fault", ["nan", "inf", "bool-array", "bool-entry", "string",
+                                       "string-array"])
+    @pytest.mark.parametrize("name", ["v", "theta"])
+    @pytest.mark.parametrize("kind, depth", CHECKED_FORMS)
+    def test_bad_value_refused_and_nothing_copied(self, kind, depth, name, fault):
+        lrn = tree_form(kind, depth)
+        randomize(lrn, np.random.default_rng(33))
+        before = lrn._rows.tobytes()
+        shape = getattr(lrn, name).shape
+        value, found = bad_rows(shape, fault)
+        message = (f"{name} must be finite" if found == "finite"
+                   else f"{name} must have shape {shape} and hold only numbers")
+        with pytest.raises(ValueError) as refused:
+            setattr(lrn, name, value)
+        assert str(refused.value) == message
+        assert lrn._rows.tobytes() == before
+        if name == "theta":  # the constructor gives the setter's message
+            with pytest.raises(ValueError) as built:
+                tree_form(kind, depth, theta=value)
+            assert str(built.value) == message
+
+    @pytest.mark.parametrize("kind, depth", CHECKED_FORMS)
+    def test_good_value_copied(self, kind, depth):
+        lrn = tree_form(kind, depth)
+        rng = np.random.default_rng(34)
+        v, theta = rng.normal(size=lrn.v.shape), rng.normal(size=lrn.theta.shape)
+        lrn.v, lrn.theta = v.tolist(), theta  # a list of rows, or an array
+        assert lrn.v.tobytes() == v.tobytes() and lrn.theta.tobytes() == theta.tobytes()
+        assert tree_form(kind, depth, theta=theta.tolist()).theta.tobytes() == theta.tobytes()
+
+    @pytest.mark.parametrize("kind", ["dft", "dat", "direct-hard", "direct-soft"])
+    def test_depth_zero_takes_the_empty_list_alone(self, kind):
+        # [] is no row at all; [[]] is a row of no numbers
+        lrn = tree_form(kind, 0, theta=[])
+        assert lrn.theta.shape == (0, 3)
+        lrn.theta = []
+        with pytest.raises(ValueError, match=re.escape("theta must have shape (0, 3) and hold")):
+            lrn.theta = [[]]
+        with pytest.raises(ValueError, match=re.escape("v must have shape (1, 3) and hold")):
+            lrn.v = []
+
+    @pytest.mark.parametrize("kind", ["dft", "dat", "direct-hard", "direct-soft"])
+    def test_every_whole_array_write_goes_through_the_setters(self, kind, monkeypatch):
+        from pwltree import trees
+
+        written = []
+
+        def recorded(rows, value, name):
+            written.append(name)
+            return assign(rows, value, name)
+
+        assign = trees._assign
+        monkeypatch.setattr(trees, "_assign", recorded)
+        lrn = tree_form(kind, 2)
+        assert written == ["theta"]
+        if kind in ("dft", "dat"):
+            written.clear()
+            lrn.load_state(json.loads(json.dumps(lrn.state_snapshot())))
+            assert written == ["v", "theta"]
 
 
 SOFT_DEPTHS = [*(("dat", depth) for depth in range(MAX_TABLE_DEPTH + 1)),
