@@ -12,21 +12,22 @@
 
 import numpy as np
 
-from pwltree import DirectMixtureRegressor, FixedTreeRegressor, generate
+from pwltree import FixedTreeRegressor, generate
 from pwltree.harness import average_metrics, run_stream
+from pwltree.trees import membership_matrix
 
 trials = 10
 n = 20_000
 runs = []
 weight_sums = []
 weight_mins = []
-mapper = DirectMixtureRegressor(2, 2, mode="hard")  # for node -> partition bookkeeping
+membership = membership_matrix(2)  # partition k's weight sums its members' node weights
 
 for trial in range(trials):
     stream = generate("matched", n, seed=100 + trial)
     learner = FixedTreeRegressor(2, 2, mu=0.005)
     runs.append(run_stream(learner, stream.extended, stream.targets))
-    per_model = mapper.node_weight_image(learner.w)
+    per_model = membership.dot(learner.w)
     weight_sums.append(per_model.sum())
     weight_mins.append(per_model.min())
 

@@ -45,10 +45,14 @@ def _fail(message: str, code: int = 1) -> int:
 
 
 def _check_out_dirs(*paths) -> None:
-    """Raise ConfigError, before any work is done, when the directory of
-    an output path does not exist."""
-    for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
+    """Raise ConfigError, before any work is done, when an output path is
+    a directory or its directory does not exist; a path left empty is not
+    written.  A command writes its files inside the ``try`` that reads
+    its input, so any other OSError of a write exits 1 with a line too."""
+    for path in filter(None, paths):
+        if Path(path).is_dir():
+            raise harness.ConfigError(f"cannot write {path}: it is a directory")
+        if not Path(path).parent.is_dir():
             raise harness.ConfigError(f"cannot write {path}: no directory {Path(path).parent}")
 
 
@@ -58,12 +62,12 @@ def _cmd_run(args) -> int:
         prefix = args.out or config.output or Path(args.config).stem
         metrics_path = f"{prefix}_metrics.csv"
         summary_path = f"{prefix}_summary.json"
-        _check_out_dirs(metrics_path)
+        _check_out_dirs(metrics_path, summary_path)
         result = harness.run_experiment(config)
+        harness.write_metrics_csv(result.metrics, metrics_path, stride=config.stride)
+        harness.write_summary_json(result, summary_path)
     except (OSError, ValueError, harness.TrialDiverged) as exc:
         return _fail(str(exc))
-    harness.write_metrics_csv(result.metrics, metrics_path, stride=config.stride)
-    harness.write_summary_json(result, summary_path)
     for name, metrics in result.metrics.items():
         print(f"{name}: final normalized error {metrics.final_norm_err:.6g} "
               f"over {len(metrics)} steps ({metrics.trials} trials)")
@@ -96,9 +100,9 @@ def _cmd_gen(args) -> int:
     try:
         _check_out_dirs(args.out)
         stream = harness.build_stream({"kind": args.kind, "n": args.n, **params}, args.seed)
-    except ValueError as exc:
+        datagen.stream_to_csv(stream, args.out)
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    datagen.stream_to_csv(stream, args.out)
     print(f"wrote {len(stream)} rows to {args.out}")
     return 0
 
@@ -161,9 +165,9 @@ def _cmd_snapshot(args) -> int:
         config = harness.ExperimentConfig.from_file(args.config)
         _check_out_dirs(args.out, args.metrics)
         learner, metrics = _run_segment(config, 0, args.steps)
+        _write_segment(config, learner, metrics, args.out, args.metrics)
     except (OSError, ValueError, harness.TrialDiverged) as exc:
         return _fail(str(exc))
-    _write_segment(config, learner, metrics, args.out, args.metrics)
     print(f"snapshot after {args.steps} steps written to {args.out}")
     return 0
 
@@ -190,13 +194,13 @@ def _cmd_restore(args) -> int:
         config = harness.ExperimentConfig.from_dict(snapshot["config"])
         learner, metrics = _run_segment(config, position, args.steps, snapshot["state"],
                                         prior_e2)
-    except (_PlainFault, OSError) as exc:  # the data's or --steps' fault, not the snapshot's
+        _write_segment(config, learner, metrics, args.out, args.metrics)
+    except (_PlainFault, OSError) as exc:  # the data's, --steps' or a write's fault
         return _fail(str(exc))
     except ValueError as exc:
         return _fail(f"malformed snapshot: {exc}")
     except harness.TrialDiverged as exc:
         return _fail(f"{exc} after position {position}")
-    _write_segment(config, learner, metrics, args.out, args.metrics)
     print(f"continued {args.steps} steps from position {position}")
     return 0
 

@@ -45,7 +45,7 @@ from .adaptive_tree import AdaptiveTreeRegressor
 from .baselines import GaussianKernelRegressor, LinearFilter, VolterraFilter
 from .datagen import CHAOTIC, PIECEWISE, Stream, _noise_var, generate
 from .fixed_tree import FixedTreeRegressor
-from .mixture import DirectMixtureRegressor, batch_best_weights, empirical_strong_convexity
+from .mixture import DirectMixtureRegressor
 from .trees import _integer
 
 CONFIG_SCHEMA = 1
@@ -564,6 +564,8 @@ def weight_regret(seed: int) -> dict[int, float]:
     1000 steps and are then frozen; the combination weights follow the
     step ``2 / (lambda t)``, with ``lambda`` the smallest eigenvalue of the
     estimates' second-moment matrix over the second half of the warm-up.
+    The best weights for the first ``n`` steps are one ``lstsq`` over
+    their estimates, the exact minimum-norm least-squares fit at any rank.
     """
     warmup, n_max = 1000, 100_000
     stream = generate("matched", n_max + warmup, seed=seed)
@@ -574,7 +576,8 @@ def weight_regret(seed: int) -> dict[int, float]:
         pred = lrn.predict(x_ext[t])
         warm[t] = pred.model_estimates
         lrn.update(x_ext[t], targets[t], pred)
-    lam = empirical_strong_convexity(warm[warmup // 2:])
+    late = warm[warmup // 2:]
+    lam = float(np.linalg.eigvalsh(late.T @ late / len(late))[0])
     w = lrn.w_vec.copy()
     feats = np.empty((n_max, 2))
     e2 = np.empty(n_max)
@@ -587,7 +590,7 @@ def weight_regret(seed: int) -> dict[int, float]:
         w += (2.0 / (lam * (t + 1))) * e * d_vec
     regret = {}
     for n in (1000, 10_000, 100_000):
-        w_star = batch_best_weights(feats[:n], tail[:n])
+        w_star = np.linalg.lstsq(feats[:n], tail[:n], rcond=None)[0]
         best = float(np.sum((tail[:n] - feats[:n] @ w_star) ** 2))
         regret[n] = float(np.sum(e2[:n])) - best
     return regret

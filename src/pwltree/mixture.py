@@ -13,6 +13,14 @@ span masks built here, apart from the learners' heap tables.  It exists to
 verify, not to scale, and is built at every depth the collapsed learners
 take, 0 to 5: at depth 5 its membership matrix is 458330 x 63, 231 MB.
 
+The module holds only that learner, :class:`DirectMixtureRegressor`, and
+its prediction, :class:`DirectPrediction`.  A collapsed learner's node
+weights ``w`` map onto the partition weights as ``membership . w`` (the
+row of partition ``k`` sums its members' node weights), and the best
+partition weights in hindsight over a run's estimates are one
+``numpy.linalg.lstsq``, the exact minimum-norm least-squares fit at any
+rank (:func:`pwltree.harness.weight_regret`).
+
 A node's activation is 1 on the path the hyperplanes ``theta`` select
 and 0 elsewhere in hard mode, its product of clamped gates in soft mode;
 only soft mode has a gate clamp, ``s_plus``.  Both modes step ``v`` and
@@ -114,9 +122,6 @@ from .trees import (
     enumerate_partitions,
     membership_matrix,
 )
-
-# ridge added to the normal equations of a rank-deficient least-squares fit
-RIDGE_EPS = 1e-8
 
 
 @dataclass
@@ -228,36 +233,3 @@ class DirectMixtureRegressor(_SoftTail, TreeBase):
         cap): the partition-weighted node estimates under the gate's two
         child subtrees, differenced, times the gate derivative."""
         return self._gates.factors(self.w_vec.dot(self.membership), pred)
-
-    def node_weight_image(self, node_weights: np.ndarray) -> np.ndarray:
-        """Map collapsed per-node weights to partition space:
-        partition k's weight is the sum of its members' node weights."""
-        return self.membership.dot(np.asarray(node_weights, dtype=float))
-
-
-def batch_best_weights(model_estimates: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Least-squares weights over a stored run history.
-
-    ``model_estimates`` is (n, n_models); rank-deficient or short
-    histories fall back to a ridge solve of the normal equations with
-    ``RIDGE_EPS``.
-    """
-    D = np.asarray(model_estimates, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    n, k = D.shape
-    if n >= k:
-        sol, _, rank, _ = np.linalg.lstsq(D, y, rcond=None)
-        if rank == k:
-            return sol
-    gram = D.T @ D + RIDGE_EPS * np.eye(k)
-    return np.linalg.solve(gram, D.T @ y)
-
-
-def empirical_strong_convexity(model_estimates: np.ndarray) -> float:
-    """Smallest eigenvalue of the empirical second-moment matrix of the
-    per-partition estimates; the strong-convexity floor used to pick the
-    decaying step size."""
-    D = np.asarray(model_estimates, dtype=float)
-    gram = D.T @ D / len(D)
-    return float(np.linalg.eigvalsh(gram)[0])
-

@@ -37,13 +37,13 @@ from pwltree.harness import (
     verify_equivalence,
     weight_regret,
 )
-from pwltree.mixture import DirectMixtureRegressor
 from pwltree.trees import (
     Learner,
     beta,
     enumerate_partitions,
     gamma,
     level,
+    membership_matrix,
     node_count,
     rho,
 )
@@ -176,13 +176,13 @@ class TrueCellLMS(Learner):
 @pytest.fixture(scope="module")
 def matched_reference_runs():
     runs, oracle_runs, weight_sums, weight_mins = [], [], [], []
-    mapper = DirectMixtureRegressor(2, 2, mode="hard")
+    membership = membership_matrix(2)  # partition k sums its members' node weights
     for trial in range(10):
         stream = generate("matched", 20_000, seed=BASE_SEED + trial)
         lrn = FixedTreeRegressor(2, 2, mu=0.005)
         runs.append(run_stream(lrn, stream.extended, stream.targets))
         oracle_runs.append(run_stream(TrueCellLMS(mu=0.005), stream.extended, stream.targets))
-        per_model = mapper.node_weight_image(lrn.w)
+        per_model = membership.dot(lrn.w)
         weight_sums.append(float(per_model.sum()))
         weight_mins.append(float(per_model.min()))
     return average_metrics(runs), average_metrics(oracle_runs), weight_sums, weight_mins

@@ -267,7 +267,7 @@ class TestBoundaryUpdates:
         oracle = DirectMixtureRegressor(1, 2, mode="soft", mu=0.1, s_plus=0.01,
                                         theta=np.zeros((1, 3)))
         oracle.v[:] = lrn.v
-        oracle.w_vec = oracle.node_weight_image(lrn.w)
+        oracle.w_vec = oracle.membership.dot(lrn.w)
         x = ext(1.0, 0.0)
         pred = lrn.predict(x)
         oracle_pred = oracle.predict(x)

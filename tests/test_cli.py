@@ -543,6 +543,31 @@ class TestRunCommand:
         assert f"pwltree: cannot write {out}_metrics.csv: no directory {out.parent}" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suffix", ["_metrics.csv", "_summary.json"])
+    def test_output_path_that_is_a_directory_exits_one_before_running(self, tmp_path,
+                                                                       monkeypatch, capsys,
+                                                                       suffix):
+        def run_experiment(config):
+            raise AssertionError("the run must not start")
+
+        monkeypatch.setattr(harness, "run_experiment", run_experiment)
+        out = tmp_path / "exp"
+        Path(f"{out}{suffix}").mkdir()
+        config = write_config(tmp_path / "exp.json", "dft", 20)
+        assert main(["run", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"pwltree: cannot write {out}{suffix}: it is a directory\n"
+
+    def test_failed_write_exits_one(self, tmp_path, monkeypatch, capsys):
+        def write_summary_json(result, path):
+            raise PermissionError(f"[Errno 13] Permission denied: {path!r}")
+
+        monkeypatch.setattr(harness, "write_summary_json", write_summary_json)
+        out = tmp_path / "exp"
+        assert main(["run", write_config(tmp_path / "exp.json", "dft", 20), "--out",
+                     str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"pwltree: [Errno 13] Permission denied: '{out}_summary.json'\n"
+
     def test_integer_csv_path_exits_one_without_reading_stdin(self, tmp_path, monkeypatch,
                                                               capsys):
         # open(0) would read standard input and close it
@@ -612,6 +637,10 @@ class TestGenCommand:
         out = tmp_path / "absent" / "h.csv"
         assert main(["gen", "henon", "--n", "3", "--out", str(out)]) == 1
         assert f"pwltree: cannot write {out}" in capsys.readouterr().err
+
+    def test_output_path_that_is_a_directory_exits_one(self, tmp_path, capsys):
+        assert main(["gen", "matched", "--n", "5", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"pwltree: cannot write {tmp_path}: it is a directory\n"
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_refuses_stream_length_below_one(self, tmp_path, capsys, n):
@@ -738,6 +767,26 @@ class TestSnapshotRestore:
             out = tmp_path / "absent" / "m.out"
             assert main(["restore", "--snapshot", str(snap), "--steps", "5", flag, str(out)]) == 1
             assert f"pwltree: cannot write {out}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--metrics"])
+    def test_snapshot_to_a_directory_exits_one(self, tmp_path, capsys, flag):
+        out, taken = tmp_path / "taken", tmp_path / "s.json"
+        out.mkdir()
+        paths = ["--out", str(out)] if flag == "--out" else ["--out", str(taken), flag, str(out)]
+        assert main(["snapshot", write_config(tmp_path / "exp.json", "dft", 10), "--steps", "5",
+                     *paths]) == 1
+        assert capsys.readouterr().err == f"pwltree: cannot write {out}: it is a directory\n"
+        assert not taken.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--metrics"])
+    def test_restore_to_a_directory_exits_one(self, tmp_path, capsys, flag):
+        snap, out = tmp_path / "s.json", tmp_path / "taken"
+        assert main(["snapshot", write_config(tmp_path / "exp.json", "dft", 10), "--steps", "5",
+                     "--out", str(snap)]) == 0
+        out.mkdir()
+        capsys.readouterr()
+        assert main(["restore", "--snapshot", str(snap), "--steps", "5", flag, str(out)]) == 1
+        assert capsys.readouterr().err == f"pwltree: cannot write {out}: it is a directory\n"
 
     def test_state_carries_the_step_counter(self, tmp_path):
         snap = tmp_path / "s.json"

@@ -92,7 +92,9 @@ def test_benchmark_workloads_set_up(monkeypatch, tmp_path, name):
     workloads.WORKLOADS[name](0, tmp_path).setup()
 
 
-@pytest.mark.parametrize("demo", ["partition_calculus.py", "collapsed_equals_direct.py"])
+@pytest.mark.parametrize("demo", ["partition_calculus.py", "collapsed_equals_direct.py",
+                                  "matched_noise_floor.py",
+                                  pytest.param("regret_growth.py", marks=pytest.mark.slow)])
 def test_fast_demo_runs(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}

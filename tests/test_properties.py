@@ -291,7 +291,7 @@ def test_adaptive_tree_and_soft_oracle_share_the_gate_kernel(depth, seed, s_plus
     tree.v = rng.normal(size=tree.v.shape) * 10.0
     oracle.v = tree.v.copy()
     tree.w = rng.integers(-3, 4, size=tree.w.shape).astype(float)
-    oracle.w_vec = oracle.node_weight_image(tree.w)
+    oracle.w_vec = oracle.membership.dot(tree.w)
     x = np.append(3.0 * rng.normal(size=2), 1.0)
     ours, theirs = tree.predict(x), oracle.predict(x)
     for field in ("alphas", "f", "u", "cu", "h"):
