@@ -131,18 +131,3 @@ class AdaptiveTreeRegressor(_SoftTail, TreeLearner):
         self.update_weights(x_ext, e, pred)
         self.update_boundaries(x_ext, e, pred)
         self.t += 1
-
-    # ------------------------------------------------------------------
-    def state_snapshot(self) -> dict:
-        """The shared snapshot plus the gate clamp ``s_plus``."""
-        return {**super().state_snapshot(), "s_plus": self.s_plus}
-
-    def load_state(self, state: dict) -> None:
-        """Replace the state with a ``state_snapshot`` taken at the same
-        gate clamp; a refused snapshot raises ValueError and leaves the
-        learner unchanged."""
-        s_plus = state.get("s_plus") if isinstance(state, dict) else self.s_plus
-        if s_plus != self.s_plus:
-            raise ValueError(f"snapshot clamp s_plus {s_plus!r} does not match the "
-                             f"learner's {self.s_plus}")
-        super().load_state(state)

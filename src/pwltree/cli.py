@@ -10,7 +10,8 @@ verify    read an experiment config as run does and step each of its dft
           being finite
 gen       write a synthetic stream to CSV
 snapshot  run a one-learner config partway through its stream and save a
-          resumable snapshot: the config, the position and the learner state
+          resumable snapshot: the config, the squared errors' sum and the
+          learner state, whose step counter t gives the position, t - 1
 restore   resume from a snapshot and continue, writing continuation metrics
           and, when asked, the snapshot at the new position
 
@@ -20,17 +21,18 @@ Exit codes: 0 success, 1 configuration error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 from pathlib import Path
 
 from . import datagen, harness
-from .trees import _integer, _real
+from .trees import _real
 
-SNAPSHOT_SCHEMA = 6  # 6: every tree learner's state carries its hyperplanes theta, dft's too
+SNAPSHOT_SCHEMA = 7  # 7: each fact once; the position is the state's t - 1
 # the keys a snapshot holds, each required
-_SNAPSHOT_KEYS = dict.fromkeys(("schema", "config", "position", "cum_e2", "state"), True)
+_SNAPSHOT_KEYS = dict.fromkeys(("schema", "config", "cum_e2", "state"), True)
 
 
 class _PlainFault(ValueError):
@@ -46,14 +48,40 @@ def _fail(message: str, code: int = 1) -> int:
 
 def _check_out_dirs(*paths) -> None:
     """Raise ConfigError, before any work is done, when an output path is
-    a directory or its directory does not exist; a path left empty is not
-    written.  A command writes its files inside the ``try`` that reads
-    its input, so any other OSError of a write exits 1 with a line too."""
+    a directory, its directory does not exist or another of ``paths``
+    names the same file; a path left empty is not written.  A command
+    writes its files inside the ``try`` that reads its input, by
+    ``_write_outputs``, so any other OSError of a write exits 1 with a line
+    too, and leaves none of the command's files."""
+    files = set()
     for path in filter(None, paths):
         if Path(path).is_dir():
             raise harness.ConfigError(f"cannot write {path}: it is a directory")
         if not Path(path).parent.is_dir():
             raise harness.ConfigError(f"cannot write {path}: no directory {Path(path).parent}")
+        if Path(path).resolve() in files:
+            raise harness.ConfigError(f"cannot write {path} twice: two outputs name that file")
+        files.add(Path(path).resolve())
+
+
+def _write_outputs(*outputs) -> None:
+    """Write each ``(path, write)`` output in turn, by ``write(path)``,
+    skipping a path left empty.  When a write fails, remove the files
+    written before it, and its own unless it was there before, and raise:
+    a command that exits 1 leaves none of its output files."""
+    written = []
+    for path, write in outputs:
+        if not path:
+            continue
+        existed = Path(path).exists()
+        try:
+            write(path)
+        except BaseException:
+            for done in written if existed else [*written, path]:
+                with contextlib.suppress(OSError):
+                    Path(done).unlink()
+            raise
+        written.append(path)
 
 
 def _cmd_run(args) -> int:
@@ -64,8 +92,10 @@ def _cmd_run(args) -> int:
         summary_path = f"{prefix}_summary.json"
         _check_out_dirs(metrics_path, summary_path)
         result = harness.run_experiment(config)
-        harness.write_metrics_csv(result.metrics, metrics_path, stride=config.stride)
-        harness.write_summary_json(result, summary_path)
+        _write_outputs(
+            (metrics_path, lambda path: harness.write_metrics_csv(result.metrics, path,
+                                                                  stride=config.stride)),
+            (summary_path, lambda path: harness.write_summary_json(result, path)))
     except (OSError, ValueError, harness.TrialDiverged) as exc:
         return _fail(str(exc))
     for name, metrics in result.metrics.items():
@@ -100,23 +130,24 @@ def _cmd_gen(args) -> int:
     try:
         _check_out_dirs(args.out)
         stream = harness.build_stream({"kind": args.kind, "n": args.n, **params}, args.seed)
-        datagen.stream_to_csv(stream, args.out)
+        _write_outputs((args.out, lambda path: datagen.stream_to_csv(stream, path)))
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     print(f"wrote {len(stream)} rows to {args.out}")
     return 0
 
 
-def _run_segment(config: harness.ExperimentConfig, start: int, steps: int, state=None,
+def _run_segment(config: harness.ExperimentConfig, steps: int, state=None,
                  prior_e2: float = 0.0):
     """Build the stream and the one learner of ``config``, load ``state``
     into the learner when given, and step it through ``steps`` stream
-    steps from ``start``, after steps whose squared errors summed to
+    steps from the position its step counter gives, ``t - 1`` (0 for a
+    fresh learner), after steps whose squared errors summed to
     ``prior_e2``.  A config of more than one learner or trial, or
     of a learner kind without a state (any but ``dft`` and ``dat``), is
     refused before the stream is drawn.  A fault of the stream's data, or
-    ``steps`` that do not fit in the stream from ``start``, raises
-    ``_PlainFault``; a ``start`` past the stream's end raises ConfigError.
+    ``steps`` that do not fit in the stream from the position, raises
+    ``_PlainFault``; a position past the stream's end raises ConfigError.
     Returns the learner and the segment's metrics."""
     if len(config.learners) != 1:
         raise harness.ConfigError(f"snapshots support one learner only, not {len(config.learners)}")
@@ -129,16 +160,17 @@ def _run_segment(config: harness.ExperimentConfig, start: int, steps: int, state
         stream = harness.build_stream(config.stream, config.seed)
     except ValueError as exc:
         raise _PlainFault(exc) from exc
+    learner = harness.make_learner(spec, stream.dim)
+    if state is not None:
+        learner.load_state(state)
+    start = learner.t - 1
     stop = start + steps
-    if not 0 <= start <= len(stream):
+    if start > len(stream):
         raise harness.ConfigError(f"stream has {len(stream)} steps; position {start} lies "
                                   "past its end")
     if not start <= stop <= len(stream):
         raise _PlainFault(f"stream has {len(stream)} steps; cannot run {steps} steps "
                           f"from position {start}")
-    learner = harness.make_learner(spec, stream.dim)
-    if state is not None:
-        learner.load_state(state)
     metrics = harness.run_stream(learner, stream.extended[start:stop], stream.targets[start:stop])
     metrics.start, metrics.prior_e2 = start, prior_e2
     return learner, metrics
@@ -149,22 +181,22 @@ def _write_segment(config, learner, metrics, out, metrics_path) -> None:
     snapshot after it to ``out`` and its metrics, one row per step
     numbered from ``metrics.start + 1`` and filed as ``run`` files them,
     with running columns that continue the steps before it, to
-    ``metrics_path``; each only when its path is given."""
-    if out:
-        cum_e2 = float(metrics.cum_e2[-1]) if len(metrics) else metrics.prior_e2
-        harness.write_json({"schema": SNAPSHOT_SCHEMA, "config": config.to_dict(),
-                            "position": metrics.start + len(metrics), "cum_e2": cum_e2,
-                            "state": learner.state_snapshot()}, out)
-    if metrics_path:
-        harness.write_metrics_csv({harness._learner_name(config.learners[0]): metrics},
-                                  metrics_path)
+    ``metrics_path``; each only when its path is given, and neither when
+    a write fails (``_write_outputs``)."""
+    cum_e2 = float(metrics.cum_e2[-1]) if len(metrics) else metrics.prior_e2
+    name = harness._learner_name(config.learners[0])
+    _write_outputs(
+        (out, lambda path: harness.write_json({"schema": SNAPSHOT_SCHEMA,
+                                               "config": config.to_dict(), "cum_e2": cum_e2,
+                                               "state": learner.state_snapshot()}, path)),
+        (metrics_path, lambda path: harness.write_metrics_csv({name: metrics}, path)))
 
 
 def _cmd_snapshot(args) -> int:
     try:
         config = harness.ExperimentConfig.from_file(args.config)
         _check_out_dirs(args.out, args.metrics)
-        learner, metrics = _run_segment(config, 0, args.steps)
+        learner, metrics = _run_segment(config, args.steps)
         _write_segment(config, learner, metrics, args.out, args.metrics)
     except (OSError, ValueError, harness.TrialDiverged) as exc:
         return _fail(str(exc))
@@ -188,20 +220,18 @@ def _cmd_restore(args) -> int:
                      f"(this version reads schema {SNAPSHOT_SCHEMA})")
     try:
         harness._check_keys("a snapshot", snapshot, _SNAPSHOT_KEYS)
-        position = _integer(snapshot["position"], "position", 0)
         prior_e2 = _real(snapshot["cum_e2"], "cum_e2", lambda v: 0 <= v < math.inf,
                          "be a finite number >= 0")
         config = harness.ExperimentConfig.from_dict(snapshot["config"])
-        learner, metrics = _run_segment(config, position, args.steps, snapshot["state"],
-                                        prior_e2)
+        learner, metrics = _run_segment(config, args.steps, snapshot["state"], prior_e2)
         _write_segment(config, learner, metrics, args.out, args.metrics)
     except (_PlainFault, OSError) as exc:  # the data's, --steps' or a write's fault
         return _fail(str(exc))
     except ValueError as exc:
         return _fail(f"malformed snapshot: {exc}")
-    except harness.TrialDiverged as exc:
-        return _fail(f"{exc} after position {position}")
-    print(f"continued {args.steps} steps from position {position}")
+    except harness.TrialDiverged as exc:  # only a loaded state steps: its t is an integer
+        return _fail(f"{exc} after position {snapshot['state']['t'] - 1}")
+    print(f"continued {args.steps} steps from position {metrics.start}")
     return 0
 
 

@@ -21,8 +21,8 @@ keys it takes, read from ``ExperimentConfig``'s fields, written per stream
 kind, or read from the learner's constructor, and a key outside the table
 or a required key left out is refused in one form, ``... takes only a, b
 and c, not 'x'`` or ``... requires 'y'``.  Its integer settings
-(``trials``, ``seed``, ``stride``, a stream's ``n``) and a snapshot's
-``position``, ``depth`` and ``t`` are checked by ``trees._integer``, and
+(``trials``, ``seed``, ``stride``, a stream's ``n``) and a snapshot
+state's ``t`` are checked by ``trees._integer``, and
 a tree learner's ``depth``, when it is built, by ``trees._depth``, the one
 depth check of every tree learner and the explicit mixture.  ``pwltree
 snapshot`` and ``pwltree verify`` read their experiment as ``run`` does,

@@ -387,9 +387,10 @@ class TreeBase(Learner):
     views of it, made afresh on each access, so a copy of a learner reads
     its own array; assigning either copies the value into the array, and
     a value of any other shape, or one that holds anything but finite
-    numbers, raises ValueError and changes nothing (``_assign``).  The
-    constructors' ``theta`` and ``load_state`` write through the same
-    setters.
+    numbers, raises ValueError, naming the first bad node of a value that
+    holds one entry per node, and changes nothing (``_node_array``).  The
+    constructors' ``theta`` writes through the same setter, and
+    ``load_state`` through the same check.
     Every tree learner forms every row's product with the input in one
     product, in which a depth-1 tree's one hyperplane row is a
     matrix-vector row and not the dot product it would be alone, which
@@ -413,7 +414,7 @@ class TreeBase(Learner):
 
     @v.setter
     def v(self, value) -> None:
-        _assign(self.v, value, "v")
+        self.v[...] = _node_array(value, self.v.shape, "v")
 
     @property
     def theta(self) -> np.ndarray:
@@ -424,23 +425,7 @@ class TreeBase(Learner):
 
     @theta.setter
     def theta(self, value) -> None:
-        _assign(self.theta, value, "theta")
-
-
-def _assign(rows: np.ndarray, value, name: str) -> None:
-    """Copy ``value`` into the view ``rows`` when it has exactly their
-    shape, holds only numbers (booleans and strings excluded, see
-    ``_numeric``) and is finite; otherwise raise ValueError naming
-    ``name``, ``name must have shape (k, m+1) and hold only numbers`` or
-    ``name must be finite``, copying nothing.  The one check of every
-    whole-array write of a tree's regressors and hyperplanes: the
-    constructors' ``theta``, these setters and ``load_state``."""
-    array = _numeric(value, rows.shape)
-    if array is None:
-        raise ValueError(f"{name} must have shape {rows.shape} and hold only numbers")
-    if not np.isfinite(array).all():
-        raise ValueError(f"{name} must be finite")
-    rows[...] = array
+        self.theta[...] = _node_array(value, self.theta.shape, "theta")
 
 
 class TreeLearner(TreeBase):
@@ -465,34 +450,32 @@ class TreeLearner(TreeBase):
 
     # ------------------------------------------------------------------
     def state_snapshot(self) -> dict:
-        """JSON-ready state in heap order: ``{depth, t, w[n_nodes],
-        v[n_nodes][dim + 1], theta[n_internal][dim + 1]}``."""
-        return {"depth": self.depth, "t": self.t, "w": self.w.tolist(), "v": self.v.tolist(),
+        """JSON-ready state in heap order: ``{t, w[n_nodes],
+        v[n_nodes][dim + 1], theta[n_internal][dim + 1]}``.  The depth, the
+        dimension and the gate clamp are the learner's own, which its
+        config holds; the arrays' shapes fix the first two."""
+        return {"t": self.t, "w": self.w.tolist(), "v": self.v.tolist(),
                 "theta": self.theta.tolist()}
 
     def load_state(self, state: dict) -> None:
         """Replace the state with a ``state_snapshot``; a refused snapshot
         leaves the learner unchanged.
 
-        ``depth`` must be the learner's, as an integer, ``t`` an integer
-        >= 1, and ``w``, ``v`` and ``theta`` lists of finite numbers,
-        booleans excluded, in exactly the shapes
-        ``state_snapshot`` writes, and ``theta`` one the learner takes
-        (``_check_theta``); anything else, including a ``state`` that is
-        not a dict, raises ValueError.
+        ``t`` must be an integer >= 1, and ``w``, ``v`` and ``theta``
+        finite numbers, booleans excluded, in exactly the shapes
+        ``state_snapshot`` writes, so a state of another depth is refused
+        by the shape of ``w``; each array is checked once, by
+        ``_node_array``, before any is written.  ``theta`` must also be one
+        the learner takes (``_check_theta``).  Anything else, including a
+        ``state`` that is not a dict, raises ValueError.
         """
         if not isinstance(state, dict):
             raise ValueError(f"snapshot state must be an object, got {type(state).__name__}")
-        depth = _integer(state.get("depth"), "snapshot depth")
-        if depth != self.depth:
-            raise ValueError(f"snapshot depth {depth} does not match the learner's {self.depth}")
         t = _integer(state.get("t"), "snapshot step counter t", 1)
-        width = self.dim + 1
-        w = _snapshot_array(state, "w", (self.n_nodes,))
-        v = _snapshot_array(state, "v", (self.n_nodes, width))
-        theta = _snapshot_array(state, "theta", (self.n_internal, width))
+        w, v, theta = (_node_array(state.get(key), getattr(self, key).shape, f"snapshot {key}")
+                       for key in ("w", "v", "theta"))
         self._check_theta(theta)
-        self.w, self.v, self.theta, self.t = w, v, theta, t
+        self.w, self.v[...], self.theta[...], self.t = w, v, theta, t
 
     def _check_theta(self, theta: np.ndarray) -> None:
         """Raise ValueError for a snapshot's hyperplanes ``theta``, of the
@@ -524,25 +507,32 @@ def _numeric(value, shape: tuple | None = None) -> np.ndarray | None:
     return array.astype(float)
 
 
-def _snapshot_array(state: dict, name: str, shape: tuple) -> np.ndarray:
-    """``state[name]`` as a float array of exactly ``shape``, one entry per
-    node in heap order, all finite; otherwise ValueError naming the array
-    and, when one entry is at fault, the heap index of the first."""
-    value = state.get(name)
-    if not isinstance(value, list) or len(value) != shape[0]:
-        got = (len(value) if isinstance(value, list)
-               else "none" if value is None else type(value).__name__)
-        raise ValueError(f"snapshot {name} must be a list of {shape[0]} node entries, got {got}")
+def _node_array(value, shape: tuple, name: str) -> np.ndarray:
+    """``value`` as a fresh float array of exactly ``shape``, one entry per
+    node in heap order, when it holds only finite numbers (booleans and
+    strings excluded, see ``_numeric``).  The one check of every
+    whole-array write of a tree learner's state: the ``v`` and ``theta``
+    setters, the constructors' ``theta`` through them, and ``load_state``.
+
+    Otherwise it raises ValueError naming ``name``: when ``value`` holds
+    one entry per node, the heap index of the first bad one (``name of
+    node i is not a row of m+1 numbers: ...``, ``is not a number`` for a
+    weight, or ``is not finite``); when it does not, ``name must have shape
+    shape and hold only numbers``."""
     array = _numeric(value, shape)
-    if array is None:
+    if array is not None and np.isfinite(array).all():
+        return array
+    if isinstance(value, np.ndarray) and value.ndim == len(shape):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)) and len(value) == shape[0]:
         entry = "a number" if len(shape) == 1 else f"a row of {shape[1]} numbers"
-        i = next(i for i, row in enumerate(value) if _numeric(row, shape[1:]) is None)
-        raise ValueError(f"snapshot {name} of node {i} is not {entry}: {value[i]!r}")
-    bad = ~np.isfinite(array).all(axis=tuple(range(1, len(shape))))  # one flag per node
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"snapshot {name} of node {i} is not finite: {value[i]!r}")
-    return array
+        for i, row in enumerate(value):
+            row_array = _numeric(row, shape[1:])
+            if row_array is None:
+                raise ValueError(f"{name} of node {i} is not {entry}: {row!r}")
+            if not np.isfinite(row_array).all():
+                raise ValueError(f"{name} of node {i} is not finite: {row!r}")
+    raise ValueError(f"{name} must have shape {shape} and hold only numbers")
 
 
 @lru_cache(maxsize=None)

@@ -168,49 +168,40 @@ def _widen(entry):
     return entry + [0.0] if isinstance(entry, list) else [entry]
 
 
-def _array_cases(key, kinds, row):
+def _array_cases(key, row):
     """The faults of one heap-ordered array: ``row(x)`` builds an entry of
     it (a number for ``w``, a row of three numbers for ``v`` and ``theta``)."""
     return [
-        (f"{key}-missing", kinds, _drop(key)),
-        (f"{key}-object", kinds, _map(key, lambda rows: dict(enumerate(rows)))),
-        (f"{key}-short", kinds, _map(key, lambda rows: rows[:-1])),
-        (f"{key}-non-numeric", kinds, _entry(key, 1, row("x"))),
-        (f"{key}-null-entry", kinds, _entry(key, 1, row(None))),
-        (f"{key}-ragged", kinds, _entry(key, 1, [0.0, 0.0])),
-        (f"{key}-wrong-shape", kinds, _map(key, lambda rows: [_widen(r) for r in rows])),
-        (f"{key}-non-finite", kinds, _entry(key, 2, row(math.inf))),
-        (f"{key}-nan", kinds, _entry(key, 0, row(math.nan))),
+        (f"{key}-missing", _drop(key)),
+        (f"{key}-object", _map(key, lambda rows: dict(enumerate(rows)))),
+        (f"{key}-short", _map(key, lambda rows: rows[:-1])),
+        (f"{key}-non-numeric", _entry(key, 1, row("x"))),
+        (f"{key}-null-entry", _entry(key, 1, row(None))),
+        (f"{key}-ragged", _entry(key, 1, [0.0, 0.0])),
+        (f"{key}-wrong-shape", _map(key, lambda rows: [_widen(r) for r in rows])),
+        (f"{key}-non-finite", _entry(key, 2, row(math.inf))),
+        (f"{key}-nan", _entry(key, 0, row(math.nan))),
         # numpy would read [true, 0.5] as [1.0, 0.5]
-        (f"{key}-bool", kinds, _entry(key, 1, row(True))),
+        (f"{key}-bool", _entry(key, 1, row(True))),
     ]
 
 
-BOTH, SOFT = ("dft", "dat"), ("dat",)
-
-# (case id, learner kinds it applies to, mutation): each mutation takes a
-# valid state_snapshot() of a depth-2, dim-2 tree learner, as a fresh
-# object, and returns a state that load_state must refuse.  s_plus exists
-# only in the adaptive tree's state.
+# (case id, mutation): each mutation takes a valid state_snapshot() of a
+# depth-2, dim-2 tree learner, fixed or adaptive, as a fresh object, and
+# returns a state that load_state must refuse
 MALFORMED_STATES = [
-    ("state-list", BOTH, lambda state: []),
-    ("state-string", BOTH, lambda state: "x"),
-    ("depth-missing", BOTH, _drop("depth")),
-    ("depth-wrong", BOTH, _set("depth", 3)),
-    ("depth-string", BOTH, _set("depth", "2")),
-    ("depth-float", BOTH, _set("depth", 2.0)),
-    ("t-missing", BOTH, _drop("t")),
-    ("t-zero", BOTH, _set("t", 0)),
-    ("t-float", BOTH, _set("t", 2.0)),
-    ("t-bool", BOTH, _set("t", True)),
-    *_array_cases("w", BOTH, lambda x: x),
-    *_array_cases("v", BOTH, lambda x: [0.0, x, 0.0]),
-    ("v-object-row", BOTH, _entry("v", 1, {"0": 0.0, "1": 0.0, "2": 0.0})),
-    *_array_cases("theta", BOTH, lambda x: [x, 0.0, 0.0]),
-    ("s_plus-missing", SOFT, _drop("s_plus")),
-    ("s_plus-list", SOFT, _set("s_plus", [0.01])),
-    ("s_plus-string", SOFT, _set("s_plus", "0.01")),
-    ("s_plus-other", SOFT, _set("s_plus", 0.02)),
+    ("state-list", lambda state: []),
+    ("state-string", lambda state: "x"),
+    # a state holds no depth: one of another depth has other shapes
+    ("depth-wrong", lambda state: FixedTreeRegressor(3, 2).state_snapshot()),
+    ("t-missing", _drop("t")),
+    ("t-zero", _set("t", 0)),
+    ("t-float", _set("t", 2.0)),
+    ("t-bool", _set("t", True)),
+    *_array_cases("w", lambda x: x),
+    *_array_cases("v", lambda x: [0.0, x, 0.0]),
+    ("v-object-row", _entry("v", 1, {"0": 0.0, "1": 0.0, "2": 0.0})),
+    *_array_cases("theta", lambda x: [x, 0.0, 0.0]),
 ]
 
 

@@ -1,15 +1,21 @@
 import csv
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwltree import harness
+from pwltree.adaptive_tree import AdaptiveTreeRegressor
+from pwltree.cli import _SNAPSHOT_KEYS, SNAPSHOT_SCHEMA, build_parser, main
 from pwltree.datagen import generate
-from pwltree.cli import SNAPSHOT_SCHEMA, build_parser, main
+from pwltree.fixed_tree import FixedTreeRegressor
+from pwltree.trees import MAX_TABLE_DEPTH
 
 from helpers import MALFORMED_STATES
 
@@ -31,11 +37,10 @@ def write_config(path, kind, n, depth=2, mu=0.005, stream="matched", seed=0, **t
 
 
 def put(snapshot, part, value):
-    """Set ``part`` of a snapshot dict to ``value``: ``config``,
-    ``position``, ``cum_e2`` and ``state`` are its own keys, ``learner`` the
-    one learner entry of its config, and any other part a key of its
-    config."""
-    if part in ("config", "position", "cum_e2", "state"):
+    """Set ``part`` of a snapshot dict to ``value``: ``config``, ``cum_e2``
+    and ``state`` are its own keys, ``learner`` the one learner entry of
+    its config, and any other part a key of its config."""
+    if part in ("config", "cum_e2", "state"):
         snapshot[part] = value
     elif part == "learner":
         snapshot["config"]["learners"] = [value]
@@ -567,6 +572,8 @@ class TestRunCommand:
                      str(out)]) == 1
         assert capsys.readouterr().err == \
             f"pwltree: [Errno 13] Permission denied: '{out}_summary.json'\n"
+        # the metrics file, written before the summary, is removed
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "exp.json"]
 
     def test_integer_csv_path_exits_one_without_reading_stdin(self, tmp_path, monkeypatch,
                                                               capsys):
@@ -705,17 +712,17 @@ class TestSnapshotRestore:
 
     @pytest.mark.parametrize("mode", ["dft", "dat"])
     def test_restores_chain_to_the_straight_run(self, tmp_path, mode):
-        # snapshot at 300, restore 300 more into a new snapshot, restore that
-        # for the last 400: the segments' CSV rows, all five columns, match
+        # snapshot at 500, restore 300 more into a new snapshot, restore that
+        # for the last 200: the segments' CSV rows, all five columns, match
         # one straight run's and one straight 1000-step snapshot's, and the
         # final snapshot matches that snapshot
         config = write_config(tmp_path / "exp.json", mode, 1000, stream="mismatched", seed=3,
                               learners=[{"name": "tree", "kind": mode, "depth": 2, "mu": 0.005}])
         assert main(["snapshot", config, "--steps", "1000", "--out", str(tmp_path / "full.json"),
                      "--metrics", str(tmp_path / "full.csv")]) == 0
-        assert main(["snapshot", config, "--steps", "300", "--out", str(tmp_path / "s1.json"),
+        assert main(["snapshot", config, "--steps", "500", "--out", str(tmp_path / "s1.json"),
                      "--metrics", str(tmp_path / "m1.csv")]) == 0
-        for k, steps in ((1, 300), (2, 400)):
+        for k, steps in ((1, 300), (2, 200)):
             assert main(["restore", "--snapshot", str(tmp_path / f"s{k}.json"),
                          "--steps", str(steps), "--out", str(tmp_path / f"s{k + 1}.json"),
                          "--metrics", str(tmp_path / f"m{k + 1}.csv")]) == 0
@@ -731,7 +738,7 @@ class TestSnapshotRestore:
         assert len(straight) == 1000 and {row[1] for row in straight} == {"tree"}
         assert chained == text(tmp_path / "full.csv") == text(tmp_path / "run_metrics.csv")
         final = json.loads((tmp_path / "s3.json").read_text())
-        assert final["position"] == 1000
+        assert final["state"]["t"] == 1001  # the position, 1000, is t - 1
         assert final == json.loads((tmp_path / "full.json").read_text())
 
     @pytest.mark.parametrize("learners, top, message", [
@@ -793,11 +800,12 @@ class TestSnapshotRestore:
         config = write_config(tmp_path / "exp.json", "dat", 20, depth=1)
         assert main(["snapshot", config, "--steps", "10", "--out", str(snap)]) == 0
         snapshot = json.loads(snap.read_text())
-        assert snapshot["schema"] == SNAPSHOT_SCHEMA == 6
-        assert "t" not in snapshot
+        assert snapshot["schema"] == SNAPSHOT_SCHEMA == 7
+        # the position, 10, is the state's t - 1 alone
+        assert snapshot.keys() == {"schema", "config", "cum_e2", "state"}
+        assert snapshot["state"].keys() == {"t", "w", "v", "theta"}
         assert snapshot["state"]["t"] == 11
         assert snapshot["config"] == harness.ExperimentConfig.from_file(config).to_dict()
-        assert snapshot["position"] == 10
 
     def test_restore_refuses_schema_one(self, tmp_path, capsys):
         snap = tmp_path / "s.json"
@@ -806,13 +814,14 @@ class TestSnapshotRestore:
         snapshot = json.loads(snap.read_text())
         # 2 held one {label, w, v, theta?} object per node; 3 held the stream,
         # learner and seed in place of the config; 4 held no cum_e2; 5 held no
-        # theta in a fixed tree's state
-        for schema in (1, 2, 3, 4, 5):
+        # theta in a fixed tree's state; 6 held the position beside the
+        # state, and the depth, and a dat state's s_plus, inside it
+        for schema in (1, 2, 3, 4, 5, 6):
             snapshot["schema"] = schema
             snap.write_text(json.dumps(snapshot))
             assert main(["restore", "--snapshot", str(snap), "--steps", "5"]) == 1
             assert capsys.readouterr().err == (f"pwltree: unsupported snapshot schema {schema} "
-                                               f"(this version reads schema 6)\n")
+                                               f"(this version reads schema 7)\n")
 
     def test_restore_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -820,7 +829,7 @@ class TestSnapshotRestore:
         assert main(["restore", "--snapshot", str(bad), "--steps", "5"]) == 1
 
     @pytest.mark.parametrize("mutate", [pytest.param(mutate, id=case)
-                                        for case, _, mutate in MALFORMED_STATES])
+                                        for case, mutate in MALFORMED_STATES])
     def test_restore_rejects_malformed_state(self, tmp_path, capsys, dat_snapshot, mutate):
         snapshot = json.loads(json.dumps(dat_snapshot))
         snapshot["state"] = mutate(snapshot["state"])
@@ -836,7 +845,7 @@ class TestSnapshotRestore:
                                              ("bogus", 1)])
     def test_restore_rejects_non_object_parts(self, tmp_path, capsys, part, value):
         # part None: the file holds a JSON list around the snapshot; part
-        # bogus: a key no snapshot holds, beside the five a snapshot holds
+        # bogus: a key no snapshot holds, beside the four a snapshot holds
         snap = tmp_path / "s.json"
         assert main(["snapshot", write_config(tmp_path / "exp.json", "dft", 200, depth=1),
                      "--steps", "100", "--out", str(snap)]) == 0
@@ -853,12 +862,10 @@ class TestSnapshotRestore:
 
     @pytest.mark.parametrize("part, value", [
         ("stream", {"kind": "matched", "n": 200, "bogus": 1}),
-        ("position", "x"), ("position", True), ("position", 1.5), ("position", -1),
         ("seed", 1.5), ("seed", True), ("seed", "3"),
         ("cum_e2", "1.0"), ("cum_e2", True), ("cum_e2", None), ("cum_e2", -1.0),
         ("cum_e2", float("nan")), ("cum_e2", float("inf")),
-    ], ids=["stream-unknown-key", "position-str", "position-bool", "position-float",
-            "position-negative", "seed-float", "seed-bool", "seed-str", "cum_e2-str",
+    ], ids=["stream-unknown-key", "seed-float", "seed-bool", "seed-str", "cum_e2-str",
             "cum_e2-bool", "cum_e2-null", "cum_e2-negative", "cum_e2-nan", "cum_e2-inf"])
     def test_restore_rejects_malformed_stream_position_and_seed(self, tmp_path, capsys,
                                                                  part, value):
@@ -918,12 +925,13 @@ class TestSnapshotRestore:
         assert not metrics.exists() and not out.exists()
 
     def test_restore_position_past_the_stream_is_malformed(self, tmp_path, capsys):
-        # a position the snapshot's own stream does not reach is the snapshot's fault
+        # a position, t - 1, the snapshot's own stream does not reach is the
+        # snapshot's fault
         snap, metrics = tmp_path / "s.json", tmp_path / "m.csv"
         assert main(["snapshot", write_config(tmp_path / "exp.json", "dft", 100, depth=1),
                      "--steps", "50", "--out", str(snap)]) == 0
         snapshot = json.loads(snap.read_text())
-        snapshot["position"] = 150
+        snapshot["state"]["t"] = 151
         snap.write_text(json.dumps(snapshot))
         capsys.readouterr()
         assert main(["restore", "--snapshot", str(snap), "--steps", "0",
@@ -980,6 +988,137 @@ class TestSnapshotRestore:
             "pwltree: malformed snapshot: snapshot theta of node 0 is [0.0, 1.0, 0.0], not the "
             "learner's [1.0, 0.0, 0.0]: a fixed tree's hyperplanes never move\n")
         assert not out.exists()
+
+
+class TestOutputFiles:
+    """A command that exits 1 leaves none of its output files, and one
+    file named by two outputs is refused before any work."""
+
+    @staticmethod
+    def no_stream(*args, **kwargs):
+        raise AssertionError("stream drawn for outputs that name one file")
+
+    @staticmethod
+    def refused(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    def test_restore_leaves_no_snapshot_when_the_metrics_write_fails(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        snap, out, metrics = tmp_path / "s.json", tmp_path / "r.json", tmp_path / "m.csv"
+        assert main(["snapshot", write_config(tmp_path / "exp.json", "dat", 20, depth=1),
+                     "--steps", "10", "--out", str(snap)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(harness, "write_metrics_csv", self.refused)
+        assert main(["restore", "--snapshot", str(snap), "--steps", "5", "--out", str(out),
+                     "--metrics", str(metrics)]) == 1
+        assert capsys.readouterr().err == "pwltree: [Errno 13] Permission denied\n"
+        assert not out.exists() and not metrics.exists()
+
+    def test_a_partly_written_file_goes_and_an_unopened_one_stays(self, tmp_path, monkeypatch):
+        # a write that fails after making its file removes it; one that
+        # fails before touching a file that was there leaves it as it was
+        snap, out, metrics = tmp_path / "s.json", tmp_path / "r.json", tmp_path / "m.csv"
+        assert main(["snapshot", write_config(tmp_path / "exp.json", "dft", 20, depth=1),
+                     "--steps", "10", "--out", str(snap)]) == 0
+
+        def partial(metrics_by_name, path, stride=1):
+            Path(path).write_text("t,learner\n")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(harness, "write_metrics_csv", partial)
+        argv = ["restore", "--snapshot", str(snap), "--steps", "5", "--out", str(out),
+                "--metrics", str(metrics)]
+        assert main(argv) == 1
+        assert not out.exists() and not metrics.exists()
+        metrics.write_text("kept\n")
+        monkeypatch.setattr(harness, "write_metrics_csv", self.refused)
+        assert main(argv) == 1
+        assert not out.exists() and metrics.read_text() == "kept\n"
+
+    def test_snapshot_refuses_one_file_for_out_and_metrics(self, tmp_path, capsys, monkeypatch):
+        config = write_config(tmp_path / "exp.json", "dft", 100)
+        monkeypatch.setattr(harness, "generate", self.no_stream)
+        same = tmp_path / "same.txt"
+        assert main(["snapshot", config, "--steps", "50", "--out", str(same),
+                     "--metrics", str(same)]) == 1
+        assert capsys.readouterr() == (
+            "", f"pwltree: cannot write {same} twice: two outputs name that file\n")
+        assert not same.exists()
+
+    def test_restore_refuses_one_file_for_out_and_metrics(self, tmp_path, capsys, monkeypatch):
+        snap, same = tmp_path / "s.json", tmp_path / "same.txt"
+        assert main(["snapshot", write_config(tmp_path / "exp.json", "dft", 100), "--steps", "50",
+                     "--out", str(snap)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(harness, "generate", self.no_stream)
+        other_name = tmp_path / "." / "same.txt"  # the same file, spelt another way
+        assert main(["restore", "--snapshot", str(snap), "--steps", "50", "--out", str(same),
+                     "--metrics", str(other_name)]) == 1
+        assert capsys.readouterr() == (
+            "", f"pwltree: cannot write {other_name} twice: two outputs name that file\n")
+        assert not same.exists()
+
+
+CHAIN_STEPS = 40
+
+
+@pytest.fixture(scope="module")
+def straight(tmp_path_factory):
+    """``straight(kind, depth)``: the config of one ``kind`` tree of
+    ``depth`` over a 40-step matched stream, the rows ``run`` writes for it
+    at stride 1, and the snapshot ``snapshot --steps 40`` writes, each made
+    once per learner."""
+    made = {}
+
+    def get(kind, depth):
+        if (kind, depth) not in made:
+            tmp = tmp_path_factory.mktemp(f"{kind}{depth}")
+            # mu 1e-3: the default 5e-3 makes a depth-5 fixed tree diverge in 16 steps
+            config = write_config(tmp / "exp.json", kind, CHAIN_STEPS, depth=depth, mu=1e-3)
+            assert main(["run", config, "--out", str(tmp / "run")]) == 0
+            assert main(["snapshot", config, "--steps", str(CHAIN_STEPS),
+                         "--out", str(tmp / "full.json")]) == 0
+            made[kind, depth] = (config, read_csv(tmp / "run_metrics.csv"),
+                                 json.loads((tmp / "full.json").read_text()))
+        return made[kind, depth]
+
+    return get
+
+
+@pytest.mark.parametrize("depth", range(MAX_TABLE_DEPTH + 1))
+@pytest.mark.parametrize("kind", ["dft", "dat"])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(split=st.integers(0, CHAIN_STEPS))
+def test_chain_split_anywhere_is_the_straight_run(straight, tmp_path_factory, kind, depth,
+                                                  split):
+    # snapshot --steps p, then restore --steps 40 - p: the two metrics
+    # files' rows, joined, are run's rows, and the last snapshot is the one
+    # a 40-step snapshot writes
+    config, run_rows, full = straight(kind, depth)
+    tmp = tmp_path_factory.mktemp("chain")
+    snap, out = tmp / "s.json", tmp / "r.json"
+    assert main(["snapshot", config, "--steps", str(split), "--out", str(snap),
+                 "--metrics", str(tmp / "m1.csv")]) == 0
+    assert main(["restore", "--snapshot", str(snap), "--steps", str(CHAIN_STEPS - split),
+                 "--out", str(out), "--metrics", str(tmp / "m2.csv")]) == 0
+    first, second = read_csv(tmp / "m1.csv"), read_csv(tmp / "m2.csv")
+    assert first[0] == second[0] == run_rows[0]
+    assert first[1:] + second[1:] == run_rows[1:]
+    assert json.loads(out.read_text()) == full
+
+
+def test_readme_lists_the_snapshot_keys():
+    # the README's key lists of a snapshot file and of a tree learner's
+    # state are copies of cli._SNAPSHOT_KEYS and of state_snapshot()
+    readme = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
+    state = readme.split("Learner state snapshots are JSON objects of heap-ordered arrays: `{",
+                         1)[1].split("}`", 1)[0]
+    assert re.findall(r"(?:^|, )(\w+)", state) == list(FixedTreeRegressor(1, 2).state_snapshot())
+    assert re.findall(r"(?:^|, )(\w+)", state) == list(AdaptiveTreeRegressor(1, 2).state_snapshot())
+    file = readme.split("A snapshot file, as `pwltree snapshot` and `pwltree restore --out` "
+                        "write it, is `{", 1)[1].split("}`", 1)[0]
+    assert re.findall(r'"(\w+)":', file) == list(_SNAPSHOT_KEYS)
+    assert f'"schema": {SNAPSHOT_SCHEMA},' in file
 
 
 class TestSnapshotChecksAsRun:

@@ -206,7 +206,7 @@ class TestSnapshot:
     def test_layout(self):
         lrn = FixedTreeRegressor(2, 2)
         state = lrn.state_snapshot()
-        assert state["depth"] == 2
+        assert list(state) == ["t", "w", "v", "theta"]  # the depth is the arrays' shapes
         assert state["w"] == lrn.w.tolist() and len(state["w"]) == 7
         assert state["v"] == lrn.v.tolist() and all(len(row) == 3 for row in state["v"])
         assert state["theta"] == lrn.theta.tolist() and len(state["theta"]) == 3
@@ -240,11 +240,14 @@ class TestSnapshot:
         assert (resumed.w == straight.w).all()
 
     def test_depth_mismatch_rejected(self):
+        # a state holds no depth: one of another depth has another shape of w
         lrn = FixedTreeRegressor(2, 2)
-        state = lrn.state_snapshot()
-        state["depth"] = 3
-        with pytest.raises(ValueError):
-            lrn.load_state(state)
+        lrn.w[:] = 7.0
+        before = lrn.state_snapshot()
+        with pytest.raises(ValueError, match=re.escape(
+                "snapshot w must have shape (7,) and hold only numbers") + "$"):
+            lrn.load_state(FixedTreeRegressor(3, 2).state_snapshot())
+        assert lrn.state_snapshot() == before
 
     def test_refused_snapshot_leaves_state_unchanged(self):
         lrn = FixedTreeRegressor(1, 2)

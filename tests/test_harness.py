@@ -545,11 +545,11 @@ class TestConfig:
         ({"kind": "gkr", "centers": [[True, 0.0]], "covariances": 1.0},
          "centers must be a list of points, numbers only"),
         ({"kind": "dat", "depth": 1, "theta": [[True, 0, 0]]},
-         "theta must have shape (1, 3) and hold only numbers"),
+         "theta of node 0 is not a row of 3 numbers: [True, 0, 0]"),
         ({"kind": "dft", "depth": 1, "theta": [[True, 0, 0]]},
-         "theta must have shape (1, 3) and hold only numbers"),
+         "theta of node 0 is not a row of 3 numbers: [True, 0, 0]"),
         ({"kind": "direct", "depth": 1, "theta": [["0.5", 0, 0]]},
-         "theta must have shape (1, 3) and hold only numbers"),
+         "theta of node 0 is not a row of 3 numbers: ['0.5', 0, 0]"),
         # a depth-0 tree takes only the empty list: an empty row is still a row
         ({"kind": "dat", "depth": 0, "theta": [[]]},
          "theta must have shape (0, 3) and hold only numbers"),

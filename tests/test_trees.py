@@ -235,7 +235,7 @@ class TestSnapshotFiniteness:
 
 @pytest.mark.parametrize("kind, mutate", [
     pytest.param(kind, mutate, id=f"{case}-{LEARNERS[kind].__name__}")
-    for case, kinds, mutate in MALFORMED_STATES for kind in kinds])
+    for case, mutate in MALFORMED_STATES for kind in LEARNERS])
 def test_malformed_state_refused(kind, mutate):
     make = LEARNERS[kind]
     lrn = make(2, 2)
@@ -401,24 +401,31 @@ def tree_form(kind: str, depth: int, **options):
     return DirectMixtureRegressor(depth, 2, mode=kind.removeprefix("direct-"), mu=0.05, **options)
 
 
-def bad_rows(shape: tuple, fault: str):
-    """``(value, fault)``: a value for rows of ``shape`` holding ``fault``,
-    and the fault the one check finds in it, ``shape`` or ``finite``.  A
-    NaN or an inf needs a row to sit in, so for no rows it brings one."""
+def bad_rows(shape: tuple, fault: str, name: str):
+    """``(value, message)``: a value for the rows ``name`` of ``shape``
+    holding ``fault``, and the one check's message on it, which names the
+    first bad node when the value holds one row per node and the shape
+    when it does not.  A NaN or an inf needs a row to sit in, so for no
+    rows it brings one."""
     if fault in ("nan", "inf"):
         value = np.zeros(shape if shape[0] else (1, shape[1]))
         value[-1, 0] = math.nan if fault == "nan" else -math.inf
-        return value, "finite" if shape[0] else "shape"
-    value = {"bool-array": np.zeros(shape, dtype=bool),
-             "bool-entry": [[True] + [0.0] * (shape[1] - 1)] * max(shape[0], 1),
-             "string": "0.5", "string-array": np.full(shape, "0.5")}[fault]
-    return value, "shape"
+        node, found = shape[0] - 1, "finite"
+    else:
+        value = {"bool-array": np.zeros(shape, dtype=bool),
+                 "bool-entry": [[True] + [0.0] * (shape[1] - 1)] * max(shape[0], 1),
+                 "string": "0.5", "string-array": np.full(shape, "0.5")}[fault]
+        node, found = 0, f"a row of {shape[1]} numbers"
+    if not shape[0] or fault == "string":
+        return value, f"{name} must have shape {shape} and hold only numbers"
+    row = (value.tolist() if isinstance(value, np.ndarray) else value)[node]
+    return value, f"{name} of node {node} is not {found}: {row!r}"
 
 
 class TestOneRowCheck:
-    """The ``v`` and ``theta`` setters are the one check of every
-    whole-array write of a tree learner's rows: the constructors' ``theta``
-    and ``load_state`` write through them too."""
+    """``trees._node_array`` is the one check of every whole-array write
+    of a tree learner's state: the ``v`` and ``theta`` setters, the
+    constructors' ``theta`` through them, and ``load_state``."""
 
     @pytest.mark.parametrize("fault", ["nan", "inf", "bool-array", "bool-entry", "string",
                                        "string-array"])
@@ -428,10 +435,7 @@ class TestOneRowCheck:
         lrn = tree_form(kind, depth)
         randomize(lrn, np.random.default_rng(33))
         before = lrn._rows.tobytes()
-        shape = getattr(lrn, name).shape
-        value, found = bad_rows(shape, fault)
-        message = (f"{name} must be finite" if found == "finite"
-                   else f"{name} must have shape {shape} and hold only numbers")
+        value, message = bad_rows(getattr(lrn, name).shape, fault, name)
         with pytest.raises(ValueError) as refused:
             setattr(lrn, name, value)
         assert str(refused.value) == message
@@ -462,23 +466,23 @@ class TestOneRowCheck:
             lrn.v = []
 
     @pytest.mark.parametrize("kind", ["dft", "dat", "direct-hard", "direct-soft"])
-    def test_every_whole_array_write_goes_through_the_setters(self, kind, monkeypatch):
+    def test_every_whole_array_write_goes_through_the_one_check(self, kind, monkeypatch):
         from pwltree import trees
 
         written = []
 
-        def recorded(rows, value, name):
+        def recorded(value, shape, name):
             written.append(name)
-            return assign(rows, value, name)
+            return check(value, shape, name)
 
-        assign = trees._assign
-        monkeypatch.setattr(trees, "_assign", recorded)
+        check = trees._node_array
+        monkeypatch.setattr(trees, "_node_array", recorded)
         lrn = tree_form(kind, 2)
         assert written == ["theta"]
         if kind in ("dft", "dat"):
             written.clear()
             lrn.load_state(json.loads(json.dumps(lrn.state_snapshot())))
-            assert written == ["v", "theta"]
+            assert written == ["snapshot w", "snapshot v", "snapshot theta"]
 
 
 SOFT_DEPTHS = [*(("dat", depth) for depth in range(MAX_TABLE_DEPTH + 1)),
